@@ -1,0 +1,360 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/zeroshot-db/zeroshot/internal/adapt"
+	"github.com/zeroshot-db/zeroshot/internal/bundle"
+	"github.com/zeroshot-db/zeroshot/internal/cluster"
+	"github.com/zeroshot-db/zeroshot/internal/costmodel"
+	"github.com/zeroshot-db/zeroshot/internal/obs"
+	"github.com/zeroshot-db/zeroshot/internal/serving"
+)
+
+// fleetOpts selects the optional tiers a test topology boots with —
+// the -adapt and -bundle-dir halves of `zsdb serve`.
+type fleetOpts struct {
+	adapt   bool
+	bundles bool
+}
+
+// bootReplicas assembles n serving replicas over the shared fixture the
+// way runServe does: per-replica session, distributor, adaptation loop
+// and in-process backend, one shared bundle control. A lone replica is
+// named "local", several r0...
+func bootReplicas(t *testing.T, n int, o fleetOpts, tracer *obs.Tracer, events *obs.Log) ([]*cluster.InProcess, *bundleControl) {
+	t.Helper()
+	f := sharedServeFixture(t)
+	var bc *bundleControl
+	if o.bundles {
+		var err error
+		bf := bundleFlags{dir: t.TempDir(), poll: time.Hour, retain: bundle.DefaultRetain, model: costmodel.NameZeroShot}
+		if bc, err = bf.newControl(f.models, events); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(bc.close)
+	}
+	var replicas []*cluster.InProcess
+	for i := 0; i < n; i++ {
+		name := "local"
+		if n > 1 {
+			name = fmt.Sprintf("r%d", i)
+		}
+		sess := newTestSession(t, serving.Config{Tracer: tracer})
+		var dist *bundle.Distributor
+		if bc != nil {
+			var err error
+			if dist, err = bc.attach(name, sess, time.Hour); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var loop *adapt.Loop
+		if o.adapt {
+			var err error
+			loop, err = adapt.New(sess, adapt.Config{Model: costmodel.NameZeroShot, OnAccept: bc.onAccept(dist), Events: events, Origin: name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(loop.Close)
+		}
+		b, err := cluster.NewInProcess(name, sess, loop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replicas = append(replicas, b)
+	}
+	if bc != nil {
+		if err := bc.seed(context.Background(), f.models); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return replicas, bc
+}
+
+// routerOver registers backends in a fresh router.
+func routerOver(t *testing.T, cfg cluster.Config, backends ...cluster.Backend) *cluster.Router {
+	t.Helper()
+	router := cluster.NewRouter(cfg)
+	t.Cleanup(func() { router.Close() })
+	for _, b := range backends {
+		if err := router.Register(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return router
+}
+
+func serveHandler(t *testing.T, h http.Handler) string {
+	t.Helper()
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// bootServe is `zsdb serve`: one session behind the HTTP shim.
+func bootServe(t *testing.T, o fleetOpts) string {
+	t.Helper()
+	tracer, events := (&obsFlags{}).build()
+	replicas, bc := bootReplicas(t, 1, o, tracer, events)
+	srv := newServer(replicas[0].Session())
+	srv.loop, srv.bundles, srv.tracer, srv.events = replicas[0].Loop(), bc, tracer, events
+	return serveHandler(t, srv.mux())
+}
+
+// bootCluster is `zsdb serve -replicas n`: n mirrored in-process
+// replicas behind the router, one HTTP front end.
+func bootCluster(t *testing.T, n int, o fleetOpts) string {
+	t.Helper()
+	tracer, events := (&obsFlags{}).build()
+	replicas, bc := bootReplicas(t, n, o, tracer, events)
+	loops := map[string]*adapt.Loop{}
+	backends := make([]cluster.Backend, len(replicas))
+	for i, b := range replicas {
+		backends[i] = b
+		if b.Loop() != nil {
+			loops[b.Name()] = b.Loop()
+		}
+	}
+	srv := newClusterServer(routerOver(t, cluster.Config{Tracer: tracer, Events: events}, backends...))
+	srv.bundles, srv.tracer, srv.events = bc, tracer, events
+	if len(loops) > 0 {
+		srv.adaptStatus = func() map[string]adapt.Status {
+			out := make(map[string]adapt.Status, len(loops))
+			for name, loop := range loops {
+				out[name] = loop.Status()
+			}
+			return out
+		}
+	}
+	return serveHandler(t, srv.mux())
+}
+
+// bootRoute is `zsdb route` over two `zsdb serve` processes named a
+// and b.
+func bootRoute(t *testing.T, o fleetOpts) string {
+	t.Helper()
+	var backends []cluster.Backend
+	for _, name := range []string{"a", "b"} {
+		hb, err := cluster.NewHTTPBackend(name, bootServe(t, o), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		backends = append(backends, hb)
+	}
+	tracer, events := (&obsFlags{}).build()
+	srv := newClusterServer(routerOver(t, cluster.Config{CallTimeout: 5 * time.Second, Tracer: tracer, Events: events}, backends...))
+	srv.tracer, srv.events = tracer, events
+	return serveHandler(t, srv.mux())
+}
+
+// exchange is one scripted request. show replaces the body in the
+// transcript when the body is too large to print.
+type exchange struct {
+	method, path, body, show string
+}
+
+// sqlArray renders n copies of testSQL as a JSON array.
+func sqlArray(n int) string {
+	return "[" + strings.TrimSuffix(strings.Repeat(fmt.Sprintf("%q,", testSQL), n), ",") + "]"
+}
+
+const malformed = `{"db":`
+
+func post(path, body string) exchange {
+	return exchange{method: http.MethodPost, path: path, body: body}
+}
+
+func get(path string) exchange { return exchange{method: http.MethodGet, path: path} }
+
+// transcriptScript is the request sequence replayed against every
+// topology with adaptation and bundles on: every route × {happy path,
+// wrong method, malformed body, missing field, unknown database,
+// oversized batch, join miss}, then every GET document.
+func transcriptScript() []exchange {
+	fp := costmodel.Fingerprint(testSQL)
+	return []exchange{
+		get("/healthz"),
+		get("/v1/models"),
+		get("/v1/databases"),
+
+		post("/v1/predict", fmt.Sprintf(`{"db":"imdb","model":"zeroshot","sql":%q}`, testSQL)),
+		post("/v1/predict", fmt.Sprintf(`{"db":"imdb","model":"zeroshot","sql":%q}`, "  "+testSQL+"  ")),
+		post("/v1/predict", `{"db":"ssb","model":"scaledcost","sql":"SELECT COUNT(*) FROM lineorder"}`),
+		get("/v1/predict"),
+		post("/v1/predict", malformed),
+		post("/v1/predict", `{"db":"imdb","model":"zeroshot"}`),
+		post("/v1/predict", fmt.Sprintf(`{"db":"nope","model":"zeroshot","sql":%q}`, testSQL)),
+		post("/v1/predict", fmt.Sprintf(`{"db":"imdb","model":"nope","sql":%q}`, testSQL)),
+		post("/v1/predict", fmt.Sprintf(`{"db":"imdb","sql":%q}`, testSQL)),
+		post("/v1/predict", `{"db":"imdb","model":"zeroshot","sql":"DROP TABLE title"}`),
+
+		post("/v1/predict_batch", fmt.Sprintf(`{"db":"imdb","model":"zeroshot","sql":[%q,"garbage","SELECT COUNT(*) FROM movie_companies"]}`, testSQL)),
+		get("/v1/predict_batch"),
+		post("/v1/predict_batch", malformed),
+		post("/v1/predict_batch", `{"db":"imdb","model":"zeroshot"}`),
+		post("/v1/predict_batch", fmt.Sprintf(`{"db":"nope","model":"zeroshot","sql":[%q]}`, testSQL)),
+		{http.MethodPost, "/v1/predict_batch", `{"db":"imdb","model":"zeroshot","sql":` + sqlArray(maxBatch+1) + `}`,
+			fmt.Sprintf(`{"db":"imdb","model":"zeroshot","sql":[<%d statements>]}`, maxBatch+1)},
+
+		post("/v1/whatif", fmt.Sprintf(`{"db":"imdb","model":"zeroshot","sql":[%q,%q],"candidates":["title.production_year","movie_companies.movie_id"]}`, testSQL, whatIfWorkload[1])),
+		post("/v1/whatif", fmt.Sprintf(`{"db":"imdb","model":"zeroshot","sql":[%q],"max_candidates":2}`, whatIfWorkload[1])),
+		get("/v1/whatif"),
+		post("/v1/whatif", malformed),
+		post("/v1/whatif", `{"db":"imdb"}`),
+		post("/v1/whatif", fmt.Sprintf(`{"db":"nope","sql":[%q]}`, testSQL)),
+		post("/v1/whatif", fmt.Sprintf(`{"db":"imdb","model":"zeroshot","sql":[%q],"candidates":["no_dot"]}`, testSQL)),
+		{http.MethodPost, "/v1/whatif", `{"db":"imdb","sql":` + sqlArray(maxBatch+1) + `}`,
+			fmt.Sprintf(`{"db":"imdb","sql":[<%d statements>]}`, maxBatch+1)},
+
+		post("/v1/feedback", fmt.Sprintf(`{"db":"imdb","fingerprint":%q,"actual_runtime_sec":0.25}`, fp)),
+		post("/v1/feedback", `{"db":"imdb","sql":"  select COUNT(*) from title WHERE production_year > 50","actual_runtime_sec":0.5}`),
+		post("/v1/feedback", `{"db":"imdb","sql":"SELECT COUNT(*) FROM cast_info","actual_runtime_sec":0.5}`),
+		get("/v1/feedback"),
+		post("/v1/feedback", malformed),
+		post("/v1/feedback", `{"db":"imdb","actual_runtime_sec":0.5}`),
+		post("/v1/feedback", fmt.Sprintf(`{"db":"imdb","fingerprint":%q}`, fp)),
+		post("/v1/feedback", fmt.Sprintf(`{"db":"nope","fingerprint":%q,"actual_runtime_sec":0.5}`, fp)),
+
+		get("/v1/bundles"),
+		post("/v1/bundles", `{"action":"refresh"}`),
+		post("/v1/bundles", `{"action":"rollback","revision":7}`),
+		post("/v1/bundles", `{"action":"explode"}`),
+		post("/v1/bundles", malformed),
+		{method: http.MethodPut, path: "/v1/bundles"},
+
+		get("/v1/adapt/status"),
+		get("/v1/stats"),
+		get("/v1/cluster"),
+		get("/v1/debug/traces"),
+		get("/v1/debug/traces?n=-1"),
+		get("/v1/events"),
+		get("/v1/events?since=x"),
+		get("/v1/events?max=0"),
+		post("/healthz", ""),
+		post("/v1/models", ""),
+		post("/v1/databases", ""),
+		post("/v1/stats", ""),
+		post("/v1/adapt/status", ""),
+		post("/v1/cluster", ""),
+		post("/v1/debug/traces", ""),
+		post("/v1/events", ""),
+		get("/v1/nope"),
+	}
+}
+
+// plainScript asks a fleet booted without -adapt and -bundle-dir for
+// every answer that depends on them.
+func plainScript() []exchange {
+	return []exchange{
+		post("/v1/predict", fmt.Sprintf(`{"db":"imdb","model":"zeroshot","sql":%q}`, testSQL)),
+		post("/v1/feedback", fmt.Sprintf(`{"db":"imdb","fingerprint":%q,"actual_runtime_sec":0.25}`, costmodel.Fingerprint(testSQL))),
+		post("/v1/feedback", malformed),
+		post("/v1/feedback", `{"db":"imdb","actual_runtime_sec":0.5}`),
+		get("/v1/adapt/status"),
+		get("/v1/stats"),
+		get("/v1/bundles"),
+		post("/v1/bundles", `{"action":"refresh"}`),
+		get("/v1/events"),
+	}
+}
+
+// clockValued matches the JSON members whose values depend on the wall
+// clock or on a content digest; the transcript keeps the key and masks
+// the value, so field order and presence stay pinned.
+var clockValued = regexp.MustCompile(`"(collected_at|uptime_sec|swapped|last_swap|mean_ms|p50_ms|p95_ms|p99_ms|max_ms|created_at|last_activated|sha256|time)":("[^"]*"|[-+.0-9eE]+)`)
+
+// record replays the script against baseURL and renders the transcript.
+func record(t *testing.T, baseURL string, script []exchange) string {
+	t.Helper()
+	var out strings.Builder
+	for _, x := range script {
+		req, err := http.NewRequest(x.method, baseURL+x.path, strings.NewReader(x.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if x.body != "" {
+			req.Header.Set("Content-Type", "application/json")
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", x.method, x.path, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s %s: %v", x.method, x.path, err)
+		}
+		shown := x.body
+		if x.show != "" {
+			shown = x.show
+		}
+		fmt.Fprintf(&out, "%s %s\n> %s\n< %d %s\n< %s\n", x.method, x.path, shown,
+			resp.StatusCode, resp.Header.Get("Content-Type"), clockValued.ReplaceAll(bytes.TrimRight(body, "\n"), []byte(`"$1":"~"`)))
+	}
+	return out.String()
+}
+
+// TestHTTPTranscripts pins the wire: the full scripted conversation with
+// each shipped topology, byte for byte apart from clock-valued fields,
+// against goldens recorded before the two HTTP shims were collapsed into
+// one. UPDATE_TRANSCRIPTS=1 rewrites them.
+func TestHTTPTranscripts(t *testing.T) {
+	topologies := []struct {
+		name string
+		boot func(*testing.T, fleetOpts) string
+	}{
+		{"serve", bootServe},
+		{"replicas", func(t *testing.T, o fleetOpts) string { return bootCluster(t, 4, o) }},
+		{"route", bootRoute},
+	}
+	for _, topo := range topologies {
+		t.Run(topo.name, func(t *testing.T) {
+			got := "## adaptation and bundles on\n" + record(t, topo.boot(t, fleetOpts{adapt: true, bundles: true}), transcriptScript()) +
+				"## adaptation and bundles off\n" + record(t, topo.boot(t, fleetOpts{}), plainScript())
+			path := filepath.Join("testdata", "transcripts", topo.name+".golden")
+			if os.Getenv("UPDATE_TRANSCRIPTS") != "" {
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Fatalf("transcript differs from %s:\n%s", path, firstDifference(string(want), got))
+			}
+		})
+	}
+}
+
+// firstDifference names the first line on which two transcripts part,
+// with the request that led to it.
+func firstDifference(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	request := ""
+	for i := 0; i < len(w) && i < len(g); i++ {
+		if !strings.HasPrefix(w[i], "<") && !strings.HasPrefix(w[i], ">") {
+			request = w[i]
+		}
+		if w[i] != g[i] {
+			return fmt.Sprintf("line %d, after %q\nwant: %s\n got: %s", i+1, request, w[i], g[i])
+		}
+	}
+	return fmt.Sprintf("lengths differ: want %d lines, got %d", len(w), len(g))
+}
