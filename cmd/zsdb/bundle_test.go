@@ -141,7 +141,7 @@ func predictRuntime(t *testing.T, sess *serving.Session, sql string) float64 {
 // serving generation.
 func TestServeBundleLifecycle(t *testing.T) {
 	sess, bc, dist := newBundleFixture(t, 1)
-	srv := newServer(sess)
+	srv := newSessionServer(sess, nil)
 	srv.bundles = bc
 	ts := httptest.NewServer(srv.mux())
 	defer ts.Close()
@@ -335,29 +335,18 @@ func TestBundleActivationUnderLoad(t *testing.T) {
 }
 
 // TestServeBundlesDisabled pins the off-by-default behaviour: without
-// -bundle-dir the endpoint is 404 on both server flavours.
+// -bundle-dir the endpoint is 404 on every topology.
 func TestServeBundlesDisabled(t *testing.T) {
-	ts := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/v1/bundles")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /v1/bundles without -bundle-dir: %d, want 404", resp.StatusCode)
-	}
-
-	router, _ := newTestRouter(t, 2, false)
-	cts := httptest.NewServer(newClusterServer(router).mux())
-	defer cts.Close()
-	resp, err = http.Get(cts.URL + "/v1/bundles")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("cluster GET /v1/bundles without -bundle-dir: %d, want 404", resp.StatusCode)
-	}
+	forEachTopology(t, func(t *testing.T, baseURL string) {
+		resp, err := http.Get(baseURL + "/v1/bundles")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET /v1/bundles without -bundle-dir: %d, want 404", resp.StatusCode)
+		}
+	})
 }
 
 // TestClusterBundleConvergence wires three replica sessions to one
@@ -405,7 +394,7 @@ func TestClusterBundleConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := newClusterServer(router)
+	srv := newRouterServer(router)
 	srv.bundles = bc
 	ts := httptest.NewServer(srv.mux())
 	defer ts.Close()

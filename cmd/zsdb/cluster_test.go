@@ -3,9 +3,13 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,43 +17,16 @@ import (
 	"github.com/zeroshot-db/zeroshot/internal/cluster"
 	"github.com/zeroshot-db/zeroshot/internal/costmodel"
 	"github.com/zeroshot-db/zeroshot/internal/serving"
-	"github.com/zeroshot-db/zeroshot/internal/storage"
 )
 
 // newTestRouter assembles an n-replica mirrored in-process cluster over
 // the shared serve fixture — the same shape `zsdb serve -replicas n`
-// builds, minus the model-file loading. The returned map holds each
-// replica's adaptation loop when withAdapt is set.
-func newTestRouter(t *testing.T, n int, withAdapt bool) (*cluster.Router, map[string]*adapt.Loop) {
+// builds, minus the model-file loading — and returns its replicas, each
+// with an adaptation loop when withAdapt is set.
+func newTestRouter(t *testing.T, n int, withAdapt bool) (*cluster.Router, []*cluster.InProcess) {
 	t.Helper()
-	f := sharedServeFixture(t)
-	router := cluster.NewRouter(cluster.Config{})
-	t.Cleanup(func() { router.Close() })
-	loops := map[string]*adapt.Loop{}
-	for i := 0; i < n; i++ {
-		sess, err := assembleSession(serving.Config{},
-			[]string{"imdb", "ssb"}, []*storage.Database{f.imdb, f.ssb}, f.models)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var loop *adapt.Loop
-		if withAdapt {
-			var err error
-			loop, err = adapt.New(sess, adapt.Config{Model: costmodel.NameZeroShot})
-			if err != nil {
-				t.Fatal(err)
-			}
-			loops[fmt.Sprintf("r%d", i)] = loop
-		}
-		b, err := cluster.NewInProcess(fmt.Sprintf("r%d", i), sess, loop)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := router.Register(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return router, loops
+	replicas, _ := bootReplicas(t, n, fleetOpts{adapt: withAdapt}, nil, nil)
+	return routerOver(t, cluster.Config{}, asBackends(replicas)...), replicas
 }
 
 // fixedWorkload is the deterministic statement set the equivalence test
@@ -67,14 +44,14 @@ var fixedWorkload = []struct{ db, sql string }{
 // a single session for a fixed workload — partitioning is a pure
 // routing concern, never a numeric one.
 func TestClusterEquivalentToSingleReplica(t *testing.T) {
-	single := httptest.NewServer(newServer(newTestSession(t, serving.Config{})).mux())
+	single := httptest.NewServer(newSessionServer(newTestSession(t, serving.Config{}), nil).mux())
 	defer single.Close()
 	router4, _ := newTestRouter(t, 4, false)
-	clustered := httptest.NewServer(newClusterServer(router4).mux())
+	clustered := httptest.NewServer(newRouterServer(router4).mux())
 	defer clustered.Close()
 
 	for _, q := range fixedWorkload {
-		req := predictRequest{DB: q.db, Model: costmodel.NameZeroShot, SQL: q.sql}
+		req := cluster.PredictRequest{DB: q.db, Model: costmodel.NameZeroShot, SQL: q.sql}
 		respS, bodyS := postJSON(t, single.URL+"/v1/predict", req)
 		respC, bodyC := postJSON(t, clustered.URL+"/v1/predict", req)
 		if respS.StatusCode != http.StatusOK || respC.StatusCode != http.StatusOK {
@@ -111,16 +88,8 @@ func mustUnmarshal(t *testing.T, raw json.RawMessage, v any) {
 // TestClusterServerEndpoints exercises the aggregating read endpoints
 // and routed feedback of the cluster front end over real sessions.
 func TestClusterServerEndpoints(t *testing.T) {
-	router, loops := newTestRouter(t, 3, true)
-	srv := newClusterServer(router)
-	srv.adaptStatus = func() map[string]adapt.Status {
-		out := make(map[string]adapt.Status, len(loops))
-		for name, loop := range loops {
-			out[name] = loop.Status()
-		}
-		return out
-	}
-	ts := httptest.NewServer(srv.mux())
+	router, replicas := newTestRouter(t, 3, true)
+	ts := httptest.NewServer(newRouterServer(router, replicas...).mux())
 	defer ts.Close()
 
 	var health struct {
@@ -166,13 +135,13 @@ func TestClusterServerEndpoints(t *testing.T) {
 
 	// Predict, then feed the observed runtime back: it must reach the
 	// adaptation loop on the replica owning imdb.
-	resp, body := postJSON(t, ts.URL+"/v1/predict", predictRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: testSQL})
+	resp, body := postJSON(t, ts.URL+"/v1/predict", cluster.PredictRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: testSQL})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("predict = %d %v", resp.StatusCode, body)
 	}
 	var fp string
 	mustUnmarshal(t, body["fingerprint"], &fp)
-	resp, body = postJSON(t, ts.URL+"/v1/feedback", feedbackRequest{DB: "imdb", Fingerprint: fp, ActualRuntimeSec: 0.42})
+	resp, body = postJSON(t, ts.URL+"/v1/feedback", cluster.FeedbackRequest{DB: "imdb", Fingerprint: fp, ActualRuntimeSec: 0.42})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("feedback = %d %v", resp.StatusCode, body)
 	}
@@ -212,9 +181,9 @@ func TestClusterServerEndpoints(t *testing.T) {
 // two real serve processes (httptest) behind HTTP backends and a
 // routing front end. Killing one backend mid-run must cost no request.
 func TestRouteModeFailoverOverHTTP(t *testing.T) {
-	backendA := httptest.NewServer(newServer(newTestSession(t, serving.Config{})).mux())
+	backendA := httptest.NewServer(newSessionServer(newTestSession(t, serving.Config{}), nil).mux())
 	defer backendA.Close()
-	backendB := httptest.NewServer(newServer(newTestSession(t, serving.Config{})).mux())
+	backendB := httptest.NewServer(newSessionServer(newTestSession(t, serving.Config{}), nil).mux())
 	// no defer for B: the test closes it deliberately
 
 	router := cluster.NewRouter(cluster.Config{CallTimeout: 5 * time.Second})
@@ -228,12 +197,12 @@ func TestRouteModeFailoverOverHTTP(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	front := httptest.NewServer(newClusterServer(router).mux())
+	front := httptest.NewServer(newRouterServer(router).mux())
 	defer front.Close()
 
 	predict := func() (int, map[string]json.RawMessage) {
 		resp, body := postJSON(t, front.URL+"/v1/predict",
-			predictRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: testSQL})
+			cluster.PredictRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: testSQL})
 		return resp.StatusCode, body
 	}
 	code, body := predict()
@@ -271,7 +240,7 @@ func TestRouteModeFailoverOverHTTP(t *testing.T) {
 	// backend: a bad statement is 400, an unknown database 404 — not a
 	// failover storm.
 	resp, _ := postJSON(t, front.URL+"/v1/predict",
-		predictRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: "DROP TABLE title"})
+		cluster.PredictRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: "DROP TABLE title"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad SQL through router = %d, want 400", resp.StatusCode)
 	}
@@ -291,9 +260,77 @@ func TestRouteModeFailoverOverHTTP(t *testing.T) {
 		t.Fatal("no candidate name hashed onto the survivor")
 	}
 	resp, _ = postJSON(t, front.URL+"/v1/predict",
-		predictRequest{DB: unknown, Model: costmodel.NameZeroShot, SQL: testSQL})
+		cluster.PredictRequest{DB: unknown, Model: costmodel.NameZeroShot, SQL: testSQL})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown db through router = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestRouteReusesBackendConnection pins the keep-alive fix: a routed
+// reply bigger than one read used to be closed before EOF, so every
+// batch, sweep and stats call paid for a fresh TCP connection to its
+// backend.
+func TestRouteReusesBackendConnection(t *testing.T) {
+	var dials atomic.Int64
+	backend := httptest.NewUnstartedServer(newSessionServer(newTestSession(t, serving.Config{}), nil).mux())
+	backend.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	backend.Start()
+	defer backend.Close()
+	hb, err := cluster.NewHTTPBackend("a", backend.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := routerOver(t, cluster.Config{}, hb)
+
+	sqls := make([]string, 1024)
+	for i := range sqls {
+		sqls[i] = testSQL
+	}
+	for i := 0; i < 50; i++ {
+		res, err := router.PredictBatch(context.Background(), "imdb", costmodel.NameZeroShot, sqls)
+		if err != nil || len(res.Items) != len(sqls) {
+			t.Fatalf("batch %d: %d items, err %v", i, len(res.Items), err)
+		}
+	}
+	// An error reply must leave the connection reusable too.
+	if _, err := router.PredictBatch(context.Background(), "nope", costmodel.NameZeroShot, sqls[:1]); !errors.Is(err, serving.ErrNotFound) {
+		t.Fatalf("unknown db through the router: %v, want not found", err)
+	}
+	if _, err := router.Stats(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("52 sequential backend calls opened %d connections, want 1", n)
+	}
+}
+
+// TestRouteOversizedBodyIsNotAnOutage is the client half of the body
+// bound (the transcripts pin the server half, a JSON 413 on every
+// topology): a backend's 413 reaches the router as a request-level
+// error. A body the router accepted can still outgrow the limit when it
+// is re-encoded for the hop ("<" becomes six bytes), and that must not
+// mark every backend unhealthy in turn.
+func TestRouteOversizedBodyIsNotAnOutage(t *testing.T) {
+	front := bootRoute(t, fleetOpts{})
+	grows := `{"db":"imdb","model":"zeroshot","sql":"` + strings.Repeat("<", maxBodyBytes/4) + `"}`
+	resp, err := http.Post(front+"/v1/predict", "application/json", strings.NewReader(grows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("body that outgrows the hop = %d, want 400", resp.StatusCode)
+	}
+	var health struct {
+		Healthy int `json:"healthy"`
+	}
+	getJSON(t, front+"/healthz", &health)
+	if health.Healthy != 2 {
+		t.Fatalf("%d of 2 backends healthy after an oversized request; it was read as an outage", health.Healthy)
 	}
 }
 

@@ -49,7 +49,7 @@ func newDoctorFixture(t *testing.T) doctorFixture {
 			t.Fatal(err)
 		}
 	}
-	srv := newClusterServer(router)
+	srv := newRouterServer(router)
 	srv.tracer, srv.events = tracer, events
 	ts := httptest.NewServer(srv.mux())
 	t.Cleanup(ts.Close)
@@ -77,7 +77,7 @@ func TestDoctorEndToEndHealthyCluster(t *testing.T) {
 	f := newDoctorFixture(t)
 	for _, q := range fixedWorkload {
 		resp, body := postJSON(t, f.srv.URL+"/v1/predict",
-			predictRequest{DB: q.db, Model: costmodel.NameZeroShot, SQL: q.sql})
+			cluster.PredictRequest{DB: q.db, Model: costmodel.NameZeroShot, SQL: q.sql})
 		if resp.StatusCode != 200 {
 			t.Fatalf("predict %s on %s: %d (%v)", q.sql, q.db, resp.StatusCode, body)
 		}

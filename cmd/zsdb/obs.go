@@ -67,10 +67,6 @@ func (o *obsFlags) startDebug() (func(), error) {
 // the always-on slow-query ring, newest first. ?n= caps each list.
 func handleTraces(tr *obs.Tracer) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "GET only")
-			return
-		}
 		if tr == nil {
 			httpError(w, http.StatusNotFound, "tracing is not wired on this server")
 			return
@@ -94,10 +90,6 @@ func handleTraces(tr *obs.Tracer) http.HandlerFunc {
 // tells them the ring evicted history in between.
 func handleEvents(l *obs.Log) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "GET only")
-			return
-		}
 		if l == nil {
 			httpError(w, http.StatusNotFound, "the event log is not wired on this server")
 			return

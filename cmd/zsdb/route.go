@@ -2,15 +2,10 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"github.com/zeroshot-db/zeroshot/internal/cluster"
@@ -95,24 +90,20 @@ func runRoute(args []string) error {
 		router.Close()
 		return fmt.Errorf("route: none of the %d backend(s) answered a health probe", len(urls))
 	}
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		router.Close()
-		return err
-	}
-	srv := newClusterServer(router)
+	banner := fmt.Sprintf("routing over %d backend(s) (%d healthy)", len(urls), up)
+	srv := newRouterServer(router)
 	srv.tracer, srv.events = tracer, events
-	httpSrv := &http.Server{
-		Handler:           srv.mux(),
-		ReadHeaderTimeout: 5 * time.Second,
+	return listenAndServe(*addr, srv.mux(), router, *drain, banner)
+}
+
+// checkStartupHealth probes every backend once so a route command fails
+// fast (with a named offender) when no backend is reachable at start.
+func checkStartupHealth(ctx context.Context, router *cluster.Router) (up int, report map[string]error) {
+	report = router.CheckHealth(ctx)
+	for _, err := range report {
+		if err == nil {
+			up++
+		}
 	}
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigs)
-	fmt.Fprintf(os.Stderr, "routing over %d backend(s) (%d healthy) on %s\n", len(urls), up, ln.Addr())
-	err = serveUntilSignal(httpSrv, ln, router, sigs, *drain)
-	if errors.Is(err, http.ErrServerClosed) {
-		return nil
-	}
-	return err
+	return up, report
 }

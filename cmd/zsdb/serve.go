@@ -2,10 +2,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -24,403 +24,7 @@ import (
 	"github.com/zeroshot-db/zeroshot/internal/obs"
 	"github.com/zeroshot-db/zeroshot/internal/serving"
 	"github.com/zeroshot-db/zeroshot/internal/storage"
-	"github.com/zeroshot-db/zeroshot/internal/whatif"
 )
-
-// server is the HTTP shim over a serving.Session: handlers decode JSON,
-// call the session, and map its error kinds onto status codes. All
-// serving logic — multi-database pipelines, plan caching, micro-batch
-// coalescing, metrics — lives in internal/serving; the optional online
-// adaptation loop (feedback → drift → fine-tune → hot-swap) lives in
-// internal/adapt.
-type server struct {
-	sess *serving.Session
-	// loop is the online adaptation controller; nil unless -adapt.
-	loop *adapt.Loop
-	// bundles is the model-bundle plumbing (store, publisher, this
-	// session's distributor); nil unless -bundle-dir.
-	bundles *bundleControl
-	// tracer and events are the process-wide observability surfaces
-	// behind /v1/debug/traces and /v1/events (nil-safe when unwired).
-	tracer *obs.Tracer
-	events *obs.Log
-}
-
-func newServer(sess *serving.Session) *server { return &server{sess: sess} }
-
-// mux wires the JSON API.
-func (s *server) mux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/v1/models", s.handleModels)
-	mux.HandleFunc("/v1/databases", s.handleDatabases)
-	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/v1/predict", s.handlePredict)
-	mux.HandleFunc("/v1/predict_batch", s.handlePredictBatch)
-	mux.HandleFunc("/v1/whatif", s.handleWhatIf)
-	mux.HandleFunc("/v1/feedback", s.handleFeedback)
-	mux.HandleFunc("/v1/adapt/status", s.handleAdaptStatus)
-	mux.HandleFunc("/v1/bundles", s.handleBundles)
-	mux.HandleFunc("/v1/debug/traces", s.handleTraces)
-	mux.HandleFunc("/v1/events", s.handleEvents)
-	return mux
-}
-
-// handleTraces and handleEvents defer to the shared handlers — the
-// fields are read per request so tests can wire them after mux().
-func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	handleTraces(s.tracer)(w, r)
-}
-
-func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	handleEvents(s.events)(w, r)
-}
-
-// handleBundles defers to the shared bundle handler — s.bundles is read
-// per request so tests can wire it after mux().
-func (s *server) handleBundles(w http.ResponseWriter, r *http.Request) {
-	handleBundles(s.bundles)(w, r)
-}
-
-// httpError is the uniform JSON error envelope.
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// httpErrorCode is httpError plus a machine-readable "code" field, for
-// conditions remote routers must classify without parsing prose (the
-// cluster HTTP backend keys on it).
-func httpErrorCode(w http.ResponseWriter, status int, errCode, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...), "code": errCode})
-}
-
-// sessionError maps a serving error kind onto its status code.
-func sessionError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, serving.ErrNotFound):
-		httpError(w, http.StatusNotFound, "%v", err)
-	case errors.Is(err, serving.ErrBadQuery):
-		httpError(w, http.StatusBadRequest, "%v", err)
-	case errors.Is(err, serving.ErrClosed):
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		// The client gave up, not the server — keep it off the 5xx rate.
-		httpError(w, http.StatusRequestTimeout, "%v", err)
-	default:
-		httpError(w, http.StatusInternalServerError, "%v", err)
-	}
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
-func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	models, databases := s.sess.Counts()
-	writeJSON(w, map[string]any{
-		"status":    "ok",
-		"models":    models,
-		"databases": databases,
-	})
-}
-
-// modelInfo describes one loaded model in /v1/models. Fused reports
-// whether the model's PredictBatch executes as one fused forward pass
-// (costmodel.BatchFuser). Generation and Swapped expose the hot-swap
-// state (each AttachModel bumps the generation), so a client can detect
-// a stale replica from this endpoint alone. All three are omitted by
-// the cluster aggregation, which only sees model names.
-type modelInfo struct {
-	Name       string    `json:"name"`
-	Fused      bool      `json:"fused,omitempty"`
-	Generation int64     `json:"generation,omitempty"`
-	Swapped    time.Time `json:"swapped,omitzero"`
-}
-
-func (s *server) handleModels(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	models := make([]modelInfo, 0, 4)
-	for _, name := range s.sess.Models() {
-		info := modelInfo{Name: name}
-		if est, err := s.sess.Model(name); err == nil {
-			info.Fused = costmodel.Fused(est)
-		}
-		if gen, swapped, err := s.sess.ModelGeneration(name); err == nil {
-			info.Generation = gen
-			info.Swapped = swapped
-		}
-		models = append(models, info)
-	}
-	dbs := s.sess.Databases()
-	names := make([]string, len(dbs))
-	for i, d := range dbs {
-		names[i] = d.Name
-	}
-	writeJSON(w, map[string]any{"models": models, "databases": names})
-}
-
-func (s *server) handleDatabases(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	writeJSON(w, map[string]any{"databases": s.sess.Databases()})
-}
-
-// statsResponse is the /v1/stats body: the session snapshot (uptime,
-// counters, latencies, per-model generations) plus the adaptation
-// counters when -adapt is on and the bundle distributor counters (polls,
-// activations, failures, last error) when -bundle-dir is set.
-type statsResponse struct {
-	serving.Stats
-	Adaptation *adapt.Status            `json:"adaptation,omitempty"`
-	Bundles    map[string]bundle.Status `json:"bundles,omitempty"`
-}
-
-func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	resp := statsResponse{Stats: s.sess.Stats()}
-	if s.loop != nil {
-		st := s.loop.Status()
-		resp.Adaptation = &st
-	}
-	if s.bundles != nil {
-		resp.Bundles = s.bundles.statuses()
-	}
-	writeJSON(w, resp)
-}
-
-// feedbackRequest is the /v1/feedback body: the observed runtime of an
-// earlier prediction, identified by the fingerprint that prediction
-// returned (or by the statement text, which fingerprints identically).
-type feedbackRequest struct {
-	DB               string  `json:"db"`
-	Fingerprint      string  `json:"fingerprint"`
-	SQL              string  `json:"sql"`
-	ActualRuntimeSec float64 `json:"actual_runtime_sec"`
-}
-
-func (s *server) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	if s.loop == nil {
-		httpErrorCode(w, http.StatusNotFound, cluster.CodeAdaptDisabled, "online adaptation is disabled (restart with -adapt)")
-		return
-	}
-	var req feedbackRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	fp := req.Fingerprint
-	if fp == "" && req.SQL != "" {
-		fp = costmodel.Fingerprint(req.SQL)
-	}
-	if fp == "" {
-		httpError(w, http.StatusBadRequest, "fingerprint or sql is required")
-		return
-	}
-	if req.ActualRuntimeSec <= 0 {
-		httpError(w, http.StatusBadRequest, "actual_runtime_sec must be positive")
-		return
-	}
-	if err := s.loop.Feedback(r.Context(), req.DB, fp, req.ActualRuntimeSec); err != nil {
-		switch {
-		case errors.Is(err, adapt.ErrNoPlan):
-			httpError(w, http.StatusNotFound, "%v", err)
-		default:
-			sessionError(w, err)
-		}
-		return
-	}
-	writeJSON(w, map[string]any{"status": "accepted", "fingerprint": fp})
-}
-
-func (s *server) handleAdaptStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	if s.loop == nil {
-		httpError(w, http.StatusNotFound, "online adaptation is disabled (restart with -adapt)")
-		return
-	}
-	writeJSON(w, s.loop.Status())
-}
-
-// predictRequest is the /v1/predict body. DB and Model may be omitted
-// when the server hosts exactly one database / model.
-type predictRequest struct {
-	DB    string `json:"db"`
-	Model string `json:"model"`
-	SQL   string `json:"sql"`
-}
-
-// predictResponse is the /v1/predict reply. Fingerprint is the handle a
-// client hands back to /v1/feedback once it observes the query's actual
-// runtime.
-type predictResponse struct {
-	DB            string  `json:"db"`
-	Model         string  `json:"model"`
-	RuntimeSec    float64 `json:"runtime_sec"`
-	OptimizerCost float64 `json:"optimizer_cost"`
-	EstRows       float64 `json:"est_rows"`
-	Fingerprint   string  `json:"fingerprint"`
-	PlanCached    bool    `json:"plan_cached"`
-}
-
-func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	var req predictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if req.SQL == "" {
-		httpError(w, http.StatusBadRequest, "sql is required")
-		return
-	}
-	pred, err := s.sess.Predict(r.Context(), req.DB, req.Model, req.SQL)
-	if err != nil {
-		sessionError(w, err)
-		return
-	}
-	writeJSON(w, predictResponse{
-		DB:            pred.Database,
-		Model:         pred.Model,
-		RuntimeSec:    pred.RuntimeSec,
-		OptimizerCost: pred.OptimizerCost,
-		EstRows:       pred.EstRows,
-		Fingerprint:   pred.Fingerprint,
-		PlanCached:    pred.PlanCached,
-	})
-}
-
-// predictBatchRequest is the /v1/predict_batch body.
-type predictBatchRequest struct {
-	DB    string   `json:"db"`
-	Model string   `json:"model"`
-	SQL   []string `json:"sql"`
-}
-
-// batchItemResult is one statement's outcome: a prediction or that
-// statement's own error. One malformed statement no longer fails the
-// whole batch.
-type batchItemResult struct {
-	RuntimeSec float64 `json:"runtime_sec,omitempty"`
-	Error      string  `json:"error,omitempty"`
-}
-
-// predictBatchResponse is the /v1/predict_batch reply; results align
-// with the request's sql array.
-type predictBatchResponse struct {
-	DB      string            `json:"db"`
-	Model   string            `json:"model"`
-	Results []batchItemResult `json:"results"`
-	Count   int               `json:"count"`
-	Errors  int               `json:"errors"`
-}
-
-// maxBatch bounds one batch request; bigger workloads should be paged.
-const maxBatch = 4096
-
-func (s *server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	var req predictBatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if len(req.SQL) == 0 {
-		httpError(w, http.StatusBadRequest, "sql array is required")
-		return
-	}
-	if len(req.SQL) > maxBatch {
-		httpError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(req.SQL), maxBatch)
-		return
-	}
-	res, err := s.sess.PredictBatch(r.Context(), req.DB, req.Model, req.SQL)
-	if err != nil {
-		sessionError(w, err)
-		return
-	}
-	items := res.Items
-	resp := predictBatchResponse{Model: res.Model, DB: res.Database, Results: make([]batchItemResult, len(items)), Count: len(items)}
-	for i, item := range items {
-		if item.Err != nil {
-			resp.Results[i].Error = item.Err.Error()
-			resp.Errors++
-		} else {
-			resp.Results[i].RuntimeSec = item.RuntimeSec
-		}
-	}
-	writeJSON(w, resp)
-}
-
-// whatIfRequest is the /v1/whatif body: the workload to sweep and
-// optional explicit index candidates ("table.column"); with none, the
-// server enumerates candidates from the schema's foreign keys and the
-// workload's filter columns.
-type whatIfRequest struct {
-	DB            string   `json:"db"`
-	Model         string   `json:"model"`
-	SQL           []string `json:"sql"`
-	Candidates    []string `json:"candidates"`
-	MaxCandidates int      `json:"max_candidates"`
-}
-
-func (s *server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	var req whatIfRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if len(req.SQL) == 0 {
-		httpError(w, http.StatusBadRequest, "sql array is required")
-		return
-	}
-	if len(req.SQL) > maxBatch {
-		httpError(w, http.StatusBadRequest, "workload of %d exceeds limit %d", len(req.SQL), maxBatch)
-		return
-	}
-	rep, err := s.sess.WhatIf(r.Context(), req.DB, req.Model, whatif.Request{
-		SQL:           req.SQL,
-		Candidates:    req.Candidates,
-		MaxCandidates: req.MaxCandidates,
-	})
-	if err != nil {
-		sessionError(w, err)
-		return
-	}
-	writeJSON(w, rep)
-}
 
 // buildDatabase constructs one named serving database kind.
 func buildDatabase(kind string, scale float64) (*storage.Database, error) {
@@ -549,10 +153,10 @@ func adaptableModel(sess *serving.Session, name string) (string, error) {
 
 // serveUntilSignal runs the HTTP server until a shutdown signal arrives,
 // then drains: stop accepting connections, let in-flight handlers finish
-// (bounded by drainTimeout), and close the backing session — or, in
+// (bounded by drainTimeout), and close the backing replica — or, in
 // cluster mode, the router and every replica behind it — so queued
 // micro-batches still answer before the process exits.
-func serveUntilSignal(httpSrv *http.Server, ln net.Listener, backing interface{ Close() error }, sigs <-chan os.Signal, drainTimeout time.Duration) error {
+func serveUntilSignal(httpSrv *http.Server, ln net.Listener, backing io.Closer, sigs <-chan os.Signal, drainTimeout time.Duration) error {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	select {
@@ -568,6 +172,31 @@ func serveUntilSignal(httpSrv *http.Server, ln net.Listener, backing interface{ 
 		<-serveErr // http.ErrServerClosed once Shutdown completes
 		return shutdownErr
 	}
+}
+
+// listenAndServe is the shared tail of serve and route: listen on addr,
+// announce "<banner> on <address>" (tools that start a node on port 0
+// learn the port from that line), and serve handler until SIGINT or
+// SIGTERM, closing backing on the way out — also when listening fails.
+func listenAndServe(addr string, handler http.Handler, backing io.Closer, drain time.Duration, banner string) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		backing.Close()
+		return err
+	}
+	httpSrv := &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: 5 * time.Second,
+	}
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigs)
+	fmt.Fprintf(os.Stderr, "%s on %s\n", banner, ln.Addr())
+	err = serveUntilSignal(httpSrv, ln, backing, sigs, drain)
+	if errors.Is(err, http.ErrServerClosed) {
+		return nil
+	}
+	return err
 }
 
 // adaptFlags carries the -adapt* flag values into session assembly.
@@ -608,38 +237,42 @@ func (a adaptFlags) newLoopFor(sess *serving.Session, onAccept func(context.Cont
 	return loop, nil
 }
 
-// buildReplicatedCluster assembles N mirrored in-process replicas —
-// each a full serving session over the SAME storage (per-replica
-// statistics, plan caches and schedulers; shared column data) — behind
-// a consistent-hash router. Requests for one database always land on
-// its owning replica, so plan-cache and adaptation-window locality
-// survives the fan-in, and any replica can rescue any database on
-// failover because the mirrored attachment is total.
-func buildReplicatedCluster(cfg serving.Config, dbSpec string, dbScale float64, modelPaths string, replicas int, af adaptFlags, bf bundleFlags, rcfg cluster.Config) (*cluster.Router, map[string]*adapt.Loop, *bundleControl, error) {
+// buildReplicas assembles n mirrored in-process replicas — each a full
+// serving session over the SAME storage (per-replica statistics, plan
+// caches and schedulers; shared column data), with its own bundle
+// distributor and adaptation loop when those tiers are on. A lone
+// replica is named "local", several r0, r1, ...; the names show in
+// /v1/bundles and as event origins. Closing a replica stops its loop,
+// then its session.
+func buildReplicas(cfg serving.Config, dbSpec string, dbScale float64, modelPaths string, n int, af adaptFlags, bf bundleFlags) ([]*cluster.InProcess, *bundleControl, error) {
 	models, err := loadModels(modelPaths)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	// The publisher and distributors share the router's event log, so
+	// The publisher and distributors share the process's event log, so
 	// one /v1/events read shows swaps, publishes and health transitions
 	// interleaved in sequence order.
-	bc, err := bf.newControl(models, rcfg.Events)
+	bc, err := bf.newControl(models, af.events)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	kinds, dbs, err := buildDatabases(dbSpec, dbScale)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	router := cluster.NewRouter(rcfg)
-	loops := map[string]*adapt.Loop{}
-	fail := func(err error) (*cluster.Router, map[string]*adapt.Loop, *bundleControl, error) {
+	var replicas []*cluster.InProcess
+	fail := func(err error) ([]*cluster.InProcess, *bundleControl, error) {
 		bc.close()
-		router.Close()
-		return nil, nil, nil, err
+		for _, b := range replicas {
+			b.Close()
+		}
+		return nil, nil, err
 	}
-	for i := 0; i < replicas; i++ {
-		name := fmt.Sprintf("r%d", i)
+	for i := 0; i < n; i++ {
+		name := "local"
+		if n > 1 {
+			name = fmt.Sprintf("r%d", i)
+		}
 		sess, err := assembleSession(cfg, kinds, dbs, models)
 		if err != nil {
 			return fail(err)
@@ -656,16 +289,11 @@ func buildReplicatedCluster(cfg serving.Config, dbSpec string, dbScale float64, 
 		if err != nil {
 			return fail(err)
 		}
-		if loop != nil {
-			loops[name] = loop
-		}
 		b, err := cluster.NewInProcess(name, sess, loop)
 		if err != nil {
 			return fail(err)
 		}
-		if err := router.Register(b); err != nil {
-			return fail(err)
-		}
+		replicas = append(replicas, b)
 	}
 	if bc != nil {
 		if err := bc.seed(context.Background(), models); err != nil {
@@ -673,10 +301,9 @@ func buildReplicatedCluster(cfg serving.Config, dbSpec string, dbScale float64, 
 		}
 	}
 	for i, kind := range kinds {
-		fmt.Fprintf(os.Stderr, "attached database %s (%s, scale %g) to %d replica(s); owner %s\n",
-			kind, dbs[i].Schema.Name, dbScale, replicas, router.Owner(kind))
+		fmt.Fprintf(os.Stderr, "attached database %s (%s, scale %g) to %d replica(s)\n", kind, dbs[i].Schema.Name, dbScale, n)
 	}
-	return router, loops, bc, nil
+	return replicas, bc, nil
 }
 
 // runServe loads the model files, attaches the serving databases, and
@@ -729,109 +356,52 @@ func runServe(args []string) error {
 	}
 	af := adaptFlags{on: *adaptOn, model: *adaptModel, windowSize: *adaptWindow, minSamples: *adaptMin, events: events}
 	bf := bundleFlags{dir: *bundleDir, poll: *bundlePoll, retain: *bundleRetain, model: *bundleModel}
+	built, bc, err := buildReplicas(cfg, *databases, *dbScale, *modelPaths, *replicas, af, bf)
+	if err != nil {
+		return err
+	}
+	defer bc.close()
+	if loop := built[0].Loop(); loop != nil {
+		fmt.Fprintf(os.Stderr, "online adaptation enabled for %s on %d replica(s) (POST /v1/feedback)\n", loop.Status().Model, *replicas)
+	}
+	if bc != nil {
+		fmt.Fprintf(os.Stderr, "bundle distribution enabled: %s polled every %v by %d replica(s)\n", *bundleDir, *bundlePoll, *replicas)
+	}
 
-	var handler http.Handler
-	var backing interface{ Close() error }
-	var banner string
-	if *replicas > 1 {
-		router, loops, bc, err := buildReplicatedCluster(cfg, *databases, *dbScale, *modelPaths, *replicas, af, bf, cluster.Config{
+	var (
+		srv     *apiServer
+		backing io.Closer
+		banner  string
+	)
+	if *replicas == 1 {
+		// A lone replica is served directly: a one-replica router would put
+		// a ring lookup, health marks and a route span on every request, and
+		// answer the GET documents in the cluster's shape.
+		lone := built[0]
+		srv, backing = newSessionServer(lone.Session(), lone.Loop()), lone
+		banner = fmt.Sprintf("serving %d model(s) over %d database(s)", len(lone.Session().Models()), len(lone.Session().Databases()))
+	} else {
+		// Requests for one database always land on its owning replica, so
+		// plan-cache and adaptation-window locality survives the fan-in,
+		// and any replica can rescue any database on failover because the
+		// mirrored attachment is total.
+		router := cluster.NewRouter(cluster.Config{
 			CallTimeout:    *callTimeout,
 			MaxAttempts:    *maxAttempts,
 			HealthInterval: 2 * time.Second,
 			Tracer:         tracer,
 			Events:         events,
 		})
-		if err != nil {
-			return err
-		}
-		defer bc.close()
-		srv := newClusterServer(router)
-		srv.bundles = bc
-		srv.tracer, srv.events = tracer, events
-		if len(loops) > 0 {
-			srv.adaptStatus = func() map[string]adapt.Status {
-				out := make(map[string]adapt.Status, len(loops))
-				for name, loop := range loops {
-					out[name] = loop.Status()
-				}
-				return out
+		for _, b := range built {
+			if err := router.Register(b); err != nil {
+				router.Close()
+				return err
 			}
-			fmt.Fprintf(os.Stderr, "online adaptation enabled on %d replica(s) (POST /v1/feedback)\n", len(loops))
 		}
-		if bc != nil {
-			fmt.Fprintf(os.Stderr, "bundle distribution enabled: %s polled every %v by %d replica(s)\n", *bundleDir, *bundlePoll, *replicas)
-		}
-		handler = srv.mux()
+		srv = newRouterServer(router, built...)
 		backing = router
 		banner = fmt.Sprintf("serving %d replica(s)", *replicas)
-	} else {
-		models, err := loadModels(*modelPaths)
-		if err != nil {
-			return err
-		}
-		kinds, dbs, err := buildDatabases(*databases, *dbScale)
-		if err != nil {
-			return err
-		}
-		sess, err := assembleSession(cfg, kinds, dbs, models)
-		if err != nil {
-			return err
-		}
-		for i, kind := range kinds {
-			fmt.Fprintf(os.Stderr, "attached database %s (%s, scale %g)\n", kind, dbs[i].Schema.Name, *dbScale)
-		}
-		srv := newServer(sess)
-		srv.tracer, srv.events = tracer, events
-		bc, err := bf.newControl(models, events)
-		if err != nil {
-			return err
-		}
-		var dist *bundle.Distributor
-		if bc != nil {
-			if dist, err = bc.attach("local", sess, bf.poll); err != nil {
-				return err
-			}
-			if err := bc.seed(context.Background(), models); err != nil {
-				bc.close()
-				return err
-			}
-			defer bc.close()
-			srv.bundles = bc
-			fmt.Fprintf(os.Stderr, "bundle distribution enabled: %s polled every %v\n", *bundleDir, *bundlePoll)
-		}
-		loop, err := af.newLoopFor(sess, bc.onAccept(dist), "local")
-		if err != nil {
-			return err
-		}
-		if loop != nil {
-			// Closed after the serve loop drains; a sweep racing the session
-			// shutdown fails its AttachModel with ErrClosed and is discarded.
-			defer loop.Close()
-			srv.loop = loop
-			fmt.Fprintf(os.Stderr, "online adaptation enabled for %s (POST /v1/feedback)\n", adaptName(loop))
-		}
-		handler = srv.mux()
-		backing = sess
-		banner = fmt.Sprintf("serving %d model(s) over %d database(s)", len(sess.Models()), len(sess.Databases()))
 	}
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigs)
-	fmt.Fprintf(os.Stderr, "%s on %s\n", banner, ln.Addr())
-	err = serveUntilSignal(httpSrv, ln, backing, sigs, *drain)
-	if errors.Is(err, http.ErrServerClosed) {
-		return nil
-	}
-	return err
+	srv.bundles, srv.tracer, srv.events = bc, tracer, events
+	return listenAndServe(*addr, srv.mux(), backing, *drain, banner)
 }
-
-// adaptName reports the adapted model's name for the startup banner.
-func adaptName(loop *adapt.Loop) string { return loop.Status().Model }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"github.com/zeroshot-db/zeroshot/internal/adapt"
+	"github.com/zeroshot-db/zeroshot/internal/cluster"
 	"github.com/zeroshot-db/zeroshot/internal/collect"
 	"github.com/zeroshot-db/zeroshot/internal/costmodel"
 	"github.com/zeroshot-db/zeroshot/internal/datagen"
@@ -112,7 +113,7 @@ func newTestSession(t *testing.T, cfg serving.Config) *serving.Session {
 
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	ts := httptest.NewServer(newServer(newTestSession(t, serving.Config{})).mux())
+	ts := httptest.NewServer(newSessionServer(newTestSession(t, serving.Config{}), nil).mux())
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -205,7 +206,7 @@ func TestServeDatabases(t *testing.T) {
 func TestServePredict(t *testing.T) {
 	ts := newTestServer(t)
 	for _, model := range []string{costmodel.NameZeroShot, costmodel.NameScaledCost} {
-		resp, body := postJSON(t, ts.URL+"/v1/predict", predictRequest{DB: "imdb", Model: model, SQL: testSQL})
+		resp, body := postJSON(t, ts.URL+"/v1/predict", cluster.PredictRequest{DB: "imdb", Model: model, SQL: testSQL})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d body %v", model, resp.StatusCode, body)
 		}
@@ -217,7 +218,7 @@ func TestServePredict(t *testing.T) {
 	// Repeated statement: the second call must be served from the plan
 	// cache (db field in reply confirms routing).
 	resp, body := postJSON(t, ts.URL+"/v1/predict",
-		predictRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: "  " + testSQL + "  "})
+		cluster.PredictRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: "  " + testSQL + "  "})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("repeat: status %d body %v", resp.StatusCode, body)
 	}
@@ -237,7 +238,7 @@ func TestServePredictMultiDB(t *testing.T) {
 	}
 	for db, sql := range queries {
 		resp, body := postJSON(t, ts.URL+"/v1/predict",
-			predictRequest{DB: db, Model: costmodel.NameZeroShot, SQL: sql})
+			cluster.PredictRequest{DB: db, Model: costmodel.NameZeroShot, SQL: sql})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d body %v", db, resp.StatusCode, body)
 		}
@@ -248,42 +249,46 @@ func TestServePredictMultiDB(t *testing.T) {
 	}
 }
 
+// TestServePredictErrors holds every topology to the same status for
+// every way a predict can be refused.
 func TestServePredictErrors(t *testing.T) {
-	ts := newTestServer(t)
 	tests := []struct {
 		name string
 		body any
 		want int
 	}{
-		{name: "missing sql", body: predictRequest{DB: "imdb", Model: costmodel.NameZeroShot}, want: http.StatusBadRequest},
-		{name: "bad sql", body: predictRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: "DROP TABLE title"}, want: http.StatusBadRequest},
-		{name: "unknown table", body: predictRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: "SELECT COUNT(*) FROM nope"}, want: http.StatusBadRequest},
-		{name: "table of other db", body: predictRequest{DB: "ssb", Model: costmodel.NameZeroShot, SQL: testSQL}, want: http.StatusBadRequest},
-		{name: "unknown model", body: predictRequest{DB: "imdb", Model: "nope", SQL: testSQL}, want: http.StatusNotFound},
-		{name: "ambiguous empty model", body: predictRequest{DB: "imdb", SQL: testSQL}, want: http.StatusNotFound},
-		{name: "unknown db", body: predictRequest{DB: "nope", Model: costmodel.NameZeroShot, SQL: testSQL}, want: http.StatusNotFound},
-		{name: "ambiguous empty db", body: predictRequest{Model: costmodel.NameZeroShot, SQL: testSQL}, want: http.StatusNotFound},
+		{name: "missing sql", body: cluster.PredictRequest{DB: "imdb", Model: costmodel.NameZeroShot}, want: http.StatusBadRequest},
+		{name: "bad sql", body: cluster.PredictRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: "DROP TABLE title"}, want: http.StatusBadRequest},
+		{name: "unknown table", body: cluster.PredictRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: "SELECT COUNT(*) FROM nope"}, want: http.StatusBadRequest},
+		{name: "table of other db", body: cluster.PredictRequest{DB: "ssb", Model: costmodel.NameZeroShot, SQL: testSQL}, want: http.StatusBadRequest},
+		{name: "unknown model", body: cluster.PredictRequest{DB: "imdb", Model: "nope", SQL: testSQL}, want: http.StatusNotFound},
+		{name: "ambiguous empty model", body: cluster.PredictRequest{DB: "imdb", SQL: testSQL}, want: http.StatusNotFound},
+		{name: "unknown db", body: cluster.PredictRequest{DB: "nope", Model: costmodel.NameZeroShot, SQL: testSQL}, want: http.StatusNotFound},
+		{name: "ambiguous empty db", body: cluster.PredictRequest{Model: costmodel.NameZeroShot, SQL: testSQL}, want: http.StatusNotFound},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			resp, body := postJSON(t, ts.URL+"/v1/predict", tt.body)
-			if resp.StatusCode != tt.want {
-				t.Fatalf("status %d, want %d (body %v)", resp.StatusCode, tt.want, body)
-			}
-			if _, ok := body["error"]; !ok {
-				t.Fatal("error response missing error field")
-			}
+			forEachTopology(t, func(t *testing.T, baseURL string) {
+				resp, body := postJSON(t, baseURL+"/v1/predict", tt.body)
+				if resp.StatusCode != tt.want {
+					t.Fatalf("status %d, want %d (body %v)", resp.StatusCode, tt.want, body)
+				}
+				if _, ok := body["error"]; !ok {
+					t.Fatal("error response missing error field")
+				}
+			})
 		})
 	}
-	// Wrong method.
-	resp, err := http.Get(ts.URL + "/v1/predict")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/predict = %d, want 405", resp.StatusCode)
-	}
+	forEachTopology(t, func(t *testing.T, baseURL string) {
+		resp, err := http.Get(baseURL + "/v1/predict")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Fatalf("GET /v1/predict = %d, want 405", resp.StatusCode)
+		}
+	})
 }
 
 func TestServePredictBatch(t *testing.T) {
@@ -294,11 +299,11 @@ func TestServePredictBatch(t *testing.T) {
 		"SELECT COUNT(*) FROM movie_companies, title WHERE movie_companies.movie_id = title.id",
 	}
 	resp, body := postJSON(t, ts.URL+"/v1/predict_batch",
-		predictBatchRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: sqls})
+		cluster.PredictBatchRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: sqls})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d body %v", resp.StatusCode, body)
 	}
-	var results []batchItemResult
+	var results []cluster.BatchItemResult
 	if err := json.Unmarshal(body["results"], &results); err != nil {
 		t.Fatal(err)
 	}
@@ -312,48 +317,51 @@ func TestServePredictBatch(t *testing.T) {
 	}
 
 	// Batch-level validation.
-	resp, _ = postJSON(t, ts.URL+"/v1/predict_batch", predictBatchRequest{DB: "imdb", Model: costmodel.NameZeroShot})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty batch = %d, want 400", resp.StatusCode)
-	}
+	forEachTopology(t, func(t *testing.T, baseURL string) {
+		resp, _ := postJSON(t, baseURL+"/v1/predict_batch", cluster.PredictBatchRequest{DB: "imdb", Model: costmodel.NameZeroShot})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("empty batch = %d, want 400", resp.StatusCode)
+		}
+	})
 }
 
 // TestServePredictBatchPerItemErrors checks the structured error
 // contract end to end: malformed SQL and unknown tables error item by
 // item while the healthy statements still predict.
 func TestServePredictBatchPerItemErrors(t *testing.T) {
-	ts := newTestServer(t)
 	sqls := []string{
 		testSQL,
 		"garbage",
 		"SELECT COUNT(*) FROM no_such_table",
 		"SELECT COUNT(*) FROM movie_companies",
 	}
-	resp, body := postJSON(t, ts.URL+"/v1/predict_batch",
-		predictBatchRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: sqls})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d body %v (mixed batches should answer per item)", resp.StatusCode, body)
-	}
-	var results []batchItemResult
-	if err := json.Unmarshal(body["results"], &results); err != nil {
-		t.Fatal(err)
-	}
-	var nerr int
-	if err := json.Unmarshal(body["errors"], &nerr); err != nil || nerr != 2 {
-		t.Fatalf("errors = %s, want 2", body["errors"])
-	}
-	for i, wantOK := range []bool{true, false, false, true} {
-		switch {
-		case wantOK && (results[i].Error != "" || results[i].RuntimeSec <= 0):
-			t.Fatalf("result %d should have predicted: %+v", i, results[i])
-		case !wantOK && results[i].Error == "":
-			t.Fatalf("result %d should carry an error: %+v", i, results[i])
+	forEachTopology(t, func(t *testing.T, baseURL string) {
+		resp, body := postJSON(t, baseURL+"/v1/predict_batch",
+			cluster.PredictBatchRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: sqls})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d body %v (mixed batches should answer per item)", resp.StatusCode, body)
 		}
-	}
-	// The statement-level errors name the failing stage.
-	if !strings.Contains(results[1].Error, "parse") {
-		t.Fatalf("malformed-SQL error %q should name the parse stage", results[1].Error)
-	}
+		var results []cluster.BatchItemResult
+		if err := json.Unmarshal(body["results"], &results); err != nil {
+			t.Fatal(err)
+		}
+		var nerr int
+		if err := json.Unmarshal(body["errors"], &nerr); err != nil || nerr != 2 {
+			t.Fatalf("errors = %s, want 2", body["errors"])
+		}
+		for i, wantOK := range []bool{true, false, false, true} {
+			switch {
+			case wantOK && (results[i].Error != "" || results[i].RuntimeSec <= 0):
+				t.Fatalf("result %d should have predicted: %+v", i, results[i])
+			case !wantOK && results[i].Error == "":
+				t.Fatalf("result %d should carry an error: %+v", i, results[i])
+			}
+		}
+		// The statement-level errors name the failing stage.
+		if !strings.Contains(results[1].Error, "parse") {
+			t.Fatalf("malformed-SQL error %q should name the parse stage", results[1].Error)
+		}
+	})
 }
 
 // TestServeStats checks /v1/stats reflects traffic: request counters,
@@ -362,7 +370,7 @@ func TestServeStats(t *testing.T) {
 	ts := newTestServer(t)
 	for i := 0; i < 3; i++ {
 		resp, _ := postJSON(t, ts.URL+"/v1/predict",
-			predictRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: testSQL})
+			cluster.PredictRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: testSQL})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("predict %d failed", i)
 		}
@@ -416,9 +424,7 @@ func newAdaptTestServer(t *testing.T) (*httptest.Server, *adapt.Loop) {
 		t.Fatal(err)
 	}
 	t.Cleanup(loop.Close)
-	srv := newServer(sess)
-	srv.loop = loop
-	ts := httptest.NewServer(srv.mux())
+	ts := httptest.NewServer(newSessionServer(sess, loop).mux())
 	t.Cleanup(ts.Close)
 	return ts, loop
 }
@@ -432,13 +438,13 @@ func TestServeFeedbackAndAdaptStatus(t *testing.T) {
 
 	// Feedback for a never-predicted statement cannot join.
 	resp, body := postJSON(t, ts.URL+"/v1/feedback",
-		feedbackRequest{DB: "imdb", SQL: "SELECT COUNT(*) FROM movie_companies", ActualRuntimeSec: 0.5})
+		cluster.FeedbackRequest{DB: "imdb", SQL: "SELECT COUNT(*) FROM movie_companies", ActualRuntimeSec: 0.5})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unjoined feedback = %d body %v, want 404", resp.StatusCode, body)
 	}
 
 	resp, body = postJSON(t, ts.URL+"/v1/predict",
-		predictRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: testSQL})
+		cluster.PredictRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: testSQL})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("predict = %d body %v", resp.StatusCode, body)
 	}
@@ -450,18 +456,18 @@ func TestServeFeedbackAndAdaptStatus(t *testing.T) {
 	// Feedback by fingerprint, then by SQL text (same statement: the
 	// fingerprints must agree).
 	resp, body = postJSON(t, ts.URL+"/v1/feedback",
-		feedbackRequest{DB: "imdb", Fingerprint: fp, ActualRuntimeSec: 0.25})
+		cluster.FeedbackRequest{DB: "imdb", Fingerprint: fp, ActualRuntimeSec: 0.25})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("feedback by fingerprint = %d body %v", resp.StatusCode, body)
 	}
 	resp, body = postJSON(t, ts.URL+"/v1/feedback",
-		feedbackRequest{DB: "imdb", SQL: "  select COUNT(*) from title WHERE production_year > 50", ActualRuntimeSec: 0.25})
+		cluster.FeedbackRequest{DB: "imdb", SQL: "  select COUNT(*) from title WHERE production_year > 50", ActualRuntimeSec: 0.25})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("feedback by SQL = %d body %v (keyword-case variants must join)", resp.StatusCode, body)
 	}
 
 	// Validation.
-	for name, req := range map[string]feedbackRequest{
+	for name, req := range map[string]cluster.FeedbackRequest{
 		"no fingerprint or sql": {DB: "imdb", ActualRuntimeSec: 0.5},
 		"non-positive runtime":  {DB: "imdb", Fingerprint: fp},
 		"unknown db":            {DB: "nope", Fingerprint: fp, ActualRuntimeSec: 0.5},
@@ -494,24 +500,26 @@ func TestServeFeedbackAndAdaptStatus(t *testing.T) {
 }
 
 // TestServeAdaptDisabled checks the surface degrades cleanly without
-// -adapt: feedback and status 404, stats has no adaptation block.
+// -adapt on every topology: feedback and status 404, stats has no
+// adaptation block.
 func TestServeAdaptDisabled(t *testing.T) {
-	ts := newTestServer(t)
-	resp, _ := postJSON(t, ts.URL+"/v1/feedback",
-		feedbackRequest{DB: "imdb", SQL: testSQL, ActualRuntimeSec: 0.5})
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/v1/feedback without -adapt = %d, want 404", resp.StatusCode)
-	}
-	var st map[string]json.RawMessage
-	if resp := getJSON(t, ts.URL+"/v1/adapt/status", &st); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/v1/adapt/status without -adapt = %d, want 404", resp.StatusCode)
-	}
-	if resp := getJSON(t, ts.URL+"/v1/stats", &st); resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/stats = %d", resp.StatusCode)
-	}
-	if _, ok := st["adaptation"]; ok {
-		t.Fatal("stats carries an adaptation block without -adapt")
-	}
+	forEachTopology(t, func(t *testing.T, baseURL string) {
+		resp, _ := postJSON(t, baseURL+"/v1/feedback",
+			cluster.FeedbackRequest{DB: "imdb", SQL: testSQL, ActualRuntimeSec: 0.5})
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("/v1/feedback without -adapt = %d, want 404", resp.StatusCode)
+		}
+		var st map[string]json.RawMessage
+		if resp := getJSON(t, baseURL+"/v1/adapt/status", &st); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("/v1/adapt/status without -adapt = %d, want 404", resp.StatusCode)
+		}
+		if resp := getJSON(t, baseURL+"/v1/stats", &st); resp.StatusCode != http.StatusOK {
+			t.Fatalf("/v1/stats = %d", resp.StatusCode)
+		}
+		if _, ok := st["adaptation"]; ok {
+			t.Fatal("stats carries an adaptation block without -adapt")
+		}
+	})
 }
 
 // TestAdaptableModel checks the -adapt-model default resolution: the
@@ -559,14 +567,14 @@ func TestServeGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	httpSrv := &http.Server{Handler: newServer(sess).mux()}
+	httpSrv := &http.Server{Handler: newSessionServer(sess, nil).mux()}
 	sigs := make(chan os.Signal, 1)
 	done := make(chan error, 1)
 	go func() { done <- serveUntilSignal(httpSrv, ln, sess, sigs, 5*time.Second) }()
 
 	url := "http://" + ln.Addr().String()
 	resp, body := postJSON(t, url+"/v1/predict",
-		predictRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: testSQL})
+		cluster.PredictRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: testSQL})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("predict before shutdown: %d %v", resp.StatusCode, body)
 	}
@@ -606,14 +614,14 @@ func TestServeConcurrentBatch(t *testing.T) {
 			if c%2 == 1 {
 				model = costmodel.NameScaledCost
 			}
-			buf, _ := json.Marshal(predictBatchRequest{DB: "imdb", Model: model, SQL: sqls})
+			buf, _ := json.Marshal(cluster.PredictBatchRequest{DB: "imdb", Model: model, SQL: sqls})
 			resp, err := http.Post(ts.URL+"/v1/predict_batch", "application/json", bytes.NewReader(buf))
 			if err != nil {
 				errCh <- err
 				return
 			}
 			defer resp.Body.Close()
-			var out predictBatchResponse
+			var out cluster.PredictBatchReply
 			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 				errCh <- err
 				return
@@ -626,7 +634,7 @@ func TestServeConcurrentBatch(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			buf, _ := json.Marshal(predictRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: sqls[c%len(sqls)]})
+			buf, _ := json.Marshal(cluster.PredictRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: sqls[c%len(sqls)]})
 			resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(buf))
 			if err != nil {
 				errCh <- err

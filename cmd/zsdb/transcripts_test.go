@@ -2,161 +2,17 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
-	"time"
 
-	"github.com/zeroshot-db/zeroshot/internal/adapt"
-	"github.com/zeroshot-db/zeroshot/internal/bundle"
-	"github.com/zeroshot-db/zeroshot/internal/cluster"
 	"github.com/zeroshot-db/zeroshot/internal/costmodel"
-	"github.com/zeroshot-db/zeroshot/internal/obs"
-	"github.com/zeroshot-db/zeroshot/internal/serving"
 )
-
-// fleetOpts selects the optional tiers a test topology boots with —
-// the -adapt and -bundle-dir halves of `zsdb serve`.
-type fleetOpts struct {
-	adapt   bool
-	bundles bool
-}
-
-// bootReplicas assembles n serving replicas over the shared fixture the
-// way runServe does: per-replica session, distributor, adaptation loop
-// and in-process backend, one shared bundle control. A lone replica is
-// named "local", several r0...
-func bootReplicas(t *testing.T, n int, o fleetOpts, tracer *obs.Tracer, events *obs.Log) ([]*cluster.InProcess, *bundleControl) {
-	t.Helper()
-	f := sharedServeFixture(t)
-	var bc *bundleControl
-	if o.bundles {
-		var err error
-		bf := bundleFlags{dir: t.TempDir(), poll: time.Hour, retain: bundle.DefaultRetain, model: costmodel.NameZeroShot}
-		if bc, err = bf.newControl(f.models, events); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(bc.close)
-	}
-	var replicas []*cluster.InProcess
-	for i := 0; i < n; i++ {
-		name := "local"
-		if n > 1 {
-			name = fmt.Sprintf("r%d", i)
-		}
-		sess := newTestSession(t, serving.Config{Tracer: tracer})
-		var dist *bundle.Distributor
-		if bc != nil {
-			var err error
-			if dist, err = bc.attach(name, sess, time.Hour); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var loop *adapt.Loop
-		if o.adapt {
-			var err error
-			loop, err = adapt.New(sess, adapt.Config{Model: costmodel.NameZeroShot, OnAccept: bc.onAccept(dist), Events: events, Origin: name})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(loop.Close)
-		}
-		b, err := cluster.NewInProcess(name, sess, loop)
-		if err != nil {
-			t.Fatal(err)
-		}
-		replicas = append(replicas, b)
-	}
-	if bc != nil {
-		if err := bc.seed(context.Background(), f.models); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return replicas, bc
-}
-
-// routerOver registers backends in a fresh router.
-func routerOver(t *testing.T, cfg cluster.Config, backends ...cluster.Backend) *cluster.Router {
-	t.Helper()
-	router := cluster.NewRouter(cfg)
-	t.Cleanup(func() { router.Close() })
-	for _, b := range backends {
-		if err := router.Register(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return router
-}
-
-func serveHandler(t *testing.T, h http.Handler) string {
-	t.Helper()
-	ts := httptest.NewServer(h)
-	t.Cleanup(ts.Close)
-	return ts.URL
-}
-
-// bootServe is `zsdb serve`: one session behind the HTTP shim.
-func bootServe(t *testing.T, o fleetOpts) string {
-	t.Helper()
-	tracer, events := (&obsFlags{}).build()
-	replicas, bc := bootReplicas(t, 1, o, tracer, events)
-	srv := newServer(replicas[0].Session())
-	srv.loop, srv.bundles, srv.tracer, srv.events = replicas[0].Loop(), bc, tracer, events
-	return serveHandler(t, srv.mux())
-}
-
-// bootCluster is `zsdb serve -replicas n`: n mirrored in-process
-// replicas behind the router, one HTTP front end.
-func bootCluster(t *testing.T, n int, o fleetOpts) string {
-	t.Helper()
-	tracer, events := (&obsFlags{}).build()
-	replicas, bc := bootReplicas(t, n, o, tracer, events)
-	loops := map[string]*adapt.Loop{}
-	backends := make([]cluster.Backend, len(replicas))
-	for i, b := range replicas {
-		backends[i] = b
-		if b.Loop() != nil {
-			loops[b.Name()] = b.Loop()
-		}
-	}
-	srv := newClusterServer(routerOver(t, cluster.Config{Tracer: tracer, Events: events}, backends...))
-	srv.bundles, srv.tracer, srv.events = bc, tracer, events
-	if len(loops) > 0 {
-		srv.adaptStatus = func() map[string]adapt.Status {
-			out := make(map[string]adapt.Status, len(loops))
-			for name, loop := range loops {
-				out[name] = loop.Status()
-			}
-			return out
-		}
-	}
-	return serveHandler(t, srv.mux())
-}
-
-// bootRoute is `zsdb route` over two `zsdb serve` processes named a
-// and b.
-func bootRoute(t *testing.T, o fleetOpts) string {
-	t.Helper()
-	var backends []cluster.Backend
-	for _, name := range []string{"a", "b"} {
-		hb, err := cluster.NewHTTPBackend(name, bootServe(t, o), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		backends = append(backends, hb)
-	}
-	tracer, events := (&obsFlags{}).build()
-	srv := newClusterServer(routerOver(t, cluster.Config{CallTimeout: 5 * time.Second, Tracer: tracer, Events: events}, backends...))
-	srv.tracer, srv.events = tracer, events
-	return serveHandler(t, srv.mux())
-}
 
 // exchange is one scripted request. show replaces the body in the
 // transcript when the body is too large to print.
@@ -254,7 +110,8 @@ func transcriptScript() []exchange {
 }
 
 // plainScript asks a fleet booted without -adapt and -bundle-dir for
-// every answer that depends on them.
+// every answer that depends on them. The body over the limit goes last:
+// its answer closes the connection.
 func plainScript() []exchange {
 	return []exchange{
 		post("/v1/predict", fmt.Sprintf(`{"db":"imdb","model":"zeroshot","sql":%q}`, testSQL)),
@@ -266,6 +123,8 @@ func plainScript() []exchange {
 		get("/v1/bundles"),
 		post("/v1/bundles", `{"action":"refresh"}`),
 		get("/v1/events"),
+		{http.MethodPost, "/v1/predict", `{"db":"imdb","model":"zeroshot","sql":"` + strings.Repeat("x", maxBodyBytes) + `"}`,
+			fmt.Sprintf(`{"db":"imdb","model":"zeroshot","sql":"<%d bytes>"}`, maxBodyBytes)},
 	}
 }
 
@@ -307,17 +166,9 @@ func record(t *testing.T, baseURL string, script []exchange) string {
 
 // TestHTTPTranscripts pins the wire: the full scripted conversation with
 // each shipped topology, byte for byte apart from clock-valued fields,
-// against goldens recorded before the two HTTP shims were collapsed into
-// one. UPDATE_TRANSCRIPTS=1 rewrites them.
+// against testdata/transcripts. UPDATE_TRANSCRIPTS=1 rewrites the goldens
+// after a deliberate wire change; read the diff before committing it.
 func TestHTTPTranscripts(t *testing.T) {
-	topologies := []struct {
-		name string
-		boot func(*testing.T, fleetOpts) string
-	}{
-		{"serve", bootServe},
-		{"replicas", func(t *testing.T, o fleetOpts) string { return bootCluster(t, 4, o) }},
-		{"route", bootRoute},
-	}
 	for _, topo := range topologies {
 		t.Run(topo.name, func(t *testing.T) {
 			got := "## adaptation and bundles on\n" + record(t, topo.boot(t, fleetOpts{adapt: true, bundles: true}), transcriptScript()) +

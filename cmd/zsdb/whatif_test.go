@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
+	"github.com/zeroshot-db/zeroshot/internal/cluster"
 	"github.com/zeroshot-db/zeroshot/internal/costmodel"
 	"github.com/zeroshot-db/zeroshot/internal/serving"
 	"github.com/zeroshot-db/zeroshot/internal/whatif"
@@ -20,7 +20,7 @@ var whatIfWorkload = []string{
 	"SELECT SUM(title.production_year) FROM title WHERE title.production_year > 20",
 }
 
-func postWhatIf(t *testing.T, url string, req whatIfRequest) (*http.Response, *whatif.Report) {
+func postWhatIf(t *testing.T, url string, req cluster.WhatIfRequest) (*http.Response, *whatif.Report) {
 	t.Helper()
 	buf, err := json.Marshal(req)
 	if err != nil {
@@ -44,19 +44,13 @@ func postWhatIf(t *testing.T, url string, req whatIfRequest) (*http.Response, *w
 }
 
 // TestServeWhatIf drives the advisor end to end over HTTP against the
-// real zero-shot model, and holds the single-session and sharded-cluster
-// topologies to identical rankings — a sweep is a pure function of
-// (database, model, workload), never of where it ran.
+// real zero-shot model, and holds every topology to the single
+// session's ranking — a sweep is a pure function of (database, model,
+// workload), never of where it ran.
 func TestServeWhatIf(t *testing.T) {
-	single := httptest.NewServer(newServer(newTestSession(t, serving.Config{})).mux())
-	defer single.Close()
-	router, _ := newTestRouter(t, 3, false)
-	clustered := httptest.NewServer(newClusterServer(router).mux())
-	defer clustered.Close()
-
-	req := whatIfRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: whatIfWorkload}
+	single := newTestServer(t)
+	req := cluster.WhatIfRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: whatIfWorkload}
 	_, repS := postWhatIf(t, single.URL, req)
-	_, repC := postWhatIf(t, clustered.URL, req)
 
 	if repS.Database != "imdb" || repS.Model != costmodel.NameZeroShot {
 		t.Fatalf("report names = (%q, %q)", repS.Database, repS.Model)
@@ -77,18 +71,21 @@ func TestServeWhatIf(t *testing.T) {
 	}
 
 	// Topologies agree: same candidates, same ranking, same totals.
-	if len(repC.Variants) != len(repS.Variants) {
-		t.Fatalf("cluster returned %d variants, single %d", len(repC.Variants), len(repS.Variants))
-	}
-	for i := range repS.Variants {
-		s, c := repS.Variants[i], repC.Variants[i]
-		if s.Name != c.Name || s.TotalSec != c.TotalSec {
-			t.Fatalf("rank %d diverges: single (%s, %v), cluster (%s, %v)", i, s.Name, s.TotalSec, c.Name, c.TotalSec)
+	forEachTopology(t, func(t *testing.T, baseURL string) {
+		_, repC := postWhatIf(t, baseURL, req)
+		if len(repC.Variants) != len(repS.Variants) {
+			t.Fatalf("returned %d variants, single %d", len(repC.Variants), len(repS.Variants))
 		}
-	}
-	if repS.Recommendation != repC.Recommendation {
-		t.Fatalf("recommendations diverge: %q vs %q", repS.Recommendation, repC.Recommendation)
-	}
+		for i := range repS.Variants {
+			s, c := repS.Variants[i], repC.Variants[i]
+			if s.Name != c.Name || s.TotalSec != c.TotalSec {
+				t.Fatalf("rank %d diverges: single (%s, %v), here (%s, %v)", i, s.Name, s.TotalSec, c.Name, c.TotalSec)
+			}
+		}
+		if repS.Recommendation != repC.Recommendation {
+			t.Fatalf("recommendations diverge: %q vs %q", repS.Recommendation, repC.Recommendation)
+		}
+	})
 
 	// The sweep surfaced in /v1/stats.
 	var st serving.Stats
@@ -101,58 +98,60 @@ func TestServeWhatIf(t *testing.T) {
 	}
 }
 
+// TestServeWhatIfErrors holds every topology to the same answer for
+// every way a sweep can be refused.
 func TestServeWhatIfErrors(t *testing.T) {
-	ts := newTestServer(t)
-
-	post := func(body any) (*http.Response, map[string]json.RawMessage) {
-		t.Helper()
-		return postJSON(t, ts.URL+"/v1/whatif", body)
-	}
-	wantStatus := func(resp *http.Response, body map[string]json.RawMessage, want int) {
-		t.Helper()
-		if resp.StatusCode != want {
-			t.Fatalf("status %d, want %d (body %v)", resp.StatusCode, want, body)
+	forEachTopology(t, func(t *testing.T, baseURL string) {
+		post := func(body any) (*http.Response, map[string]json.RawMessage) {
+			t.Helper()
+			return postJSON(t, baseURL+"/v1/whatif", body)
 		}
-		if body["error"] == nil {
-			t.Fatalf("error body missing structured error field: %v", body)
+		wantStatus := func(resp *http.Response, body map[string]json.RawMessage, want int) {
+			t.Helper()
+			if resp.StatusCode != want {
+				t.Fatalf("status %d, want %d (body %v)", resp.StatusCode, want, body)
+			}
+			if body["error"] == nil {
+				t.Fatalf("error body missing structured error field: %v", body)
+			}
 		}
-	}
 
-	// GET is rejected.
-	resp, err := http.Get(ts.URL + "/v1/whatif")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET status %d, want 405", resp.StatusCode)
-	}
+		// GET is rejected.
+		resp, err := http.Get(baseURL + "/v1/whatif")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Fatalf("GET status %d, want 405", resp.StatusCode)
+		}
 
-	// Empty workload.
-	r, b := post(whatIfRequest{DB: "imdb"})
-	wantStatus(r, b, http.StatusBadRequest)
+		// Empty workload.
+		r, b := post(cluster.WhatIfRequest{DB: "imdb"})
+		wantStatus(r, b, http.StatusBadRequest)
 
-	// Unknown database.
-	r, b = post(whatIfRequest{DB: "nosuch", SQL: whatIfWorkload[:1]})
-	wantStatus(r, b, http.StatusNotFound)
+		// Unknown database.
+		r, b = post(cluster.WhatIfRequest{DB: "nosuch", SQL: whatIfWorkload[:1]})
+		wantStatus(r, b, http.StatusNotFound)
 
-	// Malformed candidate (no table.column form).
-	r, b = post(whatIfRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: whatIfWorkload[:1], Candidates: []string{"no_dot"}})
-	wantStatus(r, b, http.StatusBadRequest)
+		// Malformed candidate (no table.column form).
+		r, b = post(cluster.WhatIfRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: whatIfWorkload[:1], Candidates: []string{"no_dot"}})
+		wantStatus(r, b, http.StatusBadRequest)
 
-	// Unknown candidate column.
-	r, b = post(whatIfRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: whatIfWorkload[:1], Candidates: []string{"title.nope"}})
-	wantStatus(r, b, http.StatusBadRequest)
+		// Unknown candidate column.
+		r, b = post(cluster.WhatIfRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: whatIfWorkload[:1], Candidates: []string{"title.nope"}})
+		wantStatus(r, b, http.StatusBadRequest)
 
-	// Unparseable workload statement.
-	r, b = post(whatIfRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: []string{"SELECT nonsense FROM nowhere"}})
-	wantStatus(r, b, http.StatusBadRequest)
+		// Unparseable workload statement.
+		r, b = post(cluster.WhatIfRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: []string{"SELECT nonsense FROM nowhere"}})
+		wantStatus(r, b, http.StatusBadRequest)
 
-	// Oversized workload is refused before any planning.
-	big := whatIfRequest{DB: "imdb", SQL: make([]string, maxBatch+1)}
-	for i := range big.SQL {
-		big.SQL[i] = testSQL
-	}
-	r, b = post(big)
-	wantStatus(r, b, http.StatusBadRequest)
+		// Oversized workload is refused before any planning.
+		big := cluster.WhatIfRequest{DB: "imdb", SQL: make([]string, maxBatch+1)}
+		for i := range big.SQL {
+			big.SQL[i] = testSQL
+		}
+		r, b = post(big)
+		wantStatus(r, b, http.StatusBadRequest)
+	})
 }

@@ -55,7 +55,10 @@
 //     /v1/whatif, the -adapt feedback loop via /v1/feedback, and
 //     -replicas N for the single-binary cluster), with `zsdb route` as
 //     the multi-process routing tier over remote serve nodes and
-//     `zsdb bundle` for offline model-bundle store operations
+//     `zsdb bundle` for offline model-bundle store operations; all
+//     three topologies share one HTTP shim, and its wire structs and
+//     status table live in internal/cluster (see DESIGN.md's "Service
+//     surface")
 //   - examples/ — runnable walkthroughs (quickstart, index advisor,
 //     few-shot adaptation, learned join ordering)
 //

@@ -55,19 +55,10 @@ func NewHTTPBackend(name, baseURL string, client *http.Client) (*HTTPBackend, er
 // Name implements Backend.
 func (b *HTTPBackend) Name() string { return b.name }
 
-// CodeAdaptDisabled is the machine-readable code a serve node puts in
-// its 404 error envelope when feedback arrives but online adaptation is
-// off. The HTTP backend keys on the code, never on the human-readable
-// message, to classify the condition as ErrNoFeedback — rewording the
-// prose cannot silently change router behavior.
-const CodeAdaptDisabled = "adapt_disabled"
-
-// errorBody is the serve API's uniform JSON error envelope. Code is
-// optional and machine-readable (see CodeAdaptDisabled).
-type errorBody struct {
-	Error string `json:"error"`
-	Code  string `json:"code"`
-}
+// maxDrain bounds how much of a reply do reads past what it decoded. It
+// covers the newline json.Encoder appends and the chunked terminator,
+// with room for an error envelope longer than errorFor needed.
+const maxDrain = 64 << 10
 
 // do performs one JSON round trip. out may be nil for callers that only
 // care about success.
@@ -96,14 +87,20 @@ func (b *HTTPBackend) do(ctx context.Context, method, path string, in, out any) 
 		}
 		return fmt.Errorf("%w: %s: %v", ErrBackendDown, b.name, err)
 	}
-	defer resp.Body.Close()
+	// json.Decoder stops at the end of the value, and closing a body
+	// before EOF makes net/http drop the keep-alive connection: without
+	// the drain every reply too big for one read costs a new TCP dial.
+	defer func() {
+		io.Copy(io.Discard, io.LimitReader(resp.Body, maxDrain))
+		resp.Body.Close()
+	}()
 	if resp.StatusCode != http.StatusOK {
-		var eb errorBody
+		var eb ErrorBody
 		msg := resp.Status
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb); err == nil && eb.Error != "" {
+		if err := json.NewDecoder(io.LimitReader(resp.Body, maxDrain)).Decode(&eb); err == nil && eb.Error != "" {
 			msg = eb.Error
 		}
-		return statusError(resp.StatusCode, b.name, msg, eb.Code)
+		return errorFor(resp.StatusCode, eb.Code, b.name, msg)
 	}
 	if out == nil {
 		return nil
@@ -114,97 +111,28 @@ func (b *HTTPBackend) do(ctx context.Context, method, path string, in, out any) 
 	return nil
 }
 
-// statusError rebuilds the error class the remote handler flattened
-// into a status code (and optional machine-readable error code) — the
-// inverse of the serve command's sessionError.
-func statusError(code int, name, msg, errCode string) error {
-	switch code {
-	case http.StatusNotFound:
-		if errCode == CodeAdaptDisabled {
-			return fmt.Errorf("%w: %s: %s", ErrNoFeedback, name, msg)
-		}
-		return fmt.Errorf("%s: %s: %w", name, msg, serving.ErrNotFound)
-	case http.StatusBadRequest:
-		return fmt.Errorf("%s: %s: %w", name, msg, serving.ErrBadQuery)
-	case http.StatusRequestTimeout:
-		return fmt.Errorf("%s: %s: %w", name, msg, context.DeadlineExceeded)
-	default:
-		// 5xx and everything unexpected: the replica is broken — this is
-		// the failover class. 503 in particular is the remote draining.
-		return fmt.Errorf("%w: %s: http %d: %s", ErrBackendDown, name, code, msg)
-	}
-}
-
-// predictRequest mirrors the serve API's /v1/predict body.
-type predictRequest struct {
-	DB    string `json:"db,omitempty"`
-	Model string `json:"model,omitempty"`
-	SQL   string `json:"sql"`
-}
-
 // Predict implements Backend. serving.Prediction's JSON tags are the
 // wire format, so the reply decodes straight into it.
 func (b *HTTPBackend) Predict(ctx context.Context, db, model, sql string) (serving.Prediction, error) {
 	var out serving.Prediction
-	err := b.do(ctx, http.MethodPost, "/v1/predict", predictRequest{DB: db, Model: model, SQL: sql}, &out)
+	err := b.do(ctx, http.MethodPost, "/v1/predict", PredictRequest{DB: db, Model: model, SQL: sql}, &out)
 	return out, err
 }
 
-// predictBatchRequest mirrors /v1/predict_batch.
-type predictBatchRequest struct {
-	DB    string   `json:"db,omitempty"`
-	Model string   `json:"model,omitempty"`
-	SQL   []string `json:"sql"`
-}
-
-// predictBatchReply mirrors the /v1/predict_batch reply.
-type predictBatchReply struct {
-	DB      string `json:"db"`
-	Model   string `json:"model"`
-	Results []struct {
-		RuntimeSec float64 `json:"runtime_sec"`
-		Error      string  `json:"error"`
-	} `json:"results"`
-}
-
-// PredictBatch implements Backend. Remote per-item errors arrive as
-// strings; they are rewrapped as ErrBadQuery (the only per-item class
-// the serve handler emits) so callers can still errors.Is them.
+// PredictBatch implements Backend.
 func (b *HTTPBackend) PredictBatch(ctx context.Context, db, model string, sqls []string) (serving.BatchResult, error) {
-	var reply predictBatchReply
-	if err := b.do(ctx, http.MethodPost, "/v1/predict_batch", predictBatchRequest{DB: db, Model: model, SQL: sqls}, &reply); err != nil {
+	var reply PredictBatchReply
+	if err := b.do(ctx, http.MethodPost, "/v1/predict_batch", PredictBatchRequest{DB: db, Model: model, SQL: sqls}, &reply); err != nil {
 		return serving.BatchResult{}, err
 	}
-	res := serving.BatchResult{
-		Database: reply.DB,
-		Model:    reply.Model,
-		Items:    make([]serving.BatchItem, len(reply.Results)),
-	}
-	for i, r := range reply.Results {
-		if r.Error != "" {
-			res.Items[i].Err = fmt.Errorf("%s: %w", r.Error, serving.ErrBadQuery)
-		} else {
-			res.Items[i].RuntimeSec = r.RuntimeSec
-		}
-	}
-	return res, nil
-}
-
-// whatIfRequest mirrors the serve API's /v1/whatif body: the sweep
-// request plus the routing fields.
-type whatIfRequest struct {
-	DB            string   `json:"db,omitempty"`
-	Model         string   `json:"model,omitempty"`
-	SQL           []string `json:"sql"`
-	Candidates    []string `json:"candidates,omitempty"`
-	MaxCandidates int      `json:"max_candidates,omitempty"`
+	return reply.Result(), nil
 }
 
 // WhatIf implements Backend. whatif.Report's JSON tags are the wire
 // format, so the reply decodes straight into it.
 func (b *HTTPBackend) WhatIf(ctx context.Context, db, model string, req whatif.Request) (*whatif.Report, error) {
 	var out whatif.Report
-	err := b.do(ctx, http.MethodPost, "/v1/whatif", whatIfRequest{
+	err := b.do(ctx, http.MethodPost, "/v1/whatif", WhatIfRequest{
 		DB:            db,
 		Model:         model,
 		SQL:           req.SQL,
@@ -217,21 +145,14 @@ func (b *HTTPBackend) WhatIf(ctx context.Context, db, model string, req whatif.R
 	return &out, nil
 }
 
-// feedbackRequest mirrors /v1/feedback.
-type feedbackRequest struct {
-	DB               string  `json:"db,omitempty"`
-	Fingerprint      string  `json:"fingerprint"`
-	ActualRuntimeSec float64 `json:"actual_runtime_sec"`
-}
-
 // Feedback implements Backend. A remote without -adapt 404s with the
-// CodeAdaptDisabled error code, which statusError has already turned
-// into ErrNoFeedback; a fingerprint join miss 404s plain and surfaces
-// as serving.ErrNotFound, so the router walks the ring to the replica
-// that retained the plan — the same failover the in-process backend
+// CodeAdaptDisabled error code, which errorFor has already turned into
+// ErrNoFeedback; a fingerprint join miss 404s plain and surfaces as
+// serving.ErrNotFound, so the router walks the ring to the replica that
+// retained the plan — the same failover the in-process backend
 // performs.
 func (b *HTTPBackend) Feedback(ctx context.Context, db, fingerprint string, actualSec float64) error {
-	return b.do(ctx, http.MethodPost, "/v1/feedback", feedbackRequest{DB: db, Fingerprint: fingerprint, ActualRuntimeSec: actualSec}, nil)
+	return b.do(ctx, http.MethodPost, "/v1/feedback", FeedbackRequest{DB: db, Fingerprint: fingerprint, ActualRuntimeSec: actualSec}, nil)
 }
 
 // databasesReply mirrors /v1/databases.
