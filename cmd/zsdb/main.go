@@ -122,7 +122,6 @@ import (
 	"github.com/zeroshot-db/zeroshot/internal/experiments"
 	"github.com/zeroshot-db/zeroshot/internal/hwsim"
 	"github.com/zeroshot-db/zeroshot/internal/metrics"
-	"github.com/zeroshot-db/zeroshot/internal/nn"
 	"github.com/zeroshot-db/zeroshot/internal/optimizer"
 	"github.com/zeroshot-db/zeroshot/internal/sqlparse"
 	"github.com/zeroshot-db/zeroshot/internal/stats"
@@ -334,12 +333,9 @@ func runTrain(args []string) error {
 	dbs := fs.Int("dbs", 8, "number of training databases")
 	queries := fs.Int("queries", 300, "training queries per database")
 	seed := fs.Int64("seed", 1, "random seed")
-	workers := fs.Int("train-workers", 0,
-		"cap the data-parallel training worker pool (0 = one per core, 1 = serial); any cap trains to bitwise-identical weights")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	defer nn.SetMaxWorkers(nn.SetMaxWorkers(*workers))
 	cardSrc, err := parseCard(*card)
 	if err != nil {
 		return err

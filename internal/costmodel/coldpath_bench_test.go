@@ -5,16 +5,13 @@ import (
 	"testing"
 
 	"github.com/zeroshot-db/zeroshot/internal/collect"
-	"github.com/zeroshot-db/zeroshot/internal/encoding"
-	"github.com/zeroshot-db/zeroshot/internal/nn"
 )
 
 // BenchmarkPredictBatchCold measures cold-batch throughput (every item
-// encodes, nothing memoized) over 256 distinct plans: the serial
-// reference (per-item Encode, then one fused pass) against the parallel
-// cold path PredictBatch runs (memo scan → dedup → worker-pool encode
-// into pooled arenas → pack → fused pass). Run with -cpu 1,2,4 to see
-// the encode fan-out scale.
+// encodes, nothing memoized) over 256 distinct plans through the one
+// cold path PredictBatch runs: memo scan → dedup → par.Each encode →
+// pack → fused pass. Run with -cpu 1,2,4 to see the encode fan-out and
+// the sharded fused pass scale; -cpu 1 is the serial baseline.
 func BenchmarkPredictBatchCold(b *testing.B) {
 	zs, f := fitZeroShot(b)
 	const batch = 256
@@ -27,35 +24,13 @@ func BenchmarkPredictBatchCold(b *testing.B) {
 		ins[i] = s.PlanInput
 		ins[i].Enc = nil // keep every iteration fully cold
 	}
-
-	b.Run("serial", func(b *testing.B) {
-		// The pre-parallel cold path: per-item heap encode on one core,
-		// one single-threaded fused pass.
-		defer nn.SetMaxWorkers(nn.SetMaxWorkers(1))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			graphs := make([]*encoding.Graph, len(ins))
-			for j, in := range ins {
-				g, err := zs.encode(in)
-				if err != nil {
-					b.Fatal(err)
-				}
-				graphs[j] = g
-			}
-			if got := zs.model.PredictBatch(graphs); len(got) != len(ins) {
-				b.Fatal("short prediction batch")
-			}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := zs.PredictBatch(ctx, ins); err != nil {
+			b.Fatal(err)
 		}
-		b.ReportMetric(float64(len(ins)*b.N)/b.Elapsed().Seconds(), "preds/s")
-	})
-	b.Run("parallel", func(b *testing.B) {
-		ctx := context.Background()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := zs.PredictBatch(ctx, ins); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(ins)*b.N)/b.Elapsed().Seconds(), "preds/s")
-	})
+	}
+	b.ReportMetric(float64(len(ins)*b.N)/b.Elapsed().Seconds(), "preds/s")
 }

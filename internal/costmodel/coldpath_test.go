@@ -1,12 +1,13 @@
 package costmodel
 
 import (
+	"bytes"
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
-	"github.com/zeroshot-db/zeroshot/internal/collect"
 	"github.com/zeroshot-db/zeroshot/internal/datagen"
 	"github.com/zeroshot-db/zeroshot/internal/encoding"
 	"github.com/zeroshot-db/zeroshot/internal/schema"
@@ -32,7 +33,8 @@ func fitZeroShot(t testing.TB) (*ZeroShot, fixture) {
 // against a serial encode of the same inputs: encode every item one at
 // a time through the single-predict path, run the fused pass over those
 // graphs, and require PredictBatch (memo→dedup→parallel encode→pack)
-// to produce the identical float64s — cold, and again warm.
+// to produce the identical float64s at GOMAXPROCS 1 and 4 — unmemoized,
+// cold into fresh memos, and again warm.
 func TestColdBatchParallelEqualsSerial(t *testing.T) {
 	zs, f := fitZeroShot(t)
 	ctx := context.Background()
@@ -43,8 +45,7 @@ func TestColdBatchParallelEqualsSerial(t *testing.T) {
 		ins[i].Enc = nil // fully cold, no memo
 	}
 
-	// Serial reference: per-item encode (the old cold path), one fused
-	// forward pass.
+	// Serial reference: per-item encode, one fused forward pass.
 	graphs := make([]*encoding.Graph, len(ins))
 	for i, in := range ins {
 		g, err := zs.encode(in)
@@ -55,30 +56,29 @@ func TestColdBatchParallelEqualsSerial(t *testing.T) {
 	}
 	want := zs.model.PredictBatch(graphs)
 
-	got, err := zs.PredictBatch(ctx, ins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("cold item %d: parallel %v != serial %v", i, got[i], want[i])
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		for i := range ins {
+			ins[i].Enc = nil
 		}
-	}
-
-	// Memoized inputs take the warm path and must agree bitwise too.
-	for i := range ins {
-		ins[i].Enc = NewEncodedPlan()
-	}
-	for _, pass := range []string{"cold-into-memo", "warm"} {
-		got, err := zs.PredictBatch(ctx, ins)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s item %d: %v != serial %v", pass, i, got[i], want[i])
+		for _, pass := range []string{"cold", "cold-into-memo", "warm"} {
+			got, err := zs.PredictBatch(ctx, ins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("GOMAXPROCS=%d %s item %d: %v != serial %v", procs, pass, i, got[i], want[i])
+				}
+			}
+			if pass == "cold" {
+				// Memoized inputs must agree bitwise too.
+				for i := range ins {
+					ins[i].Enc = NewEncodedPlan()
+				}
 			}
 		}
+		runtime.GOMAXPROCS(prev)
 	}
 }
 
@@ -92,7 +92,7 @@ func TestColdBatchDedup(t *testing.T) {
 
 	const n = 64
 	base := f.eval[0].PlanInput
-	enc := zs.encoderFor(base.DB.Schema)
+	key := zs.encoder(base).Key()
 
 	// Each duplicate carries its OWN memo: if the batch encoded the
 	// shape more than once, different memos would end up holding
@@ -107,12 +107,12 @@ func TestColdBatchDedup(t *testing.T) {
 	if _, err := zs.PredictBatch(ctx, ins); err != nil {
 		t.Fatal(err)
 	}
-	g0, ok := memos[0].Lookup(enc)
+	g0, ok := memos[0].lookup(key)
 	if !ok {
 		t.Fatal("cold batch did not populate the memo")
 	}
 	for i, m := range memos {
-		g, ok := m.Lookup(enc)
+		g, ok := m.lookup(key)
 		if !ok {
 			t.Fatalf("item %d memo not populated", i)
 		}
@@ -121,16 +121,14 @@ func TestColdBatchDedup(t *testing.T) {
 		}
 	}
 
-	// The scan itself: one distinct shape carrying all n items, marked
-	// escaping (memos hold it beyond the batch).
+	// The scan itself: one distinct shape carrying all n items.
 	for i := range ins {
 		ins[i].Enc = NewEncodedPlan()
 	}
-	graphs, release, err := zs.encodeBatch(ctx, ins, false)
+	graphs, err := zs.encodeBatch(ctx, ins)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer release()
 	for i := 1; i < n; i++ {
 		if graphs[i] != graphs[0] {
 			t.Fatalf("item %d graph differs from item 0 after dedup", i)
@@ -219,8 +217,8 @@ func TestColdBatchErrorNamesFirstItem(t *testing.T) {
 // TestPredictBatchWarmAllocsPinned pins the warm path unchanged by the
 // parallel cold machinery: an all-memoized batch must stay at a small
 // constant allocation count — nothing per item, no dedup map, no
-// arenas, no worker pool. A per-item regression would show up as ≥ one
-// alloc per input (64 here).
+// worker pool. A per-item regression would show up as ≥ one alloc per
+// input (64 here).
 func TestPredictBatchWarmAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop items; alloc bounds only hold unraced")
@@ -252,39 +250,113 @@ func TestPredictBatchWarmAllocsPinned(t *testing.T) {
 	}
 }
 
-// TestZeroShotEncoderReattach is the encoder-leak regression test: two
-// independently built copies of the SAME database (a re-attach/reload
-// rebuilds *schema.Schema) must share one live encoder. Pointer-keyed
-// caching stranded one encoder per reload, forever.
+// TestEncodedPlanMemoBoundedAcrossGenerations is the memo-leak
+// regression test. The memo used to key on the encoder pointer, and
+// every model generation (an adaptation Clone, a bundle Load) builds new
+// encoders: each generation's first hit on a cached plan missed,
+// re-encoded and stranded one more graph in the entry, forever. Keyed by
+// encoder content, the memo holds one graph per distinct encoder
+// configuration however many generations pass over it, and a clone
+// reuses the graph its parent encoded.
+func TestEncodedPlanMemoBoundedAcrossGenerations(t *testing.T) {
+	zs, f := fitZeroShot(t)
+	ctx := context.Background()
+
+	in := f.eval[0].PlanInput
+	in.Enc = NewEncodedPlan()
+	parent, err := zs.encode(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := zs.Predict(ctx, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var gen Estimator = zs
+	for round := 0; round < 5; round++ {
+		if gen, err = gen.(Cloner).Clone(); err != nil {
+			t.Fatal(err)
+		}
+		if round == 2 {
+			// One generation arrives the way a bundle does: through
+			// the self-describing file format.
+			var buf bytes.Buffer
+			if err := Save(&buf, gen); err != nil {
+				t.Fatal(err)
+			}
+			if gen, err = Load(&buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g, err := gen.(*ZeroShot).encode(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g != parent {
+			t.Fatalf("generation %d re-encoded a plan its parent had memoized", round+1)
+		}
+		got, err := gen.Predict(ctx, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("generation %d predicts %v over the shared graph, parent %v", round+1, got, want)
+		}
+		if n := len(in.Enc.entries); n != 1 {
+			t.Fatalf("memo holds %d graphs after %d generations, want 1", n, round+1)
+		}
+	}
+
+	// A different cardinality source is a different configuration: its
+	// own graph, its own (second and last) entry.
+	other, err := New(NameZeroShot, Options{Hidden: 16, Epochs: 4, Seed: 1, Card: encoding.CardNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.(*ZeroShot).card == zs.card {
+		t.Fatal("fixture broken: both adapters use the same cardinality source")
+	}
+	og, err := other.(*ZeroShot).encode(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if og == parent {
+		t.Fatal("adapters with different cardinality sources shared a graph")
+	}
+	if n := len(in.Enc.entries); n != 2 {
+		t.Fatalf("memo holds %d graphs for 2 encoder configurations", n)
+	}
+}
+
+// TestZeroShotEncoderReattach is the re-attach regression test: an
+// independently built copy of the SAME database (a re-attach or reload
+// rebuilds *schema.Schema) must not strand per-pointer state. The
+// adapter keeps no encoder map at all now; what a reload must still
+// share is the memo — the encoder key is schema content, so the
+// re-attached database hits the graph encoded before the reload and
+// predicts identically.
 func TestZeroShotEncoderReattach(t *testing.T) {
-	zs, _ := fitZeroShot(t)
+	zs, f := fitZeroShot(t)
 	ctx := context.Background()
 
 	cfg := datagen.DefaultConfig()
-	cfg.MaxRows = 2000
-	dbA, err := datagen.Generate("reattach", 23, cfg)
+	cfg.MaxRows = 6000
+	reload, err := datagen.Generate("cmtest", 11, cfg) // sharedFixture's recipe
 	if err != nil {
 		t.Fatal(err)
 	}
-	dbB, err := datagen.Generate("reattach", 23, cfg) // the "reload": same content, fresh pointers
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dbA.Schema == dbB.Schema {
+	if reload.Schema == f.db.Schema {
 		t.Fatal("fixture broken: reload shares the schema pointer")
 	}
-	if dbA.Schema.Fingerprint() != dbB.Schema.Fingerprint() {
+	if reload.Schema.Fingerprint() != f.db.Schema.Fingerprint() {
 		t.Fatal("identical schemas disagree on fingerprint")
 	}
 
-	recs, err := collect.Run(dbA, collect.Options{Queries: 4, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := zs.numEncoders()
-	inA := PlanInput{DB: dbA, Query: recs[0].Query, Plan: recs[0].Plan}
+	inA := f.eval[0].PlanInput
+	inA.Enc = NewEncodedPlan()
 	inB := inA
-	inB.DB = dbB
+	inB.DB = reload
 	a, err := zs.Predict(ctx, inA)
 	if err != nil {
 		t.Fatal(err)
@@ -296,10 +368,7 @@ func TestZeroShotEncoderReattach(t *testing.T) {
 	if a != b {
 		t.Fatalf("same plan on re-attached database predicts differently: %v != %v", a, b)
 	}
-	if got := zs.numEncoders(); got != before+1 {
-		t.Fatalf("%d new encoders after attaching the same database twice, want 1", got-before)
-	}
-	if zs.encoderFor(dbA.Schema) != zs.encoderFor(dbB.Schema) {
-		t.Fatal("re-attached database got a second encoder — stale encoders leak per reload")
+	if n := len(inA.Enc.entries); n != 1 {
+		t.Fatalf("memo holds %d graphs after a re-attach, want 1 — the reload re-encoded", n)
 	}
 }

@@ -14,9 +14,8 @@
 //     and advertise it through the optional BatchFuser capability: the
 //     zero-shot adapter packs the whole batch into one super-graph and
 //     runs a single tape-free pass. The rest (MSCN, E2E, ScaledCost)
-//     fall back to the shared worker-pool fan-out sized by GOMAXPROCS.
-//     Either way PredictBatch is bitwise-equal to a sequential Predict
-//     loop over the same inputs.
+//     predict the items one after another. Either way PredictBatch is
+//     bitwise-equal to a sequential Predict loop over the same inputs.
 //   - A registry keyed by model name makes saved models self-describing:
 //     Load reads the header and reconstructs the right estimator without
 //     the caller re-supplying a Config.
@@ -32,6 +31,7 @@ package costmodel
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"time"
 
@@ -132,8 +132,8 @@ type Estimator interface {
 	Predict(ctx context.Context, in PlanInput) (float64, error)
 	// PredictBatch predicts many inputs as one batch — a single fused
 	// forward pass when the adapter supports it (see BatchFuser), a
-	// GOMAXPROCS worker-pool fan-out otherwise. Results align with the
-	// input slice and are bitwise-equal to calling Predict per input.
+	// serial loop otherwise. Results align with the input slice and are
+	// bitwise-equal to calling Predict per input.
 	// Safe for concurrent use after Fit or Load.
 	PredictBatch(ctx context.Context, ins []PlanInput) ([]float64, error)
 	// Save writes the estimator's payload to w. Use the package-level
@@ -149,10 +149,29 @@ type FineTuner interface {
 
 // BatchFuser is the optional capability of estimators whose
 // PredictBatch executes the whole batch as one fused forward pass
-// (shared buffers, no per-item tape or goroutine) rather than fanning
-// out per-item predictions over a worker pool.
+// (shared buffers, no per-item tape) rather than predicting the items
+// one by one.
 type BatchFuser interface {
 	FusesBatches() bool
+}
+
+// predictSerial is the PredictBatch of the adapters whose models cannot
+// fuse a batch (MSCN, E2E, ScaledCost): the adapter's own Predict, item
+// by item. Predict checks ctx first, so a cancellation stops the batch
+// at the next item; the first failing index aborts it and is named.
+func predictSerial(ctx context.Context, ins []PlanInput, predict func(context.Context, PlanInput) (float64, error)) ([]float64, error) {
+	if len(ins) == 0 {
+		return nil, nil
+	}
+	out := make([]float64, len(ins))
+	for i, in := range ins {
+		v, err := predict(ctx, in)
+		if err != nil {
+			return nil, fmt.Errorf("costmodel: batch item %d: %w", i, err)
+		}
+		out[i] = v
+	}
+	return out, nil
 }
 
 // Fused reports whether est's PredictBatch runs as one fused pass.

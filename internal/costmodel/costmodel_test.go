@@ -3,7 +3,9 @@ package costmodel
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -197,6 +199,53 @@ func TestPredictBatchEmptyAndCancelled(t *testing.T) {
 	cancel()
 	if _, err := sc.PredictBatch(cancelled, Inputs(f.eval)); err == nil {
 		t.Fatal("PredictBatch ignored a cancelled context")
+	}
+}
+
+// TestPredictBatchCancelledReportsContextError checks the serial batch
+// loop of the non-fusing adapters: a cancellation that lands mid-batch
+// surfaces ctx.Err() wrapped with the first unfinished index, never a
+// partial result.
+func TestPredictBatchCancelledReportsContextError(t *testing.T) {
+	f := sharedFixture(t)
+	sc, err := New(NameScaledCost, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc.Fit(context.Background(), f.train); err != nil {
+		t.Fatal(err)
+	}
+	ctx := &countdownCtx{Context: context.Background()}
+	ctx.left.Store(2) // items 0 and 1 predict, item 2 sees the cancel
+	out, err := sc.PredictBatch(ctx, Inputs(f.eval))
+	if out != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled batch = (%v, %v), want (nil, context.Canceled)", out, err)
+	}
+	if want := "costmodel: batch item 2: context canceled"; err.Error() != want {
+		t.Fatalf("err = %q, want %q", err.Error(), want)
+	}
+}
+
+// TestPredictBatchNamesFirstFailingItem checks the same loop's error
+// contract: a predict failure aborts the batch and the error names the
+// lowest failing index.
+func TestPredictBatchNamesFirstFailingItem(t *testing.T) {
+	f := sharedFixture(t)
+	mscn, err := New(NameMSCN, Options{Hidden: 8, Epochs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mscn.Fit(context.Background(), f.train); err != nil {
+		t.Fatal(err)
+	}
+	bad := PlanInput{DB: f.db} // no query: featurization fails
+	ins := []PlanInput{f.eval[0].PlanInput, bad, f.eval[1].PlanInput, bad}
+	_, err = mscn.PredictBatch(context.Background(), ins)
+	if err == nil {
+		t.Fatal("batch with an unfeaturizable input did not fail")
+	}
+	if want := "costmodel: batch item 1: "; !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("err = %q, want prefix %q", err, want)
 	}
 }
 

@@ -81,13 +81,7 @@ func (m *E2E) Predict(ctx context.Context, in PlanInput) (float64, error) {
 
 // PredictBatch implements Estimator.
 func (m *E2E) PredictBatch(ctx context.Context, ins []PlanInput) ([]float64, error) {
-	return predictBatch(ctx, ins, func(in PlanInput) (float64, error) {
-		root, err := m.featurize(in)
-		if err != nil {
-			return 0, err
-		}
-		return m.model.Predict(root), nil
-	})
+	return predictSerial(ctx, ins, m.Predict)
 }
 
 // Save implements Estimator.

@@ -8,7 +8,7 @@ import (
 )
 
 // TestEncodedPlanMemo pins the encoded-graph reuse contract: a PlanInput
-// carrying an EncodedPlan memo is encoded exactly once per encoder, and
+// carrying an EncodedPlan memo is encoded exactly once per encoder configuration, and
 // estimators with different cardinality sources never share an entry.
 func TestEncodedPlanMemo(t *testing.T) {
 	f := sharedFixture(t)
@@ -71,10 +71,10 @@ func TestEncodedPlanMemo(t *testing.T) {
 
 	// Nil memos are inert, not panics.
 	var nilMemo *EncodedPlan
-	if _, ok := nilMemo.Lookup(nil); ok {
+	if _, ok := nilMemo.lookup(encoding.Key{}); ok {
 		t.Fatal("nil memo claims a hit")
 	}
-	nilMemo.Store(nil, g1)
+	nilMemo.store(encoding.Key{}, g1)
 }
 
 // TestEncodedPlanMemoAllocs pins the hot-path payoff: a steady-state

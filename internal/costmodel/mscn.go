@@ -80,13 +80,7 @@ func (m *MSCN) Predict(ctx context.Context, in PlanInput) (float64, error) {
 
 // PredictBatch implements Estimator.
 func (m *MSCN) PredictBatch(ctx context.Context, ins []PlanInput) ([]float64, error) {
-	return predictBatch(ctx, ins, func(in PlanInput) (float64, error) {
-		f, err := m.featurize(in)
-		if err != nil {
-			return 0, err
-		}
-		return m.model.Predict(f), nil
-	})
+	return predictSerial(ctx, ins, m.Predict)
 }
 
 // Save implements Estimator.

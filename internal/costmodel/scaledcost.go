@@ -63,9 +63,7 @@ func (s *ScaledCost) Predict(ctx context.Context, in PlanInput) (float64, error)
 
 // PredictBatch implements Estimator.
 func (s *ScaledCost) PredictBatch(ctx context.Context, ins []PlanInput) ([]float64, error) {
-	return predictBatch(ctx, ins, func(in PlanInput) (float64, error) {
-		return s.model.Predict(in.OptimizerCost), nil
-	})
+	return predictSerial(ctx, ins, s.Predict)
 }
 
 // Save implements Estimator.

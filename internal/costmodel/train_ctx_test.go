@@ -84,7 +84,7 @@ func TestFitReportCarriesThroughput(t *testing.T) {
 // under -race: the original estimator keeps serving single and batch
 // predictions — unchanged outputs throughout — while its clone
 // fine-tunes on the shared worker pool. Training and inference share
-// nn.RowParallel, so this also exercises pool contention.
+// the par worker pool, so this also exercises pool contention.
 func TestFineTuneCloneWhileServing(t *testing.T) {
 	f := sharedFixture(t)
 	ctx := context.Background()

@@ -6,12 +6,10 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 
 	"github.com/zeroshot-db/zeroshot/internal/encoding"
+	"github.com/zeroshot-db/zeroshot/internal/par"
 	"github.com/zeroshot-db/zeroshot/internal/plan"
-	"github.com/zeroshot-db/zeroshot/internal/schema"
 	"github.com/zeroshot-db/zeroshot/internal/zeroshot"
 )
 
@@ -33,20 +31,12 @@ func init() {
 // ZeroShot adapts the paper's zero-shot graph model to the Estimator
 // contract. It owns the transferable plan encoding: inputs carry raw
 // executed plans, and the adapter encodes them against the input
-// database's schema with its configured cardinality source, caching one
-// encoder per schema.
+// database's schema with its configured cardinality source. It keeps no
+// per-schema state: an encoder is a few words built on demand, and what
+// is worth keeping — the encoded graph — lives in the input's memo.
 type ZeroShot struct {
 	model *zeroshot.Model
 	card  encoding.CardSource
-
-	// encoders is keyed by schema content fingerprint, not schema
-	// pointer: a database re-attach (or a bundle reload) rebuilds its
-	// *schema.Schema, and pointer keys would strand one stale encoder —
-	// and everything it pins — per reload, forever. Content identity
-	// also means structurally identical schemas share one encoder,
-	// which is semantically exact: the encoder reads only schema
-	// statistics.
-	encoders sync.Map // schema.Fingerprint() -> *encoding.PlanEncoder
 }
 
 // Name implements Estimator.
@@ -59,53 +49,42 @@ func (z *ZeroShot) Card() encoding.CardSource { return z.card }
 // zeroshot-specific surface (e.g. the learned join-ordering example).
 func (z *ZeroShot) Model() *zeroshot.Model { return z.model }
 
-func (z *ZeroShot) encoderFor(sch *schema.Schema) *encoding.PlanEncoder {
-	key := sch.Fingerprint()
-	if e, ok := z.encoders.Load(key); ok {
-		return e.(*encoding.PlanEncoder)
-	}
-	e, _ := z.encoders.LoadOrStore(key, encoding.NewPlanEncoder(sch, z.card))
-	return e.(*encoding.PlanEncoder)
-}
-
-// numEncoders counts live per-schema encoders (test hook for the
-// re-attach leak regression).
-func (z *ZeroShot) numEncoders() int {
-	n := 0
-	z.encoders.Range(func(_, _ any) bool { n++; return true })
-	return n
+// encoder builds the plan encoder for the input's database. Call sites
+// that only take its Key or Encode with it keep it on the stack, so a
+// memo hit allocates nothing.
+func (z *ZeroShot) encoder(in PlanInput) *encoding.PlanEncoder {
+	return encoding.NewPlanEncoder(in.DB.Schema, z.card)
 }
 
 func (z *ZeroShot) encode(in PlanInput) (*encoding.Graph, error) {
 	if in.DB == nil || in.Plan == nil {
 		return nil, fmt.Errorf("zeroshot estimator needs DB and Plan inputs")
 	}
-	enc := z.encoderFor(in.DB.Schema)
-	if g, ok := in.Enc.Lookup(enc); ok {
+	enc := z.encoder(in)
+	key := enc.Key()
+	if g, ok := in.Enc.lookup(key); ok {
 		return g, nil
 	}
 	g, err := enc.Encode(in.Plan)
 	if err != nil {
 		return nil, err
 	}
-	in.Enc.Store(enc, g)
+	in.Enc.store(key, g)
 	return g, nil
 }
 
 // WarmEncode implements EncodeWarmer: encode the input's plan into its
-// memo (a no-op when the shape was already encoded for this adapter's
-// encoder).
+// memo (a no-op when the shape was already encoded under this adapter's
+// encoder key).
 func (z *ZeroShot) WarmEncode(in PlanInput) error {
 	_, err := z.encode(in)
 	return err
 }
 
 func (z *ZeroShot) samples(ctx context.Context, samples []Sample) ([]zeroshot.Sample, error) {
-	ins := Inputs(samples)
-	// Training graphs live for the whole Train/FineTune loop, so they
-	// must escape — no arena. The memo→dedup→parallel pipeline still
-	// applies: duplicate shapes encode once and cores share the work.
-	graphs, _, err := z.encodeBatch(ctx, ins, true)
+	// The memo→dedup→parallel pipeline applies to training sets too:
+	// duplicate shapes encode once and cores share the work.
+	graphs, err := z.encodeBatch(ctx, Inputs(samples))
 	if err != nil {
 		return nil, err
 	}
@@ -116,40 +95,34 @@ func (z *ZeroShot) samples(ctx context.Context, samples []Sample) ([]zeroshot.Sa
 	return out, nil
 }
 
-// coldShape is one distinct plan shape awaiting a cold encode: the
-// (encoder, plan) identity, the batch positions that need its graph,
-// and whether the graph escapes into any item's memo (escaping graphs
-// must not come from an arena).
-type coldShape struct {
-	enc    *encoding.PlanEncoder
-	plan   *plan.Node
-	items  []int
-	escape bool
-}
-
 // coldKey identifies a distinct shape within one batch: items sharing
-// the encoder and the plan (plan caches and what-if sweeps hand the
+// the encoder key and the plan (plan caches and what-if sweeps hand the
 // same *plan.Node — and usually the same memo — to every duplicate)
 // encode exactly once.
 type coldKey struct {
-	enc  *encoding.PlanEncoder
+	enc  encoding.Key
 	plan *plan.Node
 }
 
+// coldShape is one distinct plan shape awaiting a cold encode: its
+// encoder and plan, the batch positions that need its graph, and the
+// graph once a worker has built it.
+type coldShape struct {
+	enc   *encoding.PlanEncoder
+	plan  *plan.Node
+	items []int
+	graph *encoding.Graph
+}
+
 // encodeBatch resolves every input's plan graph: memo hits first, then
-// the remaining cold items deduped to distinct shapes and fanned over a
-// GOMAXPROCS worker pool (runBatch, so the batch cancellation contract
-// — no item starts after cancel, unfinished items report ctx.Err() —
-// carries over). Graphs that stay private to the batch are built from
-// per-worker pooled arenas; the returned release func recycles those
-// arenas and must be called only after the graphs are dead (packed into
-// a BatchGraph and the forward pass done). Graphs that escape — into an
-// item's memo, or unconditionally when escapeAll is set (training) —
-// are heap-built and live as long as their holders.
+// the remaining cold items deduped to distinct shapes and encoded over
+// par.Each (so the batch cancellation contract — no item starts after
+// cancel, unfinished items report ctx.Err() — carries over). Every graph
+// is heap-built and lives as long as its holders: the items' memos, a
+// training set, or just this batch.
 //
-// The warm path (every input memoized) allocates only the result slice
-// and returns a shared no-op release.
-func (z *ZeroShot) encodeBatch(ctx context.Context, ins []PlanInput, escapeAll bool) ([]*encoding.Graph, func(), error) {
+// The warm path (every input memoized) allocates only the result slice.
+func (z *ZeroShot) encodeBatch(ctx context.Context, ins []PlanInput) ([]*encoding.Graph, error) {
 	graphs := make([]*encoding.Graph, len(ins))
 	var (
 		cold   []*coldShape // distinct cold shapes, first-occurrence order
@@ -157,75 +130,54 @@ func (z *ZeroShot) encodeBatch(ctx context.Context, ins []PlanInput, escapeAll b
 	)
 	for i, in := range ins {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, fmt.Errorf("costmodel: batch item %d: %w", i, err)
+			return nil, fmt.Errorf("costmodel: batch item %d: %w", i, err)
 		}
 		if in.DB == nil || in.Plan == nil {
-			return nil, nil, fmt.Errorf("costmodel: batch item %d: zeroshot estimator needs DB and Plan inputs", i)
+			return nil, fmt.Errorf("costmodel: batch item %d: zeroshot estimator needs DB and Plan inputs", i)
 		}
-		enc := z.encoderFor(in.DB.Schema)
-		if g, ok := in.Enc.Lookup(enc); ok {
+		key := z.encoder(in).Key()
+		if g, ok := in.Enc.lookup(key); ok {
 			graphs[i] = g
 			continue
 		}
-		k := coldKey{enc: enc, plan: in.Plan}
+		k := coldKey{enc: key, plan: in.Plan}
 		if shapes == nil {
 			shapes = map[coldKey]*coldShape{}
 		}
 		s, ok := shapes[k]
 		if !ok {
-			s = &coldShape{enc: enc, plan: in.Plan}
+			s = &coldShape{enc: z.encoder(in), plan: in.Plan}
 			shapes[k] = s
 			cold = append(cold, s)
 		}
 		s.items = append(s.items, i)
-		if escapeAll || in.Enc != nil {
-			s.escape = true
-		}
 	}
 	if len(cold) == 0 {
-		return graphs, noopRelease, nil
+		return graphs, nil
 	}
-
-	arenas := make([]*encoding.Arena, runtime.GOMAXPROCS(0))
-	release := func() {
-		for _, a := range arenas {
-			if a != nil {
-				a.Release()
-			}
-		}
-	}
-	encoded, errs := runBatch(ctx, len(cold), len(arenas), func(w, j int) (*encoding.Graph, error) {
+	errs := par.Each(ctx, len(cold), func(j int) error {
 		s := cold[j]
-		if s.escape {
-			return s.enc.Encode(s.plan)
-		}
-		if arenas[w] == nil {
-			arenas[w] = encoding.GetArena()
-		}
-		return s.enc.EncodeArena(arenas[w], s.plan)
+		g, err := s.enc.Encode(s.plan)
+		s.graph = g
+		return err
 	})
 	// cold is in first-occurrence order, so the first failing shape's
 	// first item is the lowest failing input index — the same item a
 	// serial scan would have reported.
 	for j, err := range errs {
 		if err != nil {
-			release()
-			return nil, nil, fmt.Errorf("costmodel: batch item %d: %w", cold[j].items[0], err)
+			return nil, fmt.Errorf("costmodel: batch item %d: %w", cold[j].items[0], err)
 		}
 	}
-	for j, s := range cold {
-		g := encoded[j]
+	for _, s := range cold {
+		key := s.enc.Key()
 		for _, i := range s.items {
-			graphs[i] = g
-			ins[i].Enc.Store(s.enc, g)
+			graphs[i] = s.graph
+			ins[i].Enc.store(key, s.graph)
 		}
 	}
-	return graphs, release, nil
+	return graphs, nil
 }
-
-// noopRelease is the warm path's release: no arenas were taken, nothing
-// to recycle. Shared so the all-memoized path allocates no closure.
-func noopRelease() {}
 
 // Fit implements Estimator. ctx cancellation propagates into the
 // training loop itself (checked at epoch and minibatch boundaries), not
@@ -298,28 +250,23 @@ func (z *ZeroShot) Predict(ctx context.Context, in PlanInput) (float64, error) {
 // PredictBatch implements Estimator: the whole batch executes as ONE
 // fused forward pass. The encode stage runs the cold-path pipeline —
 // memo hits resolve first, remaining cold items dedupe to distinct
-// shapes, and the distinct shapes encode in parallel over a GOMAXPROCS
-// worker pool with pooled arena scratch (see encodeBatch) — then the
-// graphs are packed into an encoding.BatchGraph and run through the
-// model's tape-free batched inference. The result is bitwise identical
-// to predicting each input alone: encoding is deterministic per shape,
-// duplicates share one graph with identical features, and the packed
-// pass is the exact per-row operation sequence of Predict. Inputs may
-// span databases: each is encoded against its own schema, and the
-// packed pass never reads schema state.
+// shapes, and the distinct shapes encode in parallel (see encodeBatch)
+// — then the graphs are packed into an encoding.BatchGraph and run
+// through the model's tape-free batched inference. The result is
+// bitwise identical to predicting each input alone: encoding is
+// deterministic per shape, duplicates share one graph with identical
+// features, and the packed pass is the exact per-row operation sequence
+// of Predict. Inputs may span databases: each is encoded against its own
+// schema, and the packed pass never reads schema state.
 func (z *ZeroShot) PredictBatch(ctx context.Context, ins []PlanInput) ([]float64, error) {
 	if len(ins) == 0 {
 		return nil, nil
 	}
-	graphs, release, err := z.encodeBatch(ctx, ins, false)
+	graphs, err := z.encodeBatch(ctx, ins)
 	if err != nil {
 		return nil, err
 	}
-	// PredictBatch packs (copying features and topology) before the
-	// forward pass, so arena graphs are dead once it returns.
-	preds := z.model.PredictBatch(graphs)
-	release()
-	return preds, nil
+	return z.model.PredictBatch(graphs), nil
 }
 
 // FusesBatches implements BatchFuser: zero-shot batches run as one

@@ -175,6 +175,23 @@ func NewPlanEncoder(sch *schema.Schema, card CardSource) *PlanEncoder {
 	return &PlanEncoder{sch: sch, card: card}
 }
 
+// Key is the comparable identity of everything an encoded graph depends
+// on besides the plan itself: the schema's content fingerprint, the
+// cardinality source and the hardware descriptor. Encoders with equal
+// keys build identical graphs for the same plan — whatever model
+// generation, reload or re-attach constructed them — which is what lets
+// a graph memo outlive the encoder that filled it.
+type Key struct {
+	schema string
+	card   CardSource
+	hw     Hardware
+}
+
+// Key returns the encoder's identity (see Key).
+func (e *PlanEncoder) Key() Key {
+	return Key{schema: e.sch.Fingerprint(), card: e.card, hw: e.hw}
+}
+
 // WithHardware returns a copy of the encoder that annotates every operator
 // node with the hardware descriptor, enabling cross-hardware what-if
 // predictions (Section 4.3).
@@ -184,26 +201,21 @@ func (e *PlanEncoder) WithHardware(hw Hardware) *PlanEncoder {
 	return &c
 }
 
-// colCachePool recycles the transient per-encode column-node cache of
-// the heap path. The graph itself escapes (memos, training sets retain
-// it), so only this build scratch is poolable.
+// colCachePool recycles the transient per-encode column-node cache.
+// The graph itself escapes (memos, training sets retain it), so only
+// this build scratch is poolable.
 var colCachePool = sync.Pool{New: func() any { return map[string]*GNode{} }}
 
-// encBuild is the per-encode build state: the graph under construction,
-// the column-node dedup cache, and the optional arena every allocation
-// is drawn from (nil means plain heap allocation).
+// encBuild is the per-encode build state: the graph under construction
+// and the column-node dedup cache.
 type encBuild struct {
-	g     *Graph
-	cols  map[string]*GNode
-	arena *Arena
+	g    *Graph
+	cols map[string]*GNode
 }
 
 // newNode allocates one node with a zeroed featDim-wide feature vector
-// and room for childCap children, from the arena when present.
-func (b *encBuild) newNode(t NodeType, featDim, childCap int) *GNode {
-	if b.arena != nil {
-		return b.arena.newNode(t, featDim, childCap)
-	}
+// and room for childCap children.
+func newNode(t NodeType, featDim, childCap int) *GNode {
 	n := &GNode{Type: t, Feat: make([]float64, featDim)}
 	if childCap > 0 {
 		n.Children = make([]*GNode, 0, childCap)
@@ -212,31 +224,15 @@ func (b *encBuild) newNode(t NodeType, featDim, childCap int) *GNode {
 }
 
 // Encode builds the query graph for an optimizer-produced plan. With
-// CardExact the plan must have been executed (TrueRows filled). The
-// graph is heap-allocated and may be retained indefinitely (encoded-
-// plan memos, training samples).
+// CardExact the plan must have been executed (TrueRows filled). It is
+// the only graph builder: the graph is heap-allocated and may be
+// retained indefinitely (encoded-plan memos, training samples).
 func (e *PlanEncoder) Encode(root *plan.Node) (*Graph, error) {
 	cols := colCachePool.Get().(map[string]*GNode)
 	clear(cols)
 	b := encBuild{g: &Graph{}, cols: cols}
-	g, err := e.encode(root, &b)
+	rootNode, err := e.encodeOp(root, &b)
 	colCachePool.Put(cols)
-	return g, err
-}
-
-// EncodeArena is Encode with every allocation — nodes, feature vectors,
-// child slices, the graph header — carved from the arena. The result is
-// bitwise identical to Encode but valid only until the arena's Release;
-// use it for transient graphs that are packed into a BatchGraph and
-// dropped (the parallel cold batch path), never for graphs that escape
-// into a memo or cache.
-func (e *PlanEncoder) EncodeArena(a *Arena, root *plan.Node) (*Graph, error) {
-	b := encBuild{g: a.newGraph(), cols: a.colCache(), arena: a}
-	return e.encode(root, &b)
-}
-
-func (e *PlanEncoder) encode(root *plan.Node, b *encBuild) (*Graph, error) {
-	rootNode, err := e.encodeOp(root, b)
 	if err != nil {
 		return nil, err
 	}
@@ -268,8 +264,8 @@ func (e *PlanEncoder) cardOf(n *plan.Node) (float64, error) {
 }
 
 func (e *PlanEncoder) encodeOp(n *plan.Node, b *encBuild) (*GNode, error) {
-	// The child count is fully determined before recursion, so arena
-	// child slices can be carved exactly once at exact capacity.
+	// The child count is fully determined before recursion, so the child
+	// slice is allocated exactly once at exact capacity.
 	childCap := len(n.Children) + len(n.Filters) + len(n.Aggregates) + len(n.GroupBy)
 	if n.Op == plan.SeqScan || n.Op == plan.IndexScan {
 		childCap++
@@ -277,7 +273,7 @@ func (e *PlanEncoder) encodeOp(n *plan.Node, b *encBuild) (*GNode, error) {
 	if n.Join != nil {
 		childCap += 2
 	}
-	node := b.newNode(OpNode, OpFeatDim, childCap)
+	node := newNode(OpNode, OpFeatDim, childCap)
 	node.Feat[int(n.Op)] = 1
 	if n.LookupJoin {
 		node.Feat[plan.NumOperators] = 1
@@ -356,7 +352,7 @@ func (e *PlanEncoder) tableNode(table string, b *encBuild) (*GNode, error) {
 	if tm == nil {
 		return nil, fmt.Errorf("encoding: unknown table %s", table)
 	}
-	n := b.newNode(TableNode, TableFeatDim, 0)
+	n := newNode(TableNode, TableFeatDim, 0)
 	n.Feat[0] = logScale(float64(tm.RowCount))
 	n.Feat[1] = logScale(float64(tm.PageCount))
 	n.Feat[2] = logScale(float64(tm.RowWidth()))
@@ -376,7 +372,7 @@ func (e *PlanEncoder) columnNode(ref query.ColumnRef, b *encBuild) (*GNode, erro
 	if cm == nil {
 		return nil, fmt.Errorf("encoding: unknown column %s", ref)
 	}
-	n := b.newNode(ColumnNode, ColumnFeatDim, 0)
+	n := newNode(ColumnNode, ColumnFeatDim, 0)
 	n.Feat[int(cm.Type)] = 1
 	n.Feat[schema.NumDataTypes] = logScale(float64(cm.DistinctCount))
 	n.Feat[schema.NumDataTypes+1] = cm.NullFrac
@@ -390,7 +386,7 @@ func (e *PlanEncoder) predNode(f query.Filter, b *encBuild) (*GNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := b.newNode(PredNode, PredFeatDim, 1)
+	n := newNode(PredNode, PredFeatDim, 1)
 	n.Feat[int(f.Op)] = 1
 	n.Children = append(n.Children, cn)
 	return b.g.add(n), nil
@@ -401,7 +397,7 @@ func (e *PlanEncoder) aggNode(agg query.Aggregate, b *encBuild) (*GNode, error) 
 	if agg.Col.Table != "" {
 		childCap = 1
 	}
-	n := b.newNode(AggNode, AggFeatDim, childCap)
+	n := newNode(AggNode, AggFeatDim, childCap)
 	n.Feat[int(agg.Func)] = 1
 	if agg.Col.Table != "" {
 		cn, err := e.columnNode(agg.Col, b)

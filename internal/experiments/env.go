@@ -20,7 +20,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"github.com/zeroshot-db/zeroshot/internal/baselines"
@@ -29,6 +28,7 @@ import (
 	"github.com/zeroshot-db/zeroshot/internal/datagen"
 	"github.com/zeroshot-db/zeroshot/internal/encoding"
 	"github.com/zeroshot-db/zeroshot/internal/metrics"
+	"github.com/zeroshot-db/zeroshot/internal/par"
 	"github.com/zeroshot-db/zeroshot/internal/query"
 	"github.com/zeroshot-db/zeroshot/internal/serving"
 	"github.com/zeroshot-db/zeroshot/internal/storage"
@@ -179,46 +179,32 @@ func Prepare(cfg Config) (*Env, error) {
 	env.TrainRecords = make([][]collect.Record, len(dbs))
 	env.IndexTrainRecords = make([][]collect.Record, len(dbs))
 
-	// Collection per database is independent; run them concurrently with a
-	// bounded worker pool. Results land at fixed indices, so the output is
-	// identical to the sequential version.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(dbs) {
-		workers = len(dbs)
-	}
-	sem := make(chan struct{}, workers)
-	errs := make([]error, len(dbs))
-	var wg sync.WaitGroup
-	for i, db := range dbs {
-		wg.Add(1)
-		go func(i int, db *storage.Database) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			recs, err := collect.Run(db, collect.Options{
-				Queries: cfg.QueriesPerDB,
-				Seed:    cfg.Seed + int64(i*1000),
-			})
-			if err != nil {
-				errs[i] = fmt.Errorf("experiments: training collection on %s: %w", db.Schema.Name, err)
-				return
-			}
-			env.TrainRecords[i] = recs
+	// Collection per database is independent; run them concurrently.
+	// Results land at fixed indices, so the output is identical to the
+	// sequential version.
+	errs := par.Each(context.TODO(), len(dbs), func(i int) error {
+		db := dbs[i]
+		recs, err := collect.Run(db, collect.Options{
+			Queries: cfg.QueriesPerDB,
+			Seed:    cfg.Seed + int64(i*1000),
+		})
+		if err != nil {
+			return fmt.Errorf("experiments: training collection on %s: %w", db.Schema.Name, err)
+		}
+		env.TrainRecords[i] = recs
 
-			idx := collect.RandomIndexes(db, cfg.Seed+int64(i*77), 0.7, 0.25)
-			idxRecs, err := collect.Run(db, collect.Options{
-				Queries: cfg.QueriesPerDB,
-				Seed:    cfg.Seed + int64(i*1000) + 500,
-				Indexes: idx,
-			})
-			if err != nil {
-				errs[i] = fmt.Errorf("experiments: index training collection on %s: %w", db.Schema.Name, err)
-				return
-			}
-			env.IndexTrainRecords[i] = idxRecs
-		}(i, db)
-	}
-	wg.Wait()
+		idx := collect.RandomIndexes(db, cfg.Seed+int64(i*77), 0.7, 0.25)
+		idxRecs, err := collect.Run(db, collect.Options{
+			Queries: cfg.QueriesPerDB,
+			Seed:    cfg.Seed + int64(i*1000) + 500,
+			Indexes: idx,
+		})
+		if err != nil {
+			return fmt.Errorf("experiments: index training collection on %s: %w", db.Schema.Name, err)
+		}
+		env.IndexTrainRecords[i] = idxRecs
+		return nil
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -102,14 +102,11 @@ func newDBSession(name string, db *storage.Database, cacheSize int) *dbSession {
 // impatient client stops paying for optimization it no longer wants; a
 // ctx error is returned bare (not wrapped in ErrBadQuery — the statement
 // was fine, the client gave up).
-func (d *dbSession) prepare(ctx context.Context, sql string) (costmodel.PlanInput, bool, string, error) {
-	return d.prepareTraced(ctx, sql, nil)
-}
-
-// prepareTraced is prepare with an optional sampled trace: each executed
-// stage records a span alongside its latency observation (tr is usually
-// nil — span recording is nil-safe and free).
-func (d *dbSession) prepareTraced(ctx context.Context, sql string, tr *obs.Trace) (costmodel.PlanInput, bool, string, error) {
+//
+// tr is an optional sampled trace: each executed stage records a span
+// alongside its latency observation (tr is usually nil — span recording
+// is nil-safe and free).
+func (d *dbSession) prepare(ctx context.Context, sql string, tr *obs.Trace) (costmodel.PlanInput, bool, string, error) {
 	fp := costmodel.Fingerprint(sql)
 	if in, ok := d.cache.Get(fp); ok {
 		return in, true, fp, nil

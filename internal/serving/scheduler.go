@@ -9,6 +9,7 @@ import (
 	"github.com/zeroshot-db/zeroshot/internal/costmodel"
 	"github.com/zeroshot-db/zeroshot/internal/metrics"
 	"github.com/zeroshot-db/zeroshot/internal/obs"
+	"github.com/zeroshot-db/zeroshot/internal/par"
 )
 
 // scheduler coalesces concurrent single-prediction requests into
@@ -250,10 +251,13 @@ func (s *scheduler) flush(q *modelQueue, batch []*schedRequest) {
 		// outcome instead of a successful batch — batches/coalesced/
 		// batchSizes record only flushes that really drained fused.
 		s.fallbacks.Inc()
-		parallelEach(len(live), func(i int) {
+		// Each request answers to its own ctx, so the fan-out itself is
+		// never cancelled.
+		par.Each(context.Background(), len(live), func(i int) error {
 			r := live[i]
 			v, perr := est.Predict(r.ctx, r.in)
 			r.done <- schedResult{v: v, err: perr}
+			return nil
 		})
 		return
 	}

@@ -32,15 +32,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/zeroshot-db/zeroshot/internal/costmodel"
 	"github.com/zeroshot-db/zeroshot/internal/metrics"
 	"github.com/zeroshot-db/zeroshot/internal/obs"
+	"github.com/zeroshot-db/zeroshot/internal/par"
 	"github.com/zeroshot-db/zeroshot/internal/storage"
 )
 
@@ -49,39 +48,6 @@ import (
 // counters so operators can alert on the Errors stat.
 func canceled(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// parallelEach runs fn(i) for every i in [0, n) across min(GOMAXPROCS,
-// n) workers and waits for completion — the compensation path when a
-// shared PredictBatch aborts and the survivors re-predict individually.
-func parallelEach(n int, fn func(int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // Sentinel error kinds front ends map to status codes (wrapped, test with
@@ -463,7 +429,7 @@ func (s *Session) predictTraced(ctx context.Context, dbName, model, sql string, 
 		s.errs.Inc()
 		return Prediction{}, err
 	}
-	in, cached, fp, err := d.prepareTraced(ctx, sql, tr)
+	in, cached, fp, err := d.prepare(ctx, sql, tr)
 	if err != nil {
 		if !canceled(err) {
 			s.errs.Inc()
@@ -547,7 +513,7 @@ func (s *Session) PredictBatch(ctx context.Context, dbName, model string, sqls [
 	var ins []costmodel.PlanInput
 	var idx []int // ins position -> items position
 	for i, sql := range sqls {
-		in, _, _, err := d.prepare(ctx, sql)
+		in, _, _, err := d.prepare(ctx, sql, nil)
 		if err != nil {
 			items[i].Err = err
 			if !canceled(err) {
@@ -567,14 +533,18 @@ func (s *Session) PredictBatch(ctx context.Context, dbName, model string, sqls [
 	if err != nil {
 		// The shared batch aborted (first bad input wins): isolate the
 		// failure by re-predicting the survivors individually (still
-		// worker-pooled) so each item carries exactly its own error.
-		parallelEach(len(ins), func(j int) {
+		// on the worker pool) so each item carries exactly its own error.
+		errs := par.Each(ctx, len(ins), func(j int) error {
 			v, perr := est.Predict(ctx, ins[j])
+			items[idx[j]].RuntimeSec = v
+			return perr
+		})
+		for j, perr := range errs {
 			if perr != nil && !canceled(perr) {
 				s.errs.Inc()
 			}
-			items[idx[j]] = BatchItem{RuntimeSec: v, Err: perr}
-		})
+			items[idx[j]].Err = perr
+		}
 	} else {
 		for j, p := range preds {
 			items[idx[j]].RuntimeSec = p

@@ -51,7 +51,7 @@ func (s *Session) WhatIf(ctx context.Context, dbName, model string, req whatif.R
 	stmts := make([]whatif.Statement, len(req.SQL))
 	queries := make([]*query.Query, len(req.SQL))
 	for i, sql := range req.SQL {
-		in, _, fp, err := d.prepare(ctx, sql)
+		in, _, fp, err := d.prepare(ctx, sql, nil)
 		if err != nil {
 			if !canceled(err) {
 				s.errs.Inc()

@@ -156,14 +156,14 @@ func TestPipelineRetainsEncodedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in1, cached, fp, err := d.prepare(ctx, imdb.sqls[0])
+	in1, cached, fp, err := d.prepare(ctx, imdb.sqls[0], nil)
 	if err != nil || cached {
 		t.Fatalf("first prepare = (cached=%v, %v)", cached, err)
 	}
 	if in1.Enc == nil {
 		t.Fatal("prepared input carries no encoding memo")
 	}
-	in2, cached, _, err := d.prepare(ctx, imdb.sqls[0])
+	in2, cached, _, err := d.prepare(ctx, imdb.sqls[0], nil)
 	if err != nil || !cached {
 		t.Fatalf("second prepare = (cached=%v, %v)", cached, err)
 	}

@@ -6,7 +6,6 @@ import (
 	"github.com/zeroshot-db/zeroshot/internal/collect"
 	"github.com/zeroshot-db/zeroshot/internal/datagen"
 	"github.com/zeroshot-db/zeroshot/internal/encoding"
-	"github.com/zeroshot-db/zeroshot/internal/nn"
 )
 
 func benchSamples(b *testing.B, n int) []Sample {
@@ -58,40 +57,28 @@ func BenchmarkTrainEpoch(b *testing.B) {
 }
 
 // BenchmarkFineTune measures the adaptation-loop workload — a few
-// epochs of fine-tuning over a drift window — under a serial worker cap
-// and under the default one-worker-per-core cap. Both sub-benchmarks
-// train to bitwise-identical weights (pinned by
-// TestTrainBitwiseIdenticalAcrossWorkerCounts); the comparison is pure
-// wall-time and allocation cost. E14 in EXPERIMENTS.md records the
-// numbers.
+// epochs of fine-tuning over a drift window. Run with -cpu 1,2,4 to
+// compare widths: every width trains to bitwise-identical weights
+// (pinned by TestTrainBitwiseIdenticalAcrossWorkerCounts), so the
+// comparison is pure wall-time and allocation cost. E14 in
+// EXPERIMENTS.md records the numbers.
 func BenchmarkFineTune(b *testing.B) {
 	samples := benchSamples(b, 100)
 	base := New(DefaultConfig())
 	if _, err := base.Train(samples[:50]); err != nil {
 		b.Fatal(err)
 	}
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{"parallel", 0}, // 0 = one worker per core
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			defer nn.SetMaxWorkers(nn.SetMaxWorkers(bc.workers))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				m := New(base.Config())
-				for j, p := range m.Params() {
-					copy(p.Val.Data, base.Params()[j].Val.Data)
-				}
-				b.StartTimer()
-				if _, err := m.FineTune(samples[50:], 3, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := New(base.Config())
+		for j, p := range m.Params() {
+			copy(p.Val.Data, base.Params()[j].Val.Data)
+		}
+		b.StartTimer()
+		if _, err := m.FineTune(samples[50:], 3, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

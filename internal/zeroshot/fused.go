@@ -6,6 +6,7 @@ import (
 
 	"github.com/zeroshot-db/zeroshot/internal/encoding"
 	"github.com/zeroshot-db/zeroshot/internal/nn"
+	"github.com/zeroshot-db/zeroshot/internal/par"
 )
 
 // packPool recycles BatchGraph packings across PredictBatch calls so
@@ -23,7 +24,7 @@ const shardGrain = 32
 // network executes per-node-type encoder slabs, per-level combine slabs
 // and a single readout over all roots, on an inference-only nn context
 // (no tape, pooled buffers). Large batches split into one contiguous
-// shard per core, each its own pack + fused pass on the nn worker pool
+// shard per core, each its own pack + fused pass on the par worker pool
 // — graphs are mutually independent, so sharding scales the whole pass
 // (packing included) near-linearly. The result is bitwise identical to
 // calling Predict per graph — every packed row goes through the same
@@ -35,7 +36,7 @@ func (m *Model) PredictBatch(gs []*encoding.Graph) []float64 {
 	if len(gs) == 0 {
 		return out
 	}
-	nn.RowParallel(len(gs), shardGrain, func(lo, hi int) {
+	par.Blocks(len(gs), shardGrain, func(lo, hi int) {
 		bg := packPool.Get().(*encoding.BatchGraph)
 		bg.Pack(gs[lo:hi])
 		inf := nn.GetInference()

@@ -29,6 +29,7 @@ import (
 
 	"github.com/zeroshot-db/zeroshot/internal/encoding"
 	"github.com/zeroshot-db/zeroshot/internal/nn"
+	"github.com/zeroshot-db/zeroshot/internal/par"
 )
 
 // Config holds model and training hyperparameters.
@@ -230,7 +231,7 @@ func (m *Model) FineTuneCtx(ctx context.Context, samples []Sample, epochs int, l
 // maxGradShards fixes how many gradient-reduction shards a minibatch
 // splits into. The shard layout is a function of the minibatch length
 // ONLY — never of the worker count — so the fixed-order reduce yields
-// bitwise identical weights for any nn.SetMaxWorkers value: workers
+// bitwise identical weights for any GOMAXPROCS value: workers
 // only decide which goroutine computes which shard, not what any shard
 // computes or the order shards reduce in. Eight shards bound both the
 // parallel fan-out per optimizer step and the number of private
@@ -257,7 +258,7 @@ func shardBounds(n, shards, s int) (lo, hi int) {
 // train is the data-parallel training engine. Each epoch shuffles the
 // reused order buffer, then walks it in minibatches; each minibatch
 // splits into up to maxGradShards contiguous shards that run
-// forward+backward concurrently on the nn worker pool, every shard
+// forward+backward concurrently on the par worker pool, every shard
 // accumulating into a pooled private gradient set over a pooled,
 // scratch-recycling tape. Shard gradients and losses then reduce into
 // the optimizer's shared tensors in ascending shard order. The result —
@@ -310,7 +311,7 @@ func (m *Model) train(ctx context.Context, samples []Sample, epochs int, lr floa
 			if shards > maxGradShards {
 				shards = maxGradShards
 			}
-			nn.RowParallel(shards, 1, func(slo, shi int) {
+			par.Blocks(shards, 1, func(slo, shi int) {
 				for s := slo; s < shi; s++ {
 					sc := m.scratch.Get().(*trainScratch)
 					sc.grads.Zero()

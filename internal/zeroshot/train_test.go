@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,12 +14,11 @@ import (
 	"github.com/zeroshot-db/zeroshot/internal/nn"
 )
 
-// trainedWeights trains a fresh model (fixed seed) under the given
-// worker cap and returns the flattened weights plus the loss curve.
+// trainedWeights trains a fresh model (fixed seed) at the given
+// GOMAXPROCS and returns the flattened weights plus the loss curve.
 func trainedWeights(t *testing.T, samples []Sample, workers int, fineTune bool) ([]float64, []float64) {
 	t.Helper()
-	prev := nn.SetMaxWorkers(workers)
-	defer nn.SetMaxWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	cfg := smallConfig()
 	cfg.Epochs = 3
 	m := New(cfg)
