@@ -464,17 +464,8 @@ func (v routerView) stats(w http.ResponseWriter, r *http.Request, bc *bundleCont
 	writeJSON(w, st)
 }
 
-// clusterView is the /v1/cluster body: the ring assignment and health
-// per replica.
-type clusterView struct {
-	Replicas []string            `json:"replicas"`
-	Healthy  map[string]bool     `json:"healthy"`
-	Owners   map[string]string   `json:"owners"`
-	Routes   map[string][]string `json:"routes"`
-}
-
 func (v routerView) cluster(w http.ResponseWriter, r *http.Request) {
-	view := clusterView{
+	view := cluster.RingView{
 		Replicas: v.router.Replicas(),
 		Healthy:  v.router.Healthy(),
 		Owners:   map[string]string{},

@@ -102,7 +102,7 @@ func runDoctorAnalyze(args []string) error {
 // renderDiagnosis runs the analyzers, prints the verdict table, and
 // maps a fail verdict onto a non-zero exit so scripts can gate on it.
 func renderDiagnosis(b *doctor.Bundle) error {
-	findings := doctor.AnalyzeAll(b, doctor.DefaultLimits())
+	findings := doctor.AnalyzeAll(b)
 	fmt.Print(doctor.RenderTable(findings))
 	if doctor.Verdict(findings) == doctor.Fail {
 		return fmt.Errorf("doctor: diagnosis failed (see findings above)")

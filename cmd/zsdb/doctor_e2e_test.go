@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -92,7 +95,7 @@ func TestDoctorEndToEndHealthyCluster(t *testing.T) {
 			t.Fatalf("doc %s not collected cleanly: %+v", doc, d)
 		}
 	}
-	findings := doctor.AnalyzeAll(b, doctor.DefaultLimits())
+	findings := doctor.AnalyzeAll(b)
 	if v := doctor.Verdict(findings); v != doctor.Pass {
 		t.Fatalf("healthy cluster verdict = %s, want pass\n%s", v, doctor.RenderTable(findings))
 	}
@@ -106,7 +109,7 @@ func TestDoctorEndToEndHealthyCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offline := doctor.AnalyzeAll(b2, doctor.DefaultLimits())
+	offline := doctor.AnalyzeAll(b2)
 	if doctor.RenderTable(offline) != doctor.RenderTable(findings) {
 		t.Fatalf("offline analysis diverges from live:\nlive:\n%s\noffline:\n%s",
 			doctor.RenderTable(findings), doctor.RenderTable(offline))
@@ -124,7 +127,7 @@ func TestDoctorEndToEndCrashedReplica(t *testing.T) {
 	cancel()
 
 	b := f.collect(t)
-	findings := doctor.AnalyzeAll(b, doctor.DefaultLimits())
+	findings := doctor.AnalyzeAll(b)
 	if v := doctor.Verdict(findings); v != doctor.Fail {
 		t.Fatalf("crashed-replica verdict = %s, want fail\n%s", v, doctor.RenderTable(findings))
 	}
@@ -136,5 +139,98 @@ func TestDoctorEndToEndCrashedReplica(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no replica-health fail naming r1:\n%s", doctor.RenderTable(findings))
+	}
+}
+
+// TestDoctorIsNotBlind pins that the doctor reads what the servers
+// write. A doctor decoding nothing but zeros passes the healthy-cluster
+// test above — every check then answers "nothing to judge yet" — so
+// this one drives real traffic at each shipped topology and demands the
+// answer that can only be given by someone who saw it: the request
+// count, the lookups, the batches, the event head. It is the test that
+// fails when a JSON tag one side of a document drifts from the other.
+func TestDoctorIsNotBlind(t *testing.T) {
+	for _, topo := range topologies {
+		t.Run(topo.name, func(t *testing.T) {
+			base := topo.boot(t, fleetOpts{bundles: true})
+			post := func(path string, body any) {
+				t.Helper()
+				if resp, reply := postJSON(t, base+path, body); resp.StatusCode != 200 {
+					t.Fatalf("POST %s: %d (%v)", path, resp.StatusCode, reply)
+				}
+			}
+			// Every statement twice: the second is a plan-cache hit.
+			singles := 0
+			for pass := 0; pass < 2; pass++ {
+				for _, q := range fixedWorkload {
+					post("/v1/predict", cluster.PredictRequest{DB: q.db, Model: costmodel.NameZeroShot, SQL: q.sql})
+					singles++
+				}
+			}
+			post("/v1/predict_batch", cluster.PredictBatchRequest{DB: "imdb", Model: costmodel.NameZeroShot,
+				SQL: []string{testSQL, "SELECT COUNT(*) FROM movie_companies"}})
+			post("/v1/whatif", cluster.WhatIfRequest{DB: "imdb", Model: costmodel.NameZeroShot, SQL: []string{testSQL}})
+
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			b, err := doctor.Collect(ctx, nil, []doctor.Target{{Name: "fleet", BaseURL: base}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			findings := doctor.AnalyzeAll(b)
+			table := doctor.RenderTable(findings)
+			if v := doctor.Verdict(findings); v != doctor.Pass {
+				t.Fatalf("verdict = %s, want pass\n%s", v, table)
+			}
+			// details counts the check's findings that match pattern and
+			// sums its first group, parsed as a count, over them.
+			details := func(check, pattern string) (matched int, sum int64) {
+				re := regexp.MustCompile(pattern)
+				for _, f := range findings {
+					if m := re.FindStringSubmatch(f.Detail); f.Check == check && m != nil {
+						n, _ := strconv.ParseInt(m[1], 10, 64)
+						matched, sum = matched+1, sum+n
+					}
+				}
+				return matched, sum
+			}
+
+			// One predict-latency observation per request, single or batch.
+			if _, n := details("latency-slo", `over (\d+) requests`); n != int64(singles+1) {
+				t.Errorf("latency-slo saw %d requests, want %d\n%s", n, singles+1, table)
+			}
+			if _, n := details("cache-hit-rate", `^imdb/plan cache.* (\d+) lookups`); n == 0 {
+				t.Errorf("cache-hit-rate saw no imdb plan-cache lookups\n%s", table)
+			}
+			if hit, _ := details("cache-hit-rate", `^imdb/what-if cache.* (\d+) lookups`); hit == 0 {
+				t.Errorf("cache-hit-rate saw no imdb what-if cache\n%s", table)
+			}
+			if _, n := details("batch-sizes", `over (\d+) batches`); n == 0 {
+				t.Errorf("batch-sizes saw no batched traffic\n%s", table)
+			}
+
+			// The event log as the server itself reports it, read without
+			// the doctor's types.
+			var log struct {
+				Head   int64
+				Events []json.RawMessage
+			}
+			getJSON(t, base+"/v1/events", &log)
+			want := fmt.Sprintf("%d events contiguous through seq %d", len(log.Events), log.Head)
+			if hit, _ := details("event-gaps", "^("+want+")$"); hit != 1 {
+				t.Errorf("event-gaps did not report %q\n%s", want, table)
+			}
+			// A router in front of remote serves owns no bundle store and
+			// logs only health transitions; everywhere else seeding the
+			// store published revision 1 to every replica.
+			if topo.name != "route" {
+				if log.Head == 0 {
+					t.Errorf("no event recorded after seeding the bundle store")
+				}
+				if hit, _ := details("bundle-generations", `^all (\d+) replicas at head revision 1$`); hit != 1 {
+					t.Errorf("bundle-generations did not see revision 1 on every replica\n%s", table)
+				}
+			}
+		})
 	}
 }

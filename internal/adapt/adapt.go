@@ -73,10 +73,9 @@ type Config struct {
 	// buffered even without drift (default WindowSize) — steady feedback
 	// on a well-predicted database still refreshes the model eventually.
 	FreshTrigger int
-	// DriftMedian and DriftP95 are the sliding-window q-error thresholds
-	// that trip an adaptation (defaults 1.5 and 3.0).
+	// DriftMedian is the sliding-window median q-error that trips an
+	// adaptation (default 1.5); a p95 at driftP95 trips one too.
 	DriftMedian float64
-	DriftP95    float64
 	// HoldoutEvery holds out every k-th buffered sample from fine-tuning
 	// for the shadow evaluation (default 4, i.e. a 25% holdout).
 	HoldoutEvery int
@@ -106,6 +105,9 @@ type Config struct {
 	Origin string
 }
 
+// driftP95 is the sliding-window p95 q-error that trips an adaptation.
+const driftP95 = 3.0
+
 func (c Config) withDefaults() Config {
 	if c.WindowSize <= 0 {
 		c.WindowSize = 256
@@ -121,9 +123,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DriftMedian <= 0 {
 		c.DriftMedian = 1.5
-	}
-	if c.DriftP95 <= 0 {
-		c.DriftP95 = 3.0
 	}
 	if c.HoldoutEvery <= 1 {
 		c.HoldoutEvery = 4
@@ -344,7 +343,7 @@ func (l *Loop) triggered(w *dbWindow, now time.Time) bool {
 		return true
 	}
 	s := w.qerr.Snapshot()
-	return s.P50 >= l.cfg.DriftMedian || s.P95 >= l.cfg.DriftP95
+	return s.P50 >= l.cfg.DriftMedian || s.P95 >= driftP95
 }
 
 // Sweep runs one adaptation cycle: every database whose window has

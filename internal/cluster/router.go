@@ -17,9 +17,6 @@ import (
 
 // Config sizes a Router. Zero values select the defaults.
 type Config struct {
-	// VirtualNodes is each replica's ring point count (default
-	// DefaultVirtualNodes).
-	VirtualNodes int
 	// MaxAttempts bounds one request's failover walk: the owner plus up
 	// to MaxAttempts-1 ring successors. 0 tries every replica — with a
 	// handful of replicas exhaustive failover is the right default; cap
@@ -54,9 +51,6 @@ type Config struct {
 const DefaultFanoutLimit = 4
 
 func (c Config) withDefaults() Config {
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = DefaultVirtualNodes
-	}
 	if c.FanoutLimit <= 0 {
 		c.FanoutLimit = DefaultFanoutLimit
 	}
@@ -116,7 +110,7 @@ func NewRouter(cfg Config) *Router {
 	cfg = cfg.withDefaults()
 	r := &Router{
 		cfg:      cfg,
-		ring:     NewRing(cfg.VirtualNodes),
+		ring:     NewRing(DefaultVirtualNodes),
 		replicas: map[string]*replica{},
 		tracer:   cfg.Tracer,
 		events:   cfg.Events,

@@ -111,6 +111,15 @@ type FeedbackRequest struct {
 	ActualRuntimeSec float64 `json:"actual_runtime_sec"`
 }
 
+// RingView is the /v1/cluster body: the ring assignment and health per
+// replica. A router's shim writes it and the doctor reads it back.
+type RingView struct {
+	Replicas []string            `json:"replicas"`
+	Healthy  map[string]bool     `json:"healthy"`
+	Owners   map[string]string   `json:"owners"`
+	Routes   map[string][]string `json:"routes"`
+}
+
 // CodeAdaptDisabled is the machine-readable code a node puts in its 404
 // error envelope when feedback arrives but online adaptation is off.
 // errorFor keys on the code, never on the human-readable message, to

@@ -36,6 +36,11 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
+	return nearestRank(sorted, p)
+}
+
+// nearestRank indexes the p-quantile of an ascending, non-empty slice.
+func nearestRank(sorted []float64, p float64) float64 {
 	if p <= 0 {
 		return sorted[0]
 	}

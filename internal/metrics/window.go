@@ -1,6 +1,9 @@
 package metrics
 
-import "sync"
+import (
+	"sort"
+	"sync"
+)
 
 // Window is a bounded sliding window of float64 observations with
 // quantile snapshots — the drift-monitor primitive of the adaptation
@@ -75,17 +78,20 @@ type WindowSummary struct {
 // Snapshot summarizes the window. Quantiles cover the current reservoir;
 // count and max cover all observations ever recorded. An empty reservoir
 // yields zero quantiles.
+//
+// Only the copy is made under the lock Observe takes: the one sort the
+// three quantiles share must not stall the request path.
 func (w *Window) Snapshot() WindowSummary {
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	s := WindowSummary{Count: w.count, Size: w.filled, Max: w.max}
-	if w.filled == 0 {
+	recent := append([]float64(nil), w.buf[:w.filled]...)
+	w.mu.Unlock()
+	if len(recent) == 0 {
 		return s
 	}
-	recent := make([]float64, w.filled)
-	copy(recent, w.buf[:w.filled])
-	s.P50 = Median(recent)
-	s.P95 = Percentile(recent, 0.95)
-	s.P99 = Percentile(recent, 0.99)
+	sort.Float64s(recent)
+	s.P50 = nearestRank(recent, 0.5)
+	s.P95 = nearestRank(recent, 0.95)
+	s.P99 = nearestRank(recent, 0.99)
 	return s
 }

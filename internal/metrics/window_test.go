@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -123,5 +124,47 @@ func TestWindowConcurrent(t *testing.T) {
 	wg.Wait()
 	if s := w.Snapshot(); s.Count != 8*200 || s.Size != 64 {
 		t.Fatalf("snapshot = %+v", s)
+	}
+}
+
+// TestWindowSnapshotMatchesPercentile pins Snapshot's one shared sort to
+// the quantile definition everything else uses: on generated reservoirs
+// — partly filled, wrapped, with ties, signed zeros and infinities —
+// its quantiles equal Percentile's bit for bit.
+func TestWindowSnapshotMatchesPercentile(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1, 1, -1}
+	for trial := 0; trial < 200; trial++ {
+		capacity := 1 + rng.Intn(40)
+		n := 1 + rng.Intn(3*capacity)
+		w := NewWindow(capacity)
+		// recent mirrors the reservoir slot for slot: sorting does not
+		// order a signed-zero tie, so the reference must start from the
+		// same arrangement.
+		recent := make([]float64, min(n, capacity))
+		for i := 0; i < n; i++ {
+			x := rng.NormFloat64() * 100
+			if rng.Intn(4) == 0 {
+				x = special[rng.Intn(len(special))]
+			}
+			w.Observe(x)
+			recent[i%capacity] = x
+		}
+		s := w.Snapshot()
+		for _, q := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"p50", s.P50, Median(recent)},
+			{"p95", s.P95, Percentile(recent, 0.95)},
+			{"p99", s.P99, Percentile(recent, 0.99)},
+		} {
+			if math.Float64bits(q.got) != math.Float64bits(q.want) {
+				t.Fatalf("trial %d (capacity %d, %d observations): %s = %v, Percentile says %v", trial, capacity, n, q.name, q.got, q.want)
+			}
+		}
+		if s.Size != len(recent) {
+			t.Fatalf("trial %d: size = %d, want %d", trial, s.Size, len(recent))
+		}
 	}
 }

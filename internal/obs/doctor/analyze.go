@@ -3,9 +3,15 @@ package doctor
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
+
+	"github.com/zeroshot-db/zeroshot/internal/adapt"
+	"github.com/zeroshot-db/zeroshot/internal/bundle"
+	"github.com/zeroshot-db/zeroshot/internal/cluster"
+	"github.com/zeroshot-db/zeroshot/internal/obs"
+	"github.com/zeroshot-db/zeroshot/internal/serving"
 )
 
 // Status is one check's verdict. Worst-of aggregation makes a bundle's
@@ -21,19 +27,8 @@ const (
 	Skip Status = "skip"
 )
 
-// severity orders statuses for worst-of aggregation.
-func severity(s Status) int {
-	switch s {
-	case Fail:
-		return 3
-	case Warn:
-		return 2
-	case Pass:
-		return 1
-	default:
-		return 0
-	}
-}
+// severity orders statuses for worst-of aggregation; Skip ranks zero.
+var severity = map[Status]int{Pass: 1, Warn: 2, Fail: 3}
 
 // Finding is one check's result against one target (or the whole
 // bundle, when Target is empty).
@@ -44,674 +39,452 @@ type Finding struct {
 	Detail string `json:"detail"`
 }
 
-// Limits are the analyzer thresholds. Zero values select defaults via
-// DefaultLimits, so callers tune only what they care about.
-type Limits struct {
-	// QErrorWarn / QErrorFail bound the median q-error of an adaptation
-	// drift window before it is flagged.
-	QErrorWarn float64
-	QErrorFail float64
-	// QErrorMinSamples is the window occupancy below which drift is not
-	// judged (cold windows have meaningless medians).
-	QErrorMinSamples int
-	// CacheMinTraffic is the lookups floor below which hit rates are not
-	// judged; CacheHitFloor is the plan/what-if cache hit rate below
-	// which a warm database warns.
-	CacheMinTraffic int64
-	CacheHitFloor   float64
-	// P99WarnMs / P99FailMs bound the predict p99 latency.
-	P99WarnMs float64
-	P99FailMs float64
-	// BundleLagWarn / BundleLagFail bound how many revisions a replica
+// The thresholds are constants, not options: each has one value in use,
+// and a caller that needs another is what would justify a parameter.
+const (
+	// qErrorWarn / qErrorFail bound the median q-error of an adaptation
+	// drift window, judged only at qErrorMinSamples occupancy and above
+	// (cold windows have meaningless medians).
+	qErrorWarn       = 1.5
+	qErrorFail       = 3.0
+	qErrorMinSamples = 10
+	// cacheHitFloor is the plan / what-if cache hit rate below which a
+	// database warns, once it has seen cacheMinTraffic lookups.
+	cacheHitFloor   = 0.2
+	cacheMinTraffic = 50
+	// p99WarnMs / p99FailMs bound the predict p99 latency.
+	p99WarnMs = 250.0
+	p99FailMs = 1000.0
+	// bundleLagWarn / bundleLagFail bound how many revisions a replica
 	// may trail the store head.
-	BundleLagWarn int64
-	BundleLagFail int64
-	// ClockSkewWarn bounds the spread of collected_at stamps across the
+	bundleLagWarn = 1
+	bundleLagFail = 2
+	// clockSkewWarn bounds the spread of collected_at stamps across the
 	// fleet.
-	ClockSkewWarn time.Duration
+	clockSkewWarn = 30 * time.Second
+)
+
+// ladder is the two-rung threshold verdict: Fail at or above fail, Warn
+// at or above warn, Pass below both.
+func ladder(value, warn, fail float64) Status {
+	if value >= fail {
+		return Fail
+	}
+	if value >= warn {
+		return Warn
+	}
+	return Pass
 }
 
-// DefaultLimits returns the stock thresholds.
-func DefaultLimits() Limits {
-	return Limits{
-		QErrorWarn:       1.5,
-		QErrorFail:       3.0,
-		QErrorMinSamples: 10,
-		CacheMinTraffic:  50,
-		CacheHitFloor:    0.2,
-		P99WarnMs:        250,
-		P99FailMs:        1000,
-		BundleLagWarn:    1,
-		BundleLagFail:    2,
-		ClockSkewWarn:    30 * time.Second,
-	}
-}
+// Every captured document decodes into the type its server encoded it
+// from, so a renamed field is a compile error here, not a check gone
+// blind; encoding/json ignores unknown fields and zeroes absent ones, so
+// archives from older and newer builds still analyze. Declared here are
+// only the unions for the endpoints that answer in two shapes and the
+// two bodies the servers write as map literals.
 
-func (l Limits) withDefaults() Limits {
-	d := DefaultLimits()
-	if l.QErrorWarn <= 0 {
-		l.QErrorWarn = d.QErrorWarn
-	}
-	if l.QErrorFail <= 0 {
-		l.QErrorFail = d.QErrorFail
-	}
-	if l.QErrorMinSamples <= 0 {
-		l.QErrorMinSamples = d.QErrorMinSamples
-	}
-	if l.CacheMinTraffic <= 0 {
-		l.CacheMinTraffic = d.CacheMinTraffic
-	}
-	if l.CacheHitFloor <= 0 {
-		l.CacheHitFloor = d.CacheHitFloor
-	}
-	if l.P99WarnMs <= 0 {
-		l.P99WarnMs = d.P99WarnMs
-	}
-	if l.P99FailMs <= 0 {
-		l.P99FailMs = d.P99FailMs
-	}
-	if l.BundleLagWarn <= 0 {
-		l.BundleLagWarn = d.BundleLagWarn
-	}
-	if l.BundleLagFail <= 0 {
-		l.BundleLagFail = d.BundleLagFail
-	}
-	if l.ClockSkewWarn <= 0 {
-		l.ClockSkewWarn = d.ClockSkewWarn
-	}
-	return l
-}
-
-// ---- tolerant document views -------------------------------------------
-//
-// The views mirror only the fields the analyzers read, so additive
-// server-side changes never break offline analysis of old bundles.
-
-type latencyView struct {
-	Count int64   `json:"count"`
-	P50Ms float64 `json:"p50_ms"`
-	P95Ms float64 `json:"p95_ms"`
-	P99Ms float64 `json:"p99_ms"`
-}
-
-type windowView struct {
-	Count int64   `json:"count"`
-	Size  int     `json:"size"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	Max   float64 `json:"max"`
-}
-
-type cacheView struct {
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-}
-
-func (c cacheView) lookups() int64 { return c.Hits + c.Misses }
-func (c cacheView) rate() float64 {
-	if t := c.lookups(); t > 0 {
-		return float64(c.Hits) / float64(t)
-	}
-	return 0
-}
-
-type schedulerView struct {
-	Batches       int64      `json:"batches"`
-	Items         int64      `json:"items"`
-	MeanBatchSize float64    `json:"mean_batch_size"`
-	MaxBatchSize  int64      `json:"max_batch_size"`
-	Fallbacks     int64      `json:"fallbacks"`
-	BatchSizes    windowView `json:"batch_sizes"`
-}
-
-type databaseView struct {
-	Database    string     `json:"db"`
-	PlanCache   cacheView  `json:"plan_cache"`
-	WhatIfCache *cacheView `json:"whatif_cache"`
-}
-
-// servingView is one session's /v1/stats core, shared by the
-// single-session body and each cluster replica's nested serving field.
-type servingView struct {
-	CollectedAt time.Time      `json:"collected_at"`
-	UptimeSec   float64        `json:"uptime_sec"`
-	Requests    int64          `json:"requests"`
-	Errors      int64          `json:"errors"`
-	Predict     latencyView    `json:"predict"`
-	Scheduler   schedulerView  `json:"scheduler"`
-	Databases   []databaseView `json:"databases"`
-}
-
-type replicaStatsView struct {
-	Name    string       `json:"name"`
-	Healthy bool         `json:"healthy"`
-	Error   string       `json:"error,omitempty"`
-	Serving *servingView `json:"serving"`
-}
-
-// statsDoc covers both /v1/stats bodies: the single-session form
-// (embedded servingView fields at top level) and the cluster form
-// (replicas array).
+// statsDoc covers both /v1/stats bodies: a session's (serving.Stats at
+// top level) and a router's (a replicas array). cluster.ClusterStats is
+// not embedded beside serving.Stats: both carry collected_at and
+// requests at one depth, and encoding/json silently drops such fields.
 type statsDoc struct {
-	servingView
-	Replicas []replicaStatsView          `json:"replicas"`
-	Bundles  map[string]bundleStatusView `json:"bundles"`
+	serving.Stats
+	Replicas []cluster.ReplicaStats `json:"replicas"`
 }
 
-type clusterDoc struct {
-	Replicas []string            `json:"replicas"`
-	Healthy  map[string]bool     `json:"healthy"`
-	Owners   map[string]string   `json:"owners"`
-	Routes   map[string][]string `json:"routes"`
-}
-
-type adaptWindowView struct {
-	Database string     `json:"db"`
-	QError   windowView `json:"qerror"`
-}
-
-type adaptStatusView struct {
-	Model   string            `json:"model"`
-	Windows []adaptWindowView `json:"windows"`
-}
-
-// adaptDoc covers both /v1/adapt/status bodies: the single-session form
-// (one status) and the cluster form ({"replicas": {name: status}}).
+// adaptDoc covers both /v1/adapt/status bodies: a session's (one
+// status) and a router's ({"replicas": {name: status}}).
 type adaptDoc struct {
-	adaptStatusView
-	Replicas map[string]adaptStatusView `json:"replicas"`
+	adapt.Status
+	Replicas map[string]adapt.Status `json:"replicas"`
 }
 
-type bundleStatusView struct {
-	Revision  int64  `json:"revision"`
-	LastError string `json:"last_error"`
-}
-
-type manifestView struct {
-	Revision int64 `json:"revision"`
-}
-
+// bundlesDoc is the part of the /v1/bundles body the checks read: the
+// store's retained revisions and each replica's distributor status.
 type bundlesDoc struct {
-	Estimator string                      `json:"estimator"`
-	Revisions []manifestView              `json:"revisions"`
-	Replicas  map[string]bundleStatusView `json:"replicas"`
+	Revisions []bundle.Manifest        `json:"revisions"`
+	Replicas  map[string]bundle.Status `json:"replicas"`
 }
 
-type eventView struct {
-	Seq  int64  `json:"seq"`
-	Type string `json:"type"`
-}
-
+// eventsDoc is the /v1/events body.
 type eventsDoc struct {
 	Head   int64       `json:"head"`
-	Events []eventView `json:"events"`
+	Events []obs.Event `json:"events"`
 }
 
-// node is one serving session's normalized view: the single session of
-// a lone serve process, or one replica of a cluster.
-type node struct {
-	Name    string
-	Serving *servingView
+// capture is one target's documents, decoded once for every check. A
+// nil document was not captured — disabled, unreachable or never
+// attempted, which raw still tells apart — or has a failing finding,
+// with the decoder's error, in undecodable.
+type capture struct {
+	raw         *Capture
+	stats       *statsDoc
+	ring        *cluster.RingView
+	adapt       *adaptDoc
+	bundles     *bundlesDoc
+	events      *eventsDoc
+	undecodable []Finding
 }
 
-// parseDoc unmarshals one captured document into v; false when the
-// document is absent, failed, or malformed.
-func parseDoc(c *Capture, name string, v any) bool {
-	d := c.Doc(name)
+// decodeDoc unmarshals one captured document; nil when it is absent,
+// failed, or malformed (the last is recorded on c).
+func decodeDoc[T any](c *capture, name string) *T {
+	d := c.raw.Doc(name)
 	if !d.OK() {
-		return false
-	}
-	return json.Unmarshal(d.Body, v) == nil
-}
-
-// nodes flattens a capture's stats document into per-session views.
-func nodes(c *Capture) []node {
-	var sd statsDoc
-	if !parseDoc(c, "stats", &sd) {
 		return nil
 	}
-	if len(sd.Replicas) == 0 {
-		sv := sd.servingView
-		return []node{{Name: c.Target.Name, Serving: &sv}}
+	var doc T
+	if err := json.Unmarshal(d.Body, &doc); err != nil {
+		c.undecodable = append(c.undecodable, judged(Fail, "%s captured but does not decode: %v", name, err)...)
+		return nil
 	}
-	out := make([]node, 0, len(sd.Replicas))
-	for _, r := range sd.Replicas {
+	return &doc
+}
+
+func decodeCapture(raw *Capture) *capture {
+	c := &capture{raw: raw}
+	c.stats = decodeDoc[statsDoc](c, "stats")
+	c.ring = decodeDoc[cluster.RingView](c, "cluster")
+	c.adapt = decodeDoc[adaptDoc](c, "adapt")
+	c.bundles = decodeDoc[bundlesDoc](c, "bundles")
+	c.events = decodeDoc[eventsDoc](c, "events")
+	return c
+}
+
+// sessions flattens a capture's stats document into its serving
+// sessions, every one with a snapshot and the name findings give it: a
+// lone serve process is a fleet of one named after its target, a
+// cluster's replica is target/replica.
+func (c *capture) sessions() []cluster.ReplicaStats {
+	switch {
+	case c.stats == nil:
+		return nil
+	case len(c.stats.Replicas) == 0:
+		return []cluster.ReplicaStats{{Name: c.raw.Target.Name, Serving: &c.stats.Stats}}
+	}
+	var out []cluster.ReplicaStats
+	for _, r := range c.stats.Replicas {
 		if r.Serving != nil {
-			out = append(out, node{Name: c.Target.Name + "/" + r.Name, Serving: r.Serving})
+			r.Name = c.raw.Target.Name + "/" + r.Name
+			out = append(out, r)
 		}
 	}
 	return out
 }
 
-// ---- analyzers ----------------------------------------------------------
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// check is one row of the catalog. Exactly one judging function is set:
+// perCapture judges one target's documents, perSession one serving
+// session, fleet every capture at once. It returns findings carrying a
+// status and a detail (AnalyzeAll stamps check and target on them), or
+// nil when its subject lacks what the check reads; a check nothing
+// answered is reported once as Skip with the row's skip message.
+type check struct {
+	name, skip string
+	perCapture func(*capture) []Finding
+	perSession func(*serving.Stats) []Finding
+	fleet      func([]*capture) []Finding
+}
+
+func judged(s Status, format string, args ...any) []Finding {
+	return []Finding{{Status: s, Detail: fmt.Sprintf(format, args...)}}
+}
+
+// catalog is every check in report order. collection has no skip
+// message: it answers for every target, so only a bundle without
+// targets leaves it silent.
+var catalog = []check{
+	{name: "collection", perCapture: judgeCollection},
+	{name: "replica-health", skip: "no cluster view captured", perCapture: judgeReplicaHealth},
+	{name: "ring-agreement", skip: "no cluster view captured", perCapture: judgeRingAgreement},
+	{name: "bundle-generations", skip: "bundle distribution disabled", perCapture: judgeBundleGenerations},
+	{name: "qerror-drift", skip: "online adaptation disabled", perCapture: judgeQErrorDrift},
+	{name: "cache-hit-rate", skip: "no serving stats captured", perSession: judgeCacheHitRates},
+	{name: "batch-sizes", skip: "no serving stats captured", perSession: judgeBatchSizes},
+	{name: "event-gaps", skip: "no event log captured", perCapture: judgeEventGaps},
+	{name: "latency-slo", skip: "no serving stats captured", perSession: judgeLatencySLO},
+	{name: "clock-skew", skip: "fewer than two timestamped sessions", fleet: judgeClockSkew},
+}
 
 // AnalyzeAll runs the whole check catalog over a bundle and returns the
 // findings, grouped by check. It never touches the network: the same
 // bundle always yields the same findings.
-func AnalyzeAll(b *Bundle, lim Limits) []Finding {
-	lim = lim.withDefaults()
+func AnalyzeAll(b *Bundle) []Finding {
+	captures := make([]*capture, len(b.Captures))
+	for i := range b.Captures {
+		captures[i] = decodeCapture(&b.Captures[i])
+	}
 	var out []Finding
-	for _, fn := range []func(*Bundle, Limits) []Finding{
-		analyzeCollection,
-		analyzeReplicaHealth,
-		analyzeRingAgreement,
-		analyzeBundleGenerations,
-		analyzeQErrorDrift,
-		analyzeCacheHitRates,
-		analyzeBatchSizes,
-		analyzeEventGaps,
-		analyzeLatencySLO,
-		analyzeClockSkew,
-	} {
-		out = append(out, fn(b, lim)...)
+	for _, ck := range catalog {
+		answered := len(out)
+		emit := func(target string, found []Finding) {
+			for _, f := range found {
+				f.Check, f.Target = ck.name, target
+				out = append(out, f)
+			}
+		}
+		switch {
+		case ck.fleet != nil:
+			emit("", ck.fleet(captures))
+		case ck.perSession != nil:
+			for _, c := range captures {
+				for _, s := range c.sessions() {
+					emit(s.Name, ck.perSession(s.Serving))
+				}
+			}
+		default:
+			for _, c := range captures {
+				emit(c.raw.Target.Name, ck.perCapture(c))
+			}
+		}
+		if len(out) == answered && ck.skip != "" {
+			out = append(out, Finding{Check: ck.name, Status: Skip, Detail: ck.skip})
+		}
 	}
 	return out
 }
 
 // Verdict is the worst finding's status (Pass for an empty list — but
-// AnalyzeAll always emits at least the collection check).
+// AnalyzeAll emits at least the collection check for every target).
 func Verdict(findings []Finding) Status {
 	v := Pass
 	for _, f := range findings {
-		if f.Status == Skip {
-			continue
-		}
-		if severity(f.Status) > severity(v) {
+		if severity[f.Status] > severity[v] {
 			v = f.Status
 		}
 	}
 	return v
 }
 
-// analyzeCollection fails for any target whose core stats document was
+// judgeCollection fails for any target whose core stats document was
 // not captured — an unreachable target makes every other verdict
-// partial, and that must be loud.
-func analyzeCollection(b *Bundle, _ Limits) []Finding {
+// partial, and that must be loud. For the same reason it fails for
+// every document that arrived but does not decode: the checks reading
+// it would otherwise skip as if its subsystem were off.
+func judgeCollection(c *capture) []Finding {
 	var out []Finding
-	for i := range b.Captures {
-		c := &b.Captures[i]
-		d := c.Doc("stats")
-		switch {
-		case d.OK():
-			out = append(out, Finding{Check: "collection", Status: Pass, Target: c.Target.Name,
-				Detail: "stats captured"})
-		case d == nil:
-			out = append(out, Finding{Check: "collection", Status: Fail, Target: c.Target.Name,
-				Detail: "stats never collected"})
-		default:
-			out = append(out, Finding{Check: "collection", Status: Fail, Target: c.Target.Name,
-				Detail: fmt.Sprintf("stats unavailable (HTTP %d): %s", d.Code, d.Err)})
-		}
+	switch d := c.raw.Doc("stats"); {
+	case c.stats != nil:
+		out = judged(Pass, "stats captured")
+	case d == nil:
+		out = judged(Fail, "stats never collected")
+	case !d.OK():
+		out = judged(Fail, "stats unavailable (HTTP %d): %s", d.Code, d.Err)
 	}
-	return out
+	return append(out, c.undecodable...)
 }
 
-// analyzeReplicaHealth reads the cluster view's health map (and the
-// stats replicas as fallback): every replica must be up.
-func analyzeReplicaHealth(b *Bundle, _ Limits) []Finding {
-	var out []Finding
-	for i := range b.Captures {
-		c := &b.Captures[i]
-		var cd clusterDoc
-		if parseDoc(c, "cluster", &cd) {
-			var down []string
-			for _, name := range cd.Replicas {
-				if !cd.Healthy[name] {
-					down = append(down, name)
-				}
-			}
-			sort.Strings(down)
-			if len(down) > 0 {
-				out = append(out, Finding{Check: "replica-health", Status: Fail, Target: c.Target.Name,
-					Detail: fmt.Sprintf("%d/%d replicas down: %s", len(down), len(cd.Replicas), strings.Join(down, ", "))})
-			} else {
-				out = append(out, Finding{Check: "replica-health", Status: Pass, Target: c.Target.Name,
-					Detail: fmt.Sprintf("%d/%d replicas healthy", len(cd.Replicas), len(cd.Replicas))})
-			}
-			continue
+// judgeReplicaHealth reads the cluster view's health map: every replica
+// must be up. A session's stats without a cluster view is a lone serve
+// process, which has no ring to be unhealthy.
+func judgeReplicaHealth(c *capture) []Finding {
+	if c.ring == nil {
+		if c.stats != nil && len(c.stats.Replicas) == 0 {
+			return judged(Pass, "single session, no ring")
 		}
-		var sd statsDoc
-		if parseDoc(c, "stats", &sd) && len(sd.Replicas) == 0 {
-			out = append(out, Finding{Check: "replica-health", Status: Pass, Target: c.Target.Name,
-				Detail: "single session, no ring"})
+		return nil
+	}
+	var down []string
+	for _, name := range c.ring.Replicas {
+		if !c.ring.Healthy[name] {
+			down = append(down, name)
 		}
 	}
-	if len(out) == 0 {
-		out = append(out, Finding{Check: "replica-health", Status: Skip, Detail: "no cluster view captured"})
+	slices.Sort(down)
+	if len(down) > 0 {
+		return judged(Fail, "%d/%d replicas down: %s", len(down), len(c.ring.Replicas), strings.Join(down, ", "))
 	}
-	return out
+	return judged(Pass, "%d/%d replicas healthy", len(c.ring.Replicas), len(c.ring.Replicas))
 }
 
-// analyzeRingAgreement checks the cluster view's internal consistency:
+// judgeRingAgreement checks the cluster view's internal consistency:
 // every database's owner must head its failover route, and routes may
 // name only registered replicas.
-func analyzeRingAgreement(b *Bundle, _ Limits) []Finding {
-	var out []Finding
-	for i := range b.Captures {
-		c := &b.Captures[i]
-		var cd clusterDoc
-		if !parseDoc(c, "cluster", &cd) {
-			continue
-		}
-		known := map[string]bool{}
-		for _, r := range cd.Replicas {
-			known[r] = true
-		}
-		var problems []string
-		dbs := make([]string, 0, len(cd.Owners))
-		for db := range cd.Owners {
-			dbs = append(dbs, db)
-		}
-		sort.Strings(dbs)
-		for _, db := range dbs {
-			route := cd.Routes[db]
-			switch {
-			case len(route) == 0:
-				problems = append(problems, fmt.Sprintf("%s has no route", db))
-			case route[0] != cd.Owners[db]:
-				problems = append(problems, fmt.Sprintf("%s owned by %s but routed first to %s", db, cd.Owners[db], route[0]))
-			}
-			for _, r := range route {
-				if !known[r] {
-					problems = append(problems, fmt.Sprintf("%s routes through unregistered replica %s", db, r))
-				}
-			}
-		}
-		if len(problems) > 0 {
-			out = append(out, Finding{Check: "ring-agreement", Status: Fail, Target: c.Target.Name,
-				Detail: strings.Join(problems, "; ")})
-		} else {
-			out = append(out, Finding{Check: "ring-agreement", Status: Pass, Target: c.Target.Name,
-				Detail: fmt.Sprintf("owners head their routes for %d databases", len(cd.Owners))})
-		}
+func judgeRingAgreement(c *capture) []Finding {
+	if c.ring == nil {
+		return nil
 	}
-	if len(out) == 0 {
-		out = append(out, Finding{Check: "ring-agreement", Status: Skip, Detail: "no cluster view captured"})
-	}
-	return out
-}
-
-// analyzeBundleGenerations checks that no replica trails the bundle
-// store head by more than the allowed revision lag.
-func analyzeBundleGenerations(b *Bundle, lim Limits) []Finding {
-	var out []Finding
-	for i := range b.Captures {
-		c := &b.Captures[i]
-		var bd bundlesDoc
-		if !parseDoc(c, "bundles", &bd) {
-			continue
-		}
-		var head int64
-		for _, m := range bd.Revisions {
-			if m.Revision > head {
-				head = m.Revision
-			}
-		}
-		if head == 0 {
-			out = append(out, Finding{Check: "bundle-generations", Status: Pass, Target: c.Target.Name,
-				Detail: "store empty, nothing to lag behind"})
-			continue
-		}
-		names := make([]string, 0, len(bd.Replicas))
-		for name := range bd.Replicas {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		worst, verdict := int64(0), Pass
-		var lagged []string
-		for _, name := range names {
-			st := bd.Replicas[name]
-			lag := head - st.Revision
-			if lag <= 0 {
-				continue
-			}
-			lagged = append(lagged, fmt.Sprintf("%s at rev %d (head %d)", name, st.Revision, head))
-			if lag > worst {
-				worst = lag
-			}
-		}
+	var problems []string
+	for _, db := range sortedKeys(c.ring.Owners) {
+		owner, route := c.ring.Owners[db], c.ring.Routes[db]
 		switch {
-		case worst >= lim.BundleLagFail:
-			verdict = Fail
-		case worst >= lim.BundleLagWarn:
-			verdict = Warn
+		case len(route) == 0:
+			problems = append(problems, fmt.Sprintf("%s has no route", db))
+		case route[0] != owner:
+			problems = append(problems, fmt.Sprintf("%s owned by %s but routed first to %s", db, owner, route[0]))
 		}
-		if verdict == Pass {
-			out = append(out, Finding{Check: "bundle-generations", Status: Pass, Target: c.Target.Name,
-				Detail: fmt.Sprintf("all %d replicas at head revision %d", len(bd.Replicas), head)})
-		} else {
-			out = append(out, Finding{Check: "bundle-generations", Status: verdict, Target: c.Target.Name,
-				Detail: strings.Join(lagged, "; ")})
-		}
-	}
-	if len(out) == 0 {
-		out = append(out, Finding{Check: "bundle-generations", Status: Skip, Detail: "bundle distribution disabled"})
-	}
-	return out
-}
-
-// analyzeQErrorDrift judges each adaptation drift window's median
-// q-error against the accuracy bounds.
-func analyzeQErrorDrift(b *Bundle, lim Limits) []Finding {
-	var out []Finding
-	for i := range b.Captures {
-		c := &b.Captures[i]
-		var ad adaptDoc
-		if !parseDoc(c, "adapt", &ad) {
-			continue
-		}
-		statuses := ad.Replicas
-		if len(statuses) == 0 && ad.Model != "" {
-			statuses = map[string]adaptStatusView{c.Target.Name: ad.adaptStatusView}
-		}
-		names := make([]string, 0, len(statuses))
-		for name := range statuses {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		emitted := false
-		for _, name := range names {
-			for _, w := range statuses[name].Windows {
-				if w.QError.Size < lim.QErrorMinSamples {
-					continue
-				}
-				emitted = true
-				f := Finding{Check: "qerror-drift", Target: c.Target.Name,
-					Detail: fmt.Sprintf("%s/%s median q-error %.2f over %d samples", name, w.Database, w.QError.P50, w.QError.Size)}
-				switch {
-				case w.QError.P50 >= lim.QErrorFail:
-					f.Status = Fail
-				case w.QError.P50 >= lim.QErrorWarn:
-					f.Status = Warn
-				default:
-					f.Status = Pass
-				}
-				out = append(out, f)
+		for _, r := range route {
+			if !slices.Contains(c.ring.Replicas, r) {
+				problems = append(problems, fmt.Sprintf("%s routes through unregistered replica %s", db, r))
 			}
 		}
-		if !emitted {
-			out = append(out, Finding{Check: "qerror-drift", Status: Pass, Target: c.Target.Name,
-				Detail: "no drift window has enough feedback to judge"})
+	}
+	if len(problems) > 0 {
+		return judged(Fail, "%s", strings.Join(problems, "; "))
+	}
+	return judged(Pass, "owners head their routes for %d databases", len(c.ring.Owners))
+}
+
+// judgeBundleGenerations checks that no replica trails the bundle store
+// head by more than the allowed revision lag.
+func judgeBundleGenerations(c *capture) []Finding {
+	if c.bundles == nil {
+		return nil
+	}
+	var head int64
+	for _, m := range c.bundles.Revisions {
+		head = max(head, m.Revision)
+	}
+	if head == 0 {
+		return judged(Pass, "store empty, nothing to lag behind")
+	}
+	var worst int64
+	var lagged []string
+	for _, name := range sortedKeys(c.bundles.Replicas) {
+		if rev := c.bundles.Replicas[name].Revision; rev < head {
+			lagged = append(lagged, fmt.Sprintf("%s at rev %d (head %d)", name, rev, head))
+			worst = max(worst, head-rev)
+		}
+	}
+	st := ladder(float64(worst), bundleLagWarn, bundleLagFail)
+	if st == Pass {
+		return judged(Pass, "all %d replicas at head revision %d", len(c.bundles.Replicas), head)
+	}
+	return judged(st, "%s", strings.Join(lagged, "; "))
+}
+
+// judgeQErrorDrift judges each adaptation drift window's median q-error
+// against the accuracy bounds.
+func judgeQErrorDrift(c *capture) []Finding {
+	if c.adapt == nil {
+		return nil
+	}
+	statuses := c.adapt.Replicas
+	if len(statuses) == 0 && c.adapt.Model != "" {
+		statuses = map[string]adapt.Status{c.raw.Target.Name: c.adapt.Status}
+	}
+	var out []Finding
+	for _, name := range sortedKeys(statuses) {
+		for _, w := range statuses[name].Windows {
+			if w.QError.Size >= qErrorMinSamples {
+				out = append(out, judged(ladder(w.QError.P50, qErrorWarn, qErrorFail),
+					"%s/%s median q-error %.2f over %d samples", name, w.Database, w.QError.P50, w.QError.Size)...)
+			}
 		}
 	}
 	if len(out) == 0 {
-		out = append(out, Finding{Check: "qerror-drift", Status: Skip, Detail: "online adaptation disabled"})
+		return judged(Pass, "no drift window has enough feedback to judge")
 	}
 	return out
 }
 
-// analyzeCacheHitRates warns for any database whose plan (or what-if)
+// judgeCacheHitRates warns for any database whose plan (or what-if)
 // cache hit rate sits below the floor despite real traffic.
-func analyzeCacheHitRates(b *Bundle, lim Limits) []Finding {
+func judgeCacheHitRates(st *serving.Stats) []Finding {
 	var out []Finding
-	for i := range b.Captures {
-		for _, n := range nodes(&b.Captures[i]) {
-			for _, db := range n.Serving.Databases {
-				caches := []struct {
-					label string
-					c     cacheView
-				}{{"plan cache", db.PlanCache}}
-				if db.WhatIfCache != nil {
-					caches = append(caches, struct {
-						label string
-						c     cacheView
-					}{"what-if cache", *db.WhatIfCache})
-				}
-				for _, cc := range caches {
-					f := Finding{Check: "cache-hit-rate", Target: n.Name}
-					switch {
-					case cc.c.lookups() < lim.CacheMinTraffic:
-						f.Status = Pass
-						f.Detail = fmt.Sprintf("%s/%s: %d lookups, too few to judge", db.Database, cc.label, cc.c.lookups())
-					case cc.c.rate() < lim.CacheHitFloor:
-						f.Status = Warn
-						f.Detail = fmt.Sprintf("%s/%s hit rate %.0f%% below %.0f%% floor over %d lookups",
-							db.Database, cc.label, 100*cc.c.rate(), 100*lim.CacheHitFloor, cc.c.lookups())
-					default:
-						f.Status = Pass
-						f.Detail = fmt.Sprintf("%s/%s hit rate %.0f%% over %d lookups",
-							db.Database, cc.label, 100*cc.c.rate(), cc.c.lookups())
-					}
-					out = append(out, f)
-				}
-			}
+	judge := func(db, label string, hits, misses int64) {
+		lookups := hits + misses
+		rate := float64(hits) / float64(max(lookups, 1))
+		switch {
+		case lookups < cacheMinTraffic: // a cold cache is not a sick cache
+			out = append(out, judged(Pass, "%s/%s: %d lookups, too few to judge", db, label, lookups)...)
+		case rate < cacheHitFloor:
+			out = append(out, judged(Warn, "%s/%s hit rate %.0f%% below %.0f%% floor over %d lookups",
+				db, label, 100*rate, 100*cacheHitFloor, lookups)...)
+		default:
+			out = append(out, judged(Pass, "%s/%s hit rate %.0f%% over %d lookups", db, label, 100*rate, lookups)...)
 		}
 	}
-	if len(out) == 0 {
-		out = append(out, Finding{Check: "cache-hit-rate", Status: Skip, Detail: "no serving stats captured"})
+	for _, db := range st.Databases {
+		judge(db.Database, "plan cache", db.PlanCache.Hits, db.PlanCache.Misses)
+		if db.WhatIfCache != nil {
+			judge(db.Database, "what-if cache", db.WhatIfCache.Hits, db.WhatIfCache.Misses)
+		}
 	}
 	return out
 }
 
-// analyzeBatchSizes sanity-checks the micro-batch scheduler counters:
+// judgeBatchSizes sanity-checks the micro-batch scheduler counters:
 // items and batches must cohere, and the size distribution must stay
 // within the observed maximum.
-func analyzeBatchSizes(b *Bundle, _ Limits) []Finding {
-	var out []Finding
-	for i := range b.Captures {
-		for _, n := range nodes(&b.Captures[i]) {
-			s := n.Serving.Scheduler
-			f := Finding{Check: "batch-sizes", Target: n.Name}
-			switch {
-			case s.Batches == 0 && s.Items == 0:
-				f.Status = Pass
-				f.Detail = "no batched traffic yet"
-			case s.Batches == 0 || s.Items < s.Batches:
-				f.Status = Fail
-				f.Detail = fmt.Sprintf("impossible counters: %d items across %d batches", s.Items, s.Batches)
-			case s.MeanBatchSize < 1 || float64(s.MaxBatchSize) < s.MeanBatchSize:
-				f.Status = Fail
-				f.Detail = fmt.Sprintf("mean batch size %.2f outside [1, max %d]", s.MeanBatchSize, s.MaxBatchSize)
-			case s.BatchSizes.Max > float64(s.MaxBatchSize):
-				f.Status = Fail
-				f.Detail = fmt.Sprintf("size window max %.0f exceeds lifetime max %d", s.BatchSizes.Max, s.MaxBatchSize)
-			default:
-				f.Status = Pass
-				f.Detail = fmt.Sprintf("mean %.2f, max %d over %d batches", s.MeanBatchSize, s.MaxBatchSize, s.Batches)
-			}
-			out = append(out, f)
-		}
+func judgeBatchSizes(st *serving.Stats) []Finding {
+	s := st.Scheduler
+	switch {
+	case s.Batches == 0 && s.Items == 0:
+		return judged(Pass, "no batched traffic yet")
+	case s.Batches == 0 || s.Items < s.Batches:
+		return judged(Fail, "impossible counters: %d items across %d batches", s.Items, s.Batches)
+	case s.MeanBatchSize < 1 || float64(s.MaxBatchSize) < s.MeanBatchSize:
+		return judged(Fail, "mean batch size %.2f outside [1, max %d]", s.MeanBatchSize, s.MaxBatchSize)
+	case s.BatchSizes.Max > float64(s.MaxBatchSize):
+		return judged(Fail, "size window max %.0f exceeds lifetime max %d", s.BatchSizes.Max, s.MaxBatchSize)
 	}
-	if len(out) == 0 {
-		out = append(out, Finding{Check: "batch-sizes", Status: Skip, Detail: "no serving stats captured"})
-	}
-	return out
+	return judged(Pass, "mean %.2f, max %d over %d batches", s.MeanBatchSize, s.MaxBatchSize, s.Batches)
 }
 
-// analyzeEventGaps checks event-ring continuity: within one snapshot
-// the sequence numbers must be consecutive — a hole means events were
+// judgeEventGaps checks event-ring continuity: within one snapshot the
+// sequence numbers must be consecutive — a hole means events were
 // dropped, not merely evicted (eviction trims the oldest edge).
-func analyzeEventGaps(b *Bundle, _ Limits) []Finding {
-	var out []Finding
-	for i := range b.Captures {
-		c := &b.Captures[i]
-		var ed eventsDoc
-		if !parseDoc(c, "events", &ed) {
-			continue
-		}
-		f := Finding{Check: "event-gaps", Status: Pass, Target: c.Target.Name,
-			Detail: fmt.Sprintf("%d events contiguous through seq %d", len(ed.Events), ed.Head)}
-		for j := 1; j < len(ed.Events); j++ {
-			if ed.Events[j].Seq != ed.Events[j-1].Seq+1 {
-				f.Status = Fail
-				f.Detail = fmt.Sprintf("sequence gap: %d then %d", ed.Events[j-1].Seq, ed.Events[j].Seq)
-				break
-			}
-		}
-		if f.Status == Pass && len(ed.Events) > 0 && ed.Events[len(ed.Events)-1].Seq > ed.Head {
-			f.Status = Fail
-			f.Detail = fmt.Sprintf("event seq %d beyond advertised head %d", ed.Events[len(ed.Events)-1].Seq, ed.Head)
-		}
-		out = append(out, f)
+func judgeEventGaps(c *capture) []Finding {
+	if c.events == nil {
+		return nil
 	}
-	if len(out) == 0 {
-		out = append(out, Finding{Check: "event-gaps", Status: Skip, Detail: "no event log captured"})
+	evs, head := c.events.Events, c.events.Head
+	for j := 1; j < len(evs); j++ {
+		if evs[j].Seq != evs[j-1].Seq+1 {
+			return judged(Fail, "sequence gap: %d then %d", evs[j-1].Seq, evs[j].Seq)
+		}
 	}
-	return out
+	if len(evs) > 0 && evs[len(evs)-1].Seq > head {
+		return judged(Fail, "event seq %d beyond advertised head %d", evs[len(evs)-1].Seq, head)
+	}
+	return judged(Pass, "%d events contiguous through seq %d", len(evs), head)
 }
 
-// analyzeLatencySLO judges each session's predict p99 against the
-// latency objective.
-func analyzeLatencySLO(b *Bundle, lim Limits) []Finding {
-	var out []Finding
-	for i := range b.Captures {
-		for _, n := range nodes(&b.Captures[i]) {
-			p := n.Serving.Predict
-			f := Finding{Check: "latency-slo", Target: n.Name}
-			switch {
-			case p.Count == 0:
-				f.Status = Pass
-				f.Detail = "no predictions yet"
-			case p.P99Ms >= lim.P99FailMs:
-				f.Status = Fail
-				f.Detail = fmt.Sprintf("predict p99 %.1fms breaches %.0fms", p.P99Ms, lim.P99FailMs)
-			case p.P99Ms >= lim.P99WarnMs:
-				f.Status = Warn
-				f.Detail = fmt.Sprintf("predict p99 %.1fms above %.0fms objective", p.P99Ms, lim.P99WarnMs)
-			default:
-				f.Status = Pass
-				f.Detail = fmt.Sprintf("predict p99 %.1fms (p50 %.1fms) over %d requests", p.P99Ms, p.P50Ms, p.Count)
-			}
-			out = append(out, f)
-		}
+// judgeLatencySLO judges a session's predict p99 against the latency
+// objective.
+func judgeLatencySLO(st *serving.Stats) []Finding {
+	p := st.Predict
+	switch rung := ladder(p.P99Ms, p99WarnMs, p99FailMs); {
+	case p.Count == 0:
+		return judged(Pass, "no predictions yet")
+	case rung == Fail:
+		return judged(Fail, "predict p99 %.1fms breaches %.0fms", p.P99Ms, p99FailMs)
+	case rung == Warn:
+		return judged(Warn, "predict p99 %.1fms above %.0fms objective", p.P99Ms, p99WarnMs)
 	}
-	if len(out) == 0 {
-		out = append(out, Finding{Check: "latency-slo", Status: Skip, Detail: "no serving stats captured"})
-	}
-	return out
+	return judged(Pass, "predict p99 %.1fms (p50 %.1fms) over %d requests", p.P99Ms, p.P50Ms, p.Count)
 }
 
-// analyzeClockSkew warns when the spread of collected_at stamps across
+// judgeClockSkew warns when the spread of collected_at stamps across
 // the fleet exceeds the bound — stats that disagree about "now" cannot
 // be compared as one moment.
-func analyzeClockSkew(b *Bundle, lim Limits) []Finding {
+func judgeClockSkew(captures []*capture) []Finding {
 	var stamps []time.Time
-	for i := range b.Captures {
-		for _, n := range nodes(&b.Captures[i]) {
-			if !n.Serving.CollectedAt.IsZero() {
-				stamps = append(stamps, n.Serving.CollectedAt)
+	for _, c := range captures {
+		for _, s := range c.sessions() {
+			if !s.Serving.CollectedAt.IsZero() {
+				stamps = append(stamps, s.Serving.CollectedAt)
 			}
 		}
 	}
 	if len(stamps) < 2 {
-		return []Finding{{Check: "clock-skew", Status: Skip, Detail: "fewer than two timestamped sessions"}}
+		return nil
 	}
-	lo, hi := stamps[0], stamps[0]
-	for _, t := range stamps[1:] {
-		if t.Before(lo) {
-			lo = t
-		}
-		if t.After(hi) {
-			hi = t
-		}
+	slices.SortFunc(stamps, time.Time.Compare)
+	spread := stamps[len(stamps)-1].Sub(stamps[0])
+	if spread > clockSkewWarn {
+		return judged(Warn, "collected_at stamps spread %v across %d sessions", spread.Round(time.Millisecond), len(stamps))
 	}
-	spread := hi.Sub(lo)
-	if spread > lim.ClockSkewWarn {
-		return []Finding{{Check: "clock-skew", Status: Warn,
-			Detail: fmt.Sprintf("collected_at stamps spread %v across %d sessions", spread.Round(time.Millisecond), len(stamps))}}
-	}
-	return []Finding{{Check: "clock-skew", Status: Pass,
-		Detail: fmt.Sprintf("stamps within %v across %d sessions", spread.Round(time.Millisecond), len(stamps))}}
+	return judged(Pass, "stamps within %v across %d sessions", spread.Round(time.Millisecond), len(stamps))
 }
 
 // RenderTable formats findings as the `zsdb doctor` verdict table.

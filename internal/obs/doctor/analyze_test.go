@@ -7,6 +7,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/zeroshot-db/zeroshot/internal/cluster"
+	"github.com/zeroshot-db/zeroshot/internal/costmodel"
+	"github.com/zeroshot-db/zeroshot/internal/serving"
 )
 
 // mkCapture builds a capture whose named docs hold the marshaled
@@ -28,26 +32,6 @@ func mkCapture(t *testing.T, name string, docs map[string]any) Capture {
 	return c
 }
 
-// healthyStats is a minimal single-session stats body that passes every
-// serving-level check.
-func healthyStats(collected time.Time) map[string]any {
-	return map[string]any{
-		"collected_at": collected,
-		"uptime_sec":   12.5,
-		"requests":     1000,
-		"errors":       0,
-		"predict":      map[string]any{"count": 1000, "p50_ms": 1.0, "p95_ms": 2.0, "p99_ms": 3.0},
-		"scheduler": map[string]any{
-			"batches": 400, "items": 1000, "mean_batch_size": 2.5, "max_batch_size": 8,
-			"batch_sizes": map[string]any{"count": 400, "size": 64, "p50": 2, "p95": 6, "max": 8},
-		},
-		"databases": []map[string]any{{
-			"db":         "imdb",
-			"plan_cache": map[string]any{"hits": 900, "misses": 100},
-		}},
-	}
-}
-
 func findingsFor(fs []Finding, check string) []Finding {
 	var out []Finding
 	for _, f := range fs {
@@ -66,7 +50,7 @@ func wantStatus(t *testing.T, fs []Finding, check string, want Status) {
 	}
 	worst := Skip
 	for _, f := range got {
-		if severity(f.Status) > severity(worst) {
+		if severity[f.Status] > severity[worst] {
 			worst = f.Status
 		}
 	}
@@ -79,11 +63,11 @@ func TestAnalyzeHealthySingleNode(t *testing.T) {
 	b := &Bundle{
 		Meta: Meta{Targets: []Target{{Name: "server"}}},
 		Captures: []Capture{mkCapture(t, "server", map[string]any{
-			"stats":  healthyStats(time.Now()),
-			"events": map[string]any{"head": 3, "events": []map[string]any{{"seq": 1}, {"seq": 2}, {"seq": 3}}},
+			"stats":  servingStats(time.Now()),
+			"events": eventsDocOf(3, 1, 2, 3),
 		})},
 	}
-	fs := AnalyzeAll(b, Limits{})
+	fs := AnalyzeAll(b)
 	if v := Verdict(fs); v != Pass {
 		t.Fatalf("verdict = %s, want pass\n%s", v, RenderTable(fs))
 	}
@@ -103,7 +87,7 @@ func TestAnalyzeUnreachableTargetFails(t *testing.T) {
 		c.Docs[ep.Name] = &Doc{Name: ep.Name, Err: "dial tcp: connection refused"}
 	}
 	b := &Bundle{Meta: Meta{Targets: []Target{c.Target}}, Captures: []Capture{c}}
-	fs := AnalyzeAll(b, Limits{})
+	fs := AnalyzeAll(b)
 	wantStatus(t, fs, "collection", Fail)
 	if Verdict(fs) != Fail {
 		t.Fatalf("verdict = %s, want fail", Verdict(fs))
@@ -111,24 +95,20 @@ func TestAnalyzeUnreachableTargetFails(t *testing.T) {
 }
 
 func TestAnalyzeRingAgreement(t *testing.T) {
-	good := map[string]any{
-		"replicas": []string{"r0", "r1"},
-		"healthy":  map[string]bool{"r0": true, "r1": true},
-		"owners":   map[string]string{"imdb": "r0"},
-		"routes":   map[string][]string{"imdb": {"r0", "r1"}},
+	good := cluster.RingView{
+		Replicas: []string{"r0", "r1"},
+		Healthy:  map[string]bool{"r0": true, "r1": true},
+		Owners:   map[string]string{"imdb": "r0"},
+		Routes:   map[string][]string{"imdb": {"r0", "r1"}},
 	}
 	b := &Bundle{Captures: []Capture{mkCapture(t, "router", map[string]any{"cluster": good})}}
-	wantStatus(t, AnalyzeAll(b, Limits{}), "ring-agreement", Pass)
+	wantStatus(t, AnalyzeAll(b), "ring-agreement", Pass)
 
 	// A route whose head disagrees with the owner is a torn ring view.
-	bad := map[string]any{
-		"replicas": []string{"r0", "r1"},
-		"healthy":  map[string]bool{"r0": true, "r1": true},
-		"owners":   map[string]string{"imdb": "r0"},
-		"routes":   map[string][]string{"imdb": {"r1", "r0"}},
-	}
+	bad := good
+	bad.Routes = map[string][]string{"imdb": {"r1", "r0"}}
 	b = &Bundle{Captures: []Capture{mkCapture(t, "router", map[string]any{"cluster": bad})}}
-	fs := AnalyzeAll(b, Limits{})
+	fs := AnalyzeAll(b)
 	wantStatus(t, fs, "ring-agreement", Fail)
 	if d := findingsFor(fs, "ring-agreement")[0].Detail; !strings.Contains(d, "imdb") {
 		t.Fatalf("detail should name the database: %q", d)
@@ -137,98 +117,77 @@ func TestAnalyzeRingAgreement(t *testing.T) {
 
 func TestAnalyzeBundleGenerationLag(t *testing.T) {
 	mk := func(r0, r1 int64) *Bundle {
-		doc := map[string]any{
-			"estimator": "zeroshot",
-			"revisions": []map[string]any{{"revision": 1}, {"revision": 2}, {"revision": 3}},
-			"replicas": map[string]any{
-				"r0": map[string]any{"revision": r0},
-				"r1": map[string]any{"revision": r1},
-			},
-		}
+		doc := bundlesDocOf(3, map[string]int64{"r0": r0, "r1": r1})
 		return &Bundle{Captures: []Capture{mkCapture(t, "server", map[string]any{"bundles": doc})}}
 	}
-	wantStatus(t, AnalyzeAll(mk(3, 3), Limits{}), "bundle-generations", Pass)
-	wantStatus(t, AnalyzeAll(mk(3, 2), Limits{}), "bundle-generations", Warn)
-	wantStatus(t, AnalyzeAll(mk(3, 1), Limits{}), "bundle-generations", Fail)
+	wantStatus(t, AnalyzeAll(mk(3, 3)), "bundle-generations", Pass)
+	wantStatus(t, AnalyzeAll(mk(3, 2)), "bundle-generations", Warn)
+	wantStatus(t, AnalyzeAll(mk(3, 1)), "bundle-generations", Fail)
 }
 
 func TestAnalyzeQErrorDrift(t *testing.T) {
 	mk := func(p50 float64, size int) *Bundle {
-		doc := map[string]any{
-			"model": "zeroshot",
-			"windows": []map[string]any{{
-				"db":     "imdb",
-				"qerror": map[string]any{"count": size, "size": size, "p50": p50, "p95": p50 * 2, "max": p50 * 3},
-			}},
-		}
-		return &Bundle{Captures: []Capture{mkCapture(t, "server", map[string]any{"adapt": doc})}}
+		return &Bundle{Captures: []Capture{mkCapture(t, "server", map[string]any{"adapt": adaptStatus(p50, size)})}}
 	}
-	wantStatus(t, AnalyzeAll(mk(1.2, 50), Limits{}), "qerror-drift", Pass)
-	wantStatus(t, AnalyzeAll(mk(2.0, 50), Limits{}), "qerror-drift", Warn)
-	wantStatus(t, AnalyzeAll(mk(5.0, 50), Limits{}), "qerror-drift", Fail)
+	wantStatus(t, AnalyzeAll(mk(1.2, 50)), "qerror-drift", Pass)
+	wantStatus(t, AnalyzeAll(mk(2.0, 50)), "qerror-drift", Warn)
+	wantStatus(t, AnalyzeAll(mk(5.0, 50)), "qerror-drift", Fail)
 	// A cold window is not judged at all.
-	wantStatus(t, AnalyzeAll(mk(5.0, 3), Limits{}), "qerror-drift", Pass)
+	wantStatus(t, AnalyzeAll(mk(5.0, 3)), "qerror-drift", Pass)
 }
 
 func TestAnalyzeCacheHitRateFloor(t *testing.T) {
 	mk := func(hits, misses int64) *Bundle {
-		st := healthyStats(time.Now())
-		st["databases"] = []map[string]any{{
-			"db":         "imdb",
-			"plan_cache": map[string]any{"hits": hits, "misses": misses},
-		}}
+		st := servingStats(time.Now())
+		st.Databases[0].PlanCache = costmodel.PlanCacheStats{Hits: hits, Misses: misses}
 		return &Bundle{Captures: []Capture{mkCapture(t, "server", map[string]any{"stats": st})}}
 	}
-	wantStatus(t, AnalyzeAll(mk(90, 10), Limits{}), "cache-hit-rate", Pass)
-	wantStatus(t, AnalyzeAll(mk(5, 95), Limits{}), "cache-hit-rate", Warn)
+	wantStatus(t, AnalyzeAll(mk(90, 10)), "cache-hit-rate", Pass)
+	wantStatus(t, AnalyzeAll(mk(5, 95)), "cache-hit-rate", Warn)
 	// Too little traffic to judge: a cold cache is not a sick cache.
-	wantStatus(t, AnalyzeAll(mk(0, 10), Limits{}), "cache-hit-rate", Pass)
+	wantStatus(t, AnalyzeAll(mk(0, 10)), "cache-hit-rate", Pass)
 }
 
 func TestAnalyzeBatchSizeSanity(t *testing.T) {
-	st := healthyStats(time.Now())
-	st["scheduler"] = map[string]any{
-		"batches": 100, "items": 40, "mean_batch_size": 0.4, "max_batch_size": 8,
-		"batch_sizes": map[string]any{},
-	}
+	st := servingStats(time.Now())
+	st.Scheduler = serving.SchedulerStats{Batches: 100, Items: 40, MeanBatchSize: 0.4, MaxBatchSize: 8}
 	b := &Bundle{Captures: []Capture{mkCapture(t, "server", map[string]any{"stats": st})}}
-	wantStatus(t, AnalyzeAll(b, Limits{}), "batch-sizes", Fail)
+	wantStatus(t, AnalyzeAll(b), "batch-sizes", Fail)
 }
 
 func TestAnalyzeEventGap(t *testing.T) {
-	doc := map[string]any{"head": 9, "events": []map[string]any{{"seq": 4}, {"seq": 5}, {"seq": 8}, {"seq": 9}}}
 	b := &Bundle{Captures: []Capture{mkCapture(t, "server", map[string]any{
-		"stats":  healthyStats(time.Now()),
-		"events": doc,
+		"stats":  servingStats(time.Now()),
+		"events": eventsDocOf(9, 4, 5, 8, 9),
 	})}}
-	fs := AnalyzeAll(b, Limits{})
+	fs := AnalyzeAll(b)
 	wantStatus(t, fs, "event-gaps", Fail)
 }
 
 func TestAnalyzeLatencySLO(t *testing.T) {
 	mk := func(p99 float64) *Bundle {
-		st := healthyStats(time.Now())
-		st["predict"] = map[string]any{"count": 1000, "p50_ms": 1.0, "p95_ms": 2.0, "p99_ms": p99}
+		st := servingStats(time.Now())
+		st.Predict.P99Ms = p99
 		return &Bundle{Captures: []Capture{mkCapture(t, "server", map[string]any{"stats": st})}}
 	}
-	wantStatus(t, AnalyzeAll(mk(3), Limits{}), "latency-slo", Pass)
-	wantStatus(t, AnalyzeAll(mk(400), Limits{}), "latency-slo", Warn)
-	wantStatus(t, AnalyzeAll(mk(2000), Limits{}), "latency-slo", Fail)
+	wantStatus(t, AnalyzeAll(mk(3)), "latency-slo", Pass)
+	wantStatus(t, AnalyzeAll(mk(400)), "latency-slo", Warn)
+	wantStatus(t, AnalyzeAll(mk(2000)), "latency-slo", Fail)
 }
 
 func TestAnalyzeClockSkew(t *testing.T) {
 	now := time.Now()
 	b := &Bundle{Captures: []Capture{
-		mkCapture(t, "a", map[string]any{"stats": healthyStats(now)}),
-		mkCapture(t, "b", map[string]any{"stats": healthyStats(now.Add(2 * time.Minute))}),
+		mkCapture(t, "a", map[string]any{"stats": servingStats(now)}),
+		mkCapture(t, "b", map[string]any{"stats": servingStats(now.Add(2 * time.Minute))}),
 	}}
-	wantStatus(t, AnalyzeAll(b, Limits{}), "clock-skew", Warn)
+	wantStatus(t, AnalyzeAll(b), "clock-skew", Warn)
 
 	b = &Bundle{Captures: []Capture{
-		mkCapture(t, "a", map[string]any{"stats": healthyStats(now)}),
-		mkCapture(t, "b", map[string]any{"stats": healthyStats(now.Add(time.Second))}),
+		mkCapture(t, "a", map[string]any{"stats": servingStats(now)}),
+		mkCapture(t, "b", map[string]any{"stats": servingStats(now.Add(time.Second))}),
 	}}
-	wantStatus(t, AnalyzeAll(b, Limits{}), "clock-skew", Pass)
+	wantStatus(t, AnalyzeAll(b), "clock-skew", Pass)
 }
 
 // TestArchiveRoundTrip pins the offline-analysis contract: a bundle
@@ -237,8 +196,8 @@ func TestArchiveRoundTrip(t *testing.T) {
 	b := &Bundle{
 		Meta: Meta{Tool: "zsdb doctor", CollectedAt: time.Now().UTC(), Targets: []Target{{Name: "server", BaseURL: "http://server"}}},
 		Captures: []Capture{mkCapture(t, "server", map[string]any{
-			"stats":  healthyStats(time.Now()),
-			"events": map[string]any{"head": 2, "events": []map[string]any{{"seq": 1}, {"seq": 2}}},
+			"stats":  servingStats(time.Now()),
+			"events": eventsDocOf(2, 1, 2),
 		})},
 	}
 	var buf bytes.Buffer
@@ -249,8 +208,8 @@ func TestArchiveRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := AnalyzeAll(b, Limits{})
-	have := AnalyzeAll(got, Limits{})
+	want := AnalyzeAll(b)
+	have := AnalyzeAll(got)
 	if fmt.Sprintf("%+v", want) != fmt.Sprintf("%+v", have) {
 		t.Fatalf("findings diverge after round trip:\nlive:    %+v\noffline: %+v", want, have)
 	}

@@ -4,10 +4,10 @@ import (
 	"archive/tar"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"path"
-	"strings"
 )
 
 // archiveMeta is the on-disk meta.json: the manifest plus every
@@ -45,8 +45,7 @@ func WriteArchive(w io.Writer, b *Bundle) error {
 			if d == nil || d.Body == nil {
 				continue
 			}
-			name := path.Join("targets", cap.Target.Name, ep.Name+".json")
-			if err := writeMember(tw, name, d.Body); err != nil {
+			if err := writeMember(tw, memberName(cap.Target.Name, ep.Name), d.Body); err != nil {
 				return err
 			}
 		}
@@ -57,6 +56,13 @@ func WriteArchive(w io.Writer, b *Bundle) error {
 	return gz.Close()
 }
 
+// memberName is the archive member holding one target's document body,
+// for writer and reader alike: target names are often URLs, and whatever
+// path.Join makes of their slashes both sides must make the same.
+func memberName(target, doc string) string {
+	return path.Join("targets", target, doc+".json")
+}
+
 func writeMember(tw *tar.Writer, name string, body []byte) error {
 	hdr := &tar.Header{Name: name, Mode: 0o644, Size: int64(len(body))}
 	if err := tw.WriteHeader(hdr); err != nil {
@@ -65,6 +71,16 @@ func writeMember(tw *tar.Writer, name string, body []byte) error {
 	_, err := tw.Write(body)
 	return err
 }
+
+// ErrTooManyMembers rejects an archive holding more members than its
+// meta.json accounts for: every member is read into memory, so their
+// number needs a bound as each one's size does (maxDocBytes).
+var ErrTooManyMembers = errors.New("doctor: archive has too many members")
+
+// memberSlack is how many members an archive may hold beyond one body
+// per target and endpoint — meta.json, and what a hand-repacked archive
+// picks up — and all that may precede meta.json, which is written first.
+const memberSlack = 8
 
 // ReadArchive reconstructs a bundle from a saved archive. Analysis of
 // the result is byte-identical to analyzing the live collection the
@@ -78,8 +94,9 @@ func ReadArchive(r io.Reader) (*Bundle, error) {
 	tr := tar.NewReader(gz)
 
 	var am *archiveMeta
-	bodies := map[string]map[string][]byte{} // target -> doc -> body
-	for {
+	bodies := map[string][]byte{} // by member name
+	limit := memberSlack
+	for members := 1; ; members++ {
 		hdr, err := tr.Next()
 		if err == io.EOF {
 			break
@@ -87,27 +104,22 @@ func ReadArchive(r io.Reader) (*Bundle, error) {
 		if err != nil {
 			return nil, fmt.Errorf("doctor: read archive: %w", err)
 		}
+		if members > limit {
+			return nil, fmt.Errorf("%w (limit %d)", ErrTooManyMembers, limit)
+		}
 		data, err := io.ReadAll(io.LimitReader(tr, maxDocBytes))
 		if err != nil {
 			return nil, fmt.Errorf("doctor: read %s: %w", hdr.Name, err)
 		}
-		switch {
-		case hdr.Name == "meta.json":
-			am = &archiveMeta{}
-			if err := json.Unmarshal(data, am); err != nil {
-				return nil, fmt.Errorf("doctor: parse meta.json: %w", err)
-			}
-		case strings.HasPrefix(hdr.Name, "targets/"):
-			parts := strings.Split(hdr.Name, "/")
-			if len(parts) != 3 || !strings.HasSuffix(parts[2], ".json") {
-				continue // not a document member
-			}
-			target, doc := parts[1], strings.TrimSuffix(parts[2], ".json")
-			if bodies[target] == nil {
-				bodies[target] = map[string][]byte{}
-			}
-			bodies[target][doc] = data
+		if hdr.Name != "meta.json" {
+			bodies[hdr.Name] = data
+			continue
 		}
+		am = &archiveMeta{}
+		if err := json.Unmarshal(data, am); err != nil {
+			return nil, fmt.Errorf("doctor: parse meta.json: %w", err)
+		}
+		limit = len(am.Meta.Targets)*len(Endpoints) + memberSlack
 	}
 	if am == nil {
 		return nil, fmt.Errorf("doctor: archive has no meta.json")
@@ -117,10 +129,13 @@ func ReadArchive(r io.Reader) (*Bundle, error) {
 	for _, t := range am.Meta.Targets {
 		cap := Capture{Target: t, Docs: map[string]*Doc{}}
 		for name, d := range am.Docs[t.Name] {
+			if d == nil {
+				continue // a null entry records no attempt
+			}
 			if d.Name == "" {
 				d.Name = name
 			}
-			if body, ok := bodies[t.Name][name]; ok {
+			if body, ok := bodies[memberName(t.Name, name)]; ok {
 				d.Body = body
 			}
 			cap.Docs[name] = d

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/zeroshot-db/zeroshot/internal/bundle"
+	"github.com/zeroshot-db/zeroshot/internal/cluster"
 	"github.com/zeroshot-db/zeroshot/internal/cluster/sim"
 	"github.com/zeroshot-db/zeroshot/internal/obs/doctor"
 )
@@ -19,7 +21,7 @@ var simDatabases = []string{"imdb", "ssb", "tpch", "accounts", "web", "sensors"}
 // the router's aggregated stats and its ring/health view. Optional
 // subsystems are captured as disabled, matching a fleet that runs
 // without -adapt or -bundle-dir.
-func bundleFromSim(t *testing.T, ctx context.Context, s *sim.Sim) *doctor.Bundle {
+func bundleFromSim(t testing.TB, ctx context.Context, s *sim.Sim) *doctor.Bundle {
 	t.Helper()
 	router := s.Router()
 	cap := doctor.Capture{
@@ -40,16 +42,15 @@ func bundleFromSim(t *testing.T, ctx context.Context, s *sim.Sim) *doctor.Bundle
 	}
 	cap.Docs["stats"] = &doctor.Doc{Name: "stats", Code: 200, Body: stats}
 
-	view := map[string]any{
-		"replicas": router.Replicas(),
-		"healthy":  router.Healthy(),
-		"owners":   map[string]string{},
-		"routes":   map[string][]string{},
+	view := cluster.RingView{
+		Replicas: router.Replicas(),
+		Healthy:  router.Healthy(),
+		Owners:   map[string]string{},
+		Routes:   map[string][]string{},
 	}
-	owners, routes := view["owners"].(map[string]string), view["routes"].(map[string][]string)
 	for _, db := range simDatabases {
-		owners[db] = router.Owner(db)
-		routes[db] = router.Route(db)
+		view.Owners[db] = router.Owner(db)
+		view.Routes[db] = router.Route(db)
 	}
 	clusterBody, err := json.Marshal(view)
 	if err != nil {
@@ -97,7 +98,7 @@ func TestDoctorCleanClusterAllPass(t *testing.T) {
 		t.Fatalf("sim itself violated invariants: %v", res.Violations)
 	}
 
-	fs := doctor.AnalyzeAll(b, doctor.Limits{})
+	fs := doctor.AnalyzeAll(b)
 	if v := doctor.Verdict(fs); v != doctor.Pass {
 		t.Fatalf("clean cluster verdict = %s, want pass\n%s", v, doctor.RenderTable(fs))
 	}
@@ -127,7 +128,7 @@ func TestDoctorCrashedReplicaFails(t *testing.T) {
 	b := bundleFromSim(t, ctx, s)
 	s.Finish(ctx)
 
-	fs := doctor.AnalyzeAll(b, doctor.Limits{})
+	fs := doctor.AnalyzeAll(b)
 	if got := worstFor(fs, "replica-health"); got != doctor.Fail {
 		t.Fatalf("replica-health = %s with s1 crashed, want fail\n%s", got, doctor.RenderTable(fs))
 	}
@@ -160,7 +161,7 @@ func TestDoctorPartitionedReplicaFails(t *testing.T) {
 	}
 	s.Step(ctx, 30)
 
-	fs := doctor.AnalyzeAll(bundleFromSim(t, ctx, s), doctor.Limits{})
+	fs := doctor.AnalyzeAll(bundleFromSim(t, ctx, s))
 	if got := worstFor(fs, "replica-health"); got != doctor.Fail {
 		t.Fatalf("replica-health = %s with s2 partitioned, want fail\n%s", got, doctor.RenderTable(fs))
 	}
@@ -169,7 +170,7 @@ func TestDoctorPartitionedReplicaFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Step(ctx, 30)
-	fs = doctor.AnalyzeAll(bundleFromSim(t, ctx, s), doctor.Limits{})
+	fs = doctor.AnalyzeAll(bundleFromSim(t, ctx, s))
 	s.Finish(ctx)
 	if got := worstFor(fs, "replica-health"); got != doctor.Pass {
 		t.Fatalf("replica-health = %s after recovery, want pass\n%s", got, doctor.RenderTable(fs))
@@ -193,12 +194,8 @@ func TestDoctorGenerationLaggedDistributor(t *testing.T) {
 	inject := func(lagged int64) {
 		doc := map[string]any{
 			"estimator": "zeroshot",
-			"revisions": []map[string]any{{"revision": 3}, {"revision": 4}, {"revision": 5}},
-			"replicas": map[string]any{
-				"s0": map[string]any{"revision": 5},
-				"s1": map[string]any{"revision": 5},
-				"s2": map[string]any{"revision": lagged},
-			},
+			"revisions": []bundle.Manifest{{Revision: 3}, {Revision: 4}, {Revision: 5}},
+			"replicas":  map[string]bundle.Status{"s0": {Revision: 5}, "s1": {Revision: 5}, "s2": {Revision: lagged}},
 		}
 		body, err := json.Marshal(doc)
 		if err != nil {
@@ -208,15 +205,15 @@ func TestDoctorGenerationLaggedDistributor(t *testing.T) {
 	}
 
 	inject(5)
-	if got := worstFor(doctor.AnalyzeAll(b, doctor.Limits{}), "bundle-generations"); got != doctor.Pass {
+	if got := worstFor(doctor.AnalyzeAll(b), "bundle-generations"); got != doctor.Pass {
 		t.Fatalf("in-sync fleet = %s, want pass", got)
 	}
 	inject(4)
-	if got := worstFor(doctor.AnalyzeAll(b, doctor.Limits{}), "bundle-generations"); got != doctor.Warn {
+	if got := worstFor(doctor.AnalyzeAll(b), "bundle-generations"); got != doctor.Warn {
 		t.Fatalf("one-behind replica = %s, want warn", got)
 	}
 	inject(2)
-	fs := doctor.AnalyzeAll(b, doctor.Limits{})
+	fs := doctor.AnalyzeAll(b)
 	if got := worstFor(fs, "bundle-generations"); got != doctor.Fail {
 		t.Fatalf("three-behind replica = %s, want fail", got)
 	}

@@ -23,14 +23,6 @@ import (
 // fixedNow stamps every fixture: the goldens hold rendered clock spreads.
 var fixedNow = time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 
-// ringView is the /v1/cluster body.
-type ringView struct {
-	Replicas []string            `json:"replicas"`
-	Healthy  map[string]bool     `json:"healthy"`
-	Owners   map[string]string   `json:"owners"`
-	Routes   map[string][]string `json:"routes"`
-}
-
 // servingStats is one session's /v1/stats body that passes every
 // serving-level check.
 func servingStats(at time.Time) serving.Stats {
@@ -64,8 +56,8 @@ func clusterStats(at time.Time, n int) cluster.ClusterStats {
 
 // healthyRing is a three-replica /v1/cluster body whose owners head
 // their routes.
-func healthyRing() ringView {
-	return ringView{
+func healthyRing() cluster.RingView {
+	return cluster.RingView{
 		Replicas: []string{"r0", "r1", "r2"},
 		Healthy:  map[string]bool{"r0": true, "r1": true, "r2": true},
 		Owners:   map[string]string{"imdb": "r0", "ssb": "r2"},
@@ -232,7 +224,7 @@ func verdictFixtures(t *testing.T) []struct {
 func TestVerdictGoldens(t *testing.T) {
 	var got strings.Builder
 	for _, fx := range verdictFixtures(t) {
-		fmt.Fprintf(&got, "== %s ==\n%s\n", fx.name, RenderTable(AnalyzeAll(fx.b, Limits{})))
+		fmt.Fprintf(&got, "== %s ==\n%s\n", fx.name, RenderTable(AnalyzeAll(fx.b)))
 	}
 	path := filepath.Join("testdata", "verdicts.golden")
 	if os.Getenv("UPDATE_VERDICTS") != "" {
