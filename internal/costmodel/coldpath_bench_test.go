@@ -34,3 +34,27 @@ func BenchmarkPredictBatchCold(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(ins)*b.N)/b.Elapsed().Seconds(), "preds/s")
 }
+
+// BenchmarkZeroShotPredict measures one served single prediction with
+// the plan's graph already memoized — what adapt.Feedback pays per
+// sample and what the per-item isolation fallbacks of serving and
+// what-if pay per item.
+func BenchmarkZeroShotPredict(b *testing.B) {
+	zs, f := fitZeroShot(b)
+	ctx := context.Background()
+	ins := make([]PlanInput, len(f.eval))
+	for i := range f.eval {
+		ins[i] = f.eval[i].PlanInput
+		ins[i].Enc = NewEncodedPlan()
+		if err := zs.WarmEncode(ins[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := zs.Predict(ctx, ins[i%len(ins)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

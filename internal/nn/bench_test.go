@@ -20,6 +20,94 @@ func BenchmarkMatMul32x32(b *testing.B) {
 	}
 }
 
+// The shapes the zero-shot model actually runs. nn cannot import
+// encoding, so the first encoder layer's input width is spelled out:
+// encoding.OpFeatDim = plan.NumOperators (5) + 4 + encoding.HWFeatDim (5).
+const benchOpFeatDim = 14
+
+// benchMatMul times dst = a @ w for the given shapes, with a filled by
+// fill.
+func benchMatMul(b *testing.B, m, k, n int, fill func(rng *rand.Rand, a *Tensor)) {
+	rng := rand.New(rand.NewSource(1))
+	a, w, dst := NewTensor(m, k), NewTensor(k, n), NewTensor(m, n)
+	fill(rng, a)
+	w.XavierInit(rng)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatMulInto(dst, a, w)
+	}
+}
+
+// fillOpFeatures writes an operator node's feature row: the one-hot
+// operator, two log-scaled magnitudes, everything else zero.
+func fillOpFeatures(rng *rand.Rand, a *Tensor) {
+	for r := 0; r < a.Rows; r++ {
+		row := a.Data[r*a.Cols : (r+1)*a.Cols]
+		row[rng.Intn(5)] = 1
+		row[6], row[7] = rng.Float64(), rng.Float64()
+	}
+}
+
+// fillPostReLU writes dense rows with about half the entries exact
+// zeros — a hidden state after ReLU, which is what every layer but the
+// first consumes.
+func fillPostReLU(rng *rand.Rand, a *Tensor) {
+	for i := range a.Data {
+		if v := rng.NormFloat64(); v > 0 {
+			a.Data[i] = v
+		}
+	}
+}
+
+// BenchmarkMatMulOneHotRow: the first encoder layer in training, one
+// operator node's features against the 14x32 weight.
+func BenchmarkMatMulOneHotRow(b *testing.B) {
+	benchMatMul(b, 1, benchOpFeatDim, 32, fillOpFeatures)
+}
+
+// BenchmarkMatMulCombineRow: the combine MLP's first layer in training,
+// [h0 | child sum] against the 64x32 weight.
+func BenchmarkMatMulCombineRow(b *testing.B) {
+	benchMatMul(b, 1, 64, 32, fillPostReLU)
+}
+
+// BenchmarkMatMulFusedLevel: one level of a fused 256-row batch through
+// the same weight.
+func BenchmarkMatMulFusedLevel(b *testing.B) {
+	benchMatMul(b, 256, 64, 32, fillPostReLU)
+}
+
+// benchMatMulBackward times one forward+backward of loss(a @ w) on a
+// recycled tape — what a training step pays per layer — with a as the
+// constant feature row (constA) or as an upstream hidden state.
+func benchMatMulBackward(b *testing.B, k int, constA bool, fill func(rng *rand.Rand, a *Tensor)) {
+	rng := rand.New(rand.NewSource(1))
+	a, w := NewTensor(1, k), NewParam(k, 32)
+	fill(rng, a)
+	w.Val.XavierInit(rng)
+	aGrad, target := NewTensor(1, k), NewTensor(1, 32)
+	tp := NewTape()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tp.Reset()
+		var av *Var
+		if constA {
+			av = tp.ConstRow(a.Data)
+		} else {
+			av = tp.Leaf(a, aGrad)
+		}
+		out := tp.MatMul(av, tp.Leaf(w.Val, w.Grad))
+		tp.Backward(tp.MSE(out, target))
+	}
+}
+
+func BenchmarkMatMulBackward(b *testing.B) {
+	b.Run("OneHotRow", func(b *testing.B) { benchMatMulBackward(b, benchOpFeatDim, true, fillOpFeatures) })
+	b.Run("CombineRow", func(b *testing.B) { benchMatMulBackward(b, 64, false, fillPostReLU) })
+}
+
 func BenchmarkMLPForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	mlp := NewMLP(rng, 16, 32, 32, 1)
