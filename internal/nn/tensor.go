@@ -118,26 +118,68 @@ func (t *Tensor) ReLUInPlace() {
 // arbitrary prior contents — each output row is zeroed before its
 // accumulation, so uninitialized scratch is a valid destination). dst
 // must be preallocated a.Rows x b.Cols.
+//
+// The bitwise contracts (fused ≡ tape, training at any width, the
+// golden transcripts) rest on one property of this kernel: every
+// dst[i][j] starts at +0 and accumulates its av·b[k][j] terms in
+// ascending k, and a term whose av is zero is left out altogether (so
+// 0·Inf and 0·NaN contribute nothing rather than NaN). Nothing else
+// about the loop nest is fixed. Each row's non-zero a[k] are gathered
+// as the scan meets them — which is the zero skip — and consumed four
+// at a time with the destination element held in a register, so dst is
+// read and written once per four terms and the branch is outside the
+// inner loop. The products add straight onto the accumulator, as the
+// original `drow[j] += av * bv` did, so a target that fuses multiply-
+// adds fuses exactly the ones it fused before.
 func MatMulInto(dst, a, b *Tensor) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("nn: matmul shape mismatch %dx%d @ %dx%d -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
+	n := b.Cols
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for j := range drow {
-			drow[j] = 0
-		}
-		for k, av := range arow {
-			if av == 0 {
+		drow := dst.Data[i*n : (i+1)*n]
+		clear(drow)
+		var (
+			av   [4]float64
+			at   [4]int // offsets of the gathered rows of b
+			held int
+		)
+		for k, v := range a.Data[i*a.Cols : (i+1)*a.Cols] {
+			if v == 0 {
 				continue
 			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				drow[j] += av * bv
+			av[held], at[held] = v, k*n
+			if held++; held == 4 {
+				axpy4(drow, b.Data, &av, &at)
+				held = 0
 			}
 		}
+		for h := 0; h < held; h++ {
+			axpy(drow, av[h], b.Data[at[h]:])
+		}
+	}
+}
+
+// axpy4 adds four scaled rows of b onto dst, in order, per element.
+func axpy4(dst, b []float64, av *[4]float64, at *[4]int) {
+	n := len(dst)
+	a0, a1, a2, a3 := av[0], av[1], av[2], av[3]
+	b0, b1, b2, b3 := b[at[0]:][:n], b[at[1]:][:n], b[at[2]:][:n], b[at[3]:][:n]
+	for j, d := range dst {
+		d += a0 * b0[j]
+		d += a1 * b1[j]
+		d += a2 * b2[j]
+		d += a3 * b3[j]
+		dst[j] = d
+	}
+}
+
+// axpy adds one scaled row onto dst: dst[j] += a * b[j] over len(dst).
+func axpy(dst []float64, a float64, b []float64) {
+	b = b[:len(dst)]
+	for j := range dst {
+		dst[j] += a * b[j]
 	}
 }
 
