@@ -3,56 +3,101 @@ package nn
 import "math"
 
 // Var is one node of the dynamic computation graph: a value tensor and its
-// gradient. Vars are created through Tape operations.
+// gradient. Vars are created through Tape operations. Grad is nil for a
+// constant (Const, ConstRow): Backward never propagates into one, so no
+// gradient is allocated, zeroed or computed for it.
 type Var struct {
 	Val  *Tensor
 	Grad *Tensor
+}
+
+// opKind names a recorded operation; Backward dispatches on it.
+type opKind uint8
+
+const (
+	opMatMul opKind = iota
+	opAdd
+	opSum
+	opReLU
+	opConcat
+	opScale
+	opMSE
+	opHuber
+)
+
+// op is one recorded operation: what Backward needs to push out's
+// gradient into the operands. A plain record in a reused slice, not a
+// closure, so recording allocates nothing once the slice has grown.
+type op struct {
+	kind   opKind
+	out    *Var
+	a, b   *Var    // operands; b is nil for unary operations
+	lo, hi int     // Sum, Concat: the operands are Tape.args[lo:hi]
+	s      float64 // ScaleVar's factor, HuberLoss's delta
+	target *Tensor // MSE, HuberLoss
 }
 
 // Tape records operations for reverse-mode differentiation. Build the
 // forward computation through Tape methods, then call Backward on the
 // scalar loss. A Tape is built fresh per training sample, because plan
 // graphs differ from sample to sample — but "fresh" does not have to
-// mean "heap-allocated": Reset recycles every Var and Tensor struct and
-// the float64 slab behind them, so a tape reused across samples reaches
-// a steady state where the only per-sample allocations left are the
-// backward closures themselves.
+// mean "heap-allocated": Reset recycles the op log, every Var and
+// Tensor struct and the float64 slab behind them, so a tape reused
+// across samples reaches a steady state of zero allocations per
+// forward+backward.
 type Tape struct {
-	backward []func()
+	ops  []op
+	args []*Var // variadic operands of Sum and Concat, indexed by op.lo/hi
 
 	// Recycled scratch (see Reset): Var and Tensor structs plus one
 	// float64 slab, reused across Reset cycles. used counters index the
-	// next free struct; slabNeed records the total floats requested this
-	// cycle so Reset can size the slab for the next one.
+	// next free struct, slabOff the next free float.
 	vars     []*Var
 	varsUsed int
 	tensors  []*Tensor
 	tensUsed int
 	slab     []float64
 	slabOff  int
-	slabNeed int
 
 	// gradRemap redirects Leaf gradient accumulation (see RemapGrads).
 	gradRemap map[*Tensor]*Tensor
 }
 
+// The slab starts at firstSlab floats and, when a sample outgrows it,
+// is replaced by one slabGrowth times larger (or as large as the
+// request, if that is larger still): a stream of ever-slightly-larger
+// plans costs a logarithmic number of slabs, not one per new maximum.
+const (
+	firstSlab  = 512
+	slabGrowth = 2
+)
+
 // NewTape creates an empty tape.
 func NewTape() *Tape { return &Tape{} }
 
-// Reset recycles the tape for the next sample: backward closures are
-// dropped and every Var, Tensor and slab float handed out so far
-// becomes reusable. Values produced by earlier operations are invalid
-// after Reset. The gradient remap table survives — a worker binds its
-// private buffers once and resets per sample.
+// Reset recycles the tape for the next sample: the op log is dropped
+// and every Var, Tensor and slab float handed out so far becomes
+// reusable. Values produced by earlier operations are invalid after
+// Reset. The recycled structs are cleared, not just forgotten, so a
+// reset tape references nothing but its own slab and its gradient remap
+// table — not the last sample's feature rows, not the parameter or
+// gradient tensors its Leaf Vars pointed at. The remap table survives
+// (a worker binds its private buffers once and resets per sample);
+// RemapGrads(nil) drops that too.
 func (tp *Tape) Reset() {
-	tp.backward = tp.backward[:0]
-	tp.varsUsed = 0
-	tp.tensUsed = 0
-	if tp.slabNeed > len(tp.slab) {
-		tp.slab = make([]float64, tp.slabNeed)
+	clear(tp.ops)
+	tp.ops = tp.ops[:0]
+	clear(tp.args)
+	tp.args = tp.args[:0]
+	for _, v := range tp.vars[:tp.varsUsed] {
+		*v = Var{}
 	}
+	tp.varsUsed = 0
+	for _, t := range tp.tensors[:tp.tensUsed] {
+		t.Data = nil
+	}
+	tp.tensUsed = 0
 	tp.slabOff = 0
-	tp.slabNeed = 0
 }
 
 // RemapGrads redirects Leaf gradient accumulation: a Leaf whose grad
@@ -62,37 +107,33 @@ func (tp *Tape) Reset() {
 // pass nil to clear it.
 func (tp *Tape) RemapGrads(m map[*Tensor]*Tensor) { tp.gradRemap = m }
 
-// scratch returns a zeroed length-n slice from the tape's slab, falling
-// back to the heap when the slab is exhausted (Reset sizes the next
-// slab from this cycle's total demand, so the fallback disappears at
-// steady state).
+// scratch returns a length-n slice of the tape's slab with whatever the
+// previous cycle left in it. When the slab is exhausted a larger one
+// replaces it; slices already handed out keep the old one alive until
+// the next Reset.
 func (tp *Tape) scratch(n int) []float64 {
-	tp.slabNeed += n
-	if tp.slabOff+n <= len(tp.slab) {
-		s := tp.slab[tp.slabOff : tp.slabOff+n : tp.slabOff+n]
-		tp.slabOff += n
-		for i := range s {
-			s[i] = 0
-		}
-		return s
+	if tp.slabOff+n > len(tp.slab) {
+		tp.slab = make([]float64, max(firstSlab, slabGrowth*len(tp.slab), n))
+		tp.slabOff = 0
 	}
-	return make([]float64, n)
+	s := tp.slab[tp.slabOff : tp.slabOff+n : tp.slabOff+n]
+	tp.slabOff += n
+	return s
 }
 
 // tensorStruct returns a recycled (or new) Tensor shell with no shape.
 func (tp *Tape) tensorStruct() *Tensor {
-	if tp.tensUsed < len(tp.tensors) {
-		t := tp.tensors[tp.tensUsed]
-		tp.tensUsed++
-		return t
+	if tp.tensUsed == len(tp.tensors) {
+		tp.tensors = append(tp.tensors, new(Tensor))
 	}
-	t := new(Tensor)
-	tp.tensors = append(tp.tensors, t)
+	t := tp.tensors[tp.tensUsed]
 	tp.tensUsed++
 	return t
 }
 
-// tensor returns a zeroed rows x cols tensor backed by tape scratch.
+// tensor returns a rows x cols tensor backed by tape scratch, holding
+// arbitrary values: every caller overwrites all of it (a matmul
+// destination, a copy, a concatenation) or zeroes it (a gradient).
 func (tp *Tape) tensor(rows, cols int) *Tensor {
 	t := tp.tensorStruct()
 	t.Rows, t.Cols = rows, cols
@@ -109,13 +150,10 @@ func (tp *Tape) cloneOf(src *Tensor) *Tensor {
 
 // varStruct returns a recycled (or new) Var shell.
 func (tp *Tape) varStruct() *Var {
-	if tp.varsUsed < len(tp.vars) {
-		v := tp.vars[tp.varsUsed]
-		tp.varsUsed++
-		return v
+	if tp.varsUsed == len(tp.vars) {
+		tp.vars = append(tp.vars, new(Var))
 	}
-	v := new(Var)
-	tp.vars = append(tp.vars, v)
+	v := tp.vars[tp.varsUsed]
 	tp.varsUsed++
 	return v
 }
@@ -125,13 +163,14 @@ func (tp *Tape) newVar(val *Tensor) *Var {
 	v := tp.varStruct()
 	v.Val = val
 	v.Grad = tp.tensor(val.Rows, val.Cols)
+	clear(v.Grad.Data)
 	return v
 }
 
 // Leaf wraps a tensor as a graph input whose gradient accumulates into the
-// provided grad tensor (pass the persistent parameter gradient to train, or
-// a scratch tensor for constants). An active RemapGrads table may redirect
-// the accumulation into a worker-private buffer.
+// provided grad tensor (pass the persistent parameter gradient to train).
+// An active RemapGrads table may redirect the accumulation into a
+// worker-private buffer.
 func (tp *Tape) Leaf(val, grad *Tensor) *Var {
 	if pg, ok := tp.gradRemap[grad]; ok {
 		grad = pg
@@ -142,8 +181,12 @@ func (tp *Tape) Leaf(val, grad *Tensor) *Var {
 	return v
 }
 
-// Const wraps a tensor whose gradient is discarded.
-func (tp *Tape) Const(val *Tensor) *Var { return tp.newVar(val) }
+// Const wraps a tensor as a constant input: it has no gradient.
+func (tp *Tape) Const(val *Tensor) *Var {
+	v := tp.varStruct()
+	v.Val, v.Grad = val, nil
+	return v
+}
 
 // ConstRow wraps data as a 1 x len(data) constant Var without copying —
 // the zero-copy bridge from encoded feature vectors into the graph. The
@@ -152,35 +195,28 @@ func (tp *Tape) Const(val *Tensor) *Var { return tp.newVar(val) }
 func (tp *Tape) ConstRow(data []float64) *Var {
 	t := tp.tensorStruct()
 	t.Rows, t.Cols, t.Data = 1, len(data), data
-	return tp.newVar(t)
+	return tp.Const(t)
+}
+
+// record appends o to the op log and returns its output.
+func (tp *Tape) record(o op) *Var {
+	tp.ops = append(tp.ops, o)
+	return o.out
+}
+
+// recordArgs copies the variadic operands into the tape's argument list
+// (the caller's slice may be a buffer it reuses) and returns their range.
+func (tp *Tape) recordArgs(vs []*Var) (lo, hi int) {
+	lo = len(tp.args)
+	tp.args = append(tp.args, vs...)
+	return lo, len(tp.args)
 }
 
 // MatMul returns a @ b.
 func (tp *Tape) MatMul(a, b *Var) *Var {
 	out := tp.newVar(tp.tensor(a.Val.Rows, b.Val.Cols))
 	MatMulInto(out.Val, a.Val, b.Val)
-	tp.backward = append(tp.backward, func() {
-		// dA += dOut @ B^T ; dB += A^T @ dOut
-		for i := 0; i < a.Val.Rows; i++ {
-			for k := 0; k < a.Val.Cols; k++ {
-				g := 0.0
-				for j := 0; j < b.Val.Cols; j++ {
-					g += out.Grad.At(i, j) * b.Val.At(k, j)
-				}
-				a.Grad.Data[i*a.Val.Cols+k] += g
-			}
-		}
-		for k := 0; k < b.Val.Rows; k++ {
-			for j := 0; j < b.Val.Cols; j++ {
-				g := 0.0
-				for i := 0; i < a.Val.Rows; i++ {
-					g += a.Val.At(i, k) * out.Grad.At(i, j)
-				}
-				b.Grad.Data[k*b.Val.Cols+j] += g
-			}
-		}
-	})
-	return out
+	return tp.record(op{kind: opMatMul, out: out, a: a, b: b})
 }
 
 // Add returns a + b (same shape).
@@ -188,11 +224,7 @@ func (tp *Tape) Add(a, b *Var) *Var {
 	sameShape(a.Val, b.Val, "Add")
 	out := tp.newVar(tp.cloneOf(a.Val))
 	out.Val.AddInPlace(b.Val)
-	tp.backward = append(tp.backward, func() {
-		a.Grad.AddInPlace(out.Grad)
-		b.Grad.AddInPlace(out.Grad)
-	})
-	return out
+	return tp.record(op{kind: opAdd, out: out, a: a, b: b})
 }
 
 // Sum returns the elementwise sum of one or more same-shaped Vars.
@@ -204,30 +236,15 @@ func (tp *Tape) Sum(vs ...*Var) *Var {
 	for _, v := range vs[1:] {
 		out.Val.AddInPlace(v.Val)
 	}
-	tp.backward = append(tp.backward, func() {
-		for _, v := range vs {
-			v.Grad.AddInPlace(out.Grad)
-		}
-	})
-	return out
+	lo, hi := tp.recordArgs(vs)
+	return tp.record(op{kind: opSum, out: out, lo: lo, hi: hi})
 }
 
 // ReLU returns max(x, 0) elementwise.
 func (tp *Tape) ReLU(x *Var) *Var {
 	out := tp.newVar(tp.cloneOf(x.Val))
-	for i, v := range out.Val.Data {
-		if v < 0 {
-			out.Val.Data[i] = 0
-		}
-	}
-	tp.backward = append(tp.backward, func() {
-		for i := range x.Grad.Data {
-			if x.Val.Data[i] > 0 {
-				x.Grad.Data[i] += out.Grad.Data[i]
-			}
-		}
-	})
-	return out
+	out.Val.ReLUInPlace()
+	return tp.record(op{kind: opReLU, out: out, a: x})
 }
 
 // Concat concatenates row vectors (1 x n each) into one 1 x sum(n) vector.
@@ -245,28 +262,15 @@ func (tp *Tape) Concat(vs ...*Var) *Var {
 		copy(out.Val.Data[off:off+v.Val.Cols], v.Val.Data)
 		off += v.Val.Cols
 	}
-	tp.backward = append(tp.backward, func() {
-		off := 0
-		for _, v := range vs {
-			for i := 0; i < v.Val.Cols; i++ {
-				v.Grad.Data[i] += out.Grad.Data[off+i]
-			}
-			off += v.Val.Cols
-		}
-	})
-	return out
+	lo, hi := tp.recordArgs(vs)
+	return tp.record(op{kind: opConcat, out: out, lo: lo, hi: hi})
 }
 
 // ScaleVar returns x * s for a constant scalar s.
 func (tp *Tape) ScaleVar(x *Var, s float64) *Var {
 	out := tp.newVar(tp.cloneOf(x.Val))
 	out.Val.Scale(s)
-	tp.backward = append(tp.backward, func() {
-		for i := range x.Grad.Data {
-			x.Grad.Data[i] += out.Grad.Data[i] * s
-		}
-	})
-	return out
+	return tp.record(op{kind: opScale, out: out, a: x, s: s})
 }
 
 // MSE returns the scalar 0.5*(pred - target)^2 summed over elements, as a
@@ -280,13 +284,7 @@ func (tp *Tape) MSE(pred *Var, target *Tensor) *Var {
 		loss += 0.5 * d * d
 	}
 	out.Val.Data[0] = loss
-	tp.backward = append(tp.backward, func() {
-		g := out.Grad.Data[0]
-		for i, p := range pred.Val.Data {
-			pred.Grad.Data[i] += g * (p - target.Data[i])
-		}
-	})
-	return out
+	return tp.record(op{kind: opMSE, out: out, a: pred, target: target})
 }
 
 // HuberLoss returns the scalar Huber loss (delta=1) of pred vs target as a
@@ -304,31 +302,176 @@ func (tp *Tape) HuberLoss(pred *Var, target *Tensor, delta float64) *Var {
 		}
 	}
 	out.Val.Data[0] = loss
-	tp.backward = append(tp.backward, func() {
-		g := out.Grad.Data[0]
-		for i, p := range pred.Val.Data {
-			d := p - target.Data[i]
-			switch {
-			case d > delta:
-				pred.Grad.Data[i] += g * delta
-			case d < -delta:
-				pred.Grad.Data[i] -= g * delta
-			default:
-				pred.Grad.Data[i] += g * d
-			}
-		}
-	})
-	return out
+	return tp.record(op{kind: opHuber, out: out, a: pred, s: delta, target: target})
 }
 
-// Backward seeds the loss gradient with 1 and replays the tape in reverse.
+// Backward seeds the loss gradient with 1 and replays the op log in
+// reverse, each record adding its output's gradient into its operands'.
 // loss must be a 1x1 Var produced by this tape.
 func (tp *Tape) Backward(loss *Var) {
-	if loss.Val.Rows != 1 || loss.Val.Cols != 1 {
+	if loss.Val.Rows != 1 || loss.Val.Cols != 1 || loss.Grad == nil {
 		panic("nn: Backward expects a scalar loss")
 	}
 	loss.Grad.Data[0] = 1
-	for i := len(tp.backward) - 1; i >= 0; i-- {
-		tp.backward[i]()
+	for i := len(tp.ops) - 1; i >= 0; i-- {
+		o := &tp.ops[i]
+		d := o.out.Grad.Data
+		switch o.kind {
+		case opMatMul:
+			matMulBackward(o.a, o.b, d)
+		case opAdd:
+			accumulate(o.a, d)
+			accumulate(o.b, d)
+		case opSum:
+			for _, v := range tp.args[o.lo:o.hi] {
+				accumulate(v, d)
+			}
+		case opConcat:
+			for _, v := range tp.args[o.lo:o.hi] {
+				accumulate(v, d[:v.Val.Cols])
+				d = d[v.Val.Cols:]
+			}
+		case opReLU:
+			if o.a.Grad != nil {
+				g := o.a.Grad.Data
+				for i, x := range o.a.Val.Data {
+					if x > 0 {
+						g[i] += d[i]
+					}
+				}
+			}
+		case opScale:
+			if o.a.Grad != nil {
+				g := o.a.Grad.Data
+				for i, dv := range d {
+					g[i] += dv * o.s
+				}
+			}
+		case opMSE:
+			if o.a.Grad != nil {
+				g, t := o.a.Grad.Data, o.target.Data
+				for i, p := range o.a.Val.Data {
+					g[i] += d[0] * (p - t[i])
+				}
+			}
+		case opHuber:
+			if o.a.Grad != nil {
+				g, t, delta := o.a.Grad.Data, o.target.Data, o.s
+				for i, p := range o.a.Val.Data {
+					diff := p - t[i]
+					switch {
+					case diff > delta:
+						g[i] += d[0] * delta
+					case diff < -delta:
+						g[i] -= d[0] * delta
+					default:
+						g[i] += d[0] * diff
+					}
+				}
+			}
+		}
+	}
+}
+
+// accumulate adds d into v's gradient; a constant has none.
+func accumulate(v *Var, d []float64) {
+	if v.Grad == nil {
+		return
+	}
+	g := v.Grad.Data[:len(d)]
+	for i, dv := range d {
+		g[i] += dv
+	}
+}
+
+// matMulBackward pushes dOut, the gradient of out = a @ b, into the
+// operands: dA += dOut @ Bᵀ and dB += Aᵀ @ dOut. Like the forward
+// kernel it is free to arrange its loops as long as every gradient
+// element receives the bits the defining loops give it: the element's
+// terms are summed in ascending index onto a local that starts at +0,
+// and that sum is then added to the gradient.
+//
+// dA is a dot product of two contiguous rows per element, four
+// elements' dots carried at once (each its own ascending-j chain). A
+// constant a — the feature row of every encoder's first layer — has no
+// gradient, and none is computed.
+//
+// dB for a row vector a (M = 1, all that training ever runs) has one
+// term per element, so the sum is the single product av·dOut[j], rounded
+// on its own, then added: one row update per non-zero a[k]. The product
+// is written float64(av * d) because the defining loop rounded it before
+// the add (g := 0.0; g += av*d; grad += g); without the conversion a
+// target with fused multiply-add may fuse it into the accumulation and
+// round once instead of twice. (Where the defining loop itself was
+// fusable — the general-M sum and dA's dots below — the new loop keeps
+// the same expression, so it fuses the same way.) Skipping a zero a[k]
+// is exact under two preconditions, both of which training maintains:
+//
+//   - dOut is finite. The skipped term is 0·d, which is ±0 for finite d
+//     but NaN for an infinite or NaN d; a non-finite gradient means the
+//     step has already diverged, and the skip then leaves the rows of dB
+//     that face a zero activation finite instead of NaN — the backward
+//     twin of MatMulInto's 0·Inf skip.
+//   - the gradient buffer is never -0. Adding the skipped ±0 would turn a
+//     -0 into +0; buffers start at +0 and no sum that starts at +0 can
+//     produce -0, so there is no -0 to turn.
+func matMulBackward(a, b *Var, dOut []float64) {
+	m, k, n := a.Val.Rows, a.Val.Cols, b.Val.Cols
+	av, bv := a.Val.Data, b.Val.Data
+	if a.Grad != nil {
+		for i := 0; i < m; i++ {
+			drow := dOut[i*n : (i+1)*n]
+			ag := a.Grad.Data[i*k : (i+1)*k]
+			kk := 0
+			for ; kk+4 <= k; kk += 4 {
+				b0, b1 := bv[kk*n:][:n], bv[(kk+1)*n:][:n]
+				b2, b3 := bv[(kk+2)*n:][:n], bv[(kk+3)*n:][:n]
+				var g0, g1, g2, g3 float64
+				for j, d := range drow {
+					g0 += d * b0[j]
+					g1 += d * b1[j]
+					g2 += d * b2[j]
+					g3 += d * b3[j]
+				}
+				ag[kk] += g0
+				ag[kk+1] += g1
+				ag[kk+2] += g2
+				ag[kk+3] += g3
+			}
+			for ; kk < k; kk++ {
+				brow := bv[kk*n:][:n]
+				g := 0.0
+				for j, d := range drow {
+					g += d * brow[j]
+				}
+				ag[kk] += g
+			}
+		}
+	}
+	if b.Grad == nil {
+		return
+	}
+	bg := b.Grad.Data
+	if m == 1 {
+		dOut = dOut[:n]
+		for kk, x := range av {
+			if x == 0 {
+				continue
+			}
+			grow := bg[kk*n:][:n]
+			for j, d := range dOut {
+				grow[j] += float64(x * d)
+			}
+		}
+		return
+	}
+	for kk := 0; kk < k; kk++ {
+		for j := 0; j < n; j++ {
+			g := 0.0
+			for i := 0; i < m; i++ {
+				g += av[i*k+kk] * dOut[i*n+j]
+			}
+			bg[kk*n+j] += g
+		}
 	}
 }

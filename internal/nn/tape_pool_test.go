@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -63,29 +64,127 @@ func TestTapeResetBitwiseEqualsFresh(t *testing.T) {
 	}
 }
 
-// TestTapeResetSteadyStateCutsAllocations: after the first sample sizes
-// the slab, a Reset cycle allocates a small fraction of what a fresh
-// tape costs (the remaining allocations are the backward closures).
+// TestTapeResetSteadyStateCutsAllocations: once the first sample has
+// grown the slab, the struct pools and the op log, a Reset cycle —
+// forward, loss, backward — allocates nothing, against dozens of
+// objects for a fresh tape.
 func TestTapeResetSteadyStateCutsAllocations(t *testing.T) {
 	m := NewMLP(rand.New(rand.NewSource(2)), 16, 32, 32, 1)
 	x := make([]float64, 16)
-	tgt := []float64{0.5}
+	tgt := FromSlice([]float64{0.5})
 	for i := range x {
 		x[i] = float64(i) * 0.1
 	}
-	freshAllocs := testing.AllocsPerRun(50, func() {
-		runMLPSample(NewTape(), m, x, tgt)
-	})
+	sample := func(tp *Tape) {
+		tp.Backward(tp.MSE(m.Apply(tp, tp.ConstRow(x)), tgt))
+	}
+	freshAllocs := testing.AllocsPerRun(50, func() { sample(NewTape()) })
 	tp := NewTape()
-	runMLPSample(tp, m, x, tgt) // warm the slab and struct pools
+	sample(tp) // warm the slab, the struct pools and the op log
 	pooledAllocs := testing.AllocsPerRun(50, func() {
 		tp.Reset()
-		runMLPSample(tp, m, x, tgt)
+		sample(tp)
 	})
 	t.Logf("fresh tape: %.0f allocs/sample; pooled tape: %.0f", freshAllocs, pooledAllocs)
-	if pooledAllocs*3 > freshAllocs {
-		t.Fatalf("tape pooling cut allocations only %.1fx (fresh %.0f, pooled %.0f); want >= 3x",
-			freshAllocs/pooledAllocs, freshAllocs, pooledAllocs)
+	if pooledAllocs != 0 {
+		t.Fatalf("a warm tape allocates %.0f objects per sample, want 0 (fresh tape: %.0f)", pooledAllocs, freshAllocs)
+	}
+}
+
+// TestTapeSlabGrowsGeometrically: a stream of samples each slightly
+// larger than the last (ever-larger plans reaching one tape) must cost
+// a logarithmic number of slabs, not a new slab per new maximum.
+func TestTapeSlabGrowsGeometrically(t *testing.T) {
+	tp := NewTape()
+	slabs, last := 0, 0
+	const steps = 400
+	for n := 1; n <= steps; n++ {
+		tp.Reset()
+		// A chain of n 1x64 ReLUs: 128 scratch floats each.
+		v := tp.Const(NewTensor(1, 64))
+		for i := 0; i < n; i++ {
+			v = tp.ReLU(v)
+		}
+		if len(tp.slab) != last {
+			slabs++
+			last = len(tp.slab)
+		}
+	}
+	need := steps * 128
+	if last < need {
+		t.Fatalf("final slab holds %d floats, the last sample needs %d", last, need)
+	}
+	// Doubling from firstSlab reaches need in log2(need/firstSlab) steps;
+	// allow one more for the sample that straddles a boundary.
+	limit := 2
+	for size := firstSlab; size < need; size *= slabGrowth {
+		limit++
+	}
+	if slabs > limit {
+		t.Fatalf("%d ever-larger samples cost %d slabs, want <= %d (logarithmic)", steps, slabs, limit)
+	}
+}
+
+// TestTapeResetDropsReferences: a reset tape references nothing but its
+// own buffers and the remap table — what lets a pool of idle tapes
+// outlive the models and plan graphs that used them.
+func TestTapeResetDropsReferences(t *testing.T) {
+	m := NewMLP(rand.New(rand.NewSource(5)), 4, 6, 1)
+	tp := NewTape()
+	tp.Backward(tp.MSE(m.Apply(tp, tp.ConstRow([]float64{1, 2, 3, 4})), FromSlice([]float64{0})))
+	tp.Reset()
+	for i, o := range tp.ops[:cap(tp.ops)] {
+		if o != (op{}) {
+			t.Fatalf("op %d survives Reset: %+v", i, o)
+		}
+	}
+	for i, v := range tp.args[:cap(tp.args)] {
+		if v != nil {
+			t.Fatalf("arg %d survives Reset", i)
+		}
+	}
+	for i, v := range tp.vars {
+		if v.Val != nil || v.Grad != nil {
+			t.Fatalf("var %d still references tensors after Reset", i)
+		}
+	}
+	for i, ts := range tp.tensors {
+		if ts.Data != nil {
+			t.Fatalf("tensor %d still references data after Reset", i)
+		}
+	}
+}
+
+// TestMatMulBackwardSkipsZeroActivationsUnderNonFiniteGradient spells
+// out the one place the backward kernel departs from its defining
+// loops: dB's row for a zero a[k] is left alone, where the loops would
+// add 0·dOut[j] — ±0 for a finite gradient (no change), NaN for an
+// infinite one. A non-finite dOut means the step has already diverged;
+// what the skip changes is that the rows facing a zero activation stay
+// finite, the backward twin of MatMulInto leaving 0·Inf out.
+func TestMatMulBackwardSkipsZeroActivationsUnderNonFiniteGradient(t *testing.T) {
+	aVal := FromSlice([]float64{0, 2, math.Copysign(0, -1)})
+	w := NewParam(3, 2)
+	for i := range w.Val.Data {
+		w.Val.Data[i] = float64(i + 1)
+	}
+	tp := NewTape()
+	out := tp.MatMul(tp.ConstRow(aVal.Data), tp.Leaf(w.Val, w.Grad))
+	// MSE's gradient is out - target: an infinite target makes dOut
+	// infinite in column 0 and leaves column 1 finite.
+	target := out.Val.Clone()
+	target.Data[0] = math.Inf(-1)
+	target.Data[1] -= 3
+	tp.Backward(tp.MSE(out, target))
+	want := []float64{
+		0, 0, // a[0] = +0: skipped, not 0·Inf = NaN
+		math.Inf(1), 6, // a[1] = 2: 2·Inf, 2·3
+		0, 0, // a[2] = -0: skipped likewise
+	}
+	for i, g := range w.Grad.Data {
+		if g != want[i] {
+			t.Fatalf("dB[%d] = %v, want %v (all of dB: %v)", i, g, want[i], w.Grad.Data)
+		}
 	}
 }
 
