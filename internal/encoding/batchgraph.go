@@ -57,7 +57,6 @@ type BatchGraph struct {
 	// scratch reused across repacks
 	levels []int32
 	counts []int32
-	index  map[*GNode]int32
 }
 
 // Pack packs graphs into a fresh BatchGraph. Use the method form on a
@@ -71,7 +70,9 @@ func Pack(gs []*Graph) *BatchGraph {
 // Pack repacks bg from the graphs, reusing previously grown buffers so
 // steady-state packing allocates nothing. Graphs must come from
 // PlanEncoder.Encode (topological node order, root set); violations are
-// programming errors and panic.
+// programming errors and panic. A child's global index is its graph's
+// first global index plus the child's GNode.Index, checked by
+// Graph.Position — the same lookup the model's tape forward uses.
 func (bg *BatchGraph) Pack(gs []*Graph) {
 	bg.NumGraphs = len(gs)
 	bg.Types = bg.Types[:0]
@@ -85,22 +86,17 @@ func (bg *BatchGraph) Pack(gs []*Graph) {
 		bg.Feats[t] = bg.Feats[t][:0]
 		bg.TypeCount[t] = 0
 	}
-	if bg.index == nil {
-		bg.index = map[*GNode]int32{}
-	}
 	maxLevel := int32(0)
 	for gi, g := range gs {
 		if g == nil || g.Root == nil || len(g.Nodes) == 0 {
 			panic(fmt.Sprintf("encoding: Pack: graph %d has no nodes", gi))
 		}
-		clear(bg.index)
-		for _, n := range g.Nodes {
+		base := len(bg.Types)
+		for li, n := range g.Nodes {
 			dim := FeatDim(n.Type)
 			if len(n.Feat) != dim {
 				panic(fmt.Sprintf("encoding: Pack: node feature width %d, want %d", len(n.Feat), dim))
 			}
-			i := int32(len(bg.Types))
-			bg.index[n] = i
 			bg.Types = append(bg.Types, n.Type)
 			bg.TypeRow = append(bg.TypeRow, int32(bg.TypeCount[n.Type]))
 			bg.TypeCount[n.Type]++
@@ -108,11 +104,12 @@ func (bg *BatchGraph) Pack(gs []*Graph) {
 			bg.ChildStart = append(bg.ChildStart, int32(len(bg.Children)))
 			lvl := int32(0)
 			for _, c := range n.Children {
-				ci, ok := bg.index[c]
+				ci, ok := g.Position(c, li)
 				if !ok {
-					panic(fmt.Sprintf("encoding: Pack: graph %d is not in topological order", gi))
+					panic(fmt.Sprintf("encoding: Pack: graph %d: a child of node %d is not an earlier node of the graph (unindexed, or not in topological order)", gi, li))
 				}
-				bg.Children = append(bg.Children, ci)
+				ci += base
+				bg.Children = append(bg.Children, int32(ci))
 				if l := bg.levels[ci] + 1; l > lvl {
 					lvl = l
 				}
@@ -122,16 +119,13 @@ func (bg *BatchGraph) Pack(gs []*Graph) {
 				maxLevel = lvl
 			}
 		}
-		root, ok := bg.index[g.Root]
+		root, ok := g.Position(g.Root, len(g.Nodes))
 		if !ok {
 			panic(fmt.Sprintf("encoding: Pack: graph %d root missing from Nodes", gi))
 		}
-		bg.Roots = append(bg.Roots, root)
+		bg.Roots = append(bg.Roots, int32(base+root))
 		bg.GraphStart = append(bg.GraphStart, int32(len(bg.Types)))
 	}
-	// Drop the last graph's node pointers so a pooled BatchGraph does
-	// not pin its final plan graph between batches.
-	clear(bg.index)
 	bg.NumNodes = len(bg.Types)
 	bg.ChildStart = append(bg.ChildStart, int32(len(bg.Children)))
 

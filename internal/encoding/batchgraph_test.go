@@ -22,19 +22,30 @@ func bgNode(tp NodeType, fill float64, children ...*GNode) *GNode {
 	return n
 }
 
+// bgGraph builds a graph the way the encoder does — every node through
+// Graph.add, in the order given, which is what stamps GNode.Index —
+// rooted at the last node.
+func bgGraph(nodes ...*GNode) *Graph {
+	g := &Graph{}
+	for _, n := range nodes {
+		g.Root = g.add(n)
+	}
+	return g
+}
+
 // twoTestGraphs returns a shallow graph (op over a table) and a deeper
 // one (op over op over table+pred, pred over a shared column).
 func twoTestGraphs() (*Graph, *Graph) {
 	t1 := bgLeaf(TableNode, 1)
 	o1 := bgNode(OpNode, 2, t1)
-	g1 := &Graph{Root: o1, Nodes: []*GNode{t1, o1}}
+	g1 := bgGraph(t1, o1)
 
 	t2 := bgLeaf(TableNode, 3)
 	c2 := bgLeaf(ColumnNode, 4)
 	p2 := bgNode(PredNode, 5, c2)
 	o2 := bgNode(OpNode, 6, t2, p2)
 	o3 := bgNode(OpNode, 7, o2)
-	g2 := &Graph{Root: o3, Nodes: []*GNode{t2, c2, p2, o2, o3}}
+	g2 := bgGraph(t2, c2, p2, o2, o3)
 	return g1, g2
 }
 
@@ -188,7 +199,26 @@ func TestPackPanics(t *testing.T) {
 	// Parent listed before its child violates topological order.
 	leaf := bgLeaf(TableNode, 1)
 	root := bgNode(OpNode, 2, leaf)
-	mustPanic("non-topological", []*Graph{{Root: root, Nodes: []*GNode{root, leaf}}})
+	nonTopo := bgGraph(root, leaf)
+	nonTopo.Root = root
+	mustPanic("non-topological", []*Graph{nonTopo})
+
+	// Nodes that never went through Graph.add carry no index: every
+	// child claims position 0, which is not below its parent's.
+	leaf, mid := bgLeaf(TableNode, 1), bgLeaf(PredNode, 2)
+	root = bgNode(OpNode, 3, mid, leaf)
+	mustPanic("unindexed", []*Graph{{Root: root, Nodes: []*GNode{leaf, mid, root}}})
+
+	// A child that belongs to another graph is not this graph's node at
+	// that index, even when the index itself is plausible.
+	g1, _ := twoTestGraphs()
+	foreign := bgGraph(bgLeaf(TableNode, 1), bgNode(OpNode, 2, g1.Nodes[0]))
+	mustPanic("foreign child", []*Graph{foreign})
+
+	// So is a root that is not one of the graph's nodes.
+	g1, _ = twoTestGraphs()
+	g1.Root = bgNode(OpNode, 2, g1.Nodes[0])
+	mustPanic("root missing", []*Graph{g1})
 
 	// Feature width must match the node type.
 	bad := &GNode{Type: TableNode, Feat: make([]float64, 1)}

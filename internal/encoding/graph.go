@@ -87,6 +87,13 @@ type GNode struct {
 	Type     NodeType
 	Feat     []float64
 	Children []*GNode
+	// Index is the node's position in its graph's Nodes, stamped when the
+	// graph takes the node. A node belongs to exactly one graph (column
+	// nodes are shared within a query, never across queries), so the
+	// model's hidden-state table and BatchGraph's packing both find a
+	// child by this index instead of a pointer-keyed map — through
+	// Graph.Position, which checks it rather than trusting it.
+	Index int
 }
 
 // Graph is an encoded query: a DAG rooted at the plan's root operator.
@@ -241,10 +248,25 @@ func (e *PlanEncoder) Encode(root *plan.Node) (*Graph, error) {
 }
 
 // add appends the node to the topological order (children must already be
-// added) and returns it.
+// added), stamps its Index and returns it. It is the only writer of
+// GNode.Index.
 func (g *Graph) add(n *GNode) *GNode {
+	n.Index = len(g.Nodes)
 	g.Nodes = append(g.Nodes, n)
 	return n
+}
+
+// Position returns n's index in g.Nodes, provided n really is the node
+// g holds there and sits below limit — the two facts a consumer walking
+// Nodes in order needs of a child (limit = the parent's own position:
+// the child's result is already computed) and of the root (limit =
+// len(g.Nodes)). A node that was never added, belongs to another graph,
+// or comes at or after limit reports false: the graph is not the
+// topologically ordered, indexed graph Encode builds, and the caller
+// panics naming it.
+func (g *Graph) Position(n *GNode, limit int) (int, bool) {
+	i := n.Index
+	return i, i >= 0 && i < limit && i < len(g.Nodes) && g.Nodes[i] == n
 }
 
 func (e *PlanEncoder) cardOf(n *plan.Node) (float64, error) {

@@ -83,20 +83,47 @@ type Model struct {
 	// order is the epoch permutation buffer, reused across epochs and
 	// Train/FineTune calls instead of reallocated per call.
 	order []int
-	// scratch pools trainScratch sets (tape + private gradients +
-	// target) across shards, minibatches and training runs. Per-model,
-	// because the gradient buffers mirror this model's parameters.
-	scratch sync.Pool
+	// grads pools the private gradient sets shards accumulate into (so
+	// concurrent shards never touch the shared parameter gradients)
+	// across shards, minibatches and training runs. Per-model, because a
+	// GradSet mirrors this model's parameters — the only part of a
+	// training worker's state that does; the rest is in tapePool.
+	grads sync.Pool
 }
 
-// trainScratch is one training worker's private state: a recycled tape,
-// a private gradient set the tape accumulates into (so concurrent
-// shards never touch the shared parameter gradients), and a reusable
-// 1x1 target tensor.
-type trainScratch struct {
+// tapeScratch is the model-independent part of one training worker's
+// state: a recycled tape, forward's table of per-node hidden states
+// (indexed by GNode.Index) with its child-gathering buffer, and a
+// reusable 1x1 target tensor. Nothing in it knows a model until a shard
+// binds the tape to a GradSet (RemapGrads), so one warm set serves any
+// model of any shape.
+type tapeScratch struct {
 	tape   *nn.Tape
-	grads  *nn.GradSet
+	hidden []*nn.Var
+	kids   []*nn.Var
 	target *nn.Tensor
+}
+
+// tapePool outlives every model, deliberately: the adaptation loop
+// fine-tunes a fresh Clone each cycle, and a per-model pool made every
+// cycle grow eight cold tapes (slab, Var and Tensor structs, op log) and
+// throw them away — +25 % peak RSS on the few-shot workload. Here a
+// cycle's clone trains on the previous cycle's warm tapes. A set is
+// released (see release) before it is pooled, so an idle one references
+// no model, gradient set or plan graph — only its own buffers.
+var tapePool = sync.Pool{New: func() any {
+	return &tapeScratch{tape: nn.NewTape(), target: nn.NewTensor(1, 1)}
+}}
+
+// release drops everything the set references beyond its own buffers —
+// the tape's op log, Vars and gradient binding, the hidden-state table's
+// Var pointers — and returns it to the pool.
+func (ts *tapeScratch) release() {
+	ts.tape.Reset()
+	ts.tape.RemapGrads(nil)
+	clear(ts.hidden)
+	clear(ts.kids[:cap(ts.kids)])
+	tapePool.Put(ts)
 }
 
 // New creates a randomly initialized model.
@@ -112,15 +139,7 @@ func New(cfg Config) *Model {
 	}
 	m.combine = nn.NewMLP(rng, 2*cfg.Hidden, cfg.Hidden, cfg.Hidden)
 	m.readout = nn.NewMLP(rng, cfg.Hidden, cfg.Hidden, 1)
-	m.scratch.New = func() any {
-		sc := &trainScratch{
-			tape:   nn.NewTape(),
-			grads:  nn.NewGradSet(m.Params()),
-			target: nn.NewTensor(1, 1),
-		}
-		sc.tape.RemapGrads(sc.grads.Remap())
-		return sc
-	}
+	m.grads.New = func() any { return nn.NewGradSet(m.Params()) }
 	return m
 }
 
@@ -138,40 +157,54 @@ func (m *Model) Params() []*nn.Param {
 	return ps
 }
 
-// forward runs the graph network on the tape and returns the predicted
-// log-runtime as a 1x1 Var.
-func (m *Model) forward(tp *nn.Tape, g *encoding.Graph) *nn.Var {
-	hidden := make(map[*encoding.GNode]*nn.Var, len(g.Nodes))
-	var all []*nn.Var
-	for _, n := range g.Nodes {
-		h0 := m.encoders[n.Type].Apply(tp, tp.ConstRow(n.Feat))
-		h := h0
-		if !m.cfg.FlatSum && len(n.Children) > 0 {
-			children := make([]*nn.Var, len(n.Children))
-			for i, c := range n.Children {
-				children[i] = hidden[c]
-			}
-			childSum := tp.Sum(children...)
-			h = m.combine.Apply(tp, tp.Concat(h0, childSum))
-		}
-		hidden[n] = h
-		all = append(all, h)
+// forward runs the graph network on ts's tape and returns the predicted
+// log-runtime as a 1x1 Var. Hidden states live in ts.hidden, indexed by
+// GNode.Index through Graph.Position — the lookup BatchGraph.Pack uses —
+// so a graph whose nodes are unindexed or out of topological order
+// panics here as it does there.
+func (m *Model) forward(ts *tapeScratch, g *encoding.Graph) *nn.Var {
+	tp := ts.tape
+	if cap(ts.hidden) < len(g.Nodes) {
+		ts.hidden = make([]*nn.Var, len(g.Nodes))
 	}
-	root := hidden[g.Root]
+	hidden := ts.hidden[:len(g.Nodes)]
+	for i, n := range g.Nodes {
+		h := m.encoders[n.Type].Apply(tp, tp.ConstRow(n.Feat))
+		if !m.cfg.FlatSum && len(n.Children) > 0 {
+			ts.kids = ts.kids[:0]
+			for _, c := range n.Children {
+				ci, ok := g.Position(c, i)
+				if !ok {
+					panic(fmt.Sprintf("zeroshot: graph %p: a child of node %d is not an earlier node of the graph (unindexed, or not in topological order)", g, i))
+				}
+				ts.kids = append(ts.kids, hidden[ci])
+			}
+			h = m.combine.Apply(tp, tp.Concat(h, tp.Sum(ts.kids...)))
+		}
+		hidden[i] = h
+	}
+	var root *nn.Var
 	if m.cfg.FlatSum {
-		root = tp.ScaleVar(tp.Sum(all...), 1/float64(len(all)))
+		root = tp.ScaleVar(tp.Sum(hidden...), 1/float64(len(hidden)))
+	} else {
+		ri, ok := g.Position(g.Root, len(g.Nodes))
+		if !ok {
+			panic(fmt.Sprintf("zeroshot: graph %p: root missing from Nodes", g))
+		}
+		root = hidden[ri]
 	}
 	return m.readout.Apply(tp, root)
 }
 
-// Predict returns the predicted runtime in seconds for an encoded plan.
-// It runs the tape-building forward pass — the reference implementation
-// the fused PredictBatch is pinned bitwise-equal to; batch callers
-// should prefer PredictBatch, which skips tape and gradient allocation
-// entirely.
+// Predict returns the predicted runtime in seconds for an encoded plan
+// by building a tape and running forward on it: the path training
+// takes, kept for inference as the reference the fused PredictBatch is
+// pinned bitwise-equal to. Nothing serves through it — every caller
+// that wants a prediction, one plan or many, calls PredictBatch, which
+// computes the same bits without a tape.
 func (m *Model) Predict(g *encoding.Graph) float64 {
-	tp := nn.NewTape()
-	out := m.forward(tp, g)
+	ts := &tapeScratch{tape: nn.NewTape()}
+	out := m.forward(ts, g)
 	return runtimeFromLog(out.Val.Data[0])
 }
 
@@ -259,8 +292,8 @@ func shardBounds(n, shards, s int) (lo, hi int) {
 // reused order buffer, then walks it in minibatches; each minibatch
 // splits into up to maxGradShards contiguous shards that run
 // forward+backward concurrently on the par worker pool, every shard
-// accumulating into a pooled private gradient set over a pooled,
-// scratch-recycling tape. Shard gradients and losses then reduce into
+// accumulating into a private gradient set from the model's pool over
+// a warm tape from the shared one. Shard gradients and losses then reduce into
 // the optimizer's shared tensors in ascending shard order. The result —
 // weights and EpochLoss — is bitwise identical for any worker count,
 // and the serial path is the same code with the shard loop run inline.
@@ -289,8 +322,8 @@ func (m *Model) train(ctx context.Context, samples []Sample, epochs int, lr floa
 		batch = 16
 	}
 	var (
-		shardScr  [maxGradShards]*trainScratch
-		shardLoss [maxGradShards]float64
+		shardGrads [maxGradShards]*nn.GradSet
+		shardLoss  [maxGradShards]float64
 	)
 	for epoch := 0; epoch < epochs; epoch++ {
 		if err := ctx.Err(); err != nil {
@@ -312,27 +345,30 @@ func (m *Model) train(ctx context.Context, samples []Sample, epochs int, lr floa
 				shards = maxGradShards
 			}
 			par.Blocks(shards, 1, func(slo, shi int) {
+				ts := tapePool.Get().(*tapeScratch)
 				for s := slo; s < shi; s++ {
-					sc := m.scratch.Get().(*trainScratch)
-					sc.grads.Zero()
+					gs := m.grads.Get().(*nn.GradSet)
+					gs.Zero()
+					ts.tape.RemapGrads(gs.Remap())
 					lo, hi := shardBounds(len(mb), shards, s)
 					loss := 0.0
 					for _, idx := range mb[lo:hi] {
-						loss += m.trainStep(sc, samples[idx])
+						loss += m.trainStep(ts, samples[idx])
 					}
 					shardLoss[s] = loss
-					shardScr[s] = sc
+					shardGrads[s] = gs
 				}
+				ts.release()
 			})
 			// Deterministic reduce: shard gradients and losses fold into
 			// the shared tensors in ascending shard order, whatever order
 			// the workers finished in.
 			for s := 0; s < shards; s++ {
-				sc := shardScr[s]
-				shardScr[s] = nil
-				sc.grads.AddTo(params)
+				gs := shardGrads[s]
+				shardGrads[s] = nil
+				gs.AddTo(params)
 				epochLoss += shardLoss[s]
-				m.scratch.Put(sc)
+				m.grads.Put(gs)
 			}
 			opt.Step(float64(len(mb)))
 			opt.ZeroGrad()
@@ -346,15 +382,16 @@ func (m *Model) train(ctx context.Context, samples []Sample, epochs int, lr floa
 	return res, nil
 }
 
-// trainStep runs one sample's forward+backward on the worker's pooled
-// tape, accumulating into its private gradient set, and returns the
-// sample loss.
-func (m *Model) trainStep(sc *trainScratch, s Sample) float64 {
-	sc.tape.Reset()
-	out := m.forward(sc.tape, s.Graph)
-	sc.target.Data[0] = math.Log(s.RuntimeSec)
-	loss := sc.tape.HuberLoss(out, sc.target, m.cfg.HuberDelta)
-	sc.tape.Backward(loss)
+// trainStep runs one sample's forward+backward on the worker's warm
+// tape, accumulating into the gradient set the tape is bound to, and
+// returns the sample loss. Once the tape has seen a plan this large it
+// allocates nothing.
+func (m *Model) trainStep(ts *tapeScratch, s Sample) float64 {
+	ts.tape.Reset()
+	out := m.forward(ts, s.Graph)
+	ts.target.Data[0] = math.Log(s.RuntimeSec)
+	loss := ts.tape.HuberLoss(out, ts.target, m.cfg.HuberDelta)
+	ts.tape.Backward(loss)
 	return loss.Val.Data[0]
 }
 

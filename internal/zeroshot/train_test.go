@@ -136,10 +136,12 @@ func TestTrainCancelsMidEpoch(t *testing.T) {
 	}
 }
 
-// TestTrainingAllocsCutByPooling pins the >= 3x per-sample allocation
-// cut from tape pooling: the engine's pooled per-sample step (recycled
-// tape + reused target) against the pre-engine per-sample cost (fresh
-// tape, fresh target tensor) over the same real plan graphs.
+// TestTrainingAllocsCutByPooling pins what the training engine's
+// pooling buys per sample: against the per-sample cost of a fresh tape
+// and a fresh target tensor over the same real plan graphs, a warm
+// tape's step — op records in a reused log, recycled Vars and tensors,
+// hidden states in a reused table, no gradient for the feature rows —
+// allocates nothing at all.
 func TestTrainingAllocsCutByPooling(t *testing.T) {
 	db, err := datagen.IMDBLike(0.02)
 	if err != nil {
@@ -150,30 +152,32 @@ func TestTrainingAllocsCutByPooling(t *testing.T) {
 
 	unpooled := testing.AllocsPerRun(10, func() {
 		for _, s := range samples {
-			tp := nn.NewTape()
-			out := m.forward(tp, s.Graph)
+			ts := &tapeScratch{tape: nn.NewTape()}
+			out := m.forward(ts, s.Graph)
 			target := nn.FromSlice([]float64{math.Log(s.RuntimeSec)})
-			loss := tp.HuberLoss(out, target, m.cfg.HuberDelta)
-			tp.Backward(loss)
+			loss := ts.tape.HuberLoss(out, target, m.cfg.HuberDelta)
+			ts.tape.Backward(loss)
 		}
 	})
 
-	sc := m.scratch.Get().(*trainScratch)
-	defer m.scratch.Put(sc)
-	sc.grads.Zero()
+	ts := tapePool.Get().(*tapeScratch)
+	defer ts.release()
+	gs := m.grads.Get().(*nn.GradSet)
+	defer m.grads.Put(gs)
+	gs.Zero()
+	ts.tape.RemapGrads(gs.Remap())
 	for _, s := range samples {
-		m.trainStep(sc, s) // warm the tape slab to its steady state
+		m.trainStep(ts, s) // warm the tape to its steady state
 	}
 	pooled := testing.AllocsPerRun(10, func() {
 		for _, s := range samples {
-			m.trainStep(sc, s)
+			m.trainStep(ts, s)
 		}
 	})
-	t.Logf("per-%d-sample pass: unpooled %.0f allocs, pooled %.0f (%.1fx)",
-		len(samples), unpooled, pooled, unpooled/pooled)
-	if pooled*3 > unpooled {
-		t.Fatalf("tape pooling cut per-sample training allocations only %.1fx (unpooled %.0f, pooled %.0f); want >= 3x",
-			unpooled/pooled, unpooled, pooled)
+	t.Logf("per-%d-sample pass: unpooled %.0f allocs, pooled %.0f", len(samples), unpooled, pooled)
+	if pooled != 0 {
+		t.Fatalf("a warm %d-sample training pass allocates %.0f objects, want 0 (a fresh tape per sample: %.0f)",
+			len(samples), pooled, unpooled)
 	}
 }
 
