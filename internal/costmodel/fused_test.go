@@ -3,6 +3,7 @@ package costmodel
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -56,6 +57,44 @@ func TestFusedBatchBitwiseEqualsSequential(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestZeroShotPredictIsAFusedBatchOfOne pins the single served
+// prediction: its bits are the tape forward's (Model.Predict, the
+// reference), and with the plan's graph memoized it allocates a
+// handful of objects — the result slice, the argument slice, one
+// tensor header per node type present — not the thousand a tape costs.
+func TestZeroShotPredictIsAFusedBatchOfOne(t *testing.T) {
+	zs, f := fitZeroShot(t)
+	ctx := context.Background()
+	ins := Inputs(f.eval)
+	for i := range ins {
+		ins[i].Enc = NewEncodedPlan()
+		got, err := zs.Predict(ctx, ins[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := zs.encode(ins[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := zs.Model().Predict(g); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("item %d: ZeroShot.Predict = %v, tape reference %v (bitwise)", i, got, want)
+		}
+	}
+	if raceEnabled {
+		return // the race detector makes sync.Pool drop items
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := zs.Predict(ctx, ins[i%len(ins)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 10 {
+		t.Fatalf("a memoized single prediction allocates %.0f objects, want <= 10", allocs)
 	}
 }
 

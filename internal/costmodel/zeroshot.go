@@ -235,7 +235,11 @@ func (z *ZeroShot) Clone() (Estimator, error) {
 	return est, nil
 }
 
-// Predict implements Estimator.
+// Predict implements Estimator: a fused batch of one. The fused pass
+// computes the bits the tape forward would (pinned by
+// TestPredictBatchBitwiseEqualsPredict) without building a tape, which
+// is what adapt.Feedback pays per sample and the per-item isolation
+// fallbacks of serving and what-if pay per item.
 func (z *ZeroShot) Predict(ctx context.Context, in PlanInput) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -244,7 +248,7 @@ func (z *ZeroShot) Predict(ctx context.Context, in PlanInput) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return z.model.Predict(g), nil
+	return z.model.PredictBatch([]*encoding.Graph{g})[0], nil
 }
 
 // PredictBatch implements Estimator: the whole batch executes as ONE
@@ -256,7 +260,7 @@ func (z *ZeroShot) Predict(ctx context.Context, in PlanInput) (float64, error) {
 // bitwise identical to predicting each input alone: encoding is
 // deterministic per shape, duplicates share one graph with identical
 // features, and the packed pass is the exact per-row operation sequence
-// of Predict. Inputs may span databases: each is encoded against its own
+// of the model's tape forward. Inputs may span databases: each is encoded against its own
 // schema, and the packed pass never reads schema state.
 func (z *ZeroShot) PredictBatch(ctx context.Context, ins []PlanInput) ([]float64, error) {
 	if len(ins) == 0 {

@@ -30,7 +30,8 @@ const shardGrain = 32
 // calling Predict per graph — every packed row goes through the same
 // per-row tensor operations the tape path runs, whatever the shard
 // split — while doing near-zero allocations at steady state. Safe for
-// concurrent use; training keeps the tape path.
+// concurrent use. This is the inference path for one plan as for many;
+// the tape is for training, and for Predict as the reference.
 func (m *Model) PredictBatch(gs []*encoding.Graph) []float64 {
 	out := make([]float64, len(gs))
 	if len(gs) == 0 {
