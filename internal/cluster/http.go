@@ -34,7 +34,13 @@ const DefaultHTTPTimeout = 10 * time.Second
 // NewHTTPBackend returns a Backend calling the `zsdb serve` API at
 // baseURL (e.g. "http://host:8080"; a bare "host:8080" gets the scheme
 // prefixed). name defaults to the baseURL. client may be nil for a
-// default with DefaultHTTPTimeout.
+// default with DefaultHTTPTimeout and a transport of the backend's own:
+// a clone of http.DefaultTransport whose idle pool holds as many
+// connections to the replica as one micro-batch holds singles
+// (serving.DefaultMaxBatch). The shared default transport keeps two idle
+// connections per host, so a third concurrent caller's connection was
+// closed on return and re-dialled on its next call; and it is shared, so
+// Close on one backend dropped every other backend's keep-alives.
 func NewHTTPBackend(name, baseURL string, client *http.Client) (*HTTPBackend, error) {
 	baseURL = strings.TrimRight(strings.TrimSpace(baseURL), "/")
 	if baseURL == "" {
@@ -47,7 +53,9 @@ func NewHTTPBackend(name, baseURL string, client *http.Client) (*HTTPBackend, er
 		name = baseURL
 	}
 	if client == nil {
-		client = &http.Client{Timeout: DefaultHTTPTimeout}
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = serving.DefaultMaxBatch
+		client = &http.Client{Timeout: DefaultHTTPTimeout, Transport: tr}
 	}
 	return &HTTPBackend{name: name, base: baseURL, client: client}, nil
 }
@@ -183,7 +191,9 @@ func (b *HTTPBackend) Health(ctx context.Context) error {
 }
 
 // Close implements Backend: the remote process is not ours to stop —
-// only idle connections are released.
+// only this backend's idle connections are released (its default client
+// has a transport of its own; a caller-supplied client's transport is
+// the caller's to share or not).
 func (b *HTTPBackend) Close() error {
 	b.client.CloseIdleConnections()
 	return nil
