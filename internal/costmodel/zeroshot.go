@@ -260,8 +260,9 @@ func (z *ZeroShot) Predict(ctx context.Context, in PlanInput) (float64, error) {
 // bitwise identical to predicting each input alone: encoding is
 // deterministic per shape, duplicates share one graph with identical
 // features, and the packed pass is the exact per-row operation sequence
-// of the model's tape forward. Inputs may span databases: each is encoded against its own
-// schema, and the packed pass never reads schema state.
+// of the model's tape forward. Inputs may span databases: each is
+// encoded against its own schema, and the packed pass never reads
+// schema state.
 func (z *ZeroShot) PredictBatch(ctx context.Context, ins []PlanInput) ([]float64, error) {
 	if len(ins) == 0 {
 		return nil, nil

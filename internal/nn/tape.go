@@ -334,38 +334,38 @@ func (tp *Tape) Backward(loss *Var) {
 		case opReLU:
 			if o.a.Grad != nil {
 				g := o.a.Grad.Data
-				for i, x := range o.a.Val.Data {
+				for j, x := range o.a.Val.Data {
 					if x > 0 {
-						g[i] += d[i]
+						g[j] += d[j]
 					}
 				}
 			}
 		case opScale:
 			if o.a.Grad != nil {
 				g := o.a.Grad.Data
-				for i, dv := range d {
-					g[i] += dv * o.s
+				for j, dv := range d {
+					g[j] += dv * o.s
 				}
 			}
 		case opMSE:
 			if o.a.Grad != nil {
 				g, t := o.a.Grad.Data, o.target.Data
-				for i, p := range o.a.Val.Data {
-					g[i] += d[0] * (p - t[i])
+				for j, p := range o.a.Val.Data {
+					g[j] += d[0] * (p - t[j])
 				}
 			}
 		case opHuber:
 			if o.a.Grad != nil {
 				g, t, delta := o.a.Grad.Data, o.target.Data, o.s
-				for i, p := range o.a.Val.Data {
-					diff := p - t[i]
+				for j, p := range o.a.Val.Data {
+					diff := p - t[j]
 					switch {
 					case diff > delta:
-						g[i] += d[0] * delta
+						g[j] += d[0] * delta
 					case diff < -delta:
-						g[i] -= d[0] * delta
+						g[j] -= d[0] * delta
 					default:
-						g[i] += d[0] * diff
+						g[j] += d[0] * diff
 					}
 				}
 			}

@@ -24,6 +24,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -121,7 +122,7 @@ var tapePool = sync.Pool{New: func() any {
 func (ts *tapeScratch) release() {
 	ts.tape.Reset()
 	ts.tape.RemapGrads(nil)
-	clear(ts.hidden)
+	clear(ts.hidden[:cap(ts.hidden)])
 	clear(ts.kids[:cap(ts.kids)])
 	tapePool.Put(ts)
 }
@@ -164,10 +165,8 @@ func (m *Model) Params() []*nn.Param {
 // panics here as it does there.
 func (m *Model) forward(ts *tapeScratch, g *encoding.Graph) *nn.Var {
 	tp := ts.tape
-	if cap(ts.hidden) < len(g.Nodes) {
-		ts.hidden = make([]*nn.Var, len(g.Nodes))
-	}
-	hidden := ts.hidden[:len(g.Nodes)]
+	hidden := slices.Grow(ts.hidden[:0], len(g.Nodes))[:len(g.Nodes)]
+	ts.hidden = hidden
 	for i, n := range g.Nodes {
 		h := m.encoders[n.Type].Apply(tp, tp.ConstRow(n.Feat))
 		if !m.cfg.FlatSum && len(n.Children) > 0 {
@@ -293,10 +292,11 @@ func shardBounds(n, shards, s int) (lo, hi int) {
 // splits into up to maxGradShards contiguous shards that run
 // forward+backward concurrently on the par worker pool, every shard
 // accumulating into a private gradient set from the model's pool over
-// a warm tape from the shared one. Shard gradients and losses then reduce into
-// the optimizer's shared tensors in ascending shard order. The result —
-// weights and EpochLoss — is bitwise identical for any worker count,
-// and the serial path is the same code with the shard loop run inline.
+// a warm tape from the shared one. Shard gradients and losses then
+// reduce into the optimizer's shared tensors in ascending shard order.
+// The result — weights and EpochLoss — is bitwise identical for any
+// worker count, and the serial path is the same code with the shard
+// loop run inline.
 func (m *Model) train(ctx context.Context, samples []Sample, epochs int, lr float64) (*TrainResult, error) {
 	for i, s := range samples {
 		if s.Graph == nil || s.Graph.Root == nil {
