@@ -42,7 +42,10 @@ func (o *obsFlags) build() (*obs.Tracer, *obs.Log) {
 
 // startDebug starts the pprof listener when -debug-addr is set. The
 // profiling surface stays off the serving mux on purpose: it must never
-// be reachable through a port an operator exposed for predictions.
+// be reachable through a port an operator exposed for predictions. Its
+// announcement is a URL, not "... on <address>": that shape belongs to
+// listenAndServe's banner alone, which is where tools that start a node
+// on port 0 read the API address from, and this line comes first.
 func (o *obsFlags) startDebug() (func(), error) {
 	if o.debugAddr == "" {
 		return func() {}, nil
@@ -59,7 +62,7 @@ func (o *obsFlags) startDebug() (func(), error) {
 	}
 	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go srv.Serve(ln)
-	fmt.Fprintf(os.Stderr, "pprof debug server on %s\n", ln.Addr())
+	fmt.Fprintf(os.Stderr, "pprof debug server: http://%s/debug/pprof/\n", ln.Addr())
 	return func() { srv.Close() }, nil
 }
 

@@ -95,6 +95,7 @@ func (m *E2E) Train(samples []E2ESample) error {
 		return fmt.Errorf("baselines: E2E has no training samples")
 	}
 	opt := nn.NewAdam(m.Params(), m.cfg.LR)
+	tp := nn.NewTape() // one tape for the whole run, recycled per sample
 	order := make([]int, len(samples))
 	for i := range order {
 		order[i] = i
@@ -111,7 +112,7 @@ func (m *E2E) Train(samples []E2ESample) error {
 			if s.RuntimeSec <= 0 {
 				return fmt.Errorf("baselines: E2E sample with runtime %v", s.RuntimeSec)
 			}
-			tp := nn.NewTape()
+			tp.Reset()
 			out := m.forward(tp, s.Root)
 			loss := tp.HuberLoss(out, nn.FromSlice([]float64{math.Log(s.RuntimeSec)}), 1.0)
 			tp.Backward(loss)

@@ -112,6 +112,7 @@ func (m *MSCN) Train(samples []MSCNSample) error {
 		return fmt.Errorf("baselines: MSCN has no training samples")
 	}
 	opt := nn.NewAdam(m.Params(), m.cfg.LR)
+	tp := nn.NewTape() // one tape for the whole run, recycled per sample
 	order := make([]int, len(samples))
 	for i := range order {
 		order[i] = i
@@ -128,7 +129,7 @@ func (m *MSCN) Train(samples []MSCNSample) error {
 			if s.RuntimeSec <= 0 {
 				return fmt.Errorf("baselines: MSCN sample with runtime %v", s.RuntimeSec)
 			}
-			tp := nn.NewTape()
+			tp.Reset()
 			out := m.forward(tp, s.Feats)
 			loss := tp.HuberLoss(out, nn.FromSlice([]float64{math.Log(s.RuntimeSec)}), 1.0)
 			tp.Backward(loss)

@@ -5,39 +5,52 @@ import (
 	"testing"
 )
 
-func BenchmarkMatMul32x32(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := NewTensor(1, 32)
-	x.XavierInit(rng)
-	w := NewTensor(32, 32)
-	w.XavierInit(rng)
-	dst := NewTensor(1, 32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst.Zero()
-		MatMulInto(dst, x, w)
-	}
-}
-
 // The shapes the zero-shot model actually runs. nn cannot import
 // encoding, so the first encoder layer's input width is spelled out:
 // encoding.OpFeatDim = plan.NumOperators (5) + 4 + encoding.HWFeatDim (5).
 const benchOpFeatDim = 14
 
+// benchRows is how many distinct rows a single-row benchmark cycles
+// through. Repeating one row lets the branch predictor memorise its
+// zero pattern, and whatever the kernel does per element then reads
+// about three times cheaper than training — a new plan node every
+// call — ever sees it.
+const benchRows = 256
+
+// benchPool returns a tensor of at least benchRows rows of width k
+// filled by fill, and an m x k view to aim at m of them per iteration
+// (viewOf), so cycling allocates nothing.
+func benchPool(rng *rand.Rand, m, k int, fill func(rng *rand.Rand, a *Tensor)) (pool, view *Tensor) {
+	pool = NewTensor(max(m, benchRows), k)
+	fill(rng, pool)
+	return pool, &Tensor{Rows: m, Cols: k}
+}
+
+// viewOf aims view at the i-th group of view.Rows rows of pool, wrapping
+// around; a view as tall as the pool is the whole pool every time.
+func viewOf(view, pool *Tensor, i int) *Tensor {
+	r := i * view.Rows % (pool.Rows - view.Rows + 1)
+	view.Data = pool.Data[r*pool.Cols : (r+view.Rows)*pool.Cols]
+	return view
+}
+
 // benchMatMul times dst = a @ w for the given shapes, with a filled by
-// fill.
+// fill. A row vector (m = 1) is a different one of benchRows each
+// iteration.
 func benchMatMul(b *testing.B, m, k, n int, fill func(rng *rand.Rand, a *Tensor)) {
 	rng := rand.New(rand.NewSource(1))
-	a, w, dst := NewTensor(m, k), NewTensor(k, n), NewTensor(m, n)
-	fill(rng, a)
+	w, dst := NewTensor(k, n), NewTensor(m, n)
 	w.XavierInit(rng)
+	pool, a := benchPool(rng, m, k, fill)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMulInto(dst, a, w)
+		MatMulInto(dst, viewOf(a, pool, i), w)
 	}
 }
+
+// fillDense writes rows with no zeros at all.
+func fillDense(rng *rand.Rand, a *Tensor) { a.XavierInit(rng) }
 
 // fillOpFeatures writes an operator node's feature row: the one-hot
 // operator, two log-scaled magnitudes, everything else zero.
@@ -60,6 +73,10 @@ func fillPostReLU(rng *rand.Rand, a *Tensor) {
 	}
 }
 
+func BenchmarkMatMul32x32(b *testing.B) {
+	benchMatMul(b, 1, 32, 32, fillDense)
+}
+
 // BenchmarkMatMulOneHotRow: the first encoder layer in training, one
 // operator node's features against the 14x32 weight.
 func BenchmarkMatMulOneHotRow(b *testing.B) {
@@ -78,13 +95,33 @@ func BenchmarkMatMulFusedLevel(b *testing.B) {
 	benchMatMul(b, 256, 64, 32, fillPostReLU)
 }
 
+// BenchmarkLinearInferLevel: the same level through a whole hidden
+// layer — matmul, bias and ReLU — on a warm Inference, which is what
+// MLP.Infer runs for every layer but its last.
+func BenchmarkLinearInferLevel(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	l := NewLinear(64, 32, rng)
+	l.B.Val.XavierInit(rng)
+	x := NewTensor(256, 64)
+	fillPostReLU(rng, x)
+	inf := GetInference()
+	defer inf.Release()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inf.Reset()
+		l.infer(inf, x, true)
+	}
+}
+
 // benchMatMulBackward times one forward+backward of loss(a @ w) on a
 // recycled tape — what a training step pays per layer — with a as the
-// constant feature row (constA) or as an upstream hidden state.
+// constant feature row (constA) or as an upstream hidden state, a
+// different one of benchRows each iteration.
 func benchMatMulBackward(b *testing.B, k int, constA bool, fill func(rng *rand.Rand, a *Tensor)) {
 	rng := rand.New(rand.NewSource(1))
-	a, w := NewTensor(1, k), NewParam(k, 32)
-	fill(rng, a)
+	w := NewParam(k, 32)
+	pool, a := benchPool(rng, 1, k, fill)
 	w.Val.XavierInit(rng)
 	aGrad, target := NewTensor(1, k), NewTensor(1, 32)
 	tp := NewTape()
@@ -92,6 +129,7 @@ func benchMatMulBackward(b *testing.B, k int, constA bool, fill func(rng *rand.R
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tp.Reset()
+		viewOf(a, pool, i)
 		var av *Var
 		if constA {
 			av = tp.ConstRow(a.Data)

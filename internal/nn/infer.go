@@ -76,10 +76,13 @@ func (inf *Inference) TensorUninit(rows, cols int) *Tensor {
 // row of x maps to the corresponding row of the result, bitwise
 // identical to applying the tape path row by row (same matmul inner
 // order, same bias additions).
-func (l *Linear) Infer(inf *Inference, x *Tensor) *Tensor {
-	out := inf.TensorUninit(x.Rows, l.Out) // MatMulInto overwrites every row
-	MatMulInto(out, x, l.W.Val)
-	out.AddRowBroadcast(l.B.Val)
+func (l *Linear) Infer(inf *Inference, x *Tensor) *Tensor { return l.infer(inf, x, false) }
+
+// infer is Infer with the ReLU that follows a hidden layer folded into
+// the pass that writes the output.
+func (l *Linear) infer(inf *Inference, x *Tensor, relu bool) *Tensor {
+	out := inf.TensorUninit(x.Rows, l.Out) // every row is overwritten
+	matMulBiasInto(out, x, l.W.Val, l.B.Val, relu)
 	return out
 }
 
@@ -89,10 +92,7 @@ func (l *Linear) Infer(inf *Inference, x *Tensor) *Tensor {
 func (m *MLP) Infer(inf *Inference, x *Tensor) *Tensor {
 	h := x
 	for i, l := range m.Layers {
-		h = l.Infer(inf, h)
-		if i+1 < len(m.Layers) {
-			h.ReLUInPlace()
-		}
+		h = l.infer(inf, h, i+1 < len(m.Layers))
 	}
 	return h
 }

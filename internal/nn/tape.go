@@ -392,14 +392,19 @@ func accumulate(v *Var, d []float64) {
 // and that sum is then added to the gradient.
 //
 // dA is a dot product of two contiguous rows per element, four
-// elements' dots carried at once (each its own ascending-j chain). A
+// elements' dots carried at once (each its own ascending-j chain). It
+// stays scalar where the forward kernel went to vector width: a dot is
+// a sum over j into ONE element, so lanes across j would add its terms
+// in a different order, and lanes across k would need b transposed. A
 // constant a — the feature row of every encoder's first layer — has no
 // gradient, and none is computed.
 //
 // dB for a row vector a (M = 1, all that training ever runs) has one
 // term per element, so the sum is the single product av·dOut[j], rounded
-// on its own, then added: one row update per non-zero a[k]. The product
-// is written float64(av * d) because the defining loop rounded it before
+// on its own, then added: one row update per non-zero a[k] — an axpy
+// whose lanes are different elements, so the AVX2 one (VMULPD, then
+// VADDPD) gives the same bits. In the Go spelling the product is
+// written float64(av * d) because the defining loop rounded it before
 // the add (g := 0.0; g += av*d; grad += g); without the conversion a
 // target with fused multiply-add may fuse it into the accumulation and
 // round once instead of twice. (Where the defining loop itself was
@@ -459,6 +464,10 @@ func matMulBackward(a, b *Var, dOut []float64) {
 				continue
 			}
 			grow := bg[kk*n:][:n]
+			if useAVX2 {
+				axpyAVX2(grow, x, dOut)
+				continue
+			}
 			for j, d := range dOut {
 				grow[j] += float64(x * d)
 			}

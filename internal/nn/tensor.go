@@ -122,41 +122,146 @@ func (t *Tensor) ReLUInPlace() {
 // The bitwise contracts (fused ≡ tape, training at any width, the
 // golden transcripts) rest on one property of this kernel: every
 // dst[i][j] starts at +0 and accumulates its av·b[k][j] terms in
-// ascending k, and a term whose av is zero is left out altogether (so
-// 0·Inf and 0·NaN contribute nothing rather than NaN). Nothing else
-// about the loop nest is fixed. Each row's non-zero a[k] are gathered
-// as the scan meets them — which is the zero skip — and consumed four
-// at a time with the destination element held in a register, so dst is
-// read and written once per four terms and the branch is outside the
-// inner loop. The products add straight onto the accumulator, as the
-// original `drow[j] += av * bv` did, so a target that fuses multiply-
-// adds fuses exactly the ones it fused before.
+// ascending k, each product rounded on its own, and a term whose av is
+// zero is left out altogether (so 0·Inf and 0·NaN contribute nothing
+// rather than NaN). Nothing else about the loop nest is fixed, and the
+// kernel has two spellings of it that agree bit for bit (see addRows).
 func MatMulInto(dst, a, b *Tensor) {
+	checkMatMul(dst, a, b)
+	matMulRows(dst, a, b, nil, false)
+}
+
+// matMulBiasInto is MatMulInto followed by AddRowBroadcast(bias) and,
+// if relu, ReLUInPlace — the same three results per element, produced
+// in the pass that finishes each row instead of two more walks over
+// dst.
+func matMulBiasInto(dst, a, b, bias *Tensor, relu bool) {
+	checkMatMul(dst, a, b)
+	if bias.Rows != 1 || bias.Cols != dst.Cols {
+		panic(fmt.Sprintf("nn: broadcast add %dx%d onto %dx%d", bias.Rows, bias.Cols, dst.Rows, dst.Cols))
+	}
+	matMulRows(dst, a, b, bias.Data[:dst.Cols], relu)
+}
+
+func checkMatMul(dst, a, b *Tensor) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("nn: matmul shape mismatch %dx%d @ %dx%d -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	n := b.Cols
+}
+
+// gatherBlock is how many a[k] one gather scans before handing the
+// non-zero ones to addRows: the positions live in a fixed stack array,
+// so a row wider than this is consumed in several calls (the model's
+// widest is exactly one).
+const gatherBlock = 64
+
+// matMulRows is the kernel's outer loop; the shapes have been checked.
+// Per row of a it gathers the positions of the non-zero a[k], ascending
+// — which is the zero skip — and hands them to addRows, the bias and
+// clamp riding on the call that finishes the row.
+func matMulRows(dst, a, b *Tensor, bias []float64, relu bool) {
+	n, kdim := b.Cols, a.Cols
+	bd := b.Data[:kdim*n] // every row a gathered k can name lies inside
+	var ks [gatherBlock]int
 	for i := 0; i < a.Rows; i++ {
 		drow := dst.Data[i*n : (i+1)*n]
+		arow := a.Data[i*kdim : (i+1)*kdim]
 		clear(drow)
-		var (
-			av   [4]float64
-			at   [4]int // offsets of the gathered rows of b
-			held int
-		)
-		for k, v := range a.Data[i*a.Cols : (i+1)*a.Cols] {
-			if v == 0 {
-				continue
-			}
-			av[held], at[held] = v, k*n
-			if held++; held == 4 {
-				axpy4(drow, b.Data, &av, &at)
-				held = 0
-			}
+		base := 0
+		for ; kdim-base > gatherBlock; base += gatherBlock {
+			held := gatherNonZero(&ks, arow[base:][:gatherBlock], base)
+			addRows(drow, arow, bd, ks[:held], nil, false)
 		}
-		for h := 0; h < held; h++ {
-			axpy(drow, av[h], b.Data[at[h]:])
+		held := gatherNonZero(&ks, arow[base:], base)
+		addRows(drow, arow, bd, ks[:held], bias, relu)
+	}
+}
+
+// gatherNonZero writes base+k for every non-zero blk[k], ascending,
+// into ks and returns how many; len(blk) is at most gatherBlock. There
+// is no data-dependent branch in either spelling: every position is
+// stored and the count advances by whether the value was non-zero, so a
+// post-ReLU row (zeros wherever the data put them) costs no
+// mispredictions — the branchy scan was most of a level's time once the
+// multiplies went four wide.
+func gatherNonZero(ks *[gatherBlock]int, blk []float64, base int) int {
+	if useAVX2 {
+		return gatherNonZeroAVX2(ks, blk, base)
+	}
+	return gatherNonZeroGo(ks, blk, base)
+}
+
+// gatherNonZeroGo is the portable gather. Float64bits(v)<<1 != 0 is
+// v != 0 for every v (false for ±0 alone, true for NaN), spelled so
+// that it compiles to a conditional move, not a jump. Kept out of line:
+// inlined into matMulRows, the count and the index both spill to the
+// stack and the scan runs a third slower.
+//
+//go:noinline
+func gatherNonZeroGo(ks *[gatherBlock]int, blk []float64, base int) int {
+	held := 0
+	for k, v := range blk {
+		ks[held&(gatherBlock-1)] = base + k // held <= k < gatherBlock: the mask only drops the bounds check
+		if math.Float64bits(v)<<1 != 0 {
+			held++
+		}
+	}
+	return held
+}
+
+// addRows adds a[k]·(row k of b) onto dst for each k of ks in order,
+// then the bias if there is one, then clamps negatives to zero if relu:
+// per element,
+//
+//	d := dst[j]
+//	for _, k := range ks { d += a[k] * b[k*n+j] }
+//	if bias != nil { d += bias[j] }
+//	if relu && d < 0 { d = 0 }
+//
+// One contract, two spellings. Where useAVX2 is set the assembly does
+// exactly this four columns to an instruction, with the destination in
+// registers across all of ks. Elsewhere the Go loops below do, four
+// terms to a pass over dst (axpy4) and then the odd ones (axpy). Lanes
+// and passes both run across j only: what is added to one element, and
+// in what order, is the same list either way, so the bits are.
+//
+// About fused multiply-add. At GOAMD64=v1/v2 — how the goldens were
+// recorded — gc rounds `d += a*b` in two steps, and so does the
+// assembly. At GOAMD64=v3, and on arm64, gc fuses the Go loops; the
+// assembly never fuses, so on an AVX2 part a v3 build agrees with the
+// goldens. Within one binary fused ≡ tape holds whichever applies,
+// because the batched pass and the tape call this same function for
+// the same len(dst).
+func addRows(dst, a, b []float64, ks []int, bias []float64, relu bool) {
+	if useAVX2 {
+		axpyRowsAVX2(dst, a, b, ks, bias, relu)
+		return
+	}
+	addRowsGo(dst, a, b, ks, bias, relu)
+}
+
+// addRowsGo is the portable addRows, and the oracle for the assembly.
+func addRowsGo(dst, a, b []float64, ks []int, bias []float64, relu bool) {
+	n := len(dst)
+	h := 0
+	for ; h+4 <= len(ks); h += 4 {
+		k0, k1, k2, k3 := ks[h], ks[h+1], ks[h+2], ks[h+3]
+		av := [4]float64{a[k0], a[k1], a[k2], a[k3]}
+		at := [4]int{k0 * n, k1 * n, k2 * n, k3 * n}
+		axpy4(dst, b, &av, &at)
+	}
+	for ; h < len(ks); h++ {
+		axpy(dst, a[ks[h]], b[ks[h]*n:])
+	}
+	for j, v := range bias {
+		dst[j] += v
+	}
+	if relu {
+		for j, v := range dst {
+			if v < 0 {
+				dst[j] = 0
+			}
 		}
 	}
 }
