@@ -287,6 +287,9 @@ func referenceFixtures(t testing.TB) []refFixture {
 				refErr = err
 				return
 			}
+			if mk.name == "imdb" {
+				qs = append(qs, cyclicQueries()...)
+			}
 			refFixtures = append(refFixtures, refFixture{
 				name: mk.name, db: db, qs: qs,
 				st: stats.Collect(db, stats.DefaultBuckets, stats.DefaultMCVs),
@@ -297,6 +300,43 @@ func referenceFixtures(t testing.TB) []refFixture {
 		t.Fatal(refErr)
 	}
 	return refFixtures
+}
+
+// cyclicQueries are shapes the FK-tree generator never draws: several
+// join conditions connecting one split (a cycle, and two conditions
+// between the same pair of tables), so "the first connecting join" and
+// "the product of all their selectivities" are told apart.
+func cyclicQueries() []*query.Query {
+	col := func(t, c string) query.ColumnRef { return query.ColumnRef{Table: t, Column: c} }
+	cycle := []query.Join{
+		{Left: col("movie_companies", "movie_id"), Right: col("title", "id")},
+		{Left: col("cast_info", "movie_id"), Right: col("title", "id")},
+		{Left: col("cast_info", "movie_id"), Right: col("movie_companies", "movie_id")},
+		{Left: col("movie_info", "movie_id"), Right: col("cast_info", "movie_id")},
+		{Left: col("movie_companies", "company_type_id"), Right: col("movie_info", "info_type_id")},
+	}
+	count := []query.Aggregate{{Func: query.AggCount}}
+	return []*query.Query{
+		{
+			Tables: []string{"title", "movie_info", "cast_info", "movie_companies"}, Joins: cycle, Aggregates: count,
+			Filters: []query.Filter{
+				{Col: col("title", "production_year"), Op: query.OpEq, Value: 3},
+				{Col: col("cast_info", "role_id"), Op: query.OpEq, Value: 1},
+			},
+		},
+		{
+			Tables: []string{"movie_companies", "title", "cast_info"}, Joins: cycle[:3],
+			Filters: []query.Filter{{Col: col("movie_companies", "note_len"), Op: query.OpLt, Value: 4}},
+		},
+		{
+			Tables: []string{"title", "movie_companies"}, Aggregates: count,
+			Joins: []query.Join{
+				{Left: col("title", "season_nr"), Right: col("movie_companies", "note_len")},
+				{Left: col("movie_companies", "movie_id"), Right: col("title", "id")},
+			},
+			Filters: []query.Filter{{Col: col("title", "kind_id"), Op: query.OpEq, Value: 2}},
+		},
+	}
 }
 
 // touchedColumns lists the sorted distinct "table.column" keys q filters
@@ -386,5 +426,66 @@ func TestPlanMatchesReference(t *testing.T) {
 			}
 		}
 		t.Logf("%s: %d plans equal the reference planner's", fx.name, plans)
+	}
+}
+
+// TestRelevantIndexesIsExact: an index on any non-primary-key column
+// outside RelevantIndexes(q) leaves q's plan exactly the baseline plan;
+// and the set is not vacuous — on each generated mix some relevant index,
+// alone, changes some plan.
+func TestRelevantIndexesIsExact(t *testing.T) {
+	for _, fx := range referenceFixtures(t) {
+		base := New(fx.db.Schema, fx.st, nil, DefaultCostParams())
+		irrelevant, moved := 0, 0
+		for _, q := range fx.qs {
+			want, err := base.Plan(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel := RelevantIndexes(q)
+			if got := len(rel); got != len(touchedColumns(q)) {
+				t.Fatalf("%s %q: %d relevant indexes %v, the query touches %v", fx.name, q.SQL(), got, rel, touchedColumns(q))
+			}
+			for _, tm := range fx.db.Schema.Tables {
+				for _, c := range tm.Columns {
+					k := Key(tm.Name, c.Name)
+					if c.PrimaryKey {
+						continue
+					}
+					got, err := New(fx.db.Schema, fx.st, IndexSet{k: true}, DefaultCostParams()).Plan(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					switch same := reflect.DeepEqual(got, want); {
+					case !rel[k] && !same:
+						t.Fatalf("%s %q: irrelevant index %s changed the plan:\n%s\nbaseline:\n%s", fx.name, q.SQL(), k, got.Explain(), want.Explain())
+					case !rel[k]:
+						irrelevant++
+					case !same:
+						moved++
+					}
+				}
+			}
+		}
+		if irrelevant == 0 || moved == 0 {
+			t.Fatalf("%s: vacuous — %d irrelevant indexes checked, %d relevant ones moved a plan", fx.name, irrelevant, moved)
+		}
+		t.Logf("%s: %d irrelevant single indexes left the plan alone, %d relevant ones changed it", fx.name, irrelevant, moved)
+	}
+}
+
+// TestPlanAllocCeiling pins what "cost first, build the winner" buys: the
+// five-way star join took 311 allocations when every candidate of every
+// split was a node.
+func TestPlanAllocCeiling(t *testing.T) {
+	opt, _ := imdbOptimizer(t, nil)
+	q := fiveWayJoin()
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := opt.Plan(q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 45 {
+		t.Fatalf("Plan on the five-way join: %.0f allocs, want <= 45", allocs)
 	}
 }
