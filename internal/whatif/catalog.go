@@ -53,6 +53,22 @@ func (v Variant) signature() string {
 	return sig
 }
 
+// restrictedTo returns v without the indexes outside rel. With rel a
+// statement's optimizer.RelevantIndexes, the result plans that statement
+// exactly as v does, and all variants that differ only in indexes the
+// statement cannot use collapse to one signature — the baseline's, when
+// none of v's indexes is relevant and no Params override rides along.
+func (v Variant) restrictedTo(rel optimizer.IndexSet) Variant {
+	kept := v.Indexes[:0:0]
+	for _, idx := range v.Indexes {
+		if rel[idx] {
+			kept = append(kept, idx)
+		}
+	}
+	v.Indexes = kept
+	return v
+}
+
 func dedupSorted(s []string) []string {
 	out := s[:0]
 	for i, v := range s {

@@ -5,20 +5,25 @@ import (
 	"sort"
 
 	"github.com/zeroshot-db/zeroshot/internal/costmodel"
+	"github.com/zeroshot-db/zeroshot/internal/optimizer"
 )
 
 // Sweep prices the workload under the baseline and every variant and
 // returns the variants ranked by predicted workload runtime.
 //
-// The executor plans every (variant × statement) pair through the
-// catalog (cache-first), then prices the ENTIRE cross product — baseline
-// included — through one Estimator.PredictBatch call; with a fusing
-// estimator the whole sweep is a single tape-free forward pass. Errors
-// are structured per item: a statement that fails to plan or price under
-// one variant carries its own error in that variant's QueryResult and
-// the rest of the sweep still prices. The error return is reserved for
-// request-level failures (empty workload, no variants, context
-// cancellation — checked between planning steps and inside the
+// The executor walks every (variant × statement) pair but plans each
+// DISTINCT plan once: a pair's variant is first restricted to the indexes
+// the statement's plan can depend on (optimizer.RelevantIndexes), so every
+// variant that cannot touch a statement shares the baseline's plan, its
+// catalog cache entry and its encoding. The distinct plans — baseline
+// included — are priced through one Estimator.PredictBatch call (with a
+// fusing estimator a single tape-free forward pass) and each prediction
+// fans back out to the pairs that share it. Errors are structured per
+// item: a statement that fails to plan or price under one variant carries
+// its own error in that variant's QueryResult — as does every other pair
+// sharing the failed plan — and the rest of the sweep still prices. The
+// error return is reserved for request-level failures (empty workload, no
+// variants, context cancellation — checked once per pair and inside the
 // estimator, so an abandoned sweep stops mid-flight and returns the
 // context's error).
 func (c *Catalog) Sweep(ctx context.Context, est costmodel.Estimator, stmts []Statement, variants []Variant) (*Report, error) {
@@ -34,15 +39,28 @@ func (c *Catalog) Sweep(ctx context.Context, est costmodel.Estimator, stmts []St
 	all := make([]Variant, 0, len(variants)+1)
 	all = append(all, Variant{})
 	all = append(all, variants...)
+	relevant := make([]optimizer.IndexSet, len(stmts))
+	for si, stmt := range stmts {
+		relevant[si] = optimizer.RelevantIndexes(stmt.Query)
+	}
 
 	results := make([]VariantResult, len(all))
-	// Plan the cross product. ins collects the priceable pairs; pos maps
-	// each to its (variant, statement) slot.
+	// ins collects the distinct plans; planned maps (restricted
+	// signature, statement) to the plan's slot in ins, or to why it has
+	// none; pos lists the priceable pairs, each with its plan's slot.
 	var ins []costmodel.PlanInput
-	type slot struct{ v, s int }
-	var pos []slot
+	type planKey struct {
+		sig string
+		s   int
+	}
+	type slot struct {
+		in  int
+		err error
+	}
+	planned := map[planKey]slot{}
+	type pair struct{ v, s, in int }
+	var pos []pair
 	for vi, v := range all {
-		sig := v.signature()
 		results[vi] = VariantResult{
 			Name:    v.displayName(),
 			Indexes: append([]string(nil), v.Indexes...),
@@ -54,47 +72,55 @@ func (c *Catalog) Sweep(ctx context.Context, est costmodel.Estimator, stmts []St
 			}
 			qr := &results[vi].Queries[si]
 			qr.SQL = stmt.SQL
-			in, err := c.prepare(v, sig, stmt)
-			if err != nil {
-				qr.Error = err.Error()
+			rv := v.restrictedTo(relevant[si])
+			sig := rv.signature()
+			p, ok := planned[planKey{sig, si}]
+			if !ok {
+				var in costmodel.PlanInput
+				if in, p.err = c.prepare(rv, sig, stmt); p.err == nil {
+					p.in = len(ins)
+					ins = append(ins, in)
+				}
+				planned[planKey{sig, si}] = p
+			}
+			if p.err != nil {
+				qr.Error = p.err.Error()
 				results[vi].Errors++
 				continue
 			}
-			ins = append(ins, in)
-			pos = append(pos, slot{vi, si})
+			pos = append(pos, pair{vi, si, p.in})
 		}
 	}
 
-	// One fused pass over the whole sweep. A batch-level abort (first
-	// bad input wins) falls back to per-item predictions so each pair
-	// carries exactly its own error — unless the batch died because the
-	// caller's context did, in which case the sweep is over.
+	// One fused pass over the sweep's distinct plans. A batch-level abort
+	// (first bad input wins) falls back to per-plan predictions, each
+	// plan once, so each pair carries exactly its plan's error — unless
+	// the batch died because the caller's context did, in which case the
+	// sweep is over.
 	preds, err := est.PredictBatch(ctx, ins)
+	var failed []error
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, ctxErr
 		}
-		preds = make([]float64, len(ins))
+		preds, failed = make([]float64, len(ins)), make([]error, len(ins))
 		for j := range ins {
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				return nil, ctxErr
 			}
-			v, perr := est.Predict(ctx, ins[j])
-			if perr != nil {
-				qr := &results[pos[j].v].Queries[pos[j].s]
-				qr.Error = perr.Error()
-				results[pos[j].v].Errors++
+			if preds[j], failed[j] = est.Predict(ctx, ins[j]); failed[j] != nil {
 				preds[j] = -1
-				continue
 			}
-			preds[j] = v
 		}
 	}
-	for j, p := range preds {
-		if p < 0 {
-			continue
+	for _, p := range pos {
+		switch {
+		case failed != nil && failed[p.in] != nil:
+			results[p.v].Queries[p.s].Error = failed[p.in].Error()
+			results[p.v].Errors++
+		case preds[p.in] >= 0:
+			results[p.v].Queries[p.s].PredictedSec = preds[p.in]
 		}
-		results[pos[j].v].Queries[pos[j].s].PredictedSec = p
 	}
 
 	// Totals, per-query baselines and workload speedups. Workload
@@ -139,7 +165,7 @@ func (c *Catalog) Sweep(ctx context.Context, est costmodel.Estimator, stmts []St
 	r := &Report{
 		Baseline: results[0],
 		Variants: ranked,
-		Items:    len(ins),
+		Items:    len(pos),
 	}
 	if len(ranked) > 0 && ranked[0].TotalSec < results[0].TotalSec {
 		r.Recommendation = ranked[0].Name

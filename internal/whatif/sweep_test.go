@@ -106,6 +106,11 @@ func TestSweepMatchesHandRolledLoop(t *testing.T) {
 	}
 }
 
+// TestSweepFusesOneBatch: the sweep issues one PredictBatch call over
+// its DISTINCT plans — fewer than the pairs it reports, because a
+// candidate index on a column a statement never touches shares the
+// baseline's plan — and a repeat sweep is served from the prepared-plan
+// cache without planning anything.
 func TestSweepFusesOneBatch(t *testing.T) {
 	cat, stmts, variants := sweepFixture(t, 4)
 	est := &fakeEst{}
@@ -120,8 +125,15 @@ func TestSweepFusesOneBatch(t *testing.T) {
 	if calls := est.batchCalls.Load(); calls != 1 {
 		t.Fatalf("sweep issued %d batch calls, want 1 fused call", calls)
 	}
-	if max := est.batchMax.Load(); max != int64(wantItems) {
-		t.Fatalf("fused batch size %d, want %d", max, wantItems)
+	distinct := distinctPlans(stmts, variants)
+	if distinct < len(stmts) || distinct >= wantItems {
+		t.Fatalf("fixture has %d distinct plans for %d statements and %d pairs: nothing to share", distinct, len(stmts), wantItems)
+	}
+	if max := est.batchMax.Load(); max != int64(distinct) {
+		t.Fatalf("fused batch size %d, want %d distinct plans (of %d pairs)", max, distinct, wantItems)
+	}
+	if cs := cat.CacheStats(); cs.Misses != int64(distinct) || cs.Size != distinct {
+		t.Fatalf("cold sweep cache stats %+v, want %d misses and entries", cs, distinct)
 	}
 	if rep.Baseline.Name != "baseline" || len(rep.Baseline.Queries) != len(stmts) {
 		t.Fatalf("baseline = %+v", rep.Baseline)
@@ -136,8 +148,69 @@ func TestSweepFusesOneBatch(t *testing.T) {
 	if !reflect.DeepEqual(rep, rep2) {
 		t.Fatal("repeated sweep diverged from the first")
 	}
-	if cs := cat.CacheStats(); cs.Hits < int64(wantItems) {
-		t.Fatalf("warm sweep hit the plan cache %d times, want >= %d", cs.Hits, wantItems)
+	if cs := cat.CacheStats(); cs.Hits < int64(distinct) || cs.Misses != int64(distinct) {
+		t.Fatalf("warm sweep cache stats %+v, want >= %d hits and no new miss", cs, distinct)
+	}
+}
+
+// distinctPlans counts the (restricted variant, statement) pairs of a
+// sweep — baseline included — by the rule itself: a variant's indexes
+// that the statement neither filters nor joins on do not count.
+func distinctPlans(stmts []Statement, variants []Variant) int {
+	seen := map[string]bool{}
+	for si, stmt := range stmts {
+		touched := map[string]bool{}
+		for _, f := range stmt.Query.Filters {
+			touched[f.Col.String()] = true
+		}
+		for _, j := range stmt.Query.Joins {
+			touched[j.Left.String()], touched[j.Right.String()] = true, true
+		}
+		seen[fmt.Sprint(si)] = true // the baseline
+		for _, v := range variants {
+			var kept []string
+			for _, idx := range v.Indexes {
+				if touched[idx] {
+					kept = append(kept, idx)
+				}
+			}
+			sort.Strings(kept)
+			key := fmt.Sprint(si, dedupSorted(kept))
+			if v.Params != nil {
+				key += fmt.Sprintf("|%+v", *v.Params)
+			} else if len(kept) == 0 {
+				key = fmt.Sprint(si)
+			}
+			seen[key] = true
+		}
+	}
+	return len(seen)
+}
+
+// TestWarmSweepPlansNothing: a repeat sweep allocates a small constant
+// per pair (result rows, signatures, the fan-out table) and per distinct
+// plan — nowhere near what planning and encoding cost — and adds no
+// cache miss.
+func TestWarmSweepPlansNothing(t *testing.T) {
+	cat, stmts, variants := sweepFixture(t, 6)
+	est := &fakeEst{}
+	if _, err := cat.Sweep(context.Background(), est, stmts, variants); err != nil {
+		t.Fatal(err)
+	}
+	cold := cat.CacheStats()
+	pairs := (len(variants) + 1) * len(stmts)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := cat.Sweep(context.Background(), est, stmts, variants); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if warm := cat.CacheStats(); warm.Misses != cold.Misses || warm.Size != cold.Size {
+		t.Fatalf("warm sweeps planned: cache %+v -> %+v", cold, warm)
+	}
+	// A plan alone is >= 10 allocations (Plan on one table: validate,
+	// sort, DP table, scan, aggregate); 4 per pair leaves no room for one.
+	if limit := float64(4 * pairs); allocs > limit {
+		t.Fatalf("warm sweep of %d pairs: %.0f allocs, want <= %.0f", pairs, allocs, limit)
 	}
 }
 
@@ -244,6 +317,107 @@ func TestSweepStructuredItemErrors(t *testing.T) {
 			t.Fatalf("%s: no workload speedup despite shared healthy statements", vr.Name)
 		}
 	}
+}
+
+// TestSweepSharedPlanSharesItsError: when the estimator fails one plan,
+// every pair sharing that plan — the baseline and each variant that
+// cannot touch the statement — reports the error and counts it; pairs
+// with a plan of their own for the same statement still price.
+func TestSweepSharedPlanSharesItsError(t *testing.T) {
+	cat, stmts, variants := sweepFixture(t, 6)
+	// Pick a statement some candidates cannot touch (they share the
+	// baseline's plan and so its price) and some re-plan.
+	probe, err := cat.Sweep(context.Background(), &fakeEst{}, stmts, variants)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, sharers, owners := -1, 0, 0
+	for si := range stmts {
+		sharers, owners = 0, 0
+		for _, vr := range probe.Variants {
+			if vr.Queries[si].PredictedSec == probe.Baseline.Queries[si].PredictedSec {
+				sharers++
+			} else {
+				owners++
+			}
+		}
+		if sharers > 0 && owners > 0 {
+			target = si
+			break
+		}
+	}
+	if target < 0 {
+		t.Fatal("fixture has no statement with both shared and re-planned variants")
+	}
+	// Poison exactly that statement's baseline plan.
+	base, err := cat.prepare(Variant{}, "", stmts[target])
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := &fakeEst{poison: func(in costmodel.PlanInput) error {
+		if in.Query == stmts[target].Query && in.OptimizerCost == base.OptimizerCost {
+			return errPoisoned
+		}
+		return nil
+	}}
+
+	rep, err := cat.Sweep(context.Background(), est, stmts, variants)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Items != (len(variants)+1)*len(stmts) {
+		t.Fatalf("Items = %d: a pricing failure must not shrink the pair count", rep.Items)
+	}
+	if rep.Baseline.Errors != 1 || rep.Baseline.Queries[target].Error != errPoisoned.Error() {
+		t.Fatalf("baseline: errors %d, query %+v", rep.Baseline.Errors, rep.Baseline.Queries[target])
+	}
+	gotSharers, gotOwners := 0, 0
+	for _, vr := range rep.Variants {
+		qr := vr.Queries[target]
+		switch {
+		case qr.Error == errPoisoned.Error() && vr.Errors == 1 && qr.PredictedSec == 0:
+			gotSharers++
+		case qr.Error == "" && vr.Errors == 0 && qr.PredictedSec > 0:
+			gotOwners++
+		default:
+			t.Fatalf("%s: errors %d, query %+v", vr.Name, vr.Errors, qr)
+		}
+	}
+	if gotSharers != sharers || gotOwners != owners {
+		t.Fatalf("error reached %d variants and spared %d, want %d and %d", gotSharers, gotOwners, sharers, owners)
+	}
+}
+
+// TestSweepCancelledWhilePlanning: the context is checked once per pair,
+// shared plan or not, so a sweep cancelled part-way through its pairs
+// returns the bare context error and no report.
+func TestSweepCancelledWhilePlanning(t *testing.T) {
+	cat, stmts, variants := sweepFixture(t, 4)
+	pairs := (len(variants) + 1) * len(stmts)
+	for _, after := range []int{0, 1, len(stmts), pairs - 1} {
+		ctx := &countdownCtx{Context: context.Background(), left: after}
+		rep, err := cat.Sweep(ctx, &fakeEst{}, stmts, variants)
+		if err != context.Canceled || rep != nil {
+			t.Fatalf("cancelled after %d pair checks: report %v, err %v", after, rep != nil, err)
+		}
+		if ctx.checks != after+1 {
+			t.Fatalf("cancelled after %d pair checks: sweep asked the context %d times, want %d", after, ctx.checks, after+1)
+		}
+	}
+}
+
+// countdownCtx reports context.Canceled from its (left+1)th Err call on.
+type countdownCtx struct {
+	context.Context
+	left, checks int
+}
+
+func (c *countdownCtx) Err() error {
+	c.checks++
+	if c.checks > c.left {
+		return context.Canceled
+	}
+	return nil
 }
 
 func TestSweepRequestLevelErrors(t *testing.T) {
