@@ -64,6 +64,9 @@ func FuzzParse(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	for _, tc := range nonASCIIInputs {
+		f.Add(tc.sql)
+	}
 	sch := fuzzSchema()
 	f.Fuzz(func(t *testing.T, input string) {
 		q, err := Parse(input, sch)

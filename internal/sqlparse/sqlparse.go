@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"unicode"
 
 	"github.com/zeroshot-db/zeroshot/internal/query"
 	"github.com/zeroshot-db/zeroshot/internal/schema"
@@ -39,29 +38,40 @@ type token struct {
 	pos  int
 }
 
+func isSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' || c == '\f'
+}
+func isLetter(c byte) bool { return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' }
+func isDigit(c byte) bool  { return '0' <= c && c <= '9' }
+
 // lex tokenizes the input. Identifiers are lowercased (our schemas are
-// lowercase); keywords are recognized later by text.
+// lowercase); keywords are recognized later by text. The input is read as
+// bytes and classified with ASCII predicates — the dialect and every
+// schema name are ASCII, and the white space is exactly what
+// costmodel.Fingerprint collapses, so a statement that parses has a
+// fingerprint that is valid UTF-8. Any byte >= 0x80 is an error.
 func lex(input string) ([]token, error) {
-	var toks []token
+	// One token per ~4 bytes of generated SQL; append covers denser input.
+	toks := make([]token, 0, len(input)/3+2)
 	i := 0
 	for i < len(input) {
-		c := rune(input[i])
+		c := input[i]
 		switch {
-		case unicode.IsSpace(c):
+		case isSpace(c):
 			i++
-		case unicode.IsLetter(c) || c == '_':
+		case isLetter(c) || c == '_':
 			start := i
-			for i < len(input) && (unicode.IsLetter(rune(input[i])) || unicode.IsDigit(rune(input[i])) || input[i] == '_') {
+			for i < len(input) && (isLetter(input[i]) || isDigit(input[i]) || input[i] == '_') {
 				i++
 			}
 			toks = append(toks, token{tokIdent, strings.ToLower(input[start:i]), start})
-		case unicode.IsDigit(c) || c == '-' && i+1 < len(input) && unicode.IsDigit(rune(input[i+1])):
+		case isDigit(c) || c == '-' && i+1 < len(input) && isDigit(input[i+1]):
 			start := i
 			i++
 			// A signed exponent accepts both marks: strconv renders large
 			// values as "1e+26", and rendered queries must re-parse (the
 			// plan cache joins feedback by re-parsing rendered SQL).
-			for i < len(input) && (unicode.IsDigit(rune(input[i])) || input[i] == '.' || input[i] == 'e' ||
+			for i < len(input) && (isDigit(input[i]) || input[i] == '.' || input[i] == 'e' ||
 				input[i] == 'E' ||
 				((input[i] == '-' || input[i] == '+') && (input[i-1] == 'e' || input[i-1] == 'E'))) {
 				i++
@@ -93,9 +103,12 @@ func lex(input string) ([]token, error) {
 		case c == '=':
 			toks = append(toks, token{tokOp, "=", i})
 			i++
-		case strings.ContainsRune("(),.*;", c):
-			toks = append(toks, token{tokSymbol, string(c), i})
+		case strings.IndexByte("(),.*;", c) >= 0:
+			toks = append(toks, token{tokSymbol, input[i : i+1], i})
 			i++
+		case c >= 0x80:
+			// Name the byte, not the Latin-1 code point it would be.
+			return nil, fmt.Errorf("sqlparse: unexpected character %q at %d", input[i:i+1], i)
 		default:
 			return nil, fmt.Errorf("sqlparse: unexpected character %q at %d", c, i)
 		}

@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -212,5 +213,51 @@ func TestLexerRejectsGarbageProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// nonASCIIInputs are statements with bytes >= 0x80 that the lexer used
+// to read as Latin-1 code points: NBSP (0xA0) and NEL (0x85) skipped as
+// white space, 0xAA/0xB5/0xBA and most of 0xC0.. taken for letters and
+// lowercased into U+FFFD. They are FuzzParse's seed corpus too.
+var nonASCIIInputs = []struct {
+	name, sql string
+	at        int // offset of the offending byte
+}{
+	{"nbsp-nel-as-space", "SELECT COUNT(*) FROM\xa0title\x85WHERE title.production_year\xa0>\xa050", 20},
+	{"latin1-letter-in-ident", "SELECT COUNT(*) FROM tit\xe9", 24},
+	{"micro-sign-leads-ident", "SELECT COUNT(*) FROM title WHERE \xb5production_year > 50", 33},
+	{"utf8-nbsp", "SELECT COUNT(*) FROM title\xc2\xa0WHERE production_year > 50", 26},
+}
+
+// TestLexIsASCII: any byte >= 0x80 is rejected where it stands, by the
+// error that names unexpected characters; ASCII white space of every kind
+// still separates tokens, and what is accepted re-parses from its
+// rendering.
+func TestLexIsASCII(t *testing.T) {
+	sch := imdbSchema(t)
+	for _, tc := range nonASCIIInputs {
+		_, err := Parse(tc.sql, sch)
+		want := fmt.Sprintf("sqlparse: unexpected character %q at %d", tc.sql[tc.at:tc.at+1], tc.at)
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %s", tc.name, err, want)
+		}
+	}
+	for b := 0x80; b <= 0xff; b++ {
+		sql := "SELECT COUNT(*) FROM title" + string([]byte{byte(b)})
+		if _, err := Parse(sql, sch); err == nil || !strings.Contains(err.Error(), "unexpected character") {
+			t.Errorf("byte %#x after a statement: err = %v", b, err)
+		}
+	}
+	q, err := Parse("SELECT\tCOUNT(*)\nFROM\vtitle\fWHERE\rtitle.production_year > 50 ", sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Parse(q.SQL(), sch); err != nil {
+		t.Fatalf("rendered %q does not re-parse: %v", q.SQL(), err)
+	}
+	if _, err := Parse("SELECT COUNT(*) FROM title WHERE production_year > 50 #", sch); err == nil ||
+		err.Error() != "sqlparse: unexpected character '#' at 54" {
+		t.Fatalf("ASCII garbage: err = %v", err)
 	}
 }
