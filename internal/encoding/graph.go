@@ -211,35 +211,69 @@ func (e *PlanEncoder) WithHardware(hw Hardware) *PlanEncoder {
 // colCachePool recycles the transient per-encode column-node cache.
 // The graph itself escapes (memos, training sets retain it), so only
 // this build scratch is poolable.
-var colCachePool = sync.Pool{New: func() any { return map[string]*GNode{} }}
+var colCachePool = sync.Pool{New: func() any { return map[query.ColumnRef]*GNode{} }}
 
-// encBuild is the per-encode build state: the graph under construction
-// and the column-node dedup cache.
+// encBuild is the per-encode build state: the graph under construction,
+// the column-node dedup cache, and the three slabs every node, feature
+// vector and child slice of the graph is carved from. Graphs are retained
+// whole, so slab lifetime is graph lifetime.
 type encBuild struct {
-	g    *Graph
-	cols map[string]*GNode
+	g     *Graph
+	cols  map[query.ColumnRef]*GNode
+	nodes []GNode
+	feats []float64
+	kids  []*GNode
 }
 
-// newNode allocates one node with a zeroed featDim-wide feature vector
-// and room for childCap children.
-func newNode(t NodeType, featDim, childCap int) *GNode {
-	n := &GNode{Type: t, Feat: make([]float64, featDim)}
-	if childCap > 0 {
-		n.Children = make([]*GNode, 0, childCap)
+// graphSize walks the plan once and returns what encodeOp will carve
+// for it: nodes, feature floats and child slots. Column nodes are counted
+// per reference, not per distinct column — over, never under.
+func graphSize(n *plan.Node) (nodes, feats, kids int) {
+	nodes, feats = 1, OpFeatDim
+	kids = len(n.Children) + 2*len(n.Filters) + len(n.Aggregates) + len(n.GroupBy)
+	cols := len(n.Filters) + len(n.GroupBy)
+	if n.Op == plan.SeqScan || n.Op == plan.IndexScan {
+		nodes, feats, kids = nodes+1, feats+TableFeatDim, kids+1
 	}
+	if n.Join != nil {
+		cols, kids = cols+2, kids+2
+	}
+	for _, a := range n.Aggregates {
+		if a.Col.Table != "" {
+			cols, kids = cols+1, kids+1
+		}
+	}
+	nodes += len(n.Filters) + len(n.Aggregates) + cols
+	feats += len(n.Filters)*PredFeatDim + len(n.Aggregates)*AggFeatDim + cols*ColumnFeatDim
+	for _, c := range n.Children {
+		cn, cf, ck := graphSize(c)
+		nodes, feats, kids = nodes+cn, feats+cf, kids+ck
+	}
+	return nodes, feats, kids
+}
+
+// newNode carves one node with a zeroed featDim-wide feature vector and
+// room for childCap children out of the slabs.
+func (b *encBuild) newNode(t NodeType, featDim, childCap int) *GNode {
+	n := &b.nodes[0]
+	n.Type, n.Feat, n.Children = t, b.feats[:featDim:featDim], b.kids[:0:childCap]
+	b.nodes, b.feats, b.kids = b.nodes[1:], b.feats[featDim:], b.kids[childCap:]
 	return n
 }
 
 // Encode builds the query graph for an optimizer-produced plan. With
 // CardExact the plan must have been executed (TrueRows filled). It is
-// the only graph builder: the graph is heap-allocated and may be
-// retained indefinitely (encoded-plan memos, training samples).
+// the only graph builder: the graph is heap-allocated — three slabs and
+// the node index, sized by one counting walk — and may be retained
+// indefinitely (encoded-plan memos, training samples).
 func (e *PlanEncoder) Encode(root *plan.Node) (*Graph, error) {
-	cols := colCachePool.Get().(map[string]*GNode)
-	clear(cols)
-	b := encBuild{g: &Graph{}, cols: cols}
+	b := encBuild{g: &Graph{}, cols: colCachePool.Get().(map[query.ColumnRef]*GNode)}
+	nodes, feats, kids := graphSize(root)
+	b.nodes, b.feats, b.kids = make([]GNode, nodes), make([]float64, feats), make([]*GNode, kids)
+	b.g.Nodes = make([]*GNode, 0, nodes)
 	rootNode, err := e.encodeOp(root, &b)
-	colCachePool.Put(cols)
+	clear(b.cols)
+	colCachePool.Put(b.cols)
 	if err != nil {
 		return nil, err
 	}
@@ -295,7 +329,7 @@ func (e *PlanEncoder) encodeOp(n *plan.Node, b *encBuild) (*GNode, error) {
 	if n.Join != nil {
 		childCap += 2
 	}
-	node := newNode(OpNode, OpFeatDim, childCap)
+	node := b.newNode(OpNode, OpFeatDim, childCap)
 	node.Feat[int(n.Op)] = 1
 	if n.LookupJoin {
 		node.Feat[plan.NumOperators] = 1
@@ -374,7 +408,7 @@ func (e *PlanEncoder) tableNode(table string, b *encBuild) (*GNode, error) {
 	if tm == nil {
 		return nil, fmt.Errorf("encoding: unknown table %s", table)
 	}
-	n := newNode(TableNode, TableFeatDim, 0)
+	n := b.newNode(TableNode, TableFeatDim, 0)
 	n.Feat[0] = logScale(float64(tm.RowCount))
 	n.Feat[1] = logScale(float64(tm.PageCount))
 	n.Feat[2] = logScale(float64(tm.RowWidth()))
@@ -382,8 +416,7 @@ func (e *PlanEncoder) tableNode(table string, b *encBuild) (*GNode, error) {
 }
 
 func (e *PlanEncoder) columnNode(ref query.ColumnRef, b *encBuild) (*GNode, error) {
-	key := ref.String()
-	if n, ok := b.cols[key]; ok {
+	if n, ok := b.cols[ref]; ok {
 		return n, nil
 	}
 	tm := e.sch.Table(ref.Table)
@@ -394,12 +427,12 @@ func (e *PlanEncoder) columnNode(ref query.ColumnRef, b *encBuild) (*GNode, erro
 	if cm == nil {
 		return nil, fmt.Errorf("encoding: unknown column %s", ref)
 	}
-	n := newNode(ColumnNode, ColumnFeatDim, 0)
+	n := b.newNode(ColumnNode, ColumnFeatDim, 0)
 	n.Feat[int(cm.Type)] = 1
 	n.Feat[schema.NumDataTypes] = logScale(float64(cm.DistinctCount))
 	n.Feat[schema.NumDataTypes+1] = cm.NullFrac
 	n.Feat[schema.NumDataTypes+2] = float64(cm.Type.Width()) / 16
-	b.cols[key] = n
+	b.cols[ref] = n
 	return b.g.add(n), nil
 }
 
@@ -408,7 +441,7 @@ func (e *PlanEncoder) predNode(f query.Filter, b *encBuild) (*GNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := newNode(PredNode, PredFeatDim, 1)
+	n := b.newNode(PredNode, PredFeatDim, 1)
 	n.Feat[int(f.Op)] = 1
 	n.Children = append(n.Children, cn)
 	return b.g.add(n), nil
@@ -419,7 +452,7 @@ func (e *PlanEncoder) aggNode(agg query.Aggregate, b *encBuild) (*GNode, error) 
 	if agg.Col.Table != "" {
 		childCap = 1
 	}
-	n := newNode(AggNode, AggFeatDim, childCap)
+	n := b.newNode(AggNode, AggFeatDim, childCap)
 	n.Feat[int(agg.Func)] = 1
 	if agg.Col.Table != "" {
 		cn, err := e.columnNode(agg.Col, b)

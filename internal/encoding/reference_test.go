@@ -1,0 +1,316 @@
+package encoding
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"github.com/zeroshot-db/zeroshot/internal/datagen"
+	"github.com/zeroshot-db/zeroshot/internal/optimizer"
+	"github.com/zeroshot-db/zeroshot/internal/plan"
+	"github.com/zeroshot-db/zeroshot/internal/query"
+	"github.com/zeroshot-db/zeroshot/internal/schema"
+	"github.com/zeroshot-db/zeroshot/internal/stats"
+	"github.com/zeroshot-db/zeroshot/internal/storage"
+)
+
+// The graph builder this package shipped before graphs were carved out of
+// slabs, kept verbatim as the oracle (the house method:
+// nn/reference_test.go). Encode must build the same graph node by node.
+
+// refBuild is the reference builder's state: the graph under construction
+// and the column-node dedup cache.
+type refBuild struct {
+	g    *Graph
+	cols map[string]*GNode
+}
+
+// newNode allocates one node with a zeroed featDim-wide feature vector
+// and room for childCap children.
+func refNewNode(t NodeType, featDim, childCap int) *GNode {
+	n := &GNode{Type: t, Feat: make([]float64, featDim)}
+	if childCap > 0 {
+		n.Children = make([]*GNode, 0, childCap)
+	}
+	return n
+}
+
+// encodeReference is Encode as it was: one GNode, one feature vector and
+// one child slice allocated per node, g.Nodes grown by doubling.
+func (e *PlanEncoder) encodeReference(root *plan.Node) (*Graph, error) {
+	b := refBuild{g: &Graph{}, cols: map[string]*GNode{}}
+	rootNode, err := e.refEncodeOp(root, &b)
+	if err != nil {
+		return nil, err
+	}
+	b.g.Root = rootNode
+	return b.g, nil
+}
+
+func (e *PlanEncoder) refEncodeOp(n *plan.Node, b *refBuild) (*GNode, error) {
+	// The child count is fully determined before recursion, so the child
+	// slice is allocated exactly once at exact capacity.
+	childCap := len(n.Children) + len(n.Filters) + len(n.Aggregates) + len(n.GroupBy)
+	if n.Op == plan.SeqScan || n.Op == plan.IndexScan {
+		childCap++
+	}
+	if n.Join != nil {
+		childCap += 2
+	}
+	node := refNewNode(OpNode, OpFeatDim, childCap)
+	node.Feat[int(n.Op)] = 1
+	if n.LookupJoin {
+		node.Feat[plan.NumOperators] = 1
+	}
+	card, err := e.cardOf(n)
+	if err != nil {
+		return nil, err
+	}
+	if e.card != CardNone {
+		node.Feat[plan.NumOperators+1] = logScale(card)
+	}
+	node.Feat[plan.NumOperators+2] = logScale(n.Width)
+	if n.Op == plan.IndexScan {
+		tm := e.sch.Table(n.Table)
+		if tm != nil {
+			height := math.Ceil(math.Log(math.Max(float64(tm.RowCount), 2)) / math.Log(256))
+			node.Feat[plan.NumOperators+3] = height / 4
+		}
+	}
+	hwf := e.hw.features()
+	copy(node.Feat[plan.NumOperators+4:], hwf[:])
+
+	// Children: plan inputs first.
+	for _, c := range n.Children {
+		child, err := e.refEncodeOp(c, b)
+		if err != nil {
+			return nil, err
+		}
+		node.Children = append(node.Children, child)
+	}
+	// Scans attach their table node and predicate nodes.
+	if n.Op == plan.SeqScan || n.Op == plan.IndexScan {
+		tn, err := e.refTableNode(n.Table, b)
+		if err != nil {
+			return nil, err
+		}
+		node.Children = append(node.Children, tn)
+	}
+	for _, f := range n.Filters {
+		pn, err := e.refPredNode(f, b)
+		if err != nil {
+			return nil, err
+		}
+		node.Children = append(node.Children, pn)
+	}
+	// Join conditions attach the joined column nodes.
+	if n.Join != nil {
+		for _, side := range []query.ColumnRef{n.Join.Left, n.Join.Right} {
+			cn, err := e.refColumnNode(side, b)
+			if err != nil {
+				return nil, err
+			}
+			node.Children = append(node.Children, cn)
+		}
+	}
+	// Aggregates and group-by columns.
+	for _, a := range n.Aggregates {
+		an, err := e.refAggNode(a, b)
+		if err != nil {
+			return nil, err
+		}
+		node.Children = append(node.Children, an)
+	}
+	for _, gb := range n.GroupBy {
+		cn, err := e.refColumnNode(gb, b)
+		if err != nil {
+			return nil, err
+		}
+		node.Children = append(node.Children, cn)
+	}
+	return b.g.add(node), nil
+}
+
+func (e *PlanEncoder) refTableNode(table string, b *refBuild) (*GNode, error) {
+	tm := e.sch.Table(table)
+	if tm == nil {
+		return nil, fmt.Errorf("encoding: unknown table %s", table)
+	}
+	n := refNewNode(TableNode, TableFeatDim, 0)
+	n.Feat[0] = logScale(float64(tm.RowCount))
+	n.Feat[1] = logScale(float64(tm.PageCount))
+	n.Feat[2] = logScale(float64(tm.RowWidth()))
+	return b.g.add(n), nil
+}
+
+func (e *PlanEncoder) refColumnNode(ref query.ColumnRef, b *refBuild) (*GNode, error) {
+	key := ref.String()
+	if n, ok := b.cols[key]; ok {
+		return n, nil
+	}
+	tm := e.sch.Table(ref.Table)
+	if tm == nil {
+		return nil, fmt.Errorf("encoding: unknown table %s", ref.Table)
+	}
+	cm := tm.Column(ref.Column)
+	if cm == nil {
+		return nil, fmt.Errorf("encoding: unknown column %s", ref)
+	}
+	n := refNewNode(ColumnNode, ColumnFeatDim, 0)
+	n.Feat[int(cm.Type)] = 1
+	n.Feat[schema.NumDataTypes] = logScale(float64(cm.DistinctCount))
+	n.Feat[schema.NumDataTypes+1] = cm.NullFrac
+	n.Feat[schema.NumDataTypes+2] = float64(cm.Type.Width()) / 16
+	b.cols[key] = n
+	return b.g.add(n), nil
+}
+
+func (e *PlanEncoder) refPredNode(f query.Filter, b *refBuild) (*GNode, error) {
+	cn, err := e.refColumnNode(f.Col, b)
+	if err != nil {
+		return nil, err
+	}
+	n := refNewNode(PredNode, PredFeatDim, 1)
+	n.Feat[int(f.Op)] = 1
+	n.Children = append(n.Children, cn)
+	return b.g.add(n), nil
+}
+
+func (e *PlanEncoder) refAggNode(agg query.Aggregate, b *refBuild) (*GNode, error) {
+	childCap := 0
+	if agg.Col.Table != "" {
+		childCap = 1
+	}
+	n := refNewNode(AggNode, AggFeatDim, childCap)
+	n.Feat[int(agg.Func)] = 1
+	if agg.Col.Table != "" {
+		cn, err := e.refColumnNode(agg.Col, b)
+		if err != nil {
+			return nil, err
+		}
+		n.Children = append(n.Children, cn)
+	}
+	return b.g.add(n), nil
+}
+
+// TestEncodeMatchesReference: over generated plans on three schemas —
+// with and without indexes (so lookup joins and index scans appear), all
+// three cardinality sources, with a hardware descriptor — Encode's graph
+// equals the reference builder's node by node: type, features bit for
+// bit, child indices, root.
+func TestEncodeMatchesReference(t *testing.T) {
+	graphs := 0
+	for _, mk := range []func(float64) (*storage.Database, error){datagen.IMDBLike, datagen.SSBLike, datagen.TPCHLike} {
+		db, err := mk(0.02)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := stats.Collect(db, stats.DefaultBuckets, stats.DefaultMCVs)
+		qs, err := query.NewGenerator(db, query.DefaultGenConfig(), 11).Generate(200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		encs := []*PlanEncoder{
+			NewPlanEncoder(db.Schema, CardEstimated),
+			NewPlanEncoder(db.Schema, CardNone),
+			NewPlanEncoder(db.Schema, CardEstimated).WithHardware(Hardware{RelCPU: 2, RelSeqIO: 0.5, RelRandIO: 3, CacheMB: 64, BufferPoolPages: 4096}),
+		}
+		for _, q := range qs {
+			for _, set := range []optimizer.IndexSet{nil, optimizer.RelevantIndexes(q)} {
+				p, err := optimizer.New(db.Schema, st, set, optimizer.DefaultCostParams()).Plan(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, enc := range encs {
+					got, gerr := enc.Encode(p)
+					want, werr := enc.encodeReference(p)
+					if gerr != nil || werr != nil {
+						t.Fatalf("%q: err %v, reference %v", q.SQL(), gerr, werr)
+					}
+					if diff := graphDiff(got, want); diff != "" {
+						t.Fatalf("%s %q: %s", db.Schema.Name, q.SQL(), diff)
+					}
+					graphs++
+				}
+			}
+		}
+	}
+	t.Logf("%d graphs equal the reference builder's", graphs)
+
+	// Both builders refuse the same plans.
+	db, err := datagen.IMDBLike(0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unexecuted := plan.NewNode(plan.SeqScan)
+	unexecuted.Table = "title"
+	unknown := plan.NewNode(plan.SeqScan)
+	unknown.Table = "no_such_table"
+	for _, tc := range []struct {
+		enc *PlanEncoder
+		p   *plan.Node
+	}{{NewPlanEncoder(db.Schema, CardExact), unexecuted}, {NewPlanEncoder(db.Schema, CardEstimated), unknown}} {
+		_, gerr := tc.enc.Encode(tc.p)
+		_, werr := tc.enc.encodeReference(tc.p)
+		if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
+			t.Fatalf("err %v, reference %v", gerr, werr)
+		}
+	}
+}
+
+// graphDiff names the first difference between two graphs, or "".
+func graphDiff(got, want *Graph) string {
+	if len(got.Nodes) != len(want.Nodes) {
+		return fmt.Sprintf("%d nodes, reference %d", len(got.Nodes), len(want.Nodes))
+	}
+	if got.Root.Index != want.Root.Index || got.Nodes[got.Root.Index] != got.Root {
+		return fmt.Sprintf("root at %d, reference %d", got.Root.Index, want.Root.Index)
+	}
+	for i, g := range got.Nodes {
+		w := want.Nodes[i]
+		if g.Index != i || g.Type != w.Type || len(g.Feat) != len(w.Feat) || len(g.Children) != len(w.Children) {
+			return fmt.Sprintf("node %d: index %d type %d with %d features and %d children, reference type %d with %d and %d",
+				i, g.Index, g.Type, len(g.Feat), len(g.Children), w.Type, len(w.Feat), len(w.Children))
+		}
+		for k := range g.Feat {
+			if math.Float64bits(g.Feat[k]) != math.Float64bits(w.Feat[k]) {
+				return fmt.Sprintf("node %d feature %d: %v, reference %v", i, k, g.Feat[k], w.Feat[k])
+			}
+		}
+		for k, c := range g.Children {
+			if c.Index != w.Children[k].Index || got.Nodes[c.Index] != c {
+				return fmt.Sprintf("node %d child %d: index %d, reference %d", i, k, c.Index, w.Children[k].Index)
+			}
+		}
+	}
+	return ""
+}
+
+// TestEncodeAllocCeiling: a graph is a handful of slabs, not three
+// objects per node (63 allocations for the benchmark's plans before).
+func TestEncodeAllocCeiling(t *testing.T) {
+	db, err := datagen.IMDBLike(0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := stats.Collect(db, stats.DefaultBuckets, stats.DefaultMCVs)
+	qs, err := query.Synthetic(db, 20, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := NewPlanEncoder(db.Schema, CardEstimated)
+	for _, q := range qs {
+		p, err := optimizer.New(db.Schema, st, nil, optimizer.DefaultCostParams()).Plan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := enc.Encode(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 8 {
+			t.Fatalf("Encode(%q): %.0f allocs, want <= 8", q.SQL(), allocs)
+		}
+	}
+}
