@@ -43,3 +43,34 @@ func fiveWayJoin() *query.Query {
 		Aggregates: []query.Aggregate{{Func: query.AggCount}},
 	}
 }
+
+// BenchmarkPlanGenerated cycles 256 generated queries per schema — one
+// to five tables, the mix the bench harness streams — with no index and
+// with every index the query could use, so the number is not one
+// memorised star join.
+func BenchmarkPlanGenerated(b *testing.B) {
+	for _, fx := range referenceFixtures(b) {
+		qs := fx.qs[:256]
+		base := New(fx.db.Schema, fx.st, nil, DefaultCostParams())
+		indexed := make([]*Optimizer, len(qs))
+		for i, q := range qs {
+			indexed[i] = New(fx.db.Schema, fx.st, RelevantIndexes(q), DefaultCostParams())
+		}
+		b.Run(fx.name+"/no-index", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := base.Plan(qs[i%len(qs)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fx.name+"/indexed", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := indexed[i%len(qs)].Plan(qs[i%len(qs)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

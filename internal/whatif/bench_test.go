@@ -112,3 +112,40 @@ func BenchmarkWhatIfSweep(b *testing.B) {
 	b.Run("fused", func(b *testing.B) { run(b, est) })
 	b.Run("fanout", func(b *testing.B) { run(b, fanoutEst{est}) })
 }
+
+// BenchmarkSweepCold prices one bench-shaped sweep — 16 generated
+// statements × (up to 16 enumerated candidates + baseline) — on a FRESH
+// catalog every iteration, so planning, encoding and pricing are all
+// paid: the cold path BenchmarkWhatIfSweep's pre-warmed catalog never
+// sees. ns/item is per (variant, statement) pair; distinct/item is the
+// share of pairs that needed a plan of their own.
+func BenchmarkSweepCold(b *testing.B) {
+	db, est, _ := benchSetup(b)
+	st := stats.Collect(db, stats.DefaultBuckets, stats.DefaultMCVs)
+	qs, err := query.NewGenerator(db, query.DefaultGenConfig(), 301).Generate(16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cands, err := Enumerate(db.Schema, qs, nil, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	variants := make([]Variant, len(cands))
+	for i, c := range cands {
+		variants[i] = Variant{Name: c.Index, Indexes: []string{c.Index}}
+	}
+	stmts := Statements(qs)
+	items := (len(variants) + 1) * len(stmts)
+	distinct := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cat := NewCatalog(db, st, optimizer.DefaultCostParams(), 4096)
+		if _, err := cat.Sweep(context.Background(), est, stmts, variants); err != nil {
+			b.Fatal(err)
+		}
+		distinct = cat.CacheStats().Size
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*items), "ns/item")
+	b.ReportMetric(float64(distinct)/float64(items), "distinct/item")
+}
