@@ -225,28 +225,45 @@ type encBuild struct {
 	kids  []*GNode
 }
 
-// graphSize walks the plan once and returns what encodeOp will carve
-// for it: nodes, feature floats and child slots. Column nodes are counted
-// per reference, not per distinct column — over, never under.
-func graphSize(n *plan.Node) (nodes, feats, kids int) {
+// firstSight reports (as 1 or 0) whether ref is a column the walk has not
+// met before, and registers it — with no node yet — if so.
+func (b *encBuild) firstSight(ref query.ColumnRef) int {
+	if _, seen := b.cols[ref]; seen {
+		return 0
+	}
+	b.cols[ref] = nil
+	return 1
+}
+
+// measure walks the plan once and returns exactly what encodeOp will
+// carve for it — nodes, feature floats and child slots — counting each
+// distinct column once: graphs are retained by the thousand, so slack in
+// a slab is resident memory.
+func (b *encBuild) measure(n *plan.Node) (nodes, feats, kids int) {
 	nodes, feats = 1, OpFeatDim
 	kids = len(n.Children) + 2*len(n.Filters) + len(n.Aggregates) + len(n.GroupBy)
-	cols := len(n.Filters) + len(n.GroupBy)
+	cols := 0
 	if n.Op == plan.SeqScan || n.Op == plan.IndexScan {
 		nodes, feats, kids = nodes+1, feats+TableFeatDim, kids+1
 	}
+	for _, f := range n.Filters {
+		cols += b.firstSight(f.Col)
+	}
 	if n.Join != nil {
-		cols, kids = cols+2, kids+2
+		cols, kids = cols+b.firstSight(n.Join.Left)+b.firstSight(n.Join.Right), kids+2
 	}
 	for _, a := range n.Aggregates {
 		if a.Col.Table != "" {
-			cols, kids = cols+1, kids+1
+			cols, kids = cols+b.firstSight(a.Col), kids+1
 		}
+	}
+	for _, gb := range n.GroupBy {
+		cols += b.firstSight(gb)
 	}
 	nodes += len(n.Filters) + len(n.Aggregates) + cols
 	feats += len(n.Filters)*PredFeatDim + len(n.Aggregates)*AggFeatDim + cols*ColumnFeatDim
 	for _, c := range n.Children {
-		cn, cf, ck := graphSize(c)
+		cn, cf, ck := b.measure(c)
 		nodes, feats, kids = nodes+cn, feats+cf, kids+ck
 	}
 	return nodes, feats, kids
@@ -264,11 +281,11 @@ func (b *encBuild) newNode(t NodeType, featDim, childCap int) *GNode {
 // Encode builds the query graph for an optimizer-produced plan. With
 // CardExact the plan must have been executed (TrueRows filled). It is
 // the only graph builder: the graph is heap-allocated — three slabs and
-// the node index, sized by one counting walk — and may be retained
+// the node index, sized exactly by one counting walk — and may be retained
 // indefinitely (encoded-plan memos, training samples).
 func (e *PlanEncoder) Encode(root *plan.Node) (*Graph, error) {
 	b := encBuild{g: &Graph{}, cols: colCachePool.Get().(map[query.ColumnRef]*GNode)}
-	nodes, feats, kids := graphSize(root)
+	nodes, feats, kids := b.measure(root)
 	b.nodes, b.feats, b.kids = make([]GNode, nodes), make([]float64, feats), make([]*GNode, kids)
 	b.g.Nodes = make([]*GNode, 0, nodes)
 	rootNode, err := e.encodeOp(root, &b)
@@ -416,7 +433,7 @@ func (e *PlanEncoder) tableNode(table string, b *encBuild) (*GNode, error) {
 }
 
 func (e *PlanEncoder) columnNode(ref query.ColumnRef, b *encBuild) (*GNode, error) {
-	if n, ok := b.cols[ref]; ok {
+	if n := b.cols[ref]; n != nil {
 		return n, nil
 	}
 	tm := e.sch.Table(ref.Table)

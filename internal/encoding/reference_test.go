@@ -230,6 +230,9 @@ func TestEncodeMatchesReference(t *testing.T) {
 					if diff := graphDiff(got, want); diff != "" {
 						t.Fatalf("%s %q: %s", db.Schema.Name, q.SQL(), diff)
 					}
+					if cap(got.Nodes) != len(got.Nodes) {
+						t.Fatalf("%s %q: slabs sized for %d nodes, graph has %d", db.Schema.Name, q.SQL(), cap(got.Nodes), len(got.Nodes))
+					}
 					graphs++
 				}
 			}
