@@ -138,7 +138,11 @@ func (o *Optimizer) plan(q *query.Query, costFn func(*plan.Node) float64) (*plan
 	indexSites(q, func(c query.ColumnRef) {
 		indexed = append(indexed, len(o.indexes) > 0 && o.indexes.Has(c.Table, c.Column))
 	})
-	d := &dp{o: o, q: q, costFn: costFn, facts: make([]joinFact, len(q.Joins)), tab: make([]sub, 1<<uint(len(tables)))}
+	d := &dp{
+		o: o, q: q, costFn: costFn,
+		facts: make([]joinFact, len(q.Joins)),
+		tab:   make([]sub, 1<<uint(len(tables))),
+	}
 	for k, j := range q.Joins {
 		ix := indexed[len(q.Filters)+2*k:]
 		d.facts[k] = joinFact{
@@ -190,9 +194,9 @@ func (o *Optimizer) plan(q *query.Query, costFn func(*plan.Node) float64) (*plan
 			if first < 0 {
 				continue
 			}
-			rows = math.Max(rows, 1)
-			d.join(s, l, r, first, rows, a.width+b.width)
-			d.join(s, r, l, first, rows, a.width+b.width)
+			rows, width := math.Max(rows, 1), a.width+b.width
+			d.join(s, l, r, first, rows, width)
+			d.join(s, r, l, first, rows, width)
 		}
 	}
 

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/zeroshot-db/zeroshot/internal/datagen"
 	"github.com/zeroshot-db/zeroshot/internal/plan"
@@ -487,5 +488,12 @@ func TestPlanAllocCeiling(t *testing.T) {
 	})
 	if allocs > 45 {
 		t.Fatalf("Plan on the five-way join: %.0f allocs, want <= 45", allocs)
+	}
+}
+
+// TestSubSize keeps the byte bound stated at the DP limit honest.
+func TestSubSize(t *testing.T) {
+	if got := unsafe.Sizeof(sub{}); got != 48 {
+		t.Fatalf("sub is %d bytes; plan's comment at the 20-table check says 48", got)
 	}
 }

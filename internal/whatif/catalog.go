@@ -59,7 +59,7 @@ func (v Variant) signature() string {
 // statement cannot use collapse to one signature — the baseline's, when
 // none of v's indexes is relevant and no Params override rides along.
 func (v Variant) restrictedTo(rel optimizer.IndexSet) Variant {
-	kept := v.Indexes[:0:0]
+	var kept []string
 	for _, idx := range v.Indexes {
 		if rel[idx] {
 			kept = append(kept, idx)
@@ -107,7 +107,8 @@ const maxVariantOptimizers = 256
 //
 // The catalog memoizes two levels: per-variant optimizers (cheap to
 // build, cached so repeated sweeps skip even that) and prepared plan
-// inputs keyed by (variant signature, statement fingerprint) in a
+// inputs keyed by (variant signature — as restricted by Sweep to the
+// statement's relevant indexes — and statement fingerprint) in a
 // bounded LRU — a repeated sweep over a warm workload skips parse,
 // optimize AND graph encoding (the cached PlanInput carries an
 // EncodedPlan memo).

@@ -74,14 +74,15 @@ func (c *Catalog) Sweep(ctx context.Context, est costmodel.Estimator, stmts []St
 			qr.SQL = stmt.SQL
 			rv := v.restrictedTo(relevant[si])
 			sig := rv.signature()
-			p, ok := planned[planKey{sig, si}]
+			key := planKey{sig, si}
+			p, ok := planned[key]
 			if !ok {
 				var in costmodel.PlanInput
 				if in, p.err = c.prepare(rv, sig, stmt); p.err == nil {
 					p.in = len(ins)
 					ins = append(ins, in)
 				}
-				planned[planKey{sig, si}] = p
+				planned[key] = p
 			}
 			if p.err != nil {
 				qr.Error = p.err.Error()
@@ -108,18 +109,18 @@ func (c *Catalog) Sweep(ctx context.Context, est costmodel.Estimator, stmts []St
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				return nil, ctxErr
 			}
-			if preds[j], failed[j] = est.Predict(ctx, ins[j]); failed[j] != nil {
-				preds[j] = -1
-			}
+			preds[j], failed[j] = est.Predict(ctx, ins[j])
 		}
 	}
 	for _, p := range pos {
+		qr := &results[p.v].Queries[p.s]
 		switch {
 		case failed != nil && failed[p.in] != nil:
-			results[p.v].Queries[p.s].Error = failed[p.in].Error()
+			qr.Error = failed[p.in].Error()
 			results[p.v].Errors++
-		case preds[p.in] >= 0:
-			results[p.v].Queries[p.s].PredictedSec = preds[p.in]
+		case preds[p.in] < 0: // not a runtime: the pair stays unpriced
+		default:
+			qr.PredictedSec = preds[p.in]
 		}
 	}
 

@@ -166,7 +166,7 @@ func distinctPlans(stmts []Statement, variants []Variant) int {
 		for _, j := range stmt.Query.Joins {
 			touched[j.Left.String()], touched[j.Right.String()] = true, true
 		}
-		seen[fmt.Sprint(si)] = true // the baseline
+		seen[fmt.Sprint(si, []string{})] = true // the baseline
 		for _, v := range variants {
 			var kept []string
 			for _, idx := range v.Indexes {
@@ -178,8 +178,6 @@ func distinctPlans(stmts []Statement, variants []Variant) int {
 			key := fmt.Sprint(si, dedupSorted(kept))
 			if v.Params != nil {
 				key += fmt.Sprintf("|%+v", *v.Params)
-			} else if len(kept) == 0 {
-				key = fmt.Sprint(si)
 			}
 			seen[key] = true
 		}

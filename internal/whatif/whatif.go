@@ -15,15 +15,17 @@
 //     shared schema and statistics purely at the planner level — the
 //     optimizer's IndexSet is advice to the planner, never a storage
 //     mutation, so concurrent sweeps share one immutable database;
-//   - a sweep executor (Catalog.Sweep) that plans every (variant ×
-//     query) pair, prices the entire cross product through ONE
-//     Estimator.PredictBatch call (the fused forward pass for the
+//   - a sweep executor (Catalog.Sweep) that answers every (variant ×
+//     query) pair but plans each distinct plan once — a variant is first
+//     restricted to the indexes the query's plan can depend on
+//     (optimizer.RelevantIndexes) — prices the distinct plans through
+//     ONE Estimator.PredictBatch call (the fused forward pass for the
 //     zero-shot model), and assembles per-query and workload-level
 //     speedups against the always-included baseline variant.
 //
 // Sweeps are the system's first naturally huge batches: a modest advise
-// request (16 candidates × 64 queries) prices over a thousand plans in
-// one fused pass.
+// request (16 candidates × 64 queries) answers over a thousand pairs
+// from the few hundred plans that differ, in one fused pass.
 package whatif
 
 import (
@@ -118,7 +120,8 @@ type Report struct {
 	// Variants is ranked ascending by TotalSec.
 	Variants []VariantResult `json:"variants"`
 	// Items is the number of (variant × statement) pairs priced,
-	// baseline included — the size of the fused prediction batch.
+	// baseline included. Pairs that share a plan share one slot of the
+	// fused prediction batch, so the batch is usually smaller.
 	Items int `json:"items"`
 	// Recommendation names the top-ranked variant, empty when no variant
 	// beats the baseline.
