@@ -39,15 +39,38 @@ func (c *featCache) get(db *storage.Database) (*encoding.Vocab, *stats.DBStats) 
 
 // sqlKeywords are the words Fingerprint case-normalizes (the SQL subset
 // this repository parses plus the usual neighbors, so harmless
-// reformattings of future grammar share entries too). Lowercase keys.
-var sqlKeywords = map[string]bool{
-	"select": true, "distinct": true, "from": true, "where": true,
-	"and": true, "or": true, "not": true, "in": true, "between": true,
-	"like": true, "as": true, "on": true, "join": true, "inner": true,
-	"left": true, "right": true, "outer": true, "group": true, "by": true,
-	"having": true, "order": true, "asc": true, "desc": true, "limit": true,
-	"count": true, "sum": true, "avg": true, "min": true, "max": true,
-	"null": true, "is": true,
+// reformattings of future grammar share entries too), lowercase and
+// indexed by length.
+var sqlKeywords = [...][]string{
+	2: {"as", "by", "in", "is", "on", "or"},
+	3: {"and", "asc", "avg", "max", "min", "not", "sum"},
+	4: {"desc", "from", "join", "left", "like", "null"},
+	5: {"count", "group", "inner", "limit", "order", "outer", "right", "where"},
+	6: {"having", "select"},
+	7: {"between"},
+	8: {"distinct"},
+}
+
+// isKeyword reports whether word is a SQL keyword in any letter case. It
+// compares in place: no lowered copy, no map probe.
+func isKeyword(word string) bool {
+	if len(word) >= len(sqlKeywords) {
+		return false
+	}
+next:
+	for _, kw := range sqlKeywords[len(word)] {
+		for i := 0; i < len(kw); i++ {
+			c := word[i]
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			if c != kw[i] {
+				continue next
+			}
+		}
+		return true
+	}
+	return false
 }
 
 // Fingerprint canonicalizes one SQL text into a plan-cache key: outside
@@ -60,6 +83,8 @@ var sqlKeywords = map[string]bool{
 // included — because cached plans embed literal-dependent selectivity
 // and cost estimates, so `'a b'` and `'a  b'` (or `'abc'` and `'ABC'`)
 // must never collide.
+//
+// It runs on every request, so it allocates the result and nothing else.
 func Fingerprint(sql string) string {
 	var b strings.Builder
 	b.Grow(len(sql))
@@ -106,8 +131,14 @@ func Fingerprint(sql string) string {
 				j++
 			}
 			word := sql[i:j]
-			if sqlKeywords[strings.ToLower(word)] {
-				b.WriteString(strings.ToUpper(word))
+			if isKeyword(word) {
+				for k := 0; k < len(word); k++ {
+					c := word[k]
+					if 'a' <= c && c <= 'z' {
+						c -= 'a' - 'A'
+					}
+					b.WriteByte(c)
+				}
 			} else {
 				b.WriteString(word)
 			}

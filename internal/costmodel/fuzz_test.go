@@ -14,7 +14,10 @@ import (
 //     feedback path's by-SQL join) must land on the same cache entry.
 //
 // Plus two shape invariants of the normal form: no leading/trailing
-// whitespace, and no whitespace runs outside string literals.
+// whitespace, and no whitespace runs outside string literals — and
+// agreement, on every input, with fingerprintReference (the per-word
+// ToLower / map probe / ToUpper body Fingerprint had before it matched
+// keywords in place).
 //
 // Seed corpus: f.Add cases below plus testdata/fuzz/FuzzFingerprint.
 func FuzzFingerprint(f *testing.F) {
@@ -30,12 +33,16 @@ func FuzzFingerprint(f *testing.F) {
 		"sElEcT DISTINCT x FROM y GROUP BY z HAVING COUNT(*) > 3 ORDER BY x DESC LIMIT 5",
 		"\x00\xff' \t'\x00",
 		"WHERE IS NOT NULL LIKE '%_%'",
+		"Select Selects bY by_ oRdEr orders Between betwee DISTINCTS distinct nulL",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, sql string) {
 		fp := Fingerprint(sql)
+		if want := fingerprintReference(sql); fp != want {
+			t.Fatalf("diverges from the reference:\n input     %q\n got       %q\n reference %q", sql, fp, want)
+		}
 		if again := Fingerprint(fp); again != fp {
 			t.Fatalf("not idempotent:\n input %q\n once  %q\n twice %q", sql, fp, again)
 		}

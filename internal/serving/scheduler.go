@@ -2,6 +2,7 @@ package serving
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,36 +13,50 @@ import (
 	"github.com/zeroshot-db/zeroshot/internal/par"
 )
 
-// scheduler coalesces concurrent single-prediction requests into
-// adaptive micro-batches. Each estimator gets its own queue and drain
-// goroutine running a backpressure-batching policy:
+// scheduler answers single-prediction requests, on the goroutine that
+// submitted them while a core is free and in adaptive micro-batches once
+// none is. Each model name gets one queue with two ways through it:
 //
-//   - greedily absorb every single already queued (requests that arrived
-//     while the previous batch was inferring), up to maxBatch;
-//   - if the queue runs dry with a solo request AND the previous flush
-//     actually coalesced, linger up to maxWait for companions — recent
-//     traffic suggests more are in flight;
-//   - otherwise flush immediately: a lone request on a quiet queue pays
-//     zero added latency.
+//   - inline: a single that finds the queue empty and fewer than
+//     GOMAXPROCS inline passes in flight on it runs its own batch of one,
+//     through the same pass as any other batch, on the goroutine that
+//     submitted it — no hand-off in either direction. The bound is the
+//     core count because that is where batching starts to pay: below it
+//     a pass of one has a core to itself and a queue could only add two
+//     wake-ups; at it (every core inferring, or an estimator blocking)
+//     further singles could only wait anyway, so they wait together.
+//   - queued: any other single goes to the bounded channel its drain
+//     goroutine owns, which runs a backpressure-batching policy:
+//     greedily absorb every single already queued (requests that arrived
+//     while the previous batch was inferring), up to maxBatch; if the
+//     queue runs dry with a solo request AND the previous batch coalesced
+//     from backlog, linger up to maxWait for companions — recent traffic
+//     suggests more are in flight; otherwise flush immediately.
 //
 // Batch size therefore follows the instantaneous load — that is the
-// "adaptive" in adaptive micro-batching. Batches drain through
+// "adaptive" in adaptive micro-batching. Every pass drains through
 // Estimator.PredictBatch, so a wall of independent /v1/predict clients
 // exercises the same batched-inference path as one explicit
 // /v1/predict_batch call — for a fusing estimator (costmodel.Fused)
-// every coalesced micro-batch is one fused forward pass.
+// every coalesced micro-batch is one fused forward pass. Passes run
+// beside each other (inline ones, the drain loop's, explicit batches):
+// PredictBatch is safe for concurrent use.
 type scheduler struct {
 	maxBatch int
 	maxWait  time.Duration
 
 	// resolve maps a model name to its current estimator generation at
-	// flush time (nil outside a Session, e.g. in direct scheduler tests;
+	// pass time (nil outside a Session, e.g. in direct scheduler tests;
 	// the queue's creation-time estimator is the fallback). Resolving at
-	// flush — not at enqueue or queue creation — is what makes hot-swaps
-	// race-free: the generation that predicts is always the one the
-	// session's model registry holds at that moment.
+	// the pass — not at enqueue or queue creation — is what makes
+	// hot-swaps race-free: the generation that predicts is always the one
+	// the session's model registry holds at that moment.
 	resolve func(name string) costmodel.Estimator
 
+	// mu guards queues and closed. A submitter holds it for reading
+	// across its channel send or its whole inline pass, so close — which
+	// takes it for writing — returns only after every accepted single has
+	// been queued (the drain goroutines then answer it) or answered.
 	mu     sync.RWMutex
 	queues map[string]*modelQueue
 	closed bool
@@ -57,24 +72,32 @@ type scheduler struct {
 
 // modelQueue is one model name's pending singles. Queues live for the
 // scheduler's lifetime (one per name, ever): a hot-swap changes which
-// estimator flush resolves, not the queue — no queue churn, no goroutine
+// estimator a pass resolves, not the queue — no queue churn, no goroutine
 // leak, and the replaced generation becomes collectable.
 type modelQueue struct {
 	name string
 	est  atomic.Pointer[costmodel.Estimator] // creation-time fallback when resolve is nil
-	ch   chan *schedRequest
+	ch   chan queued
+	// inline counts the inline passes in flight on this queue.
+	inline atomic.Int32
 }
 
-type schedRequest struct {
-	ctx  context.Context
-	in   costmodel.PlanInput
-	done chan schedResult
-	// tr, when the request is sampled, receives the flush's batch
-	// attribution (batch size, coalesce wait measured from enq). The
-	// drain goroutine writes it strictly before sending on done, so the
-	// requester's later reads are ordered by the channel receive.
+// single is one request as a pass sees it. tr, when the request is
+// sampled, receives the pass's batch attribution (batch size, coalesce
+// wait measured from enq).
+type single struct {
+	ctx context.Context
+	in  costmodel.PlanInput
 	tr  *obs.Trace
 	enq time.Time
+}
+
+// queued is a single on its way through the drain goroutine, which
+// writes the trace strictly before sending on done, so the requester's
+// later reads are ordered by the channel receive.
+type queued struct {
+	single
+	done chan schedResult
 }
 
 type schedResult struct {
@@ -93,8 +116,8 @@ func newScheduler(maxBatch int, maxWait time.Duration) *scheduler {
 
 // queue returns (creating on first use) the queue for the estimator's
 // name. A stale estimator reference (resolved just before a hot-swap)
-// still lands on its name's queue; the drain loop reads the queue's
-// current generation at flush time.
+// still lands on its name's queue; the pass reads the queue's current
+// generation when it runs.
 func (s *scheduler) queue(est costmodel.Estimator) (*modelQueue, error) {
 	name := est.Name()
 	s.mu.RLock()
@@ -115,7 +138,8 @@ func (s *scheduler) queue(est costmodel.Estimator) (*modelQueue, error) {
 	if q, ok = s.queues[name]; ok {
 		return q, nil
 	}
-	q = &modelQueue{name: name, ch: make(chan *schedRequest, 4*s.maxBatch)}
+	// Four batches of backlog before a submitter blocks on the send.
+	q = &modelQueue{name: name, ch: make(chan queued, 4*s.maxBatch)}
 	q.est.Store(&est)
 	s.queues[name] = q
 	s.wg.Add(1)
@@ -123,26 +147,39 @@ func (s *scheduler) queue(est costmodel.Estimator) (*modelQueue, error) {
 	return q, nil
 }
 
-// predictOne submits one input and blocks until its micro-batch drains
-// (or ctx is done).
+// predictOne answers one input: inline when the queue is empty and a
+// core is free (see scheduler), otherwise by queueing it and blocking
+// until its micro-batch drains or ctx is done.
+//
+// Cancellation keeps its error, not always its promptness. A queued
+// single returns at its deadline. A context that expires while the
+// caller's own inline pass is in flight is reported when the pass
+// returns — the pass was never interruptible, the queued caller merely
+// stopped waiting for it — and ctx.Err() wins over the answer.
 func (s *scheduler) predictOne(ctx context.Context, est costmodel.Estimator, in costmodel.PlanInput, tr *obs.Trace) (float64, error) {
 	q, err := s.queue(est)
 	if err != nil {
 		return 0, err
 	}
-	r := &schedRequest{ctx: ctx, in: in, done: make(chan schedResult, 1)}
+	one := single{ctx: ctx, in: in, tr: tr}
 	if tr != nil {
-		r.tr = tr
-		r.enq = time.Now()
+		one.enq = time.Now()
 	}
-	// Hold the read lock across the send: close() takes the write lock
-	// before closing channels, so a send in flight can never hit a closed
-	// channel.
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
 		return 0, ErrClosed
 	}
+	if len(q.ch) == 0 {
+		if q.inline.Add(1) <= int32(runtime.GOMAXPROCS(0)) {
+			return s.runInline(q, one)
+		}
+		q.inline.Add(-1)
+	}
+	// Hold the read lock across the send: close() takes the write lock
+	// before closing channels, so a send in flight can never hit a closed
+	// channel.
+	r := queued{single: one, done: make(chan schedResult, 1)}
 	select {
 	case q.ch <- r:
 		s.mu.RUnlock()
@@ -158,32 +195,83 @@ func (s *scheduler) predictOne(ctx context.Context, est costmodel.Estimator, in 
 	}
 }
 
+// runInline runs one's batch of one on the calling goroutine. The caller
+// has taken the scheduler's read lock and an inline slot of q; both are
+// released by defer, so an estimator that panics costs its own request
+// and neither wedges close nor leaks the slot.
+func (s *scheduler) runInline(q *modelQueue, one single) (float64, error) {
+	defer s.mu.RUnlock()
+	defer q.inline.Add(-1)
+	reqs := [1]single{one}
+	var out [1]schedResult
+	s.pass(q, reqs[:], out[:])
+	if err := one.ctx.Err(); err != nil {
+		return 0, err
+	}
+	return out[0].v, out[0].err
+}
+
+// microBatch is the drain loop's batch under collection: the requests as
+// a pass sees them, the channel each answer goes back on, and room for
+// the answers. One per drain goroutine, reused batch after batch.
+type microBatch struct {
+	reqs  []single
+	dones []chan schedResult
+	out   []schedResult
+}
+
+func (b *microBatch) add(r queued) {
+	b.reqs = append(b.reqs, r.single)
+	b.dones = append(b.dones, r.done)
+}
+
+// flush runs the collected batch's pass, hands every requester its
+// answer and empties the batch.
+func (s *scheduler) flush(q *modelQueue, b *microBatch) {
+	out := b.out[:len(b.reqs)]
+	s.pass(q, b.reqs, out)
+	for i, done := range b.dones {
+		done <- out[i]
+	}
+	// Drop the references too: an idle queue must not pin its last
+	// batch's plans, contexts and traces.
+	clear(b.reqs)
+	clear(b.dones)
+	clear(out)
+	b.reqs, b.dones = b.reqs[:0], b.dones[:0]
+}
+
 // drainLoop owns one queue: collect a micro-batch under the adaptive
 // policy, flush, repeat. It exits once the queue channel is closed and
 // drained, so every accepted request is answered even during shutdown.
 func (s *scheduler) drainLoop(q *modelQueue) {
 	defer s.wg.Done()
+	b := &microBatch{
+		reqs:  make([]single, 0, s.maxBatch),
+		dones: make([]chan schedResult, 0, s.maxBatch),
+		out:   make([]schedResult, s.maxBatch),
+	}
 	lastCoalesced := false
 	for {
 		first, ok := <-q.ch
 		if !ok {
 			return
 		}
-		batch := []*schedRequest{first}
+		b.add(first)
 		lingered := false
 	collect:
-		for len(batch) < s.maxBatch {
+		for len(b.reqs) < s.maxBatch {
 			select {
 			case r, chOpen := <-q.ch:
 				if !chOpen {
-					s.flush(q, batch)
+					s.flush(q, b)
 					return
 				}
-				batch = append(batch, r)
+				b.add(r)
 			default:
 				// Queue dry. Flush now unless a solo request should
 				// linger for companions (at most once per batch).
-				if len(batch) > 1 || !lastCoalesced || lingered {
+				if len(b.reqs) > 1 || !lastCoalesced || lingered {
 					break collect
 				}
 				lingered = true
@@ -192,27 +280,34 @@ func (s *scheduler) drainLoop(q *modelQueue) {
 				case r, chOpen := <-q.ch:
 					timer.Stop()
 					if !chOpen {
-						s.flush(q, batch)
+						s.flush(q, b)
 						return
 					}
-					batch = append(batch, r)
+					b.add(r)
 				case <-timer.C:
 					break collect
 				}
 			}
 		}
-		lastCoalesced = len(batch) > 1
-		s.flush(q, batch)
+		// Only a batch that formed from backlog says more traffic is in
+		// flight; one that formed because it lingered says only that the
+		// linger worked, and must not justify the next.
+		lastCoalesced = len(b.reqs) > 1 && !lingered
+		s.flush(q, b)
 	}
 }
 
-// flush answers one micro-batch through the model name's current
-// estimator generation. Requests whose caller already gave up are
-// dropped before inference; the rest drain through PredictBatch. If the
-// shared batch call fails (its first bad input aborts everything), the
-// batch falls back to per-request Predict so each caller gets exactly
-// its own error.
-func (s *scheduler) flush(q *modelQueue, batch []*schedRequest) {
+// pass answers one micro-batch — the drain loop's, or an inline
+// submitter's batch of one — through the model name's current estimator
+// generation, leaving request i's answer in out[i] (which arrives
+// zeroed). Requests whose caller already gave up are dropped before
+// inference; the rest drain through PredictBatch. If the shared batch
+// call fails (its first bad input aborts everything), the batch falls
+// back to per-request Predict so each caller gets exactly its own error.
+//
+// reqs and out may live on the caller's stack: nothing here retains
+// them (the fallback fans out over its own copies).
+func (s *scheduler) pass(q *modelQueue, reqs []single, out []schedResult) {
 	est := *q.est.Load()
 	if s.resolve != nil {
 		if cur := s.resolve(q.name); cur != nil {
@@ -222,25 +317,23 @@ func (s *scheduler) flush(q *modelQueue, batch []*schedRequest) {
 			q.est.Store(&cur)
 		}
 	}
-	live := batch[:0]
-	for _, r := range batch {
-		if err := r.ctx.Err(); err != nil {
-			r.done <- schedResult{err: err}
+	ins := make([]costmodel.PlanInput, 0, len(reqs))
+	for i := range reqs {
+		if err := reqs[i].ctx.Err(); err != nil {
+			out[i].err = err
 			continue
 		}
-		live = append(live, r)
+		ins = append(ins, reqs[i].in)
 	}
-	if len(live) == 0 {
+	if len(ins) == 0 {
 		return
 	}
-	for _, r := range live {
-		if r.tr != nil {
-			r.tr.SetBatch(len(live), time.Since(r.enq))
+	// live reports whether request i made it into ins (in order).
+	live := func(i int) bool { return out[i].err == nil }
+	for i := range reqs {
+		if live(i) && reqs[i].tr != nil {
+			reqs[i].tr.SetBatch(len(ins), time.Since(reqs[i].enq))
 		}
-	}
-	ins := make([]costmodel.PlanInput, len(live))
-	for i, r := range live {
-		ins[i] = r.in
 	}
 	// The batch outlives any single caller's deadline by design — its
 	// members already passed their own ctx checks above.
@@ -249,34 +342,50 @@ func (s *scheduler) flush(q *modelQueue, batch []*schedRequest) {
 		// The fused pass aborted and every request re-predicts alone, so
 		// nothing actually coalesced: count the fallback as its own
 		// outcome instead of a successful batch — batches/coalesced/
-		// batchSizes record only flushes that really drained fused.
+		// batchSizes record only passes that really drained fused.
 		s.fallbacks.Inc()
+		ctxs := make([]context.Context, 0, len(ins))
+		for i := range reqs {
+			if live(i) {
+				ctxs = append(ctxs, reqs[i].ctx)
+			}
+		}
+		res := make([]schedResult, len(ins))
 		// Each request answers to its own ctx, so the fan-out itself is
 		// never cancelled.
-		par.Each(context.Background(), len(live), func(i int) error {
-			r := live[i]
-			v, perr := est.Predict(r.ctx, r.in)
-			r.done <- schedResult{v: v, err: perr}
+		par.Each(context.Background(), len(ins), func(j int) error {
+			res[j].v, res[j].err = est.Predict(ctxs[j], ins[j])
 			return nil
 		})
+		j := 0
+		for i := range reqs {
+			if live(i) {
+				out[i] = res[j]
+				j++
+			}
+		}
 		return
 	}
 	s.batches.Inc()
-	s.items.Add(int64(len(live)))
-	s.batchSizes.Observe(float64(len(live)))
-	if len(live) > 1 {
-		s.coalesced.HitN(int64(len(live)))
+	s.items.Add(int64(len(ins)))
+	s.batchSizes.Observe(float64(len(ins)))
+	if len(ins) > 1 {
+		s.coalesced.HitN(int64(len(ins)))
 	} else {
 		s.coalesced.Miss()
 	}
-	for n := int64(len(live)); ; {
+	for n := int64(len(ins)); ; {
 		cur := s.maxSeen.Load()
 		if n <= cur || s.maxSeen.CompareAndSwap(cur, n) {
 			break
 		}
 	}
-	for i, r := range live {
-		r.done <- schedResult{v: preds[i]}
+	j := 0
+	for i := range reqs {
+		if live(i) {
+			out[i].v = preds[j]
+			j++
+		}
 	}
 }
 

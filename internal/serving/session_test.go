@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime/pprof"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,6 +26,7 @@ type fakeEstimator struct {
 	bias       float64                         // distinguishes model generations
 	delay      time.Duration                   // simulated per-batch inference time
 	poison     func(costmodel.PlanInput) error // per-input failure injection
+	hook       func([]costmodel.PlanInput)     // runs inside every PredictBatch call: gates, panics
 	batchCalls atomic.Int64
 	batchMax   atomic.Int64
 }
@@ -53,6 +56,9 @@ func (f *fakeEstimator) PredictBatch(ctx context.Context, ins []costmodel.PlanIn
 		if int64(len(ins)) <= cur || f.batchMax.CompareAndSwap(cur, int64(len(ins))) {
 			break
 		}
+	}
+	if f.hook != nil {
+		f.hook(ins)
 	}
 	if f.delay > 0 {
 		time.Sleep(f.delay)
@@ -689,6 +695,97 @@ func TestSessionCloseDrains(t *testing.T) {
 	for i, err := range results {
 		if err != nil && !errors.Is(err, ErrClosed) {
 			t.Fatalf("request %d: %v (want success or ErrClosed)", i, err)
+		}
+	}
+}
+
+// TestSessionCloseUnderHammer drives both ways through the scheduler —
+// inline passes and the drain goroutine — from 16 goroutines mixing
+// live singles, singles whose context is already cancelled and hot-swaps,
+// and closes the session under them. Every call returns exactly once
+// with an answer, its context's error or ErrClosed; the scheduler
+// counted exactly the answered ones; and the session's goroutines are
+// gone once Close has returned.
+func TestSessionCloseUnderHammer(t *testing.T) {
+	imdb, _ := fixtures(t)
+	goroutines := pprof.Lookup("goroutine")
+	baseline := goroutines.Count()
+
+	sess := NewSession(Config{MaxWait: 200 * time.Microsecond})
+	sess.AttachDatabase("imdb", imdb.db)
+	// A pass that sleeps keeps its inline slot, so some singles queue.
+	sess.AttachModel(&fakeEstimator{name: "fake", delay: 20 * time.Microsecond})
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	const workers = 16
+	const iters = 150
+	var submitted, answered, cancelled, closed atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				ctx := context.Background()
+				switch (g + i) % 4 {
+				case 0:
+					ctx = dead
+				case 1:
+					err := sess.AttachModel(&fakeEstimator{name: "fake", bias: float64(i), delay: 20 * time.Microsecond})
+					if err != nil && !errors.Is(err, ErrClosed) {
+						t.Errorf("hot-swap: %v", err)
+					}
+					continue
+				}
+				submitted.Add(1)
+				_, err := sess.Predict(ctx, "imdb", "fake", imdb.sqls[(g+i)%len(imdb.sqls)])
+				switch {
+				case err == nil:
+					answered.Add(1)
+				case errors.Is(err, ErrClosed):
+					closed.Add(1)
+				case errors.Is(err, context.Canceled) && ctx == dead:
+					cancelled.Add(1)
+				default:
+					t.Errorf("goroutine %d request %d: %v", g, i, err)
+				}
+			}
+		}(g)
+	}
+	// Close mid-flight: about a quarter of the singles have been answered.
+	for answered.Load() < workers*iters/8 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+
+	if closed.Load() == 0 {
+		t.Fatal("Close came after the traffic: nothing was rejected")
+	}
+	if got := answered.Load() + cancelled.Load() + closed.Load(); got != submitted.Load() {
+		t.Fatalf("answered %d + cancelled %d + closed %d = %d, submitted %d",
+			answered.Load(), cancelled.Load(), closed.Load(), got, submitted.Load())
+	}
+	st := sess.Stats()
+	if st.Scheduler.Items != answered.Load() {
+		t.Fatalf("scheduler counted %d items, callers saw %d answers: %+v", st.Scheduler.Items, answered.Load(), st.Scheduler)
+	}
+	t.Logf("answered %d, cancelled %d, rejected %d; scheduler %d batches, largest %d",
+		answered.Load(), cancelled.Load(), closed.Load(), st.Scheduler.Batches, st.Scheduler.MaxBatchSize)
+	// Rejections after Close are the only errors; cancellations are none.
+	if st.Errors != closed.Load() {
+		t.Fatalf("hammer counted %d serving errors, want the %d rejections", st.Errors, closed.Load())
+	}
+	// wg.Done runs inside the exiting drain goroutine, so give it the
+	// moment it needs to leave the profile.
+	for deadline := time.Now().Add(5 * time.Second); goroutines.Count() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			var stacks strings.Builder
+			goroutines.WriteTo(&stacks, 1)
+			t.Fatalf("%d goroutines after Close, %d before the session:\n%s", goroutines.Count(), baseline, stacks.String())
 		}
 	}
 }

@@ -149,6 +149,34 @@ func TestPredictTracingOffAllocs(t *testing.T) {
 	}
 }
 
+// TestPredictHotAllocCeiling pins what a plan-cached single allocates
+// end to end (fake estimator, no tracer): the inline pass builds no
+// request, no reply channel and no batch slice, so the count sits three
+// below the 17 of the hand-off through the drain goroutine.
+func TestPredictHotAllocCeiling(t *testing.T) {
+	imdb, _ := fixtures(t)
+	ctx := context.Background()
+	sess := NewSession(Config{})
+	defer sess.Close()
+	if err := sess.AttachDatabase("imdb", imdb.db); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.AttachModel(&fakeEstimator{name: "fake"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Predict(ctx, "imdb", "fake", imdb.sqls[0]); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := sess.Predict(ctx, "imdb", "fake", imdb.sqls[0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 14 {
+		t.Fatalf("plan-cached Predict allocates %.1f times per request, ceiling 14", allocs)
+	}
+}
+
 // BenchmarkPredictTraceOverhead measures the per-request cost of the
 // tracing hooks (E12): no tracer at all, an attached-but-idle tracer
 // (the production default), and worst-case every-request sampling.
