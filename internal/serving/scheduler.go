@@ -77,26 +77,22 @@ type scheduler struct {
 type modelQueue struct {
 	name string
 	est  atomic.Pointer[costmodel.Estimator] // creation-time fallback when resolve is nil
-	ch   chan queued
+	ch   chan single
 	// inline counts the inline passes in flight on this queue.
 	inline atomic.Int32
 }
 
 // single is one request as a pass sees it. tr, when the request is
 // sampled, receives the pass's batch attribution (batch size, coalesce
-// wait measured from enq).
+// wait measured from enq). done is where a queued single's answer goes —
+// the drain goroutine writes the trace strictly before sending on it, so
+// the requester's later reads are ordered by the channel receive; an
+// inline single has none, its answer is the pass's return.
 type single struct {
-	ctx context.Context
-	in  costmodel.PlanInput
-	tr  *obs.Trace
-	enq time.Time
-}
-
-// queued is a single on its way through the drain goroutine, which
-// writes the trace strictly before sending on done, so the requester's
-// later reads are ordered by the channel receive.
-type queued struct {
-	single
+	ctx  context.Context
+	in   costmodel.PlanInput
+	tr   *obs.Trace
+	enq  time.Time
 	done chan schedResult
 }
 
@@ -139,7 +135,7 @@ func (s *scheduler) queue(est costmodel.Estimator) (*modelQueue, error) {
 		return q, nil
 	}
 	// Four batches of backlog before a submitter blocks on the send.
-	q = &modelQueue{name: name, ch: make(chan queued, 4*s.maxBatch)}
+	q = &modelQueue{name: name, ch: make(chan single, 4*s.maxBatch)}
 	q.est.Store(&est)
 	s.queues[name] = q
 	s.wg.Add(1)
@@ -179,16 +175,16 @@ func (s *scheduler) predictOne(ctx context.Context, est costmodel.Estimator, in 
 	// Hold the read lock across the send: close() takes the write lock
 	// before closing channels, so a send in flight can never hit a closed
 	// channel.
-	r := queued{single: one, done: make(chan schedResult, 1)}
+	one.done = make(chan schedResult, 1)
 	select {
-	case q.ch <- r:
+	case q.ch <- one:
 		s.mu.RUnlock()
 	case <-ctx.Done():
 		s.mu.RUnlock()
 		return 0, ctx.Err()
 	}
 	select {
-	case res := <-r.done:
+	case res := <-one.done:
 		return res.v, res.err
 	case <-ctx.Done():
 		return 0, ctx.Err()
@@ -211,34 +207,18 @@ func (s *scheduler) runInline(q *modelQueue, one single) (float64, error) {
 	return out[0].v, out[0].err
 }
 
-// microBatch is the drain loop's batch under collection: the requests as
-// a pass sees them, the channel each answer goes back on, and room for
-// the answers. One per drain goroutine, reused batch after batch.
-type microBatch struct {
-	reqs  []single
-	dones []chan schedResult
-	out   []schedResult
-}
-
-func (b *microBatch) add(r queued) {
-	b.reqs = append(b.reqs, r.single)
-	b.dones = append(b.dones, r.done)
-}
-
-// flush runs the collected batch's pass, hands every requester its
-// answer and empties the batch.
-func (s *scheduler) flush(q *modelQueue, b *microBatch) {
-	out := b.out[:len(b.reqs)]
-	s.pass(q, b.reqs, out)
-	for i, done := range b.dones {
-		done <- out[i]
+// flush runs the collected batch's pass and hands every requester its
+// answer; out is the drain loop's room for them.
+func (s *scheduler) flush(q *modelQueue, batch []single, out []schedResult) {
+	out = out[:len(batch)]
+	s.pass(q, batch, out)
+	for i := range batch {
+		batch[i].done <- out[i]
 	}
-	// Drop the references too: an idle queue must not pin its last
+	// The buffers are reused: an idle queue must not pin its last
 	// batch's plans, contexts and traces.
-	clear(b.reqs)
-	clear(b.dones)
+	clear(batch)
 	clear(out)
-	b.reqs, b.dones = b.reqs[:0], b.dones[:0]
 }
 
 // drainLoop owns one queue: collect a micro-batch under the adaptive
@@ -246,32 +226,29 @@ func (s *scheduler) flush(q *modelQueue, b *microBatch) {
 // drained, so every accepted request is answered even during shutdown.
 func (s *scheduler) drainLoop(q *modelQueue) {
 	defer s.wg.Done()
-	b := &microBatch{
-		reqs:  make([]single, 0, s.maxBatch),
-		dones: make([]chan schedResult, 0, s.maxBatch),
-		out:   make([]schedResult, s.maxBatch),
-	}
+	batch := make([]single, 0, s.maxBatch)
+	out := make([]schedResult, s.maxBatch)
 	lastCoalesced := false
 	for {
 		first, ok := <-q.ch
 		if !ok {
 			return
 		}
-		b.add(first)
+		batch = append(batch[:0], first)
 		lingered := false
 	collect:
-		for len(b.reqs) < s.maxBatch {
+		for len(batch) < s.maxBatch {
 			select {
 			case r, chOpen := <-q.ch:
 				if !chOpen {
-					s.flush(q, b)
+					s.flush(q, batch, out)
 					return
 				}
-				b.add(r)
+				batch = append(batch, r)
 			default:
 				// Queue dry. Flush now unless a solo request should
 				// linger for companions (at most once per batch).
-				if len(b.reqs) > 1 || !lastCoalesced || lingered {
+				if len(batch) > 1 || !lastCoalesced || lingered {
 					break collect
 				}
 				lingered = true
@@ -280,10 +257,10 @@ func (s *scheduler) drainLoop(q *modelQueue) {
 				case r, chOpen := <-q.ch:
 					timer.Stop()
 					if !chOpen {
-						s.flush(q, b)
+						s.flush(q, batch, out)
 						return
 					}
-					b.add(r)
+					batch = append(batch, r)
 				case <-timer.C:
 					break collect
 				}
@@ -292,8 +269,8 @@ func (s *scheduler) drainLoop(q *modelQueue) {
 		// Only a batch that formed from backlog says more traffic is in
 		// flight; one that formed because it lingered says only that the
 		// linger worked, and must not justify the next.
-		lastCoalesced = len(b.reqs) > 1 && !lingered
-		s.flush(q, b)
+		lastCoalesced = len(batch) > 1 && !lingered
+		s.flush(q, batch, out)
 	}
 }
 

@@ -13,14 +13,15 @@
 // prediction input) and are skipped entirely on a plan-cache hit: each
 // attached database keeps a costmodel.PlanCache keyed by SQL fingerprint,
 // so repeated query shapes pay only the predict stage. The predict stage
-// routes single-prediction requests through a Scheduler that coalesces
-// concurrent singles into adaptive micro-batches (bounded by a max batch
-// size and a max-wait deadline) draining through Estimator.PredictBatch —
-// p50 single-request traffic gets batched-inference throughput without
-// clients ever forming batches themselves, and with a fusing estimator
-// (the zero-shot model) each micro-batch executes as one fused forward
-// pass. Explicit batches bypass the scheduler and drain through
-// PredictBatch directly.
+// routes single-prediction requests through a scheduler: while a core is
+// free a single runs its own batch of one on its caller's goroutine, and
+// once none is, concurrent singles coalesce into adaptive micro-batches
+// (bounded by a max batch size and a max-wait deadline). Either way they
+// drain through Estimator.PredictBatch — saturated single-request
+// traffic gets batched-inference throughput without clients ever forming
+// batches themselves, and with a fusing estimator (the zero-shot model)
+// each micro-batch executes as one fused forward pass. Explicit batches
+// bypass the scheduler and drain through PredictBatch directly.
 //
 // Every stage records latencies into internal/metrics recorders and the
 // caches record hit rates; Stats snapshots the lot for a /v1/stats
@@ -66,11 +67,13 @@ var (
 type Config struct {
 	// MaxBatch caps one coalesced micro-batch (default 64).
 	MaxBatch int
-	// MaxWait is how long the scheduler lets a solo request linger for
-	// companions before draining it (default 500µs). The linger only
-	// happens when the previous batch coalesced — steady solo traffic
-	// pays no added latency. Smaller values favor latency, larger ones
-	// throughput.
+	// MaxWait is how long the scheduler lets a queued solo request
+	// linger for companions before draining it (default 500µs). Only a
+	// request that had to queue can linger (one that finds the queue
+	// empty and a core free runs inline, on its caller's goroutine), and
+	// only when the previous batch coalesced from backlog — a batch that
+	// formed by lingering does not re-arm the linger. Smaller values
+	// favor latency, larger ones throughput.
 	MaxWait time.Duration
 	// PlanCacheSize bounds each attached database's plan cache (default
 	// costmodel.DefaultPlanCacheSize).
@@ -397,8 +400,8 @@ type Prediction struct {
 
 // Predict runs one SQL statement through the full pipeline against the
 // named database and model (either may be empty when unambiguous). The
-// predict stage coalesces with other concurrent singles via the
-// scheduler. When the session's tracer samples the request, every
+// predict stage goes through the scheduler: inline while a core is free,
+// coalesced with other concurrent singles otherwise. When the session's tracer samples the request, every
 // pipeline stage records a span; slow requests land in the tracer's
 // slow-query ring either way.
 func (s *Session) Predict(ctx context.Context, dbName, model, sql string) (Prediction, error) {
