@@ -401,9 +401,9 @@ type Prediction struct {
 // Predict runs one SQL statement through the full pipeline against the
 // named database and model (either may be empty when unambiguous). The
 // predict stage goes through the scheduler: inline while a core is free,
-// coalesced with other concurrent singles otherwise. When the session's tracer samples the request, every
-// pipeline stage records a span; slow requests land in the tracer's
-// slow-query ring either way.
+// coalesced with other concurrent singles otherwise. When the session's
+// tracer samples the request, every pipeline stage records a span; slow
+// requests land in the tracer's slow-query ring either way.
 func (s *Session) Predict(ctx context.Context, dbName, model, sql string) (Prediction, error) {
 	tr, begin := s.tracer.Begin()
 	p, err := s.predictTraced(ctx, dbName, model, sql, tr)

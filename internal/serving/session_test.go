@@ -754,9 +754,7 @@ func TestSessionCloseUnderHammer(t *testing.T) {
 		}(g)
 	}
 	// Close mid-flight: about a quarter of the singles have been answered.
-	for answered.Load() < workers*iters/8 {
-		time.Sleep(50 * time.Microsecond)
-	}
+	waitFor(t, "the first answers", func() bool { return answered.Load() >= workers*iters/8 })
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
