@@ -170,13 +170,20 @@ func Rewrap(w io.Writer, man Manifest, payload []byte) error {
 	return writeArchive(w, man, payload)
 }
 
-// writeArchive lays the manifest and payload down as a gzip'd tar.
+// writeArchive lays the manifest and payload down as a gzip'd tar whose
+// deflate blocks are stored, not compressed: a model payload is float
+// bits, which deflate shrinks by under a tenth at several times the cost
+// of the rest of a build and an open. The gzip CRC still covers every
+// byte, and readArchive reads stored and compressed archives alike.
 func writeArchive(w io.Writer, man Manifest, payload []byte) error {
 	manJSON, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
 		return fmt.Errorf("bundle: encode manifest: %w", err)
 	}
-	gz := gzip.NewWriter(w)
+	gz, err := gzip.NewWriterLevel(w, gzip.NoCompression)
+	if err != nil {
+		return fmt.Errorf("bundle: gzip: %w", err)
+	}
 	tw := tar.NewWriter(gz)
 	for _, entry := range []struct {
 		name string

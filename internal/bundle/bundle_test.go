@@ -64,6 +64,29 @@ func TestBuildOpenRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBuildStoresAndOpensCompressed: Build writes the payload stored
+// (its bytes appear verbatim in the archive), and a bundle whose gzip
+// stream is deflated — what Build wrote before, and what rawArchive
+// writes — still opens to the same estimator.
+func TestBuildStoresAndOpensCompressed(t *testing.T) {
+	est := &scaleEstimator{Scale: 1.75}
+	data, _ := buildBundle(t, est, 3, bundle.Meta{})
+	man, payload := dissect(t, data)
+	if !bytes.Contains(data, payload) {
+		t.Fatal("Build deflated the payload; it should be stored")
+	}
+	compressed := rawArchive(t, marshalManifest(t, man), payload)
+	b, err := bundle.Open(bytes.NewReader(compressed))
+	if err != nil {
+		t.Fatalf("Open of a deflated bundle: %v", err)
+	}
+	in := costmodel.PlanInput{OptimizerCost: 99}
+	want, _ := est.Predict(context.Background(), in)
+	if got, err := b.Estimator.Predict(context.Background(), in); err != nil || got != want {
+		t.Fatalf("deflated bundle's estimator predicts %v (err %v), want %v", got, err, want)
+	}
+}
+
 func TestBuildValidates(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := bundle.Build(&buf, nil, 1, bundle.Meta{}); err == nil {

@@ -21,8 +21,8 @@ import (
 // The memo therefore holds one graph per distinct encoder configuration
 // attached (one or two in practice), however many model generations
 // pass over it, and needs no eviction of its own. Graphs are treated as
-// immutable by every consumer — the fused batch packer and the tape
-// forward both only read them — which is what makes sharing one graph
+// immutable by every consumer — the batch packer, for inference and
+// for training, only reads them — which is what makes sharing one graph
 // across concurrent predictions safe.
 type EncodedPlan struct {
 	mu      sync.Mutex

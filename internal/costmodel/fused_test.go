@@ -61,10 +61,13 @@ func TestFusedBatchBitwiseEqualsSequential(t *testing.T) {
 }
 
 // TestZeroShotPredictIsAFusedBatchOfOne pins the single served
-// prediction: its bits are the tape forward's (Model.Predict, the
-// reference), and with the plan's graph memoized it allocates a
-// handful of objects — the result slice, the argument slice, one
-// tensor header per node type present — not the thousand a tape costs.
+// prediction's memoized-encoding path: with the plan's graph memoized,
+// its bits are those of Model.Predict on a freshly encoded graph, and it
+// allocates a handful of objects, not the thousand a tape costs.
+// Model.Predict is itself a fused batch of one, so both sides here run
+// the fused pass; the tape equivalence holds through zeroshot's
+// TestPredictBatchBitwiseEqualsPredict, which compares the fused pass
+// with the tape oracle on its own fixture.
 func TestZeroShotPredictIsAFusedBatchOfOne(t *testing.T) {
 	zs, f := fitZeroShot(t)
 	ctx := context.Background()
@@ -80,7 +83,7 @@ func TestZeroShotPredictIsAFusedBatchOfOne(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want := zs.Model().Predict(g); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("item %d: ZeroShot.Predict = %v, tape reference %v (bitwise)", i, got, want)
+			t.Fatalf("item %d: ZeroShot.Predict = %v, Model.Predict %v (bitwise)", i, got, want)
 		}
 	}
 	if raceEnabled {

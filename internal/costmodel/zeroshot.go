@@ -236,7 +236,7 @@ func (z *ZeroShot) Clone() (Estimator, error) {
 }
 
 // Predict implements Estimator: a fused batch of one. The fused pass
-// computes the bits the tape forward would (pinned by
+// computes the bits a per-graph tape forward would (pinned by
 // TestPredictBatchBitwiseEqualsPredict) without building a tape, which
 // is what adapt.Feedback pays per sample and the per-item isolation
 // fallbacks of serving and what-if pay per item.
@@ -260,7 +260,7 @@ func (z *ZeroShot) Predict(ctx context.Context, in PlanInput) (float64, error) {
 // bitwise identical to predicting each input alone: encoding is
 // deterministic per shape, duplicates share one graph with identical
 // features, and the packed pass is the exact per-row operation sequence
-// of the model's tape forward. Inputs may span databases: each is
+// of a per-graph tape forward. Inputs may span databases: each is
 // encoded against its own schema, and the packed pass never reads
 // schema state.
 func (z *ZeroShot) PredictBatch(ctx context.Context, ins []PlanInput) ([]float64, error) {

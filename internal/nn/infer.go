@@ -82,8 +82,16 @@ func (l *Linear) Infer(inf *Inference, x *Tensor) *Tensor { return l.infer(inf, 
 // the pass that writes the output.
 func (l *Linear) infer(inf *Inference, x *Tensor, relu bool) *Tensor {
 	out := inf.TensorUninit(x.Rows, l.Out) // every row is overwritten
-	matMulBiasInto(out, x, l.W.Val, l.B.Val, relu)
+	l.InferInto(out, x, relu)
 	return out
+}
+
+// InferInto is Infer into a caller-owned destination (x.Rows x l.Out,
+// prior contents ignored), with negatives clamped to zero if relu — the
+// hidden layers of an MLP. A trainer keeps these rows for its backward
+// pass.
+func (l *Linear) InferInto(dst, x *Tensor, relu bool) {
+	matMulBiasInto(dst, x, l.W.Val, l.B.Val, relu)
 }
 
 // Infer runs the MLP forward-only on a batch of row vectors (ReLU

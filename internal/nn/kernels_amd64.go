@@ -66,8 +66,9 @@ var gatherLUT = func() (t [16][8]int64) {
 //go:noescape
 func axpyRowsAVX2(dst, a, b []float64, ks []int, bias []float64, relu bool)
 
-// axpyAVX2 is dst[j] += a*b[j] over len(dst), the product rounded
-// before the add. The caller has checked len(b) >= len(dst).
+// addOuterRowsAVX2 is addOuterRows (tensor.go) in AVX2. The caller has
+// checked that every k in ks indexes a and that dst holds row k's
+// len(d) columns.
 //
 //go:noescape
-func axpyAVX2(dst []float64, a float64, b []float64)
+func addOuterRowsAVX2(dst, a, d []float64, ks []int)

@@ -1,10 +1,11 @@
 #include "textflag.h"
 
-// The AVX2 spelling of the matmul kernel. Same contract as the Go loops
-// in tensor.go, element for element: every product is rounded on its own
-// (VMULPD, then VADDPD — there is deliberately no fused multiply-add in
-// this file, whatever GOAMD64 says), and each destination element takes
-// its terms in the order the caller listed them. Lanes run across j, the
+// The AVX2 spelling of the matmul kernel and of the gradient's row
+// update. Same contract as the Go loops in tensor.go, element for
+// element: every product is rounded on its own (VMULPD, then VADDPD —
+// there is deliberately no fused multiply-add in this file, whatever
+// GOAMD64 says), and each destination element takes its terms in the
+// order the caller listed them. Lanes run across j, the
 // output column; nothing is ever summed across lanes. Go has already
 // made every bounds check before these are called.
 
@@ -318,58 +319,150 @@ done:
 	VZEROUPPER
 	RET
 
-// func axpyAVX2(dst []float64, a float64, b []float64)
+// One row of an outer-product update: tmp = a[k] (broadcast in Y8) *
+// four columns of d (reg), rounded; dst row k += tmp, rounded, stored.
+#define OUTER(reg, off, tmp) \
+	VMULPD  reg, Y8, tmp;      \
+	VADDPD  off(R14), tmp, tmp; \
+	VMOVUPD tmp, off(R14)
+
+// Load the next gathered k: broadcast a[k] into Y8 and leave R14 at the
+// current column tile of dst's row k.
+#define NEXTROW \
+	MOVQ         (R8)(R13*8), R14; \
+	VBROADCASTSD (SI)(R14*8), Y8;  \
+	IMULQ        R12, R14;         \
+	ADDQ         DI, R14
+
+// func addOuterRowsAVX2(dst, a, d []float64, ks []int)
 //
-// dst[j] += a * b[j] for every j < len(dst), the product rounded before
-// the add.
-TEXT ·axpyAVX2(SB), NOSPLIT, $0-56
-	MOVQ         dst_base+0(FP), DI
-	MOVQ         dst_len+8(FP), CX
-	VBROADCASTSD a+24(FP), Y8
-	MOVQ         b_base+32(FP), SI
+// For every k in ks and every j < len(d), with n = len(d):
+//
+//	dst[k*n+j] += a[k] * d[j]
+//
+// the product rounded before the add. The mirror image of axpyRowsAVX2:
+// there the destination row stays in registers across ks, here the
+// source row d does (32, 16 or 4 columns, then single ones) and each k
+// reads, adds to and writes one row of dst. A k adds one term to each of
+// its row's elements, so the order within a call is immaterial; the
+// order across calls is the caller's.
+//
+// DI dst (advancing with the tile), SI a, BX d (advancing), R8 ks,
+// R9 len(ks), CX columns left, R12 row stride of dst in bytes, R13 index
+// into ks, R14 scratch.
+TEXT ·addOuterRowsAVX2(SB), NOSPLIT, $0-96
+	MOVQ dst_base+0(FP), DI
+	MOVQ a_base+24(FP), SI
+	MOVQ d_base+48(FP), BX
+	MOVQ d_len+56(FP), CX
+	MOVQ ks_base+72(FP), R8
+	MOVQ ks_len+80(FP), R9
+	MOVQ CX, R12
+	SHLQ $3, R12
 
-axpy16:
+outer32:
+	CMPQ    CX, $32
+	JLT     outer16
+	VMOVUPD 0(BX), Y0
+	VMOVUPD 32(BX), Y1
+	VMOVUPD 64(BX), Y2
+	VMOVUPD 96(BX), Y3
+	VMOVUPD 128(BX), Y4
+	VMOVUPD 160(BX), Y5
+	VMOVUPD 192(BX), Y6
+	VMOVUPD 224(BX), Y7
+	XORQ    R13, R13
+	JMP     ocond32
+
+oloop32:
+	NEXTROW
+	OUTER(Y0, 0, Y9)
+	OUTER(Y1, 32, Y10)
+	OUTER(Y2, 64, Y11)
+	OUTER(Y3, 96, Y12)
+	OUTER(Y4, 128, Y13)
+	OUTER(Y5, 160, Y14)
+	OUTER(Y6, 192, Y9)
+	OUTER(Y7, 224, Y10)
+	INCQ R13
+
+ocond32:
+	CMPQ R13, R9
+	JLT  oloop32
+	ADDQ $256, DI
+	ADDQ $256, BX
+	SUBQ $32, CX
+	JMP  outer32
+
+outer16:
 	CMPQ    CX, $16
-	JLT     axpy4
-	VMULPD  0(SI), Y8, Y0
-	VMULPD  32(SI), Y8, Y1
-	VMULPD  64(SI), Y8, Y2
-	VMULPD  96(SI), Y8, Y3
-	VADDPD  0(DI), Y0, Y0
-	VADDPD  32(DI), Y1, Y1
-	VADDPD  64(DI), Y2, Y2
-	VADDPD  96(DI), Y3, Y3
-	VMOVUPD Y0, 0(DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
-	ADDQ    $128, SI
-	ADDQ    $128, DI
-	SUBQ    $16, CX
-	JMP     axpy16
+	JLT     outer4
+	VMOVUPD 0(BX), Y0
+	VMOVUPD 32(BX), Y1
+	VMOVUPD 64(BX), Y2
+	VMOVUPD 96(BX), Y3
+	XORQ    R13, R13
+	JMP     ocond16
 
-axpy4:
+oloop16:
+	NEXTROW
+	OUTER(Y0, 0, Y9)
+	OUTER(Y1, 32, Y10)
+	OUTER(Y2, 64, Y11)
+	OUTER(Y3, 96, Y12)
+	INCQ R13
+
+ocond16:
+	CMPQ R13, R9
+	JLT  oloop16
+	ADDQ $128, DI
+	ADDQ $128, BX
+	SUBQ $16, CX
+
+outer4:
 	CMPQ    CX, $4
-	JLT     axpy1
-	VMULPD  0(SI), Y8, Y0
-	VADDPD  0(DI), Y0, Y0
-	VMOVUPD Y0, 0(DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	SUBQ    $4, CX
-	JMP     axpy4
+	JLT     outer1
+	VMOVUPD 0(BX), Y0
+	XORQ    R13, R13
+	JMP     ocond4
 
-axpy1:
+oloop4:
+	NEXTROW
+	OUTER(Y0, 0, Y9)
+	INCQ R13
+
+ocond4:
+	CMPQ R13, R9
+	JLT  oloop4
+	ADDQ $32, DI
+	ADDQ $32, BX
+	SUBQ $4, CX
+	JMP  outer4
+
+	// The n mod 4 tail, one column at a time with the scalar forms of the
+	// same two instructions.
+outer1:
 	TESTQ  CX, CX
-	JZ     axpydone
-	VMULSD 0(SI), X8, X0
-	VADDSD 0(DI), X0, X0
-	VMOVSD X0, 0(DI)
-	ADDQ   $8, SI
-	ADDQ   $8, DI
-	DECQ   CX
-	JMP    axpy1
+	JZ     outerdone
+	VMOVSD 0(BX), X0
+	XORQ   R13, R13
+	JMP    ocond1
 
-axpydone:
+oloop1:
+	NEXTROW
+	VMULSD X0, X8, X9
+	VADDSD (R14), X9, X9
+	VMOVSD X9, (R14)
+	INCQ   R13
+
+ocond1:
+	CMPQ R13, R9
+	JLT  oloop1
+	ADDQ $8, DI
+	ADDQ $8, BX
+	DECQ CX
+	JMP  outer1
+
+outerdone:
 	VZEROUPPER
 	RET

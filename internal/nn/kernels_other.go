@@ -15,6 +15,6 @@ func axpyRowsAVX2(dst, a, b []float64, ks []int, bias []float64, relu bool) {
 	panic("nn: no AVX2 kernel on this architecture")
 }
 
-func axpyAVX2(dst []float64, a float64, b []float64) {
+func addOuterRowsAVX2(dst, a, d []float64, ks []int) {
 	panic("nn: no AVX2 kernel on this architecture")
 }

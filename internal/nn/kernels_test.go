@@ -282,3 +282,126 @@ func TestKernelSteadyStateAllocations(t *testing.T) {
 		}
 	})
 }
+
+// gradRow fills a row of a gradient flowing into a kernel with the
+// values a vector spelling could mistreat: exact zeros of both signs,
+// subnormals, and — where nonFinite — infinities and NaN.
+func gradRow(rng *rand.Rand, row []float64, nonFinite bool) {
+	for j := range row {
+		switch rng.Intn(10) {
+		case 0:
+			row[j] = 0
+		case 1:
+			row[j] = math.Copysign(0, -1)
+		case 2:
+			row[j] = math.Float64frombits(uint64(rng.Intn(1<<20) + 1))
+		case 3:
+			if nonFinite {
+				row[j] = []float64{math.Inf(1), math.Inf(-1), math.NaN()}[rng.Intn(3)]
+				continue
+			}
+			fallthrough
+		default:
+			row[j] = rng.NormFloat64()
+		}
+	}
+}
+
+// TestAddOuterMatchesReference pins the weight gradient's row update
+// against the tape's defining loop (refMatMulBackward's dB, one row at a
+// time: a zero x[k] skipped, each term summed onto +0 and then added) on
+// both spellings: every width 1…70, so every tile and tail of the
+// assembly; row lists in arbitrary order with repeats; row ranges that
+// start and stop inside the matrix and run past gatherBlock; inputs with
+// -0 and subnormals; gradients with zeros of both signs, subnormals,
+// infinities and NaN; a bias (x nil); destinations that are views with
+// canaries either side.
+func TestAddOuterMatchesReference(t *testing.T) {
+	eachSpelling(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(36))
+		for n := 1; n <= 70; n++ {
+			for _, k := range []int{0, 1, 3, 17, 64, 70, 131} {
+				for _, nonFinite := range []bool{false, true} {
+					const m = 5
+					d := NewTensor(m, n)
+					gradRow(rng, d.Data, nonFinite)
+					var x *Tensor
+					lo, hi, rows := 0, 1, 1
+					if k > 0 { // k = 0 is the bias
+						x = genMatrix(rng, m, k)
+						lo, hi, rows = 0, k, k
+						if k > 3 {
+							lo, hi = rng.Intn(k/2), k-rng.Intn(k/2)
+						}
+					}
+					list := make([]int32, rng.Intn(2*m))
+					for i := range list {
+						list[i] = int32(rng.Intn(m))
+					}
+					got, check := view(rows, n)
+					copy(got.Data, nonZeroGrad(rng, rows, n).Data)
+					want := got.Clone()
+					AddOuter(got, x, d, list, lo, hi)
+					for _, r := range list {
+						for kk := lo; kk < hi; kk++ {
+							xv := 1.0
+							if x != nil {
+								xv = x.At(int(r), kk)
+							}
+							if xv == 0 {
+								continue
+							}
+							for j := 0; j < n; j++ {
+								g := 0.0
+								g += xv * d.At(int(r), j)
+								want.Data[kk*n+j] += g
+							}
+						}
+					}
+					what := fmt.Sprintf("rows %v, weight rows [%d,%d) of %dx%d, nonFinite=%v", list, lo, hi, rows, n, nonFinite)
+					sameBits(t, what, got.Data, want.Data)
+					check(t, what)
+				}
+			}
+		}
+	})
+}
+
+// TestBackpropIntoMatchesReference pins the input gradient over a
+// transposed weight against the tape's dot products (refMatMulBackward's
+// dA onto a zeroed gradient) on both spellings: gradients with zeros of
+// both signs, subnormals and non-finite values (no term is skipped, so
+// 0·Inf must come out NaN as the dot makes it), weights with -0 and
+// subnormals, output widths past gatherBlock, and destinations holding
+// garbage (BackpropInto overwrites).
+func TestBackpropIntoMatchesReference(t *testing.T) {
+	eachSpelling(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(37))
+		for _, m := range []int{1, 3} {
+			for k := 1; k <= 70; k += 3 {
+				for _, n := range []int{1, 7, 8, 31, 32, 33, 64, 65, 70} {
+					for _, nonFinite := range []bool{false, true} {
+						w := genWeights(rng, k, n)
+						if nonFinite {
+							w.Data[rng.Intn(k*n)] = math.Inf(1)
+						}
+						wt := NewTensor(n, k)
+						w.TransposeInto(wt)
+						dOut := NewTensor(m, n)
+						gradRow(rng, dOut.Data, nonFinite)
+						got, check := view(m, k)
+						for i := range got.Data {
+							got.Data[i] = rng.NormFloat64()
+						}
+						want := NewTensor(m, k)
+						refMatMulBackward(genMatrix(rng, m, k), w, dOut, want, NewTensor(k, n))
+						BackpropInto(got, dOut, wt)
+						what := fmt.Sprintf("%dx%d @ (%dx%d)ᵀ nonFinite=%v", m, n, k, n, nonFinite)
+						sameBits(t, what, got.Data, want.Data)
+						check(t, what)
+					}
+				}
+			}
+		}
+	})
+}

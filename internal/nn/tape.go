@@ -58,9 +58,6 @@ type Tape struct {
 	tensUsed int
 	slab     []float64
 	slabOff  int
-
-	// gradRemap redirects Leaf gradient accumulation (see RemapGrads).
-	gradRemap map[*Tensor]*Tensor
 }
 
 // The slab starts at firstSlab floats and, when a sample outgrows it,
@@ -79,11 +76,9 @@ func NewTape() *Tape { return &Tape{} }
 // and every Var, Tensor and slab float handed out so far becomes
 // reusable. Values produced by earlier operations are invalid after
 // Reset. The recycled structs are cleared, not just forgotten, so a
-// reset tape references nothing but its own slab and its gradient remap
-// table — not the last sample's feature rows, not the parameter or
-// gradient tensors its Leaf Vars pointed at. The remap table survives
-// (a worker binds its private buffers once and resets per sample);
-// RemapGrads(nil) drops that too.
+// reset tape references nothing but its own slab — not the last
+// sample's feature rows, not the parameter or gradient tensors its Leaf
+// Vars pointed at.
 func (tp *Tape) Reset() {
 	clear(tp.ops)
 	tp.ops = tp.ops[:0]
@@ -99,13 +94,6 @@ func (tp *Tape) Reset() {
 	tp.tensUsed = 0
 	tp.slabOff = 0
 }
-
-// RemapGrads redirects Leaf gradient accumulation: a Leaf whose grad
-// tensor appears as a key accumulates into the mapped tensor instead.
-// This is how a data-parallel training worker binds shared parameters
-// to its private GradSet buffers. The mapping persists across Reset;
-// pass nil to clear it.
-func (tp *Tape) RemapGrads(m map[*Tensor]*Tensor) { tp.gradRemap = m }
 
 // scratch returns a length-n slice of the tape's slab with whatever the
 // previous cycle left in it. When the slab is exhausted a larger one
@@ -169,12 +157,7 @@ func (tp *Tape) newVar(val *Tensor) *Var {
 
 // Leaf wraps a tensor as a graph input whose gradient accumulates into the
 // provided grad tensor (pass the persistent parameter gradient to train).
-// An active RemapGrads table may redirect the accumulation into a
-// worker-private buffer.
 func (tp *Tape) Leaf(val, grad *Tensor) *Var {
-	if pg, ok := tp.gradRemap[grad]; ok {
-		grad = pg
-	}
 	sameShape(val, grad, "leaf")
 	v := tp.varStruct()
 	v.Val, v.Grad = val, grad
@@ -393,24 +376,21 @@ func accumulate(v *Var, d []float64) {
 //
 // dA is a dot product of two contiguous rows per element, four
 // elements' dots carried at once (each its own ascending-j chain). It
-// stays scalar where the forward kernel went to vector width: a dot is
-// a sum over j into ONE element, so lanes across j would add its terms
-// in a different order, and lanes across k would need b transposed. A
-// constant a — the feature row of every encoder's first layer — has no
-// gradient, and none is computed.
+// stays scalar here: a dot is a sum over j into ONE element, so lanes
+// across j would add its terms in a different order, and lanes across k
+// need b transposed — which BackpropInto takes, for a trainer that
+// transposes each weight once per optimizer step rather than once per
+// op. A constant a — the feature row of every encoder's first layer —
+// has no gradient, and none is computed.
 //
-// dB for a row vector a (M = 1, all that training ever runs) has one
-// term per element, so the sum is the single product av·dOut[j], rounded
-// on its own, then added: one row update per non-zero a[k] — an axpy
-// whose lanes are different elements, so the AVX2 one (VMULPD, then
-// VADDPD) gives the same bits. In the Go spelling the product is
-// written float64(av * d) because the defining loop rounded it before
-// the add (g := 0.0; g += av*d; grad += g); without the conversion a
-// target with fused multiply-add may fuse it into the accumulation and
-// round once instead of twice. (Where the defining loop itself was
-// fusable — the general-M sum and dA's dots below — the new loop keeps
-// the same expression, so it fuses the same way.) Skipping a zero a[k]
-// is exact under two preconditions, both of which training maintains:
+// dB for a row vector a (M = 1, all that training on a tape runs) has
+// one term per element, so the sum is the single product av·dOut[j],
+// rounded on its own, then added: one row update per non-zero a[k],
+// which is addOuter (see addOuterRows for the rounding). (Where the
+// defining loop itself was fusable — the general-M sum and dA's dots
+// below — the new loop keeps the same expression, so it fuses the same
+// way.) Skipping a zero a[k] is exact under two preconditions, both of
+// which training maintains:
 //
 //   - dOut is finite. The skipped term is 0·d, which is ±0 for finite d
 //     but NaN for an infinite or NaN d; a non-finite gradient means the
@@ -458,20 +438,8 @@ func matMulBackward(a, b *Var, dOut []float64) {
 	}
 	bg := b.Grad.Data
 	if m == 1 {
-		dOut = dOut[:n]
-		for kk, x := range av {
-			if x == 0 {
-				continue
-			}
-			grow := bg[kk*n:][:n]
-			if useAVX2 {
-				axpyAVX2(grow, x, dOut)
-				continue
-			}
-			for j, d := range dOut {
-				grow[j] += float64(x * d)
-			}
-		}
+		var ks [gatherBlock]int
+		addOuter(bg[:k*n], av, dOut[:n], 0, k, &ks)
 		return
 	}
 	for kk := 0; kk < k; kk++ {

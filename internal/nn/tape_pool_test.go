@@ -187,88 +187,3 @@ func TestMatMulBackwardSkipsZeroActivationsUnderNonFiniteGradient(t *testing.T) 
 		}
 	}
 }
-
-// TestRemapGradsRoutesIntoGradSet: with a remap installed, Leaf
-// gradients land in the private GradSet buffers and the shared
-// parameter gradients stay untouched; AddTo then reproduces the direct
-// accumulation bitwise.
-func TestRemapGradsRoutesIntoGradSet(t *testing.T) {
-	m := NewMLP(rand.New(rand.NewSource(3)), 4, 6, 1)
-	params := m.Params()
-	x := []float64{0.1, -0.2, 0.3, 0.4}
-	tgt := []float64{1.0}
-
-	// Reference: direct accumulation into the shared gradients.
-	runMLPSample(NewTape(), m, x, tgt)
-	var want []*Tensor
-	for _, p := range params {
-		want = append(want, p.Grad.Clone())
-		p.Grad.Zero()
-	}
-
-	gs := NewGradSet(params)
-	tp := NewTape()
-	tp.RemapGrads(gs.Remap())
-	runMLPSample(tp, m, x, tgt)
-	for i, p := range params {
-		for _, v := range p.Grad.Data {
-			if v != 0 {
-				t.Fatalf("param %d: shared gradient touched despite remap", i)
-			}
-		}
-	}
-	gs.AddTo(params)
-	for i, p := range params {
-		for j := range p.Grad.Data {
-			if p.Grad.Data[j] != want[i].Data[j] {
-				t.Fatalf("param %d elem %d: remapped+reduced grad %v != direct grad %v",
-					i, j, p.Grad.Data[j], want[i].Data[j])
-			}
-		}
-	}
-
-	// Remap survives Reset; clearing it restores direct accumulation.
-	gs.Zero()
-	tp.Reset()
-	runMLPSample(tp, m, x, tgt)
-	allZero := true
-	for _, g := range gs.Remap() {
-		for _, v := range g.Data {
-			if v != 0 {
-				allZero = false
-			}
-		}
-	}
-	if allZero {
-		t.Fatal("remap did not survive Reset")
-	}
-	for _, p := range params {
-		p.Grad.Zero()
-	}
-	tp.RemapGrads(nil)
-	tp.Reset()
-	runMLPSample(tp, m, x, tgt)
-	touched := false
-	for _, p := range params {
-		for _, v := range p.Grad.Data {
-			if v != 0 {
-				touched = true
-			}
-		}
-	}
-	if !touched {
-		t.Fatal("clearing the remap did not restore direct accumulation")
-	}
-}
-
-// TestGradSetAddToChecksLength guards the params/set pairing.
-func TestGradSetAddToChecksLength(t *testing.T) {
-	m := NewMLP(rand.New(rand.NewSource(4)), 2, 2, 1)
-	gs := NewGradSet(m.Params())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AddTo accepted a mismatched parameter list")
-		}
-	}()
-	gs.AddTo(m.Params()[:1])
-}

@@ -226,13 +226,12 @@ func gatherNonZeroGo(ks *[gatherBlock]int, blk []float64, base int) int {
 // and passes both run across j only: what is added to one element, and
 // in what order, is the same list either way, so the bits are.
 //
-// About fused multiply-add. At GOAMD64=v1/v2 — how the goldens were
-// recorded — gc rounds `d += a*b` in two steps, and so does the
-// assembly. At GOAMD64=v3, and on arm64, gc fuses the Go loops; the
-// assembly never fuses, so on an AVX2 part a v3 build agrees with the
-// goldens. Within one binary fused ≡ tape holds whichever applies,
-// because the batched pass and the tape call this same function for
-// the same len(dst).
+// About fused multiply-add. On amd64 gc rounds `d += a*b` in two steps
+// at every GOAMD64 level — Go 1.24 at v3 emits VFMADD only for
+// math.FMA — and so does the assembly: that is how the goldens were
+// recorded. On arm64 gc fuses the Go loops. Within one binary fused ≡
+// tape holds either way, because the batched pass and the tape call
+// this same function for the same len(dst).
 func addRows(dst, a, b []float64, ks []int, bias []float64, relu bool) {
 	if useAVX2 {
 		axpyRowsAVX2(dst, a, b, ks, bias, relu)
@@ -285,6 +284,128 @@ func axpy(dst []float64, a float64, b []float64) {
 	b = b[:len(dst)]
 	for j := range dst {
 		dst[j] += a * b[j]
+	}
+}
+
+// seqKs lists 0, 1, …, gatherBlock-1: the term list of a product that
+// leaves no term out.
+var seqKs = func() (s [gatherBlock]int) {
+	for i := range s {
+		s[i] = i
+	}
+	return s
+}()
+
+// BackpropInto computes dst = dOut @ wt, where wt is a layer's weight
+// transposed (Out x In): row i of dst is the gradient row i of the
+// layer's input receives from row i of dOut. It is the tape's dA
+// (matMulBackward) with the loops turned round. There each element is a
+// dot product, dOut[i][j]·W[k][j] summed in ascending j onto a local
+// that starts at +0, then added to a +0 gradient; here the same terms,
+// in the same order, are added onto a +0 destination, with the lanes of
+// addRows running across k — what a transposed weight buys. Unlike
+// MatMulInto no term is left out: the dot adds dOut[i][j]·W[k][j] when
+// dOut[i][j] is zero too. A sum that starts at +0 is never -0, so the
+// tape's final add onto +0 changes nothing and the bits agree.
+func BackpropInto(dst, dOut, wt *Tensor) {
+	checkMatMul(dst, dOut, wt)
+	n, jdim := wt.Cols, dOut.Cols
+	for i := 0; i < dOut.Rows; i++ {
+		drow := dst.Data[i*n : (i+1)*n]
+		arow := dOut.Data[i*jdim : (i+1)*jdim]
+		clear(drow)
+		for base := 0; base < jdim; base += gatherBlock {
+			addRows(drow, arow[base:], wt.Data[base*n:], seqKs[:min(gatherBlock, jdim-base)], nil, false)
+		}
+	}
+}
+
+// TransposeInto writes t's transpose into dst, which must be t.Cols x
+// t.Rows.
+func (t *Tensor) TransposeInto(dst *Tensor) {
+	if dst.Rows != t.Cols || dst.Cols != t.Rows {
+		panic(fmt.Sprintf("nn: transpose %dx%d into %dx%d", t.Rows, t.Cols, dst.Rows, dst.Cols))
+	}
+	for r := 0; r < t.Rows; r++ {
+		for c, v := range t.Data[r*t.Cols : (r+1)*t.Cols] {
+			dst.Data[c*t.Rows+r] = v
+		}
+	}
+}
+
+// AddOuter adds x[r][k]·d[r] onto row k of dst for each row r of rows,
+// in the order listed, and each k in [lo, hi) whose x[r][k] is not
+// zero: the weight gradient's update dW += Xᵀ·D over those rows of a
+// layer's input X and of the gradient D at its output, restricted to
+// weight rows [lo, hi). Each product is rounded before the add, and a
+// zero x[r][k] contributes nothing, exactly as the tape's dB
+// (matMulBackward) does for one row; every element of dst receives its
+// terms in the order of rows, so a caller that lists rows in the tape's
+// order gets the tape's sums. x is nil for a bias, whose one input is
+// 1: each listed row of d is added onto dst's one row, and 1·v is v.
+func AddOuter(dst, x, d *Tensor, rows []int32, lo, hi int) {
+	n := dst.Cols
+	bad := d.Cols != n || lo < 0 || lo > hi || hi > dst.Rows
+	if x == nil {
+		bad = bad || dst.Rows != 1
+	} else {
+		bad = bad || x.Cols != dst.Rows
+	}
+	if bad {
+		panic(fmt.Sprintf("nn: AddOuter rows [%d,%d) of a %dx%d gradient from %d-wide gradient rows", lo, hi, dst.Rows, n, d.Cols))
+	}
+	dd := dst.Data[:dst.Rows*n]
+	var ks [gatherBlock]int
+	for _, r := range rows {
+		drow := d.Data[int(r)*n : (int(r)+1)*n]
+		if x == nil {
+			addOuterRows(dd, unit[:], drow, seqKs[lo:hi])
+			continue
+		}
+		addOuter(dd, x.Data[int(r)*x.Cols:(int(r)+1)*x.Cols], drow, lo, hi, &ks)
+	}
+}
+
+// unit is a bias's input.
+var unit = [1]float64{1}
+
+// addOuter is one row of AddOuter on checked slices: it gathers the
+// non-zero x[k] of [lo, hi), ascending, a gatherBlock at a time into ks,
+// and hands them to addOuterRows.
+func addOuter(dst, x, d []float64, lo, hi int, ks *[gatherBlock]int) {
+	for base := lo; base < hi; base += gatherBlock {
+		held := gatherNonZero(ks, x[base:min(base+gatherBlock, hi)], base)
+		addOuterRows(dst, x, d, ks[:held])
+	}
+}
+
+// addOuterRows adds a[k]·d onto row k of dst (row stride len(d)) for
+// each k of ks: per element,
+//
+//	dst[k*n+j] += float64(a[k] * d[j])
+//
+// The conversion keeps the product rounded on its own where Go would
+// otherwise fuse it into the add: the tape's defining loop rounded it
+// before adding (g := 0.0; g += a*d; grad += g). Where useAVX2 is set
+// the assembly does the same four columns to an instruction, with d
+// held in registers across all of ks.
+func addOuterRows(dst, a, d []float64, ks []int) {
+	if useAVX2 {
+		addOuterRowsAVX2(dst, a, d, ks)
+		return
+	}
+	addOuterRowsGo(dst, a, d, ks)
+}
+
+// addOuterRowsGo is the portable addOuterRows, and the oracle for the
+// assembly.
+func addOuterRowsGo(dst, a, d []float64, ks []int) {
+	n := len(d)
+	for _, k := range ks {
+		x, row := a[k], dst[k*n:][:n]
+		for j, v := range d {
+			row[j] += float64(x * v)
+		}
 	}
 }
 

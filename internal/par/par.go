@@ -50,12 +50,12 @@ func startWorkers() {
 }
 
 // Blocks runs fn(lo, hi) over disjoint contiguous blocks covering
-// [0, n): one block per worker, the caller's block inline, the rest on
-// the pool, returning once every block is done. grain is the minimum
-// items per block — below 2*grain (or with GOMAXPROCS at one) fn runs
-// serially inline as fn(0, n). Blocks execute the identical serial
-// per-item code, so results are bitwise independent of the split and of
-// scheduling.
+// [0, n): at most one block per worker and none of them empty, the
+// caller's block inline, the rest on the pool, returning once every
+// block is done. grain is the minimum items per block — below 2*grain
+// (or with GOMAXPROCS at one) fn runs serially inline as fn(0, n).
+// Blocks execute the identical serial per-item code, so results are
+// bitwise independent of the split and of scheduling.
 //
 // fn must treat items independently, and MUST NOT call Blocks or Each
 // itself: a nested dispatch from a pool worker can wait on tasks no
@@ -76,6 +76,9 @@ func Blocks(n, grain int, fn func(lo, hi int)) {
 	j := jobPool.Get().(*job)
 	j.fn = fn
 	block := (n + w - 1) / w
+	// Blocks of ceil(n/w) can cover n in fewer than w (25 items on 6
+	// workers take five blocks of 5); the rest would be empty.
+	w = (n + block - 1) / block
 	j.wg.Add(w - 1)
 	lo := block // block 0 runs inline below
 	for i := 1; i < w; i++ {

@@ -58,16 +58,16 @@ func TestBlocksCoversEveryIndexOnce(t *testing.T) {
 			if g := max(grain, 1); len(blocks) > 1 && n/len(blocks) < g {
 				t.Fatalf("GOMAXPROCS=%d n=%d grain=%d: %d blocks is below the grain", w, n, grain, len(blocks))
 			}
-			// Sorted by start, the blocks chain from 0 to n with no gap
-			// and no overlap (a trailing block may be empty when n does
-			// not divide evenly).
+			// Sorted by start, the blocks chain from 0 to n with no gap,
+			// no overlap and no empty block (n = 0 runs as one empty
+			// block, inline).
 			sort.Slice(blocks, func(a, b int) bool {
 				return blocks[a][0] < blocks[b][0] || blocks[a][0] == blocks[b][0] && blocks[a][1] < blocks[b][1]
 			})
 			at := 0
 			for _, b := range blocks {
-				if b[0] != at || b[1] < b[0] {
-					t.Fatalf("GOMAXPROCS=%d n=%d grain=%d: blocks %v do not tile [0,%d)", w, n, grain, blocks, n)
+				if b[0] != at || b[1] < b[0] || b[1] == b[0] && n > 0 {
+					t.Fatalf("GOMAXPROCS=%d n=%d grain=%d: blocks %v do not tile [0,%d) with non-empty blocks", w, n, grain, blocks, n)
 				}
 				at = b[1]
 			}

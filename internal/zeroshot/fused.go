@@ -27,11 +27,11 @@ const shardGrain = 32
 // shard per core, each its own pack + fused pass on the par worker pool
 // — graphs are mutually independent, so sharding scales the whole pass
 // (packing included) near-linearly. The result is bitwise identical to
-// calling Predict per graph — every packed row goes through the same
-// per-row tensor operations the tape path runs, whatever the shard
-// split — while doing near-zero allocations at steady state. Safe for
-// concurrent use. This is the inference path for one plan as for many;
-// the tape is for training, and for Predict as the reference.
+// predicting each graph alone — every packed row goes through the same
+// per-row tensor operations a per-graph tape forward runs (pinned
+// against the tape oracle kept in the tests), whatever the shard split
+// — while doing near-zero allocations at steady state. Safe for
+// concurrent use. This is the inference path for one plan as for many.
 func (m *Model) PredictBatch(gs []*encoding.Graph) []float64 {
 	out := make([]float64, len(gs))
 	if len(gs) == 0 {
@@ -41,8 +41,9 @@ func (m *Model) PredictBatch(gs []*encoding.Graph) []float64 {
 		bg := packPool.Get().(*encoding.BatchGraph)
 		bg.Pack(gs[lo:hi])
 		inf := nn.GetInference()
-		pred := m.fusedForward(inf, bg)
-		for g, v := range pred.Data[:hi-lo] {
+		var slabs [numFams]slab
+		m.fusedForward(inf, bg, &slabs)
+		for g, v := range slabs[famReadout].out.Data[:hi-lo] {
 			out[lo+g] = runtimeFromLog(v)
 		}
 		inf.Release()
@@ -51,65 +52,122 @@ func (m *Model) PredictBatch(gs []*encoding.Graph) []float64 {
 	return out
 }
 
-// fusedForward runs the graph network over a packed batch. Stages
-// mirror forward exactly:
+// Each of the model's MLPs is a family of rows: one encoder per node
+// type (families 0 … NumNodeTypes-1), the combine, the readout.
+const (
+	famCombine = encoding.NumNodeTypes
+	famReadout = encoding.NumNodeTypes + 1
+	numFams    = encoding.NumNodeTypes + 2
+)
+
+// mlp returns family f's network.
+func (m *Model) mlp(f int) *nn.MLP {
+	switch f {
+	case famCombine:
+		return m.combine
+	case famReadout:
+		return m.readout
+	}
+	return m.encoders[f]
+}
+
+// slab is one MLP applied to a slab of rows. Every MLP of the model has
+// two layers: layer 0 maps in to h (negatives clamped), layer 1 maps h
+// to out. fusedForward fills in, h and out; the trainer's backward pass
+// (train.go) fills the rest.
+type slab struct {
+	in, h, out nn.Tensor
+	// dOut is the gradient at out; dH the gradient at h before its clamp
+	// (zero where h is not positive); dIn the gradient at in, where in
+	// has one. dOut and dH are what layers 1 and 0 hand their weights.
+	dOut, dH, dIn nn.Tensor
+	// rows lists the slab's rows in the tape's order — graphs ascending
+	// and, within a graph, nodes descending; ends[g] is where local graph
+	// g's rows stop.
+	rows, ends []int32
+}
+
+// run applies net to rows [a, b) of the slab.
+func (s *slab) run(net *nn.MLP, a, b int) {
+	in, h, out := rowsOf(&s.in, a, b), rowsOf(&s.h, a, b), rowsOf(&s.out, a, b)
+	net.Layers[0].InferInto(&h, &in, true)
+	net.Layers[1].InferInto(&out, &h, false)
+}
+
+// rowsOf returns a view of t's rows [lo, hi).
+func rowsOf(t *nn.Tensor, lo, hi int) nn.Tensor {
+	return nn.Tensor{Rows: hi - lo, Cols: t.Cols, Data: t.Data[lo*t.Cols : hi*t.Cols]}
+}
+
+// fusedForward runs the graph network over a packed batch, in three
+// stages, leaving every MLP's input, hidden and output rows in slabs:
+// the prediction is slabs[famReadout].out, one log-runtime per graph,
+// and the trainer keeps the rest for its backward pass.
 //
 //  1. encoders — one fused pass per node type over its feature slab,
 //     scattered to per-node hidden rows;
-//  2. combine — one fused pass per topological level: each level-k
-//     node's input row is [h0 | sum of child hidden states] (children
-//     sit at lower levels, so their rows are final);
+//  2. combine — one fused pass per topological level over that level's
+//     rows of the combine slab (row j is node bg.LevelOrder[j]): each
+//     level-k node's input row is [h0 | sum of child hidden states]
+//     (children sit at lower levels, so their rows are final);
 //  3. readout — one fused pass over the gathered root rows (or, in
 //     FlatSum mode, each graph's mean node hidden state).
-func (m *Model) fusedForward(inf *nn.Inference, bg *encoding.BatchGraph) *nn.Tensor {
+//
+// Every row goes through the operations a per-graph tape forward runs on
+// it, in the same order, so the bits are the tape's.
+func (m *Model) fusedForward(inf *nn.Inference, bg *encoding.BatchGraph, slabs *[numFams]slab) {
 	hd := m.cfg.Hidden
 	// Every row of the staging tensors is fully overwritten before being
 	// read, so none of them needs the zeroing memclr.
-	hidden := inf.TensorUninit(bg.NumNodes, hd)
-	var enc [encoding.NumNodeTypes]*nn.Tensor
+	hidden := inf.TensorUninit(bg.NumNodes, hd).Data
 	for t := 0; t < encoding.NumNodeTypes; t++ {
-		if n := bg.TypeCount[t]; n > 0 {
-			x := nn.Wrap(n, encoding.FeatDim(encoding.NodeType(t)), bg.Feats[t])
-			enc[t] = m.encoders[t].Infer(inf, x)
+		n := bg.TypeCount[t]
+		if n == 0 {
+			continue
 		}
+		s := &slabs[t]
+		s.in = nn.Tensor{Rows: n, Cols: encoding.FeatDim(encoding.NodeType(t)), Data: bg.Feats[t]}
+		s.h, s.out = *inf.TensorUninit(n, hd), *inf.TensorUninit(n, hd)
+		s.run(m.encoders[t], 0, n)
 	}
 	for i := 0; i < bg.NumNodes; i++ {
 		r := int(bg.TypeRow[i])
-		src := enc[bg.Types[i]]
-		copy(hidden.Data[i*hd:(i+1)*hd], src.Data[r*hd:(r+1)*hd])
+		copy(hidden[i*hd:(i+1)*hd], slabs[bg.Types[i]].out.Data[r*hd:(r+1)*hd])
 	}
 
-	if !m.cfg.FlatSum {
+	if nc := len(bg.LevelOrder); !m.cfg.FlatSum && nc > 0 {
+		c := &slabs[famCombine]
+		c.in, c.h, c.out = *inf.TensorUninit(nc, 2*hd), *inf.TensorUninit(nc, hd), *inf.TensorUninit(nc, hd)
 		for lvl := 1; lvl <= bg.NumLevels(); lvl++ {
-			nodes := bg.Level(lvl)
-			in := inf.TensorUninit(len(nodes), 2*hd)
+			a, nodes := int(bg.LevelStart[lvl-1]), bg.Level(lvl)
 			for j, i := range nodes {
-				row := in.Data[j*2*hd : (j+1)*2*hd]
-				copy(row[:hd], hidden.Data[int(i)*hd:(int(i)+1)*hd])
+				row := c.in.Data[(a+j)*2*hd : (a+j+1)*2*hd]
+				copy(row[:hd], hidden[int(i)*hd:(int(i)+1)*hd])
 				cs := bg.ChildrenOf(i)
 				childSum := row[hd:]
-				copy(childSum, hidden.Data[int(cs[0])*hd:(int(cs[0])+1)*hd])
-				for _, c := range cs[1:] {
-					for k, v := range hidden.Data[int(c)*hd : (int(c)+1)*hd] {
+				copy(childSum, hidden[int(cs[0])*hd:(int(cs[0])+1)*hd])
+				for _, ch := range cs[1:] {
+					for k, v := range hidden[int(ch)*hd : (int(ch)+1)*hd] {
 						childSum[k] += v
 					}
 				}
 			}
-			combined := m.combine.Infer(inf, in)
+			c.run(m.combine, a, a+len(nodes))
 			for j, i := range nodes {
-				copy(hidden.Data[int(i)*hd:(int(i)+1)*hd], combined.Data[j*hd:(j+1)*hd])
+				copy(hidden[int(i)*hd:(int(i)+1)*hd], c.out.Data[(a+j)*hd:(a+j+1)*hd])
 			}
 		}
 	}
 
-	roots := inf.TensorUninit(bg.NumGraphs, hd)
+	r := &slabs[famReadout]
+	r.in = *inf.TensorUninit(bg.NumGraphs, hd)
 	for g := 0; g < bg.NumGraphs; g++ {
-		dst := roots.Data[g*hd : (g+1)*hd]
+		dst := r.in.Data[g*hd : (g+1)*hd]
 		if m.cfg.FlatSum {
 			start, end := int(bg.GraphStart[g]), int(bg.GraphStart[g+1])
-			copy(dst, hidden.Data[start*hd:(start+1)*hd])
+			copy(dst, hidden[start*hd:(start+1)*hd])
 			for i := start + 1; i < end; i++ {
-				for k, v := range hidden.Data[i*hd : (i+1)*hd] {
+				for k, v := range hidden[i*hd : (i+1)*hd] {
 					dst[k] += v
 				}
 			}
@@ -118,17 +176,17 @@ func (m *Model) fusedForward(inf *nn.Inference, bg *encoding.BatchGraph) *nn.Ten
 				dst[k] *= s
 			}
 		} else {
-			r := int(bg.Roots[g])
-			copy(dst, hidden.Data[r*hd:(r+1)*hd])
+			root := int(bg.Roots[g])
+			copy(dst, hidden[root*hd:(root+1)*hd])
 		}
 	}
-	return m.readout.Infer(inf, roots)
+	r.h, r.out = *inf.TensorUninit(bg.NumGraphs, hd), *inf.TensorUninit(bg.NumGraphs, m.readout.Layers[1].Out)
+	r.run(m.readout, 0, bg.NumGraphs)
 }
 
 // runtimeFromLog converts a predicted log-runtime into seconds, clamped
 // to a sane runtime band (1 microsecond .. ~3 hours) so a wild
-// extrapolation cannot overflow downstream metrics. Shared by the tape
-// and fused inference paths so both clamp identically.
+// extrapolation cannot overflow downstream metrics.
 func runtimeFromLog(logRT float64) float64 {
 	if logRT > 9.2 {
 		logRT = 9.2

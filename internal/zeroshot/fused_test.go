@@ -33,7 +33,7 @@ func fusedFixture(t *testing.T, flatSum bool) (*Model, []*encoding.Graph) {
 
 // TestPredictBatchBitwiseEqualsPredict pins the fused batched forward
 // pass (BatchGraph packing + inference-only execution) bitwise to the
-// tape-building Predict, across batch sizes including 1, and across
+// tape oracle's prediction, across batch sizes including 1, and across
 // repeated calls so recycled pool buffers cannot leak state between
 // batches.
 func TestPredictBatchBitwiseEqualsPredict(t *testing.T) {
@@ -48,7 +48,7 @@ func TestPredictBatchBitwiseEqualsPredict(t *testing.T) {
 			m, graphs := fusedFixture(t, tc.flatSum)
 			want := make([]float64, len(graphs))
 			for i, g := range graphs {
-				want[i] = m.Predict(g)
+				want[i] = m.tapePredict(g)
 			}
 			for _, size := range []int{1, 3, len(graphs)} {
 				got := m.PredictBatch(graphs[:size])
@@ -75,7 +75,7 @@ func TestPredictBatchBitwiseEqualsPredict(t *testing.T) {
 // TestPredictBatchMixedSchemas packs graphs encoded against two
 // different databases into one batch — the shape a multi-database
 // serving session's coalescer produces — and checks per-graph results
-// match single predictions.
+// match the tape oracle's.
 func TestPredictBatchMixedSchemas(t *testing.T) {
 	imdb, err := datagen.IMDBLike(0.02)
 	if err != nil {
@@ -97,7 +97,7 @@ func TestPredictBatchMixedSchemas(t *testing.T) {
 	m := New(smallConfig())
 	got := m.PredictBatch(graphs)
 	for i, g := range graphs {
-		if want := m.Predict(g); got[i] != want {
+		if want := m.tapePredict(g); got[i] != want {
 			t.Fatalf("mixed batch item %d: %v != %v", i, got[i], want)
 		}
 	}

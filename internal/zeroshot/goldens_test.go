@@ -51,7 +51,9 @@ func trainDigest(m *Model, losses []float64, samples []Sample) string {
 // The golden is amd64's: on targets where Go fuses x*y+z into an FMA
 // the recorded code itself rounds differently, so there the within-
 // platform pins (nn's reference kernels, the width-invariance and
-// fused≡tape tests) carry the contract.
+// fused≡tape tests) carry the contract. amd64 never fuses — gc keeps
+// x*y+z two roundings at every GOAMD64 level (Go 1.24, checked at v3),
+// and the assembly has no FMA — so the golden holds at v3 too.
 func TestTrainGoldens(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("train goldens were recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
@@ -95,6 +97,46 @@ func TestTrainGoldens(t *testing.T) {
 		}
 	}
 	checkGolden(t, filepath.Join("testdata", "train.golden"), got.String())
+}
+
+// TestTrainGoldensFromTapeOracle keeps the oracle honest: the per-sample
+// tape trainer of oracle_test.go, serial, reproduces the golden's cpu=1
+// lines — so when TestPackedGradientsMatchTape holds the packed trainer
+// to it, it holds it to the bits the golden was recorded from.
+func TestTrainGoldensFromTapeOracle(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("train goldens were recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
+	}
+	db, err := datagen.IMDBLike(0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := gatherSamples(t, db, 52, 17, encoding.CardExact)
+	want, err := os.ReadFile(filepath.Join("testdata", "train.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, flat := range []bool{false, true} {
+		for _, fineTune := range []bool{false, true} {
+			cfg := smallConfig()
+			cfg.FlatSum = flat
+			m := New(cfg)
+			losses := m.tapeTrain(samples, 3, cfg.LR)
+			name := "train"
+			if fineTune {
+				losses = append(losses, m.tapeTrain(samples[:len(samples)/2], 2, cfg.LR/4)...)
+				name = "train+finetune"
+			}
+			arch := "message-passing"
+			if flat {
+				arch = "flat-sum"
+			}
+			line := fmt.Sprintf("zeroshot %s %s cpu=1 %s\n", arch, name, trainDigest(m, losses, samples))
+			if !strings.Contains(string(want), line) {
+				t.Fatalf("the tape oracle's %s %s digest is not the golden's:\n%s", arch, name, line)
+			}
+		}
+	}
 }
 
 // checkGolden compares got with the file, or rewrites the file under

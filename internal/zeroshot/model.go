@@ -24,13 +24,10 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"slices"
-	"sync"
 	"time"
 
 	"github.com/zeroshot-db/zeroshot/internal/encoding"
 	"github.com/zeroshot-db/zeroshot/internal/nn"
-	"github.com/zeroshot-db/zeroshot/internal/par"
 )
 
 // Config holds model and training hyperparameters.
@@ -84,47 +81,6 @@ type Model struct {
 	// order is the epoch permutation buffer, reused across epochs and
 	// Train/FineTune calls instead of reallocated per call.
 	order []int
-	// grads pools the private gradient sets shards accumulate into (so
-	// concurrent shards never touch the shared parameter gradients)
-	// across shards, minibatches and training runs. Per-model, because a
-	// GradSet mirrors this model's parameters — the only part of a
-	// training worker's state that does; the rest is in tapePool.
-	grads sync.Pool
-}
-
-// tapeScratch is the model-independent part of one training worker's
-// state: a recycled tape, forward's table of per-node hidden states
-// (indexed by GNode.Index) with its child-gathering buffer, and a
-// reusable 1x1 target tensor. Nothing in it knows a model until a shard
-// binds the tape to a GradSet (RemapGrads), so one warm set serves any
-// model of any shape.
-type tapeScratch struct {
-	tape   *nn.Tape
-	hidden []*nn.Var
-	kids   []*nn.Var
-	target *nn.Tensor
-}
-
-// tapePool outlives every model, deliberately: the adaptation loop
-// fine-tunes a fresh Clone each cycle, and a per-model pool made every
-// cycle grow eight cold tapes (slab, Var and Tensor structs, op log) and
-// throw them away — +25 % peak RSS on the few-shot workload. Here a
-// cycle's clone trains on the previous cycle's warm tapes. A set is
-// released (see release) before it is pooled, so an idle one references
-// no model, gradient set or plan graph — only its own buffers.
-var tapePool = sync.Pool{New: func() any {
-	return &tapeScratch{tape: nn.NewTape(), target: nn.NewTensor(1, 1)}
-}}
-
-// release drops everything the set references beyond its own buffers —
-// the tape's op log, Vars and gradient binding, the hidden-state table's
-// Var pointers — and returns it to the pool.
-func (ts *tapeScratch) release() {
-	ts.tape.Reset()
-	ts.tape.RemapGrads(nil)
-	clear(ts.hidden[:cap(ts.hidden)])
-	clear(ts.kids[:cap(ts.kids)])
-	tapePool.Put(ts)
 }
 
 // New creates a randomly initialized model.
@@ -140,7 +96,6 @@ func New(cfg Config) *Model {
 	}
 	m.combine = nn.NewMLP(rng, 2*cfg.Hidden, cfg.Hidden, cfg.Hidden)
 	m.readout = nn.NewMLP(rng, cfg.Hidden, cfg.Hidden, 1)
-	m.grads.New = func() any { return nn.NewGradSet(m.Params()) }
 	return m
 }
 
@@ -158,53 +113,10 @@ func (m *Model) Params() []*nn.Param {
 	return ps
 }
 
-// forward runs the graph network on ts's tape and returns the predicted
-// log-runtime as a 1x1 Var. Hidden states live in ts.hidden, indexed by
-// GNode.Index through Graph.Position — the lookup BatchGraph.Pack uses —
-// so a graph whose nodes are unindexed or out of topological order
-// panics here as it does there.
-func (m *Model) forward(ts *tapeScratch, g *encoding.Graph) *nn.Var {
-	tp := ts.tape
-	hidden := slices.Grow(ts.hidden[:0], len(g.Nodes))[:len(g.Nodes)]
-	ts.hidden = hidden
-	for i, n := range g.Nodes {
-		h := m.encoders[n.Type].Apply(tp, tp.ConstRow(n.Feat))
-		if !m.cfg.FlatSum && len(n.Children) > 0 {
-			ts.kids = ts.kids[:0]
-			for _, c := range n.Children {
-				ci, ok := g.Position(c, i)
-				if !ok {
-					panic(fmt.Sprintf("zeroshot: graph %p: a child of node %d is not an earlier node of the graph (unindexed, or not in topological order)", g, i))
-				}
-				ts.kids = append(ts.kids, hidden[ci])
-			}
-			h = m.combine.Apply(tp, tp.Concat(h, tp.Sum(ts.kids...)))
-		}
-		hidden[i] = h
-	}
-	var root *nn.Var
-	if m.cfg.FlatSum {
-		root = tp.ScaleVar(tp.Sum(hidden...), 1/float64(len(hidden)))
-	} else {
-		ri, ok := g.Position(g.Root, len(g.Nodes))
-		if !ok {
-			panic(fmt.Sprintf("zeroshot: graph %p: root missing from Nodes", g))
-		}
-		root = hidden[ri]
-	}
-	return m.readout.Apply(tp, root)
-}
-
-// Predict returns the predicted runtime in seconds for an encoded plan
-// by building a tape and running forward on it: the path training
-// takes, kept for inference as the reference the fused PredictBatch is
-// pinned bitwise-equal to. Nothing serves through it — every caller
-// that wants a prediction, one plan or many, calls PredictBatch, which
-// computes the same bits without a tape.
+// Predict returns the predicted runtime in seconds for one encoded
+// plan: a fused batch of one (see PredictBatch).
 func (m *Model) Predict(g *encoding.Graph) float64 {
-	ts := &tapeScratch{tape: nn.NewTape()}
-	out := m.forward(ts, g)
-	return runtimeFromLog(out.Val.Data[0])
+	return m.PredictBatch([]*encoding.Graph{g})[0]
 }
 
 // TrainResult reports the per-epoch mean training loss and the
@@ -260,14 +172,13 @@ func (m *Model) FineTuneCtx(ctx context.Context, samples []Sample, epochs int, l
 	return m.train(ctx, samples, epochs, lr)
 }
 
-// maxGradShards fixes how many gradient-reduction shards a minibatch
-// splits into. The shard layout is a function of the minibatch length
-// ONLY — never of the worker count — so the fixed-order reduce yields
-// bitwise identical weights for any GOMAXPROCS value: workers
-// only decide which goroutine computes which shard, not what any shard
-// computes or the order shards reduce in. Eight shards bound both the
-// parallel fan-out per optimizer step and the number of private
-// gradient sets alive at once.
+// maxGradShards fixes how many shards a minibatch's gradient sums are
+// grouped into: each parameter element sums a shard's terms onto +0 and
+// adds that partial to its gradient, shard by shard (see train.go). It
+// is the summation grouping only, not the parallelism — that comes from
+// GOMAXPROCS through par, across graph parts and gradient jobs — and it
+// stays 8 because the trained weights' bits depend on it: the per-sample
+// trainer ran one shard per worker and reduced them in this order.
 const maxGradShards = 8
 
 // shardBounds returns the s-th of `shards` balanced contiguous ranges
@@ -287,16 +198,12 @@ func shardBounds(n, shards, s int) (lo, hi int) {
 	return lo, hi
 }
 
-// train is the data-parallel training engine. Each epoch shuffles the
-// reused order buffer, then walks it in minibatches; each minibatch
-// splits into up to maxGradShards contiguous shards that run
-// forward+backward concurrently on the par worker pool, every shard
-// accumulating into a private gradient set from the model's pool over
-// a warm tape from the shared one. Shard gradients and losses then
-// reduce into the optimizer's shared tensors in ascending shard order.
-// The result — weights and EpochLoss — is bitwise identical for any
-// worker count, and the serial path is the same code with the shard
-// loop run inline.
+// train is the training engine. Each epoch shuffles the reused order
+// buffer, then walks it in minibatches; each minibatch is one packed
+// step (trainScratch.step, train.go) — forward, backward and the
+// parameter gradients summed in a fixed order — then one Adam update.
+// The result, weights and EpochLoss, is bitwise identical for any
+// worker count.
 func (m *Model) train(ctx context.Context, samples []Sample, epochs int, lr float64) (*TrainResult, error) {
 	for i, s := range samples {
 		if s.Graph == nil || s.Graph.Root == nil {
@@ -307,8 +214,7 @@ func (m *Model) train(ctx context.Context, samples []Sample, epochs int, lr floa
 		}
 	}
 	start := time.Now()
-	params := m.Params()
-	opt := nn.NewAdam(params, lr)
+	opt := nn.NewAdam(m.Params(), lr)
 	if cap(m.order) < len(samples) {
 		m.order = make([]int, len(samples))
 	}
@@ -321,10 +227,9 @@ func (m *Model) train(ctx context.Context, samples []Sample, epochs int, lr floa
 	if batch <= 0 {
 		batch = 16
 	}
-	var (
-		shardGrads [maxGradShards]*nn.GradSet
-		shardLoss  [maxGradShards]float64
-	)
+	st := getTrainScratch()
+	defer st.release()
+	st.bind(m, samples)
 	for epoch := 0; epoch < epochs; epoch++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("zeroshot: training aborted after %d epochs: %w", epoch, err)
@@ -335,41 +240,8 @@ func (m *Model) train(ctx context.Context, samples []Sample, epochs int, lr floa
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("zeroshot: training aborted mid-epoch: %w", err)
 			}
-			end := base + batch
-			if end > len(order) {
-				end = len(order)
-			}
-			mb := order[base:end]
-			shards := len(mb)
-			if shards > maxGradShards {
-				shards = maxGradShards
-			}
-			par.Blocks(shards, 1, func(slo, shi int) {
-				ts := tapePool.Get().(*tapeScratch)
-				for s := slo; s < shi; s++ {
-					gs := m.grads.Get().(*nn.GradSet)
-					gs.Zero()
-					ts.tape.RemapGrads(gs.Remap())
-					lo, hi := shardBounds(len(mb), shards, s)
-					loss := 0.0
-					for _, idx := range mb[lo:hi] {
-						loss += m.trainStep(ts, samples[idx])
-					}
-					shardLoss[s] = loss
-					shardGrads[s] = gs
-				}
-				ts.release()
-			})
-			// Deterministic reduce: shard gradients and losses fold into
-			// the shared tensors in ascending shard order, whatever order
-			// the workers finished in.
-			for s := 0; s < shards; s++ {
-				gs := shardGrads[s]
-				shardGrads[s] = nil
-				gs.AddTo(params)
-				epochLoss += shardLoss[s]
-				m.grads.Put(gs)
-			}
+			mb := order[base:min(base+batch, len(order))]
+			epochLoss = st.step(mb, epochLoss)
 			opt.Step(float64(len(mb)))
 			opt.ZeroGrad()
 		}
@@ -380,19 +252,6 @@ func (m *Model) train(ctx context.Context, samples []Sample, epochs int, lr floa
 		res.SamplesPerSec = float64(len(samples)*epochs) / secs
 	}
 	return res, nil
-}
-
-// trainStep runs one sample's forward+backward on the worker's warm
-// tape, accumulating into the gradient set the tape is bound to, and
-// returns the sample loss. Once the tape has seen a plan this large it
-// allocates nothing.
-func (m *Model) trainStep(ts *tapeScratch, s Sample) float64 {
-	ts.tape.Reset()
-	out := m.forward(ts, s.Graph)
-	ts.target.Data[0] = math.Log(s.RuntimeSec)
-	loss := ts.tape.HuberLoss(out, ts.target, m.cfg.HuberDelta)
-	ts.tape.Backward(loss)
-	return loss.Val.Data[0]
 }
 
 // savedModel is the gob header preceding the parameters.

@@ -136,12 +136,11 @@ func TestTrainCancelsMidEpoch(t *testing.T) {
 	}
 }
 
-// TestTrainingAllocsCutByPooling pins what the training engine's
-// pooling buys per sample: against the per-sample cost of a fresh tape
-// and a fresh target tensor over the same real plan graphs, a warm
-// tape's step — op records in a reused log, recycled Vars and tensors,
-// hidden states in a reused table, no gradient for the feature rows —
-// allocates nothing at all.
+// TestTrainingAllocsCutByPooling pins what the packed trainer's pooling
+// buys per minibatch: against a fresh tape per sample over the same real
+// plans, a warm packed step — packings, slabs, row orders and gradient
+// partials reused, its par.Blocks bodies built once — allocates nothing
+// at all.
 func TestTrainingAllocsCutByPooling(t *testing.T) {
 	db, err := datagen.IMDBLike(0.02)
 	if err != nil {
@@ -160,23 +159,18 @@ func TestTrainingAllocsCutByPooling(t *testing.T) {
 		}
 	})
 
-	ts := tapePool.Get().(*tapeScratch)
-	defer ts.release()
-	gs := m.grads.Get().(*nn.GradSet)
-	defer m.grads.Put(gs)
-	gs.Zero()
-	ts.tape.RemapGrads(gs.Remap())
-	for _, s := range samples {
-		m.trainStep(ts, s) // warm the tape to its steady state
+	mb := make([]int, len(samples))
+	for i := range mb {
+		mb[i] = i
 	}
-	pooled := testing.AllocsPerRun(10, func() {
-		for _, s := range samples {
-			m.trainStep(ts, s)
-		}
-	})
-	t.Logf("per-%d-sample pass: unpooled %.0f allocs, pooled %.0f", len(samples), unpooled, pooled)
+	st := getTrainScratch()
+	defer st.release()
+	st.bind(m, samples)
+	st.step(mb, 0) // warm the scratch to its steady state
+	pooled := testing.AllocsPerRun(10, func() { st.step(mb, 0) })
+	t.Logf("%d-sample minibatch: a fresh tape per sample %.0f allocs, warm packed step %.0f", len(samples), unpooled, pooled)
 	if pooled != 0 {
-		t.Fatalf("a warm %d-sample training pass allocates %.0f objects, want 0 (a fresh tape per sample: %.0f)",
+		t.Fatalf("a warm %d-sample packed step allocates %.0f objects, want 0 (a fresh tape per sample: %.0f)",
 			len(samples), pooled, unpooled)
 	}
 }
