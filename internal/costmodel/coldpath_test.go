@@ -214,11 +214,10 @@ func TestColdBatchErrorNamesFirstItem(t *testing.T) {
 	}
 }
 
-// TestPredictBatchWarmAllocsPinned pins the warm path unchanged by the
-// parallel cold machinery: an all-memoized batch must stay at a small
-// constant allocation count — nothing per item, no dedup map, no
-// worker pool. A per-item regression would show up as ≥ one alloc per
-// input (64 here).
+// TestPredictBatchWarmAllocsPinned pins the warm path: an all-answered
+// batch — every memo holding the answer under the current weights —
+// allocates the graphs and answers slices and nothing else: no pack, no
+// pass, nothing per item, no dedup map, no worker pool.
 func TestPredictBatchWarmAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop items; alloc bounds only hold unraced")
@@ -241,12 +240,8 @@ func TestPredictBatchWarmAllocsPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Steady-state warm batch: the graphs slice, the predictions slice,
-	// and a few pooled-buffer slot headers — nothing proportional to
-	// the batch. The bound is deliberately far below one alloc/item
-	// (n = 30+) so any per-item regression trips it.
-	if allocs > 16 {
-		t.Fatalf("warm PredictBatch allocates %.0f/op over %d items — warm path no longer allocation-pinned", allocs, n)
+	if allocs > 2 {
+		t.Fatalf("warm PredictBatch allocates %.0f/op over %d items, want <= 2 — warm path no longer allocation-pinned", allocs, n)
 	}
 }
 

@@ -24,6 +24,17 @@ import (
 // immutable by every consumer — the batch packer, for inference and
 // for training, only reads them — which is what makes sharing one graph
 // across concurrent predictions safe.
+//
+// Beside each graph the entry keeps one answer: the seconds the fused
+// pass returned for that graph under the weights of one
+// zeroshot.Model.Version. The pass is deterministic per (graph,
+// weights), so while the serving model still reports that version the
+// answer is the bits a fresh pass would return, and a repeated
+// statement costs one locked read instead of a forward pass. The slot is
+// overwritten in place and lives and dies with its entry — no new
+// entries, no eviction. It holds one answer, not one per model: two
+// zero-shot models with the same cardinality source predicting over one
+// memo take turns overwriting it and simply miss.
 type EncodedPlan struct {
 	mu      sync.Mutex
 	entries []encodedGraph
@@ -32,6 +43,10 @@ type EncodedPlan struct {
 type encodedGraph struct {
 	key   encoding.Key
 	graph *encoding.Graph
+	// version and seconds are the answer slot; version 0 (never a
+	// model's) means empty.
+	version uint64
+	seconds float64
 }
 
 // NewEncodedPlan returns an empty memo ready to attach to a PlanInput.
@@ -49,17 +64,23 @@ func (m *EncodedPlan) find(key encoding.Key) *encodedGraph {
 	return nil
 }
 
-// lookup returns the memoized graph for the encoder key, if present.
-func (m *EncodedPlan) lookup(key encoding.Key) (*encoding.Graph, bool) {
+// resolve returns, under one lock, the answer memoized for the encoder
+// key under weights version (answered), or else the memoized graph (nil
+// when the key has none). Version 0 takes no answer.
+func (m *EncodedPlan) resolve(key encoding.Key, version uint64) (g *encoding.Graph, seconds float64, answered bool) {
 	if m == nil {
-		return nil, false
+		return nil, 0, false
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if e := m.find(key); e != nil {
-		return e.graph, true
+	e := m.find(key)
+	if e == nil {
+		return nil, 0, false
 	}
-	return nil, false
+	if version != 0 && e.version == version {
+		return nil, e.seconds, true
+	}
+	return e.graph, 0, false
 }
 
 // store records the graph for the key. Concurrent stores for the same
@@ -76,4 +97,19 @@ func (m *EncodedPlan) store(key encoding.Key, g *encoding.Graph) {
 		return
 	}
 	m.entries = append(m.entries, encodedGraph{key: key, graph: g})
+}
+
+// answer records seconds as the prediction for the key's graph under
+// weights version, in place of whatever the slot held. Stores racing
+// each other are benign: an answer under a version the model has left
+// is never matched again, since versions are never reissued.
+func (m *EncodedPlan) answer(key encoding.Key, version uint64, seconds float64) {
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e := m.find(key); e != nil {
+		e.version, e.seconds = version, seconds
+	}
 }

@@ -79,7 +79,8 @@ func TestEncodedPlanMemo(t *testing.T) {
 
 // TestEncodedPlanMemoAllocs pins the hot-path payoff: a steady-state
 // prediction over a memoized input skips graph encoding entirely, so it
-// must allocate strictly less than one that encodes every time.
+// must allocate strictly less than one that encodes every time — and,
+// answered from the memo, nothing at all.
 func TestEncodedPlanMemoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop items; alloc bounds only hold unraced")
@@ -112,5 +113,10 @@ func TestEncodedPlanMemoAllocs(t *testing.T) {
 
 	if warm >= cold {
 		t.Fatalf("memoized predict allocates %.0f/op, fresh-encode predict %.0f/op — graph reuse is not engaged", warm, cold)
+	}
+	// A memo hit answers from the slot: the encoder stays on the stack
+	// and one lock returns the seconds.
+	if warm > 0 {
+		t.Fatalf("memo-hit predict allocates %.0f/op, want 0", warm)
 	}
 }

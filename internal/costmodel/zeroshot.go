@@ -33,7 +33,8 @@ func init() {
 // executed plans, and the adapter encodes them against the input
 // database's schema with its configured cardinality source. It keeps no
 // per-schema state: an encoder is a few words built on demand, and what
-// is worth keeping — the encoded graph — lives in the input's memo.
+// is worth keeping — the encoded graph, and the answer the model gave
+// for it under its current weights — lives in the input's memo.
 type ZeroShot struct {
 	model *zeroshot.Model
 	card  encoding.CardSource
@@ -56,21 +57,28 @@ func (z *ZeroShot) encoder(in PlanInput) *encoding.PlanEncoder {
 	return encoding.NewPlanEncoder(in.DB.Schema, z.card)
 }
 
-func (z *ZeroShot) encode(in PlanInput) (*encoding.Graph, error) {
+// resolve returns the input's memoized answer under weights version
+// (answered), or else its graph, encoding and memoizing it on a miss.
+// Version 0 takes no answer.
+func (z *ZeroShot) resolve(in PlanInput, version uint64) (g *encoding.Graph, seconds float64, answered bool, err error) {
 	if in.DB == nil || in.Plan == nil {
-		return nil, fmt.Errorf("zeroshot estimator needs DB and Plan inputs")
+		return nil, 0, false, fmt.Errorf("zeroshot estimator needs DB and Plan inputs")
 	}
 	enc := z.encoder(in)
 	key := enc.Key()
-	if g, ok := in.Enc.lookup(key); ok {
-		return g, nil
+	if g, seconds, answered = in.Enc.resolve(key, version); answered || g != nil {
+		return g, seconds, answered, nil
 	}
-	g, err := enc.Encode(in.Plan)
-	if err != nil {
-		return nil, err
+	if g, err = enc.Encode(in.Plan); err != nil {
+		return nil, 0, false, err
 	}
 	in.Enc.store(key, g)
-	return g, nil
+	return g, 0, false, nil
+}
+
+func (z *ZeroShot) encode(in PlanInput) (*encoding.Graph, error) {
+	g, _, _, err := z.resolve(in, 0)
+	return g, err
 }
 
 // WarmEncode implements EncodeWarmer: encode the input's plan into its
@@ -114,29 +122,48 @@ type coldShape struct {
 	graph *encoding.Graph
 }
 
-// encodeBatch resolves every input's plan graph: memo hits first, then
-// the remaining cold items deduped to distinct shapes and encoded over
-// par.Each (so the batch cancellation contract — no item starts after
-// cancel, unfinished items report ctx.Err() — carries over). Every graph
-// is heap-built and lives as long as its holders: the items' memos, a
-// training set, or just this batch.
-//
-// The warm path (every input memoized) allocates only the result slice.
+// encodeBatch resolves every input's plan graph (see resolveBatch); it
+// takes no answers, which is what training wants.
 func (z *ZeroShot) encodeBatch(ctx context.Context, ins []PlanInput) ([]*encoding.Graph, error) {
-	graphs := make([]*encoding.Graph, len(ins))
+	graphs, _, err := z.resolveBatch(ctx, ins, 0)
+	return graphs, err
+}
+
+// resolveBatch resolves every input to its answer under weights version
+// or its plan graph: memo hits first — one lock per item returns the
+// answer or the graph — then the remaining cold items deduped to
+// distinct shapes and encoded over par.Each (so the batch cancellation
+// contract — no item starts after cancel, unfinished items report
+// ctx.Err() — carries over). An answered item leaves its graph nil and
+// its seconds in answers, which stays nil while no item is answered;
+// version 0 answers none. Every graph is heap-built and lives as long as
+// its holders: the items' memos, a training set, or just this batch.
+//
+// The warm path (every input memoized) allocates only the result
+// slices.
+func (z *ZeroShot) resolveBatch(ctx context.Context, ins []PlanInput, version uint64) (graphs []*encoding.Graph, answers []float64, err error) {
+	graphs = make([]*encoding.Graph, len(ins))
 	var (
 		cold   []*coldShape // distinct cold shapes, first-occurrence order
 		shapes map[coldKey]*coldShape
 	)
 	for i, in := range ins {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("costmodel: batch item %d: %w", i, err)
+			return nil, nil, fmt.Errorf("costmodel: batch item %d: %w", i, err)
 		}
 		if in.DB == nil || in.Plan == nil {
-			return nil, fmt.Errorf("costmodel: batch item %d: zeroshot estimator needs DB and Plan inputs", i)
+			return nil, nil, fmt.Errorf("costmodel: batch item %d: zeroshot estimator needs DB and Plan inputs", i)
 		}
 		key := z.encoder(in).Key()
-		if g, ok := in.Enc.lookup(key); ok {
+		g, seconds, answered := in.Enc.resolve(key, version)
+		if answered {
+			if answers == nil {
+				answers = make([]float64, len(ins))
+			}
+			answers[i] = seconds
+			continue
+		}
+		if g != nil {
 			graphs[i] = g
 			continue
 		}
@@ -153,7 +180,7 @@ func (z *ZeroShot) encodeBatch(ctx context.Context, ins []PlanInput) ([]*encodin
 		s.items = append(s.items, i)
 	}
 	if len(cold) == 0 {
-		return graphs, nil
+		return graphs, answers, nil
 	}
 	errs := par.Each(ctx, len(cold), func(j int) error {
 		s := cold[j]
@@ -166,7 +193,7 @@ func (z *ZeroShot) encodeBatch(ctx context.Context, ins []PlanInput) ([]*encodin
 	// serial scan would have reported.
 	for j, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("costmodel: batch item %d: %w", cold[j].items[0], err)
+			return nil, nil, fmt.Errorf("costmodel: batch item %d: %w", cold[j].items[0], err)
 		}
 	}
 	for _, s := range cold {
@@ -176,7 +203,7 @@ func (z *ZeroShot) encodeBatch(ctx context.Context, ins []PlanInput) ([]*encodin
 			ins[i].Enc.store(key, s.graph)
 		}
 	}
-	return graphs, nil
+	return graphs, answers, nil
 }
 
 // Fit implements Estimator. ctx cancellation propagates into the
@@ -235,8 +262,10 @@ func (z *ZeroShot) Clone() (Estimator, error) {
 	return est, nil
 }
 
-// Predict implements Estimator: a fused batch of one. The fused pass
-// computes the bits a per-graph tape forward would (pinned by
+// Predict implements Estimator: the memoized answer when the input's
+// memo holds one under the model's current weights, else a fused batch
+// of one whose answer the memo keeps. The fused pass computes the bits a
+// per-graph tape forward would (pinned by
 // TestPredictBatchBitwiseEqualsPredict) without building a tape, which
 // is what adapt.Feedback pays per sample and the per-item isolation
 // fallbacks of serving and what-if pay per item.
@@ -244,34 +273,67 @@ func (z *ZeroShot) Predict(ctx context.Context, in PlanInput) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	g, err := z.encode(in)
-	if err != nil {
-		return 0, err
+	version := z.model.Version()
+	g, seconds, answered, err := z.resolve(in, version)
+	if err != nil || answered {
+		return seconds, err
 	}
-	return z.model.PredictBatch([]*encoding.Graph{g})[0], nil
+	seconds = z.model.PredictBatch([]*encoding.Graph{g})[0]
+	in.Enc.answer(z.encoder(in).Key(), version, seconds)
+	return seconds, nil
 }
 
-// PredictBatch implements Estimator: the whole batch executes as ONE
-// fused forward pass. The encode stage runs the cold-path pipeline —
-// memo hits resolve first, remaining cold items dedupe to distinct
-// shapes, and the distinct shapes encode in parallel (see encodeBatch)
-// — then the graphs are packed into an encoding.BatchGraph and run
-// through the model's tape-free batched inference. The result is
-// bitwise identical to predicting each input alone: encoding is
-// deterministic per shape, duplicates share one graph with identical
-// features, and the packed pass is the exact per-row operation sequence
-// of a per-graph tape forward. Inputs may span databases: each is
-// encoded against its own schema, and the packed pass never reads
-// schema state.
+// PredictBatch implements Estimator: every item the memo can answer
+// under the model's current weights is answered from it, and the rest
+// execute as ONE fused forward pass. The encode stage runs the
+// cold-path pipeline — memo hits resolve first, remaining cold items
+// dedupe to distinct shapes, and the distinct shapes encode in parallel
+// (see resolveBatch) — then the misses' graphs are packed into an
+// encoding.BatchGraph and run through the model's tape-free batched
+// inference, and each miss's memo keeps its answer under the version
+// read before the pass (a version the weights have since left is never
+// matched again). The result is bitwise identical to predicting each
+// input alone: encoding is deterministic per shape, duplicates share
+// one graph with identical features, the packed pass is the exact
+// per-row operation sequence of a per-graph tape forward, and a memo
+// answer is that pass's float for that graph under those weights.
+// Inputs may span databases: each is encoded against its own schema, and
+// the packed pass never reads schema state.
 func (z *ZeroShot) PredictBatch(ctx context.Context, ins []PlanInput) ([]float64, error) {
 	if len(ins) == 0 {
 		return nil, nil
 	}
-	graphs, err := z.encodeBatch(ctx, ins)
+	version := z.model.Version()
+	graphs, out, err := z.resolveBatch(ctx, ins, version)
 	if err != nil {
 		return nil, err
 	}
-	return z.model.PredictBatch(graphs), nil
+	misses := graphs
+	if out != nil { // some items were answered: pack only the rest
+		misses = nil
+		for _, g := range graphs {
+			if g != nil {
+				misses = append(misses, g)
+			}
+		}
+		if misses == nil {
+			return out, nil
+		}
+	}
+	preds := z.model.PredictBatch(misses)
+	if out == nil {
+		out = preds
+	}
+	j := 0
+	for i, g := range graphs {
+		if g == nil {
+			continue
+		}
+		out[i] = preds[j]
+		j++
+		ins[i].Enc.answer(z.encoder(ins[i]).Key(), version, out[i])
+	}
+	return out, nil
 }
 
 // FusesBatches implements BatchFuser: zero-shot batches run as one

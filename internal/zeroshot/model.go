@@ -24,6 +24,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"time"
 
 	"github.com/zeroshot-db/zeroshot/internal/encoding"
@@ -81,7 +82,26 @@ type Model struct {
 	// order is the epoch permutation buffer, reused across epochs and
 	// Train/FineTune calls instead of reallocated per call.
 	order []int
+
+	// version identifies the current weights (see Version).
+	version atomic.Uint64
 }
+
+// versions issues weights versions process-wide, starting at 1: 0 is
+// never a model's version, so a holder can use it for "none".
+var versions atomic.Uint64
+
+// renew gives the model a version no model has had before.
+func (m *Model) renew() { m.version.Store(versions.Add(1)) }
+
+// Version identifies the model's current weights: two reads that return
+// the same version saw the same weights, so a prediction made under one
+// version may be replayed while the model still reports it. A model gets
+// a fresh version from New and Load (so every clone and every loaded
+// bundle has its own), at the end of every training run — finished,
+// failed or cancelled — and whenever Params hands the weights out.
+// Read-only paths (Save, prediction) leave it alone.
+func (m *Model) Version() uint64 { return m.version.Load() }
 
 // New creates a randomly initialized model.
 func New(cfg Config) *Model {
@@ -96,14 +116,27 @@ func New(cfg Config) *Model {
 	}
 	m.combine = nn.NewMLP(rng, 2*cfg.Hidden, cfg.Hidden, cfg.Hidden)
 	m.readout = nn.NewMLP(rng, cfg.Hidden, cfg.Hidden, 1)
+	m.renew()
 	return m
 }
 
 // Config returns the model configuration.
 func (m *Model) Config() Config { return m.cfg }
 
-// Params returns all trainable parameters in a stable order.
+// Params returns all trainable parameters in a stable order. The caller
+// may write through them, so the model takes a fresh version (see
+// Version): predictions made before the call are not replayed after it.
+// The version moves at the call, not at the write, so finish writing
+// before predicting again; writing while other goroutines predict is a
+// data race, as it always was.
 func (m *Model) Params() []*nn.Param {
+	m.renew()
+	return m.params()
+}
+
+// params is Params for the package's own readers and writers, which
+// manage the version themselves.
+func (m *Model) params() []*nn.Param {
 	var ps []*nn.Param
 	for _, e := range m.encoders {
 		ps = append(ps, e.Params()...)
@@ -203,8 +236,10 @@ func shardBounds(n, shards, s int) (lo, hi int) {
 // step (trainScratch.step, train.go) — forward, backward and the
 // parameter gradients summed in a fixed order — then one Adam update.
 // The result, weights and EpochLoss, is bitwise identical for any
-// worker count.
+// worker count. Whatever the outcome, the model leaves with a fresh
+// version: a run that stops early has still moved the weights.
 func (m *Model) train(ctx context.Context, samples []Sample, epochs int, lr float64) (*TrainResult, error) {
+	defer m.renew()
 	for i, s := range samples {
 		if s.Graph == nil || s.Graph.Root == nil {
 			return nil, fmt.Errorf("zeroshot: sample %d has no graph", i)
@@ -214,7 +249,7 @@ func (m *Model) train(ctx context.Context, samples []Sample, epochs int, lr floa
 		}
 	}
 	start := time.Now()
-	opt := nn.NewAdam(m.Params(), lr)
+	opt := nn.NewAdam(m.params(), lr)
 	if cap(m.order) < len(samples) {
 		m.order = make([]int, len(samples))
 	}
@@ -266,7 +301,7 @@ func (m *Model) Save(w io.Writer) error {
 	if err := encodeGob(w, hdr); err != nil {
 		return err
 	}
-	return nn.SaveParams(w, m.Params())
+	return nn.SaveParams(w, m.params())
 }
 
 // Load reads a model saved by Save. Training hyperparameters of cfg are
@@ -288,7 +323,7 @@ func Load(r io.Reader, cfg Config) (*Model, error) {
 	cfg.Hidden = hdr.Hidden
 	cfg.FlatSum = hdr.FlatSum
 	m := New(cfg)
-	if err := nn.LoadParams(r, m.Params()); err != nil {
+	if err := nn.LoadParams(r, m.params()); err != nil {
 		return nil, err
 	}
 	return m, nil
