@@ -50,13 +50,14 @@ func TestBundleFleetAdaptConvergeFailoverRollback(t *testing.T) {
 		// (the harness's drift injection) — the owner's window trips.
 		FeedbackEvery: 2,
 		CallTimeout:   2 * time.Second, // real parse/plan/predict per call
+		SlowLatency:   5 * time.Second,
 		Workload: []string{
 			"SELECT COUNT(*) FROM title",
 			"SELECT COUNT(*) FROM movie_companies",
 			"SELECT COUNT(*) FROM movie_companies, title WHERE movie_companies.movie_id = title.id",
 			"SELECT SUM(title.production_year) FROM title WHERE title.production_year > 20",
 		},
-		NewBackend: func(name string) (sim.Backend, error) {
+		NewBackend: func(name string) (cluster.Backend, error) {
 			sess := serving.NewSession(serving.Config{})
 			if err := sess.AttachDatabase("imdb", f.imdb); err != nil {
 				return nil, err
@@ -86,7 +87,7 @@ func TestBundleFleetAdaptConvergeFailoverRollback(t *testing.T) {
 			}
 			sessions[name] = sess
 			loops[name] = loop
-			return sim.WrapFaulty(b, 5*time.Second), nil
+			return b, nil
 		},
 	}
 	s, err := sim.New(cfg)

@@ -11,13 +11,13 @@ import (
 	"github.com/zeroshot-db/zeroshot/internal/whatif"
 )
 
-// Faulty gates any real cluster backend behind the harness's fault
-// switches: crash and partition fail every call with the backend-down
-// class, slow stalls each call past the router's patience. It is how a
-// genuine serving stack (cluster.NewInProcess over a serving.Session)
-// runs under the deterministic fault schedule — the scripted Replica
-// checks routing invariants cheaply, Faulty checks them against real
-// parse/plan/predict behaviour.
+// Faulty is the harness's one fault gate: every backend a Sim builds —
+// a scripted Replica or a genuine serving stack from Config.NewBackend
+// (cluster.NewInProcess over a serving.Session) — sits behind one.
+// Crash and partition fail every call with the backend-down class, slow
+// stalls each call past the router's patience. The scripted Replica
+// checks routing invariants cheaply; a real backend checks them against
+// real parse/plan/predict behaviour.
 type Faulty struct {
 	inner cluster.Backend
 	slow  time.Duration
@@ -28,15 +28,9 @@ type Faulty struct {
 	slowed      bool
 }
 
-var _ Backend = (*Faulty)(nil)
+var _ cluster.Backend = (*Faulty)(nil)
 
-// WrapFaulty gates inner behind fresh fault switches (all clear). A
-// Slow fault stalls calls by slowLatency.
-func WrapFaulty(inner cluster.Backend, slowLatency time.Duration) *Faulty {
-	return &Faulty{inner: inner, slow: slowLatency}
-}
-
-// Apply implements Backend.
+// Apply flips the fault switch an Event selects.
 func (f *Faulty) Apply(a Action) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -54,7 +48,8 @@ func (f *Faulty) Apply(a Action) {
 	}
 }
 
-// Up implements Backend.
+// Up reports whether the backend would answer a call right now: not
+// crashed, not partitioned, not slowed past the router's patience.
 func (f *Faulty) Up() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -73,6 +68,9 @@ func (f *Faulty) gate(ctx context.Context) error {
 		return fmt.Errorf("%w: %s partitioned", cluster.ErrBackendDown, f.inner.Name())
 	}
 	if slowed {
+		// Stall until the caller's per-attempt deadline gives up on us;
+		// if the deadline somehow outlasts the stall, answer normally —
+		// slow is slow, not dead.
 		select {
 		case <-time.After(f.slow):
 		case <-ctx.Done():

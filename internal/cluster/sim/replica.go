@@ -2,12 +2,10 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"hash/fnv"
 	"io"
 	"sort"
 	"sync"
-	"time"
 
 	"github.com/zeroshot-db/zeroshot/internal/cluster"
 	"github.com/zeroshot-db/zeroshot/internal/costmodel"
@@ -24,54 +22,23 @@ type FeedbackRecord struct {
 
 // Replica is the harness's scripted in-process backend: answers are an
 // instant, pure function of (database, SQL) — so any two replicas agree
-// bitwise, the property the mirrored cluster relies on — and the fault
-// schedule flips its crash/slow/partition switches between steps. It
-// records what it served so the harness can check where requests and
-// feedback actually landed.
+// bitwise, the property the mirrored cluster relies on. It records what
+// it served so the harness can check where requests and feedback
+// actually landed. It has no fault switches of its own: the harness
+// wraps it in Faulty like any other backend.
 type Replica struct {
 	name string
-	slow time.Duration // stall injected while the Slow fault is active
 
-	mu          sync.Mutex
-	crashed     bool
-	partitioned bool
-	slowed      bool
-	predicts    map[string]int // db -> served predictions
-	feedbacks   []FeedbackRecord
+	mu        sync.Mutex
+	predicts  map[string]int // db -> served predictions
+	feedbacks []FeedbackRecord
 }
 
 var _ cluster.Backend = (*Replica)(nil)
 
-// NewReplica returns an up replica whose Slow fault stalls calls by
-// slowLatency.
-func NewReplica(name string, slowLatency time.Duration) *Replica {
-	return &Replica{name: name, slow: slowLatency, predicts: map[string]int{}}
-}
-
-// Apply flips the fault switch an Event selects.
-func (r *Replica) Apply(a Action) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	switch a {
-	case Crash:
-		r.crashed = true
-	case Partition:
-		r.partitioned = true
-	case Recover:
-		r.crashed, r.partitioned = false, false
-	case Slow:
-		r.slowed = true
-	case Fast:
-		r.slowed = false
-	}
-}
-
-// Up reports whether the replica would answer a call right now: not
-// crashed, not partitioned, not slowed past the router's patience.
-func (r *Replica) Up() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return !r.crashed && !r.partitioned && !r.slowed
+// NewReplica returns a scripted replica.
+func NewReplica(name string) *Replica {
+	return &Replica{name: name, predicts: map[string]int{}}
 }
 
 // Predicts returns how many predictions this replica served for db.
@@ -101,30 +68,6 @@ func (r *Replica) LastFeedback() FeedbackRecord {
 	return r.feedbacks[len(r.feedbacks)-1]
 }
 
-// gate applies the active faults to one incoming call.
-func (r *Replica) gate(ctx context.Context) error {
-	r.mu.Lock()
-	crashed, partitioned, slowed := r.crashed, r.partitioned, r.slowed
-	r.mu.Unlock()
-	if crashed {
-		return fmt.Errorf("%w: %s crashed", cluster.ErrBackendDown, r.name)
-	}
-	if partitioned {
-		return fmt.Errorf("%w: %s partitioned", cluster.ErrBackendDown, r.name)
-	}
-	if slowed {
-		// Stall until the caller's per-attempt deadline gives up on us;
-		// if the deadline somehow outlasts the stall, answer normally —
-		// slow is slow, not dead.
-		select {
-		case <-time.After(r.slow):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	return nil
-}
-
 // predictValue is the pure deterministic answer function shared by all
 // replicas.
 func predictValue(db, sql string) float64 {
@@ -140,9 +83,6 @@ func (r *Replica) Name() string { return r.name }
 
 // Predict implements cluster.Backend.
 func (r *Replica) Predict(ctx context.Context, db, model, sql string) (serving.Prediction, error) {
-	if err := r.gate(ctx); err != nil {
-		return serving.Prediction{}, err
-	}
 	r.mu.Lock()
 	r.predicts[db]++
 	r.mu.Unlock()
@@ -156,9 +96,6 @@ func (r *Replica) Predict(ctx context.Context, db, model, sql string) (serving.P
 
 // PredictBatch implements cluster.Backend.
 func (r *Replica) PredictBatch(ctx context.Context, db, model string, sqls []string) (serving.BatchResult, error) {
-	if err := r.gate(ctx); err != nil {
-		return serving.BatchResult{}, err
-	}
 	res := serving.BatchResult{Database: db, Model: model, Items: make([]serving.BatchItem, len(sqls))}
 	r.mu.Lock()
 	r.predicts[db] += len(sqls)
@@ -174,9 +111,6 @@ func (r *Replica) PredictBatch(ctx context.Context, db, model string, sqls []str
 // a candidate-derived factor, so any two replicas rank identically and
 // the harness can assert where sweeps landed via Predicts.
 func (r *Replica) WhatIf(ctx context.Context, db, model string, req whatif.Request) (*whatif.Report, error) {
-	if err := r.gate(ctx); err != nil {
-		return nil, err
-	}
 	r.mu.Lock()
 	r.predicts[db] += len(req.SQL) * (len(req.Candidates) + 1)
 	r.mu.Unlock()
@@ -220,9 +154,6 @@ func fnvHash(s string) uint64 {
 
 // Feedback implements cluster.Backend.
 func (r *Replica) Feedback(ctx context.Context, db, fingerprint string, actualSec float64) error {
-	if err := r.gate(ctx); err != nil {
-		return err
-	}
 	r.mu.Lock()
 	r.feedbacks = append(r.feedbacks, FeedbackRecord{DB: db, Fingerprint: fingerprint, ActualSec: actualSec})
 	r.mu.Unlock()
@@ -232,17 +163,11 @@ func (r *Replica) Feedback(ctx context.Context, db, fingerprint string, actualSe
 // Databases implements cluster.Backend: scripted replicas claim any
 // database (the mirrored topology).
 func (r *Replica) Databases(ctx context.Context) ([]serving.DatabaseInfo, error) {
-	if err := r.gate(ctx); err != nil {
-		return nil, err
-	}
 	return nil, nil
 }
 
 // Stats implements cluster.Backend.
 func (r *Replica) Stats(ctx context.Context) (serving.Stats, error) {
-	if err := r.gate(ctx); err != nil {
-		return serving.Stats{}, err
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	total := int64(0)
@@ -252,10 +177,9 @@ func (r *Replica) Stats(ctx context.Context) (serving.Stats, error) {
 	return serving.Stats{Requests: total}, nil
 }
 
-// Health implements cluster.Backend: a slowed replica stalls its probe
-// too, so a health check bounded by the router's timeout marks it
-// unroutable — which is the correct operational verdict.
-func (r *Replica) Health(ctx context.Context) error { return r.gate(ctx) }
+// Health implements cluster.Backend: a scripted replica is always live
+// (Faulty decides whether the probe gets through).
+func (r *Replica) Health(ctx context.Context) error { return nil }
 
 // Close implements cluster.Backend.
 func (r *Replica) Close() error { return nil }

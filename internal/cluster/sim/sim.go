@@ -90,20 +90,9 @@ type Event struct {
 	Replica string
 }
 
-// Backend is what the harness drives: a routable cluster backend whose
-// fault switches the schedule can flip. The scripted Replica satisfies
-// it natively; a real serving session satisfies it through Faulty.
-type Backend interface {
-	cluster.Backend
-	// Apply flips one fault switch.
-	Apply(a Action)
-	// Up reports whether the backend would answer a call right now.
-	Up() bool
-}
-
 // feedbackRecorder is the optional probe behind the feedback-ownership
-// invariant. Backends that do not record feedback (real sessions behind
-// Faulty) skip that check — the router's routing is still exercised,
+// invariant. Backends that do not record feedback (real sessions) skip
+// that check — the router's routing is still exercised,
 // only the landed-where assertion needs the probe.
 type feedbackRecorder interface {
 	LastFeedback() FeedbackRecord
@@ -128,9 +117,10 @@ type Config struct {
 	// scripted replicas ignore it, real sessions resolve it).
 	Model string
 	// NewBackend builds one replica (initial and AddReplica alike). Nil
-	// selects the scripted Replica — wrap real sessions with Faulty here
-	// to run the harness over actual serving stacks.
-	NewBackend func(name string) (Backend, error)
+	// selects the scripted Replica; return real sessions here to run the
+	// harness over actual serving stacks. Either way the harness wraps
+	// the backend in Faulty, so the schedule's faults reach it.
+	NewBackend func(name string) (cluster.Backend, error)
 	// FeedbackEvery sends a feedback for every k-th successful
 	// prediction (0 disables feedback traffic).
 	FeedbackEvery int
@@ -142,8 +132,6 @@ type Config struct {
 	// slow-replica outcome never races.
 	CallTimeout time.Duration
 	SlowLatency time.Duration
-	// MaxAttempts caps the router's failover walk (0 = every replica).
-	MaxAttempts int
 }
 
 func (c Config) withDefaults() Config {
@@ -164,6 +152,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Model == "" {
 		c.Model = "model"
+	}
+	if c.NewBackend == nil {
+		c.NewBackend = func(name string) (cluster.Backend, error) { return NewReplica(name), nil }
 	}
 	return c
 }
@@ -211,7 +202,7 @@ type Result struct {
 type Sim struct {
 	cfg      Config
 	router   *cluster.Router
-	replicas map[string]Backend
+	replicas map[string]*Faulty
 	rng      *rand.Rand
 	next     int // suffix for AddReplica names
 	step     int // next request step (for incremental driving)
@@ -234,9 +225,8 @@ func New(cfg Config) (*Sim, error) {
 		router: cluster.NewRouter(cluster.Config{
 			CallTimeout:   cfg.CallTimeout,
 			HealthTimeout: cfg.CallTimeout,
-			MaxAttempts:   cfg.MaxAttempts,
 		}),
-		replicas:        map[string]Backend{},
+		replicas:        map[string]*Faulty{},
 		rng:             rand.New(rand.NewSource(cfg.Seed)),
 		expectedRuntime: map[string]float64{},
 	}
@@ -251,16 +241,11 @@ func New(cfg Config) (*Sim, error) {
 }
 
 func (s *Sim) addReplica(name string) error {
-	var rep Backend
-	if s.cfg.NewBackend != nil {
-		var err error
-		rep, err = s.cfg.NewBackend(name)
-		if err != nil {
-			return err
-		}
-	} else {
-		rep = NewReplica(name, s.cfg.SlowLatency)
+	b, err := s.cfg.NewBackend(name)
+	if err != nil {
+		return err
 	}
+	rep := &Faulty{inner: b, slow: s.cfg.SlowLatency}
 	if err := s.router.Register(rep); err != nil {
 		return err
 	}
@@ -271,8 +256,14 @@ func (s *Sim) addReplica(name string) error {
 // Router exposes the router under test (read-only use in assertions).
 func (s *Sim) Router() *cluster.Router { return s.router }
 
-// Replica returns a backend by name (nil if unknown).
-func (s *Sim) Replica(name string) Backend { return s.replicas[name] }
+// Replica returns a backend by name as built — the scripted *Replica or
+// NewBackend's result, without its fault gate (nil if unknown).
+func (s *Sim) Replica(name string) cluster.Backend {
+	if rep := s.replicas[name]; rep != nil {
+		return rep.inner
+	}
+	return nil
+}
 
 // Fault applies one action to a replica outside the schedule — the
 // incremental-driving analogue of an Event — then re-probes health so
@@ -445,7 +436,7 @@ func (s *Sim) feedback(ctx context.Context, step int, db, fp string, runtime flo
 		return
 	}
 	s.res.FeedbackSent++
-	rep, ok := s.replicas[expect].(feedbackRecorder)
+	rep, ok := s.Replica(expect).(feedbackRecorder)
 	if !ok {
 		return
 	}
