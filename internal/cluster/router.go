@@ -16,16 +16,11 @@ import (
 )
 
 // Config sizes a Router. Zero values select the defaults.
+//
+// A request's failover walk always tries every replica — the owner, then
+// each distinct ring successor: with a handful of replicas exhaustive
+// failover is the right bound.
 type Config struct {
-	// MaxAttempts bounds one request's failover walk: the owner plus up
-	// to MaxAttempts-1 ring successors. 0 tries every replica — with a
-	// handful of replicas exhaustive failover is the right default; cap
-	// it on large clusters to bound worst-case latency.
-	MaxAttempts int
-	// FanoutLimit bounds how many replicas a cross-replica operation
-	// (Databases, Stats, Models, CheckHealth) queries concurrently
-	// (default 4).
-	FanoutLimit int
 	// CallTimeout bounds each routed attempt. When it fires while the
 	// caller's own context is still live, the attempt counts as a
 	// backend failure and the request fails over — a slow replica must
@@ -47,13 +42,11 @@ type Config struct {
 	Events *obs.Log
 }
 
-// DefaultFanoutLimit bounds cross-replica fan-out concurrency.
-const DefaultFanoutLimit = 4
+// fanoutLimit bounds how many replicas a cross-replica operation
+// (Databases, Stats, Models, CheckHealth) queries concurrently.
+const fanoutLimit = 4
 
 func (c Config) withDefaults() Config {
-	if c.FanoutLimit <= 0 {
-		c.FanoutLimit = DefaultFanoutLimit
-	}
 	if c.HealthTimeout <= 0 {
 		c.HealthTimeout = 2 * time.Second
 	}
@@ -173,7 +166,7 @@ func (r *Router) Owner(db string) string { return r.ring.Owner(db) }
 
 // Route returns db's full failover sequence: the owner first, then the
 // distinct ring successors a request would try in order.
-func (r *Router) Route(db string) []string { return r.ring.Successors(db, r.cfg.MaxAttempts) }
+func (r *Router) Route(db string) []string { return r.ring.Successors(db, 0) }
 
 // isDownClass reports whether err means "the replica, not the request,
 // failed" — the class that triggers failover.
@@ -216,7 +209,7 @@ func (r *Router) attemptTraced(ctx context.Context, db string, call func(ctx con
 		r.mu.RUnlock()
 		return serving.ErrClosed
 	}
-	names := r.ring.Successors(db, r.cfg.MaxAttempts)
+	names := r.ring.Successors(db, 0)
 	var healthy, unhealthy []*replica
 	for _, n := range names {
 		if rep, ok := r.replicas[n]; ok {
@@ -241,18 +234,8 @@ func (r *Router) attemptTraced(ctx context.Context, db string, call func(ctx con
 		if err := ctx.Err(); err != nil {
 			return err // the caller gave up; stop walking
 		}
-		actx, cancel := ctx, context.CancelFunc(func() {})
-		if r.cfg.CallTimeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, r.cfg.CallTimeout)
-		}
 		hopStart := time.Now()
-		err := call(actx, rep.b)
-		cancel()
-		if err != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-			// The attempt's own deadline fired, not the caller's: a slow
-			// replica is a down replica as far as routing is concerned.
-			err = fmt.Errorf("%w: %s: %v", ErrBackendDown, rep.b.Name(), err)
-		}
+		err := r.callOne(ctx, rep.b, call)
 		switch {
 		case err == nil:
 			tr.Span("attempt:"+rep.b.Name(), hopStart)
@@ -300,6 +283,24 @@ func (r *Router) attemptTraced(ctx context.Context, db string, call func(ctx con
 		return fmt.Errorf("%w: %d candidate(s) for %q exhausted, last: %v", ErrNoReplica, len(candidates), db, lastDown)
 	}
 	return fmt.Errorf("%w: %d candidate(s) for %q exhausted", ErrNoReplica, len(candidates), db)
+}
+
+// callOne runs call against one backend under the per-attempt
+// CallTimeout. When the attempt's own deadline fires while the caller's
+// ctx is still live, the error becomes ErrBackendDown: a slow replica is
+// a down replica as far as routing is concerned.
+func (r *Router) callOne(ctx context.Context, b Backend, call func(ctx context.Context, b Backend) error) error {
+	actx := ctx
+	if r.cfg.CallTimeout > 0 {
+		var cancel context.CancelFunc
+		actx, cancel = context.WithTimeout(ctx, r.cfg.CallTimeout)
+		defer cancel()
+	}
+	err := call(actx, b)
+	if err != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
+		err = fmt.Errorf("%w: %s: %v", ErrBackendDown, b.Name(), err)
+	}
+	return err
 }
 
 // Predict routes one statement to the replica owning db (empty db is
@@ -358,7 +359,7 @@ func (r *Router) Feedback(ctx context.Context, db, fingerprint string, actualSec
 }
 
 // fanout runs fn against every registered replica with at most
-// FanoutLimit concurrent calls, in sorted-name order per slot, and
+// fanoutLimit concurrent calls (each under callOne's timeout rule), in sorted-name order per slot, and
 // returns per-replica errors (nil entries for successes) aligned with
 // the returned names.
 func (r *Router) fanout(ctx context.Context, fn func(ctx context.Context, b Backend) error) (names []string, errs []error, err error) {
@@ -374,7 +375,7 @@ func (r *Router) fanout(ctx context.Context, fn func(ctx context.Context, b Back
 	r.mu.RUnlock()
 	names = make([]string, len(reps))
 	errs = make([]error, len(reps))
-	sem := make(chan struct{}, r.cfg.FanoutLimit)
+	sem := make(chan struct{}, fanoutLimit)
 	var wg sync.WaitGroup
 	for i, rep := range reps {
 		names[i] = rep.b.Name()
@@ -383,16 +384,7 @@ func (r *Router) fanout(ctx context.Context, fn func(ctx context.Context, b Back
 		go func(i int, rep *replica) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			cctx := ctx
-			cancel := context.CancelFunc(func() {})
-			if r.cfg.CallTimeout > 0 {
-				cctx, cancel = context.WithTimeout(ctx, r.cfg.CallTimeout)
-			}
-			e := fn(cctx, rep.b)
-			cancel()
-			if e != nil && errors.Is(e, context.DeadlineExceeded) && ctx.Err() == nil {
-				e = fmt.Errorf("%w: %s: %v", ErrBackendDown, rep.b.Name(), e)
-			}
+			e := r.callOne(ctx, rep.b, fn)
 			if isDownClass(e) {
 				r.markHealth(rep, false)
 				r.failed.Inc(rep.b.Name())
@@ -426,7 +418,11 @@ type DatabaseView struct {
 func (r *Router) Databases(ctx context.Context) ([]DatabaseView, error) {
 	views := map[string]*DatabaseView{}
 	var mu sync.Mutex
-	_, _, err := r.fanoutCollect(ctx, func(name string, infos []serving.DatabaseInfo) {
+	_, _, err := r.fanout(ctx, func(ctx context.Context, b Backend) error {
+		infos, err := b.Databases(ctx)
+		if err != nil {
+			return err
+		}
 		mu.Lock()
 		defer mu.Unlock()
 		for _, info := range infos {
@@ -435,11 +431,12 @@ func (r *Router) Databases(ctx context.Context) ([]DatabaseView, error) {
 				v = &DatabaseView{DatabaseInfo: info, Owner: r.ring.Owner(info.Name)}
 				views[info.Name] = v
 			}
-			v.Replicas = append(v.Replicas, name)
-			if name == v.Owner {
+			v.Replicas = append(v.Replicas, b.Name())
+			if b.Name() == v.Owner {
 				v.DatabaseInfo = info // prefer the owner's plan-cache stats
 			}
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -451,19 +448,6 @@ func (r *Router) Databases(ctx context.Context) ([]DatabaseView, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
-}
-
-// fanoutCollect fans the database listing out and hands each replica's
-// result to collect (serialized by the caller's own lock).
-func (r *Router) fanoutCollect(ctx context.Context, collect func(name string, infos []serving.DatabaseInfo)) ([]string, []error, error) {
-	return r.fanout(ctx, func(ctx context.Context, b Backend) error {
-		infos, err := b.Databases(ctx)
-		if err != nil {
-			return err
-		}
-		collect(b.Name(), infos)
-		return nil
-	})
 }
 
 // Models aggregates the union of model names served by reachable

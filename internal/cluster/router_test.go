@@ -233,7 +233,7 @@ func TestRouterDuplicateRegister(t *testing.T) {
 }
 
 func TestRouterFanoutAggregation(t *testing.T) {
-	r := NewRouter(Config{FanoutLimit: 2})
+	r := NewRouter(Config{})
 	defer r.Close()
 	// Mirrored topology: both replicas hold both databases.
 	b0 := newFakeBackend("r0", "imdb", "ssb")
