@@ -62,9 +62,9 @@
 // "db" and "model" may be omitted when exactly one is attached. Batch
 // replies carry structured per-item errors: one malformed statement does
 // not fail its batch. -databases imdb,ssb,tpch attaches several serving
-// databases; -batch-max/-batch-wait tune the micro-batcher. SIGINT or
-// SIGTERM drains in-flight requests and queued micro-batches before
-// exiting.
+// databases. The micro-batcher caps a coalesced batch at 64 statements
+// and lets a queued single linger at most 500µs. SIGINT or SIGTERM
+// drains in-flight requests and queued micro-batches before exiting.
 //
 // -adapt closes the loop between serving and training: observed
 // runtimes POSTed to /v1/feedback join against the plan cache, a drift
@@ -145,101 +145,78 @@ func main() {
 // errUnknownCommand signals a dispatch failure (exit code 2, with usage).
 var errUnknownCommand = fmt.Errorf("unknown command")
 
+// experiment is one paper-evaluation command: run computes its result
+// on a prepared environment and returns the rendered table.
+type experiment struct {
+	name string
+	run  func(*experiments.Env) (string, error)
+}
+
+// experimentTable lists the evaluation commands in usage order; `zsdb
+// all` runs every row on one environment.
+var experimentTable = []experiment{
+	{"figure3", func(env *experiments.Env) (string, error) { return rendered(experiments.Figure3(env)) }},
+	{"table1", func(env *experiments.Env) (string, error) { return rendered(experiments.Table1(env)) }},
+	{"dbsweep", func(env *experiments.Env) (string, error) { return rendered(experiments.DBCountSweep(env, nil)) }},
+	{"fewshot", func(env *experiments.Env) (string, error) { return rendered(experiments.FewShot(env, nil)) }},
+	{"ablation", func(env *experiments.Env) (string, error) { return rendered(experiments.Ablations(env)) }},
+	{"online", func(env *experiments.Env) (string, error) { return rendered(experiments.OnlineAdaptation(env, 0, 0)) }},
+	{"whatif", func(env *experiments.Env) (string, error) { return rendered(experiments.WhatIfAdvisor(env, 0)) }},
+}
+
+// rendered turns an experiment's (result, error) into its table.
+func rendered[R interface{ Render() string }](res R, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return res.Render(), nil
+}
+
+// commands lists the tool commands in usage order.
+var commands = []struct {
+	name string
+	run  func(args []string) error
+}{
+	{"train", runTrain},
+	{"eval", runEval},
+	{"serve", runServe},
+	{"route", runRoute},
+	{"bundle", runBundle},
+	{"explain", runExplain},
+	{"advise", runAdvise},
+	{"doctor", runDoctor},
+	{"trace", runTrace},
+	{"gendata", runGendata},
+}
+
 // run dispatches one CLI invocation; it is the testable entry point.
 func run(cmd string, args []string) error {
-	switch cmd {
-	case "figure3":
-		return withEnv(args, func(env *experiments.Env) error {
-			res, err := experiments.Figure3(env)
-			if err != nil {
-				return err
-			}
-			fmt.Print(res.Render())
-			return nil
-		})
-	case "table1":
-		return withEnv(args, func(env *experiments.Env) error {
-			res, err := experiments.Table1(env)
-			if err != nil {
-				return err
-			}
-			fmt.Print(res.Render())
-			return nil
-		})
-	case "dbsweep":
-		return withEnv(args, func(env *experiments.Env) error {
-			res, err := experiments.DBCountSweep(env, nil)
-			if err != nil {
-				return err
-			}
-			fmt.Print(res.Render())
-			return nil
-		})
-	case "fewshot":
-		return withEnv(args, func(env *experiments.Env) error {
-			res, err := experiments.FewShot(env, nil)
-			if err != nil {
-				return err
-			}
-			fmt.Print(res.Render())
-			return nil
-		})
-	case "ablation":
-		return withEnv(args, func(env *experiments.Env) error {
-			res, err := experiments.Ablations(env)
-			if err != nil {
-				return err
-			}
-			fmt.Print(res.Render())
-			return nil
-		})
-	case "online":
-		return withEnv(args, func(env *experiments.Env) error {
-			res, err := experiments.OnlineAdaptation(env, 0, 0)
-			if err != nil {
-				return err
-			}
-			fmt.Print(res.Render())
-			return nil
-		})
-	case "whatif":
-		return withEnv(args, func(env *experiments.Env) error {
-			res, err := experiments.WhatIfAdvisor(env, 0)
-			if err != nil {
-				return err
-			}
-			fmt.Print(res.Render())
-			return nil
-		})
-	case "all":
-		return withEnv(args, runAll)
-	case "train":
-		return runTrain(args)
-	case "eval":
-		return runEval(args)
-	case "serve":
-		return runServe(args)
-	case "route":
-		return runRoute(args)
-	case "bundle":
-		return runBundle(args)
-	case "explain":
-		return runExplain(args)
-	case "advise":
-		return runAdvise(args)
-	case "doctor":
-		return runDoctor(args)
-	case "trace":
-		return runTrace(args)
-	case "gendata":
-		return runGendata(args)
-	default:
-		return errUnknownCommand
+	if cmd == "all" {
+		return runExperiments(args, experimentTable)
 	}
+	for i, e := range experimentTable {
+		if e.name == cmd {
+			return runExperiments(args, experimentTable[i:i+1])
+		}
+	}
+	for _, c := range commands {
+		if c.name == cmd {
+			return c.run(args)
+		}
+	}
+	return errUnknownCommand
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: zsdb <figure3|table1|dbsweep|fewshot|ablation|online|whatif|all|train|eval|serve|route|bundle|explain|advise|doctor|trace|gendata> [flags]`)
+	var names []string
+	for _, e := range experimentTable {
+		names = append(names, e.name)
+	}
+	names = append(names, "all")
+	for _, c := range commands {
+		names = append(names, c.name)
+	}
+	fmt.Fprintf(os.Stderr, "usage: zsdb <%s> [flags]\n", strings.Join(names, "|"))
 }
 
 // scaleConfig resolves -scale and -seed flags into an experiment config.
@@ -276,7 +253,9 @@ func parseCard(s string) (encoding.CardSource, error) {
 	}
 }
 
-func withEnv(args []string, run func(*experiments.Env) error) error {
+// runExperiments parses -scale/-seed, prepares one environment and
+// prints each row's table in order, a blank line between two.
+func runExperiments(args []string, rows []experiment) error {
 	fs := flag.NewFlagSet("experiment", flag.ContinueOnError)
 	cfg, err := scaleConfig(fs, args)
 	if err != nil {
@@ -288,39 +267,16 @@ func withEnv(args []string, run func(*experiments.Env) error) error {
 	if err != nil {
 		return err
 	}
-	return run(env)
-}
-
-func runAll(env *experiments.Env) error {
-	f3, err := experiments.Figure3(env)
-	if err != nil {
-		return err
+	for i, e := range rows {
+		if i > 0 {
+			fmt.Println()
+		}
+		out, err := e.run(env)
+		if err != nil {
+			return err
+		}
+		fmt.Print(out)
 	}
-	fmt.Print(f3.Render())
-	fmt.Println()
-	t1, err := experiments.Table1(env)
-	if err != nil {
-		return err
-	}
-	fmt.Print(t1.Render())
-	fmt.Println()
-	sw, err := experiments.DBCountSweep(env, nil)
-	if err != nil {
-		return err
-	}
-	fmt.Print(sw.Render())
-	fmt.Println()
-	fsr, err := experiments.FewShot(env, nil)
-	if err != nil {
-		return err
-	}
-	fmt.Print(fsr.Render())
-	fmt.Println()
-	ab, err := experiments.Ablations(env)
-	if err != nil {
-		return err
-	}
-	fmt.Print(ab.Render())
 	return nil
 }
 

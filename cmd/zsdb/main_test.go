@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/zeroshot-db/zeroshot/internal/costmodel"
@@ -81,6 +82,27 @@ func TestRunDispatch(t *testing.T) {
 	for _, cmd := range []string{"train", "eval", "serve", "explain", "gendata"} {
 		if err := run(cmd, []string{"-definitely-not-a-flag"}); err == nil {
 			t.Errorf("%s accepted a bogus flag", cmd)
+		}
+	}
+	// The rest of the surface too: every experiment row (and all) must
+	// reject one while parsing, so before an environment is built — the
+	// flag package's own error proves Prepare never ran — and so must
+	// route and each bundle, advise, doctor and trace entry point.
+	surface := [][]string{{"all"}, {"route"}, {"advise"}, {"doctor"}, {"doctor", "analyze"}, {"trace"},
+		{"bundle", "build"}, {"bundle", "inspect"}, {"bundle", "push"}, {"bundle", "list"}, {"bundle", "rollback"}}
+	for _, e := range experimentTable {
+		surface = append(surface, []string{e.name})
+	}
+	for _, argv := range surface {
+		args := append(append([]string{}, argv[1:]...), "-definitely-not-a-flag")
+		if err := run(argv[0], args); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%v accepted a bogus flag (err %v)", argv, err)
+		}
+	}
+	// Knobs that were deleted stay deleted.
+	for _, argv := range [][]string{{"serve", "-batch-max", "8"}, {"route", "-max-attempts", "1"}} {
+		if err := run(argv[0], argv[1:]); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%v accepted a deleted flag (err %v)", argv, err)
 		}
 	}
 	if err := run("explain", nil); err == nil {

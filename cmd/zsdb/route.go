@@ -11,6 +11,10 @@ import (
 	"github.com/zeroshot-db/zeroshot/internal/cluster"
 )
 
+// healthInterval is the router's background health-probe period, in
+// `zsdb route` and `zsdb serve -replicas N` alike.
+const healthInterval = 2 * time.Second
+
 // runRoute fronts remote `zsdb serve` processes with the cluster
 // router: the multi-process deployment where each backend owns its
 // shard of the attached databases (or mirrors all of them) and this
@@ -21,8 +25,6 @@ func runRoute(args []string) error {
 	names := fs.String("names", "", "comma-separated replica names aligned with -backends (default: the URLs themselves); names are the ring identity, keep them stable")
 	addr := fs.String("addr", ":8090", "listen address")
 	callTimeout := fs.Duration("call-timeout", 5*time.Second, "per-attempt backend call timeout; a slower backend fails over")
-	healthEvery := fs.Duration("health-interval", 2*time.Second, "background health probe period")
-	maxAttempts := fs.Int("max-attempts", 0, "failover candidates per request (0 = all backends)")
 	drain := fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown timeout")
 	var of obsFlags
 	of.register(fs)
@@ -55,8 +57,7 @@ func runRoute(args []string) error {
 	defer stopDebug()
 	router := cluster.NewRouter(cluster.Config{
 		CallTimeout:    *callTimeout,
-		HealthInterval: *healthEvery,
-		MaxAttempts:    *maxAttempts,
+		HealthInterval: healthInterval,
 		Tracer:         tracer,
 		Events:         events,
 	})

@@ -201,10 +201,8 @@ func listenAndServe(addr string, handler http.Handler, backing io.Closer, drain 
 
 // adaptFlags carries the -adapt* flag values into session assembly.
 type adaptFlags struct {
-	on         bool
-	model      string
-	windowSize int
-	minSamples int
+	on    bool
+	model string
 	// events, when non-nil, receives the loop's control-plane decisions
 	// (drift triggers, swap verdicts) in the process-wide event log.
 	events *obs.Log
@@ -223,12 +221,10 @@ func (a adaptFlags) newLoopFor(sess *serving.Session, onAccept func(context.Cont
 		return nil, err
 	}
 	loop, err := adapt.New(sess, adapt.Config{
-		Model:      model,
-		WindowSize: a.windowSize,
-		MinSamples: a.minSamples,
-		OnAccept:   onAccept,
-		Events:     a.events,
-		Origin:     origin,
+		Model:    model,
+		OnAccept: onAccept,
+		Events:   a.events,
+		Origin:   origin,
 	})
 	if err != nil {
 		return nil, err
@@ -318,15 +314,10 @@ func runServe(args []string) error {
 	dbScale := fs.Float64("dbscale", 0.1, "serving database scale")
 	replicas := fs.Int("replicas", 1, "in-process replica count; >1 serves a sharded cluster behind the consistent-hash router")
 	callTimeout := fs.Duration("call-timeout", 10*time.Second, "cluster mode: per-attempt replica call timeout; a slower replica fails over (-replicas > 1 only)")
-	maxAttempts := fs.Int("max-attempts", 0, "cluster mode: failover candidates per request, 0 = all replicas (-replicas > 1 only)")
-	batchMax := fs.Int("batch-max", serving.DefaultMaxBatch, "micro-batch size cap for coalesced single predictions")
-	batchWait := fs.Duration("batch-wait", serving.DefaultMaxWait, "micro-batch max-wait deadline")
 	planCache := fs.Int("plancache", costmodel.DefaultPlanCacheSize, "per-database plan cache entries")
 	drain := fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown timeout")
 	adaptOn := fs.Bool("adapt", false, "enable online adaptation: /v1/feedback runtimes fine-tune the model in the background and hot-swap improved generations")
 	adaptModel := fs.String("adapt-model", "", "model to adapt (default: the sole attached model supporting Clone+FineTune)")
-	adaptWindow := fs.Int("adapt-window", 0, "per-database feedback window size (0 = adapt default)")
-	adaptMin := fs.Int("adapt-min-samples", 0, "fewest buffered samples a fine-tune runs on (0 = adapt default)")
 	bundleDir := fs.String("bundle-dir", "", "bundle store directory: replicas poll it for new model revisions, and accepted adaptations publish into it (empty = bundles off)")
 	bundlePoll := fs.Duration("bundle-poll", bundle.DefaultInterval, "bundle distributor poll interval (jittered per replica)")
 	bundleRetain := fs.Int("bundle-retain", bundle.DefaultRetain, "bundle revisions to retain for rollback")
@@ -349,12 +340,10 @@ func runServe(args []string) error {
 	}
 	defer stopDebug()
 	cfg := serving.Config{
-		MaxBatch:      *batchMax,
-		MaxWait:       *batchWait,
 		PlanCacheSize: *planCache,
 		Tracer:        tracer,
 	}
-	af := adaptFlags{on: *adaptOn, model: *adaptModel, windowSize: *adaptWindow, minSamples: *adaptMin, events: events}
+	af := adaptFlags{on: *adaptOn, model: *adaptModel, events: events}
 	bf := bundleFlags{dir: *bundleDir, poll: *bundlePoll, retain: *bundleRetain, model: *bundleModel}
 	built, bc, err := buildReplicas(cfg, *databases, *dbScale, *modelPaths, *replicas, af, bf)
 	if err != nil {
@@ -387,8 +376,7 @@ func runServe(args []string) error {
 		// mirrored attachment is total.
 		router := cluster.NewRouter(cluster.Config{
 			CallTimeout:    *callTimeout,
-			MaxAttempts:    *maxAttempts,
-			HealthInterval: 2 * time.Second,
+			HealthInterval: healthInterval,
 			Tracer:         tracer,
 			Events:         events,
 		})

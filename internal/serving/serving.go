@@ -65,8 +65,6 @@ var (
 
 // Config sizes a Session. Zero values select the defaults.
 type Config struct {
-	// MaxBatch caps one coalesced micro-batch (default 64).
-	MaxBatch int
 	// MaxWait is how long the scheduler lets a queued solo request
 	// linger for companions before draining it (default 500µs). Only a
 	// request that had to queue can linger (one that finds the queue
@@ -85,19 +83,16 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
-// DefaultMaxBatch and DefaultMaxWait are the scheduler defaults: the
-// queue's backpressure, not the deadline, usually sizes a batch —
-// "adaptive" means batch size follows the instantaneous load (see the
-// scheduler's policy comment).
+// DefaultMaxBatch caps one coalesced micro-batch and DefaultMaxWait is
+// the scheduler's default linger: the queue's backpressure, not the
+// deadline, usually sizes a batch — "adaptive" means batch size follows
+// the instantaneous load (see the scheduler's policy comment).
 const (
 	DefaultMaxBatch = 64
 	DefaultMaxWait  = 500 * time.Microsecond
 )
 
 func (c Config) withDefaults() Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = DefaultMaxBatch
-	}
 	if c.MaxWait <= 0 {
 		c.MaxWait = DefaultMaxWait
 	}
@@ -146,7 +141,7 @@ func NewSession(cfg Config) *Session {
 	cfg = cfg.withDefaults()
 	s := &Session{
 		cfg:        cfg,
-		sched:      newScheduler(cfg.MaxBatch, cfg.MaxWait),
+		sched:      newScheduler(DefaultMaxBatch, cfg.MaxWait),
 		tracer:     cfg.Tracer,
 		started:    time.Now(),
 		dbs:        map[string]*dbSession{},
