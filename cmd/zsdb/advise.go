@@ -7,9 +7,7 @@ import (
 	"os"
 	"strings"
 
-	"github.com/zeroshot-db/zeroshot/internal/engine"
-	"github.com/zeroshot-db/zeroshot/internal/hwsim"
-	"github.com/zeroshot-db/zeroshot/internal/optimizer"
+	"github.com/zeroshot-db/zeroshot/internal/experiments"
 	"github.com/zeroshot-db/zeroshot/internal/query"
 	"github.com/zeroshot-db/zeroshot/internal/serving"
 	"github.com/zeroshot-db/zeroshot/internal/sqlparse"
@@ -149,7 +147,7 @@ func generateWorkload(db *storage.Database, n int, seed int64) ([]string, error)
 // verifyVariants executes the workload under the baseline and each
 // recommended variant (hypothetical indexes actually materialized) and
 // returns each variant's simulated actual runtime — the advisor's
-// ground truth.
+// ground truth, computed exactly as E10 computes it.
 func verifyVariants(db *storage.Database, sqls []string, rep *whatif.Report) (map[string]float64, error) {
 	qs := make([]*query.Query, len(sqls))
 	for i, sql := range sqls {
@@ -160,35 +158,9 @@ func verifyVariants(db *storage.Database, sqls []string, rep *whatif.Report) (ma
 		qs[i] = q
 	}
 	st := stats.Collect(db, stats.DefaultBuckets, stats.DefaultMCVs)
-	sim := hwsim.New(hwsim.DefaultProfile(), 1)
-	execute := func(indexes []string) (float64, error) {
-		idx := optimizer.IndexSet{}
-		for _, k := range indexes {
-			idx[k] = true
-		}
-		opt := optimizer.New(db.Schema, st, idx, optimizer.DefaultCostParams())
-		ex := engine.New(db, engine.Config{})
-		total := 0.0
-		for _, q := range qs {
-			p, err := opt.Plan(q)
-			if err != nil {
-				return 0, err
-			}
-			if _, err := ex.Execute(p); err != nil {
-				return 0, err
-			}
-			total += sim.RuntimeNoiseless(p)
-		}
-		return total, nil
-	}
 	out := map[string]float64{}
-	base, err := execute(nil)
-	if err != nil {
-		return nil, err
-	}
-	out[rep.Baseline.Name] = base
-	for _, v := range rep.Variants {
-		actual, err := execute(v.Indexes)
+	for _, v := range append([]whatif.VariantResult{rep.Baseline}, rep.Variants...) {
+		actual, err := experiments.ExecuteWorkload(db, st, qs, v.Indexes)
 		if err != nil {
 			return nil, err
 		}

@@ -20,8 +20,7 @@ import (
 	"github.com/zeroshot-db/zeroshot/internal/costmodel"
 	"github.com/zeroshot-db/zeroshot/internal/datagen"
 	"github.com/zeroshot-db/zeroshot/internal/encoding"
-	"github.com/zeroshot-db/zeroshot/internal/engine"
-	"github.com/zeroshot-db/zeroshot/internal/hwsim"
+	"github.com/zeroshot-db/zeroshot/internal/experiments"
 	"github.com/zeroshot-db/zeroshot/internal/optimizer"
 	"github.com/zeroshot-db/zeroshot/internal/query"
 	"github.com/zeroshot-db/zeroshot/internal/stats"
@@ -61,26 +60,27 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	variants := make([]whatif.Variant, len(cands))
-	for i, c := range cands {
-		variants[i] = whatif.Variant{Name: c.Index, Indexes: []string{c.Index}}
-	}
 	cat := whatif.NewCatalog(db, nil, optimizer.DefaultCostParams(), 0)
-	rep, err := cat.Sweep(context.Background(), model, whatif.Statements(workload), variants)
+	rep, err := cat.Sweep(context.Background(), model, whatif.Statements(workload), whatif.Variants(cands))
 	if err != nil {
 		log.Fatal(err)
 	}
 
+	// The ground truth: execute the workload with each variant's indexes
+	// actually materialized (the same loop E10 and `zsdb advise -verify`
+	// run).
+	st := stats.Collect(db, stats.DefaultBuckets, stats.DefaultMCVs)
 	fmt.Println("predicted workload runtime under each hypothetical index (what-if):")
-	fmt.Printf("  %-32s predicted %8.2fs   actual %8.2fs\n",
-		"(no index)", rep.Baseline.TotalSec, executeWorkload(db, workload, nil))
-	for _, v := range rep.Variants {
-		idx := optimizer.IndexSet{}
-		for _, k := range v.Indexes {
-			idx[k] = true
+	for _, v := range append([]whatif.VariantResult{rep.Baseline}, rep.Variants...) {
+		actual, err := experiments.ExecuteWorkload(db, st, workload, v.Indexes)
+		if err != nil {
+			log.Fatal(err)
 		}
-		fmt.Printf("  %-32s predicted %8.2fs   actual %8.2fs\n",
-			v.Name, v.TotalSec, executeWorkload(db, workload, idx))
+		name := v.Name
+		if len(v.Indexes) == 0 {
+			name = "(no index)"
+		}
+		fmt.Printf("  %-32s predicted %8.2fs   actual %8.2fs\n", name, v.TotalSec, actual)
 	}
 	if rep.Recommendation != "" {
 		fmt.Printf("\nadvisor recommends: CREATE INDEX ON %s\n", rep.Recommendation)
@@ -157,26 +157,4 @@ func trainWhatIfModel() costmodel.Estimator {
 	}
 	fmt.Printf("trained what-if model on %d plans from 3 other databases\n\n", len(samples))
 	return est
-}
-
-// executeWorkload measures the simulated runtime of the workload with the
-// index set actually materialized — the ground truth the what-if sweep's
-// predictions are checked against.
-func executeWorkload(db *storage.Database, qs []*query.Query, idx optimizer.IndexSet) float64 {
-	st := stats.Collect(db, stats.DefaultBuckets, stats.DefaultMCVs)
-	opt := optimizer.New(db.Schema, st, idx, optimizer.DefaultCostParams())
-	ex := engine.New(db, engine.Config{})
-	sim := hwsim.New(hwsim.DefaultProfile(), 1)
-	total := 0.0
-	for _, q := range qs {
-		p, err := opt.Plan(q)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if _, err := ex.Execute(p); err != nil {
-			log.Fatal(err)
-		}
-		total += sim.RuntimeNoiseless(p)
-	}
-	return total
 }

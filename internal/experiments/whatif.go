@@ -13,6 +13,7 @@ import (
 	"github.com/zeroshot-db/zeroshot/internal/optimizer"
 	"github.com/zeroshot-db/zeroshot/internal/query"
 	"github.com/zeroshot-db/zeroshot/internal/stats"
+	"github.com/zeroshot-db/zeroshot/internal/storage"
 	"github.com/zeroshot-db/zeroshot/internal/whatif"
 )
 
@@ -80,10 +81,7 @@ func WhatIfAdvisor(env *Env, queries int) (*WhatIfResult, error) {
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("experiments: whatif workload proposed no candidates")
 	}
-	variants := make([]whatif.Variant, len(cands))
-	for i, c := range cands {
-		variants[i] = whatif.Variant{Name: c.Index, Indexes: []string{c.Index}}
-	}
+	variants := whatif.Variants(cands)
 
 	st := stats.Collect(env.EvalDB, stats.DefaultBuckets, stats.DefaultMCVs)
 	cat := whatif.NewCatalog(env.EvalDB, st, optimizer.DefaultCostParams(), 0)
@@ -113,33 +111,7 @@ func WhatIfAdvisor(env *Env, queries int) (*WhatIfResult, error) {
 		Recommendation: rep.Recommendation,
 	}
 
-	// Executed ground truth: plan the workload under each variant's
-	// hypothetical IndexSet and actually execute it (materializing the
-	// index). Execution only ever adds index structures — plan choice
-	// depends on each optimizer's advice set, never on what storage has
-	// materialized — so truth runs cannot leak into one another.
-	execute := func(indexes []string) (float64, error) {
-		idx := optimizer.IndexSet{}
-		for _, k := range indexes {
-			idx[k] = true
-		}
-		opt := optimizer.New(env.EvalDB.Schema, st, idx, optimizer.DefaultCostParams())
-		ex := engine.New(env.EvalDB, engine.Config{})
-		sim := hwsim.New(hwsim.DefaultProfile(), 1)
-		total := 0.0
-		for _, q := range qs {
-			p, err := opt.Plan(q)
-			if err != nil {
-				return 0, err
-			}
-			if _, err := ex.Execute(p); err != nil {
-				return 0, err
-			}
-			total += sim.RuntimeNoiseless(p)
-		}
-		return total, nil
-	}
-	actual, err := execute(nil)
+	actual, err := ExecuteWorkload(env.EvalDB, st, qs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +120,7 @@ func WhatIfAdvisor(env *Env, queries int) (*WhatIfResult, error) {
 		if vr.Errors > 0 {
 			return nil, fmt.Errorf("experiments: whatif variant %s had %d pricing errors", vr.Name, vr.Errors)
 		}
-		if actual, err = execute(vr.Indexes); err != nil {
+		if actual, err = ExecuteWorkload(env.EvalDB, st, qs, vr.Indexes); err != nil {
 			return nil, err
 		}
 		res.Variants = append(res.Variants, WhatIfOutcome{Name: vr.Name, PredictedSec: vr.TotalSec, ActualSec: actual})
@@ -163,6 +135,35 @@ func WhatIfAdvisor(env *Env, queries int) (*WhatIfResult, error) {
 	res.Top1Agrees = best == 0
 	res.RankCorr = spearman(res.Variants)
 	return res, nil
+}
+
+// ExecuteWorkload is the what-if advisor's executed ground truth: plan
+// qs under the hypothetical index set, actually execute each plan
+// (materializing the indexes it uses) and sum the simulated noiseless
+// runtimes. Execution only ever adds index structures — plan choice
+// depends on each optimizer's advice set, never on what storage has
+// materialized — so truth runs over one database cannot leak into one
+// another.
+func ExecuteWorkload(db *storage.Database, st *stats.DBStats, qs []*query.Query, indexes []string) (float64, error) {
+	idx := optimizer.IndexSet{}
+	for _, k := range indexes {
+		idx[k] = true
+	}
+	opt := optimizer.New(db.Schema, st, idx, optimizer.DefaultCostParams())
+	ex := engine.New(db, engine.Config{})
+	sim := hwsim.New(hwsim.DefaultProfile(), 1)
+	total := 0.0
+	for _, q := range qs {
+		p, err := opt.Plan(q)
+		if err != nil {
+			return 0, err
+		}
+		if _, err := ex.Execute(p); err != nil {
+			return 0, err
+		}
+		total += sim.RuntimeNoiseless(p)
+	}
+	return total, nil
 }
 
 // spearman computes the Spearman rank correlation between the predicted

@@ -71,10 +71,7 @@ func (s *Session) WhatIf(ctx context.Context, dbName, model string, req whatif.R
 		}
 		return nil, err
 	}
-	variants := make([]whatif.Variant, len(cands))
-	for i, c := range cands {
-		variants[i] = whatif.Variant{Name: c.Index, Indexes: []string{c.Index}}
-	}
+	variants := whatif.Variants(cands)
 	if len(variants) == 0 {
 		s.errs.Inc()
 		return nil, fmt.Errorf("%w: no index candidates for this workload: %w", whatif.ErrNoVariants, ErrBadQuery)

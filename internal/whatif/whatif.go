@@ -147,3 +147,13 @@ func Statements(qs []*query.Query) []Statement {
 	}
 	return out
 }
+
+// Variants builds the advisor's sweep variants: one per candidate, named
+// by its index and overlaying only that index on the baseline.
+func Variants(cands []Candidate) []Variant {
+	out := make([]Variant, len(cands))
+	for i, c := range cands {
+		out[i] = Variant{Name: c.Index, Indexes: []string{c.Index}}
+	}
+	return out
+}
