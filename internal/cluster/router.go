@@ -359,9 +359,9 @@ func (r *Router) Feedback(ctx context.Context, db, fingerprint string, actualSec
 }
 
 // fanout runs fn against every registered replica with at most
-// fanoutLimit concurrent calls (each under callOne's timeout rule), in sorted-name order per slot, and
-// returns per-replica errors (nil entries for successes) aligned with
-// the returned names.
+// fanoutLimit concurrent calls (each under callOne's timeout rule), in
+// sorted-name order per slot, and returns per-replica errors (nil
+// entries for successes) aligned with the returned names.
 func (r *Router) fanout(ctx context.Context, fn func(ctx context.Context, b Backend) error) (names []string, errs []error, err error) {
 	r.mu.RLock()
 	if r.closed {

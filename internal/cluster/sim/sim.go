@@ -92,8 +92,8 @@ type Event struct {
 
 // feedbackRecorder is the optional probe behind the feedback-ownership
 // invariant. Backends that do not record feedback (real sessions) skip
-// that check — the router's routing is still exercised,
-// only the landed-where assertion needs the probe.
+// that check — the router's routing is still exercised, only the
+// landed-where assertion needs the probe.
 type feedbackRecorder interface {
 	LastFeedback() FeedbackRecord
 }
