@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -722,5 +723,84 @@ func TestLoopCloseIdempotent(t *testing.T) {
 	loop2.Close()
 	if loop2.Status().Sweeps == 0 {
 		t.Fatal("background worker never swept")
+	}
+}
+
+// blockingTuner is a tunableEstimator whose clones' FineTune blocks until
+// its ctx is done, reporting on entered when it starts and the ctx error
+// it saw on sawErr.
+type blockingTuner struct {
+	*tunableEstimator
+	entered chan struct{}
+	sawErr  chan error
+}
+
+func (b *blockingTuner) Clone() (costmodel.Estimator, error) {
+	inner, _ := b.tunableEstimator.Clone()
+	return &blockingTuner{tunableEstimator: inner.(*tunableEstimator), entered: b.entered, sawErr: b.sawErr}, nil
+}
+
+func (b *blockingTuner) FineTune(ctx context.Context, samples []costmodel.Sample, epochs int, lr float64) (*costmodel.FitReport, error) {
+	b.entered <- struct{}{}
+	<-ctx.Done()
+	b.sawErr <- ctx.Err()
+	return nil, ctx.Err()
+}
+
+// TestLoopCloseCancelsInFlightFineTune starts the background worker,
+// lets it enter a fine-tune that only returns once its ctx ends, and
+// checks Close cancels that cycle: Close returns promptly, the fine-tune
+// saw context.Canceled, and no goroutine the Loop started outlives it.
+func TestLoopCloseCancelsInFlightFineTune(t *testing.T) {
+	est := &blockingTuner{
+		tunableEstimator: &tunableEstimator{name: "tunable", scale: 4},
+		entered:          make(chan struct{}, 1),
+		sawErr:           make(chan error, 1),
+	}
+	sess := newAdaptSession(t, est)
+	loop, err := New(sess, Config{Model: "tunable", WindowSize: 64, MinSamples: 8, Interval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	_, sqls := fixtures(t)
+	for i := 0; i < 12; i++ {
+		if err := predictAndFeedback(ctx, sess, loop, sqls[i%len(sqls)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The session's goroutines (its scheduler queue) exist by now; only
+	// the Loop's come and go below.
+	baseline := runtime.NumGoroutine()
+	loop.Start()
+	select {
+	case <-est.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the background worker never started a fine-tune")
+	}
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		loop.Close()
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close did not return within 2s of an in-flight fine-tune")
+	}
+	select {
+	case err := <-est.sawErr:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("the in-flight fine-tune saw %v, want context.Canceled", err)
+		}
+	default:
+		t.Fatal("Close returned before the in-flight fine-tune ended")
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("%d goroutines after Close, %d before Start:\n%s", runtime.NumGoroutine(), baseline, buf)
+		}
 	}
 }

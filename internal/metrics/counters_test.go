@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -97,5 +99,53 @@ func TestLatencyRecorderConcurrent(t *testing.T) {
 	wg.Wait()
 	if s := l.Snapshot(); s.Count != 8*200 {
 		t.Fatalf("count = %d, want %d", s.Count, 8*200)
+	}
+}
+
+// TestLatencyRecorderMatchesReference holds Snapshot bit for bit to a
+// reference computed here over random sequences of 1 to 3 000 durations:
+// the mean is the sequential sum of seconds over the count, the max is
+// the lifetime maximum, and p50/p95/p99 are nearest-rank over the last
+// 1 024 observations, all scaled to milliseconds.
+func TestLatencyRecorderMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(3000)
+		if trial == 0 {
+			n = 1
+		}
+		var l LatencyRecorder
+		secs := make([]float64, n)
+		sum, peak := 0.0, 0.0
+		for i := range secs {
+			// Magnitudes from nanoseconds to seconds, with some zeros.
+			d := time.Duration(rng.Int63n(int64(time.Microsecond) << uint(rng.Intn(21))))
+			if rng.Intn(16) == 0 {
+				d = 0
+			}
+			l.Observe(d)
+			secs[i] = d.Seconds()
+			sum += secs[i]
+			if secs[i] > peak {
+				peak = secs[i]
+			}
+		}
+		recent := append([]float64(nil), secs[len(secs)-min(len(secs), 1024):]...)
+		sort.Float64s(recent)
+		rank := func(p float64) float64 {
+			return recent[max(int(math.Ceil(p*float64(len(recent))))-1, 0)]
+		}
+		const toMs = 1e3
+		want := LatencySummary{
+			Count:  int64(n),
+			MeanMs: sum / float64(n) * toMs,
+			P50Ms:  rank(0.5) * toMs,
+			P95Ms:  rank(0.95) * toMs,
+			P99Ms:  rank(0.99) * toMs,
+			MaxMs:  peak * toMs,
+		}
+		if got := l.Snapshot(); got != want {
+			t.Fatalf("trial %d (%d observations): snapshot = %+v, want %+v", trial, n, got, want)
+		}
 	}
 }
