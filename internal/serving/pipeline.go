@@ -11,8 +11,6 @@ import (
 	"github.com/zeroshot-db/zeroshot/internal/metrics"
 	"github.com/zeroshot-db/zeroshot/internal/obs"
 	"github.com/zeroshot-db/zeroshot/internal/optimizer"
-	"github.com/zeroshot-db/zeroshot/internal/plan"
-	"github.com/zeroshot-db/zeroshot/internal/query"
 	"github.com/zeroshot-db/zeroshot/internal/sqlparse"
 	"github.com/zeroshot-db/zeroshot/internal/stats"
 	"github.com/zeroshot-db/zeroshot/internal/storage"
@@ -28,31 +26,6 @@ const (
 	StageEncode    = "encode"
 	StagePredict   = "predict"
 )
-
-// prepareStages is the SQL→PlanInput stage chain every statement runs
-// (unless the plan cache short-circuits it). Stages are named funcs over
-// a shared carrier so the chain stays recomposable — inserting a rewrite
-// stage or dropping one is a slice edit, not a refactor.
-var prepareStages = []stage{
-	{StageParse, (*dbSession).parseStage},
-	{StageOptimize, (*dbSession).optimizeStage},
-	{StageFeaturize, (*dbSession).featurizeStage},
-}
-
-// stage is one named pipeline step.
-type stage struct {
-	name string
-	fn   func(*dbSession, *pipelineQuery) error
-}
-
-// pipelineQuery carries one statement through the stage chain; each stage
-// fills the fields the next one reads.
-type pipelineQuery struct {
-	sql string
-	q   *query.Query
-	p   *plan.Node
-	in  costmodel.PlanInput
-}
 
 // dbSession is the per-attached-database pipeline state, built once at
 // AttachDatabase: collected statistics, the optimizer over them, the plan
@@ -87,8 +60,8 @@ func newDBSession(name string, db *storage.Database, cacheSize int) *dbSession {
 		cache: costmodel.NewPlanCache(cacheSize),
 		lat:   map[string]*metrics.LatencyRecorder{},
 	}
-	for _, s := range prepareStages {
-		d.lat[s.name] = &metrics.LatencyRecorder{}
+	for _, name := range []string{StageParse, StageOptimize, StageFeaturize} {
+		d.lat[name] = &metrics.LatencyRecorder{}
 	}
 	return d
 }
@@ -98,7 +71,7 @@ func newDBSession(name string, db *storage.Database, cacheSize int) *dbSession {
 // is the statement's fingerprint (the plan-cache key, echoed to clients
 // so feedback can join back to the retained plan). The plan is NOT
 // executed: predictions see exactly what a database would know before
-// running the query. The caller's ctx is checked between stages so an
+// running the query. The caller's ctx is checked before each stage so an
 // impatient client stops paying for optimization it no longer wants; a
 // ctx error is returned bare (not wrapped in ErrBadQuery — the statement
 // was fine, the client gave up).
@@ -111,62 +84,58 @@ func (d *dbSession) prepare(ctx context.Context, sql string, tr *obs.Trace) (cos
 	if in, ok := d.cache.Get(fp); ok {
 		return in, true, fp, nil
 	}
-	pq := &pipelineQuery{sql: sql}
-	for _, s := range prepareStages {
-		if err := ctx.Err(); err != nil {
-			return costmodel.PlanInput{}, false, fp, err
-		}
-		start := time.Now()
-		err := s.fn(d, pq)
-		d.lat[s.name].Observe(time.Since(start))
-		tr.Span(s.name, start)
-		if err != nil {
-			// Both the stage's own error and ErrBadQuery stay in the
-			// chain, so callers can match either.
-			return costmodel.PlanInput{}, false, fp, fmt.Errorf("%s: %w: %w", s.name, err, ErrBadQuery)
-		}
+	if err := ctx.Err(); err != nil {
+		return costmodel.PlanInput{}, false, fp, err
 	}
-	d.cache.Put(fp, pq.in)
-	return pq.in, false, fp, nil
-}
-
-// parseStage resolves the SQL text against the database's schema.
-func (d *dbSession) parseStage(pq *pipelineQuery) error {
-	q, err := sqlparse.Parse(pq.sql, d.db.Schema)
+	start := time.Now()
+	q, err := sqlparse.Parse(sql, d.db.Schema)
+	d.done(StageParse, start, tr)
 	if err != nil {
-		return err
+		return costmodel.PlanInput{}, false, fp, badQuery(StageParse, err)
 	}
-	pq.q = q
-	return nil
-}
-
-// optimizeStage plans the parsed query with the database's hoisted
-// optimizer and statistics.
-func (d *dbSession) optimizeStage(pq *pipelineQuery) error {
-	p, err := d.opt.Plan(pq.q)
+	if err := ctx.Err(); err != nil {
+		return costmodel.PlanInput{}, false, fp, err
+	}
+	start = time.Now()
+	p, err := d.opt.Plan(q)
+	d.done(StageOptimize, start, tr)
 	if err != nil {
-		return err
+		return costmodel.PlanInput{}, false, fp, badQuery(StageOptimize, err)
 	}
-	pq.p = p
-	return nil
-}
-
-// featurizeStage assembles the estimator-facing prediction input. The
-// deep featurization (graph encoding, set featurization, ...) is owned by
-// each estimator adapter and memoized per database in costmodel's
-// featCache; this stage builds the shared context they all consume.
-func (d *dbSession) featurizeStage(pq *pipelineQuery) error {
-	pq.in = costmodel.PlanInput{
+	if err := ctx.Err(); err != nil {
+		return costmodel.PlanInput{}, false, fp, err
+	}
+	// Featurize assembles the estimator-facing prediction input. The deep
+	// featurization (graph encoding, set featurization, ...) is owned by
+	// each estimator adapter and memoized per database in costmodel's
+	// featCache; this stage builds the shared context they all consume.
+	start = time.Now()
+	in := costmodel.PlanInput{
 		DB:            d.db,
-		Query:         pq.q,
-		Plan:          pq.p,
-		OptimizerCost: optimizer.TotalCost(pq.p),
+		Query:         q,
+		Plan:          p,
+		OptimizerCost: optimizer.TotalCost(p),
 		// The encoding memo lives and dies with the plan-cache entry:
 		// the first prediction of this shape encodes the graph, every
 		// repeat skips PlanEncoder.Encode entirely.
 		Enc: costmodel.NewEncodedPlan(),
 	}
-	return nil
+	d.done(StageFeaturize, start, tr)
+	d.cache.Put(fp, in)
+	return in, false, fp, nil
+}
+
+// done records one executed stage that began at start: its latency
+// observation and, when tr samples the request, its span.
+func (d *dbSession) done(stage string, start time.Time, tr *obs.Trace) {
+	d.lat[stage].Observe(time.Since(start))
+	tr.Span(stage, start)
+}
+
+// badQuery wraps a stage's failure. Both the stage's own error and
+// ErrBadQuery stay in the chain, so callers can match either.
+func badQuery(stage string, err error) error {
+	return fmt.Errorf("%s: %w: %w", stage, err, ErrBadQuery)
 }
 
 // catalog returns the database's what-if layer, building it on first

@@ -46,11 +46,11 @@ type scheduler struct {
 	maxWait  time.Duration
 
 	// resolve maps a model name to its current estimator generation at
-	// pass time (nil outside a Session, e.g. in direct scheduler tests;
-	// the queue's creation-time estimator is the fallback). Resolving at
-	// the pass — not at enqueue or queue creation — is what makes
-	// hot-swaps race-free: the generation that predicts is always the one
-	// the session's model registry holds at that moment.
+	// pass time. Resolving at the pass — not at enqueue or queue creation
+	// — is what makes hot-swaps race-free: the generation that predicts is
+	// always the one the session's model registry holds at that moment.
+	// Models are never detached, and a single reaches the scheduler only
+	// after its name resolved, so resolve never answers nil here.
 	resolve func(name string) costmodel.Estimator
 
 	// mu guards queues and closed. A submitter holds it for reading
@@ -76,7 +76,6 @@ type scheduler struct {
 // leak, and the replaced generation becomes collectable.
 type modelQueue struct {
 	name string
-	est  atomic.Pointer[costmodel.Estimator] // creation-time fallback when resolve is nil
 	ch   chan single
 	// inline counts the inline passes in flight on this queue.
 	inline atomic.Int32
@@ -101,10 +100,11 @@ type schedResult struct {
 	err error
 }
 
-func newScheduler(maxBatch int, maxWait time.Duration) *scheduler {
+func newScheduler(maxBatch int, maxWait time.Duration, resolve func(name string) costmodel.Estimator) *scheduler {
 	return &scheduler{
 		maxBatch:   maxBatch,
 		maxWait:    maxWait,
+		resolve:    resolve,
 		queues:     map[string]*modelQueue{},
 		batchSizes: metrics.NewWindow(0),
 	}
@@ -136,7 +136,6 @@ func (s *scheduler) queue(est costmodel.Estimator) (*modelQueue, error) {
 	}
 	// Four batches of backlog before a submitter blocks on the send.
 	q = &modelQueue{name: name, ch: make(chan single, 4*s.maxBatch)}
-	q.est.Store(&est)
 	s.queues[name] = q
 	s.wg.Add(1)
 	go s.drainLoop(q)
@@ -285,15 +284,7 @@ func (s *scheduler) drainLoop(q *modelQueue) {
 // reqs and out may live on the caller's stack: nothing here retains
 // them (the fallback fans out over its own copies).
 func (s *scheduler) pass(q *modelQueue, reqs []single, out []schedResult) {
-	est := *q.est.Load()
-	if s.resolve != nil {
-		if cur := s.resolve(q.name); cur != nil {
-			est = cur
-			// Keep the fallback pointing at the live generation so the
-			// replaced model really is collectable.
-			q.est.Store(&cur)
-		}
-	}
+	est := s.resolve(q.name)
 	ins := make([]costmodel.PlanInput, 0, len(reqs))
 	for i := range reqs {
 		if err := reqs[i].ctx.Err(); err != nil {

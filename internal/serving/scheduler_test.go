@@ -20,13 +20,19 @@ func schedIn(cost float64) costmodel.PlanInput {
 	return costmodel.PlanInput{OptimizerCost: cost}
 }
 
+// only resolves every model name to est, as a Session with est attached
+// does.
+func only(est costmodel.Estimator) func(string) costmodel.Estimator {
+	return func(string) costmodel.Estimator { return est }
+}
+
 // TestSchedulerCoalesces fires a burst of concurrent singles and checks
 // they drain in fewer, larger micro-batches through PredictBatch. The
 // burst is 16 singles beyond the GOMAXPROCS that may run inline, so it
 // coalesces at any width.
 func TestSchedulerCoalesces(t *testing.T) {
 	est := &fakeEstimator{name: "fake", delay: 5 * time.Millisecond}
-	s := newScheduler(32, 50*time.Millisecond)
+	s := newScheduler(32, 50*time.Millisecond, only(est))
 	defer s.close()
 
 	clients := 16 + runtime.GOMAXPROCS(0)
@@ -181,7 +187,7 @@ func occupy(t *testing.T, wg *sync.WaitGroup, s *scheduler, est costmodel.Estima
 func TestSchedulerInlineWhileACoreIsFree(t *testing.T) {
 	g := newGate()
 	est := &fakeEstimator{name: "fake", hook: gateHook(map[float64]*gate{1: g})}
-	s := newScheduler(32, time.Second)
+	s := newScheduler(32, time.Second, only(est))
 	defer s.close()
 	defer g.open()
 	var wg sync.WaitGroup
@@ -219,7 +225,7 @@ func TestSchedulerMaxBatchCap(t *testing.T) {
 	g := newGate()
 	est := &fakeEstimator{name: "fake", hook: gateHook(map[float64]*gate{1: g})}
 	const cap = 4
-	s := newScheduler(cap, time.Second) // deadline long enough to never fire
+	s := newScheduler(cap, time.Second, only(est)) // deadline long enough to never fire
 	defer s.close()
 	defer g.open()
 	var wg sync.WaitGroup
@@ -276,7 +282,7 @@ func TestLingerDoesNotFeedItself(t *testing.T) {
 	const maxWait = 2 * time.Second
 	fill, hold := newGate(), newGate()
 	est := &fakeEstimator{name: "fake"}
-	s := newScheduler(8, maxWait)
+	s := newScheduler(8, maxWait, only(est))
 	defer s.close()
 	var wg sync.WaitGroup
 	defer func() {
@@ -406,7 +412,7 @@ func TestSchedulerFallbackNotCountedAsCoalesced(t *testing.T) {
 		}
 		return nil
 	}}
-	s := newScheduler(8, time.Millisecond)
+	s := newScheduler(8, time.Millisecond, only(est))
 	defer s.close()
 
 	// A poisoned single: the fused pass fails, the fallback re-predicts
@@ -443,7 +449,7 @@ func TestSchedulerFallbackNotCountedAsCoalesced(t *testing.T) {
 
 func TestSchedulerContextCancel(t *testing.T) {
 	est := &fakeEstimator{name: "fake"}
-	s := newScheduler(8, 10*time.Millisecond)
+	s := newScheduler(8, 10*time.Millisecond, only(est))
 	defer s.close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -454,7 +460,7 @@ func TestSchedulerContextCancel(t *testing.T) {
 
 func TestSchedulerCloseRejectsAndDrains(t *testing.T) {
 	est := &fakeEstimator{name: "fake", delay: 2 * time.Millisecond}
-	s := newScheduler(8, 5*time.Millisecond)
+	s := newScheduler(8, 5*time.Millisecond, only(est))
 
 	const n = 6
 	var wg sync.WaitGroup

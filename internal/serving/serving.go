@@ -141,7 +141,6 @@ func NewSession(cfg Config) *Session {
 	cfg = cfg.withDefaults()
 	s := &Session{
 		cfg:        cfg,
-		sched:      newScheduler(DefaultMaxBatch, cfg.MaxWait),
 		tracer:     cfg.Tracer,
 		started:    time.Now(),
 		dbs:        map[string]*dbSession{},
@@ -151,12 +150,12 @@ func NewSession(cfg Config) *Session {
 	// Micro-batches always flush through the name's currently attached
 	// generation, so a hot-swap takes effect even for already-queued
 	// singles.
-	s.sched.resolve = s.currentModel
+	s.sched = newScheduler(DefaultMaxBatch, cfg.MaxWait, s.currentModel)
 	return s
 }
 
 // currentModel returns the estimator currently attached under name (nil
-// when detached) — the scheduler's flush-time generation lookup.
+// when none is) — the scheduler's flush-time generation lookup.
 func (s *Session) currentModel(name string) costmodel.Estimator {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -173,11 +172,8 @@ func (s *Session) AttachDatabase(name string, db *storage.Database) error {
 	if name == "" || db == nil {
 		return fmt.Errorf("serving: AttachDatabase needs a name and a database")
 	}
-	// Fail cheap before the statistics pass; the attach below re-checks
-	// in case of a racing attach.
-	if err := s.checkAttachable(name); err != nil {
-		return err
-	}
+	// The statistics pass runs outside the lock; a duplicate or
+	// post-Close attach (startup errors) pays for it before rejecting.
 	ds := newDBSession(name, db, s.cfg.PlanCacheSize)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -188,20 +184,6 @@ func (s *Session) AttachDatabase(name string, db *storage.Database) error {
 		return fmt.Errorf("serving: database %q already attached", name)
 	}
 	s.dbs[name] = ds
-	return nil
-}
-
-// checkAttachable pre-validates an AttachDatabase call so duplicate or
-// post-Close attaches reject before collecting statistics.
-func (s *Session) checkAttachable(name string) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if _, dup := s.dbs[name]; dup {
-		return fmt.Errorf("serving: database %q already attached", name)
-	}
 	return nil
 }
 
@@ -238,13 +220,6 @@ func (s *Session) AttachModel(est costmodel.Estimator) error {
 	}
 	s.models[name] = &modelSlot{est: est, generation: 1, swapped: time.Now()}
 	return nil
-}
-
-// Model returns the estimator currently attached under name (empty when
-// unambiguous) — the accessor the adaptation subsystem uses to clone and
-// shadow-evaluate the serving generation.
-func (s *Session) Model(name string) (costmodel.Estimator, error) {
-	return s.estimator(name)
 }
 
 // ModelGeneration reports how many times the name has been attached
@@ -299,9 +274,11 @@ func (s *Session) database(name string) (*dbSession, error) {
 	return d, nil
 }
 
-// estimator resolves a request's model name; an empty name selects the
-// only attached model when unambiguous.
-func (s *Session) estimator(name string) (costmodel.Estimator, error) {
+// Model returns the estimator currently attached under name; an empty
+// name selects the only attached model when unambiguous. Requests resolve
+// their model through it, and the adaptation subsystem uses it to clone
+// and shadow-evaluate the serving generation.
+func (s *Session) Model(name string) (costmodel.Estimator, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
@@ -422,7 +399,7 @@ func (s *Session) predictTraced(ctx context.Context, dbName, model, sql string, 
 		s.errs.Inc()
 		return Prediction{}, err
 	}
-	est, err := s.estimator(model)
+	est, err := s.Model(model)
 	if err != nil {
 		s.errs.Inc()
 		return Prediction{}, err
@@ -502,7 +479,7 @@ func (s *Session) PredictBatch(ctx context.Context, dbName, model string, sqls [
 		s.errs.Inc()
 		return BatchResult{}, err
 	}
-	est, err := s.estimator(model)
+	est, err := s.Model(model)
 	if err != nil {
 		s.errs.Inc()
 		return BatchResult{}, err

@@ -36,7 +36,7 @@ func (s *Session) WhatIf(ctx context.Context, dbName, model string, req whatif.R
 		s.errs.Inc()
 		return nil, err
 	}
-	est, err := s.estimator(model)
+	est, err := s.Model(model)
 	if err != nil {
 		s.errs.Inc()
 		return nil, err
