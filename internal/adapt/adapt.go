@@ -79,10 +79,9 @@ type Config struct {
 	// HoldoutEvery holds out every k-th buffered sample from fine-tuning
 	// for the shadow evaluation (default 4, i.e. a 25% holdout).
 	HoldoutEvery int
-	// Epochs and LR shape the fine-tune (defaults 8 epochs; LR 0 keeps
-	// the adapter's reduced-rate default).
+	// Epochs is the fine-tune's epoch count (default 8). It runs at the
+	// adapter's reduced-rate default learning rate.
 	Epochs int
-	LR     float64
 	// Interval is the background worker's sweep period (default 500ms).
 	Interval time.Duration
 	// Backoff is how long a database sits out after a rejected swap
@@ -214,9 +213,26 @@ type Loop struct {
 	cfg  Config
 	sess *serving.Session
 
+	// mu guards the windows, the last sweep error, and the telemetry of
+	// the last verdict and the last fine-tune.
 	mu      sync.Mutex
 	windows map[string]*dbWindow
 	lastErr string
+
+	lastShadow *ShadowEval
+	// lastRejected survives later accepts: lastShadow always shows the
+	// most recent verdict of either kind, lastRejected pins the most
+	// recent rejection so an operator can still see what was refused and
+	// by how much after a subsequent swap lands.
+	lastRejected *ShadowEval
+	lastSwap     time.Time
+	// Fine-tune telemetry: when the most recent background fine-tune
+	// ran, how long it took, its training throughput, and the tail of its
+	// epoch-loss curve.
+	lastFineTune time.Time
+	ftWall       time.Duration
+	ftRate       float64
+	ftLossTail   []float64
 
 	// sweepMu serializes adaptation cycles: the background worker and
 	// explicit Sweep callers must not fine-tune concurrently.
@@ -228,31 +244,14 @@ type Loop struct {
 	accepted   metrics.Counter
 	rejected   metrics.Counter
 
-	shadowMu   sync.Mutex
-	lastShadow *ShadowEval
-	// lastRejected survives later accepts: lastShadow always shows the
-	// most recent verdict of either kind, lastRejected pins the most
-	// recent rejection so an operator can still see what was refused and
-	// by how much after a subsequent swap lands.
-	lastRejected *ShadowEval
-	lastSwap     time.Time
-	// Fine-tune telemetry (guarded by shadowMu): when the most recent
-	// background fine-tune ran, how long it took, its training
-	// throughput, and the tail of its epoch-loss curve.
-	lastFineTune time.Time
-	ftWall       time.Duration
-	ftRate       float64
-	ftLossTail   []float64
-
-	// bgCtx cancels the background worker's in-flight adaptation cycle
-	// on Close, so a long fine-tune aborts at the next minibatch
-	// boundary instead of pinning shutdown.
+	// bgCtx is the one stop signal: Close cancels it, which ends the
+	// background worker and its in-flight adaptation cycle, so a long
+	// fine-tune aborts at the next minibatch boundary instead of pinning
+	// shutdown.
 	bgCtx    context.Context
 	bgCancel context.CancelFunc
 
 	startOnce sync.Once
-	stopOnce  sync.Once
-	stop      chan struct{}
 	done      chan struct{}
 }
 
@@ -286,7 +285,6 @@ func New(sess *serving.Session, cfg Config) (*Loop, error) {
 		windows:  map[string]*dbWindow{},
 		bgCtx:    bgCtx,
 		bgCancel: bgCancel,
-		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}, nil
 }
@@ -439,7 +437,7 @@ func (l *Loop) adaptOne(ctx context.Context, db string, samples []costmodel.Samp
 		"db": db, "model": l.cfg.Model, "samples": strconv.Itoa(len(train)),
 	})
 	ftStart := time.Now()
-	report, err := clone.(costmodel.FineTuner).FineTune(ctx, train, l.cfg.Epochs, l.cfg.LR)
+	report, err := clone.(costmodel.FineTuner).FineTune(ctx, train, l.cfg.Epochs, 0)
 	ftWall := time.Since(ftStart)
 	if err != nil {
 		return false, err
@@ -469,12 +467,12 @@ func (l *Loop) adaptOne(ctx context.Context, db string, samples []costmodel.Samp
 		ftFields[fmt.Sprintf("loss_tail_%d", i)] = strconv.FormatFloat(v, 'g', 4, 64)
 	}
 	l.cfg.Events.Record(obs.EventFineTuneFinished, l.cfg.Origin, ftFields)
-	l.shadowMu.Lock()
+	l.mu.Lock()
 	l.lastFineTune = ftStart
 	l.ftWall = ftWall
 	l.ftRate = ftRate
 	l.ftLossTail = append([]float64(nil), lossTail...)
-	l.shadowMu.Unlock()
+	l.mu.Unlock()
 	oldMed, err := medianQError(ctx, est, holdout)
 	if err != nil {
 		return false, err
@@ -509,7 +507,7 @@ func (l *Loop) adaptOne(ctx context.Context, db string, samples []costmodel.Samp
 		"old_median": strconv.FormatFloat(oldMed, 'g', 4, 64),
 		"new_median": strconv.FormatFloat(newMed, 'g', 4, 64),
 	})
-	l.shadowMu.Lock()
+	l.mu.Lock()
 	if eval.Accepted {
 		l.lastSwap = eval.At
 	} else {
@@ -517,7 +515,7 @@ func (l *Loop) adaptOne(ctx context.Context, db string, samples []costmodel.Samp
 		l.lastRejected = &c
 	}
 	l.lastShadow = eval
-	l.shadowMu.Unlock()
+	l.mu.Unlock()
 	if eval.Accepted && l.cfg.OnAccept != nil {
 		l.cfg.OnAccept(ctx, clone, *eval, len(samples))
 	}
@@ -564,7 +562,7 @@ func (l *Loop) Start() {
 			defer t.Stop()
 			for {
 				select {
-				case <-l.stop:
+				case <-l.bgCtx.Done():
 					return
 				case <-t.C:
 					l.Sweep(l.bgCtx)
@@ -579,10 +577,7 @@ func (l *Loop) Start() {
 // aborts at its next minibatch boundary, so a drain never waits out a
 // full training run. Safe to call without Start and idempotent.
 func (l *Loop) Close() {
-	l.stopOnce.Do(func() {
-		l.bgCancel()
-		close(l.stop)
-	})
+	l.bgCancel()
 	l.startOnce.Do(func() { close(l.done) }) // never started: unblock the wait
 	<-l.done
 }
@@ -651,7 +646,8 @@ func (l *Loop) Status() Status {
 		SwapsAccepted: l.accepted.Value(),
 		SwapsRejected: l.rejected.Value(),
 	}
-	l.shadowMu.Lock()
+	now := time.Now()
+	l.mu.Lock()
 	st.LastSwap = l.lastSwap
 	st.LastFineTune = l.lastFineTune
 	st.LastFineTuneSec = l.ftWall.Seconds()
@@ -665,9 +661,6 @@ func (l *Loop) Status() Status {
 		c := *l.lastRejected
 		st.LastRejected = &c
 	}
-	l.shadowMu.Unlock()
-	now := time.Now()
-	l.mu.Lock()
 	st.LastError = l.lastErr
 	for db, w := range l.windows {
 		st.Windows = append(st.Windows, WindowStatus{
