@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -31,9 +30,6 @@ type HitCounter struct {
 	hits   atomic.Int64
 	misses atomic.Int64
 }
-
-// Hit records one hit.
-func (h *HitCounter) Hit() { h.hits.Add(1) }
 
 // HitN records n hits in one atomic add — for call sites that resolve a
 // whole batch to the same outcome.
@@ -65,31 +61,22 @@ func (h *HitCounter) Snapshot() HitRate {
 const latencyWindow = 1024
 
 // LatencyRecorder records operation latencies: lifetime count/mean/max
-// plus p50/p95 over a sliding Window of the most recent observations.
-// The zero value is ready to use.
+// plus p50/p95 over the most recent observations. It is one Window of
+// seconds, built on first use, so an Observe takes one lock. The zero
+// value is ready to use.
 type LatencyRecorder struct {
-	mu    sync.Mutex
-	w     *Window // reservoir for the quantiles, allocated on first use
-	count int64
-	sum   float64
-	max   float64
+	w atomic.Pointer[Window]
 }
 
 // Observe records one operation latency.
 func (l *LatencyRecorder) Observe(d time.Duration) {
-	sec := d.Seconds()
-	l.mu.Lock()
-	if l.w == nil {
-		l.w = NewWindow(latencyWindow)
+	w := l.w.Load()
+	if w == nil {
+		// Racing first observers build one Window each; one wins.
+		l.w.CompareAndSwap(nil, NewWindow(latencyWindow))
+		w = l.w.Load()
 	}
-	w := l.w
-	l.count++
-	l.sum += sec
-	if sec > l.max {
-		l.max = sec
-	}
-	l.mu.Unlock()
-	w.Observe(sec)
+	w.Observe(d.Seconds())
 }
 
 // LatencySummary is a point-in-time view of a LatencyRecorder, in
@@ -105,21 +92,25 @@ type LatencySummary struct {
 
 // Snapshot summarizes the recorder. Quantiles come from the recent
 // window; count, mean and max cover all observations ever recorded.
+// Durations are never negative, so the Window's max (seeded from the
+// first observation) is the max over zero and every observation.
 func (l *LatencyRecorder) Snapshot() LatencySummary {
-	l.mu.Lock()
-	w, count, sum, max := l.w, l.count, l.sum, l.max
-	l.mu.Unlock()
-	if count == 0 {
+	w := l.w.Load()
+	if w == nil {
 		return LatencySummary{}
 	}
-	ws := w.Snapshot()
+	ws, sum := w.snapshot()
+	if ws.Count == 0 {
+		// Built by a first Observe that has not recorded yet.
+		return LatencySummary{}
+	}
 	const toMs = 1e3
 	return LatencySummary{
-		Count:  count,
-		MeanMs: sum / float64(count) * toMs,
+		Count:  ws.Count,
+		MeanMs: sum / float64(ws.Count) * toMs,
 		P50Ms:  ws.P50 * toMs,
 		P95Ms:  ws.P95 * toMs,
 		P99Ms:  ws.P99 * toMs,
-		MaxMs:  max * toMs,
+		MaxMs:  ws.Max * toMs,
 	}
 }

@@ -33,7 +33,7 @@ func TestHitCounter(t *testing.T) {
 	if r := h.Snapshot(); r.Rate != 0 || r.Hits != 0 || r.Misses != 0 {
 		t.Fatalf("empty snapshot = %+v", r)
 	}
-	h.Hit()
+	h.HitN(1)
 	h.HitN(2)
 	h.Miss()
 	r := h.Snapshot()

@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // LabelledCounter is a set of named monotonic counters — one Counter
 // per dynamically created label. The cluster router counts per-replica
@@ -41,9 +38,6 @@ func (l *LabelledCounter) counter(label string) *Counter {
 // Inc increments the label's counter by one.
 func (l *LabelledCounter) Inc(label string) { l.counter(label).Inc() }
 
-// Add increments the label's counter by d.
-func (l *LabelledCounter) Add(label string, d int64) { l.counter(label).Add(d) }
-
 // Value returns the label's current count (0 for a label never
 // incremented).
 func (l *LabelledCounter) Value(label string) int64 {
@@ -53,27 +47,4 @@ func (l *LabelledCounter) Value(label string) int64 {
 		return c.Value()
 	}
 	return 0
-}
-
-// Snapshot returns every label's current count.
-func (l *LabelledCounter) Snapshot() map[string]int64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	out := make(map[string]int64, len(l.m))
-	for label, c := range l.m {
-		out[label] = c.Value()
-	}
-	return out
-}
-
-// Labels returns the labels ever incremented, sorted.
-func (l *LabelledCounter) Labels() []string {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	out := make([]string, 0, len(l.m))
-	for label := range l.m {
-		out = append(out, label)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -7,16 +7,18 @@ import (
 
 // Window is a bounded sliding window of float64 observations with
 // quantile snapshots — the drift-monitor primitive of the adaptation
-// subsystem: each feedback sample's q-error lands in a per-database
-// Window, and the adaptation trigger reads its p50/p95. Like
-// LatencyRecorder it keeps lifetime totals (count, max) alongside the
-// bounded reservoir the quantiles come from. Safe for concurrent use.
+// subsystem (each feedback sample's q-error lands in a per-database
+// Window, and the adaptation trigger reads its p50/p95) and the
+// reservoir under every LatencyRecorder. It keeps lifetime totals
+// (count, sum, max) alongside the bounded reservoir the quantiles come
+// from. Safe for concurrent use.
 type Window struct {
 	mu     sync.Mutex
 	buf    []float64 // ring buffer
 	next   int       // ring write position
 	filled int       // valid entries
 	count  int64     // lifetime observations
+	sum    float64   // lifetime sum, in observation order
 	max    float64   // lifetime maximum
 }
 
@@ -49,10 +51,11 @@ func (w *Window) Observe(x float64) {
 		w.max = x
 	}
 	w.count++
+	w.sum += x
 }
 
 // Reset empties the reservoir so quantiles restart from fresh
-// observations; lifetime count and max are kept. The adaptation loop
+// observations; lifetime count, sum and max are kept. The adaptation loop
 // resets a database's window after draining it — post-swap drift must be
 // measured against the new generation, not the errors that triggered the
 // swap.
@@ -82,16 +85,24 @@ type WindowSummary struct {
 // Only the copy is made under the lock Observe takes: the one sort the
 // three quantiles share must not stall the request path.
 func (w *Window) Snapshot() WindowSummary {
+	s, _ := w.snapshot()
+	return s
+}
+
+// snapshot is Snapshot plus the lifetime sum, read under the same lock
+// hold as the count it is divided by.
+func (w *Window) snapshot() (WindowSummary, float64) {
 	w.mu.Lock()
 	s := WindowSummary{Count: w.count, Size: w.filled, Max: w.max}
+	sum := w.sum
 	recent := append([]float64(nil), w.buf[:w.filled]...)
 	w.mu.Unlock()
 	if len(recent) == 0 {
-		return s
+		return s, sum
 	}
 	sort.Float64s(recent)
 	s.P50 = nearestRank(recent, 0.5)
 	s.P95 = nearestRank(recent, 0.95)
 	s.P99 = nearestRank(recent, 0.99)
-	return s
+	return s, sum
 }
