@@ -131,13 +131,15 @@ func trainWhatIfModel() costmodel.Estimator {
 	}
 	var samples []costmodel.Sample
 	for i, db := range corpus {
-		for variant, idx := range map[int64]optimizer.IndexSet{
-			0: nil,
-			1: collect.RandomIndexes(db, int64(i+50), 0.8, 0.3),
+		// A slice, not a map: the samples' order, and with it the trained
+		// model, must not depend on map iteration order.
+		for variant, idx := range []optimizer.IndexSet{
+			nil,
+			collect.RandomIndexes(db, int64(i+50), 0.8, 0.3),
 		} {
 			recs, err := collect.Run(db, collect.Options{
 				Queries: 120,
-				Seed:    int64(1000*(i+1)) + variant,
+				Seed:    int64(1000*(i+1) + variant),
 				Indexes: idx,
 			})
 			if err != nil {
