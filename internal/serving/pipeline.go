@@ -89,18 +89,20 @@ func (d *dbSession) prepare(ctx context.Context, sql string, tr *obs.Trace) (cos
 	}
 	start := time.Now()
 	q, err := sqlparse.Parse(sql, d.db.Schema)
-	d.done(StageParse, start, tr)
+	d.observe(StageParse, start, tr)
 	if err != nil {
-		return costmodel.PlanInput{}, false, fp, badQuery(StageParse, err)
+		// Both the stage's own error and ErrBadQuery stay in the chain,
+		// so callers can match either.
+		return costmodel.PlanInput{}, false, fp, fmt.Errorf("%s: %w: %w", StageParse, err, ErrBadQuery)
 	}
 	if err := ctx.Err(); err != nil {
 		return costmodel.PlanInput{}, false, fp, err
 	}
 	start = time.Now()
 	p, err := d.opt.Plan(q)
-	d.done(StageOptimize, start, tr)
+	d.observe(StageOptimize, start, tr)
 	if err != nil {
-		return costmodel.PlanInput{}, false, fp, badQuery(StageOptimize, err)
+		return costmodel.PlanInput{}, false, fp, fmt.Errorf("%s: %w: %w", StageOptimize, err, ErrBadQuery)
 	}
 	if err := ctx.Err(); err != nil {
 		return costmodel.PlanInput{}, false, fp, err
@@ -120,22 +122,16 @@ func (d *dbSession) prepare(ctx context.Context, sql string, tr *obs.Trace) (cos
 		// repeat skips PlanEncoder.Encode entirely.
 		Enc: costmodel.NewEncodedPlan(),
 	}
-	d.done(StageFeaturize, start, tr)
+	d.observe(StageFeaturize, start, tr)
 	d.cache.Put(fp, in)
 	return in, false, fp, nil
 }
 
-// done records one executed stage that began at start: its latency
+// observe records one executed stage that began at start: its latency
 // observation and, when tr samples the request, its span.
-func (d *dbSession) done(stage string, start time.Time, tr *obs.Trace) {
+func (d *dbSession) observe(stage string, start time.Time, tr *obs.Trace) {
 	d.lat[stage].Observe(time.Since(start))
 	tr.Span(stage, start)
-}
-
-// badQuery wraps a stage's failure. Both the stage's own error and
-// ErrBadQuery stay in the chain, so callers can match either.
-func badQuery(stage string, err error) error {
-	return fmt.Errorf("%s: %w: %w", stage, err, ErrBadQuery)
 }
 
 // catalog returns the database's what-if layer, building it on first

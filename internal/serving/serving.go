@@ -10,10 +10,11 @@
 //	parse ──▶ optimize ──▶ featurize ──▶ predict
 //
 // The first three stages are per-database (resolved names, physical plan,
-// prediction input) and are skipped entirely on a plan-cache hit: each
-// attached database keeps a costmodel.PlanCache keyed by SQL fingerprint,
-// so repeated query shapes pay only the predict stage. The predict stage
-// routes single-prediction requests through a scheduler: while a core is
+// prediction input), run in order by one function (dbSession.prepare),
+// and are skipped entirely on a plan-cache hit: each attached database
+// keeps a costmodel.PlanCache keyed by SQL fingerprint, so repeated query
+// shapes pay only the predict stage. The predict stage routes
+// single-prediction requests through a scheduler: while a core is
 // free a single runs its own batch of one on its caller's goroutine, and
 // once none is, concurrent singles coalesce into adaptive micro-batches
 // (bounded by a max batch size and a max-wait deadline). Either way they
