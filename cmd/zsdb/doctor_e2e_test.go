@@ -5,7 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -114,6 +117,42 @@ func TestDoctorEndToEndHealthyCluster(t *testing.T) {
 		t.Fatalf("offline analysis diverges from live:\nlive:\n%s\noffline:\n%s",
 			doctor.RenderTable(findings), doctor.RenderTable(offline))
 	}
+
+	// The CLI's -o file, analyzed offline, gives the same table too.
+	path := filepath.Join(t.TempDir(), "support.tgz")
+	captureStdout(t, func() error {
+		return runDoctor([]string{"-addr", f.srv.URL, "-names", "cluster", "-o", path})
+	})
+	if got := captureStdout(t, func() error { return runDoctor([]string{"analyze", "-bundle", path}) }); got != doctor.RenderTable(offline) {
+		t.Fatalf("doctor analyze of the -o file diverges from the in-memory archive:\nin memory:\n%s\nfrom %s:\n%s",
+			doctor.RenderTable(offline), path, got)
+	}
+}
+
+// captureStdout runs a CLI entry point and returns what it printed to
+// stdout, failing the test if it returned an error.
+func captureStdout(t *testing.T, run func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	runErr := run()
+	os.Stdout = saved
+	w.Close()
+	got := <-out
+	r.Close()
+	if runErr != nil {
+		t.Fatalf("%v\n%s", runErr, got)
+	}
+	return got
 }
 
 // TestDoctorEndToEndCrashedReplica closes one replica's session, forces

@@ -2,6 +2,8 @@ package bundle_test
 
 import (
 	"context"
+	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -392,4 +394,79 @@ func TestDistributorBackgroundLoop(t *testing.T) {
 	}
 	d.Close()
 	d.Close() // idempotent
+}
+
+// blockingStore is a DirStore whose Fetch blocks until its ctx ends: a
+// poll that reaches it stays in flight until someone cancels it.
+type blockingStore struct {
+	*bundle.DirStore
+	entered chan struct{}
+}
+
+func (s *blockingStore) Fetch(ctx context.Context, revision int64) (io.ReadCloser, error) {
+	select {
+	case s.entered <- struct{}{}:
+	default:
+	}
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// TestDistributorCloseStopsPolling starts the background loop, lets a
+// poll enter a Fetch that only returns once its ctx ends, and checks
+// Close stops it: Close returns promptly, nothing is attached after
+// it, no goroutine the distributor started outlives it, and Close is
+// idempotent and safe on a distributor that never started.
+func TestDistributorCloseStopsPolling(t *testing.T) {
+	ctx := context.Background()
+	st := &blockingStore{DirStore: newDirStore(t), entered: make(chan struct{}, 1)}
+	if _, err := bundle.NewPublisher(st, 5).Publish(ctx, &scaleEstimator{Scale: 2}, bundle.Meta{}); err != nil {
+		t.Fatal(err)
+	}
+	target := &recordingTarget{}
+	newDist := func() *bundle.Distributor {
+		d, err := bundle.NewDistributor(bundle.DistConfig{
+			Store: st, Target: target, Estimator: testEstimatorName, Interval: 200 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	closeWithin := func(d *bundle.Distributor, what string) {
+		t.Helper()
+		closed := make(chan struct{})
+		go func() {
+			defer close(closed)
+			d.Close()
+		}()
+		select {
+		case <-closed:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s did not return within 2s", what)
+		}
+	}
+
+	d := newDist()
+	baseline := runtime.NumGoroutine()
+	d.Start()
+	select {
+	case <-st.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the background loop never reached Fetch")
+	}
+	closeWithin(d, "Close during an in-flight poll")
+	time.Sleep(600 * time.Millisecond) // three intervals: a live loop would poll again
+	if n := target.count(); n != 0 {
+		t.Fatalf("%d attachments after Close, want 0", n)
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("%d goroutines after Close, %d before Start:\n%s", runtime.NumGoroutine(), baseline, buf)
+		}
+	}
+	closeWithin(d, "a second Close")
+	closeWithin(newDist(), "Close on a distributor that never started")
 }
