@@ -299,7 +299,7 @@ func (v sessionView) healthz(w http.ResponseWriter, r *http.Request) {
 
 // modelInfo describes one loaded model in /v1/models. Fused reports
 // whether the model's PredictBatch executes as one fused forward pass
-// (costmodel.BatchFuser). Generation and Swapped expose the hot-swap
+// (costmodel.Fused). Generation and Swapped expose the hot-swap
 // state (each AttachModel bumps the generation), so a client can detect
 // a stale replica from this endpoint alone. All three are omitted by
 // the router view, which only sees model names.

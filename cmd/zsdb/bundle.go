@@ -6,6 +6,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -328,16 +329,12 @@ func runBundleBuild(args []string) error {
 	if fp == "" {
 		fp = "file:" + *modelPath
 	}
-	f, err := os.Create(*out)
-	if err != nil {
+	var man bundle.Manifest
+	err = bundle.WriteFile(*out, func(w io.Writer) (err error) {
+		man, err = bundle.Build(w, est, *revision, bundle.Meta{Fingerprint: fp})
 		return err
-	}
-	man, err := bundle.Build(f, est, *revision, bundle.Meta{Fingerprint: fp})
-	if closeErr := f.Close(); err == nil {
-		err = closeErr
-	}
+	})
 	if err != nil {
-		os.Remove(*out)
 		return err
 	}
 	fmt.Printf("built %s revision %d (%s) -> %s\n", man.Estimator, man.Revision, shortDigest(man.SHA256), *out)

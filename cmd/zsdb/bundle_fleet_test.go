@@ -173,6 +173,9 @@ func TestBundleFleetAdaptConvergeFailoverRollback(t *testing.T) {
 		if man == nil || man.RollbackOf != 1 {
 			t.Fatalf("replica %s rollback manifest = %+v, want rollback_of 1", name, man)
 		}
+		if n := d.Status().Rollbacks; n != 1 {
+			t.Fatalf("replica %s counted %d rollbacks, want 1", name, n)
+		}
 	}
 	for name, sess := range sessions {
 		if got := mustModelScale(t, sess); got != 1 {

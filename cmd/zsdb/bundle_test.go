@@ -234,6 +234,9 @@ func TestServeBundleLifecycle(t *testing.T) {
 	if man == nil || man.RollbackOf != 1 || man.RolledBackFrom != 2 {
 		t.Fatalf("rollback manifest = %+v, want rollback_of 1 superseding 2", man)
 	}
+	if n := dist.Status().Rollbacks; n != 1 {
+		t.Fatalf("distributor counted %d rollbacks, want 1", n)
+	}
 	restored := predictRuntime(t, sess, bundleTestSQL)
 	if math.Float64bits(restored) != math.Float64bits(baseline) {
 		t.Fatalf("rolled-back prediction %v is not bitwise-equal to baseline %v", restored, baseline)

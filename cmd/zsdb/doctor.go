@@ -4,11 +4,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strings"
 	"time"
 
+	"github.com/zeroshot-db/zeroshot/internal/bundle"
 	"github.com/zeroshot-db/zeroshot/internal/obs/doctor"
 )
 
@@ -59,16 +61,7 @@ func runDoctorCollect(args []string) error {
 		return err
 	}
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		err = doctor.WriteArchive(f, b)
-		if closeErr := f.Close(); err == nil {
-			err = closeErr
-		}
-		if err != nil {
-			os.Remove(*out)
+		if err := bundle.WriteFile(*out, func(w io.Writer) error { return doctor.WriteArchive(w, b) }); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "wrote support bundle to %s\n", *out)

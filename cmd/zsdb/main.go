@@ -110,10 +110,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
+	"github.com/zeroshot-db/zeroshot/internal/bundle"
 	"github.com/zeroshot-db/zeroshot/internal/collect"
 	"github.com/zeroshot-db/zeroshot/internal/costmodel"
 	"github.com/zeroshot-db/zeroshot/internal/datagen"
@@ -327,12 +329,7 @@ func runTrain(args []string) error {
 		fmt.Fprintf(os.Stderr, "training wall-time %s (%.0f samples/s)\n",
 			report.WallTime.Round(time.Millisecond), report.SamplesPerSec)
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := costmodel.Save(f, est); err != nil {
+	if err := bundle.WriteFile(*out, func(w io.Writer) error { return costmodel.Save(w, est) }); err != nil {
 		return err
 	}
 	fmt.Printf("saved %s model to %s\n", est.Name(), *out)

@@ -16,12 +16,12 @@
 //   - A Publisher (publisher.go) writes bundles to a pluggable Store
 //     (local directory now; the interface leaves room for HTTP/object
 //     stores), assigns revisions serially, and prunes to a retained
-//     history — the accept path of adapt.Loop hooks into it.
+//     history — the accept path of adapt.Loop hooks into it. Its
+//     Rollback republishes a retained revision as a new head.
 //   - A Distributor (distributor.go) runs on every replica: it polls the
 //     store with a revision short-circuit (the ETag idiom), verifies,
 //     and activates new revisions through the serving session's hot-swap
-//     path, with exponential backoff on failure and Rollback reactivating
-//     any retained revision.
+//     path, with exponential backoff on failure.
 //
 // The archive layout is two entries, manifest first:
 //

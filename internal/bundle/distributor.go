@@ -32,17 +32,13 @@ type DistConfig struct {
 	Estimator string
 	// Interval is the base poll period for Start. Each sleep is jittered
 	// ±25% so a fleet of replicas does not stampede the store in
-	// lockstep. Defaults to DefaultInterval.
+	// lockstep, and the backoff after failures is capped at
+	// maxBackoffIntervals of it. Defaults to DefaultInterval.
 	Interval time.Duration
-	// MaxBackoff caps the exponential backoff after fetch/verify
-	// failures. Defaults to 8× the interval.
-	MaxBackoff time.Duration
-	// Now and Rand are test seams; they default to time.Now and a
-	// process-wide source.
-	Now  func() time.Time
-	Rand *rand.Rand
-	// Events, when non-nil, receives bundle activation and rollback
-	// events with Origin as the recording origin (the replica name).
+	// Now is a test seam; it defaults to time.Now.
+	Now func() time.Time
+	// Events, when non-nil, receives one bundle activation event per
+	// activation with Origin as the recording origin (the replica name).
 	// Nil disables.
 	Events *obs.Log
 	Origin string
@@ -50,6 +46,10 @@ type DistConfig struct {
 
 // DefaultInterval is the poll period when DistConfig leaves it zero.
 const DefaultInterval = 3 * time.Second
+
+// maxBackoffIntervals caps the exponential backoff after fetch/verify
+// failures, in poll intervals.
+const maxBackoffIntervals = 8
 
 // Status is a distributor's observable state, surfaced per replica in
 // /v1/stats and /v1/bundles so generation skew across a ring is visible.
@@ -61,7 +61,8 @@ type Status struct {
 	Revision int64 `json:"revision"`
 	// Polls counts PollOnce calls; Skips those short-circuited by the
 	// revision check; Activations successful hot-swaps; Failures
-	// fetch/verify/activate errors; Rollbacks local Rollback calls.
+	// fetch/verify/activate errors; Rollbacks those activations whose
+	// manifest republishes an older revision (Publisher.Rollback).
 	Polls       int64 `json:"polls"`
 	Skips       int64 `json:"skips"`
 	Activations int64 `json:"activations"`
@@ -87,9 +88,13 @@ type Distributor struct {
 	backoff   time.Duration // current backoff step, 0 when healthy
 	nextAfter time.Time     // do not poll before this (backoff gate)
 
-	stop     chan struct{}
-	done     chan struct{}
-	startErr sync.Once
+	// ctx is the one stop signal: Close cancels it, which ends the poll
+	// loop and any poll it has in flight.
+	ctx    context.Context
+	cancel context.CancelFunc
+
+	startOnce sync.Once
+	done      chan struct{}
 }
 
 // NewDistributor validates the config and returns an idle distributor —
@@ -108,20 +113,16 @@ func NewDistributor(cfg DistConfig) (*Distributor, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultInterval
 	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 8 * cfg.Interval
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	if cfg.Rand == nil {
-		cfg.Rand = rand.New(rand.NewSource(time.Now().UnixNano()))
-	}
+	ctx, cancel := context.WithCancel(context.Background())
 	return &Distributor{
-		cfg:  cfg,
-		st:   Status{Estimator: cfg.Estimator},
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		cfg:    cfg,
+		st:     Status{Estimator: cfg.Estimator},
+		ctx:    ctx,
+		cancel: cancel,
+		done:   make(chan struct{}),
 	}, nil
 }
 
@@ -170,8 +171,8 @@ func (d *Distributor) fail(err error) {
 	} else {
 		d.backoff *= 2
 	}
-	if d.backoff > d.cfg.MaxBackoff {
-		d.backoff = d.cfg.MaxBackoff
+	if limit := maxBackoffIntervals * d.cfg.Interval; d.backoff > limit {
+		d.backoff = limit
 	}
 	d.nextAfter = d.cfg.Now().Add(d.backoff)
 }
@@ -199,19 +200,14 @@ func (d *Distributor) PollOnce(ctx context.Context) (bool, error) {
 	d.st.Polls++
 
 	head, err := d.cfg.Store.Latest(ctx)
-	if errors.Is(err, ErrNotFound) {
-		// Empty store: nothing published yet is a healthy state.
-		d.st.Skips++
-		d.ok()
-		return false, nil
-	}
-	if err != nil {
+	if err != nil && !errors.Is(err, ErrNotFound) {
 		err = fmt.Errorf("bundle: poll store: %w", err)
 		d.fail(err)
 		return false, err
 	}
-	if head <= d.st.Revision {
-		// The ETag idiom: the head has not moved past us, skip the fetch.
+	if err != nil || head <= d.st.Revision {
+		// Empty store (nothing published yet is a healthy state), or the
+		// ETag idiom: the head has not moved past us, skip the fetch.
 		d.st.Skips++
 		d.ok()
 		return false, nil
@@ -226,6 +222,9 @@ func (d *Distributor) PollOnce(ctx context.Context) (bool, error) {
 	d.st.Manifest = &man
 	d.st.LastActivated = d.cfg.Now()
 	d.st.Activations++
+	if man.RollbackOf != 0 {
+		d.st.Rollbacks++
+	}
 	d.ok()
 	d.cfg.Events.Record(obs.EventBundleActivated, d.cfg.Origin, map[string]string{
 		"revision":  strconv.FormatInt(man.Revision, 10),
@@ -262,53 +261,11 @@ func (d *Distributor) activateLocked(ctx context.Context, revision int64) (Manif
 	return b.Manifest, nil
 }
 
-// Rollback reactivates a retained revision on THIS replica, bypassing
-// the strictly-increasing poll rule (the operator asked for it). The
-// next poll will re-activate the store head if it is newer — for a
-// durable fleet-wide rollback use Publisher.Rollback, which republishes
-// the old payload as a new head. revision 0 means "one before current".
-func (d *Distributor) Rollback(ctx context.Context, revision int64) (Manifest, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-
-	if revision == 0 {
-		revs, err := d.cfg.Store.Revisions(ctx)
-		if err != nil {
-			return Manifest{}, err
-		}
-		for i := len(revs) - 1; i >= 0; i-- {
-			if revs[i] < d.st.Revision {
-				revision = revs[i]
-				break
-			}
-		}
-		if revision == 0 {
-			return Manifest{}, fmt.Errorf("bundle: rollback: no retained revision before %d", d.st.Revision)
-		}
-	}
-	man, err := d.activateLocked(ctx, revision)
-	if err != nil {
-		d.st.Failures++
-		d.st.LastError = err.Error()
-		return Manifest{}, err
-	}
-	d.st.Revision = man.Revision
-	d.st.Manifest = &man
-	d.st.LastActivated = d.cfg.Now()
-	d.st.Rollbacks++
-	d.st.LastError = ""
-	d.cfg.Events.Record(obs.EventBundleRollback, d.cfg.Origin, map[string]string{
-		"revision":  strconv.FormatInt(man.Revision, 10),
-		"estimator": man.Estimator,
-	})
-	return man, nil
-}
-
 // Start launches the background poll loop; Close stops it. Each sleep
 // is the configured interval jittered ±25% (or the remaining backoff,
 // whichever is later).
 func (d *Distributor) Start() {
-	d.startErr.Do(func() {
+	d.startOnce.Do(func() {
 		go d.loop()
 	})
 }
@@ -321,12 +278,12 @@ func (d *Distributor) loop() {
 		d.mu.Unlock()
 		timer := time.NewTimer(sleep)
 		select {
-		case <-d.stop:
+		case <-d.ctx.Done():
 			timer.Stop()
 			return
 		case <-timer.C:
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), d.cfg.Interval)
+		ctx, cancel := context.WithTimeout(d.ctx, d.cfg.Interval)
 		_, _ = d.PollOnce(ctx) // errors land in Status.LastError
 		cancel()
 	}
@@ -336,7 +293,7 @@ func (d *Distributor) loop() {
 // cover any open backoff window. Caller holds d.mu.
 func (d *Distributor) jitteredLocked() time.Duration {
 	base := d.cfg.Interval
-	jitter := time.Duration((d.cfg.Rand.Float64() - 0.5) * 0.5 * float64(base))
+	jitter := time.Duration((rand.Float64() - 0.5) * 0.5 * float64(base))
 	sleep := base + jitter
 	if !d.nextAfter.IsZero() {
 		if until := d.nextAfter.Sub(d.cfg.Now()); until > sleep {
@@ -349,13 +306,11 @@ func (d *Distributor) jitteredLocked() time.Duration {
 	return sleep
 }
 
-// Close stops the background loop (if started) and waits for it.
+// Close stops the background loop (if started) and waits for it; a
+// poll in flight is canceled rather than waited out. Safe to call
+// without Start and idempotent.
 func (d *Distributor) Close() {
-	select {
-	case <-d.stop:
-	default:
-		close(d.stop)
-	}
-	d.startErr.Do(func() { close(d.done) }) // never started: unblock the wait
+	d.cancel()
+	d.startOnce.Do(func() { close(d.done) }) // never started: unblock the wait
 	<-d.done
 }

@@ -232,12 +232,11 @@ func TestDistributorBackoff(t *testing.T) {
 
 	now := time.Unix(1000, 0)
 	d, err := bundle.NewDistributor(bundle.DistConfig{
-		Store:      st,
-		Target:     target,
-		Estimator:  testEstimatorName,
-		Interval:   time.Second,
-		MaxBackoff: 4 * time.Second,
-		Now:        func() time.Time { return now },
+		Store:     st,
+		Target:    target,
+		Estimator: testEstimatorName,
+		Interval:  time.Second,
+		Now:       func() time.Time { return now },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -270,13 +269,13 @@ func TestDistributorBackoff(t *testing.T) {
 	if until := d.Status().BackoffUntil.Sub(now); until != 2*time.Second {
 		t.Fatalf("second backoff = %v, want 2s", until)
 	}
-	// Two more failures pin at the cap.
-	for i := 0; i < 2; i++ {
-		now = now.Add(5 * time.Second)
+	// Three more failures pin at the cap.
+	for i := 0; i < 3; i++ {
+		now = now.Add(9 * time.Second)
 		d.PollOnce(ctx)
 	}
-	if until := d.Status().BackoffUntil.Sub(now); until != 4*time.Second {
-		t.Fatalf("capped backoff = %v, want 4s", until)
+	if until := d.Status().BackoffUntil.Sub(now); until != 8*time.Second {
+		t.Fatalf("capped backoff = %v, want 8s", until)
 	}
 
 	// Replace the garbage with a real head: success clears the backoff.
@@ -287,7 +286,7 @@ func TestDistributorBackoff(t *testing.T) {
 	if err := st.Put(ctx, 2, data); err != nil {
 		t.Fatal(err)
 	}
-	now = now.Add(5 * time.Second)
+	now = now.Add(9 * time.Second)
 	if act, err := d.PollOnce(ctx); err != nil || !act {
 		t.Fatalf("recovery poll = %v/%v", act, err)
 	}
@@ -319,55 +318,6 @@ func TestDistributorMarkActivated(t *testing.T) {
 	d.MarkActivated(bundle.Manifest{Revision: 1})
 	if d.Revision() != man.Revision {
 		t.Fatalf("stale mark regressed revision to %d", d.Revision())
-	}
-}
-
-func TestDistributorRollbackLocal(t *testing.T) {
-	ctx := context.Background()
-	st := newDirStore(t)
-	pub := bundle.NewPublisher(st, 5)
-	target := &recordingTarget{}
-	d := newTestDistributor(t, st, target)
-
-	for i := 1; i <= 3; i++ {
-		if _, err := pub.Publish(ctx, &scaleEstimator{Scale: float64(i)}, bundle.Meta{}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := d.PollOnce(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d.Revision() != 3 || target.lastScale() != 3 {
-		t.Fatalf("setup: rev %d scale %v", d.Revision(), target.lastScale())
-	}
-
-	// revision 0 = one before current.
-	man, err := d.Rollback(ctx, 0)
-	if err != nil || man.Revision != 2 {
-		t.Fatalf("Rollback = %+v (err %v), want rev 2", man, err)
-	}
-	if target.lastScale() != 2 {
-		t.Fatalf("rolled-back scale = %v, want 2", target.lastScale())
-	}
-	if s := d.Status(); s.Rollbacks != 1 || s.Revision != 2 {
-		t.Fatalf("status = %+v", s)
-	}
-
-	// Explicit ancient target.
-	if man, err := d.Rollback(ctx, 1); err != nil || man.Revision != 1 || target.lastScale() != 1 {
-		t.Fatalf("explicit rollback = %+v (err %v), scale %v", man, err, target.lastScale())
-	}
-	// Nothing older retained.
-	if _, err := d.Rollback(ctx, 0); err == nil {
-		t.Fatal("rollback below the oldest retained revision accepted")
-	}
-	// The next poll re-converges onto the store head — local rollback is
-	// an override, not a pin.
-	if act, err := d.PollOnce(ctx); err != nil || !act {
-		t.Fatalf("post-rollback poll = %v/%v, want re-activation of head", act, err)
-	}
-	if d.Revision() != 3 {
-		t.Fatalf("revision after re-poll = %d, want head 3", d.Revision())
 	}
 }
 

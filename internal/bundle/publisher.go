@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"strconv"
 	"sync"
 
@@ -27,8 +26,7 @@ type Publisher struct {
 	retain int
 	events *obs.Log // nil disables; all uses are nil-safe
 
-	mu   sync.Mutex
-	last Manifest // most recently published; zero until the first Publish
+	mu sync.Mutex
 }
 
 // NewPublisher wraps a store. retain <= 0 selects DefaultRetain.
@@ -48,14 +46,6 @@ func (p *Publisher) WithEvents(l *obs.Log) *Publisher {
 
 // Retain reports the configured history depth.
 func (p *Publisher) Retain() int { return p.retain }
-
-// Last returns the most recently published manifest and whether one
-// exists (this process's publishes only — it does not scan the store).
-func (p *Publisher) Last() (Manifest, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.last, p.last.Revision != 0
-}
 
 // nextRevision peeks the store head and returns head+1 (1 when empty).
 func (p *Publisher) nextRevision(ctx context.Context) (int64, error) {
@@ -88,7 +78,6 @@ func (p *Publisher) Publish(ctx context.Context, est costmodel.Estimator, meta M
 	if err := p.store.Put(ctx, rev, buf.Bytes()); err != nil {
 		return Manifest{}, err
 	}
-	p.last = man
 	p.prune(ctx)
 	p.events.Record(obs.EventBundlePublished, "publisher", map[string]string{
 		"revision":  strconv.FormatInt(man.Revision, 10),
@@ -129,12 +118,8 @@ func (p *Publisher) Rollback(ctx context.Context, revision int64) (Manifest, err
 	if err != nil {
 		return Manifest{}, err
 	}
-	data, err := io.ReadAll(rc)
+	man, payload, err := readArchive(rc)
 	rc.Close()
-	if err != nil {
-		return Manifest{}, fmt.Errorf("bundle: read rollback target %d: %w", revision, err)
-	}
-	man, payload, err := readArchive(bytes.NewReader(data))
 	if err != nil {
 		return Manifest{}, fmt.Errorf("rollback target %d: %w", revision, err)
 	}
@@ -149,7 +134,6 @@ func (p *Publisher) Rollback(ctx context.Context, revision int64) (Manifest, err
 	if err := p.store.Put(ctx, man.Revision, buf.Bytes()); err != nil {
 		return Manifest{}, err
 	}
-	p.last = man
 	p.prune(ctx)
 	p.events.Record(obs.EventBundleRollback, "publisher", map[string]string{
 		"revision":    strconv.FormatInt(man.Revision, 10),

@@ -39,9 +39,10 @@ type Store interface {
 }
 
 // DirStore keeps bundles as files in one directory, named
-// bundle-%012d.tgz so lexical order is revision order. Writes go
-// through a temp file + rename, so a concurrent Fetch never sees a
-// half-written archive.
+// bundle-%012d.tgz so lexical order is revision order. Every Put goes
+// through WriteFile: staged, synced, renamed into place and the
+// directory synced, so a concurrent Fetch never sees a half-written
+// archive and an acknowledged revision survives a crash.
 type DirStore struct {
 	dir string
 }
@@ -56,9 +57,6 @@ func NewDirStore(dir string) (*DirStore, error) {
 	}
 	return &DirStore{dir: dir}, nil
 }
-
-// Dir returns the backing directory.
-func (s *DirStore) Dir() string { return s.dir }
 
 // path returns the archive path for a revision.
 func (s *DirStore) path(revision int64) string {
@@ -101,23 +99,12 @@ func (s *DirStore) Put(ctx context.Context, revision int64, data []byte) error {
 	if _, err := os.Stat(dst); err == nil {
 		return fmt.Errorf("bundle: revision %d already exists (revisions are immutable)", revision)
 	}
-	tmp, err := os.CreateTemp(s.dir, ".bundle-*.tmp")
+	err := WriteFile(dst, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("bundle: stage revision %d: %w", revision, err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
 		return fmt.Errorf("bundle: write revision %d: %w", revision, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("bundle: flush revision %d: %w", revision, err)
-	}
-	if err := os.Rename(tmpName, dst); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("bundle: commit revision %d: %w", revision, err)
 	}
 	return nil
 }
@@ -155,6 +142,52 @@ func (s *DirStore) Delete(ctx context.Context, revision int64) error {
 		return fmt.Errorf("bundle: delete revision %d: %w", revision, err)
 	}
 	return nil
+}
+
+// WriteFile is the one way this system writes a file: write fills a
+// hidden stage (.<base>-*.tmp) in path's directory, which is made 0644,
+// synced, closed and renamed over path, and then the directory is
+// synced so the rename itself survives a crash. Until the rename, path
+// is untouched: on any earlier error the stage is removed, so a reader
+// sees the old file or the new one and never a torn mix.
+func WriteFile(path string, write func(io.Writer) error) (err error) {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*.tmp")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			f.Close() // a harmless error when Close already ran
+			os.Remove(f.Name())
+		}
+	}()
+	if err = write(f); err != nil {
+		return err
+	}
+	// CreateTemp's 0600 must not leak: the files this writes are models
+	// and archives other users and processes read.
+	if err = f.Chmod(0o644); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	if err = os.Rename(f.Name(), path); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if closeErr := d.Close(); err == nil {
+		err = closeErr
+	}
+	return err
 }
 
 // FetchManifest verifies one stored revision and returns its manifest —

@@ -113,3 +113,62 @@ func TestListSurfacesCorruptRevisions(t *testing.T) {
 		t.Fatalf("corrupt revision placeholder = %+v, want bare revision 2", mans[1])
 	}
 }
+
+// TestWriteFile pins the one durable write: the content lands under
+// path as 0644 with no stage left behind, a write that fails partway
+// leaves the previous file byte for byte, and a missing directory is an
+// error.
+func TestWriteFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "model.gob")
+	stages := func() []string {
+		t.Helper()
+		m, err := filepath.Glob(filepath.Join(dir, ".model.gob-*.tmp"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	if err := bundle.WriteFile(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, "first")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil || string(got) != "first" {
+		t.Fatalf("content = %q (err %v), want %q", got, err, "first")
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mode := fi.Mode().Perm(); mode != 0o644 {
+		t.Fatalf("mode = %v, want 0644", mode)
+	}
+	if s := stages(); len(s) != 0 {
+		t.Fatalf("stage files left after a successful write: %v", s)
+	}
+
+	boom := errors.New("boom")
+	err = bundle.WriteFile(path, func(w io.Writer) error {
+		if _, err := io.WriteString(w, "half of the second"); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("failed write returned %v, want %v", err, boom)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "first" {
+		t.Fatalf("after a failed write content = %q (err %v), want the previous %q", got, err, "first")
+	}
+	if s := stages(); len(s) != 0 {
+		t.Fatalf("stage files left after a failed write: %v", s)
+	}
+
+	if err := bundle.WriteFile(filepath.Join(dir, "missing", "model.gob"), func(io.Writer) error { return nil }); err == nil {
+		t.Fatal("WriteFile into a missing directory returned no error")
+	}
+}
