@@ -10,11 +10,10 @@
 //   - Estimator: Fit on []Sample, Predict one PlanInput, PredictBatch many
 //     (the serving hot path: the batch is the first-class unit of
 //     inference), Save to an io.Writer.
-//   - Adapters whose models can fuse a batch into one forward pass do so
-//     and advertise it through the optional BatchFuser capability: the
-//     zero-shot adapter packs the whole batch into one super-graph and
-//     runs a single tape-free pass. The rest (MSCN, E2E, ScaledCost)
-//     predict the items one after another. Either way PredictBatch is
+//   - The zero-shot adapter fuses a batch into one forward pass: it
+//     packs the whole batch into one super-graph and runs a single
+//     tape-free pass (Fused reports it). The rest (MSCN, E2E,
+//     ScaledCost) predict the items one after another. Either way PredictBatch is
 //     bitwise-equal to a sequential Predict loop over the same inputs.
 //   - A registry keyed by model name makes saved models self-describing:
 //     Load reads the header and reconstructs the right estimator without
@@ -131,8 +130,8 @@ type Estimator interface {
 	// Safe for concurrent use after Fit or Load.
 	Predict(ctx context.Context, in PlanInput) (float64, error)
 	// PredictBatch predicts many inputs as one batch — a single fused
-	// forward pass when the adapter supports it (see BatchFuser), a
-	// serial loop otherwise. Results align with the input slice and are
+	// forward pass for the zero-shot adapter (see Fused), a serial loop
+	// otherwise. Results align with the input slice and are
 	// bitwise-equal to calling Predict per input.
 	// Safe for concurrent use after Fit or Load.
 	PredictBatch(ctx context.Context, ins []PlanInput) ([]float64, error)
@@ -145,14 +144,6 @@ type Estimator interface {
 // training on samples from a new database — the paper's few-shot mode.
 type FineTuner interface {
 	FineTune(ctx context.Context, samples []Sample, epochs int, lr float64) (*FitReport, error)
-}
-
-// BatchFuser is the optional capability of estimators whose
-// PredictBatch executes the whole batch as one fused forward pass
-// (shared buffers, no per-item tape) rather than predicting the items
-// one by one.
-type BatchFuser interface {
-	FusesBatches() bool
 }
 
 // predictSerial is the PredictBatch of the adapters whose models cannot
@@ -174,10 +165,12 @@ func predictSerial(ctx context.Context, ins []PlanInput, predict func(context.Co
 	return out, nil
 }
 
-// Fused reports whether est's PredictBatch runs as one fused pass.
+// Fused reports whether est's PredictBatch runs as one fused forward
+// pass (shared buffers, no per-item tape) rather than predicting the
+// items one by one. Only the zero-shot adapter does.
 func Fused(est Estimator) bool {
-	f, ok := est.(BatchFuser)
-	return ok && f.FusesBatches()
+	_, ok := est.(*ZeroShot)
+	return ok
 }
 
 // EncodeWarmer is the optional capability of estimators that can

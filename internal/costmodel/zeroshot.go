@@ -336,10 +336,6 @@ func (z *ZeroShot) PredictBatch(ctx context.Context, ins []PlanInput) ([]float64
 	return out, nil
 }
 
-// FusesBatches implements BatchFuser: zero-shot batches run as one
-// fused forward pass.
-func (z *ZeroShot) FusesBatches() bool { return true }
-
 // zeroShotHeader precedes the model weights in the save payload.
 type zeroShotHeader struct {
 	Card int

@@ -60,7 +60,8 @@ func benchSetup(b *testing.B) (*storage.Database, costmodel.Estimator, []*query.
 
 // fanoutEst defeats batch fusion: PredictBatch degrades to a per-item
 // Predict loop (one tape-free forward pass per plan instead of one per
-// batch). The interface embedding deliberately hides FusesBatches.
+// batch). Wrapping the estimator deliberately hides its *ZeroShot type
+// from costmodel.Fused.
 type fanoutEst struct {
 	costmodel.Estimator
 }
