@@ -242,12 +242,9 @@ func (d *Distributor) activateLocked(ctx context.Context, revision int64) (Manif
 		return Manifest{}, fmt.Errorf("bundle: fetch revision %d: %w", revision, err)
 	}
 	b, err := Open(rc)
-	closeErr := rc.Close()
+	rc.Close() // only read, and Open has verified every byte it needs
 	if err != nil {
 		return Manifest{}, fmt.Errorf("revision %d: %w", revision, err)
-	}
-	if closeErr != nil {
-		return Manifest{}, fmt.Errorf("bundle: close revision %d: %w", revision, closeErr)
 	}
 	if b.Manifest.Revision != revision {
 		return Manifest{}, badf("store revision %d holds manifest revision %d", revision, b.Manifest.Revision)

@@ -13,8 +13,9 @@
 //   - The zero-shot adapter fuses a batch into one forward pass: it
 //     packs the whole batch into one super-graph and runs a single
 //     tape-free pass (Fused reports it). The rest (MSCN, E2E,
-//     ScaledCost) predict the items one after another. Either way PredictBatch is
-//     bitwise-equal to a sequential Predict loop over the same inputs.
+//     ScaledCost) predict the items one after another. Either way
+//     PredictBatch is bitwise-equal to a sequential Predict loop over
+//     the same inputs.
 //   - A registry keyed by model name makes saved models self-describing:
 //     Load reads the header and reconstructs the right estimator without
 //     the caller re-supplying a Config.
