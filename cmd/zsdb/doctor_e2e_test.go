@@ -36,7 +36,7 @@ func newDoctorFixture(t *testing.T) doctorFixture {
 	t.Helper()
 	f := sharedServeFixture(t)
 	tracer := obs.NewTracer(obs.TraceConfig{SampleEvery: 1, SlowThreshold: time.Second})
-	events := obs.NewLog(0)
+	events := obs.NewLog()
 	router := cluster.NewRouter(cluster.Config{Tracer: tracer, Events: events})
 	t.Cleanup(func() { router.Close() })
 	var sessions []*serving.Session

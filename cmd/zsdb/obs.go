@@ -37,7 +37,7 @@ func (o *obsFlags) build() (*obs.Tracer, *obs.Log) {
 	return obs.NewTracer(obs.TraceConfig{
 		SampleEvery:   o.sample,
 		SlowThreshold: o.slow,
-	}), obs.NewLog(0)
+	}), obs.NewLog()
 }
 
 // startDebug starts the pprof listener when -debug-addr is set. The

@@ -393,7 +393,7 @@ func TestSweepFailureKeepsEvidence(t *testing.T) {
 func TestSweepRecordsFineTuneTelemetry(t *testing.T) {
 	est := &tunableEstimator{name: "tunable", scale: 4, tune: goodTune}
 	sess := newAdaptSession(t, est)
-	events := obs.NewLog(32)
+	events := obs.NewLog()
 	loop, err := New(sess, Config{
 		Model:      "tunable",
 		WindowSize: 64,

@@ -41,6 +41,9 @@ func LoadMSCN(r io.Reader) (*MSCN, error) {
 	if err := gob.NewDecoder(r).Decode(&hdr); err != nil {
 		return nil, fmt.Errorf("baselines: decode MSCN: %w", err)
 	}
+	if err := nn.CheckWidth(hdr.Hidden); err != nil {
+		return nil, err
+	}
 	cfg := DefaultMSCNConfig()
 	cfg.Hidden = hdr.Hidden
 	m := NewMSCN(cfg)
@@ -64,6 +67,9 @@ func LoadE2E(r io.Reader) (*E2E, error) {
 	var hdr savedNet
 	if err := gob.NewDecoder(r).Decode(&hdr); err != nil {
 		return nil, fmt.Errorf("baselines: decode E2E: %w", err)
+	}
+	if err := nn.CheckWidth(hdr.Hidden); err != nil {
+		return nil, err
 	}
 	cfg := DefaultE2EConfig()
 	cfg.Hidden = hdr.Hidden

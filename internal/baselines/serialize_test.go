@@ -1,11 +1,16 @@
 package baselines
 
 import (
+	"bytes"
+	"encoding/gob"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/zeroshot-db/zeroshot/internal/encoding"
+	"github.com/zeroshot-db/zeroshot/internal/nn"
 )
 
 // saveLoadFile round-trips a model through a real file. Files matter:
@@ -81,5 +86,27 @@ func TestScaledCostSaveLoadFile(t *testing.T) {
 		func(f *os.File) error { var err error; loaded, err = LoadScaledCost(f); return err })
 	if got := loaded.Predict(500); got != want {
 		t.Fatalf("loaded ScaledCost predicts %v, want %v", got, want)
+	}
+}
+
+// TestLoadRejectsHostileWidth feeds both neural loaders a bare header
+// declaring a width no model has: each must refuse it before sizing a
+// network from it (1<<31 would ask for far more memory than exists).
+func TestLoadRejectsHostileWidth(t *testing.T) {
+	loaders := map[string]func(io.Reader) error{
+		"mscn": func(r io.Reader) error { _, err := LoadMSCN(r); return err },
+		"e2e":  func(r io.Reader) error { _, err := LoadE2E(r); return err },
+	}
+	for name, load := range loaders {
+		for _, hidden := range []int{0, -1, nn.MaxWidth + 1, 1 << 31} {
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(savedNet{Hidden: hidden}); err != nil {
+				t.Fatal(err)
+			}
+			err := load(&buf)
+			if err == nil || !strings.Contains(err.Error(), "width") {
+				t.Fatalf("%s: header Hidden=%d loaded with err %v, want a width error", name, hidden, err)
+			}
+		}
 	}
 }

@@ -66,7 +66,7 @@ func hash64(s string) uint64 {
 
 // Add inserts a member's virtual points. Duplicate registration is an
 // error: two replicas under one name would silently halve that name's
-// capacity and make Remove ambiguous.
+// capacity.
 func (r *Ring) Add(member string) error {
 	if member == "" {
 		return fmt.Errorf("cluster: ring member name must be non-empty")
@@ -94,24 +94,6 @@ func (r *Ring) Add(member string) error {
 	return nil
 }
 
-// Remove deletes a member's virtual points; removing an unknown member
-// is a no-op so teardown paths can be unconditional.
-func (r *Ring) Remove(member string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.members[member] {
-		return
-	}
-	delete(r.members, member)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.member != member {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
 // Members returns the registered member names, sorted.
 func (r *Ring) Members() []string {
 	r.mu.RLock()
@@ -122,13 +104,6 @@ func (r *Ring) Members() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Size returns the member count.
-func (r *Ring) Size() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.members)
 }
 
 // Owner returns the member owning key, or "" on an empty ring.

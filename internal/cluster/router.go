@@ -141,22 +141,6 @@ func (r *Router) Register(b Backend) error {
 	return nil
 }
 
-// Deregister removes a replica from the ring and returns its backend
-// (not closed — the caller may still own it). Ownership of the removed
-// replica's key ranges shifts to their ring successors; everything else
-// keeps its owner.
-func (r *Router) Deregister(name string) (Backend, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rep, ok := r.replicas[name]
-	if !ok {
-		return nil, false
-	}
-	r.ring.Remove(name)
-	delete(r.replicas, name)
-	return rep.b, true
-}
-
 // Replicas returns the registered replica names, sorted.
 func (r *Router) Replicas() []string { return r.ring.Members() }
 

@@ -74,24 +74,19 @@ type Sample struct {
 	RuntimeSec float64
 }
 
-// FromRecord converts one collected execution record into a Sample.
-func FromRecord(db *storage.Database, r collect.Record) Sample {
-	return Sample{
-		PlanInput: PlanInput{
-			DB:            db,
-			Query:         r.Query,
-			Plan:          r.Plan,
-			OptimizerCost: r.OptimizerCost,
-		},
-		RuntimeSec: r.RuntimeSec,
-	}
-}
-
 // FromRecords converts a collected record slice into Samples.
 func FromRecords(db *storage.Database, recs []collect.Record) []Sample {
 	out := make([]Sample, len(recs))
 	for i, r := range recs {
-		out[i] = FromRecord(db, r)
+		out[i] = Sample{
+			PlanInput: PlanInput{
+				DB:            db,
+				Query:         r.Query,
+				Plan:          r.Plan,
+				OptimizerCost: r.OptimizerCost,
+			},
+			RuntimeSec: r.RuntimeSec,
+		}
 	}
 	return out
 }
@@ -206,8 +201,6 @@ type Options struct {
 	BatchSize int
 	LR        float64
 	Seed      int64
-	// HuberDelta is the robust-loss threshold (zeroshot).
-	HuberDelta float64
 	// Card selects the cardinality annotation of the transferable graph
 	// encoding (zeroshot).
 	Card encoding.CardSource

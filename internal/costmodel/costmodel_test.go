@@ -156,6 +156,27 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsNonFiniteWeights saves a zero-shot model with one NaN or
+// infinite weight: Load must refuse the file and name the tensor, since
+// such a model answers NaN, which no reply can encode.
+func TestLoadRejectsNonFiniteWeights(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		est, err := New(NameZeroShot, Options{Hidden: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		est.(*ZeroShot).Model().Params()[3].Val.Data[2] = bad
+		var buf bytes.Buffer
+		if err := Save(&buf, est); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Load(&buf)
+		if err == nil || !strings.Contains(err.Error(), "tensor 3 value 2") {
+			t.Fatalf("weight %v: Load returned %v, want an error naming tensor 3 value 2", bad, err)
+		}
+	}
+}
+
 func TestPredictValidatesInputs(t *testing.T) {
 	f := sharedFixture(t)
 	ctx := context.Background()

@@ -18,9 +18,6 @@ func init() {
 		New: func(opts Options) (Estimator, error) {
 			cfg := zeroshot.DefaultConfig()
 			opts.overrideNeural(&cfg.Hidden, &cfg.Epochs, &cfg.BatchSize, &cfg.LR, &cfg.Seed)
-			if opts.HuberDelta > 0 {
-				cfg.HuberDelta = opts.HuberDelta
-			}
 			cfg.FlatSum = opts.FlatSum
 			return &ZeroShot{model: zeroshot.New(cfg), card: opts.Card}, nil
 		},

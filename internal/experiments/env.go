@@ -273,8 +273,7 @@ func (env *Env) estimatorOptions(name string, card encoding.CardSource) (costmod
 		m := env.Cfg.Model
 		return costmodel.Options{
 			Hidden: m.Hidden, Epochs: m.Epochs, BatchSize: m.BatchSize,
-			LR: m.LR, Seed: m.Seed, HuberDelta: m.HuberDelta,
-			FlatSum: m.FlatSum, Card: card,
+			LR: m.LR, Seed: m.Seed, FlatSum: m.FlatSum, Card: card,
 		}, nil
 	case costmodel.NameMSCN:
 		c := env.Cfg.MSCN
@@ -318,13 +317,12 @@ func (env *Env) evalInputs(workload string) ([]costmodel.PlanInput, []float64, e
 	if !ok {
 		return nil, nil, fmt.Errorf("experiments: no eval records for %q", workload)
 	}
-	ins := make([]costmodel.PlanInput, len(recs))
-	actuals := make([]float64, len(recs))
-	for i, r := range recs {
-		ins[i] = costmodel.FromRecord(env.EvalDB, r).PlanInput
-		actuals[i] = r.RuntimeSec
+	samples := costmodel.FromRecords(env.EvalDB, recs)
+	actuals := make([]float64, len(samples))
+	for i, s := range samples {
+		actuals[i] = s.RuntimeSec
 	}
-	return ins, actuals, nil
+	return costmodel.Inputs(samples), actuals, nil
 }
 
 // evalEstimator batch-predicts a workload with any estimator and returns

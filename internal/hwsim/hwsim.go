@@ -109,9 +109,6 @@ func New(prof Profile, seed int64) *Simulator {
 	return &Simulator{prof: prof, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Profile returns the simulator's machine profile.
-func (s *Simulator) Profile() Profile { return s.prof }
-
 // nodeTime computes one operator's time in nanoseconds from its counters.
 func (p Profile) nodeTime(n *plan.Node) float64 {
 	w := n.Work
@@ -209,24 +206,6 @@ func PeakMemoryBytes(root *plan.Node) float64 {
 	})
 	const fixedOverhead = 1 << 20 // executor bookkeeping
 	return tables + maxIntermediate + fixedOverhead
-}
-
-// SlowProfile returns a machine roughly 2.5x slower than the reference
-// with a smaller cache, the third point of the cross-hardware experiments.
-func SlowProfile() Profile {
-	p := DefaultProfile()
-	p.Name = "slow"
-	p.SeqPageNS *= 2.5
-	p.RandPageNS *= 2.5
-	p.TupleNS *= 2.5
-	p.PredNS *= 2.5
-	p.HashBuildNS *= 2.5
-	p.HashProbeNS *= 2.5
-	p.IndexDescNS *= 2.5
-	p.IndexEntryNS *= 2.5
-	p.AggUpdateNS *= 2.5
-	p.CacheBytes /= 2
-	return p
 }
 
 // Descriptor returns the transferable relative features of the profile

@@ -6,18 +6,24 @@ import "math"
 type Adam struct {
 	params []*Param
 	LR     float64
-	Beta1  float64
-	Beta2  float64
-	Eps    float64
-	// ClipNorm, when positive, rescales the global gradient norm to at
-	// most this value before stepping.
-	ClipNorm float64
-	t        int
+	t      int
 }
+
+// The decay rates are variables, not constants, on purpose: Step computes
+// 1-beta1 and 1-beta2 in float64 at run time (0.09999999999999998 for
+// 0.9), where a constant would fold them exactly (0.1) and move every
+// trained weight.
+var beta1, beta2 = 0.9, 0.999
+
+const (
+	adamEps = 1e-8
+	// clipNorm bounds the global gradient norm before each step.
+	clipNorm = 5
+)
 
 // NewAdam creates an Adam optimizer with standard hyperparameters.
 func NewAdam(params []*Param, lr float64) *Adam {
-	return &Adam{params: params, LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, ClipNorm: 5}
+	return &Adam{params: params, LR: lr}
 }
 
 // ZeroGrad clears all parameter gradients; call after each Step.
@@ -46,23 +52,20 @@ func (a *Adam) Step(scale float64) {
 		scale = 1
 	}
 	inv := 1 / scale
-	if a.ClipNorm > 0 {
-		norm := a.GradNorm() * inv
-		if norm > a.ClipNorm {
-			inv *= a.ClipNorm / norm
-		}
+	if norm := a.GradNorm() * inv; norm > clipNorm {
+		inv *= clipNorm / norm
 	}
 	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	c1 := 1 - math.Pow(beta1, float64(a.t))
+	c2 := 1 - math.Pow(beta2, float64(a.t))
 	for _, p := range a.params {
 		for i, g := range p.Grad.Data {
 			g *= inv
-			p.m.Data[i] = a.Beta1*p.m.Data[i] + (1-a.Beta1)*g
-			p.v.Data[i] = a.Beta2*p.v.Data[i] + (1-a.Beta2)*g*g
+			p.m.Data[i] = beta1*p.m.Data[i] + (1-beta1)*g
+			p.v.Data[i] = beta2*p.v.Data[i] + (1-beta2)*g*g
 			mHat := p.m.Data[i] / c1
 			vHat := p.v.Data[i] / c2
-			p.Val.Data[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
+			p.Val.Data[i] -= a.LR * mHat / (math.Sqrt(vHat) + adamEps)
 		}
 	}
 }

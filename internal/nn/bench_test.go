@@ -137,7 +137,7 @@ func benchMatMulBackward(b *testing.B, k int, constA bool, fill func(rng *rand.R
 			av = tp.Leaf(a, aGrad)
 		}
 		out := tp.MatMul(av, tp.Leaf(w.Val, w.Grad))
-		tp.Backward(tp.MSE(out, target))
+		tp.Backward(mse(tp, out, target))
 	}
 }
 

@@ -239,7 +239,7 @@ func TestMatMulBackwardRowVectorNonFiniteMatchesReference(t *testing.T) {
 						target.Data[j] -= rng.NormFloat64()
 					}
 				}
-				tp.Backward(tp.MSE(out, target))
+				tp.Backward(mse(tp, out, target))
 				for kk, x := range aVal.Data {
 					if x == 0 {
 						continue

@@ -261,7 +261,7 @@ func matMulGrads(rng *rand.Rand, aVal, bVal, aGrad, bGrad *Tensor) (dOut *Tensor
 			target.Data[i] -= rng.NormFloat64()
 		}
 	}
-	tp.Backward(tp.MSE(out, target))
+	tp.Backward(mse(tp, out, target))
 	return out.Grad
 }
 

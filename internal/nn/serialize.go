@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 )
 
 // savedTensor is the gob wire form of one parameter tensor.
@@ -24,8 +25,23 @@ func SaveParams(w io.Writer, params []*Param) error {
 	return gob.NewEncoder(w).Encode(out)
 }
 
+// MaxWidth caps the hidden width a saved model may declare. Loaders size
+// the network from the file's header before LoadParams can compare any
+// shape, so without a cap a few hostile bytes could ask for any amount
+// of memory. It is 16 times the default width.
+const MaxWidth = 512
+
+// CheckWidth rejects a saved model's declared hidden width outside
+// [1, MaxWidth]; loaders call it before they allocate the network.
+func CheckWidth(hidden int) error {
+	if hidden < 1 || hidden > MaxWidth {
+		return fmt.Errorf("nn: saved model width %d outside [1, %d]", hidden, MaxWidth)
+	}
+	return nil
+}
+
 // LoadParams reads parameter values from r into params; shapes must match
-// the saved model exactly.
+// the saved model exactly, and every value must be finite.
 func LoadParams(r io.Reader, params []*Param) error {
 	var in []savedTensor
 	if err := gob.NewDecoder(r).Decode(&in); err != nil {
@@ -36,9 +52,14 @@ func LoadParams(r io.Reader, params []*Param) error {
 	}
 	for i, st := range in {
 		p := params[i]
-		if st.Rows != p.Val.Rows || st.Cols != p.Val.Cols {
-			return fmt.Errorf("nn: tensor %d shape %dx%d, model expects %dx%d",
-				i, st.Rows, st.Cols, p.Val.Rows, p.Val.Cols)
+		if st.Rows != p.Val.Rows || st.Cols != p.Val.Cols || len(st.Data) != len(p.Val.Data) {
+			return fmt.Errorf("nn: tensor %d shape %dx%d (%d values), model expects %dx%d",
+				i, st.Rows, st.Cols, len(st.Data), p.Val.Rows, p.Val.Cols)
+		}
+		for j, v := range st.Data {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("nn: tensor %d value %d is %v", i, j, v)
+			}
 		}
 		copy(p.Val.Data, st.Data)
 	}

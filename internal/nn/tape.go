@@ -21,7 +21,6 @@ const (
 	opReLU
 	opConcat
 	opScale
-	opMSE
 	opHuber
 )
 
@@ -34,7 +33,7 @@ type op struct {
 	a, b   *Var    // operands; b is nil for unary operations
 	lo, hi int     // Sum, Concat: the operands are Tape.args[lo:hi]
 	s      float64 // ScaleVar's factor, HuberLoss's delta
-	target *Tensor // MSE, HuberLoss
+	target *Tensor // HuberLoss
 }
 
 // Tape records operations for reverse-mode differentiation. Build the
@@ -256,22 +255,9 @@ func (tp *Tape) ScaleVar(x *Var, s float64) *Var {
 	return tp.record(op{kind: opScale, out: out, a: x, s: s})
 }
 
-// MSE returns the scalar 0.5*(pred - target)^2 summed over elements, as a
-// 1x1 Var. target is a constant.
-func (tp *Tape) MSE(pred *Var, target *Tensor) *Var {
-	sameShape(pred.Val, target, "MSE")
-	out := tp.newVar(tp.tensor(1, 1))
-	loss := 0.0
-	for i, p := range pred.Val.Data {
-		d := p - target.Data[i]
-		loss += 0.5 * d * d
-	}
-	out.Val.Data[0] = loss
-	return tp.record(op{kind: opMSE, out: out, a: pred, target: target})
-}
-
-// HuberLoss returns the scalar Huber loss (delta=1) of pred vs target as a
-// 1x1 Var; more robust to runtime outliers than MSE.
+// HuberLoss returns the scalar Huber loss of pred vs target with
+// threshold delta, as a 1x1 Var; more robust to runtime outliers than the
+// squared error, which it is, bit for bit, at delta = +Inf.
 func (tp *Tape) HuberLoss(pred *Var, target *Tensor, delta float64) *Var {
 	sameShape(pred.Val, target, "Huber")
 	out := tp.newVar(tp.tensor(1, 1))
@@ -328,13 +314,6 @@ func (tp *Tape) Backward(loss *Var) {
 				g := o.a.Grad.Data
 				for j, dv := range d {
 					g[j] += dv * o.s
-				}
-			}
-		case opMSE:
-			if o.a.Grad != nil {
-				g, t := o.a.Grad.Data, o.target.Data
-				for j, p := range o.a.Val.Data {
-					g[j] += d[0] * (p - t[j])
 				}
 			}
 		case opHuber:

@@ -11,7 +11,7 @@ import (
 // parameter gradients (possibly remapped).
 func runMLPSample(tp *Tape, m *MLP, x, target []float64) float64 {
 	out := m.Apply(tp, tp.ConstRow(x))
-	loss := tp.MSE(out, FromSlice(target))
+	loss := mse(tp, out, FromSlice(target))
 	tp.Backward(loss)
 	return loss.Val.Data[0]
 }
@@ -76,7 +76,7 @@ func TestTapeResetSteadyStateCutsAllocations(t *testing.T) {
 		x[i] = float64(i) * 0.1
 	}
 	sample := func(tp *Tape) {
-		tp.Backward(tp.MSE(m.Apply(tp, tp.ConstRow(x)), tgt))
+		tp.Backward(mse(tp, m.Apply(tp, tp.ConstRow(x)), tgt))
 	}
 	freshAllocs := testing.AllocsPerRun(50, func() { sample(NewTape()) })
 	tp := NewTape()
@@ -131,7 +131,7 @@ func TestTapeSlabGrowsGeometrically(t *testing.T) {
 func TestTapeResetDropsReferences(t *testing.T) {
 	m := NewMLP(rand.New(rand.NewSource(5)), 4, 6, 1)
 	tp := NewTape()
-	tp.Backward(tp.MSE(m.Apply(tp, tp.ConstRow([]float64{1, 2, 3, 4})), FromSlice([]float64{0})))
+	tp.Backward(mse(tp, m.Apply(tp, tp.ConstRow([]float64{1, 2, 3, 4})), FromSlice([]float64{0})))
 	tp.Reset()
 	for i, o := range tp.ops[:cap(tp.ops)] {
 		if o != (op{}) {
@@ -170,12 +170,12 @@ func TestMatMulBackwardSkipsZeroActivationsUnderNonFiniteGradient(t *testing.T) 
 	}
 	tp := NewTape()
 	out := tp.MatMul(tp.ConstRow(aVal.Data), tp.Leaf(w.Val, w.Grad))
-	// MSE's gradient is out - target: an infinite target makes dOut
+	// mse's gradient is out - target: an infinite target makes dOut
 	// infinite in column 0 and leaves column 1 finite.
 	target := out.Val.Clone()
 	target.Data[0] = math.Inf(-1)
 	target.Data[1] -= 3
-	tp.Backward(tp.MSE(out, target))
+	tp.Backward(mse(tp, out, target))
 	want := []float64{
 		0, 0, // a[0] = +0: skipped, not 0·Inf = NaN
 		math.Inf(1), 6, // a[1] = 2: 2·Inf, 2·3

@@ -36,30 +36,6 @@ func FromSlice(v []float64) *Tensor {
 	return t
 }
 
-// Wrap builds a rows x cols tensor viewing data without copying — the
-// zero-copy bridge from externally packed feature matrices (e.g. an
-// encoding.BatchGraph slab) into tensor operations. The caller keeps
-// ownership of data.
-func Wrap(rows, cols int, data []float64) *Tensor {
-	if rows <= 0 || cols <= 0 || len(data) != rows*cols {
-		panic(fmt.Sprintf("nn: Wrap shape %dx%d does not fit %d values", rows, cols, len(data)))
-	}
-	return &Tensor{Rows: rows, Cols: cols, Data: data}
-}
-
-// At returns the element at (r, c).
-func (t *Tensor) At(r, c int) float64 { return t.Data[r*t.Cols+c] }
-
-// Set assigns the element at (r, c).
-func (t *Tensor) Set(r, c int, v float64) { t.Data[r*t.Cols+c] = v }
-
-// Clone deep-copies the tensor.
-func (t *Tensor) Clone() *Tensor {
-	c := NewTensor(t.Rows, t.Cols)
-	copy(c.Data, t.Data)
-	return c
-}
-
 // Zero sets every element to 0.
 func (t *Tensor) Zero() {
 	for i := range t.Data {
@@ -87,21 +63,6 @@ func (t *Tensor) AddInPlace(other *Tensor) {
 func (t *Tensor) Scale(s float64) {
 	for i := range t.Data {
 		t.Data[i] *= s
-	}
-}
-
-// AddRowBroadcast adds the 1 x Cols row vector to every row of t — the
-// inference-mode bias addition (the tape path adds the bias to one row
-// at a time; per element the operation is identical).
-func (t *Tensor) AddRowBroadcast(row *Tensor) {
-	if row.Rows != 1 || row.Cols != t.Cols {
-		panic(fmt.Sprintf("nn: broadcast add %dx%d onto %dx%d", row.Rows, row.Cols, t.Rows, t.Cols))
-	}
-	for r := 0; r < t.Rows; r++ {
-		d := t.Data[r*t.Cols : (r+1)*t.Cols]
-		for j, v := range row.Data {
-			d[j] += v
-		}
 	}
 }
 
@@ -415,13 +376,4 @@ func (t *Tensor) XavierInit(rng *rand.Rand) {
 	for i := range t.Data {
 		t.Data[i] = (rng.Float64()*2 - 1) * limit
 	}
-}
-
-// L2Norm returns the Euclidean norm of all elements.
-func (t *Tensor) L2Norm() float64 {
-	s := 0.0
-	for _, v := range t.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }

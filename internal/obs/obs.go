@@ -64,9 +64,8 @@ type Event struct {
 	Fields map[string]string `json:"fields,omitempty"`
 }
 
-// DefaultLogSize bounds a Log when the caller passes a non-positive
-// capacity.
-const DefaultLogSize = 512
+// LogSize is the number of recent events a Log keeps.
+const LogSize = 512
 
 // Log is a bounded ring of control-plane events with monotonic
 // sequence numbers. The zero value is NOT ready to use — construct
@@ -80,14 +79,9 @@ type Log struct {
 	seq  int64
 }
 
-// NewLog returns an empty event log holding at most capacity recent
-// events (DefaultLogSize if capacity <= 0).
-func NewLog(capacity int) *Log {
-	if capacity <= 0 {
-		capacity = DefaultLogSize
-	}
-	return &Log{buf: make([]Event, capacity)}
-}
+// NewLog returns an empty event log holding at most LogSize recent
+// events.
+func NewLog() *Log { return &Log{buf: make([]Event, LogSize)} }
 
 // Record appends one event, assigning it the next sequence number.
 // The fields map is retained as-is; callers must not mutate it after

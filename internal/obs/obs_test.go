@@ -7,7 +7,7 @@ import (
 )
 
 func TestLogSequenceAndSince(t *testing.T) {
-	l := NewLog(4)
+	l := NewLog()
 	for i := 0; i < 3; i++ {
 		l.Record(EventSwapAccepted, "r0", map[string]string{"model": "zeroshot"})
 	}
@@ -35,18 +35,18 @@ func TestLogSequenceAndSince(t *testing.T) {
 }
 
 func TestLogRingEvictsOldest(t *testing.T) {
-	l := NewLog(4)
-	for i := 0; i < 10; i++ {
+	l := NewLog()
+	for i := 0; i < LogSize+6; i++ {
 		l.Record(EventReplicaDown, "router", nil)
 	}
 	evs := l.Since(0, 0)
-	if len(evs) != 4 {
-		t.Fatalf("retained %d events, want 4", len(evs))
+	if len(evs) != LogSize {
+		t.Fatalf("retained %d events, want %d", len(evs), LogSize)
 	}
 	// The oldest retained event's Seq jumps past 1 — that is how a
 	// consumer observes truncation.
-	if evs[0].Seq != 7 || evs[3].Seq != 10 {
-		t.Fatalf("retained seqs %d..%d, want 7..10", evs[0].Seq, evs[3].Seq)
+	if first, last := evs[0].Seq, evs[len(evs)-1].Seq; first != 7 || last != LogSize+6 {
+		t.Fatalf("retained seqs %d..%d, want 7..%d", first, last, LogSize+6)
 	}
 	for i := 1; i < len(evs); i++ {
 		if evs[i].Seq != evs[i-1].Seq+1 {
@@ -56,7 +56,7 @@ func TestLogRingEvictsOldest(t *testing.T) {
 }
 
 func TestLogSincePagesForward(t *testing.T) {
-	l := NewLog(8)
+	l := NewLog()
 	for i := 0; i < 6; i++ {
 		l.Record(EventBundlePublished, "pub", nil)
 	}
@@ -79,7 +79,7 @@ func TestLogNilSafe(t *testing.T) {
 }
 
 func TestTracerSamplingCadence(t *testing.T) {
-	tr := NewTracer(TraceConfig{SampleEvery: 3, RingSize: 16})
+	tr := NewTracer(TraceConfig{SampleEvery: 3})
 	sampled := 0
 	for i := 0; i < 9; i++ {
 		sp, begin := tr.Begin()
@@ -107,7 +107,7 @@ func TestTracerSamplingCadence(t *testing.T) {
 }
 
 func TestTracerSlowLogWithoutSampling(t *testing.T) {
-	tr := NewTracer(TraceConfig{SlowThreshold: time.Microsecond, RingSize: 8})
+	tr := NewTracer(TraceConfig{SlowThreshold: time.Microsecond})
 	sp, begin := tr.Begin()
 	if sp != nil {
 		t.Fatal("sampling is off; Begin should return nil")
@@ -154,7 +154,7 @@ func TestTracerOffPathAllocs(t *testing.T) {
 }
 
 func TestTracerBatchAttribution(t *testing.T) {
-	tr := NewTracer(TraceConfig{SampleEvery: 1, RingSize: 4})
+	tr := NewTracer(TraceConfig{SampleEvery: 1})
 	sp, begin := tr.Begin()
 	if sp == nil {
 		t.Fatal("1-in-1 sampling returned nil")
@@ -165,5 +165,26 @@ func TestTracerBatchAttribution(t *testing.T) {
 	got := tr.Snapshot(1).Recent[0]
 	if got.BatchSize != 7 || got.CoalesceUs != 250 || !got.PlanCached {
 		t.Fatalf("attribution = %+v", got)
+	}
+}
+
+func TestTracerRingKeepsNewest(t *testing.T) {
+	tr := NewTracer(TraceConfig{SampleEvery: 1, SlowThreshold: time.Nanosecond})
+	for i := 0; i < TraceRingSize+5; i++ {
+		sp, begin := tr.Begin()
+		time.Sleep(time.Microsecond)
+		tr.Finish(sp, "predict", "imdb", "zeroshot", "SELECT 1", begin, nil)
+	}
+	snap := tr.Snapshot(0)
+	if snap.Sampled != TraceRingSize+5 || snap.Slow != TraceRingSize+5 {
+		t.Fatalf("counters sampled=%d slow=%d, want %d each", snap.Sampled, snap.Slow, TraceRingSize+5)
+	}
+	for name, got := range map[string][]*Trace{"recent": snap.Recent, "slow": snap.SlowQueries} {
+		if len(got) != TraceRingSize {
+			t.Fatalf("%s ring holds %d traces, want %d", name, len(got), TraceRingSize)
+		}
+		if newest, oldest := got[0].ID, got[len(got)-1].ID; newest != TraceRingSize+5 || oldest != 6 {
+			t.Fatalf("%s ring holds IDs %d..%d, want %d..6", name, newest, oldest, TraceRingSize+5)
+		}
 	}
 }

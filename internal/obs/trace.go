@@ -91,14 +91,10 @@ type TraceConfig struct {
 	// the slow-query ring, sampled or not (<= 0 disables the slow log).
 	// Unsampled slow requests carry no spans — only the envelope.
 	SlowThreshold time.Duration
-	// RingSize bounds both the recent-traces and slow-query rings
-	// (DefaultTraceRingSize if <= 0).
-	RingSize int
 }
 
-// DefaultTraceRingSize bounds the trace rings when TraceConfig leaves
-// RingSize zero.
-const DefaultTraceRingSize = 64
+// TraceRingSize bounds both the recent-traces and slow-query rings.
+const TraceRingSize = 64
 
 // Tracer is a sampling-gated span recorder with bounded recent-trace
 // and slow-query rings. All methods are nil-safe so instrumented code
@@ -120,16 +116,12 @@ type Tracer struct {
 
 // NewTracer builds a tracer from cfg.
 func NewTracer(cfg TraceConfig) *Tracer {
-	size := cfg.RingSize
-	if size <= 0 {
-		size = DefaultTraceRingSize
-	}
 	t := &Tracer{
 		sampleEvery: int64(cfg.SampleEvery),
 		slowNs:      cfg.SlowThreshold.Nanoseconds(),
 	}
-	t.recent.buf = make([]*Trace, size)
-	t.slow.buf = make([]*Trace, size)
+	t.recent.buf = make([]*Trace, TraceRingSize)
+	t.slow.buf = make([]*Trace, TraceRingSize)
 	return t
 }
 

@@ -143,16 +143,6 @@ type Query struct {
 	GroupBy []ColumnRef
 }
 
-// HasTable reports whether the query involves the named table.
-func (q *Query) HasTable(name string) bool {
-	for _, t := range q.Tables {
-		if t == name {
-			return true
-		}
-	}
-	return false
-}
-
 // FiltersOn returns the filters whose column belongs to the named table.
 func (q *Query) FiltersOn(table string) []Filter {
 	var out []Filter

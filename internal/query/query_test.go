@@ -218,16 +218,13 @@ func TestScaleAndSyntheticWorkloads(t *testing.T) {
 	}
 }
 
-func TestFiltersOnAndHasTable(t *testing.T) {
+func TestFiltersOn(t *testing.T) {
 	q := &Query{
 		Tables: []string{"a"},
 		Filters: []Filter{
 			{Col: ColumnRef{Table: "a", Column: "x"}, Op: OpEq, Value: 1},
 			{Col: ColumnRef{Table: "a", Column: "y"}, Op: OpGt, Value: 2},
 		},
-	}
-	if !q.HasTable("a") || q.HasTable("b") {
-		t.Fatal("HasTable wrong")
 	}
 	if got := q.FiltersOn("a"); len(got) != 2 {
 		t.Fatalf("FiltersOn(a) = %d filters", len(got))

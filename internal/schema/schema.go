@@ -153,16 +153,6 @@ func (t *Table) ColumnIndex(name string) int {
 	return -1
 }
 
-// PrimaryKey returns the primary key column, or nil if the table has none.
-func (t *Table) PrimaryKey() *Column {
-	for i := range t.Columns {
-		if t.Columns[i].PrimaryKey {
-			return &t.Columns[i]
-		}
-	}
-	return nil
-}
-
 // Schema is a named collection of tables and foreign keys. It is the unit
 // the zero-shot model generalizes across: models are trained on many
 // schemas and evaluated on schemas they never saw.
@@ -224,38 +214,6 @@ func (s *Schema) TableNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// JoinableWith returns the foreign keys that connect table a and table b in
-// either direction.
-func (s *Schema) JoinableWith(a, b string) []ForeignKey {
-	var out []ForeignKey
-	for _, fk := range s.ForeignKeys {
-		if (fk.FromTable == a && fk.ToTable == b) || (fk.FromTable == b && fk.ToTable == a) {
-			out = append(out, fk)
-		}
-	}
-	return out
-}
-
-// Neighbors returns the names of tables connected to the given table by a
-// foreign key (in either direction), sorted and deduplicated.
-func (s *Schema) Neighbors(table string) []string {
-	set := map[string]bool{}
-	for _, fk := range s.ForeignKeys {
-		if fk.FromTable == table {
-			set[fk.ToTable] = true
-		}
-		if fk.ToTable == table {
-			set[fk.FromTable] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Validate checks structural consistency: unique table names, unique column

@@ -104,33 +104,6 @@ func TestTableLookups(t *testing.T) {
 	if got := tt.ColumnIndex("missing"); got != -1 {
 		t.Fatalf("ColumnIndex(missing) = %d, want -1", got)
 	}
-	pk := tt.PrimaryKey()
-	if pk == nil || pk.Name != "id" {
-		t.Fatalf("PrimaryKey() = %v, want id", pk)
-	}
-}
-
-func TestJoinableWithSymmetric(t *testing.T) {
-	s := sampleSchema()
-	ab := s.JoinableWith("title", "movie_companies")
-	ba := s.JoinableWith("movie_companies", "title")
-	if len(ab) != 1 || len(ba) != 1 {
-		t.Fatalf("JoinableWith returned %d / %d FKs, want 1 / 1", len(ab), len(ba))
-	}
-	if len(s.JoinableWith("title", "title")) != 0 {
-		t.Fatal("JoinableWith(title,title) should be empty")
-	}
-}
-
-func TestNeighbors(t *testing.T) {
-	s := sampleSchema()
-	n := s.Neighbors("title")
-	if len(n) != 1 || n[0] != "movie_companies" {
-		t.Fatalf("Neighbors(title) = %v", n)
-	}
-	if got := s.Neighbors("isolated"); len(got) != 0 {
-		t.Fatalf("Neighbors(isolated) = %v, want empty", got)
-	}
 }
 
 func TestComputePagesProperties(t *testing.T) {

@@ -28,7 +28,7 @@ func (w *warmingEstimator) WarmEncode(in costmodel.PlanInput) error {
 // trace lands in the tracer's recent ring with the resolved names.
 func TestPredictTraceSpans(t *testing.T) {
 	imdb, _ := fixtures(t)
-	tracer := obs.NewTracer(obs.TraceConfig{SampleEvery: 1, RingSize: 8})
+	tracer := obs.NewTracer(obs.TraceConfig{SampleEvery: 1})
 	sess := NewSession(Config{Tracer: tracer})
 	defer sess.Close()
 	if err := sess.AttachDatabase("imdb", imdb.db); err != nil {
@@ -89,7 +89,7 @@ func TestPredictTraceSpans(t *testing.T) {
 // when sampling is off: the envelope (no spans) lands in the slow ring.
 func TestPredictSlowLogAlwaysOn(t *testing.T) {
 	imdb, _ := fixtures(t)
-	tracer := obs.NewTracer(obs.TraceConfig{SlowThreshold: time.Microsecond, RingSize: 8})
+	tracer := obs.NewTracer(obs.TraceConfig{SlowThreshold: time.Microsecond})
 	sess := NewSession(Config{Tracer: tracer})
 	defer sess.Close()
 	if err := sess.AttachDatabase("imdb", imdb.db); err != nil {

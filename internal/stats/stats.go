@@ -52,8 +52,7 @@ type ColumnStats struct {
 
 // DBStats holds the statistics of every column of a database.
 type DBStats struct {
-	schema *schema.Schema
-	cols   map[string]*ColumnStats // key: table.column
+	cols map[string]*ColumnStats // key: table.column
 }
 
 // DefaultBuckets and DefaultMCVs are the statistics resolution used
@@ -73,7 +72,7 @@ func Collect(db *storage.Database, buckets, mcvs int) *DBStats {
 	if mcvs < 0 {
 		mcvs = DefaultMCVs
 	}
-	s := &DBStats{schema: db.Schema, cols: map[string]*ColumnStats{}}
+	s := &DBStats{cols: map[string]*ColumnStats{}}
 	for _, tm := range db.Schema.Tables {
 		tab := db.Table(tm.Name)
 		if tab == nil {
@@ -275,19 +274,6 @@ func (s *DBStats) ScanSelectivity(filters []query.Filter) float64 {
 	return clamp01(sel)
 }
 
-// EstimateScanRows estimates the output rows of scanning table with filters.
-func (s *DBStats) EstimateScanRows(table string, filters []query.Filter) float64 {
-	tm := s.schema.Table(table)
-	if tm == nil {
-		return 1
-	}
-	rows := float64(tm.RowCount) * s.ScanSelectivity(filters)
-	if rows < 1 {
-		rows = 1
-	}
-	return rows
-}
-
 // JoinSelectivity estimates the selectivity of an equi-join between two
 // columns using the standard 1/max(distinct) formula.
 func (s *DBStats) JoinSelectivity(j query.Join) float64 {
@@ -329,9 +315,6 @@ func (s *DBStats) EstimateGroupCount(groupBy []query.ColumnRef, inputRows float6
 	}
 	return distinct
 }
-
-// Schema returns the schema these statistics describe.
-func (s *DBStats) Schema() *schema.Schema { return s.schema }
 
 func clamp01(x float64) float64 {
 	if math.IsNaN(x) {

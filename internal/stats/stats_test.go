@@ -206,18 +206,6 @@ func TestJoinSelectivity(t *testing.T) {
 	}
 }
 
-func TestEstimateScanRowsFloorsAtOne(t *testing.T) {
-	vals := make([]int64, 100)
-	db := singleColumnDB(vals) // all zeros
-	st := Collect(db, DefaultBuckets, DefaultMCVs)
-	rows := st.EstimateScanRows("t", []query.Filter{
-		{Col: query.ColumnRef{Table: "t", Column: "v"}, Op: query.OpEq, Value: 999},
-	})
-	if rows < 1 {
-		t.Fatalf("EstimateScanRows = %v, want >= 1", rows)
-	}
-}
-
 func TestEstimateGroupCount(t *testing.T) {
 	db, _ := datagen.IMDBLike(0.05)
 	st := Collect(db, DefaultBuckets, DefaultMCVs)

@@ -130,9 +130,6 @@ func BuildIndex(t *Table, column string) (*Index, error) {
 	return &Index{Table: t.Meta.Name, Column: column, rowIDs: ids, col: col}, nil
 }
 
-// Len returns the number of indexed entries.
-func (ix *Index) Len() int { return len(ix.rowIDs) }
-
 // EstimateHeight returns the height a B-tree with this many entries would
 // have with a typical fanout of 256 (minimum 1).
 func (ix *Index) EstimateHeight() int {
@@ -223,16 +220,6 @@ func (db *Database) EnsureIndex(table, column string) (*Index, error) {
 	}
 	db.indexes[key] = ix
 	return ix, nil
-}
-
-// Index returns the index on table.column if it has been built, or nil.
-func (db *Database) Index(table, column string) *Index {
-	return db.indexes[indexKey(table, column)]
-}
-
-// DropIndex removes the index on table.column if present.
-func (db *Database) DropIndex(table, column string) {
-	delete(db.indexes, indexKey(table, column))
 }
 
 // IndexedColumns returns the sorted list of "table.column" keys that

@@ -164,8 +164,8 @@ func TestDatabaseIndexLifecycle(t *testing.T) {
 	s := &schema.Schema{Name: "db", Tables: []*schema.Table{meta}}
 	db := NewDatabase(s)
 	db.AddTable(tab)
-	if db.Index("t", "v") != nil {
-		t.Fatal("index exists before EnsureIndex")
+	if got := db.IndexedColumns(); len(got) != 0 {
+		t.Fatalf("IndexedColumns() = %v before EnsureIndex", got)
 	}
 	ix1, err := db.EnsureIndex("t", "v")
 	if err != nil {
@@ -180,10 +180,6 @@ func TestDatabaseIndexLifecycle(t *testing.T) {
 	}
 	if got := db.IndexedColumns(); len(got) != 1 || got[0] != "t.v" {
 		t.Fatalf("IndexedColumns() = %v", got)
-	}
-	db.DropIndex("t", "v")
-	if db.Index("t", "v") != nil {
-		t.Fatal("index survives DropIndex")
 	}
 	if _, err := db.EnsureIndex("missing", "v"); err == nil {
 		t.Fatal("EnsureIndex on unknown table succeeded")

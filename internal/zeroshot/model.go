@@ -20,6 +20,7 @@ package zeroshot
 import (
 	"bufio"
 	"context"
+	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
@@ -43,8 +44,6 @@ type Config struct {
 	LR float64
 	// Seed drives parameter initialization and shuffling.
 	Seed int64
-	// HuberDelta is the robust-loss threshold on log-runtime residuals.
-	HuberDelta float64
 	// FlatSum disables message passing (ablation A2): the prediction uses
 	// the sum of all node encodings with no structural combination.
 	FlatSum bool
@@ -55,12 +54,11 @@ type Config struct {
 // to fit the runtime function.
 func DefaultConfig() Config {
 	return Config{
-		Hidden:     32,
-		Epochs:     24,
-		BatchSize:  16,
-		LR:         3e-3,
-		Seed:       1,
-		HuberDelta: 1.0,
+		Hidden:    32,
+		Epochs:    24,
+		BatchSize: 16,
+		LR:        3e-3,
+		Seed:      1,
 	}
 }
 
@@ -298,8 +296,8 @@ type savedModel struct {
 // Save writes the model architecture and weights to w.
 func (m *Model) Save(w io.Writer) error {
 	hdr := savedModel{Hidden: m.cfg.Hidden, FlatSum: m.cfg.FlatSum}
-	if err := encodeGob(w, hdr); err != nil {
-		return err
+	if err := gob.NewEncoder(w).Encode(hdr); err != nil {
+		return fmt.Errorf("zeroshot: encode: %w", err)
 	}
 	return nn.SaveParams(w, m.params())
 }
@@ -314,7 +312,10 @@ func Load(r io.Reader, cfg Config) (*Model, error) {
 		r = bufio.NewReader(r)
 	}
 	var hdr savedModel
-	if err := decodeGob(r, &hdr); err != nil {
+	if err := gob.NewDecoder(r).Decode(&hdr); err != nil {
+		return nil, fmt.Errorf("zeroshot: decode: %w", err)
+	}
+	if err := nn.CheckWidth(hdr.Hidden); err != nil {
 		return nil, err
 	}
 	if cfg.Hidden == 0 {

@@ -2,13 +2,16 @@ package zeroshot
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/zeroshot-db/zeroshot/internal/collect"
 	"github.com/zeroshot-db/zeroshot/internal/datagen"
 	"github.com/zeroshot-db/zeroshot/internal/encoding"
 	"github.com/zeroshot-db/zeroshot/internal/metrics"
+	"github.com/zeroshot-db/zeroshot/internal/nn"
 	"github.com/zeroshot-db/zeroshot/internal/storage"
 )
 
@@ -207,6 +210,22 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("not a model")), DefaultConfig()); err == nil {
 		t.Fatal("loaded garbage")
+	}
+}
+
+// TestLoadRejectsHostileWidth feeds Load a bare header declaring a width
+// no model has: it must refuse it before sizing a network from it
+// (1<<31 would ask for far more memory than exists).
+func TestLoadRejectsHostileWidth(t *testing.T) {
+	for _, hidden := range []int{0, -1, nn.MaxWidth + 1, 1 << 31} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(savedModel{Hidden: hidden}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(&buf, DefaultConfig())
+		if err == nil || !strings.Contains(err.Error(), "width") {
+			t.Fatalf("header Hidden=%d loaded with err %v, want a width error", hidden, err)
+		}
 	}
 }
 

@@ -78,7 +78,7 @@ func (m *Model) trainStep(ts *tapeScratch, s Sample) float64 {
 	ts.tape.Reset()
 	out := m.forward(ts, s.Graph)
 	ts.target.Data[0] = math.Log(s.RuntimeSec)
-	loss := ts.tape.HuberLoss(out, ts.target, m.cfg.HuberDelta)
+	loss := ts.tape.HuberLoss(out, ts.target, huberDelta)
 	ts.tape.Backward(loss)
 	return loss.Val.Data[0]
 }

@@ -276,6 +276,9 @@ func (p *part) run(st *trainScratch, lo, hi int) {
 	p.order(st.m.cfg.FlatSum)
 }
 
+// huberDelta is the robust-loss threshold on log-runtime residuals.
+const huberDelta = 1.0
+
 // huber returns the tape's HuberLoss of one prediction and the gradient
 // its backward seeds at the prediction, each computed onto +0 as the
 // tape's op computes it.
@@ -325,7 +328,7 @@ func (p *part) backward(st *trainScratch) {
 	r.dOut = *inf.TensorUninit(bg.NumGraphs, 1)
 	for g := 0; g < bg.NumGraphs; g++ {
 		target := math.Log(st.samples[st.mb[p.lo+g]].RuntimeSec)
-		st.loss[p.lo+g], r.dOut.Data[g] = huber(r.out.Data[g], target, m.cfg.HuberDelta)
+		st.loss[p.lo+g], r.dOut.Data[g] = huber(r.out.Data[g], target, huberDelta)
 	}
 	r.dH, r.dIn = *inf.TensorUninit(bg.NumGraphs, hd), *inf.TensorUninit(bg.NumGraphs, hd)
 	backprop(&r.dOut, &r.h, &r.dH, &r.dIn, &st.wt[famReadout][1], &st.wt[famReadout][0])

@@ -154,7 +154,7 @@ func TestTrainingAllocsCutByPooling(t *testing.T) {
 			ts := &tapeScratch{tape: nn.NewTape()}
 			out := m.forward(ts, s.Graph)
 			target := nn.FromSlice([]float64{math.Log(s.RuntimeSec)})
-			loss := ts.tape.HuberLoss(out, target, m.cfg.HuberDelta)
+			loss := ts.tape.HuberLoss(out, target, huberDelta)
 			ts.tape.Backward(loss)
 		}
 	})
