@@ -1,13 +1,12 @@
 package engine
 
 import (
-	"fmt"
+	"encoding/binary"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/zeroshot-db/zeroshot/internal/plan"
 	"github.com/zeroshot-db/zeroshot/internal/query"
-	"github.com/zeroshot-db/zeroshot/internal/storage"
 )
 
 // aggState accumulates one aggregate function over one group.
@@ -17,22 +16,18 @@ type aggState struct {
 	sum   float64
 	min   float64
 	max   float64
-	any   bool
 }
 
-func newAggState(fn query.AggFunc) *aggState {
-	return &aggState{fn: fn, min: math.Inf(1), max: math.Inf(-1)}
-}
-
-func (s *aggState) update(v float64, isNull bool) {
+// update folds in the value of column c in tuple.
+func (s *aggState) update(c colRef, tuple []int32) {
 	if s.fn == query.AggCount {
-		s.count++ // COUNT(*) counts rows regardless of nulls
+		s.count++ // COUNT counts rows regardless of nulls, and reads no column
 		return
 	}
-	if isNull {
+	v, ok := c.at(tuple)
+	if !ok {
 		return
 	}
-	s.any = true
 	s.count++
 	s.sum += v
 	if v < s.min {
@@ -44,155 +39,122 @@ func (s *aggState) update(v float64, isNull bool) {
 }
 
 func (s *aggState) value() float64 {
-	switch s.fn {
-	case query.AggCount:
+	if s.fn == query.AggCount {
 		return s.count
+	}
+	if s.count == 0 { // every input NULL, or no input
+		return 0
+	}
+	switch s.fn {
 	case query.AggSum:
-		if !s.any {
-			return 0
-		}
 		return s.sum
 	case query.AggAvg:
-		if s.count == 0 {
-			return 0
-		}
 		return s.sum / s.count
 	case query.AggMin:
-		if !s.any {
-			return 0
-		}
 		return s.min
 	case query.AggMax:
-		if !s.any {
-			return 0
-		}
 		return s.max
 	default:
 		return 0
 	}
 }
 
-// execAggregate evaluates grouped or scalar aggregates over the child
-// batch, records the resulting group values on the executor, and returns a
-// batch with one (empty) tuple per group so that cardinalities propagate.
-func (e *Executor) execAggregate(n *plan.Node) (*batch, error) {
-	child, err := e.exec(n.Children[0])
-	if err != nil {
-		return nil, err
-	}
-	// Resolve aggregate input columns.
-	type aggCol struct {
-		col *storage.ColumnData
-		pos int // position of the table in the child batch
-	}
-	aggCols := make([]aggCol, len(n.Aggregates))
-	for i, a := range n.Aggregates {
-		if a.Func == query.AggCount && a.Col.Table == "" {
-			aggCols[i] = aggCol{pos: -1}
-			continue
-		}
-		pos, ok := child.pos[a.Col.Table]
-		if !ok {
-			return nil, fmt.Errorf("engine: aggregate %s references table outside plan", a)
-		}
-		col := e.db.Table(a.Col.Table).Col(a.Col.Column)
-		if col == nil {
-			return nil, fmt.Errorf("engine: aggregate %s references unknown column", a)
-		}
-		aggCols[i] = aggCol{col: col, pos: pos}
-	}
-	// Resolve group-by columns.
-	type grpCol struct {
-		col *storage.ColumnData
-		pos int
-	}
-	grpCols := make([]grpCol, len(n.GroupBy))
-	for i, g := range n.GroupBy {
-		pos, ok := child.pos[g.Table]
-		if !ok {
-			return nil, fmt.Errorf("engine: group by %s references table outside plan", g)
-		}
-		col := e.db.Table(g.Table).Col(g.Column)
-		if col == nil {
-			return nil, fmt.Errorf("engine: group by %s references unknown column", g)
-		}
-		grpCols[i] = grpCol{col: col, pos: pos}
-	}
-
-	groups := map[string][]*aggState{}
-	var keyOrder []string
-	keyBuf := make([]float64, len(grpCols))
-	updates := 0.0
-	for _, tuple := range child.rows {
-		for i, gc := range grpCols {
-			r := int(tuple[gc.pos])
-			if gc.col.IsNull(r) {
-				keyBuf[i] = math.NaN()
-			} else {
-				keyBuf[i] = gc.col.AsFloat(r)
-			}
-		}
-		key := groupKey(keyBuf)
-		states, ok := groups[key]
-		if !ok {
-			states = make([]*aggState, len(n.Aggregates))
-			for i, a := range n.Aggregates {
-				states[i] = newAggState(a.Func)
-			}
-			groups[key] = states
-			keyOrder = append(keyOrder, key)
-		}
-		for i, ac := range aggCols {
-			updates++
-			if ac.pos < 0 {
-				states[i].update(0, false)
-				continue
-			}
-			r := int(tuple[ac.pos])
-			states[i].update(ac.col.AsFloat(r), ac.col.IsNull(r))
-		}
-	}
-	// Scalar aggregates over empty input still produce one output row.
-	if len(grpCols) == 0 && len(groups) == 0 {
-		states := make([]*aggState, len(n.Aggregates))
-		for i, a := range n.Aggregates {
-			states[i] = newAggState(a.Func)
-		}
-		groups[""] = states
-		keyOrder = append(keyOrder, "")
-	}
-	sort.Strings(keyOrder)
-	e.aggValues = make([][]float64, 0, len(groups))
-	for _, key := range keyOrder {
-		states := groups[key]
-		row := make([]float64, len(states))
-		for i, s := range states {
-			row[i] = s.value()
-		}
-		e.aggValues = append(e.aggValues, row)
-	}
-
-	out := newBatch() // aggregate output carries no base-table row ids
-	out.rows = make([][]int32, len(groups))
-	n.Work = plan.Counters{
-		TuplesIn:   float64(len(child.rows)),
-		TuplesOut:  float64(len(groups)),
-		AggUpdates: updates,
-		Groups:     float64(len(groups)),
-		BytesOut:   float64(len(groups)) * n.Width,
-	}
-	n.TrueRows = float64(len(groups))
-	return out, nil
+// aggregator folds each tuple of a HashAggregate's input into its group's
+// aggregate states as the tuple arrives, so the input, a join's output
+// included, is never materialized.
+type aggregator struct {
+	n      *plan.Node
+	aggs   []colRef // zero for COUNT(*)
+	keys   []colRef
+	groups map[string][]aggState
+	// key is the current tuple's group key, reused: the little-endian bits
+	// of each group-by value, NULL as NaN.
+	key    []byte
+	tuples float64
 }
 
-// groupKey serializes group-by values into a map key.
-func groupKey(vals []float64) string {
-	buf := make([]byte, 0, len(vals)*8)
-	for _, v := range vals {
-		bits := math.Float64bits(v)
-		for s := 0; s < 64; s += 8 {
-			buf = append(buf, byte(bits>>uint(s)))
+func (a *aggregator) add(tuple []int32) {
+	a.tuples++
+	a.key = a.key[:0]
+	for _, k := range a.keys {
+		v, ok := k.at(tuple)
+		if !ok {
+			v = math.NaN()
 		}
+		a.key = binary.LittleEndian.AppendUint64(a.key, math.Float64bits(v))
 	}
-	return string(buf)
+	states, ok := a.groups[string(a.key)]
+	if !ok {
+		states = a.newStates()
+		a.groups[string(a.key)] = states
+	}
+	for i, c := range a.aggs {
+		states[i].update(c, tuple)
+	}
+}
+
+func (a *aggregator) newStates() []aggState {
+	states := make([]aggState, len(a.n.Aggregates))
+	for i, ag := range a.n.Aggregates {
+		states[i] = aggState{fn: ag.Func, min: math.Inf(1), max: math.Inf(-1)}
+	}
+	return states
+}
+
+// execAggregate evaluates grouped or scalar aggregates over the child's
+// tuples as they arrive, records the group values, in key order, on the
+// executor, and hands out one (empty) tuple per group so that
+// cardinalities propagate.
+func (e *Executor) execAggregate(n *plan.Node, out sink) error {
+	a := &aggregator{n: n, groups: map[string][]aggState{}}
+	tables := tablesOf(n.Children[0])
+	for _, ag := range n.Aggregates {
+		var c colRef
+		if ag.Func != query.AggCount || ag.Col.Table != "" {
+			var err error
+			if c, err = e.column(tables, ag.Col); err != nil {
+				return err
+			}
+		}
+		a.aggs = append(a.aggs, c)
+	}
+	for _, g := range n.GroupBy {
+		c, err := e.column(tables, g)
+		if err != nil {
+			return err
+		}
+		a.keys = append(a.keys, c)
+	}
+	if err := e.run(n.Children[0], a.add); err != nil {
+		return err
+	}
+	// Scalar aggregates over empty input still produce one output row.
+	if len(a.keys) == 0 && len(a.groups) == 0 {
+		a.groups[""] = a.newStates()
+	}
+	keys := make([]string, 0, len(a.groups))
+	for key := range a.groups {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	e.aggValues = make([][]float64, 0, len(keys))
+	for _, key := range keys {
+		states := a.groups[key]
+		row := make([]float64, len(states))
+		for i := range states {
+			row[i] = states[i].value()
+		}
+		e.aggValues = append(e.aggValues, row)
+		out(nil) // aggregate output carries no base-table row ids
+	}
+	groups := float64(len(keys))
+	n.Work = plan.Counters{
+		TuplesIn:   a.tuples,
+		TuplesOut:  groups,
+		AggUpdates: a.tuples * float64(len(a.aggs)), // every tuple updates every aggregate
+		Groups:     groups,
+		BytesOut:   groups * n.Width,
+	}
+	n.TrueRows = groups
+	return nil
 }

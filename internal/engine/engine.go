@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/zeroshot-db/zeroshot/internal/plan"
 	"github.com/zeroshot-db/zeroshot/internal/query"
@@ -44,7 +45,7 @@ type Executor struct {
 	db  *storage.Database
 	max int
 	// aggValues holds the aggregate outputs of the most recently executed
-	// HashAggregate (exec passes row-id batches only).
+	// HashAggregate (operators pass row-id tuples only).
 	aggValues [][]float64
 }
 
@@ -66,20 +67,26 @@ type Result struct {
 	Aggregates [][]float64
 }
 
-// batch is a materialized intermediate result: for each involved base
-// table, the row ids contributing to each output tuple.
+// sink receives an operator's output tuples one at a time. It must not
+// keep the tuple it is handed: the caller reuses the buffer.
+type sink func(tuple []int32)
+
+// batch is a materialized intermediate result: the tuples sit one after
+// another in one flat slab of row ids, len(tables) cells each.
 type batch struct {
-	tables []string       // base tables in this batch
-	pos    map[string]int // table -> column position in rows
-	rows   [][]int32      // rows[i][j] = row id of tables[j] in tuple i
+	tables []string // base tables, in cell order
+	cells  []int32  // cells[i*len(tables)+j] = row id of tables[j] in tuple i
+	n      int      // tuple count; aggregate output tuples have no cells
 }
 
-func newBatch(tables ...string) *batch {
-	b := &batch{tables: tables, pos: map[string]int{}}
-	for i, t := range tables {
-		b.pos[t] = i
-	}
-	return b
+func (b *batch) add(tuple []int32) {
+	b.cells = append(b.cells, tuple...)
+	b.n++
+}
+
+func (b *batch) tuple(i int) []int32 {
+	w := len(b.tables)
+	return b.cells[i*w : (i+1)*w]
 }
 
 // Execute runs the plan, filling TrueRows and Work on every node, and
@@ -93,31 +100,48 @@ func (e *Executor) Execute(p *plan.Node) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Rows: len(b.rows)}
-	if p.Op == plan.HashAggregate {
-		res.Aggregates = e.aggValues
-		e.aggValues = nil
-	}
+	// Only a root HashAggregate sets aggValues.
+	res := &Result{Rows: b.n, Aggregates: e.aggValues}
+	e.aggValues = nil
 	return res, nil
 }
 
+// exec runs n into a fresh batch.
 func (e *Executor) exec(n *plan.Node) (*batch, error) {
+	b := &batch{tables: tablesOf(n)}
+	return b, e.run(n, b.add)
+}
+
+// tablesOf lists the base tables whose row ids make up n's output tuples,
+// in cell order: its scans, left to right. Aggregate output has none.
+func tablesOf(n *plan.Node) []string {
+	switch n.Op {
+	case plan.HashAggregate:
+		return nil
+	case plan.SeqScan, plan.IndexScan:
+		return []string{n.Table}
+	}
+	return append(tablesOf(n.Children[0]), tablesOf(n.Children[1])...)
+}
+
+// run executes n and hands its output tuples to out.
+func (e *Executor) run(n *plan.Node, out sink) error {
 	switch n.Op {
 	case plan.SeqScan:
-		return e.execSeqScan(n)
+		return e.execSeqScan(n, out)
 	case plan.IndexScan:
 		if n.LookupJoin {
-			return nil, errors.New("engine: lookup index scan executed outside nested-loop join")
+			return errors.New("engine: lookup index scan executed outside nested-loop join")
 		}
-		return e.execIndexScan(n)
+		return e.execIndexScan(n, out)
 	case plan.HashJoin:
-		return e.execHashJoin(n)
+		return e.execHashJoin(n, out)
 	case plan.NestedLoopJoin:
-		return e.execNLJoin(n)
+		return e.execNLJoin(n, out)
 	case plan.HashAggregate:
-		return e.execAggregate(n)
+		return e.execAggregate(n, out)
 	default:
-		return nil, fmt.Errorf("engine: unknown operator %v", n.Op)
+		return fmt.Errorf("engine: unknown operator %v", n.Op)
 	}
 }
 
@@ -145,239 +169,258 @@ func evalFilter(col *storage.ColumnData, row int, f query.Filter) bool {
 	}
 }
 
-func (e *Executor) execSeqScan(n *plan.Node) (*batch, error) {
+// scan is one scan node's table and resolved predicates, with the count of
+// predicate evaluations it made.
+type scan struct {
+	tab         *storage.Table
+	filters     []query.Filter
+	cols        []*storage.ColumnData
+	evals       float64
+	pages       map[int32]struct{} // distinct pages an index path fetched rows from
+	rowsPerPage int32
+}
+
+func (e *Executor) openScan(n *plan.Node) (*scan, error) {
 	tab := e.db.Table(n.Table)
 	if tab == nil {
 		return nil, fmt.Errorf("engine: unknown table %s", n.Table)
 	}
-	cols := make([]*storage.ColumnData, len(n.Filters))
+	s := &scan{
+		tab:         tab,
+		filters:     n.Filters,
+		cols:        make([]*storage.ColumnData, len(n.Filters)),
+		pages:       map[int32]struct{}{},
+		rowsPerPage: max(int32(schema.PageSize/tab.Meta.RowWidth()), 1),
+	}
 	for i, f := range n.Filters {
-		cols[i] = tab.Col(f.Col.Column)
-		if cols[i] == nil {
+		if s.cols[i] = tab.Col(f.Col.Column); s.cols[i] == nil {
 			return nil, fmt.Errorf("engine: unknown column %s", f.Col)
 		}
 	}
-	out := newBatch(n.Table)
-	rows := tab.Rows()
-	evals := 0.0
-	for r := 0; r < rows; r++ {
-		match := true
-		for i, f := range n.Filters {
-			evals++
-			if !evalFilter(cols[i], r, f) {
-				match = false
-				break
-			}
+	return s, nil
+}
+
+// match applies every predicate to row r, stopping at the first that
+// fails: the filter loop of seq scans, index scans and nested-loop inners.
+func (s *scan) match(r int32) bool {
+	for i, f := range s.filters {
+		s.evals++
+		if !evalFilter(s.cols[i], int(r), f) {
+			return false
 		}
-		if match {
-			out.rows = append(out.rows, []int32{int32(r)})
+	}
+	return true
+}
+
+func (e *Executor) execSeqScan(n *plan.Node, out sink) error {
+	s, err := e.openScan(n)
+	if err != nil {
+		return err
+	}
+	rows, matched := s.tab.Rows(), 0
+	var tuple [1]int32
+	for r := int32(0); int(r) < rows; r++ {
+		if s.match(r) {
+			tuple[0] = r
+			out(tuple[:])
+			matched++
 		}
 	}
 	n.Work = plan.Counters{
-		PagesRead: float64(tab.Meta.PageCount),
+		PagesRead: float64(s.tab.Meta.PageCount),
 		TuplesIn:  float64(rows),
-		TuplesOut: float64(len(out.rows)),
-		PredEvals: evals,
-		BytesOut:  float64(len(out.rows)) * n.Width,
+		TuplesOut: float64(matched),
+		PredEvals: s.evals,
+		BytesOut:  float64(matched) * n.Width,
 	}
-	n.TrueRows = float64(len(out.rows))
-	return out, nil
+	n.TrueRows = float64(matched)
+	return nil
 }
 
 // execIndexScan runs a constant-range index scan: the first filter is on
 // the index column (optimizer convention) and drives the index range; all
 // filters are then re-checked as residuals for exactness.
-func (e *Executor) execIndexScan(n *plan.Node) (*batch, error) {
-	tab := e.db.Table(n.Table)
-	if tab == nil {
-		return nil, fmt.Errorf("engine: unknown table %s", n.Table)
+func (e *Executor) execIndexScan(n *plan.Node, out sink) error {
+	s, err := e.openScan(n)
+	if err != nil {
+		return err
 	}
 	ix, err := e.db.EnsureIndex(n.Table, n.IndexColumn)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(n.Filters) == 0 || n.Filters[0].Col.Column != n.IndexColumn {
-		return nil, fmt.Errorf("engine: index scan on %s.%s without driving predicate", n.Table, n.IndexColumn)
+		return fmt.Errorf("engine: index scan on %s.%s without driving predicate", n.Table, n.IndexColumn)
 	}
-	lead := n.Filters[0]
-	var cand []int32
+	// OpNeq cannot narrow the index range; it scans all entries.
+	lead, lo, hi := n.Filters[0], math.Inf(-1), math.Inf(1)
 	switch lead.Op {
 	case query.OpEq:
-		cand = ix.Lookup(lead.Value)
+		lo, hi = lead.Value, lead.Value
 	case query.OpLt, query.OpLe:
-		cand = ix.Range(math.Inf(-1), lead.Value)
+		hi = lead.Value
 	case query.OpGt, query.OpGe:
-		cand = ix.Range(lead.Value, math.Inf(1))
-	default: // OpNeq cannot use the index range; scan all entries
-		cand = ix.Range(math.Inf(-1), math.Inf(1))
+		lo = lead.Value
 	}
-	cols := make([]*storage.ColumnData, len(n.Filters))
-	for i, f := range n.Filters {
-		cols[i] = tab.Col(f.Col.Column)
-		if cols[i] == nil {
-			return nil, fmt.Errorf("engine: unknown column %s", f.Col)
-		}
-	}
-	out := newBatch(n.Table)
-	evals := 0.0
-	pages := map[int32]struct{}{}
-	rowsPerPage := int32(schema.PageSize / tab.Meta.RowWidth())
-	if rowsPerPage < 1 {
-		rowsPerPage = 1
-	}
+	cand := ix.Range(lo, hi)
+	matched := 0
+	var tuple [1]int32
 	for _, r := range cand {
-		match := true
-		for i, f := range n.Filters {
-			evals++
-			if !evalFilter(cols[i], int(r), f) {
-				match = false
-				break
-			}
-		}
-		if match {
-			out.rows = append(out.rows, []int32{r})
-			pages[r/rowsPerPage] = struct{}{}
+		if s.match(r) {
+			tuple[0] = r
+			out(tuple[:])
+			matched++
+			s.pages[r/s.rowsPerPage] = struct{}{}
 		}
 	}
 	n.Work = plan.Counters{
-		PagesRead:    float64(len(pages)) + float64(ix.EstimateHeight()),
+		PagesRead:    float64(len(s.pages)) + float64(ix.EstimateHeight()),
 		TuplesIn:     float64(len(cand)),
-		TuplesOut:    float64(len(out.rows)),
-		PredEvals:    evals,
+		TuplesOut:    float64(matched),
+		PredEvals:    s.evals,
 		IndexLookups: 1,
 		IndexEntries: float64(len(cand)),
-		BytesOut:     float64(len(out.rows)) * n.Width,
+		BytesOut:     float64(matched) * n.Width,
 	}
-	n.TrueRows = float64(len(out.rows))
-	return out, nil
+	n.TrueRows = float64(matched)
+	return nil
 }
 
-// joinKey returns the join value of a tuple for the side of the condition
-// belonging to the batch, and whether it is non-null.
-func joinValue(db *storage.Database, b *batch, tuple []int32, side query.ColumnRef) (float64, bool) {
-	pos, ok := b.pos[side.Table]
-	if !ok {
+// colRef is a column resolved against the base tables of an operator's
+// tuples: its data, and the cell its table's row id occupies.
+type colRef struct {
+	col *storage.ColumnData
+	pos int
+}
+
+// column resolves c against tables, the base tables of a tuple.
+func (e *Executor) column(tables []string, c query.ColumnRef) (colRef, error) {
+	pos := slices.Index(tables, c.Table)
+	if pos < 0 {
+		return colRef{}, fmt.Errorf("engine: %s references a table outside its input", c)
+	}
+	col := e.db.Table(c.Table).Col(c.Column)
+	if col == nil {
+		return colRef{}, fmt.Errorf("engine: unknown column %s", c)
+	}
+	return colRef{col: col, pos: pos}, nil
+}
+
+// at returns the column's value in tuple, and false if it is NULL.
+func (c colRef) at(tuple []int32) (float64, bool) {
+	r := int(tuple[c.pos])
+	if c.col.IsNull(r) {
 		return 0, false
 	}
-	col := db.Table(side.Table).Col(side.Column)
-	r := int(tuple[pos])
-	if col.IsNull(r) {
-		return 0, false
-	}
-	return col.AsFloat(r), true
+	return c.col.AsFloat(r), true
 }
 
-// sides orients the join condition: returns the ColumnRef belonging to
-// batch a and the one belonging to batch b.
-func sides(j *query.Join, a, b *batch) (query.ColumnRef, query.ColumnRef, error) {
-	if _, ok := a.pos[j.Left.Table]; ok {
-		if _, ok2 := b.pos[j.Right.Table]; ok2 {
-			return j.Left, j.Right, nil
-		}
+// joinKeys orients join condition j between two inputs, whose tuples hold
+// row ids of tables a and b, and resolves each side's key column.
+func (e *Executor) joinKeys(j *query.Join, a, b []string) (ka, kb colRef, err error) {
+	sa, sb := j.Left, j.Right
+	if !slices.Contains(a, sa.Table) {
+		sa, sb = sb, sa
 	}
-	if _, ok := a.pos[j.Right.Table]; ok {
-		if _, ok2 := b.pos[j.Left.Table]; ok2 {
-			return j.Right, j.Left, nil
-		}
+	if ka, err = e.column(a, sa); err == nil {
+		kb, err = e.column(b, sb)
 	}
-	return query.ColumnRef{}, query.ColumnRef{}, fmt.Errorf("engine: join %s does not connect its inputs", j)
+	return ka, kb, err
 }
 
-func concatTuple(a, b []int32) []int32 {
-	out := make([]int32, 0, len(a)+len(b))
-	out = append(out, a...)
-	out = append(out, b...)
-	return out
+// joinOut hands a join's output tuples, each a left input tuple followed by
+// a right one, to its sink through one reused buffer, and holds their count
+// to the tuple cap whether the sink materializes them or aggregates them.
+type joinOut struct {
+	out sink
+	max int
+	n   int
+	buf []int32
 }
 
-func (e *Executor) execHashJoin(n *plan.Node) (*batch, error) {
+func (j *joinOut) emit(a, b []int32) error {
+	if j.n++; j.n > j.max {
+		return ErrTooLarge
+	}
+	j.buf = append(append(j.buf[:0], a...), b...)
+	j.out(j.buf)
+	return nil
+}
+
+func (e *Executor) execHashJoin(n *plan.Node, out sink) error {
 	probe, err := e.exec(n.Children[0])
 	if err != nil {
-		return nil, err
+		return err
 	}
 	build, err := e.exec(n.Children[1])
 	if err != nil {
-		return nil, err
+		return err
 	}
-	probeSide, buildSide, err := sides(n.Join, probe, build)
+	probeKey, buildKey, err := e.joinKeys(n.Join, probe.tables, build.tables)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ht := make(map[float64][]int, len(build.rows))
-	for i, tuple := range build.rows {
-		v, ok := joinValue(e.db, build, tuple, buildSide)
-		if !ok {
-			continue
+	ht := make(map[float64][]int, build.n)
+	for i := 0; i < build.n; i++ {
+		if v, ok := buildKey.at(build.tuple(i)); ok {
+			ht[v] = append(ht[v], i)
 		}
-		ht[v] = append(ht[v], i)
 	}
-	out := newBatch(append(append([]string{}, probe.tables...), build.tables...)...)
-	for _, tuple := range probe.rows {
-		v, ok := joinValue(e.db, probe, tuple, probeSide)
+	j := joinOut{out: out, max: e.max}
+	for i := 0; i < probe.n; i++ {
+		tuple := probe.tuple(i)
+		v, ok := probeKey.at(tuple)
 		if !ok {
 			continue
 		}
 		for _, bi := range ht[v] {
-			out.rows = append(out.rows, concatTuple(tuple, build.rows[bi]))
-			if len(out.rows) > e.max {
-				return nil, ErrTooLarge
+			if err := j.emit(tuple, build.tuple(bi)); err != nil {
+				return err
 			}
 		}
 	}
 	n.Work = plan.Counters{
-		TuplesIn:   float64(len(probe.rows) + len(build.rows)),
-		TuplesOut:  float64(len(out.rows)),
-		HashBuild:  float64(len(build.rows)),
-		HashProbes: float64(len(probe.rows)),
-		BytesOut:   float64(len(out.rows)) * n.Width,
+		TuplesIn:   float64(probe.n + build.n),
+		TuplesOut:  float64(j.n),
+		HashBuild:  float64(build.n),
+		HashProbes: float64(probe.n),
+		BytesOut:   float64(j.n) * n.Width,
 	}
-	n.TrueRows = float64(len(out.rows))
-	return out, nil
+	n.TrueRows = float64(j.n)
+	return nil
 }
 
 // execNLJoin runs an index-nested-loop join: per outer tuple, descend the
 // inner index on the join key and apply the inner's residual filters.
-func (e *Executor) execNLJoin(n *plan.Node) (*batch, error) {
+func (e *Executor) execNLJoin(n *plan.Node, out sink) error {
 	outer, err := e.exec(n.Children[0])
 	if err != nil {
-		return nil, err
+		return err
 	}
 	inner := n.Children[1]
 	if inner.Op != plan.IndexScan || !inner.LookupJoin {
-		return nil, errors.New("engine: nested-loop inner must be a lookup index scan")
+		return errors.New("engine: nested-loop inner must be a lookup index scan")
 	}
-	tab := e.db.Table(inner.Table)
-	if tab == nil {
-		return nil, fmt.Errorf("engine: unknown table %s", inner.Table)
+	s, err := e.openScan(inner)
+	if err != nil {
+		return err
 	}
 	ix, err := e.db.EnsureIndex(inner.Table, inner.IndexColumn)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	outerSide, innerSide, err := sidesNL(n.Join, outer, inner.Table)
+	outerKey, innerKey, err := e.joinKeys(n.Join, outer.tables, []string{inner.Table})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if innerSide.Column != inner.IndexColumn {
-		return nil, fmt.Errorf("engine: lookup index on %s but join column is %s", inner.IndexColumn, innerSide.Column)
+	if innerKey.col != s.tab.Col(inner.IndexColumn) {
+		return fmt.Errorf("engine: join %s does not use the lookup index on %s", n.Join, inner.IndexColumn)
 	}
-	cols := make([]*storage.ColumnData, len(inner.Filters))
-	for i, f := range inner.Filters {
-		cols[i] = tab.Col(f.Col.Column)
-		if cols[i] == nil {
-			return nil, fmt.Errorf("engine: unknown column %s", f.Col)
-		}
-	}
-	out := newBatch(append(append([]string{}, outer.tables...), inner.Table)...)
-	lookups, entries, evals := 0.0, 0.0, 0.0
-	pages := map[int32]struct{}{}
-	rowsPerPage := int32(schema.PageSize / tab.Meta.RowWidth())
-	if rowsPerPage < 1 {
-		rowsPerPage = 1
-	}
-	innerOut := 0.0
-	for _, tuple := range outer.rows {
-		v, ok := joinValue(e.db, outer, tuple, outerSide)
+	j := joinOut{out: out, max: e.max}
+	lookups, entries := 0.0, 0.0
+	for i := 0; i < outer.n; i++ {
+		tuple := outer.tuple(i)
+		v, ok := outerKey.at(tuple)
 		if !ok {
 			continue
 		}
@@ -385,57 +428,32 @@ func (e *Executor) execNLJoin(n *plan.Node) (*batch, error) {
 		matches := ix.Lookup(v)
 		entries += float64(len(matches))
 		for _, r := range matches {
-			ok := true
-			for i, f := range inner.Filters {
-				evals++
-				if !evalFilter(cols[i], int(r), f) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
+			if !s.match(r) {
 				continue
 			}
-			innerOut++
-			pages[r/rowsPerPage] = struct{}{}
-			out.rows = append(out.rows, concatTuple(tuple, []int32{r}))
-			if len(out.rows) > e.max {
-				return nil, ErrTooLarge
+			s.pages[r/s.rowsPerPage] = struct{}{}
+			if err := j.emit(tuple, []int32{r}); err != nil {
+				return err
 			}
 		}
 	}
+	// Every inner match is one output tuple.
+	matched := float64(j.n)
 	inner.Work = plan.Counters{
-		PagesRead:    float64(len(pages)) + lookups*float64(ix.EstimateHeight())*0.1,
+		PagesRead:    float64(len(s.pages)) + lookups*float64(ix.EstimateHeight())*0.1,
 		TuplesIn:     entries,
-		TuplesOut:    innerOut,
-		PredEvals:    evals,
+		TuplesOut:    matched,
+		PredEvals:    s.evals,
 		IndexLookups: lookups,
 		IndexEntries: entries,
-		BytesOut:     innerOut * inner.Width,
+		BytesOut:     matched * inner.Width,
 	}
-	inner.TrueRows = innerOut / math.Max(lookups, 1)
+	inner.TrueRows = matched / math.Max(lookups, 1)
 	n.Work = plan.Counters{
-		TuplesIn:  float64(len(outer.rows)) + innerOut,
-		TuplesOut: float64(len(out.rows)),
-		BytesOut:  float64(len(out.rows)) * n.Width,
+		TuplesIn:  float64(outer.n) + matched,
+		TuplesOut: matched,
+		BytesOut:  matched * n.Width,
 	}
-	n.TrueRows = float64(len(out.rows))
-	return out, nil
-}
-
-// sidesNL orients a join for a nested-loop whose inner is a base table.
-func sidesNL(j *query.Join, outer *batch, innerTable string) (query.ColumnRef, query.ColumnRef, error) {
-	if j.Left.Table == innerTable {
-		if _, ok := outer.pos[j.Right.Table]; !ok {
-			return query.ColumnRef{}, query.ColumnRef{}, fmt.Errorf("engine: join %s does not connect outer", j)
-		}
-		return j.Right, j.Left, nil
-	}
-	if j.Right.Table == innerTable {
-		if _, ok := outer.pos[j.Left.Table]; !ok {
-			return query.ColumnRef{}, query.ColumnRef{}, fmt.Errorf("engine: join %s does not connect outer", j)
-		}
-		return j.Left, j.Right, nil
-	}
-	return query.ColumnRef{}, query.ColumnRef{}, fmt.Errorf("engine: join %s does not involve inner table %s", j, innerTable)
+	n.TrueRows = matched
+	return nil
 }
