@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/zeroshot-db/zeroshot/internal/datagen"
@@ -383,21 +384,95 @@ func TestScalarAggregateOverEmptyInput(t *testing.T) {
 }
 
 func TestIntermediateCapReturnsErrTooLarge(t *testing.T) {
+	// Each join's cap edge: the cap at its exact output count passes, one
+	// below returns ErrTooLarge, including when the join streams its
+	// tuples into the aggregate above it instead of materializing them.
 	db, opt, _ := testSetup(t)
-	ex := New(db, Config{MaxIntermediate: 10})
-	p, err := opt.Plan(&query.Query{
-		Tables: []string{"title", "movie_companies"},
-		Joins: []query.Join{{
-			Left:  query.ColumnRef{Table: "movie_companies", Column: "movie_id"},
-			Right: query.ColumnRef{Table: "title", Column: "id"},
-		}},
+	join := query.Join{
+		Left:  query.ColumnRef{Table: "movie_companies", Column: "movie_id"},
+		Right: query.ColumnRef{Table: "title", Column: "id"},
+	}
+	hash, err := opt.Plan(&query.Query{Tables: []string{"title", "movie_companies"}, Joins: []query.Join{join}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := opt.Plan(&query.Query{
+		Tables:     []string{"title", "movie_companies"},
+		Joins:      []query.Join{join},
 		Aggregates: []query.Aggregate{{Func: query.AggCount}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ex.Execute(p); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("err = %v, want ErrTooLarge", err)
+	outer := plan.NewNode(plan.SeqScan)
+	outer.Table = "title"
+	inner := plan.NewNode(plan.IndexScan)
+	inner.Table, inner.IndexColumn, inner.LookupJoin = "movie_companies", "movie_id", true
+	nl := plan.NewNode(plan.NestedLoopJoin)
+	nl.Join = &join
+	nl.Children = []*plan.Node{outer, inner}
+	cases := []struct {
+		name string
+		p    *plan.Node
+		op   plan.Operator // of the join
+	}{
+		{"hash join", hash, plan.HashJoin},
+		{"nested-loop join", nl, plan.NestedLoopJoin},
+		{"join under aggregate", agg, plan.HashJoin},
+	}
+	for _, c := range cases {
+		j := c.p
+		if j.Op == plan.HashAggregate {
+			j = j.Children[0]
+		}
+		if j.Op != c.op {
+			t.Fatalf("%s: plan joins with %v\n%s", c.name, j.Op, c.p.Explain())
+		}
+		ran := c.p.Clone()
+		if _, err := New(db, Config{}).Execute(ran); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		out := int(ran.TrueRows)
+		if ran.Op == plan.HashAggregate {
+			out = int(ran.Children[0].TrueRows)
+		}
+		if out < 2 {
+			t.Fatalf("%s: join emitted %d tuples, too few to test the edge", c.name, out)
+		}
+		if _, err := New(db, Config{MaxIntermediate: out}).Execute(c.p.Clone()); err != nil {
+			t.Fatalf("%s: cap at its %d output tuples: %v", c.name, out, err)
+		}
+		if _, err := New(db, Config{MaxIntermediate: out - 1}).Execute(c.p.Clone()); !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("%s: cap one below its %d output tuples: err = %v, want ErrTooLarge", c.name, out, err)
+		}
+	}
+}
+
+func TestJoinOnUnknownColumnReturnsError(t *testing.T) {
+	// Plans are not checked against the schema's columns, so a hand-built
+	// join on a column the schema lacks must fail the way a scan's filter
+	// on one does, not dereference a missing column.
+	db, _, _ := testSetup(t)
+	leaf := func(op plan.Operator, table string) *plan.Node {
+		n := plan.NewNode(op)
+		n.Table = table
+		return n
+	}
+	bad := query.ColumnRef{Table: "title", Column: "no_such_column"}
+	mc := query.ColumnRef{Table: "movie_companies", Column: "movie_id"}
+	hash := plan.NewNode(plan.HashJoin)
+	hash.Join = &query.Join{Left: mc, Right: bad}
+	hash.Children = []*plan.Node{leaf(plan.SeqScan, "movie_companies"), leaf(plan.SeqScan, "title")}
+	inner := leaf(plan.IndexScan, "movie_companies")
+	inner.IndexColumn, inner.LookupJoin = "movie_id", true
+	nl := plan.NewNode(plan.NestedLoopJoin)
+	nl.Join = &query.Join{Left: bad, Right: mc}
+	nl.Children = []*plan.Node{leaf(plan.SeqScan, "title"), inner}
+	for _, p := range []*plan.Node{hash, nl} {
+		_, err := New(db, Config{}).Execute(p)
+		if err == nil || !strings.Contains(err.Error(), "unknown column title.no_such_column") {
+			t.Fatalf("%v on an unknown column: err = %v, want unknown column", p.Op, err)
+		}
 	}
 }
 

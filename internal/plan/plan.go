@@ -87,21 +87,6 @@ type Counters struct {
 	BytesOut float64
 }
 
-// Add accumulates other into c.
-func (c *Counters) Add(other Counters) {
-	c.PagesRead += other.PagesRead
-	c.TuplesIn += other.TuplesIn
-	c.TuplesOut += other.TuplesOut
-	c.PredEvals += other.PredEvals
-	c.HashBuild += other.HashBuild
-	c.HashProbes += other.HashProbes
-	c.IndexLookups += other.IndexLookups
-	c.IndexEntries += other.IndexEntries
-	c.AggUpdates += other.AggUpdates
-	c.Groups += other.Groups
-	c.BytesOut += other.BytesOut
-}
-
 // Node is one operator of a physical plan tree.
 type Node struct {
 	Op Operator
