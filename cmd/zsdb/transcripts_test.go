@@ -128,6 +128,56 @@ func plainScript() []exchange {
 	}
 }
 
+// edgeScript sends bodies at the edges of JSON as encoding/json reads
+// them: trailing bytes, folded and unknown member names, nulls, escapes,
+// surrogates, invalid UTF-8, wrong-typed members, numbers out of range
+// and duplicate keys. The replies pin how the server reads each one.
+func edgeScript() []exchange {
+	pred := func(members string) exchange {
+		return post("/v1/predict", `{"db":"imdb","model":"zeroshot",`+members+`}`)
+	}
+	return []exchange{
+		post("/v1/predict", fmt.Sprintf(`{"db":"imdb","model":"zeroshot","sql":%q} trailing`, testSQL)),
+		post("/v1/predict", fmt.Sprintf(`{"db":"imdb","model":"zeroshot","sql":%q}{"sql":`, testSQL)),
+		{http.MethodPost, "/v1/predict", fmt.Sprintf(" \n\t{ \"db\" : \"imdb\" ,\r\n\"model\":\"zeroshot\", \"sql\" : %q } ", testSQL),
+			fmt.Sprintf(`<sp><lf><tab>{ "db" : "imdb" ,<cr><lf>"model":"zeroshot", "sql" : %q } `, testSQL)},
+		post("/v1/predict", fmt.Sprintf(`{"Db":"imdb","model":"zeroshot","SQL":%q}`, testSQL)),
+		post("/v1/predict", fmt.Sprintf(`{"db":"imdb","MODEL":"zeroshot","sql":%q}`, testSQL)),
+		pred(fmt.Sprintf(`"sql":%q,"explain":{"verbose":[true,null,1.5,"x"]}`, testSQL)),
+		pred(fmt.Sprintf(`"s\u0071l":%q`, testSQL)),
+		pred(`"sql":null`),
+		post("/v1/predict", `null`),
+		post("/v1/predict", `[]`),
+		post("/v1/predict", ""),
+		post("/v1/predict_batch", fmt.Sprintf(`{"db":"imdb","model":"zeroshot","sql":[%q,null]}`, testSQL)),
+		post("/v1/predict_batch", `{"db":"imdb","model":"zeroshot","sql":null}`),
+		post("/v1/predict_batch", `{"db":"imdb","model":"zeroshot","sql":[]}`),
+		pred(`"sql":"SELECT COUNT(*) FROM title WHERE production_year \u003c 50"`),
+		pred(`"sql":"SELECT\tCOUNT(*)\nFROM title\r\nWHERE production_year \u003e 50 \/\/ \"q\" \\"`),
+		post("/v1/predict", fmt.Sprintf(`{"db":"\ud83d\ude00","model":"zeroshot","sql":%q}`, testSQL)),
+		post("/v1/predict", fmt.Sprintf(`{"db":"\ud800","model":"zeroshot","sql":%q}`, testSQL)),
+		post("/v1/predict_batch", `{"db":"imdb","model":"zeroshot","sql":["SELECT COUNT(*) FROM title \ud83d\ude00","SELECT \u2028 \u00e9 <&>"]}`),
+		{http.MethodPost, "/v1/predict", fmt.Sprintf(`{"db":"im%sdb","model":"zeroshot","sql":%q}`, "\xff", testSQL),
+			fmt.Sprintf(`{"db":"im<0xff>db","model":"zeroshot","sql":%q}`, testSQL)},
+		{http.MethodPost, "/v1/predict", "{\"db\":\"imdb\",\"model\":\"zeroshot\",\"sql\":\"SELECT\x01\"}",
+			`{"db":"imdb","model":"zeroshot","sql":"SELECT<0x01>"}`},
+		pred(`"sql":5`),
+		pred(`"sql":["SELECT COUNT(*) FROM title"]`),
+		post("/v1/predict_batch", `{"db":"imdb","model":"zeroshot","sql":"SELECT COUNT(*) FROM title"}`),
+		post("/v1/whatif", fmt.Sprintf(`{"db":"imdb","model":"zeroshot","sql":[%q],"max_candidates":"2"}`, testSQL)),
+		post("/v1/whatif", fmt.Sprintf(`{"db":"imdb","model":"zeroshot","sql":[%q],"max_candidates":1e0}`, testSQL)),
+		post("/v1/whatif", fmt.Sprintf(`{"db":"imdb","model":"zeroshot","sql":[%q],"max_candidates":99999999999999999999}`, testSQL)),
+		post("/v1/feedback", fmt.Sprintf(`{"db":"imdb","fingerprint":%q,"actual_runtime_sec":"x"}`, costmodel.Fingerprint(testSQL))),
+		post("/v1/feedback", fmt.Sprintf(`{"db":"imdb","fingerprint":%q,"actual_runtime_sec":1e400}`, costmodel.Fingerprint(testSQL))),
+		post("/v1/feedback", fmt.Sprintf(`{"db":"imdb","fingerprint":%q,"actual_runtime_sec":-0}`, costmodel.Fingerprint(testSQL))),
+		post("/v1/feedback", fmt.Sprintf(`{"db":"imdb","fingerprint":%q,"actual_runtime_sec":01}`, costmodel.Fingerprint(testSQL))),
+		pred(fmt.Sprintf(`"sql":"garbage","sql":%q`, testSQL)),
+		pred(fmt.Sprintf(`"sql":%q,"sql":"garbage"`, testSQL)),
+		post("/v1/predict_batch", fmt.Sprintf(`{"db":"imdb","model":"zeroshot","sql":["garbage","garbage"],"sql":[%q]}`, testSQL)),
+		post("/v1/predict", fmt.Sprintf(`{"db":"ssb","db":"imdb","model":"zeroshot","sql":%q}`, testSQL)),
+	}
+}
+
 // clockValued matches the JSON members whose values depend on the wall
 // clock or on a content digest; the transcript keeps the key and masks
 // the value, so field order and presence stay pinned.
@@ -172,7 +222,8 @@ func TestHTTPTranscripts(t *testing.T) {
 	for _, topo := range topologies {
 		t.Run(topo.name, func(t *testing.T) {
 			got := "## adaptation and bundles on\n" + record(t, topo.boot(t, fleetOpts{adapt: true, bundles: true}), transcriptScript()) +
-				"## adaptation and bundles off\n" + record(t, topo.boot(t, fleetOpts{}), plainScript())
+				"## adaptation and bundles off\n" + record(t, topo.boot(t, fleetOpts{}), plainScript()) +
+				"## wire edge cases\n" + record(t, topo.boot(t, fleetOpts{adapt: true}), edgeScript())
 			path := filepath.Join("testdata", "transcripts", topo.name+".golden")
 			if os.Getenv("UPDATE_TRANSCRIPTS") != "" {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
