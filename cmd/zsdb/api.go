@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -124,12 +127,46 @@ func method(verb string, h http.HandlerFunc) http.HandlerFunc {
 // maxBatch typical statements.
 const maxBodyBytes = 16 << 20
 
+// maxPooledBuf caps the buffers bufPool keeps: a rare large body or
+// reply is read or written into a buffer the pool then drops, so one
+// 16 MiB request cannot keep 16 MiB resident per pooled buffer.
+const maxPooledBuf = 1 << 20
+
+// bufPool holds the buffers request bodies are read into and replies
+// encoded into. Nothing decoded from a body aliases its buffer.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
+
+func putBuf(buf *[]byte, b []byte) {
+	if cap(b) > maxPooledBuf {
+		return
+	}
+	*buf = b[:0]
+	bufPool.Put(buf)
+}
+
 // decode is the one request-body reader: it bounds the body, decodes it
 // into v, and answers a body it cannot use itself (false = answered).
+// The body is read whole and decoded by cluster.DecodeBody; a body
+// outside its subset, or a read that failed, is replayed through
+// encoding/json (the same bytes, then the same error), which keeps
+// encoding/json the specification and the only source of error text.
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	err := json.NewDecoder(r.Body).Decode(v)
-	if err == nil {
+	buf := getBuf()
+	body := bytes.NewBuffer(*buf)
+	_, err := body.ReadFrom(r.Body)
+	b := body.Bytes()
+	defer putBuf(buf, b)
+	if err == nil && cluster.DecodeBody(b, v) {
+		return true
+	}
+	var replay io.Reader = bytes.NewReader(b)
+	if err != nil {
+		replay = io.MultiReader(replay, errReader{err})
+	}
+	if err = json.NewDecoder(replay).Decode(v); err == nil {
 		return true
 	}
 	// Malformed JSON is a 400; only the table's own verdict on an
@@ -141,6 +178,11 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	httpError(w, status, "bad request body: %v", err)
 	return false
 }
+
+// errReader fails every read with err: the tail of a replayed body.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
 // httpError writes the uniform JSON error envelope for a condition the
 // shim detects itself: wrong verb, unusable body, missing field.
@@ -163,9 +205,22 @@ func writeError(w http.ResponseWriter, err error) {
 	httpErrorCode(w, status, code, "%v", err)
 }
 
+// writeJSON answers 200 with v. The wire's own replies are encoded by
+// cluster.AppendJSON into a pooled buffer and written once, with a
+// Content-Length; any other document, or a value the encoder refuses,
+// goes through json.Encoder as before.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
+	buf := getBuf()
+	b, ok := cluster.AppendJSON(*buf, v)
+	if !ok {
+		putBuf(buf, b)
+		json.NewEncoder(w).Encode(v)
+		return
+	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	w.Write(b)
+	putBuf(buf, b)
 }
 
 // handlePredict replies with the serving.Prediction as is: its JSON
