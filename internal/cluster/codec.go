@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"math"
+	"math/bits"
 	"strconv"
 	"unicode/utf8"
 
@@ -157,6 +159,33 @@ func once(seen *uint, bit uint) bool {
 	return true
 }
 
+// plain returns the end of the run of plain bytes starting at i: the
+// index of the first '"', '\\', control or non-ASCII byte, or len(b).
+// It tests eight bytes per step.
+func plain(b []byte, i int) int {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	for ; i+8 <= len(b); i += 8 {
+		x := binary.LittleEndian.Uint64(b[i:])
+		quote, backslash := x^(ones*'"'), x^(ones*'\\')
+		// x's own high bits mark the non-ASCII bytes; the "has a byte
+		// less than n" and "has a zero byte" tricks mark the control
+		// bytes, quotes and backslashes. A borrow can mark a byte above a
+		// special one but never below it, so the lowest mark is the first
+		// special byte.
+		special := (x | (x-ones*' ')&^x | (quote-ones)&^quote | (backslash-ones)&^backslash) & highs
+		if special != 0 {
+			return i + bits.TrailingZeros64(special)/8
+		}
+	}
+	for i < len(b) {
+		if c := b[i]; c < ' ' || c == '"' || c == '\\' || c >= utf8.RuneSelf {
+			break
+		}
+		i++
+	}
+	return i
+}
+
 // str decodes a string into a fresh string.
 func (d *decoder) str(dst *string) bool {
 	d.ws()
@@ -165,9 +194,12 @@ func (d *decoder) str(dst *string) bool {
 	}
 	d.i++
 	start := d.i
-	for d.i < len(d.b) {
-		c := d.b[d.i]
-		switch {
+	for {
+		d.i = plain(d.b, d.i)
+		if d.i >= len(d.b) {
+			return false
+		}
+		switch c := d.b[d.i]; {
 		case c == '"':
 			*dst = string(d.b[start:d.i])
 			d.i++
@@ -176,26 +208,35 @@ func (d *decoder) str(dst *string) bool {
 			return d.escaped(dst, start)
 		case c < ' ':
 			return false
-		case c < utf8.RuneSelf:
-			d.i++
 		default:
-			r, size := utf8.DecodeRune(d.b[d.i:])
-			if r == utf8.RuneError && size == 1 {
+			if !d.rune() {
 				return false
 			}
-			d.i += size
 		}
 	}
-	return false
+}
+
+// rune steps over one valid multi-byte UTF-8 sequence.
+func (d *decoder) rune() bool {
+	r, size := utf8.DecodeRune(d.b[d.i:])
+	if r == utf8.RuneError && size == 1 {
+		return false
+	}
+	d.i += size
+	return true
 }
 
 // escaped finishes a string from its first backslash on; the string's
 // plain prefix starts at start.
 func (d *decoder) escaped(dst *string, start int) bool {
 	out := append(d.esc[:0], d.b[start:d.i]...)
-	for d.i < len(d.b) {
-		c := d.b[d.i]
-		switch {
+	for {
+		j := plain(d.b, d.i)
+		out = append(out, d.b[d.i:j]...)
+		if d.i = j; d.i >= len(d.b) {
+			return false
+		}
+		switch c := d.b[d.i]; {
 		case c == '"':
 			*dst = string(out)
 			d.esc = out
@@ -231,19 +272,14 @@ func (d *decoder) escaped(dst *string, start int) bool {
 			}
 		case c < ' ':
 			return false
-		case c < utf8.RuneSelf:
-			out = append(out, c)
-			d.i++
 		default:
-			r, size := utf8.DecodeRune(d.b[d.i:])
-			if r == utf8.RuneError && size == 1 {
+			from := d.i
+			if !d.rune() {
 				return false
 			}
-			out = append(out, d.b[d.i:d.i+size]...)
-			d.i += size
+			out = append(out, d.b[from:d.i]...)
 		}
 	}
-	return false
 }
 
 // hex4 reads the four hex digits of a \u escape.
