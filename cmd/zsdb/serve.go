@@ -174,6 +174,37 @@ func serveUntilSignal(httpSrv *http.Server, ln net.Listener, backing io.Closer, 
 	}
 }
 
+// The serving listener's connection bounds. readTimeout bounds a whole
+// request, body included, from its first byte: with maxBodyBytes it
+// bounds a slow POST in time as well as size (a full 16 MiB body needs
+// about 1.7 MB/s), so a client trickling its body cannot hold a
+// connection and a handler goroutine open indefinitely. idleTimeout
+// closes a keep-alive connection left idle between requests; it is
+// longer than the 90 s an HTTPBackend's transport (a clone of
+// http.DefaultTransport) keeps an idle connection, so the router closes
+// first and never sends a POST down a connection the server is closing.
+//
+// There is no WriteTimeout: it runs from the end of the request
+// headers to the end of the reply, handler included, so a long what-if
+// sweep would lose its reply, as a pprof ?seconds= profile would on the
+// debug listener.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the serving listener's http.Server, for serve and
+// route alike.
+func newHTTPServer(handler http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // listenAndServe is the shared tail of serve and route: listen on addr,
 // announce "<banner> on <address>" (tools that start a node on port 0
 // learn the port from that line), and serve handler until SIGINT or
@@ -184,10 +215,7 @@ func listenAndServe(addr string, handler http.Handler, backing io.Closer, drain 
 		backing.Close()
 		return err
 	}
-	httpSrv := &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	httpSrv := newHTTPServer(handler)
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigs)

@@ -42,7 +42,7 @@ var (
 	serveErr  error
 )
 
-func sharedServeFixture(t *testing.T) serveFixture {
+func sharedServeFixture(t testing.TB) serveFixture {
 	t.Helper()
 	serveOnce.Do(func() {
 		imdb, err := datagen.IMDBLike(0.08)
@@ -92,7 +92,7 @@ func sharedServeFixture(t *testing.T) serveFixture {
 // newTestSession assembles a multi-database session over the shared
 // fixture. Each test gets its own session so stats and caches start
 // empty.
-func newTestSession(t *testing.T, cfg serving.Config) *serving.Session {
+func newTestSession(t testing.TB, cfg serving.Config) *serving.Session {
 	t.Helper()
 	f := sharedServeFixture(t)
 	sess := serving.NewSession(cfg)
