@@ -29,53 +29,36 @@ import (
 // member, a surrogate escape, invalid UTF-8, a wrongly typed value or
 // malformed input. Decoded strings never alias b.
 func DecodeBody(b []byte, v any) bool {
-	d := decoder{b: b}
+	d := &decoder{b: b}
 	switch v := v.(type) {
 	case *PredictRequest:
 		var x PredictRequest
-		if !d.predictRequest(&x) {
-			return false
-		}
-		*v = x
+		return d.predictRequest(&x) && set(v, x)
 	case *PredictBatchRequest:
 		var x PredictBatchRequest
-		if !d.predictBatchRequest(&x) {
-			return false
-		}
-		*v = x
+		return d.predictBatchRequest(&x) && set(v, x)
 	case *WhatIfRequest:
 		var x WhatIfRequest
-		if !d.whatIfRequest(&x) {
-			return false
-		}
-		*v = x
+		return d.whatIfRequest(&x) && set(v, x)
 	case *FeedbackRequest:
 		var x FeedbackRequest
-		if !d.feedbackRequest(&x) {
-			return false
-		}
-		*v = x
+		return d.feedbackRequest(&x) && set(v, x)
 	case *serving.Prediction:
 		var x serving.Prediction
-		if !d.prediction(&x) {
-			return false
-		}
-		*v = x
+		return d.prediction(&x) && set(v, x)
 	case *PredictBatchReply:
 		var x PredictBatchReply
-		if !d.predictBatchReply(&x) {
-			return false
-		}
-		*v = x
+		return d.predictBatchReply(&x) && set(v, x)
 	case *ErrorBody:
 		var x ErrorBody
-		if !d.errorBody(&x) {
-			return false
-		}
-		*v = x
-	default:
-		return false
+		return d.errorBody(&x) && set(v, x)
 	}
+	return false
+}
+
+// set stores a value decoded in full.
+func set[T any](v *T, x T) bool {
+	*v = x
 	return true
 }
 
@@ -110,53 +93,75 @@ func (d *decoder) byte(c byte) bool {
 	return false
 }
 
-// member reads the name of an object's next member and the colon after
-// it. n counts the members already read; end reports the closing brace.
-// A name must be plain ASCII without escapes, which every field tag is.
-func (d *decoder) member(n int) (name []byte, end, ok bool) {
-	d.ws()
-	if d.i >= len(d.b) {
-		return nil, false, false
+// object reads an object, handing each member's name to member, which
+// decodes the value and reports false for a name that is not exactly a
+// field's tag. A name must be plain ASCII without escapes, as every tag
+// is.
+func (d *decoder) object(member func(name []byte) bool) bool {
+	if !d.byte('{') {
+		return false
 	}
-	if n > 0 {
-		switch d.b[d.i] {
-		case '}':
-			d.i++
-			return nil, true, true
-		case ',':
-			d.i++
-			d.ws()
-		default:
-			return nil, false, false
+	if d.byte('}') {
+		return true
+	}
+	for {
+		if !d.byte('"') {
+			return false
 		}
-	} else if d.b[d.i] == '}' {
+		start := d.i
+		for d.i < len(d.b) && d.b[d.i] != '"' {
+			if c := d.b[d.i]; c < ' ' || c == '\\' || c >= utf8.RuneSelf {
+				return false
+			}
+			d.i++
+		}
+		if d.i >= len(d.b) {
+			return false
+		}
+		name := d.b[start:d.i]
 		d.i++
-		return nil, true, true
-	}
-	if d.i >= len(d.b) || d.b[d.i] != '"' {
-		return nil, false, false
-	}
-	start := d.i + 1
-	for j := start; j < len(d.b); j++ {
-		switch c := d.b[j]; {
-		case c == '"':
-			d.i = j + 1
-			return d.b[start:j], false, d.byte(':')
-		case c < ' ' || c == '\\' || c >= utf8.RuneSelf:
-			return nil, false, false
+		if !d.byte(':') || !member(name) {
+			return false
+		}
+		if d.byte('}') {
+			return true
+		}
+		if !d.byte(',') {
+			return false
 		}
 	}
-	return nil, false, false
 }
 
 // once marks the field bit as read; a repeated member is outside the
-// subset (encoding/json lets the last one win, merging into slices).
+// subset (encoding/json lets the last one win, merging into the
+// elements of a struct slice).
 func once(seen *uint, bit uint) bool {
 	if *seen&bit != 0 {
 		return false
 	}
 	*seen |= bit
 	return true
+}
+
+// array reads an array, calling elem for each element.
+func (d *decoder) array(elem func() bool) bool {
+	if !d.byte('[') {
+		return false
+	}
+	if d.byte(']') {
+		return true
+	}
+	for {
+		if !elem() {
+			return false
+		}
+		if d.byte(']') {
+			return true
+		}
+		if !d.byte(',') {
+			return false
+		}
+	}
 }
 
 // plain returns the end of the run of plain bytes starting at i: the
@@ -306,30 +311,25 @@ func (d *decoder) hex4() (rune, bool) {
 }
 
 // strs decodes an array of strings. An empty array is an empty, non-nil
-// slice, as encoding/json makes it.
+// slice, as encoding/json makes it. It is array written out, since a
+// batch's statements are the hottest loop of the decoder.
 func (d *decoder) strs(dst *[]string) bool {
 	if !d.byte('[') {
 		return false
 	}
 	out := []string{}
-	if d.byte(']') {
-		*dst = out
-		return true
-	}
-	for {
+	for n := 0; !d.byte(']'); n++ {
+		if n > 0 && !d.byte(',') {
+			return false
+		}
 		var s string
 		if !d.str(&s) {
 			return false
 		}
 		out = append(out, s)
-		if d.byte(']') {
-			*dst = out
-			return true
-		}
-		if !d.byte(',') {
-			return false
-		}
 	}
+	*dst = out
+	return true
 }
 
 // number returns the literal of a number that passes JSON's grammar:
@@ -424,275 +424,148 @@ func (d *decoder) bool(dst *bool) bool {
 }
 
 func (d *decoder) predictRequest(x *PredictRequest) bool {
-	if !d.byte('{') {
-		return false
-	}
 	var seen uint
-	for n := 0; ; n++ {
-		name, end, ok := d.member(n)
-		if !ok {
-			return false
-		}
-		if end {
-			return true
-		}
+	return d.object(func(name []byte) bool {
 		switch string(name) {
 		case "db":
-			ok = once(&seen, 1) && d.str(&x.DB)
+			return once(&seen, 1) && d.str(&x.DB)
 		case "model":
-			ok = once(&seen, 2) && d.str(&x.Model)
+			return once(&seen, 2) && d.str(&x.Model)
 		case "sql":
-			ok = once(&seen, 4) && d.str(&x.SQL)
-		default:
-			ok = false
+			return once(&seen, 4) && d.str(&x.SQL)
 		}
-		if !ok {
-			return false
-		}
-	}
+		return false
+	})
 }
 
 func (d *decoder) predictBatchRequest(x *PredictBatchRequest) bool {
-	if !d.byte('{') {
-		return false
-	}
 	var seen uint
-	for n := 0; ; n++ {
-		name, end, ok := d.member(n)
-		if !ok {
-			return false
-		}
-		if end {
-			return true
-		}
+	return d.object(func(name []byte) bool {
 		switch string(name) {
 		case "db":
-			ok = once(&seen, 1) && d.str(&x.DB)
+			return once(&seen, 1) && d.str(&x.DB)
 		case "model":
-			ok = once(&seen, 2) && d.str(&x.Model)
+			return once(&seen, 2) && d.str(&x.Model)
 		case "sql":
-			ok = once(&seen, 4) && d.strs(&x.SQL)
-		default:
-			ok = false
+			return once(&seen, 4) && d.strs(&x.SQL)
 		}
-		if !ok {
-			return false
-		}
-	}
+		return false
+	})
 }
 
 func (d *decoder) whatIfRequest(x *WhatIfRequest) bool {
-	if !d.byte('{') {
-		return false
-	}
 	var seen uint
-	for n := 0; ; n++ {
-		name, end, ok := d.member(n)
-		if !ok {
-			return false
-		}
-		if end {
-			return true
-		}
+	return d.object(func(name []byte) bool {
 		switch string(name) {
 		case "db":
-			ok = once(&seen, 1) && d.str(&x.DB)
+			return once(&seen, 1) && d.str(&x.DB)
 		case "model":
-			ok = once(&seen, 2) && d.str(&x.Model)
+			return once(&seen, 2) && d.str(&x.Model)
 		case "sql":
-			ok = once(&seen, 4) && d.strs(&x.SQL)
+			return once(&seen, 4) && d.strs(&x.SQL)
 		case "candidates":
-			ok = once(&seen, 8) && d.strs(&x.Candidates)
+			return once(&seen, 8) && d.strs(&x.Candidates)
 		case "max_candidates":
-			ok = once(&seen, 16) && d.int(&x.MaxCandidates)
-		default:
-			ok = false
+			return once(&seen, 16) && d.int(&x.MaxCandidates)
 		}
-		if !ok {
-			return false
-		}
-	}
+		return false
+	})
 }
 
 func (d *decoder) feedbackRequest(x *FeedbackRequest) bool {
-	if !d.byte('{') {
-		return false
-	}
 	var seen uint
-	for n := 0; ; n++ {
-		name, end, ok := d.member(n)
-		if !ok {
-			return false
-		}
-		if end {
-			return true
-		}
+	return d.object(func(name []byte) bool {
 		switch string(name) {
 		case "db":
-			ok = once(&seen, 1) && d.str(&x.DB)
+			return once(&seen, 1) && d.str(&x.DB)
 		case "fingerprint":
-			ok = once(&seen, 2) && d.str(&x.Fingerprint)
+			return once(&seen, 2) && d.str(&x.Fingerprint)
 		case "sql":
-			ok = once(&seen, 4) && d.str(&x.SQL)
+			return once(&seen, 4) && d.str(&x.SQL)
 		case "actual_runtime_sec":
-			ok = once(&seen, 8) && d.float(&x.ActualRuntimeSec)
-		default:
-			ok = false
+			return once(&seen, 8) && d.float(&x.ActualRuntimeSec)
 		}
-		if !ok {
-			return false
-		}
-	}
+		return false
+	})
 }
 
 func (d *decoder) prediction(x *serving.Prediction) bool {
-	if !d.byte('{') {
-		return false
-	}
 	var seen uint
-	for n := 0; ; n++ {
-		name, end, ok := d.member(n)
-		if !ok {
-			return false
-		}
-		if end {
-			return true
-		}
+	return d.object(func(name []byte) bool {
 		switch string(name) {
 		case "db":
-			ok = once(&seen, 1) && d.str(&x.Database)
+			return once(&seen, 1) && d.str(&x.Database)
 		case "model":
-			ok = once(&seen, 2) && d.str(&x.Model)
+			return once(&seen, 2) && d.str(&x.Model)
 		case "runtime_sec":
-			ok = once(&seen, 4) && d.float(&x.RuntimeSec)
+			return once(&seen, 4) && d.float(&x.RuntimeSec)
 		case "optimizer_cost":
-			ok = once(&seen, 8) && d.float(&x.OptimizerCost)
+			return once(&seen, 8) && d.float(&x.OptimizerCost)
 		case "est_rows":
-			ok = once(&seen, 16) && d.float(&x.EstRows)
+			return once(&seen, 16) && d.float(&x.EstRows)
 		case "fingerprint":
-			ok = once(&seen, 32) && d.str(&x.Fingerprint)
+			return once(&seen, 32) && d.str(&x.Fingerprint)
 		case "plan_cached":
-			ok = once(&seen, 64) && d.bool(&x.PlanCached)
-		default:
-			ok = false
+			return once(&seen, 64) && d.bool(&x.PlanCached)
 		}
-		if !ok {
-			return false
-		}
-	}
+		return false
+	})
 }
 
 func (d *decoder) predictBatchReply(x *PredictBatchReply) bool {
-	if !d.byte('{') {
-		return false
-	}
 	var seen uint
-	for n := 0; ; n++ {
-		name, end, ok := d.member(n)
-		if !ok {
-			return false
-		}
-		if end {
-			return true
-		}
+	return d.object(func(name []byte) bool {
 		switch string(name) {
 		case "db":
-			ok = once(&seen, 1) && d.str(&x.DB)
+			return once(&seen, 1) && d.str(&x.DB)
 		case "model":
-			ok = once(&seen, 2) && d.str(&x.Model)
+			return once(&seen, 2) && d.str(&x.Model)
 		case "results":
-			ok = once(&seen, 4) && d.results(&x.Results)
+			return once(&seen, 4) && d.results(&x.Results)
 		case "count":
-			ok = once(&seen, 8) && d.int(&x.Count)
+			return once(&seen, 8) && d.int(&x.Count)
 		case "errors":
-			ok = once(&seen, 16) && d.int(&x.Errors)
-		default:
-			ok = false
+			return once(&seen, 16) && d.int(&x.Errors)
 		}
-		if !ok {
-			return false
-		}
-	}
+		return false
+	})
 }
 
-// results decodes PredictBatchReply.Results, an array of objects.
+// results decodes PredictBatchReply.Results: like strs, an array of
+// objects each with at most runtime_sec and error.
 func (d *decoder) results(dst *[]BatchItemResult) bool {
-	if !d.byte('[') {
-		return false
-	}
 	out := []BatchItemResult{}
-	if d.byte(']') {
-		*dst = out
-		return true
-	}
-	for {
-		var r BatchItemResult
-		if !d.batchItemResult(&r) {
+	if !d.array(func() bool {
+		out = append(out, BatchItemResult{})
+		r := &out[len(out)-1]
+		var seen uint
+		return d.object(func(name []byte) bool {
+			switch string(name) {
+			case "runtime_sec":
+				return once(&seen, 1) && d.float(&r.RuntimeSec)
+			case "error":
+				return once(&seen, 2) && d.str(&r.Error)
+			}
 			return false
-		}
-		out = append(out, r)
-		if d.byte(']') {
-			*dst = out
-			return true
-		}
-		if !d.byte(',') {
-			return false
-		}
-	}
-}
-
-func (d *decoder) batchItemResult(x *BatchItemResult) bool {
-	if !d.byte('{') {
+		})
+	}) {
 		return false
 	}
-	var seen uint
-	for n := 0; ; n++ {
-		name, end, ok := d.member(n)
-		if !ok {
-			return false
-		}
-		if end {
-			return true
-		}
-		switch string(name) {
-		case "runtime_sec":
-			ok = once(&seen, 1) && d.float(&x.RuntimeSec)
-		case "error":
-			ok = once(&seen, 2) && d.str(&x.Error)
-		default:
-			ok = false
-		}
-		if !ok {
-			return false
-		}
-	}
+	*dst = out
+	return true
 }
 
 func (d *decoder) errorBody(x *ErrorBody) bool {
-	if !d.byte('{') {
-		return false
-	}
 	var seen uint
-	for n := 0; ; n++ {
-		name, end, ok := d.member(n)
-		if !ok {
-			return false
-		}
-		if end {
-			return true
-		}
+	return d.object(func(name []byte) bool {
 		switch string(name) {
 		case "code":
-			ok = once(&seen, 1) && d.str(&x.Code)
+			return once(&seen, 1) && d.str(&x.Code)
 		case "error":
-			ok = once(&seen, 2) && d.str(&x.Error)
-		default:
-			ok = false
+			return once(&seen, 2) && d.str(&x.Error)
 		}
-		if !ok {
-			return false
-		}
-	}
+		return false
+	})
 }
 
 // AppendJSON appends to dst exactly the bytes json.NewEncoder(w).Encode(v)
@@ -829,49 +702,84 @@ func (e *encoder) float(f float64) {
 
 func (e *encoder) int(n int) { e.b = strconv.AppendInt(e.b, int64(n), 10) }
 
-func (e *encoder) bool(v bool) { e.b = strconv.AppendBool(e.b, v) }
+// The member writers: "name":value, and the omit forms that skip a
+// zero value as omitempty does.
 
-// strs writes a string slice; nil is null.
-func (e *encoder) strs(s []string) {
-	if s == nil {
+func (e *encoder) strMember(name, s string) {
+	e.key(name)
+	e.str(s)
+}
+
+func (e *encoder) floatMember(name string, f float64) {
+	e.key(name)
+	e.float(f)
+}
+
+func (e *encoder) intMember(name string, n int) {
+	e.key(name)
+	e.int(n)
+}
+
+func (e *encoder) strOmit(name, s string) {
+	if s != "" {
+		e.strMember(name, s)
+	}
+}
+
+func (e *encoder) floatOmit(name string, f float64) {
+	if f != 0 {
+		e.floatMember(name, f)
+	}
+}
+
+func (e *encoder) intOmit(name string, n int) {
+	if n != 0 {
+		e.intMember(name, n)
+	}
+}
+
+// list writes the member name, then n elements written by elem, or null
+// for a nil slice.
+func (e *encoder) list(name string, n int, isNil bool, elem func(i int)) {
+	e.key(name)
+	if isNil {
 		e.b = append(e.b, "null"...)
 		return
 	}
 	e.b = append(e.b, '[')
-	for i, x := range s {
+	for i := 0; i < n; i++ {
 		if i > 0 {
 			e.b = append(e.b, ',')
 		}
-		e.str(x)
+		elem(i)
 	}
 	e.b = append(e.b, ']')
 }
 
+func (e *encoder) strs(name string, s []string) {
+	e.list(name, len(s), s == nil, func(i int) { e.str(s[i]) })
+}
+
 func (e *encoder) prediction(p serving.Prediction) {
 	e.b = append(e.b, '{')
-	e.key("db")
-	e.str(p.Database)
-	e.key("model")
-	e.str(p.Model)
-	e.key("runtime_sec")
-	e.float(p.RuntimeSec)
-	e.key("optimizer_cost")
-	e.float(p.OptimizerCost)
-	e.key("est_rows")
-	e.float(p.EstRows)
-	e.key("fingerprint")
-	e.str(p.Fingerprint)
+	e.strMember("db", p.Database)
+	e.strMember("model", p.Model)
+	e.floatMember("runtime_sec", p.RuntimeSec)
+	e.floatMember("optimizer_cost", p.OptimizerCost)
+	e.floatMember("est_rows", p.EstRows)
+	e.strMember("fingerprint", p.Fingerprint)
 	e.key("plan_cached")
-	e.bool(p.PlanCached)
+	e.b = strconv.AppendBool(e.b, p.PlanCached)
 	e.b = append(e.b, '}')
 }
 
 func (e *encoder) predictBatchReply(r PredictBatchReply) {
 	e.b = append(e.b, '{')
-	e.key("db")
-	e.str(r.DB)
-	e.key("model")
-	e.str(r.Model)
+	e.strMember("db", r.DB)
+	e.strMember("model", r.Model)
+	// The results are written out rather than through list and the
+	// member writers: a batch reply's items are the encoder's hottest
+	// loop.
 	e.key("results")
 	if r.Results == nil {
 		e.b = append(e.b, "null"...)
@@ -883,7 +791,7 @@ func (e *encoder) predictBatchReply(r PredictBatchReply) {
 			}
 			e.b = append(e.b, '{')
 			if item.RuntimeSec != 0 {
-				e.key("runtime_sec")
+				e.b = append(e.b, `"runtime_sec":`...)
 				e.float(item.RuntimeSec)
 			}
 			if item.Error != "" {
@@ -894,173 +802,86 @@ func (e *encoder) predictBatchReply(r PredictBatchReply) {
 		}
 		e.b = append(e.b, ']')
 	}
-	e.key("count")
-	e.int(r.Count)
-	e.key("errors")
-	e.int(r.Errors)
+	e.intMember("count", r.Count)
+	e.intMember("errors", r.Errors)
 	e.b = append(e.b, '}')
 }
 
 func (e *encoder) report(r *whatif.Report) {
 	e.b = append(e.b, '{')
-	if r.Database != "" {
-		e.key("db")
-		e.str(r.Database)
-	}
-	if r.Model != "" {
-		e.key("model")
-		e.str(r.Model)
-	}
+	e.strOmit("db", r.Database)
+	e.strOmit("model", r.Model)
 	if len(r.Candidates) > 0 {
-		e.key("candidates")
-		e.b = append(e.b, '[')
-		for i, c := range r.Candidates {
-			if i > 0 {
-				e.b = append(e.b, ',')
-			}
+		e.list("candidates", len(r.Candidates), false, func(i int) {
 			e.b = append(e.b, '{')
-			e.key("index")
-			e.str(c.Index)
-			e.key("source")
-			e.str(c.Source)
+			e.strMember("index", r.Candidates[i].Index)
+			e.strMember("source", r.Candidates[i].Source)
 			e.b = append(e.b, '}')
-		}
-		e.b = append(e.b, ']')
+		})
 	}
 	e.key("baseline")
 	e.variant(&r.Baseline)
-	e.key("variants")
-	if r.Variants == nil {
-		e.b = append(e.b, "null"...)
-	} else {
-		e.b = append(e.b, '[')
-		for i := range r.Variants {
-			if i > 0 {
-				e.b = append(e.b, ',')
-			}
-			e.variant(&r.Variants[i])
-		}
-		e.b = append(e.b, ']')
-	}
-	e.key("items")
-	e.int(r.Items)
-	if r.Recommendation != "" {
-		e.key("recommendation")
-		e.str(r.Recommendation)
-	}
+	e.list("variants", len(r.Variants), r.Variants == nil, func(i int) { e.variant(&r.Variants[i]) })
+	e.intMember("items", r.Items)
+	e.strOmit("recommendation", r.Recommendation)
 	e.b = append(e.b, '}')
 }
 
 func (e *encoder) variant(v *whatif.VariantResult) {
 	e.b = append(e.b, '{')
-	e.key("name")
-	e.str(v.Name)
+	e.strMember("name", v.Name)
 	if len(v.Indexes) > 0 {
-		e.key("indexes")
-		e.strs(v.Indexes)
+		e.strs("indexes", v.Indexes)
 	}
-	e.key("total_sec")
-	e.float(v.TotalSec)
-	if v.SpeedupX != 0 {
-		e.key("speedup_x")
-		e.float(v.SpeedupX)
-	}
-	e.key("queries")
-	if v.Queries == nil {
-		e.b = append(e.b, "null"...)
-	} else {
-		e.b = append(e.b, '[')
-		for i := range v.Queries {
-			if i > 0 {
-				e.b = append(e.b, ',')
-			}
-			q := &v.Queries[i]
-			e.b = append(e.b, '{')
-			e.key("sql")
-			e.str(q.SQL)
-			e.key("predicted_sec")
-			e.float(q.PredictedSec)
-			if q.BaselineSec != 0 {
-				e.key("baseline_sec")
-				e.float(q.BaselineSec)
-			}
-			if q.SpeedupX != 0 {
-				e.key("speedup_x")
-				e.float(q.SpeedupX)
-			}
-			if q.Error != "" {
-				e.key("error")
-				e.str(q.Error)
-			}
-			e.b = append(e.b, '}')
-		}
-		e.b = append(e.b, ']')
-	}
-	if v.Errors != 0 {
-		e.key("errors")
-		e.int(v.Errors)
-	}
+	e.floatMember("total_sec", v.TotalSec)
+	e.floatOmit("speedup_x", v.SpeedupX)
+	e.list("queries", len(v.Queries), v.Queries == nil, func(i int) {
+		q := &v.Queries[i]
+		e.b = append(e.b, '{')
+		e.strMember("sql", q.SQL)
+		e.floatMember("predicted_sec", q.PredictedSec)
+		e.floatOmit("baseline_sec", q.BaselineSec)
+		e.floatOmit("speedup_x", q.SpeedupX)
+		e.strOmit("error", q.Error)
+		e.b = append(e.b, '}')
+	})
+	e.intOmit("errors", v.Errors)
 	e.b = append(e.b, '}')
-}
-
-// names writes the optional db and model members every request opens
-// with.
-func (e *encoder) names(db, model string) {
-	if db != "" {
-		e.key("db")
-		e.str(db)
-	}
-	if model != "" {
-		e.key("model")
-		e.str(model)
-	}
 }
 
 func (e *encoder) predictRequest(r PredictRequest) {
 	e.b = append(e.b, '{')
-	e.names(r.DB, r.Model)
-	e.key("sql")
-	e.str(r.SQL)
+	e.strOmit("db", r.DB)
+	e.strOmit("model", r.Model)
+	e.strMember("sql", r.SQL)
 	e.b = append(e.b, '}')
 }
 
 func (e *encoder) predictBatchRequest(r PredictBatchRequest) {
 	e.b = append(e.b, '{')
-	e.names(r.DB, r.Model)
-	e.key("sql")
-	e.strs(r.SQL)
+	e.strOmit("db", r.DB)
+	e.strOmit("model", r.Model)
+	e.strs("sql", r.SQL)
 	e.b = append(e.b, '}')
 }
 
 func (e *encoder) whatIfRequest(r WhatIfRequest) {
 	e.b = append(e.b, '{')
-	e.names(r.DB, r.Model)
-	e.key("sql")
-	e.strs(r.SQL)
+	e.strOmit("db", r.DB)
+	e.strOmit("model", r.Model)
+	e.strs("sql", r.SQL)
 	if len(r.Candidates) > 0 {
-		e.key("candidates")
-		e.strs(r.Candidates)
+		e.strs("candidates", r.Candidates)
 	}
-	if r.MaxCandidates != 0 {
-		e.key("max_candidates")
-		e.int(r.MaxCandidates)
-	}
+	e.intOmit("max_candidates", r.MaxCandidates)
 	e.b = append(e.b, '}')
 }
 
 func (e *encoder) feedbackRequest(r FeedbackRequest) {
 	e.b = append(e.b, '{')
-	if r.DB != "" {
-		e.key("db")
-		e.str(r.DB)
-	}
-	e.key("fingerprint")
-	e.str(r.Fingerprint)
-	if r.SQL != "" {
-		e.key("sql")
-		e.str(r.SQL)
-	}
-	e.key("actual_runtime_sec")
-	e.float(r.ActualRuntimeSec)
+	e.strOmit("db", r.DB)
+	e.strMember("fingerprint", r.Fingerprint)
+	e.strOmit("sql", r.SQL)
+	e.floatMember("actual_runtime_sec", r.ActualRuntimeSec)
 	e.b = append(e.b, '}')
 }

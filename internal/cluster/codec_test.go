@@ -141,15 +141,15 @@ var wireEdges = []string{
 	`{"results":[{"runtime_sec":0.5},{"error":"x"},{}],"count":3,"errors":1}`,
 	`{"results":[null]}`,
 	`{"results":[{"runtime_sec":0.5,"runtime_sec":1}]}`,
+	`{"results":[{"runtime_sec":0.5}],"results":[{"error":"x"}]}`,
 	`{"results":[]}`,
 	`{"code":"adapt_disabled","error":"off"}`,
 }
 
 // TestDecodeBodyMatchesEncodingJSON replays every transcript body and
-// the subset's edges through each wire type, and checks that the
-// subset is not empty in practice: every request the transcripts
-// record is decoded by one type at least, bar those the subset
-// deliberately leaves to encoding/json.
+// the subset's edges through each wire type, and checks that the subset
+// covers the bodies the shim and HTTPBackend really exchange: each of
+// the canonical bodies below must be decoded, not left to the replay.
 func TestDecodeBodyMatchesEncodingJSON(t *testing.T) {
 	for _, b := range transcriptBodies(t) {
 		decodeEveryType(t, b)
@@ -185,7 +185,7 @@ func FuzzWireDecode(f *testing.F) {
 	})
 }
 
-// encoderSeeds are the floats and strings at the encoder's edges: the
+// encoderFloats and encoderStrings sit at the encoder's edges: the
 // 1e-6 and 1e21 format switches, subnormals, signed zero, values the
 // encoder refuses, HTML-unsafe bytes, line separators, control bytes
 // and invalid UTF-8.

@@ -136,17 +136,11 @@ func (b *HTTPBackend) do(ctx context.Context, method, path string, in, out any) 
 }
 
 // decodeReply decodes a reply body into out. The body is read whole and
-// decoded by DecodeBody; a body outside its subset, or a read that
+// decoded by DecodeBody; a body outside its subset or of a type it does
+// not read (the GET documents, the what-if report), or a read that
 // failed, is replayed through encoding/json (the same bytes, then the
-// same error), which owns every error text. Types DecodeBody does not
-// read (the GET documents, the what-if report) stream through
-// encoding/json directly.
+// same error), which owns every error text.
 func decodeReply(r io.Reader, out any) error {
-	switch out.(type) {
-	case *serving.Prediction, *PredictBatchReply, *ErrorBody:
-	default:
-		return json.NewDecoder(r).Decode(out)
-	}
 	buf := replyPool.Get().(*[]byte)
 	body := bytes.NewBuffer(*buf)
 	_, err := body.ReadFrom(r)
