@@ -41,7 +41,8 @@ func warmBodies(t testing.TB) (predict, batch []byte) {
 // a plan-cached 256-statement /v1/predict_batch allocate through the
 // shim's mux, recorder and request included. Through encoding/json they
 // were 37 and 836. Now the body costs its decoded strings and the
-// statement slice, and the reply one Content-Length header.
+// statement slice, and the reply one Content-Length header. The counts
+// are go1.24's; net/http's own share may differ on another release.
 func TestWarmRequestAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop buffers by design")
