@@ -178,11 +178,17 @@ func serveUntilSignal(httpSrv *http.Server, ln net.Listener, backing io.Closer, 
 // request, body included, from its first byte: with maxBodyBytes it
 // bounds a slow POST in time as well as size (a full 16 MiB body needs
 // about 1.7 MB/s), so a client trickling its body cannot hold a
-// connection and a handler goroutine open indefinitely. idleTimeout
-// closes a keep-alive connection left idle between requests; it is
-// longer than the 90 s an HTTPBackend's transport (a clone of
-// http.DefaultTransport) keeps an idle connection, so the router closes
-// first and never sends a POST down a connection the server is closing.
+// connection and a handler goroutine open indefinitely. It covers every
+// route, including one that answers without reading the body, whose
+// unread rest net/http discards after the handler. It does not cut a
+// call that outlasts it: net/http clears the connection's read deadline
+// when a handler reads the body to its end (decode always does) and its
+// background read begins, so the request's context lives on until the
+// client goes away. idleTimeout closes a keep-alive connection left
+// idle between requests; it is longer than the 90 s an HTTPBackend's
+// transport (a clone of http.DefaultTransport) keeps an idle
+// connection, so the router closes first and never sends a POST down a
+// connection the server is closing.
 //
 // There is no WriteTimeout: it runs from the end of the request
 // headers to the end of the reply, handler included, so a long what-if

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -37,38 +38,59 @@ func warmBodies(t testing.TB) (predict, batch []byte) {
 	return predict, batch
 }
 
+// floorReply is a constant predict reply: the floor handler answers it
+// without reading the request, which leaves net/http's, the recorder's
+// and the mux's own share of an exchange.
+func floorReply(t testing.TB) http.HandlerFunc {
+	reply, err := json.Marshal(serving.Prediction{Database: "imdb", Model: costmodel.NameZeroShot,
+		RuntimeSec: 0.6054026463707068, OptimizerCost: 52.723636363636366, EstRows: 1, Fingerprint: testSQL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(reply)
+	}
+}
+
 // TestWarmRequestAllocCeilings pins what a plan-cached /v1/predict and
 // a plan-cached 256-statement /v1/predict_batch allocate through the
-// shim's mux, recorder and request included. Through encoding/json they
-// were 37 and 836. Now the body costs its decoded strings and the
-// statement slice, and the reply one Content-Length header. The counts
-// are go1.24's; net/http's own share may differ on another release.
+// shim's mux above the floor handler on the same mux, so that only the
+// shim's own allocations count, not those of the toolchain's net/http
+// or recorder. The body costs its decoded strings and the statement
+// slice, and the reply one Content-Length header.
 func TestWarmRequestAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop buffers by design")
 	}
 	mux := newSessionServer(newTestSession(t, serving.Config{}), nil).mux()
+	mux.HandleFunc("/floor", floorReply(t))
 	predict, batch := warmBodies(t)
-	serve := func(path string, body []byte) {
-		rec := httptest.NewRecorder()
-		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s: %d %s", path, rec.Code, rec.Body)
+	allocs := func(path string, body []byte) float64 {
+		serve := func() {
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: %d %s", path, rec.Code, rec.Body)
+			}
 		}
+		serve() // plan and cache every statement
+		return testing.AllocsPerRun(50, serve)
 	}
+	floor := allocs("/floor", predict)
+	t.Logf("floor: %.0f allocs per request", floor)
 	for _, c := range []struct {
 		path    string
 		body    []byte
 		ceiling float64
 	}{
-		{"/v1/predict", predict, 33},
-		{"/v1/predict_batch", batch, 571},
+		{"/v1/predict", predict, 13},
+		{"/v1/predict_batch", batch, 551},
 	} {
-		serve(c.path, c.body) // plan and cache every statement
-		allocs := testing.AllocsPerRun(50, func() { serve(c.path, c.body) })
-		t.Logf("%s: %.0f allocs per warm request", c.path, allocs)
-		if allocs > c.ceiling {
-			t.Errorf("warm %s allocates %.0f times, ceiling %.0f", c.path, allocs, c.ceiling)
+		above := allocs(c.path, c.body) - floor
+		t.Logf("%s: %.0f allocs per warm request above the floor", c.path, above)
+		if above > c.ceiling {
+			t.Errorf("warm %s allocates %.0f times above the floor, ceiling %.0f", c.path, above, c.ceiling)
 		}
 	}
 }
@@ -143,6 +165,49 @@ func TestSlowBodyIsCutAtReadTimeout(t *testing.T) {
 	}
 }
 
+// slowCalls answers Predict after delay, or with the context's error
+// if the request's context ends first.
+type slowCalls struct {
+	calls
+	delay time.Duration
+}
+
+func (c slowCalls) Predict(ctx context.Context, db, model, sql string) (serving.Prediction, error) {
+	select {
+	case <-time.After(c.delay):
+		return c.calls.Predict(ctx, db, model, sql)
+	case <-ctx.Done():
+		return serving.Prediction{}, ctx.Err()
+	}
+}
+
+// TestSlowCallOutlastsReadTimeout: readTimeout bounds the request, not
+// the call. A call still running after it keeps its context and
+// answers its result.
+func TestSlowCallOutlastsReadTimeout(t *testing.T) {
+	t.Parallel()
+	s := newSessionServer(newTestSession(t, serving.Config{}), nil)
+	s.calls = slowCalls{s.calls, readTimeout + 2*time.Second}
+	srv := newHTTPServer(s.mux())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+
+	predict, _ := warmBodies(t)
+	resp, err := http.Post("http://"+ln.Addr().String()+"/v1/predict", "application/json", bytes.NewReader(predict))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var pred serving.Prediction
+	if err := json.NewDecoder(resp.Body).Decode(&pred); err != nil || resp.StatusCode != http.StatusOK || pred.RuntimeSec <= 0 {
+		t.Fatalf("slow call: %d %+v (%v)", resp.StatusCode, pred, err)
+	}
+}
+
 // BenchmarkShim measures the HTTP shim over httptest loopback: a
 // plan-cached /v1/predict, a plan-cached 256-statement
 // /v1/predict_batch, and a handler on the same mux that answers a
@@ -153,15 +218,7 @@ func BenchmarkShim(b *testing.B) {
 	sess := newTestSession(b, serving.Config{})
 	mux := newSessionServer(sess, nil).mux()
 	predict, batch := warmBodies(b)
-	reply, err := json.Marshal(serving.Prediction{Database: "imdb", Model: costmodel.NameZeroShot,
-		RuntimeSec: 0.6054026463707068, OptimizerCost: 52.723636363636366, EstRows: 1, Fingerprint: testSQL})
-	if err != nil {
-		b.Fatal(err)
-	}
-	mux.HandleFunc("/floor", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(reply)
-	})
+	mux.HandleFunc("/floor", floorReply(b))
 	ts := httptest.NewServer(mux)
 	b.Cleanup(ts.Close)
 	client := ts.Client()

@@ -8,21 +8,22 @@ import (
 	"unicode/utf8"
 
 	"github.com/zeroshot-db/zeroshot/internal/serving"
-	"github.com/zeroshot-db/zeroshot/internal/whatif"
 )
 
-// This file is the wire's hand codec: the bytes of the bodies wire.go
-// declares, read and written without reflection. encoding/json stays the
-// specification. DecodeBody accepts a strict subset of what
-// json.Decoder.Decode accepts and must then produce the same value;
-// AppendJSON must write exactly what json.Encoder.Encode writes. Each
-// says no (false) to anything outside its subset, and the caller replays
-// the input through encoding/json, which also owns every error text.
+// This file is the serving shim's hand codec: the request bodies wire.go
+// declares are read, and the predict replies written, without
+// reflection. encoding/json stays the specification. DecodeBody accepts
+// a strict subset of what json.Decoder.Decode accepts and must then
+// produce the same value; AppendJSON must write exactly what
+// json.Encoder.Encode writes. Each says no (false) to anything outside
+// its subset, and the caller replays the input through encoding/json,
+// which also owns every error text. HTTPBackend and the what-if report
+// stay on encoding/json: neither showed a measurable gain from the
+// codec.
 
 // DecodeBody decodes the JSON object at the start of b into v, one of
-// *PredictRequest, *PredictBatchRequest, *WhatIfRequest,
-// *FeedbackRequest, *serving.Prediction, *PredictBatchReply or
-// *ErrorBody, and reports whether it did. Bytes after the object are
+// *PredictRequest, *PredictBatchRequest, *WhatIfRequest or
+// *FeedbackRequest, and reports whether it did. Bytes after the object are
 // ignored, as json.Decoder ignores them. It returns false, leaving v
 // untouched, for any other type and for anything outside the subset:
 // null, a member name that is not exactly a field's tag, a repeated
@@ -43,15 +44,6 @@ func DecodeBody(b []byte, v any) bool {
 	case *FeedbackRequest:
 		var x FeedbackRequest
 		return d.feedbackRequest(&x) && set(v, x)
-	case *serving.Prediction:
-		var x serving.Prediction
-		return d.prediction(&x) && set(v, x)
-	case *PredictBatchReply:
-		var x PredictBatchReply
-		return d.predictBatchReply(&x) && set(v, x)
-	case *ErrorBody:
-		var x ErrorBody
-		return d.errorBody(&x) && set(v, x)
 	}
 	return false
 }
@@ -133,35 +125,13 @@ func (d *decoder) object(member func(name []byte) bool) bool {
 }
 
 // once marks the field bit as read; a repeated member is outside the
-// subset (encoding/json lets the last one win, merging into the
-// elements of a struct slice).
+// subset (encoding/json lets the last one win).
 func once(seen *uint, bit uint) bool {
 	if *seen&bit != 0 {
 		return false
 	}
 	*seen |= bit
 	return true
-}
-
-// array reads an array, calling elem for each element.
-func (d *decoder) array(elem func() bool) bool {
-	if !d.byte('[') {
-		return false
-	}
-	if d.byte(']') {
-		return true
-	}
-	for {
-		if !elem() {
-			return false
-		}
-		if d.byte(']') {
-			return true
-		}
-		if !d.byte(',') {
-			return false
-		}
-	}
 }
 
 // plain returns the end of the run of plain bytes starting at i: the
@@ -311,8 +281,7 @@ func (d *decoder) hex4() (rune, bool) {
 }
 
 // strs decodes an array of strings. An empty array is an empty, non-nil
-// slice, as encoding/json makes it. It is array written out, since a
-// batch's statements are the hottest loop of the decoder.
+// slice, as encoding/json makes it.
 func (d *decoder) strs(dst *[]string) bool {
 	if !d.byte('[') {
 		return false
@@ -408,21 +377,6 @@ func (d *decoder) int(dst *int) bool {
 	return true
 }
 
-func (d *decoder) bool(dst *bool) bool {
-	d.ws()
-	switch rest := d.b[d.i:]; {
-	case len(rest) >= 4 && string(rest[:4]) == "true":
-		*dst = true
-		d.i += 4
-	case len(rest) >= 5 && string(rest[:5]) == "false":
-		*dst = false
-		d.i += 5
-	default:
-		return false
-	}
-	return true
-}
-
 func (d *decoder) predictRequest(x *PredictRequest) bool {
 	var seen uint
 	return d.object(func(name []byte) bool {
@@ -489,90 +443,10 @@ func (d *decoder) feedbackRequest(x *FeedbackRequest) bool {
 	})
 }
 
-func (d *decoder) prediction(x *serving.Prediction) bool {
-	var seen uint
-	return d.object(func(name []byte) bool {
-		switch string(name) {
-		case "db":
-			return once(&seen, 1) && d.str(&x.Database)
-		case "model":
-			return once(&seen, 2) && d.str(&x.Model)
-		case "runtime_sec":
-			return once(&seen, 4) && d.float(&x.RuntimeSec)
-		case "optimizer_cost":
-			return once(&seen, 8) && d.float(&x.OptimizerCost)
-		case "est_rows":
-			return once(&seen, 16) && d.float(&x.EstRows)
-		case "fingerprint":
-			return once(&seen, 32) && d.str(&x.Fingerprint)
-		case "plan_cached":
-			return once(&seen, 64) && d.bool(&x.PlanCached)
-		}
-		return false
-	})
-}
-
-func (d *decoder) predictBatchReply(x *PredictBatchReply) bool {
-	var seen uint
-	return d.object(func(name []byte) bool {
-		switch string(name) {
-		case "db":
-			return once(&seen, 1) && d.str(&x.DB)
-		case "model":
-			return once(&seen, 2) && d.str(&x.Model)
-		case "results":
-			return once(&seen, 4) && d.results(&x.Results)
-		case "count":
-			return once(&seen, 8) && d.int(&x.Count)
-		case "errors":
-			return once(&seen, 16) && d.int(&x.Errors)
-		}
-		return false
-	})
-}
-
-// results decodes PredictBatchReply.Results: like strs, an array of
-// objects each with at most runtime_sec and error.
-func (d *decoder) results(dst *[]BatchItemResult) bool {
-	out := []BatchItemResult{}
-	if !d.array(func() bool {
-		out = append(out, BatchItemResult{})
-		r := &out[len(out)-1]
-		var seen uint
-		return d.object(func(name []byte) bool {
-			switch string(name) {
-			case "runtime_sec":
-				return once(&seen, 1) && d.float(&r.RuntimeSec)
-			case "error":
-				return once(&seen, 2) && d.str(&r.Error)
-			}
-			return false
-		})
-	}) {
-		return false
-	}
-	*dst = out
-	return true
-}
-
-func (d *decoder) errorBody(x *ErrorBody) bool {
-	var seen uint
-	return d.object(func(name []byte) bool {
-		switch string(name) {
-		case "code":
-			return once(&seen, 1) && d.str(&x.Code)
-		case "error":
-			return once(&seen, 2) && d.str(&x.Error)
-		}
-		return false
-	})
-}
-
 // AppendJSON appends to dst exactly the bytes json.NewEncoder(w).Encode(v)
-// writes, trailing newline included, for v a serving.Prediction, a
-// PredictBatchReply, a whatif.Report (or a non-nil pointer to one), or
-// one of the four request structs. It returns dst unchanged and false
-// for any other type, and where the encoder fails: on NaN or ±Inf.
+// writes, trailing newline included, for v a serving.Prediction or a
+// PredictBatchReply. It returns dst unchanged and false for any other
+// type, and where the encoder fails: on NaN or ±Inf.
 func AppendJSON(dst []byte, v any) ([]byte, bool) {
 	e := encoder{b: dst}
 	switch v := v.(type) {
@@ -580,21 +454,6 @@ func AppendJSON(dst []byte, v any) ([]byte, bool) {
 		e.prediction(v)
 	case PredictBatchReply:
 		e.predictBatchReply(v)
-	case *whatif.Report:
-		if v == nil {
-			return dst, false
-		}
-		e.report(v)
-	case whatif.Report:
-		e.report(&v)
-	case PredictRequest:
-		e.predictRequest(v)
-	case PredictBatchRequest:
-		e.predictBatchRequest(v)
-	case WhatIfRequest:
-		e.whatIfRequest(v)
-	case FeedbackRequest:
-		e.feedbackRequest(v)
 	default:
 		return dst, false
 	}
@@ -604,9 +463,9 @@ func AppendJSON(dst []byte, v any) ([]byte, bool) {
 	return append(e.b, '\n'), true
 }
 
-// encoder writes encoding/json's bytes for the wire types: fields in
-// declaration order, omitempty honoured, nil slices as null, HTML-safe
-// string escapes and the ES6 float format.
+// encoder writes encoding/json's bytes for the predict replies: fields
+// in declaration order, omitempty honoured, a nil slice as null,
+// HTML-safe string escapes and the ES6 float format.
 type encoder struct {
 	b []byte
 	// bad records a value encoding/json refuses (NaN, ±Inf).
@@ -702,8 +561,7 @@ func (e *encoder) float(f float64) {
 
 func (e *encoder) int(n int) { e.b = strconv.AppendInt(e.b, int64(n), 10) }
 
-// The member writers: "name":value, and the omit forms that skip a
-// zero value as omitempty does.
+// The member writers: "name":value.
 
 func (e *encoder) strMember(name, s string) {
 	e.key(name)
@@ -718,46 +576,6 @@ func (e *encoder) floatMember(name string, f float64) {
 func (e *encoder) intMember(name string, n int) {
 	e.key(name)
 	e.int(n)
-}
-
-func (e *encoder) strOmit(name, s string) {
-	if s != "" {
-		e.strMember(name, s)
-	}
-}
-
-func (e *encoder) floatOmit(name string, f float64) {
-	if f != 0 {
-		e.floatMember(name, f)
-	}
-}
-
-func (e *encoder) intOmit(name string, n int) {
-	if n != 0 {
-		e.intMember(name, n)
-	}
-}
-
-// list writes the member name, then n elements written by elem, or null
-// for a nil slice.
-func (e *encoder) list(name string, n int, isNil bool, elem func(i int)) {
-	e.key(name)
-	if isNil {
-		e.b = append(e.b, "null"...)
-		return
-	}
-	e.b = append(e.b, '[')
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			e.b = append(e.b, ',')
-		}
-		elem(i)
-	}
-	e.b = append(e.b, ']')
-}
-
-func (e *encoder) strs(name string, s []string) {
-	e.list(name, len(s), s == nil, func(i int) { e.str(s[i]) })
 }
 
 func (e *encoder) prediction(p serving.Prediction) {
@@ -777,9 +595,8 @@ func (e *encoder) predictBatchReply(r PredictBatchReply) {
 	e.b = append(e.b, '{')
 	e.strMember("db", r.DB)
 	e.strMember("model", r.Model)
-	// The results are written out rather than through list and the
-	// member writers: a batch reply's items are the encoder's hottest
-	// loop.
+	// A batch reply's items are the encoder's hottest loop: each writes
+	// its first member without key's comma test.
 	e.key("results")
 	if r.Results == nil {
 		e.b = append(e.b, "null"...)
@@ -804,84 +621,5 @@ func (e *encoder) predictBatchReply(r PredictBatchReply) {
 	}
 	e.intMember("count", r.Count)
 	e.intMember("errors", r.Errors)
-	e.b = append(e.b, '}')
-}
-
-func (e *encoder) report(r *whatif.Report) {
-	e.b = append(e.b, '{')
-	e.strOmit("db", r.Database)
-	e.strOmit("model", r.Model)
-	if len(r.Candidates) > 0 {
-		e.list("candidates", len(r.Candidates), false, func(i int) {
-			e.b = append(e.b, '{')
-			e.strMember("index", r.Candidates[i].Index)
-			e.strMember("source", r.Candidates[i].Source)
-			e.b = append(e.b, '}')
-		})
-	}
-	e.key("baseline")
-	e.variant(&r.Baseline)
-	e.list("variants", len(r.Variants), r.Variants == nil, func(i int) { e.variant(&r.Variants[i]) })
-	e.intMember("items", r.Items)
-	e.strOmit("recommendation", r.Recommendation)
-	e.b = append(e.b, '}')
-}
-
-func (e *encoder) variant(v *whatif.VariantResult) {
-	e.b = append(e.b, '{')
-	e.strMember("name", v.Name)
-	if len(v.Indexes) > 0 {
-		e.strs("indexes", v.Indexes)
-	}
-	e.floatMember("total_sec", v.TotalSec)
-	e.floatOmit("speedup_x", v.SpeedupX)
-	e.list("queries", len(v.Queries), v.Queries == nil, func(i int) {
-		q := &v.Queries[i]
-		e.b = append(e.b, '{')
-		e.strMember("sql", q.SQL)
-		e.floatMember("predicted_sec", q.PredictedSec)
-		e.floatOmit("baseline_sec", q.BaselineSec)
-		e.floatOmit("speedup_x", q.SpeedupX)
-		e.strOmit("error", q.Error)
-		e.b = append(e.b, '}')
-	})
-	e.intOmit("errors", v.Errors)
-	e.b = append(e.b, '}')
-}
-
-func (e *encoder) predictRequest(r PredictRequest) {
-	e.b = append(e.b, '{')
-	e.strOmit("db", r.DB)
-	e.strOmit("model", r.Model)
-	e.strMember("sql", r.SQL)
-	e.b = append(e.b, '}')
-}
-
-func (e *encoder) predictBatchRequest(r PredictBatchRequest) {
-	e.b = append(e.b, '{')
-	e.strOmit("db", r.DB)
-	e.strOmit("model", r.Model)
-	e.strs("sql", r.SQL)
-	e.b = append(e.b, '}')
-}
-
-func (e *encoder) whatIfRequest(r WhatIfRequest) {
-	e.b = append(e.b, '{')
-	e.strOmit("db", r.DB)
-	e.strOmit("model", r.Model)
-	e.strs("sql", r.SQL)
-	if len(r.Candidates) > 0 {
-		e.strs("candidates", r.Candidates)
-	}
-	e.intOmit("max_candidates", r.MaxCandidates)
-	e.b = append(e.b, '}')
-}
-
-func (e *encoder) feedbackRequest(r FeedbackRequest) {
-	e.b = append(e.b, '{')
-	e.strOmit("db", r.DB)
-	e.strMember("fingerprint", r.Fingerprint)
-	e.strOmit("sql", r.SQL)
-	e.floatMember("actual_runtime_sec", r.ActualRuntimeSec)
 	e.b = append(e.b, '}')
 }

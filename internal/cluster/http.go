@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/zeroshot-db/zeroshot/internal/serving"
@@ -65,33 +64,18 @@ func NewHTTPBackend(name, baseURL string, client *http.Client) (*HTTPBackend, er
 func (b *HTTPBackend) Name() string { return b.name }
 
 // maxDrain bounds how much of a reply do reads past what it decoded. It
-// covers the chunked terminator, with room for an error envelope longer
-// than errorFor needed.
+// covers the newline json.Encoder appends and the chunked terminator,
+// with room for an error envelope longer than errorFor needed.
 const maxDrain = 64 << 10
-
-// maxPooledReply caps the reply buffers replyPool keeps, so one large
-// reply cannot keep its size resident per pooled buffer.
-const maxPooledReply = 1 << 20
-
-// replyPool holds the buffers replies are read into. Nothing DecodeBody
-// returns aliases its input.
-var replyPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // do performs one JSON round trip. out may be nil for callers that only
 // care about success.
 func (b *HTTPBackend) do(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {
-		// The newline the encoder's bytes end with is dropped: the request
-		// goes out as json.Marshal wrote it.
-		buf, ok := AppendJSON(nil, in)
-		if ok {
-			buf = buf[:len(buf)-1]
-		} else {
-			var err error
-			if buf, err = json.Marshal(in); err != nil {
-				return err
-			}
+		buf, err := json.Marshal(in)
+		if err != nil {
+			return err
 		}
 		body = bytes.NewReader(buf)
 	}
@@ -111,7 +95,7 @@ func (b *HTTPBackend) do(ctx context.Context, method, path string, in, out any) 
 		}
 		return fmt.Errorf("%w: %s: %v", ErrBackendDown, b.name, err)
 	}
-	// A decoder may stop at the end of the value, and closing a body
+	// json.Decoder stops at the end of the value, and closing a body
 	// before EOF makes net/http drop the keep-alive connection: without
 	// the drain every reply too big for one read costs a new TCP dial.
 	defer func() {
@@ -121,7 +105,7 @@ func (b *HTTPBackend) do(ctx context.Context, method, path string, in, out any) 
 	if resp.StatusCode != http.StatusOK {
 		var eb ErrorBody
 		msg := resp.Status
-		if err := decodeReply(io.LimitReader(resp.Body, maxDrain), &eb); err == nil && eb.Error != "" {
+		if err := json.NewDecoder(io.LimitReader(resp.Body, maxDrain)).Decode(&eb); err == nil && eb.Error != "" {
 			msg = eb.Error
 		}
 		return errorFor(resp.StatusCode, eb.Code, b.name, msg)
@@ -129,42 +113,11 @@ func (b *HTTPBackend) do(ctx context.Context, method, path string, in, out any) 
 	if out == nil {
 		return nil
 	}
-	if err := decodeReply(resp.Body, out); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		return fmt.Errorf("%w: %s: bad response body: %v", ErrBackendDown, b.name, err)
 	}
 	return nil
 }
-
-// decodeReply decodes a reply body into out. The body is read whole and
-// decoded by DecodeBody; a body outside its subset or of a type it does
-// not read (the GET documents, the what-if report), or a read that
-// failed, is replayed through encoding/json (the same bytes, then the
-// same error), which owns every error text.
-func decodeReply(r io.Reader, out any) error {
-	buf := replyPool.Get().(*[]byte)
-	body := bytes.NewBuffer(*buf)
-	_, err := body.ReadFrom(r)
-	b := body.Bytes()
-	defer func() {
-		if cap(b) <= maxPooledReply {
-			*buf = b[:0]
-			replyPool.Put(buf)
-		}
-	}()
-	if err == nil && DecodeBody(b, out) {
-		return nil
-	}
-	var replay io.Reader = bytes.NewReader(b)
-	if err != nil {
-		replay = io.MultiReader(replay, errReader{err})
-	}
-	return json.NewDecoder(replay).Decode(out)
-}
-
-// errReader fails every read with err: the tail of a replayed body.
-type errReader struct{ err error }
-
-func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
 // Predict implements Backend. serving.Prediction's JSON tags are the
 // wire format, so the reply decodes straight into it.
