@@ -60,7 +60,7 @@ func (o *obsFlags) startDebug() (func(), error) {
 	if err != nil {
 		return nil, fmt.Errorf("debug listener: %w", err)
 	}
-	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	srv := newHTTPServer(mux)
 	go srv.Serve(ln)
 	fmt.Fprintf(os.Stderr, "pprof debug server: http://%s/debug/pprof/\n", ln.Addr())
 	return func() { srv.Close() }, nil

@@ -174,7 +174,7 @@ func serveUntilSignal(httpSrv *http.Server, ln net.Listener, backing io.Closer, 
 	}
 }
 
-// The serving listener's connection bounds. readTimeout bounds a whole
+// The listeners' connection bounds. readTimeout bounds a whole
 // request, body included, from its first byte: with maxBodyBytes it
 // bounds a slow POST in time as well as size (a full 16 MiB body needs
 // about 1.7 MB/s), so a client trickling its body cannot hold a
@@ -184,11 +184,13 @@ func serveUntilSignal(httpSrv *http.Server, ln net.Listener, backing io.Closer, 
 // call that outlasts it: net/http clears the connection's read deadline
 // when a handler reads the body to its end (decode always does) and its
 // background read begins, so the request's context lives on until the
-// client goes away. idleTimeout closes a keep-alive connection left
-// idle between requests; it is longer than the 90 s an HTTPBackend's
-// transport (a clone of http.DefaultTransport) keeps an idle
-// connection, so the router closes first and never sends a POST down a
-// connection the server is closing.
+// client goes away; a bodiless GET's deadline is cleared as soon as its
+// headers are read, so a pprof ?seconds= profile runs to the end too.
+// idleTimeout closes a keep-alive connection left idle between
+// requests; it is longer than the 90 s an HTTPBackend's transport (a
+// clone of http.DefaultTransport) keeps an idle connection, so the
+// router closes first and never sends a POST down a connection the
+// server is closing.
 //
 // There is no WriteTimeout: it runs from the end of the request
 // headers to the end of the reply, handler included, so a long what-if
@@ -200,8 +202,8 @@ const (
 	idleTimeout       = 2 * time.Minute
 )
 
-// newHTTPServer is the serving listener's http.Server, for serve and
-// route alike.
+// newHTTPServer is the one http.Server constructor: the serving listener
+// of serve and route alike, and the -debug-addr pprof listener.
 func newHTTPServer(handler http.Handler) *http.Server {
 	return &http.Server{
 		Handler:           handler,

@@ -208,6 +208,41 @@ func TestSlowCallOutlastsReadTimeout(t *testing.T) {
 	}
 }
 
+// TestSlowGetOutlastsReadTimeout: the same holds for a bodiless GET,
+// the shape of a pprof ?seconds= profile on the -debug-addr listener,
+// which newHTTPServer builds too. net/http clears the read deadline once
+// the headers are read, so the handler keeps its context past
+// readTimeout and its reply arrives.
+func TestSlowGetOutlastsReadTimeout(t *testing.T) {
+	t.Parallel()
+	mux := http.NewServeMux()
+	mux.HandleFunc("/slow", func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-time.After(readTimeout + 2*time.Second):
+			io.WriteString(w, "done")
+		case <-r.Context().Done():
+			http.Error(w, r.Context().Err().Error(), http.StatusRequestTimeout)
+		}
+	})
+	srv := newHTTPServer(mux)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+
+	resp, err := http.Get("http://" + ln.Addr().String() + "/slow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK || string(body) != "done" {
+		t.Fatalf("slow GET: %d %q (%v)", resp.StatusCode, body, err)
+	}
+}
+
 // BenchmarkShim measures the HTTP shim over httptest loopback: a
 // plan-cached /v1/predict, a plan-cached 256-statement
 // /v1/predict_batch, and a handler on the same mux that answers a

@@ -60,7 +60,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cat := whatif.NewCatalog(db, nil, optimizer.DefaultCostParams(), 0)
+	st := stats.Collect(db, stats.DefaultBuckets, stats.DefaultMCVs)
+	cat := whatif.NewCatalog(db, st, 0)
 	rep, err := cat.Sweep(context.Background(), model, whatif.Statements(workload), whatif.Variants(cands))
 	if err != nil {
 		log.Fatal(err)
@@ -69,7 +70,6 @@ func main() {
 	// The ground truth: execute the workload with each variant's indexes
 	// actually materialized (the same loop E10 and `zsdb advise -verify`
 	// run).
-	st := stats.Collect(db, stats.DefaultBuckets, stats.DefaultMCVs)
 	fmt.Println("predicted workload runtime under each hypothetical index (what-if):")
 	for _, v := range append([]whatif.VariantResult{rep.Baseline}, rep.Variants...) {
 		actual, err := experiments.ExecuteWorkload(db, st, workload, v.Indexes)

@@ -84,7 +84,7 @@ func WhatIfAdvisor(env *Env, queries int) (*WhatIfResult, error) {
 	variants := whatif.Variants(cands)
 
 	st := stats.Collect(env.EvalDB, stats.DefaultBuckets, stats.DefaultMCVs)
-	cat := whatif.NewCatalog(env.EvalDB, st, optimizer.DefaultCostParams(), 0)
+	cat := whatif.NewCatalog(env.EvalDB, st, 0)
 	stmts := whatif.Statements(qs)
 
 	// One cold sweep fills the prepared-plan cache; the timed sweeps then

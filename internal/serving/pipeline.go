@@ -139,7 +139,7 @@ func (d *dbSession) observe(stage string, start time.Time, tr *obs.Trace) {
 // prepared-plan cache is sized like the main plan cache.
 func (d *dbSession) catalog(cacheSize int) *whatif.Catalog {
 	d.hypoOnce.Do(func() {
-		d.hypo.Store(whatif.NewCatalog(d.db, d.st, optimizer.DefaultCostParams(), cacheSize))
+		d.hypo.Store(whatif.NewCatalog(d.db, d.st, cacheSize))
 	})
 	return d.hypo.Load()
 }

@@ -66,14 +66,6 @@ var (
 
 // Config sizes a Session. Zero values select the defaults.
 type Config struct {
-	// MaxWait is how long the scheduler lets a queued solo request
-	// linger for companions before draining it (default 500µs). Only a
-	// request that had to queue can linger (one that finds the queue
-	// empty and a core free runs inline, on its caller's goroutine), and
-	// only when the previous batch coalesced from backlog — a batch that
-	// formed by lingering does not re-arm the linger. Smaller values
-	// favor latency, larger ones throughput.
-	MaxWait time.Duration
 	// PlanCacheSize bounds each attached database's plan cache (default
 	// costmodel.DefaultPlanCacheSize).
 	PlanCacheSize int
@@ -85,18 +77,20 @@ type Config struct {
 }
 
 // DefaultMaxBatch caps one coalesced micro-batch and DefaultMaxWait is
-// the scheduler's default linger: the queue's backpressure, not the
+// how long the scheduler lets a queued solo request linger for
+// companions before draining it: the queue's backpressure, not the
 // deadline, usually sizes a batch — "adaptive" means batch size follows
-// the instantaneous load (see the scheduler's policy comment).
+// the instantaneous load (see the scheduler's policy comment). Only a
+// request that had to queue can linger (one that finds the queue empty
+// and a core free runs inline, on its caller's goroutine), and only when
+// the previous batch coalesced from backlog — a batch that formed by
+// lingering does not re-arm the linger.
 const (
 	DefaultMaxBatch = 64
 	DefaultMaxWait  = 500 * time.Microsecond
 )
 
 func (c Config) withDefaults() Config {
-	if c.MaxWait <= 0 {
-		c.MaxWait = DefaultMaxWait
-	}
 	if c.PlanCacheSize <= 0 {
 		c.PlanCacheSize = costmodel.DefaultPlanCacheSize
 	}
@@ -151,7 +145,7 @@ func NewSession(cfg Config) *Session {
 	// Micro-batches always flush through the name's currently attached
 	// generation, so a hot-swap takes effect even for already-queued
 	// singles.
-	s.sched = newScheduler(DefaultMaxBatch, cfg.MaxWait, s.currentModel)
+	s.sched = newScheduler(DefaultMaxBatch, DefaultMaxWait, s.currentModel)
 	return s
 }
 

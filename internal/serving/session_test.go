@@ -327,7 +327,7 @@ func TestSessionPredictPlanned(t *testing.T) {
 // test for the serving layer's concurrency story.
 func TestSessionConcurrentMultiDB(t *testing.T) {
 	imdb, ssb := fixtures(t)
-	sess := NewSession(Config{MaxWait: 200 * time.Microsecond})
+	sess := NewSession(Config{})
 	sess.AttachDatabase("imdb", imdb.db)
 	sess.AttachDatabase("ssb", ssb.db)
 	estA := &fakeEstimator{name: "a"}
@@ -673,7 +673,7 @@ func TestSessionCanceledClientNotAnError(t *testing.T) {
 // before Close still get answers; requests after Close are rejected.
 func TestSessionCloseDrains(t *testing.T) {
 	imdb, _ := fixtures(t)
-	sess := NewSession(Config{MaxWait: 5 * time.Millisecond})
+	sess := NewSession(Config{})
 	sess.AttachDatabase("imdb", imdb.db)
 	est := &fakeEstimator{name: "fake", delay: 2 * time.Millisecond}
 	sess.AttachModel(est)
@@ -711,7 +711,7 @@ func TestSessionCloseUnderHammer(t *testing.T) {
 	goroutines := pprof.Lookup("goroutine")
 	baseline := goroutines.Count()
 
-	sess := NewSession(Config{MaxWait: 200 * time.Microsecond})
+	sess := NewSession(Config{})
 	sess.AttachDatabase("imdb", imdb.db)
 	// A pass that sleeps keeps its inline slot, so some singles queue.
 	sess.AttachModel(&fakeEstimator{name: "fake", delay: 20 * time.Microsecond})

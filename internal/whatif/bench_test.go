@@ -9,7 +9,6 @@ import (
 	"github.com/zeroshot-db/zeroshot/internal/costmodel"
 	"github.com/zeroshot-db/zeroshot/internal/datagen"
 	"github.com/zeroshot-db/zeroshot/internal/encoding"
-	"github.com/zeroshot-db/zeroshot/internal/optimizer"
 	"github.com/zeroshot-db/zeroshot/internal/query"
 	"github.com/zeroshot-db/zeroshot/internal/stats"
 	"github.com/zeroshot-db/zeroshot/internal/storage"
@@ -98,7 +97,7 @@ func BenchmarkWhatIfSweep(b *testing.B) {
 	items := (len(variants) + 1) * len(stmts)
 
 	run := func(b *testing.B, est costmodel.Estimator) {
-		cat := NewCatalog(db, st, optimizer.DefaultCostParams(), 4096)
+		cat := NewCatalog(db, st, 4096)
 		if _, err := cat.Sweep(context.Background(), est, stmts, variants); err != nil {
 			b.Fatal(err)
 		}
@@ -141,7 +140,7 @@ func BenchmarkSweepCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cat := NewCatalog(db, st, optimizer.DefaultCostParams(), 4096)
+		cat := NewCatalog(db, st, 4096)
 		if _, err := cat.Sweep(context.Background(), est, stmts, variants); err != nil {
 			b.Fatal(err)
 		}

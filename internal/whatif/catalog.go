@@ -1,10 +1,8 @@
 package whatif
 
 import (
-	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"github.com/zeroshot-db/zeroshot/internal/costmodel"
 	"github.com/zeroshot-db/zeroshot/internal/optimizer"
@@ -13,18 +11,14 @@ import (
 )
 
 // Variant is one hypothetical configuration of a database: a set of
-// hypothetical indexes and, optionally, overridden planner cost
-// parameters (e.g. a what-if over faster random I/O). The zero value is
-// the baseline: the database exactly as attached.
+// hypothetical indexes. The zero value is the baseline: the database
+// exactly as attached.
 type Variant struct {
 	// Name identifies the variant in results; empty names render as
 	// "baseline" for the zero variant or the joined index list.
 	Name string
 	// Indexes lists hypothetical indexes as "table.column".
 	Indexes []string
-	// Params optionally overrides the planner's cost parameters; nil
-	// keeps the catalog's defaults.
-	Params *optimizer.CostParams
 }
 
 // displayName returns the variant's result name.
@@ -38,26 +32,21 @@ func (v Variant) displayName() string {
 	return strings.Join(v.Indexes, "+")
 }
 
-// signature canonicalizes the variant for plan-cache and optimizer-cache
-// keys: sorted deduplicated indexes plus the cost-parameter override.
-// Two variants with the same signature plan identically regardless of
-// their names.
+// signature canonicalizes the variant for plan-cache keys: its sorted
+// deduplicated indexes. Two variants with the same signature plan
+// identically regardless of their names.
 func (v Variant) signature() string {
 	idx := append([]string(nil), v.Indexes...)
 	sort.Strings(idx)
 	idx = dedupSorted(idx)
-	sig := strings.Join(idx, ",")
-	if v.Params != nil {
-		sig += fmt.Sprintf("|%+v", *v.Params)
-	}
-	return sig
+	return strings.Join(idx, ",")
 }
 
 // restrictedTo returns v without the indexes outside rel. With rel a
 // statement's optimizer.RelevantIndexes, the result plans that statement
 // exactly as v does, and all variants that differ only in indexes the
 // statement cannot use collapse to one signature — the baseline's, when
-// none of v's indexes is relevant and no Params override rides along.
+// none of v's indexes is relevant.
 func (v Variant) restrictedTo(rel optimizer.IndexSet) Variant {
 	var kept []string
 	for _, idx := range v.Indexes {
@@ -91,83 +80,43 @@ func (v Variant) indexSet() optimizer.IndexSet {
 	return set
 }
 
-// maxVariantOptimizers bounds the per-catalog optimizer cache; beyond it
-// the cache resets rather than grows (sweeps over adversarially many
-// distinct variants stay O(1) in memory, merely re-deriving optimizers).
-const maxVariantOptimizers = 256
-
 // Catalog is a copy-on-write hypothetical view layer over one database:
 // it shares the database's storage, schema and collected statistics
-// (all immutable under planning) and overlays per-variant state — the
-// hypothetical IndexSet and cost parameters — purely inside per-variant
-// optimizer instances. Nothing a sweep does writes to the shared
-// database: hypothetical indexes exist only as planner advice, never as
-// storage.Database index structures (only execution materializes
-// indexes, and sweeps never execute).
+// (all immutable under planning) and overlays each variant's
+// hypothetical IndexSet purely inside the optimizer that plans it.
+// Nothing a sweep does writes to the shared database: hypothetical
+// indexes exist only as planner advice, never as storage.Database index
+// structures (only execution materializes indexes, and sweeps never
+// execute).
 //
-// The catalog memoizes two levels: per-variant optimizers (cheap to
-// build, cached so repeated sweeps skip even that) and prepared plan
-// inputs keyed by (variant signature — as restricted by Sweep to the
-// statement's relevant indexes — and statement fingerprint) in a
-// bounded LRU — a repeated sweep over a warm workload skips parse,
-// optimize AND graph encoding (the cached PlanInput carries an
-// EncodedPlan memo).
+// The catalog memoizes prepared plan inputs keyed by (variant signature
+// — as restricted by Sweep to the statement's relevant indexes — and
+// statement fingerprint) in a bounded LRU — a repeated sweep over a warm
+// workload skips parse, optimize AND graph encoding (the cached
+// PlanInput carries an EncodedPlan memo).
 //
-// All methods are safe for concurrent use.
+// All methods are safe for concurrent use: the plan cache carries the
+// only lock.
 type Catalog struct {
-	db     *storage.Database
-	st     *stats.DBStats
-	params optimizer.CostParams
-	cache  *costmodel.PlanCache
-
-	mu   sync.Mutex
-	opts map[string]*optimizer.Optimizer
+	db    *storage.Database
+	st    *stats.DBStats
+	cache *costmodel.PlanCache
 }
 
-// NewCatalog builds a hypothetical catalog over the database. st may be
-// nil, in which case statistics are collected at default resolution;
-// callers that already hold collected statistics (the serving pipeline)
-// pass them so the catalog shares rather than recollects. cacheSize
-// bounds the prepared-plan cache (<=0 selects the costmodel default).
-func NewCatalog(db *storage.Database, st *stats.DBStats, params optimizer.CostParams, cacheSize int) *Catalog {
-	if st == nil {
-		st = stats.Collect(db, stats.DefaultBuckets, stats.DefaultMCVs)
-	}
-	if cacheSize <= 0 {
-		cacheSize = costmodel.DefaultPlanCacheSize
-	}
+// NewCatalog builds a hypothetical catalog over the database and its
+// collected statistics, which the catalog shares rather than recollects.
+// cacheSize bounds the prepared-plan cache (<=0 selects the costmodel
+// default).
+func NewCatalog(db *storage.Database, st *stats.DBStats, cacheSize int) *Catalog {
 	return &Catalog{
-		db:     db,
-		st:     st,
-		params: params,
-		cache:  costmodel.NewPlanCache(cacheSize),
-		opts:   map[string]*optimizer.Optimizer{},
+		db:    db,
+		st:    st,
+		cache: costmodel.NewPlanCache(cacheSize),
 	}
 }
 
 // CacheStats snapshots the prepared-plan cache.
 func (c *Catalog) CacheStats() costmodel.PlanCacheStats { return c.cache.Stats() }
-
-// optimizerFor returns the planner for a variant, building and caching
-// it on first use. Every optimizer shares the catalog's schema and
-// statistics pointers; the variant owns only its IndexSet and params.
-func (c *Catalog) optimizerFor(v Variant, sig string) *optimizer.Optimizer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if opt, ok := c.opts[sig]; ok {
-		return opt
-	}
-	if len(c.opts) >= maxVariantOptimizers {
-		c.opts = map[string]*optimizer.Optimizer{}
-	}
-	params := c.params
-	if v.Params != nil {
-		params = *v.Params
-	}
-	opt := optimizer.New(c.db.Schema, c.st, v.indexSet(), params)
-	c.opts[sig] = opt
-	return opt
-}
 
 // prepare plans one statement under one variant, consulting the
 // prepared-plan cache first. The cached PlanInput carries an EncodedPlan
@@ -177,7 +126,10 @@ func (c *Catalog) prepare(v Variant, sig string, stmt Statement) (costmodel.Plan
 	if in, ok := c.cache.Get(key); ok {
 		return in, nil
 	}
-	p, err := c.optimizerFor(v, sig).Plan(stmt.Query)
+	// Building an optimizer is a struct literal over shared pointers, so
+	// every miss builds its own rather than caching one per variant.
+	opt := optimizer.New(c.db.Schema, c.st, v.indexSet(), optimizer.DefaultCostParams())
+	p, err := opt.Plan(stmt.Query)
 	if err != nil {
 		return costmodel.PlanInput{}, err
 	}

@@ -36,11 +36,7 @@ func (c *Catalog) sweepCrossProduct(ctx context.Context, est costmodel.Estimator
 	type slot struct{ v, s int }
 	var pos []slot
 	for vi, v := range all {
-		params := c.params
-		if v.Params != nil {
-			params = *v.Params
-		}
-		opt := optimizer.New(c.db.Schema, c.st, v.indexSet(), params)
+		opt := optimizer.New(c.db.Schema, c.st, v.indexSet(), optimizer.DefaultCostParams())
 		results[vi] = VariantResult{
 			Name:    v.displayName(),
 			Indexes: append([]string(nil), v.Indexes...),
@@ -147,13 +143,11 @@ var errPoisoned = errors.New("poisoned statement")
 
 // TestSweepMatchesCrossProduct: on generated workloads — single-index
 // variants from the enumerator, multi-index variants (with a duplicate
-// and an index no statement touches), a cost-parameter override with and
-// without indexes, and a poisoned statement — the sweep's report marshals
-// to the bytes the cross-product sweep's does, cold and again warm.
+// and an index no statement touches), and a poisoned statement — the
+// sweep's report marshals to the bytes the cross-product sweep's does,
+// cold and again warm.
 func TestSweepMatchesCrossProduct(t *testing.T) {
 	db, st, _ := fixture(t)
-	fastIO := optimizer.DefaultCostParams()
-	fastIO.RandomPage = 1.1
 	for seed := int64(1); seed <= 6; seed++ {
 		qs, err := query.NewGenerator(db, query.DefaultGenConfig(), seed).Generate(16)
 		if err != nil {
@@ -172,8 +166,6 @@ func TestSweepMatchesCrossProduct(t *testing.T) {
 		variants = append(variants,
 			Variant{Indexes: allIdx},
 			Variant{Name: "pair+dup", Indexes: []string{allIdx[len(allIdx)-1], allIdx[0], allIdx[0], "title.no_such_column"}},
-			Variant{Name: "fast-io", Params: &fastIO},
-			Variant{Name: "fast-io+all", Indexes: allIdx, Params: &fastIO},
 		)
 		stmts := Statements(qs)
 		poisoned := stmts[int(seed)%len(stmts)].Query
@@ -189,7 +181,7 @@ func TestSweepMatchesCrossProduct(t *testing.T) {
 			},
 		}
 		for name, mk := range ests {
-			cat := NewCatalog(db, st, optimizer.DefaultCostParams(), 0)
+			cat := NewCatalog(db, st, 0)
 			want, err := cat.sweepCrossProduct(context.Background(), mk(), stmts, variants)
 			if err != nil {
 				t.Fatal(err)

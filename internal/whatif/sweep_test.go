@@ -21,7 +21,7 @@ import (
 func sweepFixture(t testing.TB, nCands int) (*Catalog, []Statement, []Variant) {
 	t.Helper()
 	db, st, qs := fixture(t)
-	c := NewCatalog(db, st, optimizer.DefaultCostParams(), 0)
+	c := NewCatalog(db, st, 0)
 	cands, err := Enumerate(db.Schema, qs, nil, nCands)
 	if err != nil {
 		t.Fatal(err)
@@ -175,11 +175,7 @@ func distinctPlans(stmts []Statement, variants []Variant) int {
 				}
 			}
 			sort.Strings(kept)
-			key := fmt.Sprint(si, dedupSorted(kept))
-			if v.Params != nil {
-				key += fmt.Sprintf("|%+v", *v.Params)
-			}
-			seen[key] = true
+			seen[fmt.Sprint(si, dedupSorted(kept))] = true
 		}
 	}
 	return len(seen)

@@ -11,10 +11,10 @@
 //     from the schema's foreign keys and the workload's filter columns,
 //     or validates an explicit user-supplied list;
 //   - a copy-on-write hypothetical catalog (Catalog) that overlays
-//     candidate indexes and cost-parameter variants on a database's
-//     shared schema and statistics purely at the planner level — the
-//     optimizer's IndexSet is advice to the planner, never a storage
-//     mutation, so concurrent sweeps share one immutable database;
+//     candidate indexes on a database's shared schema and statistics
+//     purely at the planner level — the optimizer's IndexSet is advice
+//     to the planner, never a storage mutation, so concurrent sweeps
+//     share one immutable database;
 //   - a sweep executor (Catalog.Sweep) that answers every (variant ×
 //     query) pair but plans each distinct plan once — a variant is first
 //     restricted to the indexes the query's plan can depend on
