@@ -132,18 +132,31 @@ const maxBodyBytes = 16 << 20
 // 16 MiB request cannot keep 16 MiB resident per pooled buffer.
 const maxPooledBuf = 1 << 20
 
-// bufPool holds the buffers request bodies are read into and replies
-// encoded into. Nothing decoded from a body aliases its buffer.
-var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+// wireBuf is a pooled buffer a request body is read into or a reply
+// encoded into. It owns its encoder, so a reply allocates none; a
+// bytes.Buffer never fails a Write, so the encoder never keeps an error
+// from one reply to the next.
+type wireBuf struct {
+	bytes.Buffer
+	enc *json.Encoder
+}
 
-func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
+// bufPool holds the wireBufs. Nothing decoded from a body aliases its
+// buffer.
+var bufPool = sync.Pool{New: func() any {
+	b := new(wireBuf)
+	b.enc = json.NewEncoder(&b.Buffer)
+	return b
+}}
 
-func putBuf(buf *[]byte, b []byte) {
-	if cap(b) > maxPooledBuf {
+func getBuf() *wireBuf { return bufPool.Get().(*wireBuf) }
+
+func putBuf(b *wireBuf) {
+	if b.Cap() > maxPooledBuf {
 		return
 	}
-	*buf = b[:0]
-	bufPool.Put(buf)
+	b.Reset()
+	bufPool.Put(b)
 }
 
 // decode is the one request-body reader: it bounds the body, decodes it
@@ -155,10 +168,9 @@ func putBuf(buf *[]byte, b []byte) {
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	buf := getBuf()
-	body := bytes.NewBuffer(*buf)
-	_, err := body.ReadFrom(r.Body)
-	b := body.Bytes()
-	defer putBuf(buf, b)
+	defer putBuf(buf)
+	_, err := buf.ReadFrom(r.Body)
+	b := buf.Bytes()
 	if err == nil && cluster.DecodeBody(b, v) {
 		return true
 	}
@@ -194,9 +206,7 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 // conditions remote routers must classify without parsing prose (the
 // cluster HTTP backend keys on it).
 func httpErrorCode(w http.ResponseWriter, status int, code, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(cluster.ErrorBody{Code: code, Error: fmt.Sprintf(format, args...)})
+	writeStatus(w, status, cluster.ErrorBody{Code: code, Error: fmt.Sprintf(format, args...)})
 }
 
 // writeError answers an error a call returned, by the one status table.
@@ -205,22 +215,26 @@ func writeError(w http.ResponseWriter, err error) {
 	httpErrorCode(w, status, code, "%v", err)
 }
 
-// writeJSON answers 200 with v. The wire's own replies are encoded by
-// cluster.AppendJSON into a pooled buffer and written once, with a
-// Content-Length; any other document, or a value the encoder refuses,
-// goes through json.Encoder as before.
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
+// writeJSON answers 200 with v.
+func writeJSON(w http.ResponseWriter, v any) { writeStatus(w, http.StatusOK, v) }
+
+// writeStatus is the one reply writer: json.Encoder encodes v into a
+// pooled buffer, and the reply goes out in one Write with its
+// Content-Length. A value encoding/json refuses (NaN or ±Inf in a float)
+// is answered 500 with the error envelope; the encoder writes nothing
+// before it fails.
+func writeStatus(w http.ResponseWriter, status int, v any) {
 	buf := getBuf()
-	b, ok := cluster.AppendJSON(*buf, v)
-	if !ok {
-		putBuf(buf, b)
-		json.NewEncoder(w).Encode(v)
-		return
+	defer putBuf(buf)
+	if err := buf.enc.Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		buf.enc.Encode(cluster.ErrorBody{Error: fmt.Sprintf("encode reply: %v", err)})
 	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
-	w.Write(b)
-	putBuf(buf, b)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.WriteHeader(status)
+	w.Write(buf.Bytes())
 }
 
 // handlePredict replies with the serving.Prediction as is: its JSON
@@ -451,12 +465,12 @@ func (v routerView) healthz(w http.ResponseWriter, r *http.Request) {
 		"replicas": len(health),
 		"healthy":  up,
 	}
-	w.Header().Set("Content-Type", "application/json")
+	status := http.StatusOK
 	if up == 0 {
-		w.WriteHeader(http.StatusServiceUnavailable)
+		status = http.StatusServiceUnavailable
 		body["status"] = "unavailable"
 	}
-	json.NewEncoder(w).Encode(body)
+	writeStatus(w, status, body)
 }
 
 func (v routerView) models(w http.ResponseWriter, r *http.Request) {

@@ -2,33 +2,28 @@ package cluster
 
 import (
 	"encoding/binary"
-	"math"
 	"math/bits"
-	"strconv"
 	"unicode/utf8"
-
-	"github.com/zeroshot-db/zeroshot/internal/serving"
 )
 
-// This file is the serving shim's hand codec: the request bodies wire.go
-// declares are read, and the predict replies written, without
-// reflection. encoding/json stays the specification. DecodeBody accepts
-// a strict subset of what json.Decoder.Decode accepts and must then
-// produce the same value; AppendJSON must write exactly what
-// json.Encoder.Encode writes. Each says no (false) to anything outside
-// its subset, and the caller replays the input through encoding/json,
-// which also owns every error text. HTTPBackend and the what-if report
-// stay on encoding/json: neither showed a measurable gain from the
-// codec.
+// This file is the serving shim's hand decoder for the two bodies the
+// predict routes read hot, PredictRequest and PredictBatchRequest: a
+// 256-statement batch body decodes several times faster than through
+// json.Decoder. encoding/json stays the specification. DecodeBody
+// accepts a strict subset of what json.Decoder.Decode accepts and must
+// then produce the same value; it says no (false) to anything outside
+// that subset, and the caller replays the input through encoding/json,
+// which also owns every error text. Every other body, and every reply,
+// goes through encoding/json alone: a hand encoder and decoders for the
+// what-if and feedback bodies showed no end-to-end gain.
 
-// DecodeBody decodes the JSON object at the start of b into v, one of
-// *PredictRequest, *PredictBatchRequest, *WhatIfRequest or
-// *FeedbackRequest, and reports whether it did. Bytes after the object are
-// ignored, as json.Decoder ignores them. It returns false, leaving v
-// untouched, for any other type and for anything outside the subset:
-// null, a member name that is not exactly a field's tag, a repeated
-// member, a surrogate escape, invalid UTF-8, a wrongly typed value or
-// malformed input. Decoded strings never alias b.
+// DecodeBody decodes the JSON object at the start of b into v, a
+// *PredictRequest or a *PredictBatchRequest, and reports whether it did.
+// Bytes after the object are ignored, as json.Decoder ignores them. It
+// returns false, leaving v untouched, for any other type and for
+// anything outside the subset: null, a member name that is not exactly a
+// field's tag, a repeated member, a surrogate escape, invalid UTF-8, a
+// wrongly typed value or malformed input. Decoded strings never alias b.
 func DecodeBody(b []byte, v any) bool {
 	d := &decoder{b: b}
 	switch v := v.(type) {
@@ -38,12 +33,6 @@ func DecodeBody(b []byte, v any) bool {
 	case *PredictBatchRequest:
 		var x PredictBatchRequest
 		return d.predictBatchRequest(&x) && set(v, x)
-	case *WhatIfRequest:
-		var x WhatIfRequest
-		return d.whatIfRequest(&x) && set(v, x)
-	case *FeedbackRequest:
-		var x FeedbackRequest
-		return d.feedbackRequest(&x) && set(v, x)
 	}
 	return false
 }
@@ -301,82 +290,6 @@ func (d *decoder) strs(dst *[]string) bool {
 	return true
 }
 
-// number returns the literal of a number that passes JSON's grammar:
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-func (d *decoder) number() ([]byte, bool) {
-	d.ws()
-	b, start := d.b, d.i
-	i := start
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i)
-	default:
-		return nil, false
-	}
-	if i < len(b) && b[i] == '.' {
-		if i++; i >= len(b) || !isDigit(b[i]) {
-			return nil, false
-		}
-		i = digits(b, i)
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if i >= len(b) || !isDigit(b[i]) {
-			return nil, false
-		}
-		i = digits(b, i)
-	}
-	d.i = i
-	return b[start:i], true
-}
-
-func isDigit(c byte) bool { return '0' <= c && c <= '9' }
-
-func digits(b []byte, i int) int {
-	for i < len(b) && isDigit(b[i]) {
-		i++
-	}
-	return i
-}
-
-// float decodes a number as encoding/json does into a float64: the
-// literal through strconv.ParseFloat, out of range refused.
-func (d *decoder) float(dst *float64) bool {
-	lit, ok := d.number()
-	if !ok {
-		return false
-	}
-	f, err := strconv.ParseFloat(string(lit), 64)
-	if err != nil {
-		return false
-	}
-	*dst = f
-	return true
-}
-
-// int decodes a number into an int: the literal must be an integer that
-// fits, as strconv.ParseInt reads it for encoding/json.
-func (d *decoder) int(dst *int) bool {
-	lit, ok := d.number()
-	if !ok {
-		return false
-	}
-	n, err := strconv.Atoi(string(lit))
-	if err != nil {
-		return false
-	}
-	*dst = n
-	return true
-}
-
 func (d *decoder) predictRequest(x *PredictRequest) bool {
 	var seen uint
 	return d.object(func(name []byte) bool {
@@ -405,221 +318,4 @@ func (d *decoder) predictBatchRequest(x *PredictBatchRequest) bool {
 		}
 		return false
 	})
-}
-
-func (d *decoder) whatIfRequest(x *WhatIfRequest) bool {
-	var seen uint
-	return d.object(func(name []byte) bool {
-		switch string(name) {
-		case "db":
-			return once(&seen, 1) && d.str(&x.DB)
-		case "model":
-			return once(&seen, 2) && d.str(&x.Model)
-		case "sql":
-			return once(&seen, 4) && d.strs(&x.SQL)
-		case "candidates":
-			return once(&seen, 8) && d.strs(&x.Candidates)
-		case "max_candidates":
-			return once(&seen, 16) && d.int(&x.MaxCandidates)
-		}
-		return false
-	})
-}
-
-func (d *decoder) feedbackRequest(x *FeedbackRequest) bool {
-	var seen uint
-	return d.object(func(name []byte) bool {
-		switch string(name) {
-		case "db":
-			return once(&seen, 1) && d.str(&x.DB)
-		case "fingerprint":
-			return once(&seen, 2) && d.str(&x.Fingerprint)
-		case "sql":
-			return once(&seen, 4) && d.str(&x.SQL)
-		case "actual_runtime_sec":
-			return once(&seen, 8) && d.float(&x.ActualRuntimeSec)
-		}
-		return false
-	})
-}
-
-// AppendJSON appends to dst exactly the bytes json.NewEncoder(w).Encode(v)
-// writes, trailing newline included, for v a serving.Prediction or a
-// PredictBatchReply. It returns dst unchanged and false for any other
-// type, and where the encoder fails: on NaN or ±Inf.
-func AppendJSON(dst []byte, v any) ([]byte, bool) {
-	e := encoder{b: dst}
-	switch v := v.(type) {
-	case serving.Prediction:
-		e.prediction(v)
-	case PredictBatchReply:
-		e.predictBatchReply(v)
-	default:
-		return dst, false
-	}
-	if e.bad {
-		return dst, false
-	}
-	return append(e.b, '\n'), true
-}
-
-// encoder writes encoding/json's bytes for the predict replies: fields
-// in declaration order, omitempty honoured, a nil slice as null,
-// HTML-safe string escapes and the ES6 float format.
-type encoder struct {
-	b []byte
-	// bad records a value encoding/json refuses (NaN, ±Inf).
-	bad bool
-}
-
-// key writes a member name: the comma unless the object just opened,
-// then "name":.
-func (e *encoder) key(name string) {
-	if e.b[len(e.b)-1] != '{' {
-		e.b = append(e.b, ',')
-	}
-	e.b = append(e.b, '"')
-	e.b = append(e.b, name...)
-	e.b = append(e.b, '"', ':')
-}
-
-const hexDigits = "0123456789abcdef"
-
-// str writes s as encoding/json does with HTML escaping on: <, > and &
-// as \u003c, \u003e and \u0026, U+2028 and U+2029 escaped, and each
-// byte of invalid UTF-8 as \ufffd.
-func (e *encoder) str(s string) {
-	b := append(e.b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			b = append(b, s[start:i]...)
-			b = append(b, `\ufffd`...)
-		case r == '\u2028' || r == '\u2029':
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
-	}
-	b = append(b, s[start:]...)
-	e.b = append(b, '"')
-}
-
-// float writes f as encoding/json's float64 encoder does: 'f' format,
-// 'e' below 1e-6 and from 1e21 on, with e-09 shortened to e-9.
-func (e *encoder) float(f float64) {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		e.bad = true
-		return
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b := strconv.AppendFloat(e.b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	e.b = b
-}
-
-func (e *encoder) int(n int) { e.b = strconv.AppendInt(e.b, int64(n), 10) }
-
-// The member writers: "name":value.
-
-func (e *encoder) strMember(name, s string) {
-	e.key(name)
-	e.str(s)
-}
-
-func (e *encoder) floatMember(name string, f float64) {
-	e.key(name)
-	e.float(f)
-}
-
-func (e *encoder) intMember(name string, n int) {
-	e.key(name)
-	e.int(n)
-}
-
-func (e *encoder) prediction(p serving.Prediction) {
-	e.b = append(e.b, '{')
-	e.strMember("db", p.Database)
-	e.strMember("model", p.Model)
-	e.floatMember("runtime_sec", p.RuntimeSec)
-	e.floatMember("optimizer_cost", p.OptimizerCost)
-	e.floatMember("est_rows", p.EstRows)
-	e.strMember("fingerprint", p.Fingerprint)
-	e.key("plan_cached")
-	e.b = strconv.AppendBool(e.b, p.PlanCached)
-	e.b = append(e.b, '}')
-}
-
-func (e *encoder) predictBatchReply(r PredictBatchReply) {
-	e.b = append(e.b, '{')
-	e.strMember("db", r.DB)
-	e.strMember("model", r.Model)
-	// A batch reply's items are the encoder's hottest loop: each writes
-	// its first member without key's comma test.
-	e.key("results")
-	if r.Results == nil {
-		e.b = append(e.b, "null"...)
-	} else {
-		e.b = append(e.b, '[')
-		for i, item := range r.Results {
-			if i > 0 {
-				e.b = append(e.b, ',')
-			}
-			e.b = append(e.b, '{')
-			if item.RuntimeSec != 0 {
-				e.b = append(e.b, `"runtime_sec":`...)
-				e.float(item.RuntimeSec)
-			}
-			if item.Error != "" {
-				e.key("error")
-				e.str(item.Error)
-			}
-			e.b = append(e.b, '}')
-		}
-		e.b = append(e.b, ']')
-	}
-	e.intMember("count", r.Count)
-	e.intMember("errors", r.Errors)
-	e.b = append(e.b, '}')
 }
