@@ -1,0 +1,96 @@
+package costmodel
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// pinnedModels are the estimators whose saved-model files are checked in
+// under testdata/models: the neural baselines untrained at a small width
+// from a fixed seed (the pin is the format, not the accuracy), and the
+// regression baseline fitted on the fixture's training samples.
+var pinnedModels = []string{NameMSCN, NameE2E, NameScaledCost}
+
+// pinnedInputs is how many of the fixture's evaluation inputs the
+// prediction golden covers.
+const pinnedInputs = 8
+
+// TestModelFilesPinned loads model files written by an earlier commit's
+// Save through Load, and compares the float bits of their predictions on
+// fixed inputs with testdata/models/predictions.golden. A round trip
+// within one commit cannot see a format change; this test can. After a
+// deliberate format change, UPDATE_MODEL_FILES=1 rewrites the files and
+// the golden: read the diff, and say why in the commit.
+func TestModelFilesPinned(t *testing.T) {
+	f := sharedFixture(t)
+	ctx := context.Background()
+	ins := Inputs(f.eval[:pinnedInputs])
+	dir := filepath.Join("testdata", "models")
+	update := os.Getenv("UPDATE_MODEL_FILES") != ""
+	if update {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got strings.Builder
+	for _, name := range pinnedModels {
+		path := filepath.Join(dir, name+".gob")
+		if update {
+			est, err := New(name, Options{Hidden: 8, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if name == NameScaledCost {
+				if _, err := est.Fit(ctx, f.train); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var buf bytes.Buffer
+			if err := Save(&buf, est); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, err := Load(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if est.Name() != name {
+			t.Fatalf("%s loads as %q, want %q", path, est.Name(), name)
+		}
+		preds, err := est.PredictBatch(ctx, ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range preds {
+			fmt.Fprintf(&got, "%s %d %016x\n", name, i, math.Float64bits(p))
+		}
+	}
+
+	golden := filepath.Join(dir, "predictions.golden")
+	if update {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("predictions of the pinned model files differ from %s:\nwant\n%sgot\n%s", golden, want, got.String())
+	}
+}
