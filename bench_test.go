@@ -33,10 +33,8 @@ func benchConfig() experiments.Config {
 	model := zeroshot.DefaultConfig()
 	model.Hidden = 24
 	model.Epochs = 12
-	mscn := baselines.DefaultMSCNConfig()
-	mscn.Epochs = 12
-	e2e := baselines.DefaultE2EConfig()
-	e2e.Epochs = 12
+	base := baselines.DefaultConfig()
+	base.Epochs = 12
 	dg := datagen.DefaultConfig()
 	dg.MaxRows = 15000
 	return experiments.Config{
@@ -47,8 +45,7 @@ func benchConfig() experiments.Config {
 		Seed:          2,
 		IMDBScale:     0.08,
 		Model:         model,
-		MSCN:          mscn,
-		E2E:           e2e,
+		Baselines:     base,
 		DatagenCfg:    dg,
 	}
 }

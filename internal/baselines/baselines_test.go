@@ -31,11 +31,11 @@ func TestMSCNTrainsAndPredictsInDistribution(t *testing.T) {
 	recs, db, vocab, st := imdbRecords(t, 260, 1)
 	f := encoding.NewMSCNFeaturizer(vocab, st)
 	train, test := recs[:200], recs[200:]
-	var samples []MSCNSample
+	var samples []Sample[*encoding.MSCNFeatures]
 	for _, r := range train {
-		samples = append(samples, MSCNSample{Feats: f.Featurize(r.Query), RuntimeSec: r.RuntimeSec})
+		samples = append(samples, Sample[*encoding.MSCNFeatures]{X: f.Featurize(r.Query), RuntimeSec: r.RuntimeSec})
 	}
-	cfg := DefaultMSCNConfig()
+	cfg := DefaultConfig()
 	cfg.Epochs = 16
 	m := NewMSCN(cfg)
 	if err := m.Train(samples); err != nil {
@@ -62,11 +62,11 @@ func TestE2ETrainsAndPredictsInDistribution(t *testing.T) {
 	recs, _, vocab, st := imdbRecords(t, 260, 2)
 	f := encoding.NewE2EFeaturizer(vocab, st)
 	train, test := recs[:200], recs[200:]
-	var samples []E2ESample
+	var samples []Sample[*encoding.E2ENode]
 	for _, r := range train {
-		samples = append(samples, E2ESample{Root: f.Featurize(r.Plan), RuntimeSec: r.RuntimeSec})
+		samples = append(samples, Sample[*encoding.E2ENode]{X: f.Featurize(r.Plan), RuntimeSec: r.RuntimeSec})
 	}
-	cfg := DefaultE2EConfig()
+	cfg := DefaultConfig()
 	cfg.Epochs = 16
 	m := NewE2E(cfg)
 	if err := m.Train(samples); err != nil {
@@ -103,11 +103,11 @@ func TestMSCNDoesNotTransfer(t *testing.T) {
 	ssbStats := stats.Collect(ssb, stats.DefaultBuckets, stats.DefaultMCVs)
 	ssbVocab := encoding.NewVocab(ssb.Schema)
 	fTrain := encoding.NewMSCNFeaturizer(ssbVocab, ssbStats)
-	var samples []MSCNSample
+	var samples []Sample[*encoding.MSCNFeatures]
 	for _, r := range ssbRecs {
-		samples = append(samples, MSCNSample{Feats: fTrain.Featurize(r.Query), RuntimeSec: r.RuntimeSec})
+		samples = append(samples, Sample[*encoding.MSCNFeatures]{X: fTrain.Featurize(r.Query), RuntimeSec: r.RuntimeSec})
 	}
-	cfg := DefaultMSCNConfig()
+	cfg := DefaultConfig()
 	cfg.Epochs = 16
 	m := NewMSCN(cfg)
 	if err := m.Train(samples); err != nil {
@@ -213,18 +213,18 @@ func TestScaledCostOnRealRecords(t *testing.T) {
 }
 
 func TestMSCNRejectsEmptyAndBad(t *testing.T) {
-	m := NewMSCN(DefaultMSCNConfig())
+	m := NewMSCN(DefaultConfig())
 	if err := m.Train(nil); err == nil {
 		t.Fatal("accepted empty training set")
 	}
-	bad := []MSCNSample{{Feats: &encoding.MSCNFeatures{}, RuntimeSec: -1}}
+	bad := []Sample[*encoding.MSCNFeatures]{{X: &encoding.MSCNFeatures{}, RuntimeSec: -1}}
 	if err := m.Train(bad); err == nil {
 		t.Fatal("accepted negative runtime")
 	}
 }
 
 func TestE2ERejectsEmptyAndBad(t *testing.T) {
-	m := NewE2E(DefaultE2EConfig())
+	m := NewE2E(DefaultConfig())
 	if err := m.Train(nil); err == nil {
 		t.Fatal("accepted empty training set")
 	}
@@ -232,7 +232,7 @@ func TestE2ERejectsEmptyAndBad(t *testing.T) {
 
 func TestMSCNEmptySetsHandled(t *testing.T) {
 	// Single-table query without filters: joins and predicates are empty.
-	m := NewMSCN(DefaultMSCNConfig())
+	m := NewMSCN(DefaultConfig())
 	f := &encoding.MSCNFeatures{Tables: [][]float64{make([]float64, encoding.MaxVocabTables)}}
 	p := m.Predict(f)
 	if p <= 0 || math.IsNaN(p) {

@@ -51,11 +51,11 @@ func TestTrainGoldens(t *testing.T) {
 	var got strings.Builder
 
 	mf := encoding.NewMSCNFeaturizer(vocab, st)
-	var ms []MSCNSample
+	var ms []Sample[*encoding.MSCNFeatures]
 	for _, r := range recs {
-		ms = append(ms, MSCNSample{Feats: mf.Featurize(r.Query), RuntimeSec: r.RuntimeSec})
+		ms = append(ms, Sample[*encoding.MSCNFeatures]{X: mf.Featurize(r.Query), RuntimeSec: r.RuntimeSec})
 	}
-	mcfg := DefaultMSCNConfig()
+	mcfg := DefaultConfig()
 	mcfg.Epochs = 3
 	mscn := NewMSCN(mcfg)
 	if err := mscn.Train(ms); err != nil {
@@ -63,16 +63,16 @@ func TestTrainGoldens(t *testing.T) {
 	}
 	var preds []float64
 	for _, s := range ms[:4] {
-		preds = append(preds, mscn.Predict(s.Feats))
+		preds = append(preds, mscn.Predict(s.X))
 	}
 	fmt.Fprintf(&got, "mscn train %s\n", trainDigest(mscn.Params(), preds))
 
 	ef := encoding.NewE2EFeaturizer(vocab, st)
-	var es []E2ESample
+	var es []Sample[*encoding.E2ENode]
 	for _, r := range recs {
-		es = append(es, E2ESample{Root: ef.Featurize(r.Plan), RuntimeSec: r.RuntimeSec})
+		es = append(es, Sample[*encoding.E2ENode]{X: ef.Featurize(r.Plan), RuntimeSec: r.RuntimeSec})
 	}
-	ecfg := DefaultE2EConfig()
+	ecfg := DefaultConfig()
 	ecfg.Epochs = 3
 	e2e := NewE2E(ecfg)
 	if err := e2e.Train(es); err != nil {
@@ -80,7 +80,7 @@ func TestTrainGoldens(t *testing.T) {
 	}
 	preds = preds[:0]
 	for _, s := range es[:4] {
-		preds = append(preds, e2e.Predict(s.Root))
+		preds = append(preds, e2e.Predict(s.X))
 	}
 	fmt.Fprintf(&got, "e2e train %s\n", trainDigest(e2e.Params(), preds))
 

@@ -1,7 +1,9 @@
 package baselines
 
 import (
+	"encoding/gob"
 	"fmt"
+	"io"
 	"math"
 )
 
@@ -58,4 +60,27 @@ func (s *ScaledCost) Predict(cost float64) float64 {
 		cost = 1e-9
 	}
 	return clampExp(s.A*math.Log(cost) + s.B)
+}
+
+// savedScaledCost is the gob wire form of the regression baseline.
+type savedScaledCost struct {
+	A, B   float64
+	Fitted bool
+}
+
+// Save writes the fitted regression parameters to w.
+func (s *ScaledCost) Save(w io.Writer) error {
+	if err := gob.NewEncoder(w).Encode(savedScaledCost{A: s.A, B: s.B, Fitted: s.fitted}); err != nil {
+		return fmt.Errorf("baselines: encode ScaledCost: %w", err)
+	}
+	return nil
+}
+
+// LoadScaledCost reads a model saved by (*ScaledCost).Save.
+func LoadScaledCost(r io.Reader) (*ScaledCost, error) {
+	var sv savedScaledCost
+	if err := gob.NewDecoder(r).Decode(&sv); err != nil {
+		return nil, fmt.Errorf("baselines: decode ScaledCost: %w", err)
+	}
+	return &ScaledCost{A: sv.A, B: sv.B, fitted: sv.Fitted}, nil
 }

@@ -40,34 +40,34 @@ func saveLoadFile(t *testing.T, save func(f *os.File) error, load func(f *os.Fil
 }
 
 func TestMSCNSaveLoadFile(t *testing.T) {
-	cfg := DefaultMSCNConfig()
+	cfg := DefaultConfig()
 	cfg.Hidden = 8
 	m := NewMSCN(cfg)
 	feats := &encoding.MSCNFeatures{Tables: [][]float64{make([]float64, encoding.MaxVocabTables)}}
 	feats.Tables[0][3] = 1
 	want := m.Predict(feats)
 
-	var loaded *MSCN
+	var loaded *Net[*encoding.MSCNFeatures]
 	saveLoadFile(t,
 		func(f *os.File) error { return m.Save(f) },
-		func(f *os.File) error { var err error; loaded, err = LoadMSCN(f); return err })
+		func(f *os.File) error { var err error; loaded, err = Load(f, NewMSCN); return err })
 	if got := loaded.Predict(feats); got != want {
 		t.Fatalf("loaded MSCN predicts %v, want %v", got, want)
 	}
 }
 
 func TestE2ESaveLoadFile(t *testing.T) {
-	cfg := DefaultE2EConfig()
+	cfg := DefaultConfig()
 	cfg.Hidden = 8
 	m := NewE2E(cfg)
 	root := &encoding.E2ENode{Feat: make([]float64, encoding.E2ENodeDim)}
 	root.Feat[0] = 1
 	want := m.Predict(root)
 
-	var loaded *E2E
+	var loaded *Net[*encoding.E2ENode]
 	saveLoadFile(t,
 		func(f *os.File) error { return m.Save(f) },
-		func(f *os.File) error { var err error; loaded, err = LoadE2E(f); return err })
+		func(f *os.File) error { var err error; loaded, err = Load(f, NewE2E); return err })
 	if got := loaded.Predict(root); got != want {
 		t.Fatalf("loaded E2E predicts %v, want %v", got, want)
 	}
@@ -94,8 +94,8 @@ func TestScaledCostSaveLoadFile(t *testing.T) {
 // network from it (1<<31 would ask for far more memory than exists).
 func TestLoadRejectsHostileWidth(t *testing.T) {
 	loaders := map[string]func(io.Reader) error{
-		"mscn": func(r io.Reader) error { _, err := LoadMSCN(r); return err },
-		"e2e":  func(r io.Reader) error { _, err := LoadE2E(r); return err },
+		"mscn": func(r io.Reader) error { _, err := Load(r, NewMSCN); return err },
+		"e2e":  func(r io.Reader) error { _, err := Load(r, NewE2E); return err },
 	}
 	for name, load := range loaders {
 		for _, hidden := range []int{0, -1, nn.MaxWidth + 1, 1 << 31} {

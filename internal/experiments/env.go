@@ -20,7 +20,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"github.com/zeroshot-db/zeroshot/internal/baselines"
 	"github.com/zeroshot-db/zeroshot/internal/collect"
@@ -30,7 +29,6 @@ import (
 	"github.com/zeroshot-db/zeroshot/internal/metrics"
 	"github.com/zeroshot-db/zeroshot/internal/par"
 	"github.com/zeroshot-db/zeroshot/internal/query"
-	"github.com/zeroshot-db/zeroshot/internal/serving"
 	"github.com/zeroshot-db/zeroshot/internal/storage"
 	"github.com/zeroshot-db/zeroshot/internal/zeroshot"
 )
@@ -64,10 +62,10 @@ type Config struct {
 	Seed int64
 	// IMDBScale scales the held-out evaluation database.
 	IMDBScale float64
-	// Model, MSCN and E2E hyperparameters.
-	Model zeroshot.Config
-	MSCN  baselines.MSCNConfig
-	E2E   baselines.E2EConfig
+	// Model holds the zero-shot hyperparameters, Baselines the ones MSCN
+	// and E2E share.
+	Model     zeroshot.Config
+	Baselines baselines.Config
 	// DatagenCfg bounds the synthetic training databases.
 	DatagenCfg datagen.Config
 }
@@ -78,10 +76,8 @@ func SmallConfig() Config {
 	model := zeroshot.DefaultConfig()
 	model.Hidden = 24
 	model.Epochs = 12
-	mscn := baselines.DefaultMSCNConfig()
-	mscn.Epochs = 12
-	e2e := baselines.DefaultE2EConfig()
-	e2e.Epochs = 12
+	base := baselines.DefaultConfig()
+	base.Epochs = 12
 	dg := datagen.DefaultConfig()
 	dg.MaxRows = 15000
 	return Config{
@@ -92,8 +88,7 @@ func SmallConfig() Config {
 		Seed:          1,
 		IMDBScale:     0.08,
 		Model:         model,
-		MSCN:          mscn,
-		E2E:           e2e,
+		Baselines:     base,
 		DatagenCfg:    dg,
 	}
 }
@@ -108,8 +103,7 @@ func FullConfig() Config {
 	cfg.BaselineSizes = []int{100, 500, 2500, 10000, 50000}
 	cfg.IMDBScale = 0.2
 	cfg.Model = zeroshot.DefaultConfig()
-	cfg.MSCN = baselines.DefaultMSCNConfig()
-	cfg.E2E = baselines.DefaultE2EConfig()
+	cfg.Baselines = baselines.DefaultConfig()
 	return cfg
 }
 
@@ -133,21 +127,6 @@ type Env struct {
 	// EvalDB (the index workload's records run under random hypothetical
 	// indexes).
 	EvalRecords map[string][]collect.Record
-
-	sessOnce sync.Once
-	sess     *serving.Session
-}
-
-// Session returns the run's serving session (built lazily): every
-// experiment's predictions drain through the same serving predict stage
-// and metrics as production traffic, instead of hand-wiring estimator
-// calls. No database is attached — evaluation inputs carry executed
-// plans, so the harness owns the pre-predict pipeline stages.
-func (env *Env) Session() *serving.Session {
-	env.sessOnce.Do(func() {
-		env.sess = serving.NewSession(serving.Config{})
-	})
-	return env.sess
 }
 
 // workloadFunc maps a workload name to its generator.
@@ -275,11 +254,8 @@ func (env *Env) estimatorOptions(name string, card encoding.CardSource) (costmod
 			Hidden: m.Hidden, Epochs: m.Epochs, BatchSize: m.BatchSize,
 			LR: m.LR, Seed: m.Seed, FlatSum: m.FlatSum, Card: card,
 		}, nil
-	case costmodel.NameMSCN:
-		c := env.Cfg.MSCN
-		return costmodel.Options{Hidden: c.Hidden, Epochs: c.Epochs, BatchSize: c.BatchSize, LR: c.LR, Seed: c.Seed}, nil
-	case costmodel.NameE2E:
-		c := env.Cfg.E2E
+	case costmodel.NameMSCN, costmodel.NameE2E:
+		c := env.Cfg.Baselines
 		return costmodel.Options{Hidden: c.Hidden, Epochs: c.Epochs, BatchSize: c.BatchSize, LR: c.LR, Seed: c.Seed}, nil
 	case costmodel.NameScaledCost:
 		return costmodel.Options{}, nil
@@ -326,16 +302,15 @@ func (env *Env) evalInputs(workload string) ([]costmodel.PlanInput, []float64, e
 }
 
 // evalEstimator batch-predicts a workload with any estimator and returns
-// (predictions, actuals). Predictions route through the serving session's
-// predict stage: evaluation inputs carry executed plans (exact
-// cardinalities), so the earlier pipeline stages stay with the harness
-// while the inference path is the production one.
+// (predictions, actuals). Evaluation inputs carry executed plans (exact
+// cardinalities), so the harness owns every stage before the estimator's
+// PredictBatch.
 func (env *Env) evalEstimator(est costmodel.Estimator, workload string) ([]float64, []float64, error) {
 	ins, actuals, err := env.evalInputs(workload)
 	if err != nil {
 		return nil, nil, err
 	}
-	preds, err := env.Session().PredictPlanned(context.Background(), est, ins)
+	preds, err := est.PredictBatch(context.Background(), ins)
 	if err != nil {
 		return nil, nil, err
 	}

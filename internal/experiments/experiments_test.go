@@ -19,10 +19,8 @@ func tinyConfig() Config {
 	model := zeroshot.DefaultConfig()
 	model.Hidden = 24
 	model.Epochs = 12
-	mscn := baselines.DefaultMSCNConfig()
-	mscn.Epochs = 12
-	e2e := baselines.DefaultE2EConfig()
-	e2e.Epochs = 12
+	base := baselines.DefaultConfig()
+	base.Epochs = 12
 	dg := datagen.DefaultConfig()
 	dg.MaxRows = 15000
 	return Config{
@@ -33,8 +31,7 @@ func tinyConfig() Config {
 		Seed:          2,
 		IMDBScale:     0.08,
 		Model:         model,
-		MSCN:          mscn,
-		E2E:           e2e,
+		Baselines:     base,
 		DatagenCfg:    dg,
 	}
 }

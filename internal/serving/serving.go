@@ -524,32 +524,6 @@ func (s *Session) PredictBatch(ctx context.Context, dbName, model string, sqls [
 	return res, nil
 }
 
-// PredictPlanned predicts already-prepared inputs (e.g. executed plans
-// from a collected workload) through the session's predict stage. It
-// exists for callers that own the earlier pipeline stages — the
-// experiment harness plans and executes queries itself to obtain exact
-// cardinalities — but should still share the serving predict path and its
-// metrics. The estimator is passed directly and need not be attached.
-func (s *Session) PredictPlanned(ctx context.Context, est costmodel.Estimator, ins []costmodel.PlanInput) ([]float64, error) {
-	s.mu.RLock()
-	closed := s.closed
-	s.mu.RUnlock()
-	if closed {
-		return nil, ErrClosed
-	}
-	s.requests.Inc()
-	start := time.Now()
-	preds, err := est.PredictBatch(ctx, ins)
-	s.predict.Observe(time.Since(start))
-	if err != nil {
-		if !canceled(err) {
-			s.errs.Inc()
-		}
-		return nil, err
-	}
-	return preds, nil
-}
-
 // Stats is the session-wide observability snapshot behind /v1/stats.
 type Stats struct {
 	// CollectedAt is the wall-clock instant this snapshot was taken, so
@@ -559,8 +533,8 @@ type Stats struct {
 	// `zsdb serve`.
 	CollectedAt time.Time `json:"collected_at"`
 	UptimeSec   float64   `json:"uptime_sec"`
-	// Requests and Errors count Predict/PredictBatch/PredictPlanned
-	// calls and their failures (including per-item pipeline failures).
+	// Requests and Errors count Predict, PredictBatch and WhatIf calls
+	// and their failures (including per-item pipeline failures).
 	Requests int64 `json:"requests"`
 	Errors   int64 `json:"errors"`
 	// Predict summarizes predict-stage latencies (one observation per

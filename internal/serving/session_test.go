@@ -300,28 +300,6 @@ func TestSessionBatchFallbackIsolation(t *testing.T) {
 	}
 }
 
-func TestSessionPredictPlanned(t *testing.T) {
-	imdb, _ := fixtures(t)
-	recs, err := collect.Run(imdb.db, collect.Options{Queries: 8, Seed: 23})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ins := costmodel.Inputs(costmodel.FromRecords(imdb.db, recs))
-	sess := NewSession(Config{})
-	defer sess.Close()
-	// PredictPlanned takes the estimator directly: no attach needed.
-	preds, err := sess.PredictPlanned(context.Background(), &fakeEstimator{name: "fake"}, ins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(preds) != len(ins) {
-		t.Fatalf("%d predictions for %d inputs", len(preds), len(ins))
-	}
-	if st := sess.Stats(); st.Predict.Count != 1 || st.Requests != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 // TestSessionConcurrentMultiDB hammers one Session from many goroutines
 // across two attached databases and two models — the -race regression
 // test for the serving layer's concurrency story.
