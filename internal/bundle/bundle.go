@@ -54,6 +54,13 @@ const (
 	modelEntry    = "model.gob"
 )
 
+// maxPayload caps the model entry's decompressed size, so that a small
+// archive cannot inflate into an unbounded read before the checksum
+// refuses it. The largest model file nn.MaxWidth allows is a zero-shot
+// model at width 512: 21 380 329 bytes (MSCN at that width is
+// 15 000 968, E2E 12 514 092). 32 MiB is about 1.57 times that.
+const maxPayload = 32 << 20
+
 // ErrBadBundle marks every verification failure on open: truncated or
 // malformed archives, checksum mismatches, manifest/payload estimator
 // disagreement, and nonsense revisions. Callers gate activation on it
@@ -258,7 +265,12 @@ func readArchive(r io.Reader) (Manifest, []byte, error) {
 	if hdr.Name != modelEntry {
 		return Manifest{}, nil, badf("second entry is %q, want %q", hdr.Name, modelEntry)
 	}
-	payload, err := io.ReadAll(tr)
+	if hdr.Size > maxPayload {
+		return Manifest{}, nil, badf("model payload of %d bytes exceeds the %d-byte cap", hdr.Size, maxPayload)
+	}
+	// The limit holds the read to the cap whatever the reader below
+	// does; a payload it cut short fails the checksum.
+	payload, err := io.ReadAll(io.LimitReader(tr, maxPayload))
 	if err != nil {
 		return Manifest{}, nil, badf("truncated model payload: %v", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -178,5 +179,25 @@ func TestOpenRefusesPayloadNameMismatch(t *testing.T) {
 	_, err := bundle.Open(bytes.NewReader(buf.Bytes()))
 	if !errors.Is(err, bundle.ErrBadBundle) {
 		t.Fatalf("err = %v, want ErrBadBundle", err)
+	}
+}
+
+// TestOpenRefusesOversizedPayload: a model entry one byte over the cap,
+// all zeros, gzips to a few kilobytes. Open must refuse it with
+// ErrBadBundle without inflating it into memory first.
+func TestOpenRefusesOversizedPayload(t *testing.T) {
+	valid, _ := buildBundle(t, &scaleEstimator{Scale: 3}, 5, bundle.Meta{})
+	man, _ := dissect(t, valid)
+	bomb := rawArchive(t, marshalManifest(t, man), make([]byte, bundle.MaxPayload+1))
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := bundle.Open(bytes.NewReader(bomb))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, bundle.ErrBadBundle) {
+		t.Fatalf("Open of a %d-byte archive inflating past the cap: err = %v, want ErrBadBundle", len(bomb), err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > bundle.MaxPayload/16 {
+		t.Fatalf("refusing the oversized payload allocated %d bytes, want far less than the %d-byte cap", alloc, bundle.MaxPayload)
 	}
 }

@@ -2,6 +2,9 @@ package bundle
 
 import "context"
 
+// MaxPayload is the cap on a bundle's model entry.
+const MaxPayload = maxPayload
+
 // Dir returns the backing directory, so tests can plant foreign files
 // beside the revisions.
 func (s *DirStore) Dir() string { return s.dir }
