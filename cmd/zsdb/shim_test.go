@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -95,11 +96,32 @@ func TestWarmRequestAllocCeilings(t *testing.T) {
 	}
 }
 
-// TestSlowBodyIsCutAtReadTimeout: a client that sends its headers and
-// then trickles the body has its connection closed once readTimeout has
-// passed, while a normal request on another connection still succeeds.
-func TestSlowBodyIsCutAtReadTimeout(t *testing.T) {
-	t.Parallel()
+// TestReadTimeout runs the scenarios that wait out the real readTimeout
+// concurrently, each as its own subtest. They are idle for 10-12 s each,
+// and t.Parallel alone overlaps only -parallel (GOMAXPROCS) of them.
+func TestReadTimeout(t *testing.T) {
+	var wg sync.WaitGroup
+	for _, sc := range []struct {
+		name string
+		run  func(*testing.T)
+	}{
+		{"SlowBodyIsCut", slowBodyIsCut},
+		{"SlowCallOutlasts", slowCallOutlasts},
+		{"SlowGetOutlasts", slowGetOutlasts},
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t.Run(sc.name, sc.run)
+		}()
+	}
+	wg.Wait()
+}
+
+// slowBodyIsCut: a client that sends its headers and then trickles the
+// body has its connection closed once readTimeout has passed, while a
+// normal request on another connection still succeeds.
+func slowBodyIsCut(t *testing.T) {
 	srv := newHTTPServer(newSessionServer(newTestSession(t, serving.Config{}), nil).mux())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -181,11 +203,9 @@ func (c slowCalls) Predict(ctx context.Context, db, model, sql string) (serving.
 	}
 }
 
-// TestSlowCallOutlastsReadTimeout: readTimeout bounds the request, not
-// the call. A call still running after it keeps its context and
-// answers its result.
-func TestSlowCallOutlastsReadTimeout(t *testing.T) {
-	t.Parallel()
+// slowCallOutlasts: readTimeout bounds the request, not the call. A
+// call still running after it keeps its context and answers its result.
+func slowCallOutlasts(t *testing.T) {
 	s := newSessionServer(newTestSession(t, serving.Config{}), nil)
 	s.calls = slowCalls{s.calls, readTimeout + 2*time.Second}
 	srv := newHTTPServer(s.mux())
@@ -208,13 +228,12 @@ func TestSlowCallOutlastsReadTimeout(t *testing.T) {
 	}
 }
 
-// TestSlowGetOutlastsReadTimeout: the same holds for a bodiless GET,
-// the shape of a pprof ?seconds= profile on the -debug-addr listener,
-// which newHTTPServer builds too. net/http clears the read deadline once
-// the headers are read, so the handler keeps its context past
-// readTimeout and its reply arrives.
-func TestSlowGetOutlastsReadTimeout(t *testing.T) {
-	t.Parallel()
+// slowGetOutlasts: the same holds for a bodiless GET, the shape of a
+// pprof ?seconds= profile on the -debug-addr listener, which
+// newHTTPServer builds too. net/http clears the read deadline once the
+// headers are read, so the handler keeps its context past readTimeout
+// and its reply arrives.
+func slowGetOutlasts(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/slow", func(w http.ResponseWriter, r *http.Request) {
 		select {
