@@ -54,6 +54,10 @@ const (
 	modelEntry    = "model.gob"
 )
 
+// maxManifest caps the manifest entry and, as padding, whatever follows
+// the tar's end inside the gzip stream.
+const maxManifest = 1 << 20
+
 // maxPayload caps the model entry's decompressed size, so that a small
 // archive cannot inflate into an unbounded read before the checksum
 // refuses it. The largest model file nn.MaxWidth allows is a zero-shot
@@ -248,7 +252,7 @@ func readArchive(r io.Reader) (Manifest, []byte, error) {
 		return Manifest{}, nil, badf("first entry is %q, want %q", hdr.Name, manifestEntry)
 	}
 	var man Manifest
-	if err := json.NewDecoder(io.LimitReader(tr, 1<<20)).Decode(&man); err != nil {
+	if err := json.NewDecoder(io.LimitReader(tr, maxManifest)).Decode(&man); err != nil {
 		return Manifest{}, nil, badf("malformed manifest: %v", err)
 	}
 	if man.Estimator == "" {
@@ -282,9 +286,12 @@ func readArchive(r io.Reader) (Manifest, []byte, error) {
 	}
 	// Drain the gzip stream: its CRC only verifies on a read reaching the
 	// end, and the tar reader stops before the gzip trailer — without
-	// this, a truncated trailer passes silently.
-	if _, err := io.Copy(io.Discard, gz); err != nil {
+	// this, a truncated trailer passes silently. The drain is bounded
+	// too, or a tail of zeros would be inflated to its end.
+	if n, err := io.Copy(io.Discard, io.LimitReader(gz, maxManifest+1)); err != nil {
 		return Manifest{}, nil, badf("truncated archive trailer: %v", err)
+	} else if n > maxManifest {
+		return Manifest{}, nil, badf("more than %d bytes after the archive's end", maxManifest)
 	}
 	if got := checksum(payload); got != man.SHA256 {
 		return Manifest{}, nil, badf("payload checksum %s does not match manifest %s", got[:16], shortSum(man.SHA256))

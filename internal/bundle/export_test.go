@@ -2,8 +2,12 @@ package bundle
 
 import "context"
 
-// MaxPayload is the cap on a bundle's model entry.
-const MaxPayload = maxPayload
+// MaxPayload and MaxManifest are the caps on a bundle's model entry
+// and on its manifest entry and tail.
+const (
+	MaxPayload  = maxPayload
+	MaxManifest = maxManifest
+)
 
 // Dir returns the backing directory, so tests can plant foreign files
 // beside the revisions.
