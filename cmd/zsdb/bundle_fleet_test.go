@@ -116,7 +116,7 @@ func TestBundleFleetAdaptConvergeFailoverRollback(t *testing.T) {
 	if head, err := bc.store.Latest(ctx); err != nil || head != 2 {
 		t.Fatalf("store head after accepted swap = %d (%v), want 2", head, err)
 	}
-	if got := bc.dists[owner].Revision(); got != 2 {
+	if got := bc.dists[owner].Status().Revision; got != 2 {
 		t.Fatalf("publishing replica's distributor at revision %d, want 2 (marked, not re-downloaded)", got)
 	}
 	adaptedScale := mustModelScale(t, sessions[owner])
@@ -131,8 +131,8 @@ func TestBundleFleetAdaptConvergeFailoverRollback(t *testing.T) {
 		t.Fatalf("refresh: %v", err)
 	}
 	for name, d := range bc.dists {
-		if d.Revision() != 2 {
-			t.Fatalf("replica %s at revision %d after one poll, want 2", name, d.Revision())
+		if d.Status().Revision != 2 {
+			t.Fatalf("replica %s at revision %d after one poll, want 2", name, d.Status().Revision)
 		}
 	}
 	for name, sess := range sessions {
@@ -166,8 +166,8 @@ func TestBundleFleetAdaptConvergeFailoverRollback(t *testing.T) {
 		t.Fatalf("refresh after rollback: %v", err)
 	}
 	for name, d := range bc.dists {
-		if d.Revision() != 3 {
-			t.Fatalf("replica %s at revision %d after rollback, want 3", name, d.Revision())
+		if d.Status().Revision != 3 {
+			t.Fatalf("replica %s at revision %d after rollback, want 3", name, d.Status().Revision)
 		}
 		man := d.Status().Manifest
 		if man == nil || man.RollbackOf != 1 {

@@ -227,8 +227,8 @@ func TestServeBundleLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("rollback: %d %v", resp.StatusCode, body)
 	}
-	if dist.Revision() != 3 {
-		t.Fatalf("distributor at revision %d after rollback, want 3", dist.Revision())
+	if dist.Status().Revision != 3 {
+		t.Fatalf("distributor at revision %d after rollback, want 3", dist.Status().Revision)
 	}
 	man := dist.Status().Manifest
 	if man == nil || man.RollbackOf != 1 || man.RolledBackFrom != 2 {
@@ -255,8 +255,8 @@ func TestServeBundleLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("refresh over corrupt head: %d %v, want 502", resp.StatusCode, body)
 	}
-	if dist.Revision() != 3 {
-		t.Fatalf("corrupt head moved the distributor to revision %d", dist.Revision())
+	if dist.Status().Revision != 3 {
+		t.Fatalf("corrupt head moved the distributor to revision %d", dist.Status().Revision)
 	}
 	if gen3, _, _ := sess.ModelGeneration(cmdScaleName); gen3 != gen2 {
 		t.Fatalf("corrupt head bumped the serving generation: %d -> %d", gen2, gen3)

@@ -212,3 +212,28 @@ func TestOpenRefusesOversizedPayload(t *testing.T) {
 		t.Fatalf("refusing the oversized payload allocated %d bytes, want far less than the %d-byte cap", alloc, bundle.MaxPayload)
 	}
 }
+
+// TestInspectAllocatesItsPayloadOnce: reading the model entry of the
+// largest bundle the width cap allows (zero-shot at width 512, about
+// 21 MB) costs about one payload of allocation, not the repeated
+// doublings of a read that does not know its length.
+func TestInspectAllocatesItsPayloadOnce(t *testing.T) {
+	est, err := costmodel.New(costmodel.NameZeroShot, costmodel.Options{Hidden: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid, _ := buildBundle(t, est, 1, bundle.Meta{})
+	_, payload := dissect(t, valid)
+	est = nil
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = bundle.Inspect(bytes.NewReader(valid))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; float64(alloc) > 1.5*float64(len(payload)) {
+		t.Fatalf("Inspect of a %d-byte payload allocated %d bytes, want under 1.5 times the payload", len(payload), alloc)
+	}
+}

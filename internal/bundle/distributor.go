@@ -139,13 +139,6 @@ func (d *Distributor) Status() Status {
 	return st
 }
 
-// Revision returns the currently activated revision (0 if none).
-func (d *Distributor) Revision() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.st.Revision
-}
-
 // MarkActivated records that the target already serves revision man —
 // the publishing replica's own accept path activated the model locally
 // before the bundle existed, so its distributor must not re-download

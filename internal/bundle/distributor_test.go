@@ -116,8 +116,8 @@ func TestDistributorPollActivatesAndShortCircuits(t *testing.T) {
 	if act, err := d.PollOnce(ctx); err != nil || !act {
 		t.Fatalf("poll after publish = %v/%v", act, err)
 	}
-	if d.Revision() != 2 || target.lastScale() != 3 {
-		t.Fatalf("revision %d scale %v, want 2 / 3", d.Revision(), target.lastScale())
+	if d.Status().Revision != 2 || target.lastScale() != 3 {
+		t.Fatalf("revision %d scale %v, want 2 / 3", d.Status().Revision, target.lastScale())
 	}
 }
 
@@ -136,8 +136,8 @@ func TestDistributorRefusals(t *testing.T) {
 		if _, err := d.PollOnce(ctx); err == nil {
 			t.Fatal("corrupt bundle activated")
 		}
-		if target.count() != 0 || d.Revision() != 0 {
-			t.Fatalf("corrupt bundle reached the target: %d attachments, rev %d", target.count(), d.Revision())
+		if target.count() != 0 || d.Status().Revision != 0 {
+			t.Fatalf("corrupt bundle reached the target: %d attachments, rev %d", target.count(), d.Status().Revision)
 		}
 		if s := d.Status(); s.Failures != 1 || s.LastError == "" {
 			t.Fatalf("status = %+v", s)
@@ -181,8 +181,8 @@ func TestDistributorRefusals(t *testing.T) {
 		if act, err := d.PollOnce(ctx); err != nil || act {
 			t.Fatalf("regressive poll = %v/%v, want skip", act, err)
 		}
-		if target.count() != 0 || d.Revision() != 5 {
-			t.Fatalf("regression activated: %d attachments, rev %d", target.count(), d.Revision())
+		if target.count() != 0 || d.Status().Revision != 5 {
+			t.Fatalf("regression activated: %d attachments, rev %d", target.count(), d.Status().Revision)
 		}
 	})
 
@@ -216,8 +216,8 @@ func TestDistributorRefusals(t *testing.T) {
 		if _, err := d.PollOnce(ctx); err == nil {
 			t.Fatal("failed activation reported success")
 		}
-		if d.Revision() != 0 {
-			t.Fatalf("revision advanced past a failed activation: %d", d.Revision())
+		if d.Status().Revision != 0 {
+			t.Fatalf("revision advanced past a failed activation: %d", d.Status().Revision)
 		}
 	})
 }
@@ -316,8 +316,8 @@ func TestDistributorMarkActivated(t *testing.T) {
 	}
 	// Stale marks are ignored.
 	d.MarkActivated(bundle.Manifest{Revision: 1})
-	if d.Revision() != man.Revision {
-		t.Fatalf("stale mark regressed revision to %d", d.Revision())
+	if d.Status().Revision != man.Revision {
+		t.Fatalf("stale mark regressed revision to %d", d.Status().Revision)
 	}
 }
 
@@ -336,10 +336,10 @@ func TestDistributorBackgroundLoop(t *testing.T) {
 	d.Start()
 	d.Start() // idempotent
 	deadline := time.Now().Add(5 * time.Second)
-	for d.Revision() == 0 && time.Now().Before(deadline) {
+	for d.Status().Revision == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if d.Revision() != 1 {
+	if d.Status().Revision != 1 {
 		t.Fatalf("background loop never activated: %+v", d.Status())
 	}
 	d.Close()

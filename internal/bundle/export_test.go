@@ -1,11 +1,15 @@
 package bundle
 
-import "context"
+import (
+	"context"
+
+	"github.com/zeroshot-db/zeroshot/internal/costmodel"
+)
 
 // MaxPayload and MaxManifest are the caps on a bundle's model entry
 // and on its manifest entry and tail.
 const (
-	MaxPayload  = maxPayload
+	MaxPayload  = costmodel.MaxFileSize
 	MaxManifest = maxManifest
 )
 

@@ -37,6 +37,7 @@ import (
 
 	"github.com/zeroshot-db/zeroshot/internal/collect"
 	"github.com/zeroshot-db/zeroshot/internal/encoding"
+	"github.com/zeroshot-db/zeroshot/internal/par"
 	"github.com/zeroshot-db/zeroshot/internal/plan"
 	"github.com/zeroshot-db/zeroshot/internal/query"
 	"github.com/zeroshot-db/zeroshot/internal/storage"
@@ -159,6 +160,32 @@ func predictSerial(ctx context.Context, ins []PlanInput, predict func(context.Co
 		out[i] = v
 	}
 	return out, nil
+}
+
+// PredictEach gives every input its own outcome, aligned with ins (errs
+// is nil when all predicted). It calls PredictBatch once; only if that
+// aborts (its first bad input fails the batch) does it re-predict each
+// input alone over par.Each, and isolated says so. Both routes give the
+// same bits, by the contract; an input not started when ctx ended
+// reports ctx.Err().
+func PredictEach(ctx context.Context, est Estimator, ins []PlanInput) (preds []float64, errs []error, isolated bool) {
+	preds, err := est.PredictBatch(ctx, ins)
+	if err == nil {
+		return preds, nil, false
+	}
+	preds, errs = predictAlone(ctx, est, ins)
+	return preds, errs, true
+}
+
+// predictAlone is PredictEach's fallback, in a function of its own: a
+// closure over PredictEach's named results would heap them on every call.
+func predictAlone(ctx context.Context, est Estimator, ins []PlanInput) ([]float64, []error) {
+	preds := make([]float64, len(ins))
+	errs := par.Each(ctx, len(ins), func(i int) (err error) {
+		preds[i], err = est.Predict(ctx, ins[i])
+		return err
+	})
+	return preds, errs
 }
 
 // Fused reports whether est's PredictBatch runs as one fused forward

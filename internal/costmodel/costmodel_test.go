@@ -3,8 +3,12 @@ package costmodel
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
+	"io"
 	"math"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -175,6 +179,144 @@ func TestLoadRejectsNonFiniteWeights(t *testing.T) {
 			t.Fatalf("weight %v: Load returned %v, want an error naming tensor 3 value 2", bad, err)
 		}
 	}
+}
+
+// zeroStream reads as an endless run of zero bytes and counts how many
+// it handed out.
+type zeroStream struct{ n int64 }
+
+func (z *zeroStream) Read(p []byte) (int, error) {
+	clear(p)
+	z.n += int64(len(p))
+	return len(p), nil
+}
+
+// TestLoadRefusesStreamPastCap feeds Load a valid file header whose
+// payload is one gob message claiming three times MaxFileSize, followed
+// by as many zero bytes as anyone reads. Load must stop at the cap and
+// say so, allocating less than the message claims.
+func TestLoadRefusesStreamPastCap(t *testing.T) {
+	var hdr bytes.Buffer
+	if err := gob.NewEncoder(&hdr).Encode(fileHeader{Magic: fileMagic, Name: NameScaledCost}); err != nil {
+		t.Fatal(err)
+	}
+	// A gob message length above 127 is minus its byte count, then the
+	// bytes big-endian: 3 << 25 = 0x06000000.
+	hdr.Write([]byte{0xfc, 0x06, 0x00, 0x00, 0x00})
+	tail := &zeroStream{}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Load(io.MultiReader(&hdr, tail))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(MaxFileSize)) {
+		t.Fatalf("Load of a stream past the cap: err = %v, want one naming the %d-byte cap", err, MaxFileSize)
+	}
+	if tail.n > MaxFileSize {
+		t.Fatalf("Load read %d bytes of the stream, past the %d-byte cap", tail.n, MaxFileSize)
+	}
+	// gob reads a message of 10 MiB or more in 10 MiB chunks appended to
+	// one growing slice, so reading up to the cap allocates about 2.3
+	// times the cap; reading the whole claim would allocate more than it.
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 3*MaxFileSize {
+		t.Fatalf("refusing the stream allocated %d bytes, want under the %d bytes its message claims", alloc, 3*MaxFileSize)
+	}
+}
+
+// TestPredictEach covers the batch-failure policy every caller of a
+// batch shares: a healthy batch takes the fused route alone, one bad
+// input isolates the batch into per-input predictions whose answers and
+// errors align with the inputs, and a context ended during the fallback
+// leaves the unfinished inputs with its error.
+func TestPredictEach(t *testing.T) {
+	f := sharedFixture(t)
+	zs, err := New(NameZeroShot, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	healthy := Inputs(f.eval[:6])
+	fused, err := zs.PredictBatch(ctx, healthy)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("healthy", func(t *testing.T) {
+		preds, errs, isolated := PredictEach(ctx, zs, healthy)
+		if isolated || errs != nil {
+			t.Fatalf("healthy batch: isolated %v, errs %v", isolated, errs)
+		}
+		for i := range fused {
+			if math.Float64bits(preds[i]) != math.Float64bits(fused[i]) {
+				t.Fatalf("item %d = %v, want the fused %v", i, preds[i], fused[i])
+			}
+		}
+	})
+
+	t.Run("poisoned", func(t *testing.T) {
+		const bad = 2 // an empty input has no plan to encode
+		ins := append(append(append([]PlanInput{}, healthy[:bad]...), PlanInput{}), healthy[bad:]...)
+		preds, errs, isolated := PredictEach(ctx, zs, ins)
+		if !isolated || len(errs) != len(ins) || len(preds) != len(ins) {
+			t.Fatalf("poisoned batch: isolated %v, %d errs, %d preds for %d inputs", isolated, len(errs), len(preds), len(ins))
+		}
+		if errs[bad] == nil {
+			t.Fatalf("the poisoned input %d predicted %v", bad, preds[bad])
+		}
+		for i := range ins {
+			j := i
+			if i == bad {
+				continue
+			} else if i > bad {
+				j--
+			}
+			if errs[i] != nil || math.Float64bits(preds[i]) != math.Float64bits(fused[j]) {
+				t.Fatalf("item %d = (%v, %v), want the fused %v", i, preds[i], errs[i], fused[j])
+			}
+		}
+	})
+
+	t.Run("cancelled", func(t *testing.T) {
+		cctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		est := cancelOnPredict{Estimator: zs, cancel: cancel}
+		ins := Inputs(f.eval[:16])
+		preds, errs, isolated := PredictEach(cctx, est, ins)
+		if !isolated || len(errs) != len(ins) {
+			t.Fatalf("isolated %v, %d errs for %d inputs", isolated, len(errs), len(ins))
+		}
+		cancelled := 0
+		for i, err := range errs {
+			switch {
+			case err == nil && preds[i] == 1:
+			case errors.Is(err, context.Canceled) && preds[i] == 0:
+				cancelled++
+			default:
+				t.Fatalf("item %d = (%v, %v), want (1, nil) or (0, context.Canceled)", i, preds[i], err)
+			}
+		}
+		// Each worker may have claimed one input before the first
+		// Predict cancelled; every later input must not start.
+		if want := len(ins) - runtime.GOMAXPROCS(0); cancelled < want {
+			t.Fatalf("%d inputs report the cancellation, want at least %d", cancelled, want)
+		}
+	})
+}
+
+// cancelOnPredict aborts every batch and cancels the context from its
+// first per-input prediction on.
+type cancelOnPredict struct {
+	Estimator
+	cancel context.CancelFunc
+}
+
+func (c cancelOnPredict) PredictBatch(context.Context, []PlanInput) ([]float64, error) {
+	return nil, errors.New("batch aborted")
+}
+
+func (c cancelOnPredict) Predict(context.Context, PlanInput) (float64, error) {
+	c.cancel()
+	return 1, nil
 }
 
 func TestPredictValidatesInputs(t *testing.T) {

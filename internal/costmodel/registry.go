@@ -69,6 +69,12 @@ func Names() []string {
 	return out
 }
 
+// MaxFileSize caps a model file: Load reads no further, and a bundle
+// refuses a model entry larger. The largest file nn.MaxWidth allows is
+// a zero-shot model at width 512: 21 380 329 bytes (MSCN at that width
+// is 15 000 968, E2E 12 514 092). 32 MiB is about 1.57 times that.
+const MaxFileSize = 32 << 20
+
 // fileMagic guards against feeding arbitrary gob streams into Load.
 const fileMagic = "zsdb-costmodel/v1"
 
@@ -90,15 +96,22 @@ func Save(w io.Writer, est Estimator) error {
 }
 
 // Load reads a model file written by Save, dispatching to the registered
-// factory named in the header.
+// factory named in the header. It reads at most MaxFileSize bytes of r;
+// a file that needs more fails with an error naming the cap.
 func Load(r io.Reader) (Estimator, error) {
+	lr := &io.LimitedReader{R: r, N: MaxFileSize + 1}
 	// Model files stack several gob streams (header, adapter header,
 	// parameters), each read by its own decoder. gob wraps readers that
 	// lack ReadByte in an internal bufio.Reader which over-reads past its
 	// message — so share one ByteReader across all decoders.
-	if _, ok := r.(io.ByteReader); !ok {
-		r = bufio.NewReader(r)
+	est, err := load(bufio.NewReader(lr))
+	if err != nil && lr.N == 0 {
+		return nil, fmt.Errorf("costmodel: model file exceeds the %d-byte cap", MaxFileSize)
 	}
+	return est, err
+}
+
+func load(r *bufio.Reader) (Estimator, error) {
 	var hdr fileHeader
 	if err := gob.NewDecoder(r).Decode(&hdr); err != nil {
 		return nil, fmt.Errorf("costmodel: decode header: %w", err)

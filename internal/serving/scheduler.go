@@ -10,7 +10,6 @@ import (
 	"github.com/zeroshot-db/zeroshot/internal/costmodel"
 	"github.com/zeroshot-db/zeroshot/internal/metrics"
 	"github.com/zeroshot-db/zeroshot/internal/obs"
-	"github.com/zeroshot-db/zeroshot/internal/par"
 )
 
 // scheduler answers single-prediction requests, on the goroutine that
@@ -277,12 +276,12 @@ func (s *scheduler) drainLoop(q *modelQueue) {
 // submitter's batch of one — through the model name's current estimator
 // generation, leaving request i's answer in out[i] (which arrives
 // zeroed). Requests whose caller already gave up are dropped before
-// inference; the rest drain through PredictBatch. If the shared batch
-// call fails (its first bad input aborts everything), the batch falls
-// back to per-request Predict so each caller gets exactly its own error.
+// inference; the rest drain through costmodel.PredictEach, so a batch
+// whose first bad input aborts it re-predicts per request and each
+// caller gets exactly its own error.
 //
 // reqs and out may live on the caller's stack: nothing here retains
-// them (the fallback fans out over its own copies).
+// them.
 func (s *scheduler) pass(q *modelQueue, reqs []single, out []schedResult) {
 	est := s.resolve(q.name)
 	ins := make([]costmodel.PlanInput, 0, len(reqs))
@@ -305,33 +304,23 @@ func (s *scheduler) pass(q *modelQueue, reqs []single, out []schedResult) {
 	}
 	// The batch outlives any single caller's deadline by design — its
 	// members already passed their own ctx checks above.
-	preds, err := est.PredictBatch(context.Background(), ins)
-	if err != nil {
-		// The fused pass aborted and every request re-predicts alone, so
+	preds, errs, isolated := costmodel.PredictEach(context.Background(), est, ins)
+	j := 0
+	for i := range reqs {
+		if live(i) {
+			out[i].v = preds[j]
+			if errs != nil {
+				out[i].err = errs[j]
+			}
+			j++
+		}
+	}
+	if isolated {
+		// The fused pass aborted and every request re-predicted alone, so
 		// nothing actually coalesced: count the fallback as its own
 		// outcome instead of a successful batch — batches/coalesced/
 		// batchSizes record only passes that really drained fused.
 		s.fallbacks.Inc()
-		ctxs := make([]context.Context, 0, len(ins))
-		for i := range reqs {
-			if live(i) {
-				ctxs = append(ctxs, reqs[i].ctx)
-			}
-		}
-		res := make([]schedResult, len(ins))
-		// Each request answers to its own ctx, so the fan-out itself is
-		// never cancelled.
-		par.Each(context.Background(), len(ins), func(j int) error {
-			res[j].v, res[j].err = est.Predict(ctxs[j], ins[j])
-			return nil
-		})
-		j := 0
-		for i := range reqs {
-			if live(i) {
-				out[i] = res[j]
-				j++
-			}
-		}
 		return
 	}
 	s.batches.Inc()
@@ -346,13 +335,6 @@ func (s *scheduler) pass(q *modelQueue, reqs []single, out []schedResult) {
 		cur := s.maxSeen.Load()
 		if n <= cur || s.maxSeen.CompareAndSwap(cur, n) {
 			break
-		}
-	}
-	j := 0
-	for i := range reqs {
-		if live(i) {
-			out[i].v = preds[j]
-			j++
 		}
 	}
 }

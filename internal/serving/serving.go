@@ -41,16 +41,8 @@ import (
 	"github.com/zeroshot-db/zeroshot/internal/costmodel"
 	"github.com/zeroshot-db/zeroshot/internal/metrics"
 	"github.com/zeroshot-db/zeroshot/internal/obs"
-	"github.com/zeroshot-db/zeroshot/internal/par"
 	"github.com/zeroshot-db/zeroshot/internal/storage"
 )
-
-// canceled reports whether err is the caller's own context ending — an
-// impatient client, not a serving failure; it stays out of the error
-// counters so operators can alert on the Errors stat.
-func canceled(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
 
 // Sentinel error kinds front ends map to status codes (wrapped, test with
 // errors.Is).
@@ -269,6 +261,32 @@ func (s *Session) database(name string) (*dbSession, error) {
 	return d, nil
 }
 
+// begin counts one request and resolves its database and model — the
+// preamble of Predict, PredictBatch and WhatIf. A resolution failure
+// counts as the request's error.
+func (s *Session) begin(dbName, model string) (d *dbSession, est costmodel.Estimator, err error) {
+	s.requests.Inc()
+	if d, err = s.database(dbName); err == nil {
+		if est, err = s.Model(model); err == nil {
+			return d, est, nil
+		}
+	}
+	s.errs.Inc()
+	return nil, nil, err
+}
+
+// countErr counts err as a failed request or item and reports whether
+// it did. It does not when err is nil or the caller's own context ending
+// — an impatient client, not a serving failure, stays out of the error
+// counter so operators can alert on the Errors stat.
+func (s *Session) countErr(err error) bool {
+	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return false
+	}
+	s.errs.Inc()
+	return true
+}
+
 // Model returns the estimator currently attached under name; an empty
 // name selects the only attached model when unambiguous. Requests resolve
 // their model through it, and the adaptation subsystem uses it to clone
@@ -388,22 +406,13 @@ func (s *Session) Predict(ctx context.Context, dbName, model, sql string) (Predi
 }
 
 func (s *Session) predictTraced(ctx context.Context, dbName, model, sql string, tr *obs.Trace) (Prediction, error) {
-	s.requests.Inc()
-	d, err := s.database(dbName)
+	d, est, err := s.begin(dbName, model)
 	if err != nil {
-		s.errs.Inc()
-		return Prediction{}, err
-	}
-	est, err := s.Model(model)
-	if err != nil {
-		s.errs.Inc()
 		return Prediction{}, err
 	}
 	in, cached, fp, err := d.prepare(ctx, sql, tr)
 	if err != nil {
-		if !canceled(err) {
-			s.errs.Inc()
-		}
+		s.countErr(err)
 		return Prediction{}, err
 	}
 	if cached {
@@ -428,9 +437,7 @@ func (s *Session) predictTraced(ctx context.Context, dbName, model, sql string, 
 	s.predict.Observe(time.Since(start))
 	tr.Span(StagePredict, start)
 	if err != nil {
-		if !canceled(err) {
-			s.errs.Inc()
-		}
+		s.countErr(err)
 		return Prediction{}, err
 	}
 	return Prediction{
@@ -468,15 +475,8 @@ type BatchResult struct {
 // error return is reserved for request-level failures (unknown
 // database/model, closed session).
 func (s *Session) PredictBatch(ctx context.Context, dbName, model string, sqls []string) (BatchResult, error) {
-	s.requests.Inc()
-	d, err := s.database(dbName)
+	d, est, err := s.begin(dbName, model)
 	if err != nil {
-		s.errs.Inc()
-		return BatchResult{}, err
-	}
-	est, err := s.Model(model)
-	if err != nil {
-		s.errs.Inc()
 		return BatchResult{}, err
 	}
 	items := make([]BatchItem, len(sqls))
@@ -486,9 +486,7 @@ func (s *Session) PredictBatch(ctx context.Context, dbName, model string, sqls [
 		in, _, _, err := d.prepare(ctx, sql, nil)
 		if err != nil {
 			items[i].Err = err
-			if !canceled(err) {
-				s.errs.Inc()
-			}
+			s.countErr(err)
 			continue
 		}
 		ins = append(ins, in)
@@ -499,25 +497,12 @@ func (s *Session) PredictBatch(ctx context.Context, dbName, model string, sqls [
 		return res, nil
 	}
 	start := time.Now()
-	preds, err := est.PredictBatch(ctx, ins)
-	if err != nil {
-		// The shared batch aborted (first bad input wins): isolate the
-		// failure by re-predicting the survivors individually (still
-		// on the worker pool) so each item carries exactly its own error.
-		errs := par.Each(ctx, len(ins), func(j int) error {
-			v, perr := est.Predict(ctx, ins[j])
-			items[idx[j]].RuntimeSec = v
-			return perr
-		})
-		for j, perr := range errs {
-			if perr != nil && !canceled(perr) {
-				s.errs.Inc()
-			}
-			items[idx[j]].Err = perr
-		}
-	} else {
-		for j, p := range preds {
-			items[idx[j]].RuntimeSec = p
+	preds, errs, _ := costmodel.PredictEach(ctx, est, ins)
+	for j, i := range idx {
+		items[i].RuntimeSec = preds[j]
+		if errs != nil {
+			items[i].Err = errs[j]
+			s.countErr(errs[j])
 		}
 	}
 	s.predict.Observe(time.Since(start))

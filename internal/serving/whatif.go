@@ -30,15 +30,8 @@ import (
 // pipeline first, so the sweep warms the same plan cache predictions
 // use and reuses it on repeats.
 func (s *Session) WhatIf(ctx context.Context, dbName, model string, req whatif.Request) (*whatif.Report, error) {
-	s.requests.Inc()
-	d, err := s.database(dbName)
+	d, est, err := s.begin(dbName, model)
 	if err != nil {
-		s.errs.Inc()
-		return nil, err
-	}
-	est, err := s.Model(model)
-	if err != nil {
-		s.errs.Inc()
 		return nil, err
 	}
 	if len(req.SQL) == 0 {
@@ -53,8 +46,7 @@ func (s *Session) WhatIf(ctx context.Context, dbName, model string, req whatif.R
 	for i, sql := range req.SQL {
 		in, _, fp, err := d.prepare(ctx, sql, nil)
 		if err != nil {
-			if !canceled(err) {
-				s.errs.Inc()
+			if s.countErr(err) {
 				err = fmt.Errorf("statement %d: %w", i, err)
 			}
 			return nil, err
@@ -81,9 +73,7 @@ func (s *Session) WhatIf(ctx context.Context, dbName, model string, req whatif.R
 	rep, err := d.catalog(s.cfg.PlanCacheSize).Sweep(ctx, est, stmts, variants)
 	s.sweepLat.Observe(time.Since(start))
 	if err != nil {
-		if !canceled(err) {
-			s.errs.Inc()
-		}
+		s.countErr(err)
 		return nil, err
 	}
 	s.sweeps.Inc()

@@ -96,21 +96,10 @@ func (c *Catalog) Sweep(ctx context.Context, est costmodel.Estimator, stmts []St
 	// One fused pass over the sweep's distinct plans. A batch-level abort
 	// (first bad input wins) falls back to per-plan predictions, each
 	// plan once, so each pair carries exactly its plan's error — unless
-	// the batch died because the caller's context did, in which case the
-	// sweep is over.
-	preds, err := est.PredictBatch(ctx, ins)
-	var failed []error
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
-		preds, failed = make([]float64, len(ins)), make([]error, len(ins))
-		for j := range ins {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, ctxErr
-			}
-			preds[j], failed[j] = est.Predict(ctx, ins[j])
-		}
+	// the caller's context died, in which case the sweep is over.
+	preds, failed, _ := costmodel.PredictEach(ctx, est, ins)
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	for _, p := range pos {
 		qr := &results[p.v].Queries[p.s]
