@@ -22,31 +22,8 @@ import (
 // bundleFlags carries the -bundle* flag values into session assembly.
 // An empty dir means bundle distribution is off.
 type bundleFlags struct {
-	dir    string
-	poll   time.Duration
-	retain int
-	model  string
-}
-
-// resolveModel picks which loaded estimator the bundle tier distributes:
-// the -bundle-model name, or the sole loaded model.
-func (bf bundleFlags) resolveModel(models []costmodel.Estimator) (string, error) {
-	if bf.model != "" {
-		for _, est := range models {
-			if est.Name() == bf.model {
-				return bf.model, nil
-			}
-		}
-		return "", fmt.Errorf("serve: -bundle-model %q is not among the loaded models", bf.model)
-	}
-	if len(models) == 1 {
-		return models[0].Name(), nil
-	}
-	names := make([]string, len(models))
-	for i, est := range models {
-		names[i] = est.Name()
-	}
-	return "", fmt.Errorf("serve: several models loaded (%v); pick the distributed one with -bundle-model", names)
+	dir  string
+	poll time.Duration
 }
 
 // bundleControl owns one serve process's bundle plumbing: the shared
@@ -63,14 +40,14 @@ type bundleControl struct {
 	events *obs.Log
 }
 
-// newControl opens the store and publisher. Distributors attach per
-// replica afterwards. events, when non-nil, receives every bundle
-// publish/activate/rollback.
+// newControl opens the store and publisher for models' servedModel.
+// Distributors attach per replica afterwards. events, when non-nil,
+// receives every bundle publish/activate/rollback.
 func (bf bundleFlags) newControl(models []costmodel.Estimator, events *obs.Log) (*bundleControl, error) {
 	if bf.dir == "" {
 		return nil, nil
 	}
-	estName, err := bf.resolveModel(models)
+	estName, err := servedModel(models, false)
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +58,7 @@ func (bf bundleFlags) newControl(models []costmodel.Estimator, events *obs.Log) 
 	return &bundleControl{
 		estimator: estName,
 		store:     store,
-		pub:       bundle.NewPublisher(store, bf.retain).WithEvents(events),
+		pub:       bundle.NewPublisher(store, bundle.DefaultRetain).WithEvents(events),
 		dists:     map[string]*bundle.Distributor{},
 		events:    events,
 	}, nil
@@ -375,7 +352,6 @@ func runBundlePush(args []string) error {
 	fs := flag.NewFlagSet("bundle push", flag.ContinueOnError)
 	modelPath := fs.String("model", "", "saved model file to publish (required)")
 	dir := fs.String("store", "", "bundle store directory (required)")
-	retain := fs.Int("retain", bundle.DefaultRetain, "revisions to retain after pruning")
 	fingerprint := fs.String("fingerprint", "", "training fingerprint (default: file:<model path>)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -395,7 +371,7 @@ func runBundlePush(args []string) error {
 	if fp == "" {
 		fp = "file:" + *modelPath
 	}
-	man, err := bundle.NewPublisher(store, *retain).Publish(context.Background(), est, bundle.Meta{Fingerprint: fp})
+	man, err := bundle.NewPublisher(store, bundle.DefaultRetain).Publish(context.Background(), est, bundle.Meta{Fingerprint: fp})
 	if err != nil {
 		return err
 	}
@@ -443,7 +419,6 @@ func runBundleRollback(args []string) error {
 	fs := flag.NewFlagSet("bundle rollback", flag.ContinueOnError)
 	dir := fs.String("store", "", "bundle store directory (required)")
 	to := fs.Int64("to", 0, "revision to restore (0 = the one before the current head)")
-	retain := fs.Int("retain", bundle.DefaultRetain, "revisions to retain after pruning")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -454,7 +429,7 @@ func runBundleRollback(args []string) error {
 	if err != nil {
 		return err
 	}
-	man, err := bundle.NewPublisher(store, *retain).Rollback(context.Background(), *to)
+	man, err := bundle.NewPublisher(store, bundle.DefaultRetain).Rollback(context.Background(), *to)
 	if err != nil {
 		return err
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/zeroshot-db/zeroshot/internal/adapt"
-	"github.com/zeroshot-db/zeroshot/internal/bundle"
 	"github.com/zeroshot-db/zeroshot/internal/cluster"
 	"github.com/zeroshot-db/zeroshot/internal/cluster/sim"
 	"github.com/zeroshot-db/zeroshot/internal/costmodel"
@@ -29,7 +28,7 @@ func TestBundleFleetAdaptConvergeFailoverRollback(t *testing.T) {
 	f := sharedServeFixture(t)
 	ctx := context.Background()
 	storeDir := t.TempDir()
-	bf := bundleFlags{dir: storeDir, poll: time.Hour, retain: bundle.DefaultRetain}
+	bf := bundleFlags{dir: storeDir, poll: time.Hour}
 
 	boot := &cmdScaleEstimator{Scale: 1}
 	bc, err := bf.newControl([]costmodel.Estimator{boot}, nil)

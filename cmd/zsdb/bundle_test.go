@@ -106,7 +106,7 @@ func newBundleFixture(t *testing.T, scale float64) (*serving.Session, *bundleCon
 	}
 	t.Cleanup(func() { sess.Close() })
 
-	bf := bundleFlags{dir: t.TempDir(), poll: time.Hour, retain: bundle.DefaultRetain}
+	bf := bundleFlags{dir: t.TempDir(), poll: time.Hour}
 	bc, err := bf.newControl([]costmodel.Estimator{est}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -359,7 +359,7 @@ func TestServeBundlesDisabled(t *testing.T) {
 func TestClusterBundleConvergence(t *testing.T) {
 	f := sharedServeFixture(t)
 	ctx := context.Background()
-	bf := bundleFlags{dir: t.TempDir(), poll: time.Hour, retain: bundle.DefaultRetain}
+	bf := bundleFlags{dir: t.TempDir(), poll: time.Hour}
 
 	boot := &cmdScaleEstimator{Scale: 1}
 	bc, err := bf.newControl([]costmodel.Estimator{boot}, nil)

@@ -100,7 +100,12 @@ func TestRunDispatch(t *testing.T) {
 		}
 	}
 	// Knobs that were deleted stay deleted.
-	for _, argv := range [][]string{{"serve", "-batch-max", "8"}, {"route", "-max-attempts", "1"}} {
+	for _, argv := range [][]string{
+		{"serve", "-batch-max", "8"}, {"route", "-max-attempts", "1"},
+		{"serve", "-adapt-model", "zeroshot"}, {"serve", "-bundle-model", "zeroshot"},
+		{"serve", "-plancache", "8"}, {"serve", "-drain-timeout", "1s"}, {"route", "-drain-timeout", "1s"},
+		{"serve", "-bundle-retain", "2"}, {"bundle", "push", "-retain", "2"}, {"bundle", "rollback", "-retain", "2"},
+	} {
 		if err := run(argv[0], argv[1:]); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("%v accepted a deleted flag (err %v)", argv, err)
 		}

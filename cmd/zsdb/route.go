@@ -25,7 +25,6 @@ func runRoute(args []string) error {
 	names := fs.String("names", "", "comma-separated replica names aligned with -backends (default: the URLs themselves); names are the ring identity, keep them stable")
 	addr := fs.String("addr", ":8090", "listen address")
 	callTimeout := fs.Duration("call-timeout", 5*time.Second, "per-attempt backend call timeout; a slower backend fails over")
-	drain := fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown timeout")
 	var of obsFlags
 	of.register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -94,7 +93,7 @@ func runRoute(args []string) error {
 	banner := fmt.Sprintf("routing over %d backend(s) (%d healthy)", len(urls), up)
 	srv := newRouterServer(router)
 	srv.tracer, srv.events = tracer, events
-	return listenAndServe(*addr, srv.mux(), router, *drain, banner)
+	return listenAndServe(*addr, srv.mux(), router, banner)
 }
 
 // checkStartupHealth probes every backend once so a route command fails

@@ -11,7 +11,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -22,6 +21,7 @@ import (
 	"github.com/zeroshot-db/zeroshot/internal/datagen"
 	"github.com/zeroshot-db/zeroshot/internal/encoding"
 	"github.com/zeroshot-db/zeroshot/internal/obs"
+	"github.com/zeroshot-db/zeroshot/internal/par"
 	"github.com/zeroshot-db/zeroshot/internal/serving"
 	"github.com/zeroshot-db/zeroshot/internal/storage"
 )
@@ -84,19 +84,13 @@ func buildDatabases(dbSpec string, dbScale float64) ([]string, []*storage.Databa
 		return nil, nil, fmt.Errorf("serve: no databases attached (check -databases)")
 	}
 	dbs := make([]*storage.Database, len(kinds))
-	errs := make([]error, len(kinds))
-	var wg sync.WaitGroup
-	for i, kind := range kinds {
-		wg.Add(1)
-		go func(i int, kind string) {
-			defer wg.Done()
-			dbs[i], errs[i] = buildDatabase(kind, dbScale)
-		}(i, kind)
-	}
-	wg.Wait()
-	for i := range kinds {
-		if errs[i] != nil {
-			return nil, nil, errs[i]
+	errs := par.Each(context.Background(), len(kinds), func(i int) (err error) {
+		dbs[i], err = buildDatabase(kinds[i], dbScale)
+		return err
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
 		}
 	}
 	return kinds, dbs, nil
@@ -122,33 +116,28 @@ func assembleSession(cfg serving.Config, kinds []string, dbs []*storage.Database
 	return sess, nil
 }
 
-// adaptableModel resolves which attached model the adaptation loop
-// should own: the named one, or — when the flag is empty — the single
-// attached model that supports online adaptation (Clone + FineTune).
-func adaptableModel(sess *serving.Session, name string) (string, error) {
-	if name != "" {
-		return name, nil
-	}
-	var candidates []string
-	for _, n := range sess.Models() {
-		est, err := sess.Model(n)
-		if err != nil {
-			return "", err
-		}
+// servedModel names the one model serve adapts and the bundle tier
+// ships: the loaded model that can adapt (Clone and FineTune; only the
+// zero-shot model can, and loadModels refuses two of one name), or
+// else, when not adapting, the only loaded model. With one name for
+// both, every replica's distributor accepts an adapted clone's bundle.
+func servedModel(models []costmodel.Estimator, adapting bool) (string, error) {
+	names := make([]string, len(models))
+	for i, est := range models {
 		_, canClone := est.(costmodel.Cloner)
 		_, canTune := est.(costmodel.FineTuner)
 		if canClone && canTune {
-			candidates = append(candidates, n)
+			return est.Name(), nil
 		}
+		names[i] = est.Name()
 	}
-	switch len(candidates) {
-	case 0:
-		return "", fmt.Errorf("serve: -adapt needs a model supporting Clone and FineTune; none of %v does", sess.Models())
-	case 1:
-		return candidates[0], nil
-	default:
-		return "", fmt.Errorf("serve: several models support adaptation (%v); pick one with -adapt-model", candidates)
+	if adapting {
+		return "", fmt.Errorf("serve: -adapt needs a model supporting Clone and FineTune; none of %v does", names)
 	}
+	if len(models) != 1 {
+		return "", fmt.Errorf("serve: the bundle tier ships one model, and none of %v can adapt; serve one of them", names)
+	}
+	return names[0], nil
 }
 
 // serveUntilSignal runs the HTTP server until a shutdown signal arrives,
@@ -156,7 +145,7 @@ func adaptableModel(sess *serving.Session, name string) (string, error) {
 // (bounded by drainTimeout), and close the backing replica — or, in
 // cluster mode, the router and every replica behind it — so queued
 // micro-batches still answer before the process exits.
-func serveUntilSignal(httpSrv *http.Server, ln net.Listener, backing io.Closer, sigs <-chan os.Signal, drainTimeout time.Duration) error {
+func serveUntilSignal(httpSrv *http.Server, ln net.Listener, backing io.Closer, sigs <-chan os.Signal) error {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	select {
@@ -196,10 +185,14 @@ func serveUntilSignal(httpSrv *http.Server, ln net.Listener, backing io.Closer, 
 // headers to the end of the reply, handler included, so a long what-if
 // sweep would lose its reply, as a pprof ?seconds= profile would on the
 // debug listener.
+//
+// drainTimeout bounds a graceful shutdown, serve's and route's alike:
+// how long in-flight handlers may run on after SIGINT or SIGTERM.
 const (
 	readHeaderTimeout = 5 * time.Second
 	readTimeout       = 10 * time.Second
 	idleTimeout       = 2 * time.Minute
+	drainTimeout      = 10 * time.Second
 )
 
 // newHTTPServer is the one http.Server constructor: the serving listener
@@ -217,7 +210,7 @@ func newHTTPServer(handler http.Handler) *http.Server {
 // announce "<banner> on <address>" (tools that start a node on port 0
 // learn the port from that line), and serve handler until SIGINT or
 // SIGTERM, closing backing on the way out — also when listening fails.
-func listenAndServe(addr string, handler http.Handler, backing io.Closer, drain time.Duration, banner string) error {
+func listenAndServe(addr string, handler http.Handler, backing io.Closer, banner string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		backing.Close()
@@ -228,31 +221,30 @@ func listenAndServe(addr string, handler http.Handler, backing io.Closer, drain 
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigs)
 	fmt.Fprintf(os.Stderr, "%s on %s\n", banner, ln.Addr())
-	err = serveUntilSignal(httpSrv, ln, backing, sigs, drain)
+	err = serveUntilSignal(httpSrv, ln, backing, sigs)
 	if errors.Is(err, http.ErrServerClosed) {
 		return nil
 	}
 	return err
 }
 
-// adaptFlags carries the -adapt* flag values into session assembly.
+// adaptFlags carries the -adapt flag into session assembly.
 type adaptFlags struct {
-	on    bool
-	model string
+	on bool
 	// events, when non-nil, receives the loop's control-plane decisions
 	// (drift triggers, swap verdicts) in the process-wide event log.
 	events *obs.Log
 }
 
-// newLoopFor builds and starts one session's adaptation loop per the
-// flags (nil when -adapt is off). onAccept, when non-nil, hooks the
-// accept path — the bundle publisher's entry point. origin names this
-// session in recorded events (the replica name, or "local").
-func (a adaptFlags) newLoopFor(sess *serving.Session, onAccept func(context.Context, costmodel.Estimator, adapt.ShadowEval, int), origin string) (*adapt.Loop, error) {
+// newLoopFor builds and starts one session's adaptation loop over
+// models' servedModel (nil when -adapt is off). onAccept, when non-nil,
+// hooks the accept path — the bundle publisher's entry point. origin
+// names this session in recorded events (the replica name, or "local").
+func (a adaptFlags) newLoopFor(sess *serving.Session, models []costmodel.Estimator, onAccept func(context.Context, costmodel.Estimator, adapt.ShadowEval, int), origin string) (*adapt.Loop, error) {
 	if !a.on {
 		return nil, nil
 	}
-	model, err := adaptableModel(sess, a.model)
+	model, err := servedModel(models, true)
 	if err != nil {
 		return nil, err
 	}
@@ -317,7 +309,7 @@ func buildReplicas(cfg serving.Config, dbSpec string, dbScale float64, modelPath
 				return fail(err)
 			}
 		}
-		loop, err := af.newLoopFor(sess, bc.onAccept(dist), name)
+		loop, err := af.newLoopFor(sess, models, bc.onAccept(dist), name)
 		if err != nil {
 			return fail(err)
 		}
@@ -350,14 +342,9 @@ func runServe(args []string) error {
 	dbScale := fs.Float64("dbscale", 0.1, "serving database scale")
 	replicas := fs.Int("replicas", 1, "in-process replica count; >1 serves a sharded cluster behind the consistent-hash router")
 	callTimeout := fs.Duration("call-timeout", 10*time.Second, "cluster mode: per-attempt replica call timeout; a slower replica fails over (-replicas > 1 only)")
-	planCache := fs.Int("plancache", costmodel.DefaultPlanCacheSize, "per-database plan cache entries")
-	drain := fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown timeout")
 	adaptOn := fs.Bool("adapt", false, "enable online adaptation: /v1/feedback runtimes fine-tune the model in the background and hot-swap improved generations")
-	adaptModel := fs.String("adapt-model", "", "model to adapt (default: the sole attached model supporting Clone+FineTune)")
 	bundleDir := fs.String("bundle-dir", "", "bundle store directory: replicas poll it for new model revisions, and accepted adaptations publish into it (empty = bundles off)")
 	bundlePoll := fs.Duration("bundle-poll", bundle.DefaultInterval, "bundle distributor poll interval (jittered per replica)")
-	bundleRetain := fs.Int("bundle-retain", bundle.DefaultRetain, "bundle revisions to retain for rollback")
-	bundleModel := fs.String("bundle-model", "", "model the bundle tier distributes (default: the sole loaded model)")
 	var of obsFlags
 	of.register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -375,12 +362,9 @@ func runServe(args []string) error {
 		return err
 	}
 	defer stopDebug()
-	cfg := serving.Config{
-		PlanCacheSize: *planCache,
-		Tracer:        tracer,
-	}
-	af := adaptFlags{on: *adaptOn, model: *adaptModel, events: events}
-	bf := bundleFlags{dir: *bundleDir, poll: *bundlePoll, retain: *bundleRetain, model: *bundleModel}
+	cfg := serving.Config{Tracer: tracer} // a zero PlanCacheSize is costmodel.DefaultPlanCacheSize
+	af := adaptFlags{on: *adaptOn, events: events}
+	bf := bundleFlags{dir: *bundleDir, poll: *bundlePoll}
 	built, bc, err := buildReplicas(cfg, *databases, *dbScale, *modelPaths, *replicas, af, bf)
 	if err != nil {
 		return err
@@ -427,5 +411,5 @@ func runServe(args []string) error {
 		banner = fmt.Sprintf("serving %d replica(s)", *replicas)
 	}
 	srv.bundles, srv.tracer, srv.events = bc, tracer, events
-	return listenAndServe(*addr, srv.mux(), backing, *drain, banner)
+	return listenAndServe(*addr, srv.mux(), backing, banner)
 }

@@ -522,16 +522,25 @@ func TestServeAdaptDisabled(t *testing.T) {
 	})
 }
 
-// TestAdaptableModel checks the -adapt-model default resolution: the
-// zero-shot model is the only adaptable one in the fixture.
-func TestAdaptableModel(t *testing.T) {
-	sess := newTestSession(t, serving.Config{})
-	name, err := adaptableModel(sess, "")
-	if err != nil || name != costmodel.NameZeroShot {
-		t.Fatalf("adaptableModel = %q (err %v), want zeroshot", name, err)
+// TestServedModel checks the one rule that names the model serve adapts
+// and ships: the model that can adapt wins, with or without -adapt; a
+// lone model that cannot adapt is shipped, but -adapt refuses it.
+func TestServedModel(t *testing.T) {
+	f := sharedServeFixture(t)
+	zs, sc := f.models[0], f.models[1]
+	for _, adapting := range []bool{false, true} {
+		for _, models := range [][]costmodel.Estimator{{zs, sc}, {sc, zs}} {
+			if name, err := servedModel(models, adapting); err != nil || name != costmodel.NameZeroShot {
+				t.Fatalf("servedModel(adapting=%v) = %q (err %v), want zeroshot", adapting, name, err)
+			}
+		}
 	}
-	if name, err = adaptableModel(sess, "anything"); err != nil || name != "anything" {
-		t.Fatalf("explicit name not honored: %q (err %v)", name, err)
+	lone := []costmodel.Estimator{sc}
+	if name, err := servedModel(lone, false); err != nil || name != costmodel.NameScaledCost {
+		t.Fatalf("lone scaledcost without -adapt = %q (err %v), want scaledcost", name, err)
+	}
+	if name, err := servedModel(lone, true); err == nil {
+		t.Fatalf("lone scaledcost under -adapt = %q, want an error", name)
 	}
 }
 
@@ -570,7 +579,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	httpSrv := &http.Server{Handler: newSessionServer(sess, nil).mux()}
 	sigs := make(chan os.Signal, 1)
 	done := make(chan error, 1)
-	go func() { done <- serveUntilSignal(httpSrv, ln, sess, sigs, 5*time.Second) }()
+	go func() { done <- serveUntilSignal(httpSrv, ln, sess, sigs) }()
 
 	url := "http://" + ln.Addr().String()
 	resp, body := postJSON(t, url+"/v1/predict",

@@ -33,7 +33,7 @@ func bootReplicas(t *testing.T, n int, o fleetOpts, tracer *obs.Tracer, events *
 	var bc *bundleControl
 	if o.bundles {
 		var err error
-		bf := bundleFlags{dir: t.TempDir(), poll: time.Hour, retain: bundle.DefaultRetain, model: costmodel.NameZeroShot}
+		bf := bundleFlags{dir: t.TempDir(), poll: time.Hour}
 		if bc, err = bf.newControl(f.models, events); err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,9 @@ import (
 	"compress/gzip"
 	"context"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -236,4 +239,50 @@ func TestInspectAllocatesItsPayloadOnce(t *testing.T) {
 	if alloc := after.TotalAlloc - before.TotalAlloc; float64(alloc) > 1.5*float64(len(payload)) {
 		t.Fatalf("Inspect of a %d-byte payload allocated %d bytes, want under 1.5 times the payload", len(payload), alloc)
 	}
+}
+
+// FuzzOpen feeds the bundle reader bytes it did not write: a
+// distributor opens whatever the store holds. Open may refuse them, but
+// must not panic, and a bundle it does open must rebuild into one it
+// opens again.
+//
+// The corpus under testdata/fuzz/FuzzOpen is a real bundle of a width-8
+// zero-shot model and one of the test estimator;
+// UPDATE_FUZZ_CORPUS=1 go test -run FuzzOpen rewrites both after a
+// change to the bundle or model-file format.
+func FuzzOpen(f *testing.F) {
+	if os.Getenv("UPDATE_FUZZ_CORPUS") != "" {
+		zs, err := costmodel.New(costmodel.NameZeroShot, costmodel.Options{Hidden: 8, Seed: 7})
+		if err != nil {
+			f.Fatal(err)
+		}
+		dir := filepath.Join("testdata", "fuzz", "FuzzOpen")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			f.Fatal(err)
+		}
+		for name, est := range map[string]costmodel.Estimator{"seed_zeroshot": zs, "seed_test_estimator": &scaleEstimator{Scale: 2.5}} {
+			var buf bytes.Buffer
+			if _, err := bundle.Build(&buf, est, 3, bundle.Meta{Fingerprint: "fuzz"}); err != nil {
+				f.Fatal(err)
+			}
+			entry := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", buf.Bytes())
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(entry), 0o644); err != nil {
+				f.Fatal(err)
+			}
+		}
+		f.Skip("corpus rewritten")
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := bundle.Open(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if _, err := bundle.Build(&buf, b.Estimator, b.Manifest.Revision, bundle.Meta{Fingerprint: b.Manifest.Fingerprint}); err != nil {
+			t.Fatalf("opened revision %d does not rebuild: %v", b.Manifest.Revision, err)
+		}
+		if _, err := bundle.Open(&buf); err != nil {
+			t.Fatalf("opened revision %d rebuilds into a bundle Open refuses: %v", b.Manifest.Revision, err)
+		}
+	})
 }

@@ -13,8 +13,9 @@ import (
 )
 
 // DefaultRetain is how many revisions a Publisher keeps when the caller
-// does not say — enough history to roll back past a bad run of
-// adaptations without the store growing unboundedly.
+// does not say, and the one depth every zsdb writer (serve, bundle push,
+// bundle rollback) prunes a store to — enough history to roll back past
+// a bad run of adaptations without the store growing unboundedly.
 const DefaultRetain = 5
 
 // Publisher assigns revisions and writes bundles to a store, pruning to

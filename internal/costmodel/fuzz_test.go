@@ -1,6 +1,9 @@
 package costmodel
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -107,4 +110,43 @@ func TestFingerprintIdempotenceSeeds(t *testing.T) {
 			t.Errorf("Fingerprint not idempotent on %q", s)
 		}
 	}
+}
+
+// FuzzLoad feeds the model-file reader bytes it did not write: serve,
+// eval and the bundle tier all load whatever file they are pointed at.
+// Load may refuse them, but must not panic, and an estimator it does
+// return must save to a file Load reads back.
+//
+// Seed corpus: the pinned model files under testdata/models and a
+// width-8 zero-shot file built here.
+func FuzzLoad(f *testing.F) {
+	for _, name := range pinnedModels {
+		raw, err := os.ReadFile(filepath.Join("testdata", "models", name+".gob"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	zs, err := New(NameZeroShot, Options{Hidden: 8, Seed: 7})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Save(&buf, zs); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		est, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := Save(&out, est); err != nil {
+			t.Fatalf("loaded %s does not save: %v", est.Name(), err)
+		}
+		if _, err := Load(&out); err != nil {
+			t.Fatalf("loaded %s saves to a file Load refuses: %v", est.Name(), err)
+		}
+	})
 }

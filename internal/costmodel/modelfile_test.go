@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -92,5 +93,44 @@ func TestModelFilesPinned(t *testing.T) {
 	}
 	if got.String() != string(want) {
 		t.Fatalf("predictions of the pinned model files differ from %s:\nwant\n%sgot\n%s", golden, want, got.String())
+	}
+}
+
+// allocatedBytes reports the heap bytes fn allocates.
+func allocatedBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestLoadDecodesInPlace bounds what Load allocates beyond the model it
+// builds. The parameters decode straight into the freshly built network,
+// so at width 256 a load costs New's allocation plus gob's one buffer
+// for the file (1.01 times it); decoding a second copy of every tensor
+// aside and then copying it in read 1.90 times. (Above 10 MB gob reads a
+// message in growing chunks: at width 512 the two read 2.18 and 3.07.)
+func TestLoadDecodesInPlace(t *testing.T) {
+	const hidden = 256
+	est, err := New(NameZeroShot, Options{Hidden: hidden})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Save(&buf, est); err != nil {
+		t.Fatal(err)
+	}
+	file := buf.Bytes()
+	built := allocatedBytes(func() { _, err = New(NameZeroShot, Options{Hidden: hidden}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := allocatedBytes(func() { _, err = Load(bytes.NewReader(file)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ratio := (float64(loaded) - float64(built)) / float64(len(file)); ratio > 1.5 {
+		t.Fatalf("Load allocates New's %d B + %.2f x the %d B file, want at most 1.5 x", built, ratio, len(file))
 	}
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -209,6 +210,17 @@ func TestLoadParamsRejectsShapeMismatch(t *testing.T) {
 	other := NewMLP(rng, 4, 7, 1)
 	if err := LoadParams(&buf, other.Params()); err == nil {
 		t.Fatal("accepted mismatched architecture")
+	}
+	// LoadParams presets each tensor's slice for gob to fill in place; a
+	// tensor the stream omits, shortens or lengthens must still fail.
+	for name, data := range map[string][]float64{"omitted": nil, "short": make([]float64, 5), "long": make([]float64, 7)} {
+		buf.Reset()
+		if err := gob.NewEncoder(&buf).Encode([]savedTensor{{Rows: 2, Cols: 3, Data: data}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := LoadParams(&buf, []*Param{NewParam(2, 3)}); err == nil {
+			t.Fatalf("accepted a %s tensor", name)
+		}
 	}
 }
 

@@ -41,9 +41,18 @@ func CheckWidth(hidden int) error {
 }
 
 // LoadParams reads parameter values from r into params; shapes must match
-// the saved model exactly, and every value must be finite.
+// the saved model exactly, and every value must be finite. The values
+// decode straight into params' storage: each tensor's slice is handed to
+// gob with its length as its capacity, so gob fills it in place and
+// allocates only for a tensor longer than the model's, which then fails
+// the shape check. A failed load may therefore leave params partly
+// written; loaders decode into a freshly built model and drop it on
+// error.
 func LoadParams(r io.Reader, params []*Param) error {
-	var in []savedTensor
+	in := make([]savedTensor, len(params))
+	for i, p := range params {
+		in[i].Data = p.Val.Data[:0:len(p.Val.Data)]
+	}
 	if err := gob.NewDecoder(r).Decode(&in); err != nil {
 		return fmt.Errorf("nn: decode params: %w", err)
 	}
@@ -61,7 +70,6 @@ func LoadParams(r io.Reader, params []*Param) error {
 				return fmt.Errorf("nn: tensor %d value %d is %v", i, j, v)
 			}
 		}
-		copy(p.Val.Data, st.Data)
 	}
 	return nil
 }
