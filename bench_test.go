@@ -334,14 +334,14 @@ func predictBatchSetup(b *testing.B) (costmodel.Estimator, []costmodel.PlanInput
 }
 
 // BenchmarkPredictBatch_Serial predicts a 256-plan batch one input at a
-// time — the pre-costmodel inference path.
+// time, each a batch of one — the pre-costmodel inference path.
 func BenchmarkPredictBatch_Serial(b *testing.B) {
 	est, ins := predictBatchSetup(b)
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, in := range ins {
-			if _, err := est.Predict(ctx, in); err != nil {
+		for j := range ins {
+			if _, err := est.PredictBatch(ctx, ins[j:j+1]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -365,7 +365,7 @@ func BenchmarkPredictBatch_Parallel(b *testing.B) {
 	b.ReportMetric(float64(len(ins))*float64(b.N)/b.Elapsed().Seconds(), "preds/s")
 }
 
-// fanoutPredict reproduces the pre-fusion PredictBatch: per-item tape
+// fanoutPredict reproduces the pre-fusion PredictBatch: per-item
 // forward passes fanned over a GOMAXPROCS worker pool — the E9 baseline
 // the fused path is measured against.
 func fanoutPredict(ctx context.Context, est costmodel.Estimator, ins []costmodel.PlanInput) error {
@@ -386,7 +386,7 @@ func fanoutPredict(ctx context.Context, est costmodel.Estimator, ins []costmodel
 				if i >= len(ins) {
 					return
 				}
-				_, errs[i] = est.Predict(ctx, ins[i])
+				_, errs[i] = est.PredictBatch(ctx, ins[i:i+1])
 			}
 		}()
 	}
@@ -522,9 +522,9 @@ func BenchmarkServeSingles_PerRequest(b *testing.B) {
 		if err != nil {
 			return err
 		}
-		_, err = est.Predict(ctx, costmodel.PlanInput{
+		_, err = est.PredictBatch(ctx, []costmodel.PlanInput{{
 			DB: db, Query: q, Plan: p, OptimizerCost: optimizer.TotalCost(p),
-		})
+		}})
 		return err
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -473,37 +474,41 @@ func (v routerView) healthz(w http.ResponseWriter, r *http.Request) {
 	writeStatus(w, status, body)
 }
 
+// models lists the union of the model and database names that the
+// reachable replicas serve, sorted, from one Stats fan-out.
 func (v routerView) models(w http.ResponseWriter, r *http.Request) {
-	// Two independent cluster-wide reads; overlap them so the endpoint
-	// costs one fan-out of latency, not two.
-	var (
-		names   []string
-		dbs     []cluster.DatabaseView
-		nameErr error
-		dbErr   error
-		wg      sync.WaitGroup
-	)
-	wg.Add(2)
-	go func() { defer wg.Done(); names, nameErr = v.router.Models(r.Context()) }()
-	go func() { defer wg.Done(); dbs, dbErr = v.router.Databases(r.Context()) }()
-	wg.Wait()
-	if nameErr != nil {
-		writeError(w, nameErr)
+	st, err := v.router.Stats(r.Context())
+	if err != nil {
+		writeError(w, err)
 		return
 	}
-	if dbErr != nil {
-		writeError(w, dbErr)
-		return
+	modelSet, dbSet := map[string]bool{}, map[string]bool{}
+	for _, rs := range st.Replicas {
+		if rs.Serving == nil {
+			continue
+		}
+		for _, m := range rs.Serving.Models {
+			modelSet[m.Name] = true
+		}
+		for _, d := range rs.Serving.Databases {
+			dbSet[d.Database] = true
+		}
 	}
-	models := make([]modelInfo, 0, len(names))
-	for _, name := range names {
+	models := []modelInfo{}
+	for _, name := range sortedKeys(modelSet) {
 		models = append(models, modelInfo{Name: name})
 	}
-	dbNames := make([]string, len(dbs))
-	for i, d := range dbs {
-		dbNames[i] = d.Name
+	writeJSON(w, map[string]any{"models": models, "databases": sortedKeys(dbSet)})
+}
+
+// sortedKeys returns a set's members in ascending order, never nil.
+func sortedKeys(set map[string]bool) []string {
+	out := make([]string, 0, len(set))
+	for k := range set {
+		out = append(out, k)
 	}
-	writeJSON(w, map[string]any{"models": models, "databases": dbNames})
+	sort.Strings(out)
+	return out
 }
 
 func (v routerView) databases(w http.ResponseWriter, r *http.Request) {

@@ -52,21 +52,13 @@ func (e *cmdScaleEstimator) Fit(ctx context.Context, samples []costmodel.Sample)
 	return &costmodel.FitReport{Samples: len(samples)}, nil
 }
 
-func (e *cmdScaleEstimator) Predict(ctx context.Context, in costmodel.PlanInput) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return e.Scale * 1e-6 * (in.OptimizerCost + 1), nil
-}
-
 func (e *cmdScaleEstimator) PredictBatch(ctx context.Context, ins []costmodel.PlanInput) ([]float64, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	out := make([]float64, len(ins))
 	for i, in := range ins {
-		v, err := e.Predict(ctx, in)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
+		out[i] = e.Scale * 1e-6 * (in.OptimizerCost + 1)
 	}
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -345,5 +346,60 @@ func TestRouteFlagValidation(t *testing.T) {
 	// All backends unreachable: the startup probe must fail fast.
 	if err := runRoute([]string{"-backends", "127.0.0.1:1", "-call-timeout", "200ms"}); err == nil {
 		t.Fatal("route with unreachable backend succeeded")
+	}
+}
+
+// TestRouterModelsIsTheUnion checks route mode's /v1/models: the model
+// and database names of every reachable replica, merged and sorted, with
+// a closed replica's names dropped rather than the listing failed.
+func TestRouterModelsIsTheUnion(t *testing.T) {
+	f := sharedServeFixture(t)
+	router := cluster.NewRouter(cluster.Config{})
+	t.Cleanup(func() { router.Close() })
+	sessions := []*serving.Session{serving.NewSession(serving.Config{}), serving.NewSession(serving.Config{})}
+	for i, sess := range sessions {
+		t.Cleanup(func() { sess.Close() })
+		db, data := "imdb", f.imdb
+		if i == 1 {
+			db, data = "ssb", f.ssb
+		}
+		if err := sess.AttachDatabase(db, data); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.AttachModel(f.models[i]); err != nil {
+			t.Fatal(err)
+		}
+		b, err := cluster.NewInProcess(fmt.Sprintf("r%d", i), sess, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := router.Register(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(newRouterServer(router).mux())
+	defer ts.Close()
+	listing := func() string {
+		resp, err := http.Get(ts.URL + "/v1/models")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /v1/models: %d %s (err %v)", resp.StatusCode, body, err)
+		}
+		return strings.TrimSpace(string(body))
+	}
+	if got, want := listing(), `{"databases":["imdb","ssb"],"models":[{"name":"scaledcost"},{"name":"zeroshot"}]}`; got != want {
+		t.Fatalf("listing over both replicas = %s, want %s", got, want)
+	}
+	sessions[1].Close()
+	if got, want := listing(), `{"databases":["imdb"],"models":[{"name":"zeroshot"}]}`; got != want {
+		t.Fatalf("listing with r1 closed = %s, want %s", got, want)
+	}
+	sessions[0].Close()
+	if got, want := listing(), `{"databases":[],"models":[]}`; got != want {
+		t.Fatalf("listing with every replica closed = %s, want %s", got, want)
 	}
 }

@@ -437,13 +437,13 @@ func runExplain(args []string) error {
 		if err != nil {
 			return err
 		}
-		pred, err := est.Predict(context.Background(), costmodel.PlanInput{
+		pred, err := est.PredictBatch(context.Background(), []costmodel.PlanInput{{
 			DB: db, Query: q, Plan: p, OptimizerCost: optimizer.TotalCost(p),
-		})
+		}})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s predicted runtime: %.3fs\n", est.Name(), pred)
+		fmt.Printf("%s predicted runtime: %.3fs\n", est.Name(), pred[0])
 	}
 	return nil
 }

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"context"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +12,7 @@ import (
 	"github.com/zeroshot-db/zeroshot/internal/costmodel"
 	"github.com/zeroshot-db/zeroshot/internal/encoding"
 	"github.com/zeroshot-db/zeroshot/internal/experiments"
+	"github.com/zeroshot-db/zeroshot/internal/serving"
 )
 
 func TestScaleConfig(t *testing.T) {
@@ -121,6 +124,32 @@ func TestRunDispatch(t *testing.T) {
 	}
 	if err := run("train", []string{"-card", "nope"}); err == nil {
 		t.Error("train accepted an unknown cardinality source")
+	}
+}
+
+// TestExplainWithModel runs explain with a saved zero-shot model: it
+// prints the prediction a serving session gives the same statement.
+func TestExplainWithModel(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "zs.gob")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := costmodel.Save(f, sharedServeFixture(t).models[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	served, err := newTestSession(t, serving.Config{}).Predict(context.Background(), "imdb", costmodel.NameZeroShot, testSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := captureStdout(t, func() error {
+		return run("explain", []string{"-sql", testSQL, "-dbscale", "0.08", "-model", path})
+	})
+	if want := fmt.Sprintf("\nzeroshot predicted runtime: %.3fs\n", served.RuntimeSec); !strings.Contains(out, want) {
+		t.Fatalf("explain output lacks %q:\n%s", want[1:len(want)-1], out)
 	}
 }
 

@@ -312,11 +312,11 @@ func (l *Loop) Feedback(ctx context.Context, db, fingerprint string, actualSec f
 	if err != nil {
 		return err
 	}
-	pred, err := est.Predict(ctx, in)
+	pred, err := est.PredictBatch(ctx, []costmodel.PlanInput{in})
 	if err != nil {
 		return err
 	}
-	q := metrics.QError(pred, actualSec)
+	q := metrics.QError(pred[0], actualSec)
 	l.mu.Lock()
 	w := l.windows[db]
 	if w == nil {

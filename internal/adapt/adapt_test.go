@@ -45,21 +45,13 @@ func (e *tunableEstimator) Fit(ctx context.Context, samples []costmodel.Sample) 
 	return &costmodel.FitReport{Samples: len(samples)}, nil
 }
 
-func (e *tunableEstimator) Predict(ctx context.Context, in costmodel.PlanInput) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return e.scale * truthRuntime(in.OptimizerCost), nil
-}
-
 func (e *tunableEstimator) PredictBatch(ctx context.Context, ins []costmodel.PlanInput) ([]float64, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	out := make([]float64, len(ins))
 	for i, in := range ins {
-		v, err := e.Predict(ctx, in)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
+		out[i] = e.scale * truthRuntime(in.OptimizerCost)
 	}
 	return out, nil
 }
@@ -612,11 +604,11 @@ func TestAdaptE2EAcceptedHotSwap(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("cached plan lookup failed: ok=%v err=%v", ok, err)
 		}
-		origPred, err := orig.Predict(ctx, in)
+		origPred, err := orig.PredictBatch(ctx, []costmodel.PlanInput{in})
 		if err != nil {
 			t.Fatal(err)
 		}
-		oldQ = append(oldQ, metrics.QError(origPred, actual))
+		oldQ = append(oldQ, metrics.QError(origPred[0], actual))
 	}
 	newMed, oldMed := metrics.Median(newQ), metrics.Median(oldQ)
 	if newMed >= oldMed {

@@ -52,10 +52,10 @@ func TestBuildOpenRoundTrip(t *testing.T) {
 		t.Fatalf("shadow metrics lost: %+v", b.Manifest.Shadow)
 	}
 	// The decoded estimator predicts bitwise the same as the original.
-	in := costmodel.PlanInput{OptimizerCost: 1234}
-	want, _ := est.Predict(context.Background(), in)
-	got, err := b.Estimator.Predict(context.Background(), in)
-	if err != nil || got != want {
+	in := []costmodel.PlanInput{{OptimizerCost: 1234}}
+	want, _ := est.PredictBatch(context.Background(), in)
+	got, err := b.Estimator.PredictBatch(context.Background(), in)
+	if err != nil || got[0] != want[0] {
 		t.Fatalf("decoded estimator predicts %v (err %v), want %v", got, err, want)
 	}
 
@@ -85,9 +85,9 @@ func TestBuildStoresAndOpensCompressed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open of a deflated bundle: %v", err)
 	}
-	in := costmodel.PlanInput{OptimizerCost: 99}
-	want, _ := est.Predict(context.Background(), in)
-	if got, err := b.Estimator.Predict(context.Background(), in); err != nil || got != want {
+	in := []costmodel.PlanInput{{OptimizerCost: 99}}
+	want, _ := est.PredictBatch(context.Background(), in)
+	if got, err := b.Estimator.PredictBatch(context.Background(), in); err != nil || got[0] != want[0] {
 		t.Fatalf("deflated bundle's estimator predicts %v (err %v), want %v", got, err, want)
 	}
 }

@@ -48,21 +48,13 @@ func (e *scaleEstimator) Fit(ctx context.Context, samples []costmodel.Sample) (*
 	return &costmodel.FitReport{Samples: len(samples)}, nil
 }
 
-func (e *scaleEstimator) Predict(ctx context.Context, in costmodel.PlanInput) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return e.Scale * truth(in.OptimizerCost), nil
-}
-
 func (e *scaleEstimator) PredictBatch(ctx context.Context, ins []costmodel.PlanInput) ([]float64, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	out := make([]float64, len(ins))
 	for i, in := range ins {
-		v, err := e.Predict(ctx, in)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
+		out[i] = e.Scale * truth(in.OptimizerCost)
 	}
 	return out, nil
 }

@@ -39,10 +39,12 @@ type Store interface {
 }
 
 // DirStore keeps bundles as files in one directory, named
-// bundle-%012d.tgz so lexical order is revision order. Every Put goes
-// through WriteFile: staged, synced, renamed into place and the
+// bundle-%012d.tgz so lexical order is revision order. Every Put is
+// staged and synced like WriteFile, then hard-linked into place and the
 // directory synced, so a concurrent Fetch never sees a half-written
-// archive and an acknowledged revision survives a crash.
+// archive, an acknowledged revision survives a crash, and of writers
+// racing for one revision — in one process or several sharing the
+// directory — exactly one succeeds and the rest are refused.
 type DirStore struct {
 	dir string
 }
@@ -95,14 +97,13 @@ func (s *DirStore) Put(ctx context.Context, revision int64, data []byte) error {
 	if revision < 1 {
 		return fmt.Errorf("bundle: revision must be >= 1, got %d", revision)
 	}
-	dst := s.path(revision)
-	if _, err := os.Stat(dst); err == nil {
-		return fmt.Errorf("bundle: revision %d already exists (revisions are immutable)", revision)
-	}
-	err := WriteFile(dst, func(w io.Writer) error {
+	err := commitFile(s.path(revision), func(w io.Writer) error {
 		_, err := w.Write(data)
 		return err
-	})
+	}, linkNew)
+	if errors.Is(err, os.ErrExist) {
+		return fmt.Errorf("bundle: revision %d already exists (revisions are immutable)", revision)
+	}
 	if err != nil {
 		return fmt.Errorf("bundle: write revision %d: %w", revision, err)
 	}
@@ -150,7 +151,25 @@ func (s *DirStore) Delete(ctx context.Context, revision int64) error {
 // synced so the rename itself survives a crash. Until the rename, path
 // is untouched: on any earlier error the stage is removed, so a reader
 // sees the old file or the new one and never a torn mix.
-func WriteFile(path string, write func(io.Writer) error) (err error) {
+func WriteFile(path string, write func(io.Writer) error) error {
+	return commitFile(path, write, os.Rename)
+}
+
+// linkNew places a stage at path only if nothing is there: unlike a
+// rename, a hard link fails when path exists, so two writers racing for
+// one name cannot replace each other. Once linked the file is in place,
+// and a stage name left behind is only litter that Revisions skips.
+func linkNew(stage, path string) error {
+	if err := os.Link(stage, path); err != nil {
+		return err
+	}
+	os.Remove(stage)
+	return nil
+}
+
+// commitFile is WriteFile with the step that puts the synced stage at
+// path left to place.
+func commitFile(path string, write func(io.Writer) error, place func(stage, path string) error) (err error) {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*.tmp")
 	if err != nil {
@@ -176,7 +195,7 @@ func WriteFile(path string, write func(io.Writer) error) (err error) {
 	if err = f.Close(); err != nil {
 		return err
 	}
-	if err = os.Rename(f.Name(), path); err != nil {
+	if err = place(f.Name(), path); err != nil {
 		return err
 	}
 	d, err := os.Open(dir)

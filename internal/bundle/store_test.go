@@ -1,11 +1,14 @@
 package bundle_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"github.com/zeroshot-db/zeroshot/internal/bundle"
@@ -68,6 +71,55 @@ func TestDirStoreLifecycle(t *testing.T) {
 	revs, _ = st.Revisions(ctx)
 	if len(revs) != 2 || revs[0] != 2 {
 		t.Fatalf("Revisions after delete = %v", revs)
+	}
+}
+
+// TestDirStoreConcurrentPutKeepsOneRevision races writers for one
+// revision behind a start barrier, as two processes publishing into one
+// directory do: exactly one Put succeeds, the rest are refused, and the
+// stored archive is the winner's payload, never replaced by a later one.
+func TestDirStoreConcurrentPutKeepsOneRevision(t *testing.T) {
+	ctx := context.Background()
+	st := newDirStore(t)
+	payloads := make([][]byte, 4)
+	for i := range payloads {
+		payloads[i] = bytes.Repeat([]byte{byte('a' + i)}, 4<<20)
+	}
+	errs := make([]error, len(payloads))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range payloads {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			errs[i] = st.Put(ctx, 1, payloads[i])
+		}()
+	}
+	close(start)
+	wg.Wait()
+	winner := -1
+	for i, err := range errs {
+		switch {
+		case err == nil && winner >= 0:
+			t.Fatalf("writers %d and %d both stored revision 1", winner, i)
+		case err == nil:
+			winner = i
+		case !strings.Contains(err.Error(), "already exists"):
+			t.Fatalf("writer %d: %v, want a refusal", i, err)
+		}
+	}
+	if winner < 0 {
+		t.Fatalf("no writer stored revision 1: %v", errs)
+	}
+	rc, err := st.Fetch(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(rc)
+	rc.Close()
+	if err != nil || !bytes.Equal(got, payloads[winner]) {
+		t.Fatalf("revision 1 holds %d bytes (err %v), want writer %d's %d", len(got), err, winner, len(payloads[winner]))
 	}
 }
 

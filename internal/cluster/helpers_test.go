@@ -192,24 +192,16 @@ func (e *adaptableEstimator) Fit(ctx context.Context, samples []costmodel.Sample
 	return &costmodel.FitReport{Samples: len(samples)}, nil
 }
 
-func (e *adaptableEstimator) Predict(ctx context.Context, in costmodel.PlanInput) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return 0.001 + e.bias + in.OptimizerCost*1e-9, nil
-}
-
 func (e *adaptableEstimator) PredictBatch(ctx context.Context, ins []costmodel.PlanInput) ([]float64, error) {
 	if e.delay > 0 {
 		time.Sleep(e.delay)
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	out := make([]float64, len(ins))
 	for i, in := range ins {
-		v, err := e.Predict(ctx, in)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
+		out[i] = 0.001 + e.bias + in.OptimizerCost*1e-9
 	}
 	return out, nil
 }

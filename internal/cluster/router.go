@@ -434,34 +434,6 @@ func (r *Router) Databases(ctx context.Context) ([]DatabaseView, error) {
 	return out, nil
 }
 
-// Models aggregates the union of model names served by reachable
-// replicas, sorted.
-func (r *Router) Models(ctx context.Context) ([]string, error) {
-	set := map[string]bool{}
-	var mu sync.Mutex
-	_, _, err := r.fanout(ctx, func(ctx context.Context, b Backend) error {
-		st, err := b.Stats(ctx)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		for _, m := range st.Models {
-			set[m.Name] = true
-		}
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, 0, len(set))
-	for m := range set {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
 // ReplicaStats is one replica's row in the cluster stats: the router's
 // view (health, routing counters) plus the replica's own serving
 // snapshot when reachable.

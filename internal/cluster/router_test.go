@@ -259,13 +259,6 @@ func TestRouterFanoutAggregation(t *testing.T) {
 			t.Fatalf("db %s owner = %s, ring says %s", d.Name, d.Owner, r.Owner(d.Name))
 		}
 	}
-	models, err := r.Models(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(models) != 2 { // fake-r0, fake-r1
-		t.Fatalf("models union = %v", models)
-	}
 	// A downed replica degrades the listing instead of failing it.
 	b1.setDown(true)
 	dbs, err = r.Databases(ctx)

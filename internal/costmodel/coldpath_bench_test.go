@@ -35,10 +35,10 @@ func BenchmarkPredictBatchCold(b *testing.B) {
 	b.ReportMetric(float64(len(ins)*b.N)/b.Elapsed().Seconds(), "preds/s")
 }
 
-// BenchmarkZeroShotPredict measures one served single prediction with
-// the plan's graph already memoized — what adapt.Feedback pays per
-// sample and what the per-item isolation fallbacks of serving and
-// what-if pay per item.
+// BenchmarkZeroShotPredict measures one served single prediction, a
+// batch of one, with the plan's graph already memoized — what
+// adapt.Feedback pays per sample and what the per-item isolation
+// fallbacks of serving and what-if pay per item.
 func BenchmarkZeroShotPredict(b *testing.B) {
 	zs, f := fitZeroShot(b)
 	ctx := context.Background()
@@ -53,7 +53,8 @@ func BenchmarkZeroShotPredict(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := zs.Predict(ctx, ins[i%len(ins)]); err != nil {
+		j := i % len(ins)
+		if _, err := zs.PredictBatch(ctx, ins[j:j+1]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -263,7 +263,7 @@ func TestEncodedPlanMemoBoundedAcrossGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := zs.Predict(ctx, in)
+	want, err := predictOne(ctx, zs, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestEncodedPlanMemoBoundedAcrossGenerations(t *testing.T) {
 		if g != parent {
 			t.Fatalf("generation %d re-encoded a plan its parent had memoized", round+1)
 		}
-		got, err := gen.Predict(ctx, in)
+		got, err := predictOne(ctx, gen, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,11 +352,11 @@ func TestZeroShotEncoderReattach(t *testing.T) {
 	inA.Enc = NewEncodedPlan()
 	inB := inA
 	inB.DB = reload
-	a, err := zs.Predict(ctx, inA)
+	a, err := predictOne(ctx, zs, inA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := zs.Predict(ctx, inB)
+	b, err := predictOne(ctx, zs, inB)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestConcurrentInference(t *testing.T) {
 			// Reference predictions, computed serially.
 			want := make([]float64, len(ins))
 			for i, in := range ins {
-				if want[i], err = est.Predict(ctx, in); err != nil {
+				if want[i], err = predictOne(ctx, est, in); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -57,7 +57,7 @@ func TestConcurrentInference(t *testing.T) {
 						}
 					} else {
 						for i := len(ins) - 1; i >= 0; i-- {
-							got, err := est.Predict(ctx, ins[i])
+							got, err := predictOne(ctx, est, ins[i])
 							if err != nil {
 								errCh <- err
 								return

@@ -7,15 +7,14 @@
 // and save/load story, and every experiment hand-wired all four. Now a
 // single interface covers them:
 //
-//   - Estimator: Fit on []Sample, Predict one PlanInput, PredictBatch many
-//     (the serving hot path: the batch is the first-class unit of
-//     inference), Save to an io.Writer.
+//   - Estimator: Fit on []Sample, PredictBatch on []PlanInput (the one
+//     inference call: a single input is a batch of one), Save to an
+//     io.Writer.
 //   - The zero-shot adapter fuses a batch into one forward pass: it
 //     packs the whole batch into one super-graph and runs a single
 //     tape-free pass (Fused reports it). The rest (MSCN, E2E,
-//     ScaledCost) predict the items one after another. Either way
-//     PredictBatch is bitwise-equal to a sequential Predict loop over
-//     the same inputs.
+//     ScaledCost) predict the items one after another. Either way each
+//     item's result is bitwise-equal to a batch of one of that input.
 //   - A registry keyed by model name makes saved models self-describing:
 //     Load reads the header and reconstructs the right estimator without
 //     the caller re-supplying a Config.
@@ -24,7 +23,7 @@
 //     an executed-or-planned query with its database context.
 //
 // Inference is goroutine-safe on every adapter: after Fit (or Load),
-// Predict and PredictBatch may be called from any number of goroutines
+// PredictBatch may be called from any number of goroutines
 // concurrently. Fit and FineTune mutate the estimator and must not run
 // concurrently with inference.
 package costmodel
@@ -123,13 +122,12 @@ type Estimator interface {
 	// Fit trains the estimator on the samples. Fit must not run
 	// concurrently with inference.
 	Fit(ctx context.Context, samples []Sample) (*FitReport, error)
-	// Predict returns the predicted runtime in seconds for one input.
-	// Safe for concurrent use after Fit or Load.
-	Predict(ctx context.Context, in PlanInput) (float64, error)
-	// PredictBatch predicts many inputs as one batch — a single fused
-	// forward pass for the zero-shot adapter (see Fused), a serial loop
-	// otherwise. Results align with the input slice and are
-	// bitwise-equal to calling Predict per input.
+	// PredictBatch returns the predicted runtimes in seconds of many
+	// inputs as one batch — a single fused forward pass for the
+	// zero-shot adapter (see Fused), a serial loop otherwise. Results
+	// align with the input slice, and each is bitwise-equal to a batch
+	// of one of its input. The lowest failing input aborts the batch
+	// with an error naming its index.
 	// Safe for concurrent use after Fit or Load.
 	PredictBatch(ctx context.Context, ins []PlanInput) ([]float64, error)
 	// Save writes the estimator's payload to w. Use the package-level
@@ -143,21 +141,45 @@ type FineTuner interface {
 	FineTune(ctx context.Context, samples []Sample, epochs int, lr float64) (*FitReport, error)
 }
 
+// itemError is a batch's abort: the lowest failing input index and that
+// input's own error, which a batch of one returns unchanged through
+// itemCause.
+type itemError struct {
+	index int
+	err   error
+}
+
+func (e *itemError) Error() string {
+	return fmt.Sprintf("costmodel: batch item %d: %v", e.index, e.err)
+}
+
+func (e *itemError) Unwrap() error { return e.err }
+
+// itemCause strips a batch's item wrapper off err.
+func itemCause(err error) error {
+	if ie, ok := err.(*itemError); ok {
+		return ie.err
+	}
+	return err
+}
+
 // predictSerial is the PredictBatch of the adapters whose models cannot
-// fuse a batch (MSCN, E2E, ScaledCost): the adapter's own Predict, item
-// by item. Predict checks ctx first, so a cancellation stops the batch
-// at the next item; the first failing index aborts it and is named.
-func predictSerial(ctx context.Context, ins []PlanInput, predict func(context.Context, PlanInput) (float64, error)) ([]float64, error) {
+// fuse a batch (MSCN, E2E, ScaledCost): the adapter's per-item predict,
+// one after another. A cancellation stops the batch at the next item;
+// the first failing index aborts it and is named.
+func predictSerial(ctx context.Context, ins []PlanInput, predict func(PlanInput) (float64, error)) ([]float64, error) {
 	if len(ins) == 0 {
 		return nil, nil
 	}
 	out := make([]float64, len(ins))
 	for i, in := range ins {
-		v, err := predict(ctx, in)
-		if err != nil {
-			return nil, fmt.Errorf("costmodel: batch item %d: %w", i, err)
+		err := ctx.Err()
+		if err == nil {
+			out[i], err = predict(in)
 		}
-		out[i] = v
+		if err != nil {
+			return nil, &itemError{i, err}
+		}
 	}
 	return out, nil
 }
@@ -165,9 +187,10 @@ func predictSerial(ctx context.Context, ins []PlanInput, predict func(context.Co
 // PredictEach gives every input its own outcome, aligned with ins (errs
 // is nil when all predicted). It calls PredictBatch once; only if that
 // aborts (its first bad input fails the batch) does it re-predict each
-// input alone over par.Each, and isolated says so. Both routes give the
-// same bits, by the contract; an input not started when ctx ended
-// reports ctx.Err().
+// input as a batch of one over par.Each, and isolated says so. Both
+// routes give the same bits, by the contract; an input's error is its
+// own, without the batch's item wrapper, and an input not started when
+// ctx ended reports ctx.Err().
 func PredictEach(ctx context.Context, est Estimator, ins []PlanInput) (preds []float64, errs []error, isolated bool) {
 	preds, err := est.PredictBatch(ctx, ins)
 	if err == nil {
@@ -181,9 +204,12 @@ func PredictEach(ctx context.Context, est Estimator, ins []PlanInput) (preds []f
 // closure over PredictEach's named results would heap them on every call.
 func predictAlone(ctx context.Context, est Estimator, ins []PlanInput) ([]float64, []error) {
 	preds := make([]float64, len(ins))
-	errs := par.Each(ctx, len(ins), func(i int) (err error) {
-		preds[i], err = est.Predict(ctx, ins[i])
-		return err
+	errs := par.Each(ctx, len(ins), func(i int) error {
+		p, err := est.PredictBatch(ctx, ins[i:i+1])
+		if err == nil {
+			preds[i] = p[0]
+		}
+		return itemCause(err)
 	})
 	return preds, errs
 }

@@ -82,9 +82,9 @@ func TestNewUnknownEstimator(t *testing.T) {
 }
 
 // TestAllEstimatorsFitPredictRoundTrip drives the whole contract for every
-// registered estimator: construct by name, Fit, Predict, PredictBatch
-// (equal to serial predictions), then Save/Load through the registry and
-// check the reconstructed estimator predicts identically.
+// registered estimator: construct by name, Fit, PredictBatch, then
+// Save/Load through the registry and check the reconstructed estimator
+// predicts identically.
 func TestAllEstimatorsFitPredictRoundTrip(t *testing.T) {
 	f := sharedFixture(t)
 	ctx := context.Background()
@@ -112,16 +112,9 @@ func TestAllEstimatorsFitPredictRoundTrip(t *testing.T) {
 			if len(batch) != len(ins) {
 				t.Fatalf("batch returned %d predictions for %d inputs", len(batch), len(ins))
 			}
-			for i, in := range ins {
-				p, err := est.Predict(ctx, in)
-				if err != nil {
-					t.Fatal(err)
-				}
+			for i, p := range batch {
 				if p <= 0 || math.IsNaN(p) || math.IsInf(p, 0) {
 					t.Fatalf("prediction %d not a positive runtime: %v", i, p)
-				}
-				if p != batch[i] {
-					t.Fatalf("batch[%d] = %v differs from serial predict %v", i, batch[i], p)
 				}
 			}
 
@@ -260,8 +253,9 @@ func TestPredictEach(t *testing.T) {
 		if !isolated || len(errs) != len(ins) || len(preds) != len(ins) {
 			t.Fatalf("poisoned batch: isolated %v, %d errs, %d preds for %d inputs", isolated, len(errs), len(preds), len(ins))
 		}
-		if errs[bad] == nil {
-			t.Fatalf("the poisoned input %d predicted %v", bad, preds[bad])
+		// The fallback's error is the adapter's own, not the batch's.
+		if want := "zeroshot estimator needs DB and Plan inputs"; errs[bad] == nil || errs[bad].Error() != want {
+			t.Fatalf("the poisoned input %d = (%v, %v), want error %q", bad, preds[bad], errs[bad], want)
 		}
 		for i := range ins {
 			j := i
@@ -273,6 +267,24 @@ func TestPredictEach(t *testing.T) {
 			if errs[i] != nil || math.Float64bits(preds[i]) != math.Float64bits(fused[j]) {
 				t.Fatalf("item %d = (%v, %v), want the fused %v", i, preds[i], errs[i], fused[j])
 			}
+		}
+	})
+
+	t.Run("serial adapter", func(t *testing.T) {
+		mscn, err := New(NameMSCN, Options{Hidden: 8, Epochs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mscn.Fit(ctx, f.train); err != nil {
+			t.Fatal(err)
+		}
+		ins := []PlanInput{healthy[0], {DB: f.db}, healthy[1]}
+		_, errs, isolated := PredictEach(ctx, mscn, ins)
+		if want := "mscn estimator needs DB and Query inputs"; !isolated || errs[1] == nil || errs[1].Error() != want {
+			t.Fatalf("isolated %v, poisoned input's error %v, want %q", isolated, errs, want)
+		}
+		if errs[0] != nil || errs[2] != nil {
+			t.Fatalf("healthy inputs failed: %v", errs)
 		}
 	})
 
@@ -296,27 +308,26 @@ func TestPredictEach(t *testing.T) {
 			}
 		}
 		// Each worker may have claimed one input before the first
-		// Predict cancelled; every later input must not start.
+		// batch of one cancelled; every later input must not start.
 		if want := len(ins) - runtime.GOMAXPROCS(0); cancelled < want {
 			t.Fatalf("%d inputs report the cancellation, want at least %d", cancelled, want)
 		}
 	})
 }
 
-// cancelOnPredict aborts every batch and cancels the context from its
-// first per-input prediction on.
+// cancelOnPredict aborts every batch of more than one and cancels the
+// context from its first batch of one on.
 type cancelOnPredict struct {
 	Estimator
 	cancel context.CancelFunc
 }
 
-func (c cancelOnPredict) PredictBatch(context.Context, []PlanInput) ([]float64, error) {
-	return nil, errors.New("batch aborted")
-}
-
-func (c cancelOnPredict) Predict(context.Context, PlanInput) (float64, error) {
+func (c cancelOnPredict) PredictBatch(_ context.Context, ins []PlanInput) ([]float64, error) {
+	if len(ins) > 1 {
+		return nil, errors.New("batch aborted")
+	}
 	c.cancel()
-	return 1, nil
+	return []float64{1}, nil
 }
 
 func TestPredictValidatesInputs(t *testing.T) {
@@ -326,14 +337,14 @@ func TestPredictValidatesInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := zs.Predict(ctx, PlanInput{}); err == nil {
+	if _, err := zs.PredictBatch(ctx, []PlanInput{{}}); err == nil {
 		t.Fatal("zeroshot accepted an empty input")
 	}
 	mscn, err := New(NameMSCN, Options{Hidden: 8, Epochs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mscn.Predict(ctx, PlanInput{DB: f.db}); err == nil {
+	if _, err := mscn.PredictBatch(ctx, []PlanInput{{DB: f.db}}); err == nil {
 		t.Fatal("mscn accepted an input without a query")
 	}
 	sc, err := New(NameScaledCost, Options{})
@@ -473,11 +484,11 @@ func TestCloneCapability(t *testing.T) {
 		t.Fatalf("clone lost the cardinality source")
 	}
 	in := f.eval[0].PlanInput
-	before, err := zs.Predict(ctx, in)
+	before, err := predictOne(ctx, zs, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clonePred, err := clone.Predict(ctx, in)
+	clonePred, err := predictOne(ctx, clone, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,14 +498,14 @@ func TestCloneCapability(t *testing.T) {
 	if _, err := clone.(FineTuner).FineTune(ctx, f.eval, 3, 0.01); err != nil {
 		t.Fatal(err)
 	}
-	after, err := zs.Predict(ctx, in)
+	after, err := predictOne(ctx, zs, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if after != before {
 		t.Fatalf("fine-tuning the clone moved the original: %v -> %v", before, after)
 	}
-	tuned, err := clone.Predict(ctx, in)
+	tuned, err := predictOne(ctx, clone, in)
 	if err != nil {
 		t.Fatal(err)
 	}

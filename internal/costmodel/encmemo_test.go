@@ -78,9 +78,9 @@ func TestEncodedPlanMemo(t *testing.T) {
 }
 
 // TestEncodedPlanMemoAllocs pins the hot-path payoff: a steady-state
-// prediction over a memoized input skips graph encoding entirely, so it
-// must allocate strictly less than one that encodes every time — and,
-// answered from the memo, nothing at all.
+// batch of one over a memoized input skips graph encoding entirely, so
+// it must allocate strictly less than one that encodes every time — and,
+// answered from the memo, only its two result slices.
 func TestEncodedPlanMemoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop items; alloc bounds only hold unraced")
@@ -92,21 +92,21 @@ func TestEncodedPlanMemoAllocs(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	warmIn := f.eval[0].PlanInput
-	warmIn.Enc = NewEncodedPlan()
-	if _, err := est.Predict(ctx, warmIn); err != nil {
+	warmIn := []PlanInput{f.eval[0].PlanInput}
+	warmIn[0].Enc = NewEncodedPlan()
+	if _, err := est.PredictBatch(ctx, warmIn); err != nil {
 		t.Fatal(err)
 	}
 	warm := testing.AllocsPerRun(50, func() {
-		if _, err := est.Predict(ctx, warmIn); err != nil {
+		if _, err := est.PredictBatch(ctx, warmIn); err != nil {
 			t.Fatal(err)
 		}
 	})
 
-	coldIn := f.eval[0].PlanInput
+	coldIn := []PlanInput{f.eval[0].PlanInput}
 	cold := testing.AllocsPerRun(50, func() {
-		coldIn.Enc = NewEncodedPlan()
-		if _, err := est.Predict(ctx, coldIn); err != nil {
+		coldIn[0].Enc = NewEncodedPlan()
+		if _, err := est.PredictBatch(ctx, coldIn); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -114,9 +114,10 @@ func TestEncodedPlanMemoAllocs(t *testing.T) {
 	if warm >= cold {
 		t.Fatalf("memoized predict allocates %.0f/op, fresh-encode predict %.0f/op — graph reuse is not engaged", warm, cold)
 	}
-	// A memo hit answers from the slot: the encoder stays on the stack
-	// and one lock returns the seconds.
-	if warm > 0 {
-		t.Fatalf("memo-hit predict allocates %.0f/op, want 0", warm)
+	// A memo hit answers from the slot: the encoder stays on the stack,
+	// one lock returns the seconds, and only the graph and answer slices
+	// of resolveBatch are made.
+	if warm > 2 {
+		t.Fatalf("memo-hit batch of one allocates %.0f/op, want <= 2", warm)
 	}
 }

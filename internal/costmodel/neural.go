@@ -79,11 +79,8 @@ func (m *neural[X]) Fit(ctx context.Context, samples []Sample) (*FitReport, erro
 	return &FitReport{Samples: len(xs)}, nil
 }
 
-// Predict implements Estimator.
-func (m *neural[X]) Predict(ctx context.Context, in PlanInput) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
+// predict featurizes and predicts one input.
+func (m *neural[X]) predict(in PlanInput) (float64, error) {
 	x, err := m.featurize(&m.feats, in)
 	if err != nil {
 		return 0, err
@@ -93,7 +90,7 @@ func (m *neural[X]) Predict(ctx context.Context, in PlanInput) (float64, error) 
 
 // PredictBatch implements Estimator.
 func (m *neural[X]) PredictBatch(ctx context.Context, ins []PlanInput) ([]float64, error) {
-	return predictSerial(ctx, ins, m.Predict)
+	return predictSerial(ctx, ins, m.predict)
 }
 
 // Save implements Estimator.

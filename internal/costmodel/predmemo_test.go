@@ -16,6 +16,24 @@ func (m *EncodedPlan) lookup(key encoding.Key) (*encoding.Graph, bool) {
 	return g, g != nil
 }
 
+// encode resolves the input's graph through the batch path, memoizing it.
+func (z *ZeroShot) encode(in PlanInput) (*encoding.Graph, error) {
+	graphs, err := z.encodeBatch(context.Background(), []PlanInput{in})
+	if err != nil {
+		return nil, itemCause(err)
+	}
+	return graphs[0], nil
+}
+
+// predictOne prices one input as a batch of one.
+func predictOne(ctx context.Context, est Estimator, in PlanInput) (float64, error) {
+	preds, err := est.PredictBatch(ctx, []PlanInput{in})
+	if err != nil {
+		return 0, itemCause(err)
+	}
+	return preds[0], nil
+}
+
 // freshPass prices the inputs the long way round: every plan encoded
 // afresh, no memo consulted, one zeroshot.Model.PredictBatch over the
 // graphs.
@@ -72,7 +90,7 @@ func TestPredictionMemoMatchesFreshPass(t *testing.T) {
 	}
 	sameBits(t, "warm batch", must(zs.PredictBatch(ctx, ins)), want)
 	for i, in := range ins {
-		sameBits(t, "warm single", []float64{must(zs.Predict(ctx, in))}, want[i:i+1])
+		sameBits(t, "warm single", []float64{must(predictOne(ctx, zs, in))}, want[i:i+1])
 	}
 
 	// The warm answers come from the slot, not from another pass: a
@@ -82,7 +100,7 @@ func TestPredictionMemoMatchesFreshPass(t *testing.T) {
 	planted.answer(key, v, 42)
 	probe := ins[0]
 	probe.Enc = planted
-	if got := must(zs.Predict(ctx, probe)); got != 42 {
+	if got := must(predictOne(ctx, zs, probe)); got != 42 {
 		t.Fatalf("single over a planted answer = %v, want 42", got)
 	}
 	if got := must(zs.PredictBatch(ctx, []PlanInput{probe})); got[0] != 42 {

@@ -53,17 +53,14 @@ func (s *ScaledCost) Fit(ctx context.Context, samples []Sample) (*FitReport, err
 	return &FitReport{Samples: len(samples)}, nil
 }
 
-// Predict implements Estimator.
-func (s *ScaledCost) Predict(ctx context.Context, in PlanInput) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
+// predict maps one input's optimizer cost to seconds.
+func (s *ScaledCost) predict(in PlanInput) (float64, error) {
 	return s.model.Predict(in.OptimizerCost), nil
 }
 
 // PredictBatch implements Estimator.
 func (s *ScaledCost) PredictBatch(ctx context.Context, ins []PlanInput) ([]float64, error) {
-	return predictSerial(ctx, ins, s.Predict)
+	return predictSerial(ctx, ins, s.predict)
 }
 
 // Save implements Estimator.

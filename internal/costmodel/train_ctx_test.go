@@ -134,7 +134,7 @@ func TestFineTuneCloneWhileServing(t *testing.T) {
 					}
 				} else {
 					for i, in := range ins {
-						got, err := zs.Predict(ctx, in)
+						got, err := predictOne(ctx, zs, in)
 						if err != nil {
 							errCh <- err
 							return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 
@@ -54,36 +55,12 @@ func (z *ZeroShot) encoder(in PlanInput) *encoding.PlanEncoder {
 	return encoding.NewPlanEncoder(in.DB.Schema, z.card)
 }
 
-// resolve returns the input's memoized answer under weights version
-// (answered), or else its graph, encoding and memoizing it on a miss.
-// Version 0 takes no answer.
-func (z *ZeroShot) resolve(in PlanInput, version uint64) (g *encoding.Graph, seconds float64, answered bool, err error) {
-	if in.DB == nil || in.Plan == nil {
-		return nil, 0, false, fmt.Errorf("zeroshot estimator needs DB and Plan inputs")
-	}
-	enc := z.encoder(in)
-	key := enc.Key()
-	if g, seconds, answered = in.Enc.resolve(key, version); answered || g != nil {
-		return g, seconds, answered, nil
-	}
-	if g, err = enc.Encode(in.Plan); err != nil {
-		return nil, 0, false, err
-	}
-	in.Enc.store(key, g)
-	return g, 0, false, nil
-}
-
-func (z *ZeroShot) encode(in PlanInput) (*encoding.Graph, error) {
-	g, _, _, err := z.resolve(in, 0)
-	return g, err
-}
-
 // WarmEncode implements EncodeWarmer: encode the input's plan into its
 // memo (a no-op when the shape was already encoded under this adapter's
 // encoder key).
 func (z *ZeroShot) WarmEncode(in PlanInput) error {
-	_, err := z.encode(in)
-	return err
+	_, err := z.encodeBatch(context.Background(), []PlanInput{in})
+	return itemCause(err)
 }
 
 func (z *ZeroShot) samples(ctx context.Context, samples []Sample) ([]zeroshot.Sample, error) {
@@ -146,10 +123,10 @@ func (z *ZeroShot) resolveBatch(ctx context.Context, ins []PlanInput, version ui
 	)
 	for i, in := range ins {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, fmt.Errorf("costmodel: batch item %d: %w", i, err)
+			return nil, nil, &itemError{i, err}
 		}
 		if in.DB == nil || in.Plan == nil {
-			return nil, nil, fmt.Errorf("costmodel: batch item %d: zeroshot estimator needs DB and Plan inputs", i)
+			return nil, nil, &itemError{i, errors.New("zeroshot estimator needs DB and Plan inputs")}
 		}
 		key := z.encoder(in).Key()
 		g, seconds, answered := in.Enc.resolve(key, version)
@@ -190,7 +167,7 @@ func (z *ZeroShot) resolveBatch(ctx context.Context, ins []PlanInput, version ui
 	// serial scan would have reported.
 	for j, err := range errs {
 		if err != nil {
-			return nil, nil, fmt.Errorf("costmodel: batch item %d: %w", cold[j].items[0], err)
+			return nil, nil, &itemError{cold[j].items[0], err}
 		}
 	}
 	for _, s := range cold {
@@ -257,27 +234,6 @@ func (z *ZeroShot) Clone() (Estimator, error) {
 		return nil, fmt.Errorf("zeroshot clone: %w", err)
 	}
 	return est, nil
-}
-
-// Predict implements Estimator: the memoized answer when the input's
-// memo holds one under the model's current weights, else a fused batch
-// of one whose answer the memo keeps. The fused pass computes the bits a
-// per-graph tape forward would (pinned by
-// TestPredictBatchBitwiseEqualsPredict) without building a tape, which
-// is what adapt.Feedback pays per sample and the per-item isolation
-// fallbacks of serving and what-if pay per item.
-func (z *ZeroShot) Predict(ctx context.Context, in PlanInput) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	version := z.model.Version()
-	g, seconds, answered, err := z.resolve(in, version)
-	if err != nil || answered {
-		return seconds, err
-	}
-	seconds = z.model.PredictBatch([]*encoding.Graph{g})[0]
-	in.Enc.answer(z.encoder(in).Key(), version, seconds)
-	return seconds, nil
 }
 
 // PredictBatch implements Estimator: every item the memo can answer

@@ -37,18 +37,6 @@ func (f *fakeEstimator) Fit(ctx context.Context, samples []costmodel.Sample) (*c
 	return &costmodel.FitReport{Samples: len(samples)}, nil
 }
 
-func (f *fakeEstimator) Predict(ctx context.Context, in costmodel.PlanInput) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if f.poison != nil {
-		if err := f.poison(in); err != nil {
-			return 0, err
-		}
-	}
-	return 0.001 + f.bias + in.OptimizerCost*1e-9, nil
-}
-
 func (f *fakeEstimator) PredictBatch(ctx context.Context, ins []costmodel.PlanInput) ([]float64, error) {
 	f.batchCalls.Add(1)
 	for {
@@ -65,11 +53,14 @@ func (f *fakeEstimator) PredictBatch(ctx context.Context, ins []costmodel.PlanIn
 	}
 	out := make([]float64, len(ins))
 	for i, in := range ins {
-		v, err := f.Predict(ctx, in)
-		if err != nil {
-			return nil, fmt.Errorf("batch item %d: %w", i, err)
+		err := ctx.Err()
+		if err == nil && f.poison != nil {
+			err = f.poison(in)
 		}
-		out[i] = v
+		if err != nil {
+			return nil, err
+		}
+		out[i] = 0.001 + f.bias + in.OptimizerCost*1e-9
 	}
 	return out, nil
 }

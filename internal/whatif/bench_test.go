@@ -57,8 +57,8 @@ func benchSetup(b *testing.B) (*storage.Database, costmodel.Estimator, []*query.
 	return swDB, swEst, swQs
 }
 
-// fanoutEst defeats batch fusion: PredictBatch degrades to a per-item
-// Predict loop (one tape-free forward pass per plan instead of one per
+// fanoutEst defeats batch fusion: PredictBatch degrades to a loop of
+// batches of one (one tape-free forward pass per plan instead of one per
 // batch). Wrapping the estimator deliberately hides its *ZeroShot type
 // from costmodel.Fused.
 type fanoutEst struct {
@@ -67,12 +67,12 @@ type fanoutEst struct {
 
 func (f fanoutEst) PredictBatch(ctx context.Context, ins []costmodel.PlanInput) ([]float64, error) {
 	out := make([]float64, len(ins))
-	for i, in := range ins {
-		v, err := f.Estimator.Predict(ctx, in)
+	for i := range ins {
+		v, err := f.Estimator.PredictBatch(ctx, ins[i:i+1])
 		if err != nil {
 			return nil, err
 		}
-		out[i] = v
+		out[i] = v[0]
 	}
 	return out, nil
 }

@@ -2,7 +2,6 @@ package whatif
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -34,18 +33,6 @@ func (f *fakeEst) Fit(ctx context.Context, samples []costmodel.Sample) (*costmod
 	return &costmodel.FitReport{Samples: len(samples)}, nil
 }
 
-func (f *fakeEst) Predict(ctx context.Context, in costmodel.PlanInput) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if f.poison != nil {
-		if err := f.poison(in); err != nil {
-			return 0, err
-		}
-	}
-	return 0.001 + in.OptimizerCost*1e-9, nil
-}
-
 func (f *fakeEst) PredictBatch(ctx context.Context, ins []costmodel.PlanInput) ([]float64, error) {
 	f.batchCalls.Add(1)
 	if n := int64(len(ins)); n > f.batchMax.Load() {
@@ -57,11 +44,14 @@ func (f *fakeEst) PredictBatch(ctx context.Context, ins []costmodel.PlanInput) (
 	}
 	out := make([]float64, len(ins))
 	for i, in := range ins {
-		v, err := f.Predict(ctx, in)
-		if err != nil {
-			return nil, fmt.Errorf("batch item %d: %w", i, err)
+		err := ctx.Err()
+		if err == nil && f.poison != nil {
+			err = f.poison(in)
 		}
-		out[i] = v
+		if err != nil {
+			return nil, err
+		}
+		out[i] = 0.001 + in.OptimizerCost*1e-9
 	}
 	return out, nil
 }

@@ -75,7 +75,7 @@ func (c *Catalog) sweepCrossProduct(ctx context.Context, est costmodel.Estimator
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				return nil, ctxErr
 			}
-			v, perr := est.Predict(ctx, ins[j])
+			v, perr := est.PredictBatch(ctx, ins[j:j+1])
 			if perr != nil {
 				qr := &results[pos[j].v].Queries[pos[j].s]
 				qr.Error = perr.Error()
@@ -83,7 +83,7 @@ func (c *Catalog) sweepCrossProduct(ctx context.Context, est costmodel.Estimator
 				preds[j] = -1
 				continue
 			}
-			preds[j] = v
+			preds[j] = v[0]
 		}
 	}
 	for j, p := range preds {

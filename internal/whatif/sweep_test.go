@@ -63,13 +63,13 @@ func TestSweepMatchesHandRolledLoop(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v, err := est.Predict(context.Background(), costmodel.PlanInput{
+			v, err := est.PredictBatch(context.Background(), []costmodel.PlanInput{{
 				DB: db, Query: q, Plan: p, OptimizerCost: optimizer.TotalCost(p),
-			})
+			}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			total += v
+			total += v[0]
 		}
 		return total
 	}
