@@ -85,8 +85,8 @@ func TestWarmRequestAllocCeilings(t *testing.T) {
 		body    []byte
 		ceiling float64
 	}{
-		{"/v1/predict", predict, 13},
-		{"/v1/predict_batch", batch, 551},
+		{"/v1/predict", predict, 12},
+		{"/v1/predict_batch", batch, 295},
 	} {
 		above := allocs(c.path, c.body) - floor
 		t.Logf("%s: %.0f allocs per warm request above the floor", c.path, above)

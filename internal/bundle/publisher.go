@@ -19,9 +19,10 @@ import (
 const DefaultRetain = 5
 
 // Publisher assigns revisions and writes bundles to a store, pruning to
-// a retained history. One Publisher must own a store's revision
-// sequence (Publish serializes internally); distributors are read-only
-// peers.
+// a retained history. Publish serializes internally; a second Publisher
+// on the same store (in this process or another) costs the loser of
+// each revision race a retry, not its publish. Distributors are
+// read-only peers.
 type Publisher struct {
 	store  Store
 	retain int
@@ -61,23 +62,36 @@ func (p *Publisher) nextRevision(ctx context.Context) (int64, error) {
 	}
 }
 
+// publishAttempts bounds how many revisions one Publish tries when other
+// writers to the same store keep taking the one it built for.
+const publishAttempts = 8
+
 // Publish builds est into the next revision, writes it to the store,
-// and prunes history beyond the retain depth.
+// and prunes history beyond the retain depth. When another writer
+// stores that revision first (ErrExists), it rebuilds at the new head
+// + 1, up to publishAttempts times, so no publish is lost to the race.
 func (p *Publisher) Publish(ctx context.Context, est costmodel.Estimator, meta Meta) (Manifest, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
-	rev, err := p.nextRevision(ctx)
-	if err != nil {
-		return Manifest{}, fmt.Errorf("bundle: next revision: %w", err)
-	}
+	var man Manifest
 	var buf bytes.Buffer
-	man, err := Build(&buf, est, rev, meta)
-	if err != nil {
-		return Manifest{}, err
-	}
-	if err := p.store.Put(ctx, rev, buf.Bytes()); err != nil {
-		return Manifest{}, err
+	for attempt := 1; ; attempt++ {
+		rev, err := p.nextRevision(ctx)
+		if err != nil {
+			return Manifest{}, fmt.Errorf("bundle: next revision: %w", err)
+		}
+		buf.Reset()
+		if man, err = Build(&buf, est, rev, meta); err != nil {
+			return Manifest{}, err
+		}
+		err = p.store.Put(ctx, rev, buf.Bytes())
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, ErrExists) || attempt == publishAttempts {
+			return Manifest{}, err
+		}
 	}
 	p.prune(ctx)
 	p.events.Record(obs.EventBundlePublished, "publisher", map[string]string{

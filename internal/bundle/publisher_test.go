@@ -1,10 +1,14 @@
 package bundle_test
 
 import (
+	"bytes"
 	"context"
+	"io"
+	"sync"
 	"testing"
 
 	"github.com/zeroshot-db/zeroshot/internal/bundle"
+	"github.com/zeroshot-db/zeroshot/internal/costmodel"
 )
 
 func TestPublisherSequencesAndPrunes(t *testing.T) {
@@ -110,5 +114,69 @@ func TestPublisherResumesFromStoreHead(t *testing.T) {
 	man, err := bundle.NewPublisher(st, 5).Publish(ctx, &scaleEstimator{Scale: 2}, bundle.Meta{})
 	if err != nil || man.Revision != 2 {
 		t.Fatalf("second publisher revision = %d (err %v), want 2", man.Revision, err)
+	}
+}
+
+// TestPublishersRacingLoseNothing runs two publishers over one store for
+// 20 rounds, both starting each round at once, so every round races them
+// for the same revision. The loser must retry at the new head + 1: all
+// 40 publishes land, on revisions 1..40, each holding its own model.
+func TestPublishersRacingLoseNothing(t *testing.T) {
+	const rounds = 20
+	ctx := context.Background()
+	st := newDirStore(t)
+	pubs := [2]*bundle.Publisher{bundle.NewPublisher(st, 2*rounds), bundle.NewPublisher(st, 2*rounds)}
+	stored := map[int64]*scaleEstimator{}
+	for r := 0; r < rounds; r++ {
+		var mans [2]bundle.Manifest
+		var errs [2]error
+		ests := [2]*scaleEstimator{{Scale: float64(100 + r)}, {Scale: float64(200 + r)}}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i, pub := range pubs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				mans[i], errs[i] = pub.Publish(ctx, ests[i], bundle.Meta{})
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for i := range pubs {
+			if errs[i] != nil {
+				t.Fatalf("round %d publisher %d: %v", r, i, errs[i])
+			}
+			if prev, dup := stored[mans[i].Revision]; dup {
+				t.Fatalf("round %d: revision %d claimed by scale %v and %v", r, mans[i].Revision, prev.Scale, ests[i].Scale)
+			}
+			stored[mans[i].Revision] = ests[i]
+		}
+	}
+	revs, err := st.Revisions(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(revs) != 2*rounds || revs[0] != 1 || revs[len(revs)-1] != 2*rounds {
+		t.Fatalf("store holds revisions %v, want 1..%d", revs, 2*rounds)
+	}
+	for _, rev := range revs {
+		rc, err := st.Fetch(ctx, rev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(rc)
+		rc.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		man, payload := dissect(t, data)
+		var want bytes.Buffer
+		if err := costmodel.Save(&want, stored[rev]); err != nil {
+			t.Fatal(err)
+		}
+		if man.Revision != rev || !bytes.Equal(payload, want.Bytes()) {
+			t.Fatalf("revision %d holds manifest revision %d and a payload that is not scale %v's", rev, man.Revision, stored[rev].Scale)
+		}
 	}
 }

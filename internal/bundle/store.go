@@ -17,6 +17,11 @@ import (
 // published yet" from "published garbage".
 var ErrNotFound = errors.New("bundle: revision not found")
 
+// ErrExists reports a Put refused because the revision is already
+// stored: revisions are immutable, and of writers racing for one revision
+// exactly one wins. A Publisher that loses retries at the new head + 1.
+var ErrExists = errors.New("bundle: revision already exists")
+
 // Store is where bundles live between publisher and distributors. The
 // local DirStore is the only implementation today; the interface is
 // deliberately the minimal GET/PUT/LIST surface an HTTP or object-store
@@ -29,7 +34,7 @@ type Store interface {
 	// Fetch opens the archive for one revision; ErrNotFound if absent.
 	Fetch(ctx context.Context, revision int64) (io.ReadCloser, error)
 	// Put stores the archive bytes for a revision. Revisions are
-	// immutable: overwriting an existing revision is an error.
+	// immutable: overwriting an existing revision fails with ErrExists.
 	Put(ctx context.Context, revision int64, data []byte) error
 	// Revisions lists all retained revisions in ascending order.
 	Revisions(ctx context.Context) ([]int64, error)
@@ -102,7 +107,7 @@ func (s *DirStore) Put(ctx context.Context, revision int64, data []byte) error {
 		return err
 	}, linkNew)
 	if errors.Is(err, os.ErrExist) {
-		return fmt.Errorf("bundle: revision %d already exists (revisions are immutable)", revision)
+		return fmt.Errorf("%w: revision %d (revisions are immutable)", ErrExists, revision)
 	}
 	if err != nil {
 		return fmt.Errorf("bundle: write revision %d: %w", revision, err)

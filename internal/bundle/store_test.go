@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -105,7 +104,7 @@ func TestDirStoreConcurrentPutKeepsOneRevision(t *testing.T) {
 			t.Fatalf("writers %d and %d both stored revision 1", winner, i)
 		case err == nil:
 			winner = i
-		case !strings.Contains(err.Error(), "already exists"):
+		case !errors.Is(err, bundle.ErrExists):
 			t.Fatalf("writer %d: %v, want a refusal", i, err)
 		}
 	}

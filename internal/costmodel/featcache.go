@@ -227,6 +227,37 @@ func (c *PlanCache) Get(fp string) (PlanInput, bool) {
 	return el.Value.(*planCacheEntry).in, true
 }
 
+// Lookup is Fingerprint followed by Get, for a cache whose every key is a
+// Fingerprint output, with the fingerprint skipped when sql is already a
+// key. It first probes the raw text. That is sound because Fingerprint is
+// idempotent (FuzzFingerprint checks it): a text equal to a key k
+// fingerprints to Fingerprint(k) = k, so the raw hit finds the entry
+// Fingerprint+Get would find and returns the same fingerprint, byte for
+// byte. On a miss it fingerprints outside the lock and probes again only
+// when that changed the text; a canonical miss is one probe and one
+// compare. Either way a lookup counts exactly one hit or one miss, so
+// Stats reads as it would under Fingerprint+Get.
+func (c *PlanCache) Lookup(sql string) (in PlanInput, fp string, ok bool) {
+	c.mu.Lock()
+	if el, hit := c.entries[sql]; hit {
+		c.hits++
+		c.ll.MoveToFront(el)
+		in = el.Value.(*planCacheEntry).in
+		c.mu.Unlock()
+		return in, sql, true
+	}
+	c.mu.Unlock()
+	fp = Fingerprint(sql)
+	if fp == sql {
+		c.mu.Lock()
+		c.misses++
+		c.mu.Unlock()
+		return PlanInput{}, fp, false
+	}
+	in, ok = c.Get(fp)
+	return in, fp, ok
+}
+
 // Peek returns the cached input for a fingerprint without promoting it
 // in the LRU order or touching the hit/miss counters. The feedback path
 // of the adaptation subsystem joins observed runtimes against retained

@@ -2,6 +2,8 @@ package costmodel
 
 import (
 	"fmt"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -174,7 +176,16 @@ func TestPlanCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
 				fp := fmt.Sprintf("q%d", (g*300+i)%100)
-				if _, ok := c.Get(fp); !ok {
+				var ok bool
+				switch g % 3 {
+				case 0:
+					_, ok = c.Get(fp)
+				case 1:
+					_, _, ok = c.Lookup(fp)
+				default:
+					_, _, ok = c.Lookup(" " + fp + " ") // fingerprints to fp
+				}
+				if !ok {
 					c.Put(fp, PlanInput{OptimizerCost: float64(i)})
 				}
 				_ = c.Stats()
@@ -182,7 +193,94 @@ func TestPlanCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if st := c.Stats(); st.Size > 64 {
-		t.Fatalf("cache exceeded capacity: %+v", st)
+	if st := c.Stats(); st.Size > 64 || st.Hits+st.Misses != 8*300 {
+		t.Fatalf("cache exceeded capacity or miscounted 2400 lookups: %+v", st)
 	}
+}
+
+// lookupVariants generates the texts TestLookupMatchesFingerprintGet
+// drives: canonical statements, case and whitespace variants of them, and
+// literals that differ only inside their quotes.
+func lookupVariants(rng *rand.Rand, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		k := rng.Intn(rng.Intn(24) + 1) // skewed: low k repeat, high k evict
+		var sql string
+		if k%3 == 0 {
+			sql = fmt.Sprintf("SELECT COUNT(*) FROM t%d WHERE name = 'a%sb'", k, strings.Repeat(" ", 1+rng.Intn(2)))
+		} else {
+			sql = fmt.Sprintf("SELECT COUNT(*) FROM t%d WHERE x > %d", k, k*7)
+		}
+		switch rng.Intn(4) {
+		case 1:
+			sql = strings.Replace(strings.Replace(sql, "SELECT", "select", 1), "WHERE", "Where", 1)
+		case 2:
+			sql = "  " + strings.ReplaceAll(sql, " FROM ", "\n\tFROM  ") + " "
+		}
+		out[i] = sql
+	}
+	return out
+}
+
+// TestLookupMatchesFingerprintGet drives one cache through Lookup/Put and
+// another through Fingerprint+Get/Put with the same texts: after every
+// step both must return the same input, fingerprint and hit, and report
+// the same stats. Capacity 8 under 24 statement shapes keeps evicting.
+func TestLookupMatchesFingerprintGet(t *testing.T) {
+	ref, got := NewPlanCache(8), NewPlanCache(8)
+	for step, sql := range lookupVariants(rand.New(rand.NewSource(41)), 3000) {
+		wantFP := Fingerprint(sql)
+		wantIn, wantOK := ref.Get(wantFP)
+		in, fp, ok := got.Lookup(sql)
+		if fp != wantFP || ok != wantOK || in.OptimizerCost != wantIn.OptimizerCost {
+			t.Fatalf("step %d %q: Lookup = (%v, %q, %v), Fingerprint+Get = (%v, %q, %v)",
+				step, sql, in.OptimizerCost, fp, ok, wantIn.OptimizerCost, wantFP, wantOK)
+		}
+		if !ok {
+			ref.Put(wantFP, PlanInput{OptimizerCost: float64(step)})
+			got.Put(fp, PlanInput{OptimizerCost: float64(step)})
+		}
+		if a, b := got.Stats(), ref.Stats(); a != b {
+			t.Fatalf("step %d %q: Lookup stats %+v, Fingerprint+Get stats %+v", step, sql, a, b)
+		}
+	}
+	if st := got.Stats(); st.Hits == 0 || st.Evictions == 0 {
+		t.Fatalf("sequence exercised too little: %+v", st)
+	}
+}
+
+func TestLookup(t *testing.T) {
+	const canon = "SELECT COUNT(*) FROM title WHERE production_year > 50"
+	t.Run("non-canonical text hits its canonical form once", func(t *testing.T) {
+		c := NewPlanCache(8)
+		c.Put(canon, PlanInput{OptimizerCost: 1})
+		in, fp, ok := c.Lookup("select count(*)\n  FROM title where production_year > 50 ")
+		if !ok || fp != canon || in.OptimizerCost != 1 {
+			t.Fatalf("Lookup = (%+v, %q, %v), want the canonical entry", in, fp, ok)
+		}
+		if st := c.Stats(); st.Hits != 1 || st.Misses != 0 {
+			t.Fatalf("stats = %+v, want 1 hit / 0 misses", st)
+		}
+	})
+	t.Run("canonical miss counts one miss", func(t *testing.T) {
+		c := NewPlanCache(8)
+		if _, fp, ok := c.Lookup(canon); ok || fp != canon {
+			t.Fatalf("Lookup on empty cache = (%q, %v)", fp, ok)
+		}
+		if st := c.Stats(); st.Hits != 0 || st.Misses != 1 {
+			t.Fatalf("stats = %+v, want 0 hits / 1 miss", st)
+		}
+	})
+	t.Run("literal whitespace never hits", func(t *testing.T) {
+		c := NewPlanCache(8)
+		c.Put(Fingerprint("SELECT * FROM t WHERE name = 'a b'"), PlanInput{OptimizerCost: 1})
+		for _, sql := range []string{"SELECT * FROM t WHERE name = 'a  b'", "select *  from t where name = 'a  b'"} {
+			if in, fp, ok := c.Lookup(sql); ok {
+				t.Fatalf("%q hit %q (%+v)", sql, fp, in)
+			}
+		}
+		if st := c.Stats(); st.Hits != 0 || st.Misses != 2 {
+			t.Fatalf("stats = %+v, want 0 hits / 2 misses", st)
+		}
+	})
 }

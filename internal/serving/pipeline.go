@@ -80,9 +80,9 @@ func newDBSession(name string, db *storage.Database, cacheSize int) *dbSession {
 // alongside its latency observation (tr is usually nil — span recording
 // is nil-safe and free).
 func (d *dbSession) prepare(ctx context.Context, sql string, tr *obs.Trace) (costmodel.PlanInput, bool, string, error) {
-	fp := costmodel.Fingerprint(sql)
-	if in, ok := d.cache.Get(fp); ok {
-		return in, true, fp, nil
+	cached, fp, ok := d.cache.Lookup(sql)
+	if ok {
+		return cached, true, fp, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return costmodel.PlanInput{}, false, fp, err
