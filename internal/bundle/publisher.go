@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"strconv"
 	"sync"
 
@@ -62,19 +63,16 @@ func (p *Publisher) nextRevision(ctx context.Context) (int64, error) {
 	}
 }
 
-// publishAttempts bounds how many revisions one Publish tries when other
+// publishAttempts bounds how many revisions one put tries when other
 // writers to the same store keep taking the one it built for.
 const publishAttempts = 8
 
-// Publish builds est into the next revision, writes it to the store,
-// and prunes history beyond the retain depth. When another writer
-// stores that revision first (ErrExists), it rebuilds at the new head
-// + 1, up to publishAttempts times, so no publish is lost to the race.
-func (p *Publisher) Publish(ctx context.Context, est costmodel.Estimator, meta Meta) (Manifest, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-
-	var man Manifest
+// put stores the bundle build writes for the store's next revision and
+// prunes history beyond the retain depth. When another writer stores
+// that revision first (ErrExists), it rebuilds at the new head + 1, up
+// to publishAttempts times, so neither a publish nor a rollback is lost
+// to the race.
+func (p *Publisher) put(ctx context.Context, build func(w io.Writer, rev int64) (Manifest, error)) (Manifest, error) {
 	var buf bytes.Buffer
 	for attempt := 1; ; attempt++ {
 		rev, err := p.nextRevision(ctx)
@@ -82,18 +80,32 @@ func (p *Publisher) Publish(ctx context.Context, est costmodel.Estimator, meta M
 			return Manifest{}, fmt.Errorf("bundle: next revision: %w", err)
 		}
 		buf.Reset()
-		if man, err = Build(&buf, est, rev, meta); err != nil {
+		man, err := build(&buf, rev)
+		if err != nil {
 			return Manifest{}, err
 		}
 		err = p.store.Put(ctx, rev, buf.Bytes())
 		if err == nil {
-			break
+			p.prune(ctx)
+			return man, nil
 		}
 		if !errors.Is(err, ErrExists) || attempt == publishAttempts {
 			return Manifest{}, err
 		}
 	}
-	p.prune(ctx)
+}
+
+// Publish builds est into the next revision and stores it (see put).
+func (p *Publisher) Publish(ctx context.Context, est costmodel.Estimator, meta Meta) (Manifest, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+
+	man, err := p.put(ctx, func(w io.Writer, rev int64) (Manifest, error) {
+		return Build(w, est, rev, meta)
+	})
+	if err != nil {
+		return Manifest{}, err
+	}
 	p.events.Record(obs.EventBundlePublished, "publisher", map[string]string{
 		"revision":  strconv.FormatInt(man.Revision, 10),
 		"estimator": man.Estimator,
@@ -106,7 +118,9 @@ func (p *Publisher) Publish(ctx context.Context, est costmodel.Estimator, meta M
 // model through the normal download path — a durable, fleet-wide undo
 // rather than a local override the next poll would revert. revision 0
 // means "the one before the current head". The target must still be
-// retained and must verify.
+// retained and must verify. It is read once; a writer that takes the
+// next revision first costs a retry at the new head, as in Publish, and
+// the manifest names the head the rollback actually follows.
 func (p *Publisher) Rollback(ctx context.Context, revision int64) (Manifest, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -133,23 +147,20 @@ func (p *Publisher) Rollback(ctx context.Context, revision int64) (Manifest, err
 	if err != nil {
 		return Manifest{}, err
 	}
-	man, payload, err := readArchive(rc)
+	target, payload, err := readArchive(rc)
 	rc.Close()
 	if err != nil {
 		return Manifest{}, fmt.Errorf("rollback target %d: %w", revision, err)
 	}
 
-	man.RollbackOf = revision
-	man.RolledBackFrom = head
-	man.Revision = head + 1
-	var buf bytes.Buffer
-	if err := Rewrap(&buf, man, payload); err != nil {
+	man, err := p.put(ctx, func(w io.Writer, rev int64) (Manifest, error) {
+		man := target
+		man.RollbackOf, man.RolledBackFrom, man.Revision = revision, rev-1, rev
+		return man, Rewrap(w, man, payload)
+	})
+	if err != nil {
 		return Manifest{}, err
 	}
-	if err := p.store.Put(ctx, man.Revision, buf.Bytes()); err != nil {
-		return Manifest{}, err
-	}
-	p.prune(ctx)
 	p.events.Record(obs.EventBundleRollback, "publisher", map[string]string{
 		"revision":    strconv.FormatInt(man.Revision, 10),
 		"rollback_of": strconv.FormatInt(man.RollbackOf, 10),

@@ -180,3 +180,54 @@ func TestPublishersRacingLoseNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestPublisherRollbackRacingPublish runs a rollback on one publisher
+// against a publish on another over one store, for 20 rounds, both
+// starting each round at once. The rollback must retry at the new head
+// + 1 like a publish does: every round lands both, the revisions stay
+// dense, and each rollback names the head it actually followed.
+func TestPublisherRollbackRacingPublish(t *testing.T) {
+	const rounds = 20
+	ctx := context.Background()
+	st := newDirStore(t)
+	pub, back := bundle.NewPublisher(st, 2*rounds+2), bundle.NewPublisher(st, 2*rounds+2)
+	for i := 1; i <= 2; i++ {
+		if _, err := pub.Publish(ctx, &scaleEstimator{Scale: float64(i)}, bundle.Meta{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r := 0; r < rounds; r++ {
+		var man bundle.Manifest
+		var errs [2]error
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			_, errs[0] = pub.Publish(ctx, &scaleEstimator{Scale: float64(100 + r)}, bundle.Meta{})
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			man, errs[1] = back.Rollback(ctx, 0)
+		}()
+		close(start)
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d, %s: %v", r, [2]string{"publish", "rollback"}[i], err)
+			}
+		}
+		if man.Revision != man.RolledBackFrom+1 || man.RollbackOf >= man.RolledBackFrom {
+			t.Fatalf("round %d: rollback manifest is revision %d of %d from %d", r, man.Revision, man.RollbackOf, man.RolledBackFrom)
+		}
+	}
+	revs, err := st.Revisions(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(revs) != 2*rounds+2 || revs[0] != 1 || revs[len(revs)-1] != 2*rounds+2 {
+		t.Fatalf("store holds revisions %v, want 1..%d", revs, 2*rounds+2)
+	}
+}
