@@ -57,7 +57,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err := model.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	model, err = zeroshot.Load(&buf, mcfg)
+	model, err = zeroshot.Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

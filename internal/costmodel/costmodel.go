@@ -234,11 +234,13 @@ type EncodeWarmer interface {
 }
 
 // Cloner is the optional capability of estimators that can produce a
-// deep, independently trainable copy of themselves. The online
-// adaptation subsystem depends on it: Fit and FineTune must not run
-// concurrently with inference, so background fine-tuning clones the
-// serving generation, trains the clone, and hot-swaps it in — the
-// attached estimator is never mutated while it predicts.
+// deep, independently trainable copy of themselves: a copy of the
+// weights in a new model, which trains as a loaded copy of the saved
+// model would. The online adaptation subsystem depends on it: Fit and
+// FineTune must not run concurrently with inference, so background
+// fine-tuning clones the serving generation, trains the clone, and
+// hot-swaps it in — the attached estimator is never mutated while it
+// predicts.
 type Cloner interface {
 	Clone() (Estimator, error)
 }

@@ -105,12 +105,17 @@ func allocatedBytes(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestLoadDecodesInPlace bounds what Load allocates beyond the model it
-// builds. The parameters decode straight into the freshly built network,
-// so at width 256 a load costs New's allocation plus gob's one buffer
-// for the file (1.01 times it); decoding a second copy of every tensor
-// aside and then copying it in read 1.90 times. (Above 10 MB gob reads a
-// message in growing chunks: at width 512 the two read 2.18 and 3.07.)
+// TestLoadDecodesInPlace bounds what building, loading and cloning a
+// model allocate, at width 256. New allocates the weights and their
+// gradients (2.0 times the weights' bytes) and no optimizer state: with
+// Adam's two moments beside them it read about 4 times. The parameters
+// decode straight into the freshly built network, so a load costs New's
+// allocation plus gob's one buffer for the file (1.01 times it);
+// decoding a second copy of every tensor aside and then copying it in
+// read 1.90 times. (Above 10 MB gob reads a message in growing chunks:
+// at width 512 the two read 2.18 and 3.07.) A clone copies values into
+// a new model with no file-sized buffer, so it allocates what New does;
+// through Save and Load it allocated 11.8 times the weights' bytes.
 func TestLoadDecodesInPlace(t *testing.T) {
 	const hidden = 256
 	est, err := New(NameZeroShot, Options{Hidden: hidden})
@@ -122,9 +127,16 @@ func TestLoadDecodesInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	file := buf.Bytes()
+	weights := 0
+	for _, p := range est.(*ZeroShot).Model().Params() {
+		weights += 8 * len(p.Val.Data)
+	}
 	built := allocatedBytes(func() { _, err = New(NameZeroShot, Options{Hidden: hidden}) })
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ratio := float64(built) / float64(weights); ratio > 2.1 {
+		t.Fatalf("New allocates %.2f x the %d B of weights, want at most 2.1 x", ratio, weights)
 	}
 	loaded := allocatedBytes(func() { _, err = Load(bytes.NewReader(file)) })
 	if err != nil {
@@ -132,5 +144,12 @@ func TestLoadDecodesInPlace(t *testing.T) {
 	}
 	if ratio := (float64(loaded) - float64(built)) / float64(len(file)); ratio > 1.5 {
 		t.Fatalf("Load allocates New's %d B + %.2f x the %d B file, want at most 1.5 x", built, ratio, len(file))
+	}
+	cloned := allocatedBytes(func() { _, err = est.(Cloner).Clone() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limit := 1.01 * float64(built); float64(cloned) > limit {
+		t.Fatalf("Clone allocates %d B, want at most New's %d B + 1 %%", cloned, built)
 	}
 }

@@ -1,7 +1,6 @@
 package costmodel
 
 import (
-	"bytes"
 	"context"
 	"encoding/gob"
 	"errors"
@@ -219,21 +218,15 @@ func (z *ZeroShot) FineTune(ctx context.Context, samples []Sample, epochs int, l
 		WallTime: res.WallTime, SamplesPerSec: res.SamplesPerSec}, nil
 }
 
-// Clone implements Cloner: a deep copy via a save/load round trip, so
-// the clone shares no weights (or optimizer state) with the original and
-// can fine-tune while the original keeps serving. The clone keeps the
-// architecture and cardinality source; training hyperparameters revert
-// to defaults, which FineTune's explicit epochs/lr arguments override.
+// Clone implements Cloner: a copy of the weights in a new model, so the
+// clone shares no weights with the original and can fine-tune while the
+// original keeps serving. The clone keeps the architecture and
+// cardinality source and starts as a loaded model does (see
+// zeroshot.Model.Clone): default training hyperparameters, which
+// FineTune's explicit epochs/lr arguments override, and no optimizer
+// history.
 func (z *ZeroShot) Clone() (Estimator, error) {
-	var buf bytes.Buffer
-	if err := z.Save(&buf); err != nil {
-		return nil, fmt.Errorf("zeroshot clone: %w", err)
-	}
-	est, err := loadZeroShot(&buf)
-	if err != nil {
-		return nil, fmt.Errorf("zeroshot clone: %w", err)
-	}
-	return est, nil
+	return &ZeroShot{model: z.model.Clone(), card: z.card}, nil
 }
 
 // PredictBatch implements Estimator: every item the memo can answer
@@ -307,7 +300,7 @@ func loadZeroShot(r io.Reader) (Estimator, error) {
 	if err := gob.NewDecoder(r).Decode(&hdr); err != nil {
 		return nil, fmt.Errorf("decode zeroshot header: %w", err)
 	}
-	m, err := zeroshot.Load(r, zeroshot.DefaultConfig())
+	m, err := zeroshot.Load(r)
 	if err != nil {
 		return nil, err
 	}

@@ -21,8 +21,16 @@ const (
 	clipNorm = 5
 )
 
-// NewAdam creates an Adam optimizer with standard hyperparameters.
+// NewAdam creates an Adam optimizer with standard hyperparameters. A
+// parameter gets zeroed moments the first time an optimizer is made over
+// it, and keeps them: a later optimizer continues from them.
 func NewAdam(params []*Param, lr float64) *Adam {
+	for _, p := range params {
+		if p.m == nil {
+			p.m = NewTensor(p.Val.Rows, p.Val.Cols)
+			p.v = NewTensor(p.Val.Rows, p.Val.Cols)
+		}
+	}
 	return &Adam{params: params, LR: lr}
 }
 

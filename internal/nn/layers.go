@@ -4,22 +4,19 @@ import (
 	"math/rand"
 )
 
-// Param is one trainable parameter: value, accumulated gradient, and Adam
-// moment state.
+// Param is one trainable parameter: value, accumulated gradient, and
+// Adam's moments, which exist only once an optimizer has been made over
+// the parameter (see NewAdam).
 type Param struct {
 	Val  *Tensor
 	Grad *Tensor
 	m, v *Tensor
 }
 
-// NewParam allocates a parameter of the given shape with zeroed state.
+// NewParam allocates a parameter of the given shape with a zeroed value
+// and gradient, and no moments.
 func NewParam(rows, cols int) *Param {
-	return &Param{
-		Val:  NewTensor(rows, cols),
-		Grad: NewTensor(rows, cols),
-		m:    NewTensor(rows, cols),
-		v:    NewTensor(rows, cols),
-	}
+	return &Param{Val: NewTensor(rows, cols), Grad: NewTensor(rows, cols)}
 }
 
 // Linear is a fully connected layer y = x @ W + b for row-vector inputs.

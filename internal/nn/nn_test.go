@@ -167,6 +167,29 @@ func TestAdamClipBoundsUpdates(t *testing.T) {
 	}
 }
 
+// TestAdamMomentsAppearOnFirstOptimizer checks that a parameter holds no
+// moments until an optimizer is made over it, and that a later optimizer
+// continues from the moments an earlier one left.
+func TestAdamMomentsAppearOnFirstOptimizer(t *testing.T) {
+	l := NewLinear(2, 1, rand.New(rand.NewSource(4)))
+	for _, p := range l.Params() {
+		if p.m != nil || p.v != nil {
+			t.Fatal("an untrained parameter holds moments")
+		}
+	}
+	opt := NewAdam(l.Params(), 0.01)
+	l.W.Grad.Data[0] = 1
+	opt.Step(1)
+	m, v := l.W.m, l.W.v
+	if m == nil || m.Data[0] == 0 || v.Data[0] == 0 {
+		t.Fatalf("a step left moments %v, %v", m, v)
+	}
+	NewAdam(l.Params(), 0.01)
+	if l.W.m != m || l.W.v != v {
+		t.Fatal("a second optimizer replaced the first one's moments")
+	}
+}
+
 func TestMLPDeterministicForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	mlp := NewMLP(rng, 3, 8, 1)

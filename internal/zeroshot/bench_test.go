@@ -72,10 +72,7 @@ func BenchmarkFineTune(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		m := New(base.Config())
-		for j, p := range m.Params() {
-			copy(p.Val.Data, base.Params()[j].Val.Data)
-		}
+		m := base.Clone()
 		b.StartTimer()
 		if _, err := m.FineTune(samples[50:], 3, 0); err != nil {
 			b.Fatal(err)

@@ -302,9 +302,18 @@ func (m *Model) Save(w io.Writer) error {
 	return nn.SaveParams(w, m.params())
 }
 
-// Load reads a model saved by Save. Training hyperparameters of cfg are
-// kept; architecture fields must match the saved model.
-func Load(r io.Reader, cfg Config) (*Model, error) {
+// archConfig is the configuration of a model built from existing
+// weights: their architecture, with default training hyperparameters.
+func archConfig(hidden int, flatSum bool) Config {
+	cfg := DefaultConfig()
+	cfg.Hidden, cfg.FlatSum = hidden, flatSum
+	return cfg
+}
+
+// Load reads a model saved by Save, with default training
+// hyperparameters. The initialisation New draws is overwritten, but it
+// leaves the generator where the first fine-tune's shuffles expect it.
+func Load(r io.Reader) (*Model, error) {
 	// The header and the parameters are read by separate gob decoders; a
 	// reader without ReadByte would be re-wrapped by gob and over-read, so
 	// share one ByteReader across both.
@@ -318,14 +327,21 @@ func Load(r io.Reader, cfg Config) (*Model, error) {
 	if err := nn.CheckWidth(hdr.Hidden); err != nil {
 		return nil, err
 	}
-	if cfg.Hidden == 0 {
-		cfg = DefaultConfig()
-	}
-	cfg.Hidden = hdr.Hidden
-	cfg.FlatSum = hdr.FlatSum
-	m := New(cfg)
+	m := New(archConfig(hdr.Hidden, hdr.FlatSum))
 	if err := nn.LoadParams(r, m.params()); err != nil {
 		return nil, err
 	}
 	return m, nil
+}
+
+// Clone returns a model with a copy of m's weights, built as Load builds
+// one: training hyperparameters are the defaults, the generator is where
+// initialisation leaves it, and no optimizer history comes along.
+func (m *Model) Clone() *Model {
+	c := New(archConfig(m.cfg.Hidden, m.cfg.FlatSum))
+	dst := c.params()
+	for i, p := range m.params() {
+		copy(dst[i].Val.Data, p.Val.Data)
+	}
+	return c
 }

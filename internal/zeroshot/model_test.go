@@ -195,7 +195,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf, smallConfig())
+	loaded, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a model")), DefaultConfig()); err == nil {
+	if _, err := Load(bytes.NewReader([]byte("not a model"))); err == nil {
 		t.Fatal("loaded garbage")
 	}
 }
@@ -222,7 +222,7 @@ func TestLoadRejectsHostileWidth(t *testing.T) {
 		if err := gob.NewEncoder(&buf).Encode(savedModel{Hidden: hidden}); err != nil {
 			t.Fatal(err)
 		}
-		_, err := Load(&buf, DefaultConfig())
+		_, err := Load(&buf)
 		if err == nil || !strings.Contains(err.Error(), "width") {
 			t.Fatalf("header Hidden=%d loaded with err %v, want a width error", hidden, err)
 		}

@@ -53,7 +53,7 @@ func TestVersionFollowsWeights(t *testing.T) {
 		}
 	})
 	same("PredictBatch", func() { m.PredictBatch([]*encoding.Graph{samples[0].Graph}) })
-	loaded, err := Load(&buf, cfg)
+	loaded, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
