@@ -43,7 +43,9 @@ type apiServer struct {
 
 // calls is the POST side of the API. *cluster.Router satisfies it as
 // is, so clients cannot tell one replica from many; sessionCalls adapts
-// a lone session.
+// a lone session. A batch's statements are borrowed for the duration of
+// the call: they alias the pooled request buffer, which the handler
+// reuses once its reply is written.
 type calls interface {
 	Predict(ctx context.Context, db, model, sql string) (serving.Prediction, error)
 	PredictBatch(ctx context.Context, db, model string, sqls []string) (serving.BatchResult, error)
@@ -136,14 +138,16 @@ const maxPooledBuf = 1 << 20
 // wireBuf is a pooled buffer a request body is read into or a reply
 // encoded into. It owns its encoder, so a reply allocates none; a
 // bytes.Buffer never fails a Write, so the encoder never keeps an error
-// from one reply to the next.
+// from one reply to the next. It owns its body decoder too, whose text
+// buffer and statement slice a batch's statements borrow.
 type wireBuf struct {
 	bytes.Buffer
 	enc *json.Encoder
+	dec cluster.Decoder
 }
 
-// bufPool holds the wireBufs. Nothing decoded from a body aliases its
-// buffer.
+// bufPool holds the wireBufs. A batch's statements alias the body's
+// buffer, so a handler returns it only after its reply is written.
 var bufPool = sync.Pool{New: func() any {
 	b := new(wireBuf)
 	b.enc = json.NewEncoder(&b.Buffer)
@@ -153,7 +157,8 @@ var bufPool = sync.Pool{New: func() any {
 func getBuf() *wireBuf { return bufPool.Get().(*wireBuf) }
 
 func putBuf(b *wireBuf) {
-	if b.Cap() > maxPooledBuf {
+	b.dec.Release()
+	if b.Cap() > maxPooledBuf || b.dec.Size() > maxPooledBuf {
 		return
 	}
 	b.Reset()
@@ -162,25 +167,27 @@ func putBuf(b *wireBuf) {
 
 // decode is the one request-body reader: it bounds the body, decodes it
 // into v, and answers a body it cannot use itself (false = answered).
-// The body is read whole and decoded by cluster.DecodeBody; a body
-// outside its subset, or a read that failed, is replayed through
-// encoding/json (the same bytes, then the same error), which keeps
-// encoding/json the specification and the only source of error text.
-func decode(w http.ResponseWriter, r *http.Request, v any) bool {
+// The body is read whole into a pooled buffer and decoded by the
+// buffer's cluster.Decoder; a body outside its subset, or a read that
+// failed, is replayed through encoding/json (the same bytes, then the
+// same error), which keeps encoding/json the specification and the only
+// source of error text. A batch's statements are borrowed from the
+// buffer, so decode hands it to the caller, who returns it to the pool
+// (putBuf) once the reply is written; after a false it is back already.
+func decode(w http.ResponseWriter, r *http.Request, v any) (*wireBuf, bool) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	buf := getBuf()
-	defer putBuf(buf)
 	_, err := buf.ReadFrom(r.Body)
 	b := buf.Bytes()
-	if err == nil && cluster.DecodeBody(b, v) {
-		return true
+	if err == nil && buf.dec.Decode(b, v) {
+		return buf, true
 	}
 	var replay io.Reader = bytes.NewReader(b)
 	if err != nil {
 		replay = io.MultiReader(replay, errReader{err})
 	}
 	if err = json.NewDecoder(replay).Decode(v); err == nil {
-		return true
+		return buf, true
 	}
 	// Malformed JSON is a 400; only the table's own verdict on an
 	// overflowing body (413) overrides that.
@@ -188,8 +195,9 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	if status != http.StatusRequestEntityTooLarge {
 		status = http.StatusBadRequest
 	}
+	putBuf(buf)
 	httpError(w, status, "bad request body: %v", err)
-	return false
+	return nil, false
 }
 
 // errReader fails every read with err: the tail of a replayed body.
@@ -243,9 +251,11 @@ func writeStatus(w http.ResponseWriter, status int, v any) {
 // back to /v1/feedback once it observes the query's actual runtime.
 func (s *apiServer) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var req cluster.PredictRequest
-	if !decode(w, r, &req) {
+	buf, ok := decode(w, r, &req)
+	if !ok {
 		return
 	}
+	putBuf(buf) // req holds copies
 	if req.SQL == "" {
 		httpError(w, http.StatusBadRequest, "sql is required")
 		return
@@ -263,9 +273,11 @@ const maxBatch = 4096
 
 func (s *apiServer) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	var req cluster.PredictBatchRequest
-	if !decode(w, r, &req) {
+	buf, ok := decode(w, r, &req)
+	if !ok {
 		return
 	}
+	defer putBuf(buf) // after the reply: req.SQL borrows from buf
 	if len(req.SQL) == 0 {
 		httpError(w, http.StatusBadRequest, "sql array is required")
 		return
@@ -287,9 +299,11 @@ func (s *apiServer) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 // stay hot.
 func (s *apiServer) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	var req cluster.WhatIfRequest
-	if !decode(w, r, &req) {
+	buf, ok := decode(w, r, &req)
+	if !ok {
 		return
 	}
+	putBuf(buf) // req holds copies
 	if len(req.SQL) == 0 {
 		httpError(w, http.StatusBadRequest, "sql array is required")
 		return
@@ -322,9 +336,11 @@ func (s *apiServer) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req cluster.FeedbackRequest
-	if !decode(w, r, &req) {
+	buf, ok := decode(w, r, &req)
+	if !ok {
 		return
 	}
+	putBuf(buf) // req holds copies
 	fp := req.Fingerprint
 	if fp == "" && req.SQL != "" {
 		fp = costmodel.Fingerprint(req.SQL)

@@ -229,9 +229,11 @@ func handleBundles(bc *bundleControl) http.HandlerFunc {
 			writeJSON(w, body)
 		case http.MethodPost:
 			var req bundlesRequest
-			if !decode(w, r, &req) {
+			buf, ok := decode(w, r, &req)
+			if !ok {
 				return
 			}
+			putBuf(buf)
 			switch req.Action {
 			case "refresh":
 				if err := bc.refresh(r.Context()); err != nil {

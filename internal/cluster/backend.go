@@ -68,7 +68,10 @@ type Backend interface {
 	// Predict prices one statement against the backend's copy of db.
 	Predict(ctx context.Context, db, model, sql string) (serving.Prediction, error)
 	// PredictBatch prices many statements; per-item pipeline errors ride
-	// in the result, the error return is request-level.
+	// in the result, the error return is request-level. The statements
+	// are borrowed for the duration of the call (see
+	// serving.Session.PredictBatch): an implementation copies what it
+	// keeps, and finishes with them before it returns.
 	PredictBatch(ctx context.Context, db, model string, sqls []string) (serving.BatchResult, error)
 	// WhatIf runs one what-if sweep against the backend's copy of db.
 	// Like Feedback it wants the owner: the sweep's prepared-plan and

@@ -4,12 +4,13 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // This file is the serving shim's hand decoder for the two bodies the
 // predict routes read hot, PredictRequest and PredictBatchRequest: a
 // 256-statement batch body decodes several times faster than through
-// json.Decoder. encoding/json stays the specification. DecodeBody
+// json.Decoder. encoding/json stays the specification. A Decoder
 // accepts a strict subset of what json.Decoder.Decode accepts and must
 // then produce the same value; it says no (false) to anything outside
 // that subset, and the caller replays the input through encoding/json,
@@ -17,15 +18,33 @@ import (
 // goes through encoding/json alone: a hand encoder and decoders for the
 // what-if and feedback bodies showed no end-to-end gain.
 
-// DecodeBody decodes the JSON object at the start of b into v, a
+// Decoder decodes predict bodies, reusing two buffers from one body to
+// the next: the text escaped statements are unescaped into, and a
+// batch's statement slice. The zero value is ready to use.
+//
+// The statements of a batch are borrowed, not copied: each element of
+// PredictBatchRequest.SQL aliases the body when it has no escapes, and
+// the text buffer when it has. They stay valid until the caller is done
+// with the request: it must keep the body unmodified and make no further
+// Decode or Release call on this Decoder until then, and whatever
+// outlives the request must copy the statement it keeps. Every other
+// string (db, model, a single predict's sql) is a copy.
+type Decoder struct {
+	text []byte
+	sqls []string
+}
+
+// Decode decodes the JSON object at the start of b into v, a
 // *PredictRequest or a *PredictBatchRequest, and reports whether it did.
 // Bytes after the object are ignored, as json.Decoder ignores them. It
 // returns false, leaving v untouched, for any other type and for
 // anything outside the subset: null, a member name that is not exactly a
 // field's tag, a repeated member, a surrogate escape, invalid UTF-8, a
-// wrongly typed value or malformed input. Decoded strings never alias b.
-func DecodeBody(b []byte, v any) bool {
-	d := &decoder{b: b}
+// wrongly typed value or malformed input. It ends the borrow of the
+// strings the previous Decode returned.
+func (dec *Decoder) Decode(b []byte, v any) bool {
+	dec.Release()
+	d := &decoder{b: b, dec: dec}
 	switch v := v.(type) {
 	case *PredictRequest:
 		var x PredictRequest
@@ -35,6 +54,33 @@ func DecodeBody(b []byte, v any) bool {
 		return d.predictBatchRequest(&x) && set(v, x)
 	}
 	return false
+}
+
+// Release ends the borrow of the last Decode's statements: it clears
+// every slot a decode may have written, so a pooled Decoder keeps no
+// body reachable through them.
+func (dec *Decoder) Release() {
+	clear(dec.sqls[:cap(dec.sqls)])
+	dec.sqls = dec.sqls[:0]
+	dec.text = dec.text[:0]
+}
+
+// Size is the bytes the Decoder's buffers hold on to (a string header
+// is at most 16), for a pool that bounds what it keeps.
+func (dec *Decoder) Size() int {
+	return cap(dec.text) + 16*cap(dec.sqls)
+}
+
+// borrow returns b's bytes as a string without copying them. It is the
+// one use of unsafe outside tests: a warm batch's statements are read
+// hot and retained nowhere, and a copy of each was most of the memory
+// a warm batch allocated. The string is valid only while b is not
+// written, which is the borrow rule of Decoder.
+func borrow(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
 }
 
 // set stores a value decoded in full.
@@ -47,10 +93,9 @@ func set[T any](v *T, x T) bool {
 // whitespace before its token and reports whether the input is inside
 // the subset; after a false the position is meaningless.
 type decoder struct {
-	b []byte
-	i int
-	// esc collects a string that has escapes, reused within one body.
-	esc []byte
+	b   []byte
+	i   int
+	dec *Decoder
 }
 
 func (d *decoder) ws() {
@@ -152,29 +197,38 @@ func plain(b []byte, i int) int {
 
 // str decodes a string into a fresh string.
 func (d *decoder) str(dst *string) bool {
+	b, ok := d.text()
+	if ok {
+		*dst = string(b)
+	}
+	return ok
+}
+
+// text decodes a string's bytes: the body's own bytes when it has no
+// escapes, else its unescaped bytes in the text buffer.
+func (d *decoder) text() ([]byte, bool) {
 	d.ws()
 	if d.i >= len(d.b) || d.b[d.i] != '"' {
-		return false
+		return nil, false
 	}
 	d.i++
 	start := d.i
 	for {
 		d.i = plain(d.b, d.i)
 		if d.i >= len(d.b) {
-			return false
+			return nil, false
 		}
 		switch c := d.b[d.i]; {
 		case c == '"':
-			*dst = string(d.b[start:d.i])
 			d.i++
-			return true
+			return d.b[start : d.i-1], true
 		case c == '\\':
-			return d.escaped(dst, start)
+			return d.escaped(start)
 		case c < ' ':
-			return false
+			return nil, false
 		default:
 			if !d.rune() {
-				return false
+				return nil, false
 			}
 		}
 	}
@@ -191,24 +245,30 @@ func (d *decoder) rune() bool {
 }
 
 // escaped finishes a string from its first backslash on; the string's
-// plain prefix starts at start.
-func (d *decoder) escaped(dst *string, start int) bool {
-	out := append(d.esc[:0], d.b[start:d.i]...)
+// plain prefix starts at start. It unescapes into the text buffer after
+// the strings already there, which therefore never moves: the buffer is
+// reserved at len(b) once, and no string's unescaped bytes outnumber
+// its escaped ones, so the body's strings fit together.
+func (d *decoder) escaped(start int) ([]byte, bool) {
+	if cap(d.dec.text) < len(d.b) {
+		d.dec.text = make([]byte, 0, len(d.b))
+	}
+	from := len(d.dec.text)
+	out := append(d.dec.text, d.b[start:d.i]...)
 	for {
 		j := plain(d.b, d.i)
 		out = append(out, d.b[d.i:j]...)
 		if d.i = j; d.i >= len(d.b) {
-			return false
+			return nil, false
 		}
 		switch c := d.b[d.i]; {
 		case c == '"':
-			*dst = string(out)
-			d.esc = out
 			d.i++
-			return true
+			d.dec.text = out
+			return out[from:], true
 		case c == '\\':
 			if d.i+1 >= len(d.b) {
-				return false
+				return nil, false
 			}
 			e := d.b[d.i+1]
 			d.i += 2
@@ -228,20 +288,20 @@ func (d *decoder) escaped(dst *string, start int) bool {
 			case 'u':
 				r, ok := d.hex4()
 				if !ok || 0xd800 <= r && r < 0xe000 {
-					return false
+					return nil, false
 				}
 				out = utf8.AppendRune(out, r)
 			default:
-				return false
+				return nil, false
 			}
 		case c < ' ':
-			return false
+			return nil, false
 		default:
-			from := d.i
+			r := d.i
 			if !d.rune() {
-				return false
+				return nil, false
 			}
-			out = append(out, d.b[from:d.i]...)
+			out = append(out, d.b[r:d.i]...)
 		}
 	}
 }
@@ -269,23 +329,28 @@ func (d *decoder) hex4() (rune, bool) {
 	return r, true
 }
 
-// strs decodes an array of strings. An empty array is an empty, non-nil
-// slice, as encoding/json makes it.
+// strs decodes an array of borrowed strings into the Decoder's
+// statement slice. An empty array is an empty, non-nil slice, as
+// encoding/json makes it.
 func (d *decoder) strs(dst *[]string) bool {
 	if !d.byte('[') {
 		return false
 	}
-	out := []string{}
+	out := d.dec.sqls[:0]
+	if out == nil {
+		out = []string{}
+	}
 	for n := 0; !d.byte(']'); n++ {
 		if n > 0 && !d.byte(',') {
 			return false
 		}
-		var s string
-		if !d.str(&s) {
+		s, ok := d.text()
+		if !ok {
 			return false
 		}
-		out = append(out, s)
+		out = append(out, borrow(s))
 	}
+	d.dec.sqls = out
 	*dst = out
 	return true
 }

@@ -47,6 +47,12 @@ func transcriptBodies(t testing.TB) [][]byte {
 	return bodies
 }
 
+// DecodeBody is Decode on a fresh Decoder: the oracle tests' spelling.
+func DecodeBody(b []byte, v any) bool {
+	var d Decoder
+	return d.Decode(b, v)
+}
+
 // sameDecode checks DecodeBody against json.Decoder for one wire type:
 // whenever DecodeBody accepts b, encoding/json must accept it too and
 // produce the same value. It reports whether DecodeBody accepted.
@@ -241,10 +247,10 @@ func FuzzWireEncode(f *testing.F) {
 	f.Fuzz(checkWire)
 }
 
-// BenchmarkDecodeBody decodes a 256-statement /v1/predict_batch body,
-// as a client's json.Marshal writes it, with the hand decoder and with
-// json.Decoder: the measure of what the decoder is kept for.
-func BenchmarkDecodeBody(b *testing.B) {
+// batchBody is a 256-statement /v1/predict_batch body as a client's
+// json.Marshal writes it: every statement has a `<` or `>`, which it
+// escapes.
+func batchBody(t testing.TB) []byte {
 	sqls := make([]string, 256)
 	for i := range sqls {
 		sqls[i] = fmt.Sprintf("SELECT COUNT(*) FROM title, movie_companies, movie_info WHERE title.id = movie_companies.movie_id"+
@@ -253,8 +259,54 @@ func BenchmarkDecodeBody(b *testing.B) {
 	}
 	body, err := json.Marshal(PredictBatchRequest{DB: "imdb", Model: "zeroshot", SQL: sqls})
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
+	return body
+}
+
+// TestDecoderReuse decodes every transcript body, every edge and an
+// escaped batch through one Decoder: each value must equal a fresh
+// DecodeBody's. Release must clear every statement slot, and a warm
+// batch must allocate only its db and model copies: the statement slice
+// is reused and the text buffer never moves.
+func TestDecoderReuse(t *testing.T) {
+	var dec Decoder
+	bodies := append(transcriptBodies(t), batchBody(t))
+	for _, b := range wireEdges {
+		bodies = append(bodies, []byte(b))
+	}
+	for _, b := range bodies {
+		var got, want PredictBatchRequest
+		if ok := dec.Decode(b, &got); ok != DecodeBody(b, &want) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("reused Decoder on %q: %t %#v, fresh %#v", b, ok, got, want)
+		}
+		var one, fresh PredictRequest
+		if ok := dec.Decode(b, &one); ok != DecodeBody(b, &fresh) || one != fresh {
+			t.Fatalf("reused Decoder on %q: %t %#v, fresh %#v", b, ok, one, fresh)
+		}
+	}
+	body := batchBody(t)
+	var req PredictBatchRequest
+	if !dec.Decode(body, &req) {
+		t.Fatal("Decode refused the batch")
+	}
+	dec.Release()
+	for i, s := range req.SQL[:cap(req.SQL)] {
+		if s != "" {
+			t.Fatalf("slot %d still holds %q after Release", i, s)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { dec.Decode(body, &req) }); allocs > 2 {
+		t.Errorf("a warm batch decode allocates %.0f times, want <= 2 (db and model)", allocs)
+	}
+}
+
+// BenchmarkDecodeBody decodes a 256-statement /v1/predict_batch body
+// with the hand decoder, fresh (DecodeBody) and reused as the shim
+// reuses it (Decoder), and with json.Decoder: the measure of what the
+// decoder is kept for.
+func BenchmarkDecodeBody(b *testing.B) {
+	body := batchBody(b)
 	b.Logf("body: %d bytes", len(body))
 	b.Run("codec", func(b *testing.B) {
 		b.ReportAllocs()
@@ -262,6 +314,16 @@ func BenchmarkDecodeBody(b *testing.B) {
 			var req PredictBatchRequest
 			if !DecodeBody(body, &req) {
 				b.Fatal("DecodeBody refused the body")
+			}
+		}
+	})
+	b.Run("codec_reused", func(b *testing.B) {
+		b.ReportAllocs()
+		var dec Decoder
+		for i := 0; i < b.N; i++ {
+			var req PredictBatchRequest
+			if !dec.Decode(body, &req) {
+				b.Fatal("Decode refused the body")
 			}
 		}
 	})

@@ -53,8 +53,7 @@ type encodedGraph struct {
 func NewEncodedPlan() *EncodedPlan { return &EncodedPlan{} }
 
 // find returns the entry for the key, or nil; the caller holds mu. Keys
-// compare with ==: the fingerprints of one schema share a backing array,
-// so the hot-path compare never reads the string.
+// are interned, so each compare is one pointer compare.
 func (m *EncodedPlan) find(key encoding.Key) *encodedGraph {
 	for i := range m.entries {
 		if m.entries[i].key == key {

@@ -237,14 +237,18 @@ func (c *PlanCache) Get(fp string) (PlanInput, bool) {
 // when that changed the text; a canonical miss is one probe and one
 // compare. Either way a lookup counts exactly one hit or one miss, so
 // Stats reads as it would under Fingerprint+Get.
+//
+// The returned fingerprint never aliases sql: a hit returns the entry's
+// own key and a miss Fingerprint's fresh string. A caller may therefore
+// look up a borrowed text it must not retain, and keep fp.
 func (c *PlanCache) Lookup(sql string) (in PlanInput, fp string, ok bool) {
 	c.mu.Lock()
 	if el, hit := c.entries[sql]; hit {
 		c.hits++
 		c.ll.MoveToFront(el)
-		in = el.Value.(*planCacheEntry).in
+		e := el.Value.(*planCacheEntry)
 		c.mu.Unlock()
-		return in, sql, true
+		return e.in, e.fp, true
 	}
 	c.mu.Unlock()
 	fp = Fingerprint(sql)

@@ -10,6 +10,7 @@ import (
 	"github.com/zeroshot-db/zeroshot/internal/encoding"
 	"github.com/zeroshot-db/zeroshot/internal/par"
 	"github.com/zeroshot-db/zeroshot/internal/plan"
+	"github.com/zeroshot-db/zeroshot/internal/schema"
 	"github.com/zeroshot-db/zeroshot/internal/zeroshot"
 )
 
@@ -54,6 +55,23 @@ func (z *ZeroShot) encoder(in PlanInput) *encoding.PlanEncoder {
 	return encoding.NewPlanEncoder(in.DB.Schema, z.card)
 }
 
+// keyer hands out the encoder keys of a batch's inputs, taking each
+// from encoding's intern table once per run of inputs over one schema:
+// a serving batch spans one database, so once per batch.
+type keyer struct {
+	z   *ZeroShot
+	sch *schema.Schema
+	key encoding.Key
+}
+
+func (k *keyer) of(in PlanInput) encoding.Key {
+	if k.sch == nil || in.DB.Schema != k.sch {
+		k.sch = in.DB.Schema
+		k.key = k.z.encoder(in).Key()
+	}
+	return k.key
+}
+
 // WarmEncode implements EncodeWarmer: encode the input's plan into its
 // memo (a no-op when the shape was already encoded under this adapter's
 // encoder key).
@@ -86,9 +104,10 @@ type coldKey struct {
 }
 
 // coldShape is one distinct plan shape awaiting a cold encode: its
-// encoder and plan, the batch positions that need its graph, and the
-// graph once a worker has built it.
+// encoder, the encoder's key and the plan, the batch positions that need
+// its graph, and the graph once a worker has built it.
 type coldShape struct {
+	key   encoding.Key
 	enc   *encoding.PlanEncoder
 	plan  *plan.Node
 	items []int
@@ -119,6 +138,7 @@ func (z *ZeroShot) resolveBatch(ctx context.Context, ins []PlanInput, version ui
 	var (
 		cold   []*coldShape // distinct cold shapes, first-occurrence order
 		shapes map[coldKey]*coldShape
+		keys   = keyer{z: z}
 	)
 	for i, in := range ins {
 		if err := ctx.Err(); err != nil {
@@ -127,7 +147,7 @@ func (z *ZeroShot) resolveBatch(ctx context.Context, ins []PlanInput, version ui
 		if in.DB == nil || in.Plan == nil {
 			return nil, nil, &itemError{i, errors.New("zeroshot estimator needs DB and Plan inputs")}
 		}
-		key := z.encoder(in).Key()
+		key := keys.of(in)
 		g, seconds, answered := in.Enc.resolve(key, version)
 		if answered {
 			if answers == nil {
@@ -146,7 +166,7 @@ func (z *ZeroShot) resolveBatch(ctx context.Context, ins []PlanInput, version ui
 		}
 		s, ok := shapes[k]
 		if !ok {
-			s = &coldShape{enc: z.encoder(in), plan: in.Plan}
+			s = &coldShape{key: key, enc: z.encoder(in), plan: in.Plan}
 			shapes[k] = s
 			cold = append(cold, s)
 		}
@@ -170,10 +190,9 @@ func (z *ZeroShot) resolveBatch(ctx context.Context, ins []PlanInput, version ui
 		}
 	}
 	for _, s := range cold {
-		key := s.enc.Key()
 		for _, i := range s.items {
 			graphs[i] = s.graph
-			ins[i].Enc.store(key, s.graph)
+			ins[i].Enc.store(s.key, s.graph)
 		}
 	}
 	return graphs, answers, nil
@@ -271,13 +290,14 @@ func (z *ZeroShot) PredictBatch(ctx context.Context, ins []PlanInput) ([]float64
 		out = preds
 	}
 	j := 0
+	keys := keyer{z: z}
 	for i, g := range graphs {
 		if g == nil {
 			continue
 		}
 		out[i] = preds[j]
 		j++
-		ins[i].Enc.answer(z.encoder(ins[i]).Key(), version, out[i])
+		ins[i].Enc.answer(keys.of(ins[i]), version, out[i])
 	}
 	return out, nil
 }

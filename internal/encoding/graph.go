@@ -187,16 +187,44 @@ func NewPlanEncoder(sch *schema.Schema, card CardSource) *PlanEncoder {
 // cardinality source and the hardware descriptor. Encoders with equal
 // keys build identical graphs for the same plan — whatever model
 // generation, reload or re-attach constructed them — which is what lets
-// a graph memo outlive the encoder that filled it.
-type Key struct {
+// a graph memo outlive the encoder that filled it. Keys are interned:
+// equal contents give the same Key, so comparing two is one pointer
+// compare. The zero Key is no encoder's.
+type Key struct{ c *keyContent }
+
+type keyContent struct {
 	schema string
 	card   CardSource
 	hw     Hardware
 }
 
-// Key returns the encoder's identity (see Key).
+// keys interns the Keys: one entry per encoder configuration the
+// process has met, which is one or two per attached schema. It is
+// package-wide because equal content from distinct schemas (a database
+// attached again, a model loaded again) must give one Key.
+var (
+	keysMu sync.Mutex
+	keys   = map[keyContent]*keyContent{}
+)
+
+// Key returns the encoder's identity (see Key). It takes a lock and one
+// map probe, so a caller pricing many plans over one schema takes it
+// once.
 func (e *PlanEncoder) Key() Key {
-	return Key{schema: e.sch.Fingerprint(), card: e.card, hw: e.hw}
+	c := keyContent{schema: e.sch.Fingerprint(), card: e.card, hw: e.hw}
+	keysMu.Lock()
+	defer keysMu.Unlock()
+	if p := keys[c]; p != nil {
+		return Key{p}
+	}
+	p := new(keyContent)
+	*p = c
+	// A NaN in the hardware makes the content equal to no key, itself
+	// included: such a Key matches nothing, and is not stored.
+	if c == c {
+		keys[c] = p
+	}
+	return Key{p}
 }
 
 // WithHardware returns a copy of the encoder that annotates every operator

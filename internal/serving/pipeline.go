@@ -3,6 +3,7 @@ package serving
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,11 +80,17 @@ func newDBSession(name string, db *storage.Database, cacheSize int) *dbSession {
 // tr is an optional sampled trace: each executed stage records a span
 // alongside its latency observation (tr is usually nil — span recording
 // is nil-safe and free).
+//
+// sql may be borrowed (see Session.PredictBatch): nothing prepare
+// returns or retains aliases it. A hit returns the cache's own key, and
+// a miss copies the text once before the parser, whose Query keeps
+// substrings of its input, or any error sees it.
 func (d *dbSession) prepare(ctx context.Context, sql string, tr *obs.Trace) (costmodel.PlanInput, bool, string, error) {
 	cached, fp, ok := d.cache.Lookup(sql)
 	if ok {
 		return cached, true, fp, nil
 	}
+	sql = strings.Clone(sql)
 	if err := ctx.Err(); err != nil {
 		return costmodel.PlanInput{}, false, fp, err
 	}

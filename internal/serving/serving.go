@@ -474,14 +474,19 @@ type BatchResult struct {
 // land in the item's Err and the healthy remainder still predicts. The
 // error return is reserved for request-level failures (unknown
 // database/model, closed session).
+//
+// The statements are borrowed for the duration of the call: the caller
+// may overwrite their bytes once it returns (the HTTP shim decodes them
+// in place from a pooled request buffer), so nothing the session
+// retains or returns aliases them.
 func (s *Session) PredictBatch(ctx context.Context, dbName, model string, sqls []string) (BatchResult, error) {
 	d, est, err := s.begin(dbName, model)
 	if err != nil {
 		return BatchResult{}, err
 	}
 	items := make([]BatchItem, len(sqls))
-	var ins []costmodel.PlanInput
-	var idx []int // ins position -> items position
+	ins := make([]costmodel.PlanInput, 0, len(sqls))
+	idx := make([]int, 0, len(sqls)) // ins position -> items position
 	for i, sql := range sqls {
 		in, _, _, err := d.prepare(ctx, sql, nil)
 		if err != nil {
