@@ -38,7 +38,7 @@ func eachSpelling(t *testing.T, f func(t *testing.T)) {
 
 // TestReferenceOnBothSpellings runs every reference comparison — and
 // the tape ≡ Infer and non-finite-gradient pins that reach the same
-// kernels — with the assembly on and with it off.
+// kernels, and the Adam update — with the assembly on and with it off.
 func TestReferenceOnBothSpellings(t *testing.T) {
 	eachSpelling(t, func(t *testing.T) {
 		t.Run("MatMulInto", TestMatMulIntoMatchesReference)
@@ -46,6 +46,7 @@ func TestReferenceOnBothSpellings(t *testing.T) {
 		t.Run("MatMulBackward", TestMatMulBackwardMatchesReference)
 		t.Run("BackwardNonFiniteGradient", TestMatMulBackwardSkipsZeroActivationsUnderNonFiniteGradient)
 		t.Run("InferMatchesTape", TestInferMatchesTapeRowByRow)
+		t.Run("AdamStep", TestAdamStepMatchesReference)
 	})
 }
 

@@ -319,3 +319,123 @@ func TestMatMulBackwardMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// refAdamStep is a verbatim copy of the scalar Adam.Step the trained
+// goldens were recorded with, every operation rounded on its own in this
+// order.
+func refAdamStep(a *Adam, scale float64) {
+	if scale <= 0 {
+		scale = 1
+	}
+	inv := 1 / scale
+	if norm := a.GradNorm() * inv; norm > clipNorm {
+		inv *= clipNorm / norm
+	}
+	a.t++
+	c1 := 1 - math.Pow(beta1, float64(a.t))
+	c2 := 1 - math.Pow(beta2, float64(a.t))
+	for _, p := range a.params {
+		for i, g := range p.Grad.Data {
+			g *= inv
+			p.m.Data[i] = beta1*p.m.Data[i] + (1-beta1)*g
+			p.v.Data[i] = beta2*p.v.Data[i] + (1-beta2)*g*g
+			mHat := p.m.Data[i] / c1
+			vHat := p.v.Data[i] / c2
+			p.Val.Data[i] -= a.LR * mHat / (math.Sqrt(vHat) + adamEps)
+		}
+	}
+}
+
+// adamGrad fills a gradient: normal values with zeros of both signs and
+// subnormals sprinkled in, and, where special, infinities, NaN and
+// magnitudes whose square overflows. A NaN makes the global norm NaN,
+// which switches the clip off, so a huge value beside one reaches the
+// update unscaled.
+func adamGrad(rng *rand.Rand, g []float64, special bool) {
+	for i := range g {
+		switch k := rng.Intn(12); {
+		case k == 0:
+			g[i] = 0
+		case k == 1:
+			g[i] = math.Copysign(0, -1)
+		case k == 2:
+			g[i] = math.Float64frombits(uint64(rng.Intn(1<<20) + 1))
+		case k == 3 && special:
+			g[i] = []float64{math.Inf(1), math.Inf(-1), math.NaN()}[rng.Intn(3)]
+		case k == 4 && special:
+			g[i] = []float64{1e300, -1e300, math.MaxFloat64, -math.MaxFloat64}[rng.Intn(4)]
+		default:
+			g[i] = rng.NormFloat64()
+		}
+	}
+}
+
+// TestAdamStepMatchesReference pins Adam.Step bit for bit — weights,
+// both moments, and the untouched gradient — against refAdamStep. Each
+// optimizer holds a 1 x n and a 3 x n parameter for every n 1…70, so
+// every tail length of a four-wide update and more than one parameter
+// per step; the tested side's four tensors are views with canaries
+// either side. Eight steps per optimizer move t, and so c1 and c2;
+// gradients carry ±0 and subnormals always, and on every third step of
+// the special runs also ±Inf, NaN and overflowing magnitudes. The scales
+// put the clip on and off, and the test fails unless both happened.
+func TestAdamStepMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	var clipped, unclipped int
+	for n := 1; n <= 70; n++ {
+		for _, scale := range []float64{0, 0.05, 1e4} {
+			for _, special := range []bool{false, true} {
+				for _, lr := range []float64{1e-3, 0.5} {
+					var got, want []*Param
+					var checks []func(testing.TB, string)
+					for _, rows := range []int{1, 3} {
+						p := &Param{}
+						for _, dst := range []**Tensor{&p.Val, &p.Grad, &p.m, &p.v} {
+							v, check := view(rows, n)
+							clear(v.Data)
+							*dst = v
+							checks = append(checks, check)
+						}
+						for i := range p.Val.Data {
+							p.Val.Data[i] = rng.NormFloat64()
+						}
+						got = append(got, p)
+						want = append(want, &Param{Val: p.Val.Clone(), Grad: NewTensor(rows, n)})
+					}
+					opt, ref := NewAdam(got, lr), NewAdam(want, lr)
+					for step := 1; step <= 8; step++ {
+						for i, p := range got {
+							adamGrad(rng, p.Grad.Data, special && step%3 == 0)
+							copy(want[i].Grad.Data, p.Grad.Data)
+						}
+						inv := 1.0
+						if scale > 0 {
+							inv = 1 / scale
+						}
+						if opt.GradNorm()*inv > clipNorm {
+							clipped++
+						} else {
+							unclipped++
+						}
+						opt.Step(scale)
+						refAdamStep(ref, scale)
+						what := fmt.Sprintf("n=%d scale=%v special=%v lr=%v t=%d", n, scale, special, lr, step)
+						for i, p := range got {
+							w := want[i]
+							sameBits(t, what+" weights", p.Val.Data, w.Val.Data)
+							sameBits(t, what+" m", p.m.Data, w.m.Data)
+							sameBits(t, what+" v", p.v.Data, w.v.Data)
+							sameBits(t, what+" gradient", p.Grad.Data, w.Grad.Data)
+						}
+						for _, check := range checks {
+							check(t, what)
+						}
+					}
+				}
+			}
+		}
+	}
+	if clipped == 0 || unclipped == 0 {
+		t.Fatalf("the clip was on for %d steps and off for %d: want both", clipped, unclipped)
+	}
+}
