@@ -55,6 +55,19 @@ func (a *Adam) GradNorm() float64 {
 // Step applies one Adam update from the accumulated gradients. scale
 // divides the gradients first (pass the batch size for mean-gradient
 // semantics).
+//
+// Each element is updated on its own, every operation rounded in this
+// order:
+//
+//	g *= inv
+//	m = beta1*m + (1-beta1)*g
+//	v = beta2*v + (1-beta2)*g*g
+//	val -= LR * (m/c1) / (sqrt(v/c2) + adamEps)
+//
+// Where useAVX2 is set the assembly does four elements to an instruction
+// with the same correctly rounded operations, and the Go loop the len
+// mod 4 tail; nothing crosses lanes, so the bits are the same. GradNorm
+// sums across elements, in order, and stays scalar.
 func (a *Adam) Step(scale float64) {
 	if scale <= 0 {
 		scale = 1
@@ -66,14 +79,35 @@ func (a *Adam) Step(scale float64) {
 	a.t++
 	c1 := 1 - math.Pow(beta1, float64(a.t))
 	c2 := 1 - math.Pow(beta2, float64(a.t))
+	k := adamConsts{
+		inv: inv, b1: beta1, nb1: 1 - beta1, b2: beta2, nb2: 1 - beta2,
+		c1: c1, c2: c2, lr: a.LR, eps: adamEps,
+	}
 	for _, p := range a.params {
-		for i, g := range p.Grad.Data {
-			g *= inv
-			p.m.Data[i] = beta1*p.m.Data[i] + (1-beta1)*g
-			p.v.Data[i] = beta2*p.v.Data[i] + (1-beta2)*g*g
-			mHat := p.m.Data[i] / c1
-			vHat := p.v.Data[i] / c2
-			p.Val.Data[i] -= a.LR * mHat / (math.Sqrt(vHat) + adamEps)
+		val, g, m, v := p.Val.Data, p.Grad.Data, p.m.Data, p.v.Data
+		if len(val) != len(g) || len(m) != len(g) || len(v) != len(g) {
+			panic("nn: Adam parameter, gradient and moments differ in size")
+		}
+		i := 0
+		if useAVX2 {
+			i = len(g) &^ 3
+			adamStepAVX2(val[:i], g[:i], m[:i], v[:i], &k)
+		}
+		for ; i < len(g); i++ {
+			gi := g[i] * inv
+			m[i] = beta1*m[i] + (1-beta1)*gi
+			v[i] = beta2*v[i] + (1-beta2)*gi*gi
+			mHat := m[i] / c1
+			vHat := v[i] / c2
+			val[i] -= a.LR * mHat / (math.Sqrt(vHat) + adamEps)
 		}
 	}
+}
+
+// adamConsts are one step's scalars, as adamStepAVX2 reads them: the
+// gradient factor, the decay rates and their complements (computed at
+// run time from the variables, see beta1), the bias corrections, the
+// learning rate and epsilon.
+type adamConsts struct {
+	inv, b1, nb1, b2, nb2, c1, c2, lr, eps float64
 }

@@ -177,3 +177,56 @@ func BenchmarkMLPTrainStep(b *testing.B) {
 		opt.ZeroGrad()
 	}
 }
+
+// benchAdamShapes are the zero-shot model's parameters at its default
+// width 32, in Params order (10 753 values): an encoder MLP per node
+// type — operator, table, column, predicate and aggregate features
+// (14, 3, 6, 6, 5) to 32 to 32 — then the combine MLP (64 to 32 to 32)
+// and the readout (32 to 32 to 1), each layer a weight and a bias.
+var benchAdamShapes = [][2]int{
+	{14, 32}, {1, 32}, {32, 32}, {1, 32},
+	{3, 32}, {1, 32}, {32, 32}, {1, 32},
+	{6, 32}, {1, 32}, {32, 32}, {1, 32},
+	{6, 32}, {1, 32}, {32, 32}, {1, 32},
+	{5, 32}, {1, 32}, {32, 32}, {1, 32},
+	{64, 32}, {1, 32}, {32, 32}, {1, 32},
+	{32, 32}, {1, 32}, {32, 1}, {1, 1},
+}
+
+// BenchmarkAdamStep times one optimizer step — the gradient norm, then
+// the update — over the zero-shot model's parameters, on each spelling
+// of the update, and reports it per parameter value.
+func BenchmarkAdamStep(b *testing.B) {
+	defer func(v bool) { useAVX2 = v }(useAVX2)
+	for _, avx2 := range []bool{false, true} {
+		name := "go"
+		if avx2 {
+			name = "avx2"
+		}
+		b.Run(name, func(b *testing.B) {
+			if avx2 && !haveAVX2 {
+				b.Skip("NOT RUN: this CPU (or GOARCH) has no AVX2")
+			}
+			useAVX2 = avx2
+			rng := rand.New(rand.NewSource(4))
+			var params []*Param
+			n := 0
+			for _, s := range benchAdamShapes {
+				p := NewParam(s[0], s[1])
+				p.Val.XavierInit(rng)
+				for i := range p.Grad.Data {
+					p.Grad.Data[i] = 0.01 * rng.NormFloat64()
+				}
+				params = append(params, p)
+				n += len(p.Val.Data)
+			}
+			opt := NewAdam(params, 1e-3)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				opt.Step(16)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/element")
+		})
+	}
+}

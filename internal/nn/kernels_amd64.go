@@ -72,3 +72,10 @@ func axpyRowsAVX2(dst, a, b []float64, ks []int, bias []float64, relu bool)
 //
 //go:noescape
 func addOuterRowsAVX2(dst, a, d []float64, ks []int)
+
+// adamStepAVX2 is Adam.Step's per-element update in AVX2, over
+// len(val) &^ 3 elements. The caller has checked that g, m and v are at
+// least as long as val.
+//
+//go:noescape
+func adamStepAVX2(val, g, m, v []float64, k *adamConsts)

@@ -1,3 +1,4 @@
+#include "go_asm.h"
 #include "textflag.h"
 
 // The AVX2 spelling of the matmul kernel and of the gradient's row
@@ -464,5 +465,75 @@ ocond1:
 	JMP  outer1
 
 outerdone:
+	VZEROUPPER
+	RET
+
+// func adamStepAVX2(val, g, m, v []float64, k *adamConsts)
+//
+// For every i < len(val) &^ 3, four at a time, with the scalars of k
+// broadcast:
+//
+//	gi := g[i] * inv
+//	m[i] = b1*m[i] + nb1*gi
+//	v[i] = b2*v[i] + (nb2*gi)*gi
+//	val[i] -= (lr * (m[i]/c1)) / (sqrt(v[i]/c2) + eps)
+//
+// every operation correctly rounded on its own, in that order, as
+// Adam.Step's Go loop does it. The divides stay divides: a multiply by
+// a reciprocal rounds twice and gives other bits, and the approximate
+// reciprocal and reciprocal-square-root instructions are further off
+// still. Lane i is element i; nothing crosses lanes.
+//
+// DI val, SI g, DX m, BX v (all advancing), CX groups of four left;
+// Y7 eps, Y8 inv, Y9 b1, Y10 nb1, Y11 b2, Y12 nb2, Y13 c1, Y14 c2,
+// Y15 lr.
+TEXT ·adamStepAVX2(SB), NOSPLIT, $0-104
+	MOVQ         val_base+0(FP), DI
+	MOVQ         val_len+8(FP), CX
+	MOVQ         g_base+24(FP), SI
+	MOVQ         m_base+48(FP), DX
+	MOVQ         v_base+72(FP), BX
+	MOVQ         k+96(FP), AX
+	SHRQ         $2, CX
+	VBROADCASTSD adamConsts_eps(AX), Y7
+	VBROADCASTSD adamConsts_inv(AX), Y8
+	VBROADCASTSD adamConsts_b1(AX), Y9
+	VBROADCASTSD adamConsts_nb1(AX), Y10
+	VBROADCASTSD adamConsts_b2(AX), Y11
+	VBROADCASTSD adamConsts_nb2(AX), Y12
+	VBROADCASTSD adamConsts_c1(AX), Y13
+	VBROADCASTSD adamConsts_c2(AX), Y14
+	VBROADCASTSD adamConsts_lr(AX), Y15
+
+adam4:
+	TESTQ   CX, CX
+	JZ      adamdone
+	VMULPD  (SI), Y8, Y0  // gi
+	VMULPD  (DX), Y9, Y1  // b1*m
+	VMULPD  Y0, Y10, Y2   // nb1*gi
+	VADDPD  Y2, Y1, Y1    // m
+	VMOVUPD Y1, (DX)
+	VMULPD  (BX), Y11, Y3 // b2*v
+	VMULPD  Y0, Y12, Y4   // nb2*gi
+	VMULPD  Y0, Y4, Y4    // (nb2*gi)*gi
+	VADDPD  Y4, Y3, Y3    // v
+	VMOVUPD Y3, (BX)
+	VDIVPD  Y13, Y1, Y1   // m/c1
+	VMULPD  Y1, Y15, Y1   // lr*(m/c1)
+	VDIVPD  Y14, Y3, Y3   // v/c2
+	VSQRTPD Y3, Y3
+	VADDPD  Y7, Y3, Y3    // sqrt(v/c2)+eps
+	VDIVPD  Y3, Y1, Y1    // the step
+	VMOVUPD (DI), Y5
+	VSUBPD  Y1, Y5, Y5
+	VMOVUPD Y5, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, BX
+	DECQ    CX
+	JMP     adam4
+
+adamdone:
 	VZEROUPPER
 	RET

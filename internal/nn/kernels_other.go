@@ -18,3 +18,7 @@ func axpyRowsAVX2(dst, a, b []float64, ks []int, bias []float64, relu bool) {
 func addOuterRowsAVX2(dst, a, d []float64, ks []int) {
 	panic("nn: no AVX2 kernel on this architecture")
 }
+
+func adamStepAVX2(val, g, m, v []float64, k *adamConsts) {
+	panic("nn: no AVX2 kernel on this architecture")
+}
