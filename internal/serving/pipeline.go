@@ -81,16 +81,20 @@ func newDBSession(name string, db *storage.Database, cacheSize int) *dbSession {
 // alongside its latency observation (tr is usually nil — span recording
 // is nil-safe and free).
 //
-// sql may be borrowed (see Session.PredictBatch): nothing prepare
-// returns or retains aliases it. A hit returns the cache's own key, and
-// a miss copies the text once before the parser, whose Query keeps
-// substrings of its input, or any error sees it.
-func (d *dbSession) prepare(ctx context.Context, sql string, tr *obs.Trace) (costmodel.PlanInput, bool, string, error) {
+// borrowed says the caller may overwrite sql's bytes once prepare
+// returns (see Session.PredictBatch). Then nothing prepare returns or
+// retains may alias it: a hit returns the cache's own key, and a miss
+// copies the text once before the parser, whose Query keeps substrings
+// of its input, or any error sees it. An owned sql (a single predict's,
+// a what-if statement) is kept as it is.
+func (d *dbSession) prepare(ctx context.Context, sql string, borrowed bool, tr *obs.Trace) (costmodel.PlanInput, bool, string, error) {
 	cached, fp, ok := d.cache.Lookup(sql)
 	if ok {
 		return cached, true, fp, nil
 	}
-	sql = strings.Clone(sql)
+	if borrowed {
+		sql = strings.Clone(sql)
+	}
 	if err := ctx.Err(); err != nil {
 		return costmodel.PlanInput{}, false, fp, err
 	}

@@ -410,7 +410,7 @@ func (s *Session) predictTraced(ctx context.Context, dbName, model, sql string, 
 	if err != nil {
 		return Prediction{}, err
 	}
-	in, cached, fp, err := d.prepare(ctx, sql, tr)
+	in, cached, fp, err := d.prepare(ctx, sql, false, tr)
 	if err != nil {
 		s.countErr(err)
 		return Prediction{}, err
@@ -488,7 +488,7 @@ func (s *Session) PredictBatch(ctx context.Context, dbName, model string, sqls [
 	ins := make([]costmodel.PlanInput, 0, len(sqls))
 	idx := make([]int, 0, len(sqls)) // ins position -> items position
 	for i, sql := range sqls {
-		in, _, _, err := d.prepare(ctx, sql, nil)
+		in, _, _, err := d.prepare(ctx, sql, true, nil)
 		if err != nil {
 			items[i].Err = err
 			s.countErr(err)

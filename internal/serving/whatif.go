@@ -44,7 +44,7 @@ func (s *Session) WhatIf(ctx context.Context, dbName, model string, req whatif.R
 	stmts := make([]whatif.Statement, len(req.SQL))
 	queries := make([]*query.Query, len(req.SQL))
 	for i, sql := range req.SQL {
-		in, _, fp, err := d.prepare(ctx, sql, nil)
+		in, _, fp, err := d.prepare(ctx, sql, false, nil)
 		if err != nil {
 			if s.countErr(err) {
 				err = fmt.Errorf("statement %d: %w", i, err)

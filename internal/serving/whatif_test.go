@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/zeroshot-db/zeroshot/internal/costmodel"
 	"github.com/zeroshot-db/zeroshot/internal/whatif"
 )
 
@@ -143,6 +144,32 @@ func TestSessionWhatIfErrors(t *testing.T) {
 	}
 }
 
+// TestColdPrepareClonesOnlyBorrowedText: a plan-cache miss copies the
+// statement only when the caller lends it (a batch's statements alias
+// the request buffer); an owned statement — a single predict's, a
+// what-if statement — is parsed as it is, one allocation fewer. Each
+// run misses a fresh cache.
+func TestColdPrepareClonesOnlyBorrowedText(t *testing.T) {
+	sess, imdb, _ := whatIfSession(t)
+	ctx := context.Background()
+	d, err := sess.database("imdb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(borrowed bool) float64 {
+		return testing.AllocsPerRun(50, func() {
+			d.cache = costmodel.NewPlanCache(4)
+			if _, cached, _, err := d.prepare(ctx, imdb.sqls[0], borrowed, nil); err != nil || cached {
+				t.Fatalf("cold prepare = (cached=%v, %v)", cached, err)
+			}
+		})
+	}
+	owned, borrowed := allocs(false), allocs(true)
+	if owned != borrowed-1 {
+		t.Fatalf("a cold prepare allocates %v objects for an owned statement and %v for a borrowed one, want exactly one fewer", owned, borrowed)
+	}
+}
+
 // TestPipelineRetainsEncodedGraph pins the hot-path contract the
 // encoded-graph memo depends on: the prepared input a plan-cache hit
 // returns carries the SAME EncodedPlan as the first preparation, so an
@@ -156,14 +183,14 @@ func TestPipelineRetainsEncodedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in1, cached, fp, err := d.prepare(ctx, imdb.sqls[0], nil)
+	in1, cached, fp, err := d.prepare(ctx, imdb.sqls[0], false, nil)
 	if err != nil || cached {
 		t.Fatalf("first prepare = (cached=%v, %v)", cached, err)
 	}
 	if in1.Enc == nil {
 		t.Fatal("prepared input carries no encoding memo")
 	}
-	in2, cached, _, err := d.prepare(ctx, imdb.sqls[0], nil)
+	in2, cached, _, err := d.prepare(ctx, imdb.sqls[0], false, nil)
 	if err != nil || !cached {
 		t.Fatalf("second prepare = (cached=%v, %v)", cached, err)
 	}
