@@ -56,18 +56,11 @@ func (a *Adam) GradNorm() float64 {
 // divides the gradients first (pass the batch size for mean-gradient
 // semantics).
 //
-// Each element is updated on its own, every operation rounded in this
-// order:
-//
-//	g *= inv
-//	m = beta1*m + (1-beta1)*g
-//	v = beta2*v + (1-beta2)*g*g
-//	val -= LR * (m/c1) / (sqrt(v/c2) + adamEps)
-//
-// Where useAVX2 is set the assembly does four elements to an instruction
-// with the same correctly rounded operations, and the Go loop the len
-// mod 4 tail; nothing crosses lanes, so the bits are the same. GradNorm
-// sums across elements, in order, and stays scalar.
+// Where useAVX2 is set the assembly updates each parameter's len &^ 3
+// prefix, four elements to an instruction, and the Go loop the rest.
+// Every element is updated on its own with the same correctly rounded
+// operations in the same order, so the bits are the same either way.
+// GradNorm sums across elements, in order, and stays scalar.
 func (a *Adam) Step(scale float64) {
 	if scale <= 0 {
 		scale = 1
