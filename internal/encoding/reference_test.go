@@ -16,29 +16,59 @@ import (
 
 // The graph builder this package shipped before graphs were carved out of
 // slabs, kept verbatim as the oracle (the house method:
-// nn/reference_test.go). Encode must build the same graph node by node.
+// nn/reference_test.go) together with the pointer graph it built.
+// Encode must build the same graph node by node.
+
+// refNode is one node of the reference graph. Children point *into* the
+// node: hidden states flow child -> parent, and the plan root is the graph
+// root (the paper's bottom-up message passing on the DAG).
+type refNode struct {
+	Type     NodeType
+	Feat     []float64
+	Children []*refNode
+	// Index is the node's position in its graph's Nodes, stamped when the
+	// graph takes the node.
+	Index int
+}
+
+// refGraph is the reference encoding of a query: a DAG rooted at the
+// plan's root operator.
+type refGraph struct {
+	Root *refNode
+	// Nodes lists every node exactly once, children before parents
+	// (topological order).
+	Nodes []*refNode
+}
+
+// add appends the node to the topological order (children must already be
+// added), stamps its Index and returns it.
+func (g *refGraph) add(n *refNode) *refNode {
+	n.Index = len(g.Nodes)
+	g.Nodes = append(g.Nodes, n)
+	return n
+}
 
 // refBuild is the reference builder's state: the graph under construction
 // and the column-node dedup cache.
 type refBuild struct {
-	g    *Graph
-	cols map[string]*GNode
+	g    *refGraph
+	cols map[string]*refNode
 }
 
 // newNode allocates one node with a zeroed featDim-wide feature vector
 // and room for childCap children.
-func refNewNode(t NodeType, featDim, childCap int) *GNode {
-	n := &GNode{Type: t, Feat: make([]float64, featDim)}
+func refNewNode(t NodeType, featDim, childCap int) *refNode {
+	n := &refNode{Type: t, Feat: make([]float64, featDim)}
 	if childCap > 0 {
-		n.Children = make([]*GNode, 0, childCap)
+		n.Children = make([]*refNode, 0, childCap)
 	}
 	return n
 }
 
-// encodeReference is Encode as it was: one GNode, one feature vector and
+// encodeReference is Encode as it was: one node, one feature vector and
 // one child slice allocated per node, g.Nodes grown by doubling.
-func (e *PlanEncoder) encodeReference(root *plan.Node) (*Graph, error) {
-	b := refBuild{g: &Graph{}, cols: map[string]*GNode{}}
+func (e *PlanEncoder) encodeReference(root *plan.Node) (*refGraph, error) {
+	b := refBuild{g: &refGraph{}, cols: map[string]*refNode{}}
 	rootNode, err := e.refEncodeOp(root, &b)
 	if err != nil {
 		return nil, err
@@ -47,7 +77,7 @@ func (e *PlanEncoder) encodeReference(root *plan.Node) (*Graph, error) {
 	return b.g, nil
 }
 
-func (e *PlanEncoder) refEncodeOp(n *plan.Node, b *refBuild) (*GNode, error) {
+func (e *PlanEncoder) refEncodeOp(n *plan.Node, b *refBuild) (*refNode, error) {
 	// The child count is fully determined before recursion, so the child
 	// slice is allocated exactly once at exact capacity.
 	childCap := len(n.Children) + len(n.Filters) + len(n.Aggregates) + len(n.GroupBy)
@@ -131,7 +161,7 @@ func (e *PlanEncoder) refEncodeOp(n *plan.Node, b *refBuild) (*GNode, error) {
 	return b.g.add(node), nil
 }
 
-func (e *PlanEncoder) refTableNode(table string, b *refBuild) (*GNode, error) {
+func (e *PlanEncoder) refTableNode(table string, b *refBuild) (*refNode, error) {
 	tm := e.sch.Table(table)
 	if tm == nil {
 		return nil, fmt.Errorf("encoding: unknown table %s", table)
@@ -143,7 +173,7 @@ func (e *PlanEncoder) refTableNode(table string, b *refBuild) (*GNode, error) {
 	return b.g.add(n), nil
 }
 
-func (e *PlanEncoder) refColumnNode(ref query.ColumnRef, b *refBuild) (*GNode, error) {
+func (e *PlanEncoder) refColumnNode(ref query.ColumnRef, b *refBuild) (*refNode, error) {
 	key := ref.String()
 	if n, ok := b.cols[key]; ok {
 		return n, nil
@@ -165,7 +195,7 @@ func (e *PlanEncoder) refColumnNode(ref query.ColumnRef, b *refBuild) (*GNode, e
 	return b.g.add(n), nil
 }
 
-func (e *PlanEncoder) refPredNode(f query.Filter, b *refBuild) (*GNode, error) {
+func (e *PlanEncoder) refPredNode(f query.Filter, b *refBuild) (*refNode, error) {
 	cn, err := e.refColumnNode(f.Col, b)
 	if err != nil {
 		return nil, err
@@ -176,7 +206,7 @@ func (e *PlanEncoder) refPredNode(f query.Filter, b *refBuild) (*GNode, error) {
 	return b.g.add(n), nil
 }
 
-func (e *PlanEncoder) refAggNode(agg query.Aggregate, b *refBuild) (*GNode, error) {
+func (e *PlanEncoder) refAggNode(agg query.Aggregate, b *refBuild) (*refNode, error) {
 	childCap := 0
 	if agg.Col.Table != "" {
 		childCap = 1
@@ -262,7 +292,7 @@ func TestEncodeMatchesReference(t *testing.T) {
 }
 
 // graphDiff names the first difference between two graphs, or "".
-func graphDiff(got, want *Graph) string {
+func graphDiff(got *Graph, want *refGraph) string {
 	if len(got.Nodes) != len(want.Nodes) {
 		return fmt.Sprintf("%d nodes, reference %d", len(got.Nodes), len(want.Nodes))
 	}
