@@ -68,11 +68,13 @@ func Pack(gs []*Graph) *BatchGraph {
 }
 
 // Pack repacks bg from the graphs, reusing previously grown buffers so
-// steady-state packing allocates nothing. Graphs must come from
-// PlanEncoder.Encode (topological node order, root set); violations are
-// programming errors and panic. A child's global index is its graph's
-// first global index plus the child's GNode.Index, checked by
-// Graph.Position — the same lookup the model's tape forward uses.
+// steady-state packing allocates nothing. Each graph's feature blocks go
+// over with one copy per node type and its indices are offset into the
+// batch: a node's global index is its graph's first global index plus
+// its own, its row its type's row count before the graph plus its own,
+// and the root is the graph's last node. A graph with no nodes, or a
+// child that is not an earlier node of its graph, is a programming error
+// and panics.
 func (bg *BatchGraph) Pack(gs []*Graph) {
 	bg.NumGraphs = len(gs)
 	bg.Types = bg.Types[:0]
@@ -88,29 +90,30 @@ func (bg *BatchGraph) Pack(gs []*Graph) {
 	}
 	maxLevel := int32(0)
 	for gi, g := range gs {
-		if g == nil || g.Root == nil || len(g.Nodes) == 0 {
+		if g == nil || g.n == 0 {
 			panic(fmt.Sprintf("encoding: Pack: graph %d has no nodes", gi))
 		}
-		base := len(bg.Types)
-		for li, n := range g.Nodes {
-			dim := FeatDim(n.Type)
-			if len(n.Feat) != dim {
-				panic(fmt.Sprintf("encoding: Pack: node feature width %d, want %d", len(n.Feat), dim))
-			}
-			bg.Types = append(bg.Types, n.Type)
-			bg.TypeRow = append(bg.TypeRow, int32(bg.TypeCount[n.Type]))
-			bg.TypeCount[n.Type]++
-			bg.Feats[n.Type] = append(bg.Feats[n.Type], n.Feat...)
-			bg.ChildStart = append(bg.ChildStart, int32(len(bg.Children)))
+		base, kidBase := int32(len(bg.Types)), int32(len(bg.Children))
+		var rowBase [NumNodeTypes]int32
+		for t := range bg.Feats {
+			rowBase[t] = int32(bg.TypeCount[t])
+			block := g.feats[g.featAt[t]:g.featAt[t+1]]
+			bg.Feats[t] = append(bg.Feats[t], block...)
+			bg.TypeCount[t] += len(block) / FeatDim(NodeType(t))
+		}
+		rows, kidAt, kids := g.rows(), g.kidAt(), g.kids()
+		for li, t := range g.types() {
+			bg.Types = append(bg.Types, NodeType(t))
+			bg.TypeRow = append(bg.TypeRow, rowBase[t]+rows[li])
+			bg.ChildStart = append(bg.ChildStart, kidBase+kidAt[li])
 			lvl := int32(0)
-			for _, c := range n.Children {
-				ci, ok := g.Position(c, li)
-				if !ok {
-					panic(fmt.Sprintf("encoding: Pack: graph %d: a child of node %d is not an earlier node of the graph (unindexed, or not in topological order)", gi, li))
+			for _, c := range kids[kidAt[li]:kidAt[li+1]] {
+				if c < 0 || int(c) >= li {
+					panic(fmt.Sprintf("encoding: Pack: graph %d: child %d of node %d is not an earlier node of the graph", gi, c, li))
 				}
-				ci += base
-				bg.Children = append(bg.Children, int32(ci))
-				if l := bg.levels[ci] + 1; l > lvl {
+				c += base
+				bg.Children = append(bg.Children, c)
+				if l := bg.levels[c] + 1; l > lvl {
 					lvl = l
 				}
 			}
@@ -119,11 +122,7 @@ func (bg *BatchGraph) Pack(gs []*Graph) {
 				maxLevel = lvl
 			}
 		}
-		root, ok := g.Position(g.Root, len(g.Nodes))
-		if !ok {
-			panic(fmt.Sprintf("encoding: Pack: graph %d root missing from Nodes", gi))
-		}
-		bg.Roots = append(bg.Roots, int32(base+root))
+		bg.Roots = append(bg.Roots, base+g.n-1)
 		bg.GraphStart = append(bg.GraphStart, int32(len(bg.Types)))
 	}
 	bg.NumNodes = len(bg.Types)

@@ -1,51 +1,50 @@
 package encoding
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
 
-// bgLeaf builds a childless node of type tp with every feature set to
-// fill, so slab rows are recognizable after packing.
-func bgLeaf(tp NodeType, fill float64) *GNode {
-	f := make([]float64, FeatDim(tp))
-	for i := range f {
-		f[i] = fill
-	}
-	return &GNode{Type: tp, Feat: f}
+// bgNode is one node of a hand-built graph: its type, the value every
+// one of its features is set to (so slab rows are recognizable after
+// packing), and its children as indices of earlier nodes.
+type bgNode struct {
+	tp   NodeType
+	fill float64
+	kids []int32
 }
 
-// bgNode builds a node with children (already in some graph's Nodes).
-func bgNode(tp NodeType, fill float64, children ...*GNode) *GNode {
-	n := bgLeaf(tp, fill)
-	n.Children = children
-	return n
-}
-
-// bgGraph builds a graph the way the encoder does — every node through
-// Graph.add, in the order given, which is what stamps GNode.Index —
-// rooted at the last node.
-func bgGraph(nodes ...*GNode) *Graph {
-	g := &Graph{}
+// bgGraph builds a graph the way the encoder does — through a
+// GraphBuilder, in the order given — rooted at the last node.
+func bgGraph(nodes ...bgNode) *Graph {
+	var counts [NumNodeTypes]int
+	kids := 0
 	for _, n := range nodes {
-		g.Root = g.add(n)
+		counts[n.tp]++
+		kids += len(n.kids)
 	}
-	return g
+	b := NewGraphBuilder(counts, kids)
+	for _, n := range nodes {
+		_, feat := b.Add(n.tp, n.kids...)
+		for i := range feat {
+			feat[i] = n.fill
+		}
+	}
+	return b.Graph()
 }
 
 // twoTestGraphs returns a shallow graph (op over a table) and a deeper
 // one (op over op over table+pred, pred over a shared column).
 func twoTestGraphs() (*Graph, *Graph) {
-	t1 := bgLeaf(TableNode, 1)
-	o1 := bgNode(OpNode, 2, t1)
-	g1 := bgGraph(t1, o1)
-
-	t2 := bgLeaf(TableNode, 3)
-	c2 := bgLeaf(ColumnNode, 4)
-	p2 := bgNode(PredNode, 5, c2)
-	o2 := bgNode(OpNode, 6, t2, p2)
-	o3 := bgNode(OpNode, 7, o2)
-	g2 := bgGraph(t2, c2, p2, o2, o3)
+	g1 := bgGraph(bgNode{TableNode, 1, nil}, bgNode{OpNode, 2, []int32{0}})
+	g2 := bgGraph(
+		bgNode{TableNode, 3, nil},
+		bgNode{ColumnNode, 4, nil},
+		bgNode{PredNode, 5, []int32{1}},
+		bgNode{OpNode, 6, []int32{0, 2}},
+		bgNode{OpNode, 7, []int32{3}},
+	)
 	return g1, g2
 }
 
@@ -70,14 +69,12 @@ func TestPackLayout(t *testing.T) {
 		tp := bg.Types[i]
 		dim := FeatDim(tp)
 		row := bg.Feats[tp][int(bg.TypeRow[i])*dim : (int(bg.TypeRow[i])+1)*dim]
-		var want *GNode
-		if i < 2 {
-			want = g1.Nodes[i]
-		} else {
-			want = g2.Nodes[i-2]
+		want, li := g1, i
+		if i >= 2 {
+			want, li = g2, i-2
 		}
-		if !reflect.DeepEqual(row, want.Feat) {
-			t.Fatalf("node %d slab row = %v, want %v", i, row, want.Feat)
+		if !reflect.DeepEqual(row, want.feat(li)) {
+			t.Fatalf("node %d slab row = %v, want %v", i, row, want.feat(li))
 		}
 	}
 	// Edges are offset-shifted into global indices: g2's root (global 6)
@@ -196,31 +193,11 @@ func TestPackPanics(t *testing.T) {
 	}
 	mustPanic("empty graph", []*Graph{{}})
 
-	// Parent listed before its child violates topological order.
-	leaf := bgLeaf(TableNode, 1)
-	root := bgNode(OpNode, 2, leaf)
-	nonTopo := bgGraph(root, leaf)
-	nonTopo.Root = root
-	mustPanic("non-topological", []*Graph{nonTopo})
-
-	// Nodes that never went through Graph.add carry no index: every
-	// child claims position 0, which is not below its parent's.
-	leaf, mid := bgLeaf(TableNode, 1), bgLeaf(PredNode, 2)
-	root = bgNode(OpNode, 3, mid, leaf)
-	mustPanic("unindexed", []*Graph{{Root: root, Nodes: []*GNode{leaf, mid, root}}})
-
-	// A child that belongs to another graph is not this graph's node at
-	// that index, even when the index itself is plausible.
-	g1, _ := twoTestGraphs()
-	foreign := bgGraph(bgLeaf(TableNode, 1), bgNode(OpNode, 2, g1.Nodes[0]))
-	mustPanic("foreign child", []*Graph{foreign})
-
-	// So is a root that is not one of the graph's nodes.
-	g1, _ = twoTestGraphs()
-	g1.Root = bgNode(OpNode, 2, g1.Nodes[0])
-	mustPanic("root missing", []*Graph{g1})
-
-	// Feature width must match the node type.
-	bad := &GNode{Type: TableNode, Feat: make([]float64, 1)}
-	mustPanic("bad feature width", []*Graph{{Root: bad, Nodes: []*GNode{bad}}})
+	// A child at or after its parent's position violates topological
+	// order, and so does one outside the graph.
+	for _, kid := range []int32{1, 0, -1} {
+		mustPanic(fmt.Sprintf("child %d of node 0", kid), []*Graph{bgGraph(bgNode{OpNode, 2, []int32{kid}}, bgNode{TableNode, 1, nil})})
+	}
+	g1, g2 := twoTestGraphs()
+	mustPanic("nil graph", []*Graph{g1, nil, g2})
 }

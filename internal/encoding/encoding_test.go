@@ -56,10 +56,11 @@ func TestEncodeProducesAllNodeTypes(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := map[NodeType]int{}
-	for _, n := range g.Nodes {
-		counts[n.Type]++
-		if len(n.Feat) != FeatDim(n.Type) {
-			t.Fatalf("node type %d has %d features, want %d", n.Type, len(n.Feat), FeatDim(n.Type))
+	for i := 0; i < g.NumNodes(); i++ {
+		typ := g.nodeType(i)
+		counts[typ]++
+		if len(g.feat(i)) != FeatDim(typ) {
+			t.Fatalf("node type %d has %d features, want %d", typ, len(g.feat(i)), FeatDim(typ))
 		}
 	}
 	if counts[OpNode] < 4 { // 2 scans, 1 join, 1 agg
@@ -77,7 +78,7 @@ func TestEncodeProducesAllNodeTypes(t *testing.T) {
 	if counts[ColumnNode] == 0 {
 		t.Fatal("no column nodes")
 	}
-	if g.Root == nil || g.Root.Type != OpNode {
+	if g.nodeType(g.NumNodes()-1) != OpNode {
 		t.Fatal("root is not an operator node")
 	}
 }
@@ -89,20 +90,19 @@ func TestTopologicalOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[*GNode]bool{}
-	for _, n := range g.Nodes {
-		for _, c := range n.Children {
-			if !seen[c] {
-				t.Fatal("child appears after parent in Nodes order")
+	hasParent := make([]bool, g.NumNodes())
+	for i := 0; i < g.NumNodes(); i++ {
+		for _, c := range g.children(i) {
+			if int(c) >= i {
+				t.Fatal("child appears after parent in node order")
 			}
+			hasParent[c] = true
 		}
-		if seen[n] {
-			t.Fatal("node listed twice")
-		}
-		seen[n] = true
 	}
-	if g.Nodes[len(g.Nodes)-1] != g.Root {
-		t.Fatal("root is not last in topological order")
+	for i, p := range hasParent {
+		if root := i == len(hasParent)-1; p == root {
+			t.Fatalf("node %d of %d has a parent: %v; only the root, the last node, has none", i, len(hasParent), p)
+		}
 	}
 }
 
@@ -125,8 +125,8 @@ func TestColumnNodesShared(t *testing.T) {
 		t.Fatal(err)
 	}
 	colCount := 0
-	for _, n := range g.Nodes {
-		if n.Type == ColumnNode {
+	for i := 0; i < g.NumNodes(); i++ {
+		if g.nodeType(i) == ColumnNode {
 			colCount++
 		}
 	}
@@ -153,14 +153,14 @@ func TestCardSources(t *testing.T) {
 	}
 	cardAt := plan.NumOperators + 1
 	anyDiffer := false
-	for i := range gEst.Nodes {
-		if gEst.Nodes[i].Type != OpNode {
+	for i := 0; i < gEst.NumNodes(); i++ {
+		if gEst.nodeType(i) != OpNode {
 			continue
 		}
-		if gNone.Nodes[i].Feat[cardAt] != 0 {
+		if gNone.feat(i)[cardAt] != 0 {
 			t.Fatal("CardNone left a cardinality feature set")
 		}
-		if gEst.Nodes[i].Feat[cardAt] != gExact.Nodes[i].Feat[cardAt] {
+		if gEst.feat(i)[cardAt] != gExact.feat(i)[cardAt] {
 			anyDiffer = true
 		}
 	}
@@ -204,31 +204,31 @@ func TestTransferability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g1.Nodes) != len(g2.Nodes) {
-		t.Fatalf("structurally identical queries produced %d vs %d nodes", len(g1.Nodes), len(g2.Nodes))
+	if g1.NumNodes() != g2.NumNodes() {
+		t.Fatalf("structurally identical queries produced %d vs %d nodes", g1.NumNodes(), g2.NumNodes())
 	}
-	for i := range g1.Nodes {
-		if g1.Nodes[i].Type != g2.Nodes[i].Type {
+	for i := 0; i < g1.NumNodes(); i++ {
+		if g1.nodeType(i) != g2.nodeType(i) {
 			t.Fatalf("node %d type differs", i)
 		}
-		if len(g1.Nodes[i].Feat) != len(g2.Nodes[i].Feat) {
+		if len(g1.feat(i)) != len(g2.feat(i)) {
 			t.Fatalf("node %d feature dim differs", i)
 		}
 	}
 	// Same one-hot segments (operator identity, predicate op, data type)
 	// must match; magnitude features (row counts) may differ.
-	for i := range g1.Nodes {
-		n1, n2 := g1.Nodes[i], g2.Nodes[i]
-		if n1.Type == OpNode {
+	for i := 0; i < g1.NumNodes(); i++ {
+		f1, f2 := g1.feat(i), g2.feat(i)
+		if g1.nodeType(i) == OpNode {
 			for j := 0; j < plan.NumOperators; j++ {
-				if n1.Feat[j] != n2.Feat[j] {
+				if f1[j] != f2[j] {
 					t.Fatalf("op one-hot differs at node %d", i)
 				}
 			}
 		}
-		if n1.Type == PredNode {
-			for j := range n1.Feat {
-				if n1.Feat[j] != n2.Feat[j] {
+		if g1.nodeType(i) == PredNode {
+			for j := range f1 {
+				if f1[j] != f2[j] {
 					t.Fatalf("predicate features differ at node %d", i)
 				}
 			}
@@ -342,18 +342,18 @@ func TestWithHardwareDoesNotMutateOriginal(t *testing.T) {
 		t.Fatal(err)
 	}
 	hwStart := plan.NumOperators + 4
-	for i, n := range gBase.Nodes {
-		if n.Type != OpNode {
+	for i := 0; i < gBase.NumNodes(); i++ {
+		if gBase.nodeType(i) != OpNode {
 			continue
 		}
 		for j := hwStart; j < OpFeatDim; j++ {
-			if n.Feat[j] != 0 {
+			if gBase.feat(i)[j] != 0 {
 				t.Fatalf("base encoder has hardware feature set at node %d", i)
 			}
 		}
 		set := false
 		for j := hwStart; j < OpFeatDim; j++ {
-			if gHW.Nodes[i].Feat[j] != 0 {
+			if gHW.feat(i)[j] != 0 {
 				set = true
 			}
 		}
@@ -374,9 +374,9 @@ func TestHardwareZeroValueIsAllZeros(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Nodes {
-		for j := range a.Nodes[i].Feat {
-			if a.Nodes[i].Feat[j] != b.Nodes[i].Feat[j] {
+	for i := 0; i < a.NumNodes(); i++ {
+		for j := range a.feat(i) {
+			if a.feat(i)[j] != b.feat(i)[j] {
 				t.Fatal("zero Hardware changed features")
 			}
 		}

@@ -62,48 +62,98 @@ const (
 	AggFeatDim = query.NumAggFuncs
 )
 
-// FeatDim returns the feature dimensionality of a node type.
-func FeatDim(t NodeType) int {
-	switch t {
-	case OpNode:
-		return OpFeatDim
-	case TableNode:
-		return TableFeatDim
-	case ColumnNode:
-		return ColumnFeatDim
-	case PredNode:
-		return PredFeatDim
-	case AggNode:
-		return AggFeatDim
-	default:
-		panic(fmt.Sprintf("encoding: unknown node type %d", int(t)))
-	}
-}
+// featDims is FeatDim's table, in NodeType order.
+var featDims = [NumNodeTypes]int{OpFeatDim, TableFeatDim, ColumnFeatDim, PredFeatDim, AggFeatDim}
 
-// GNode is one node of the encoded query graph. Children point *into* the
-// node: hidden states flow child -> parent, and the plan root is the graph
-// root (the paper's bottom-up message passing on the DAG).
-type GNode struct {
-	Type     NodeType
-	Feat     []float64
-	Children []*GNode
-	// Index is the node's position in its graph's Nodes, stamped when the
-	// graph takes the node. A node belongs to exactly one graph (column
-	// nodes are shared within a query, never across queries), so the
-	// model's hidden-state table and BatchGraph's packing both find a
-	// child by this index instead of a pointer-keyed map — through
-	// Graph.Position, which checks it rather than trusting it.
-	Index int
-}
+// FeatDim returns the feature dimensionality of a node type. It is a
+// table lookup, so it inlines into Pack's and GraphBuilder.Add's loops;
+// an unknown type is out of the table's range and panics.
+func FeatDim(t NodeType) int { return featDims[t] }
 
 // Graph is an encoded query: a DAG rooted at the plan's root operator.
 // Column nodes are shared between the predicates and aggregates that
-// reference them, so the structure is a DAG, not a tree.
+// reference them, so the structure is a DAG, not a tree. Hidden states
+// flow child -> parent, and the plan root is the graph root (the paper's
+// bottom-up message passing on the DAG).
+//
+// A graph is flat: every field is an index or a float, so it holds no
+// pointer the garbage collector must scan, however many graphs a plan
+// cache retains. Nodes are numbered in topological order (children
+// before parents) and the root is the last node. Graphs are built only
+// by a GraphBuilder, and are immutable once built.
 type Graph struct {
-	Root *GNode
-	// Nodes lists every node exactly once, children before parents
-	// (topological order), which the model uses for message passing.
-	Nodes []*GNode
+	// feats holds every node's feature row, grouped by node type: type
+	// t's rows, FeatDim(t) wide each and in topological order, are
+	// feats[featAt[t]:featAt[t+1]]. Packing appends each type's block
+	// with one copy.
+	feats  []float64
+	featAt [NumNodeTypes + 1]int32
+	// ints is one slab of n node types, then n type-local rows, then the
+	// n+1 child offsets and the child indices of the CSR edge list:
+	// node i's children are kids()[kidAt()[i]:kidAt()[i+1]], each an
+	// earlier node.
+	ints []int32
+	n    int32
+}
+
+// NumNodes returns the number of nodes in the graph: 0 only for the zero
+// Graph, which no builder returns.
+func (g *Graph) NumNodes() int { return int(g.n) }
+
+func (g *Graph) types() []int32 { return g.ints[:g.n] }
+func (g *Graph) rows() []int32  { return g.ints[g.n : 2*g.n] }
+func (g *Graph) kidAt() []int32 { return g.ints[2*g.n : 3*g.n+1] }
+func (g *Graph) kids() []int32  { return g.ints[3*g.n+1:] }
+
+// GraphBuilder fills a Graph whose size is known before the first node:
+// how many nodes of each type, and how many child slots in all. Its
+// slabs are allocated once at exactly that size — graphs are retained
+// by the thousand, so slack in a slab is resident memory.
+type GraphBuilder struct {
+	g     *Graph
+	added int32
+	next  [NumNodeTypes]int32 // each type's next type-local row
+}
+
+// NewGraphBuilder starts a graph of counts[t] nodes of each type t with
+// kids child slots in all.
+func NewGraphBuilder(counts [NumNodeTypes]int, kids int) GraphBuilder {
+	g := &Graph{}
+	for t, c := range counts {
+		g.featAt[t+1] = g.featAt[t] + int32(c*FeatDim(NodeType(t)))
+		g.n += int32(c)
+	}
+	g.feats = make([]float64, g.featAt[NumNodeTypes])
+	g.ints = make([]int32, 3*int(g.n)+1+kids)
+	return GraphBuilder{g: g}
+}
+
+// Add appends the next node in topological order, of type t, whose
+// children are the given earlier nodes in order, and returns its index
+// and its zeroed feature row for the caller to fill.
+func (b *GraphBuilder) Add(t NodeType, children ...int32) (int32, []float64) {
+	g, i := b.g, b.added
+	dim := int32(FeatDim(t))
+	at := g.featAt[t] + b.next[t]*dim
+	kidAt, kids := g.kidAt(), g.kids()
+	if i == g.n || at == g.featAt[t+1] || int(kidAt[i])+len(children) > len(kids) {
+		panic(fmt.Sprintf("encoding: GraphBuilder.Add: node %d of type %d with %d children overflows the graph's size", i, int(t), len(children)))
+	}
+	g.types()[i], g.rows()[i] = int32(t), b.next[t]
+	kidAt[i+1] = kidAt[i] + int32(copy(kids[kidAt[i]:], children))
+	b.next[t]++
+	b.added++
+	return i, g.feats[at : at+dim : at+dim]
+}
+
+// Graph returns the built graph; every node and child slot it was sized
+// for must have been added, and there must be at least one node.
+func (b *GraphBuilder) Graph() *Graph {
+	g := b.g
+	if g.n == 0 || b.added != g.n || int(g.kidAt()[g.n]) != len(g.kids()) {
+		panic(fmt.Sprintf("encoding: GraphBuilder.Graph: %d of %d nodes added", b.added, g.n))
+	}
+	return g
 }
 
 // CardSource selects which cardinality annotation feeds the operator
@@ -236,116 +286,92 @@ func (e *PlanEncoder) WithHardware(hw Hardware) *PlanEncoder {
 	return &c
 }
 
-// colCachePool recycles the transient per-encode column-node cache.
-// The graph itself escapes (memos, training sets retain it), so only
-// this build scratch is poolable.
-var colCachePool = sync.Pool{New: func() any { return map[query.ColumnRef]*GNode{} }}
-
-// encBuild is the per-encode build state: the graph under construction,
-// the column-node dedup cache, and the three slabs every node, feature
-// vector and child slice of the graph is carved from. Graphs are retained
-// whole, so slab lifetime is graph lifetime.
+// encBuild is the per-encode build state: the graph builder, the
+// column-node dedup cache, and the stack of finished nodes whose parent
+// is not built yet. Each node builder pushes its node; a parent takes
+// the nodes pushed since it started as its children, in order, and
+// replaces them with itself. The graph escapes (memos, training sets
+// retain it); the rest is pooled.
 type encBuild struct {
-	g     *Graph
-	cols  map[query.ColumnRef]*GNode
-	nodes []GNode
-	feats []float64
-	kids  []*GNode
+	GraphBuilder
+	cols  map[query.ColumnRef]int32
+	stack []int32
+}
+
+var buildPool = sync.Pool{New: func() any { return &encBuild{cols: map[query.ColumnRef]int32{}} }}
+
+// push adds a node of type t whose children are the stack above base,
+// replaces them with it, and returns its feature row to fill.
+func (b *encBuild) push(t NodeType, base int) []float64 {
+	id, feat := b.Add(t, b.stack[base:]...)
+	b.stack = append(b.stack[:base], id)
+	return feat
 }
 
 // firstSight reports (as 1 or 0) whether ref is a column the walk has not
-// met before, and registers it — with no node yet — if so.
+// met before, and registers it — with no node yet (-1) — if so.
 func (b *encBuild) firstSight(ref query.ColumnRef) int {
 	if _, seen := b.cols[ref]; seen {
 		return 0
 	}
-	b.cols[ref] = nil
+	b.cols[ref] = -1
 	return 1
 }
 
-// measure walks the plan once and returns exactly what encodeOp will
-// carve for it — nodes, feature floats and child slots — counting each
-// distinct column once: graphs are retained by the thousand, so slack in
-// a slab is resident memory.
-func (b *encBuild) measure(n *plan.Node) (nodes, feats, kids int) {
-	nodes, feats = 1, OpFeatDim
-	kids = len(n.Children) + 2*len(n.Filters) + len(n.Aggregates) + len(n.GroupBy)
-	cols := 0
+// measure walks the plan once and adds to counts and kids exactly the
+// nodes of each type and the child slots encodeOp will build for it,
+// counting each distinct column once.
+func (b *encBuild) measure(n *plan.Node, counts *[NumNodeTypes]int, kids *int) {
+	*kids += len(n.Children) + 2*len(n.Filters) + len(n.Aggregates) + len(n.GroupBy)
+	counts[OpNode]++
 	if n.Op == plan.SeqScan || n.Op == plan.IndexScan {
-		nodes, feats, kids = nodes+1, feats+TableFeatDim, kids+1
+		counts[TableNode]++
+		*kids++
 	}
 	for _, f := range n.Filters {
-		cols += b.firstSight(f.Col)
+		counts[ColumnNode] += b.firstSight(f.Col)
 	}
 	if n.Join != nil {
-		cols, kids = cols+b.firstSight(n.Join.Left)+b.firstSight(n.Join.Right), kids+2
+		counts[ColumnNode] += b.firstSight(n.Join.Left) + b.firstSight(n.Join.Right)
+		*kids += 2
 	}
 	for _, a := range n.Aggregates {
 		if a.Col.Table != "" {
-			cols, kids = cols+b.firstSight(a.Col), kids+1
+			counts[ColumnNode] += b.firstSight(a.Col)
+			*kids++
 		}
 	}
 	for _, gb := range n.GroupBy {
-		cols += b.firstSight(gb)
+		counts[ColumnNode] += b.firstSight(gb)
 	}
-	nodes += len(n.Filters) + len(n.Aggregates) + cols
-	feats += len(n.Filters)*PredFeatDim + len(n.Aggregates)*AggFeatDim + cols*ColumnFeatDim
+	counts[PredNode] += len(n.Filters)
+	counts[AggNode] += len(n.Aggregates)
 	for _, c := range n.Children {
-		cn, cf, ck := b.measure(c)
-		nodes, feats, kids = nodes+cn, feats+cf, kids+ck
+		b.measure(c, counts, kids)
 	}
-	return nodes, feats, kids
-}
-
-// newNode carves one node with a zeroed featDim-wide feature vector and
-// room for childCap children out of the slabs.
-func (b *encBuild) newNode(t NodeType, featDim, childCap int) *GNode {
-	n := &b.nodes[0]
-	n.Type, n.Feat, n.Children = t, b.feats[:featDim:featDim], b.kids[:0:childCap]
-	b.nodes, b.feats, b.kids = b.nodes[1:], b.feats[featDim:], b.kids[childCap:]
-	return n
 }
 
 // Encode builds the query graph for an optimizer-produced plan. With
-// CardExact the plan must have been executed (TrueRows filled). It is
-// the only graph builder: the graph is heap-allocated — three slabs and
-// the node index, sized exactly by one counting walk — and may be retained
-// indefinitely (encoded-plan memos, training samples).
+// CardExact the plan must have been executed (TrueRows filled). One
+// counting walk sizes the graph exactly, and a second builds it through
+// a GraphBuilder; the graph may be retained indefinitely (encoded-plan
+// memos, training samples).
 func (e *PlanEncoder) Encode(root *plan.Node) (*Graph, error) {
-	b := encBuild{g: &Graph{}, cols: colCachePool.Get().(map[query.ColumnRef]*GNode)}
-	nodes, feats, kids := b.measure(root)
-	b.nodes, b.feats, b.kids = make([]GNode, nodes), make([]float64, feats), make([]*GNode, kids)
-	b.g.Nodes = make([]*GNode, 0, nodes)
-	rootNode, err := e.encodeOp(root, &b)
-	clear(b.cols)
-	colCachePool.Put(b.cols)
-	if err != nil {
-		return nil, err
+	b := buildPool.Get().(*encBuild)
+	var counts [NumNodeTypes]int
+	kids := 0
+	b.measure(root, &counts, &kids)
+	b.GraphBuilder = NewGraphBuilder(counts, kids)
+	var g *Graph
+	err := e.encodeOp(root, b)
+	if err == nil {
+		g = b.Graph()
 	}
-	b.g.Root = rootNode
-	return b.g, nil
-}
-
-// add appends the node to the topological order (children must already be
-// added), stamps its Index and returns it. It is the only writer of
-// GNode.Index.
-func (g *Graph) add(n *GNode) *GNode {
-	n.Index = len(g.Nodes)
-	g.Nodes = append(g.Nodes, n)
-	return n
-}
-
-// Position returns n's index in g.Nodes, provided n really is the node
-// g holds there and sits below limit — the two facts a consumer walking
-// Nodes in order needs of a child (limit = the parent's own position:
-// the child's result is already computed) and of the root (limit =
-// len(g.Nodes)). A node that was never added, belongs to another graph,
-// or comes at or after limit reports false: the graph is not the
-// topologically ordered, indexed graph Encode builds, and the caller
-// panics naming it.
-func (g *Graph) Position(n *GNode, limit int) (int, bool) {
-	i := n.Index
-	return i, i >= 0 && i < limit && i < len(g.Nodes) && g.Nodes[i] == n
+	b.GraphBuilder = GraphBuilder{}
+	clear(b.cols)
+	b.stack = b.stack[:0]
+	buildPool.Put(b)
+	return g, err
 }
 
 func (e *PlanEncoder) cardOf(n *plan.Node) (float64, error) {
@@ -364,147 +390,121 @@ func (e *PlanEncoder) cardOf(n *plan.Node) (float64, error) {
 	}
 }
 
-func (e *PlanEncoder) encodeOp(n *plan.Node, b *encBuild) (*GNode, error) {
-	// The child count is fully determined before recursion, so the child
-	// slice is allocated exactly once at exact capacity.
-	childCap := len(n.Children) + len(n.Filters) + len(n.Aggregates) + len(n.GroupBy)
-	if n.Op == plan.SeqScan || n.Op == plan.IndexScan {
-		childCap++
-	}
-	if n.Join != nil {
-		childCap += 2
-	}
-	node := b.newNode(OpNode, OpFeatDim, childCap)
-	node.Feat[int(n.Op)] = 1
-	if n.LookupJoin {
-		node.Feat[plan.NumOperators] = 1
-	}
+// encodeOp builds the operator's subtree and then the operator itself,
+// the last of its nodes.
+func (e *PlanEncoder) encodeOp(n *plan.Node, b *encBuild) error {
 	card, err := e.cardOf(n)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if e.card != CardNone {
-		node.Feat[plan.NumOperators+1] = logScale(card)
-	}
-	node.Feat[plan.NumOperators+2] = logScale(n.Width)
-	if n.Op == plan.IndexScan {
-		tm := e.sch.Table(n.Table)
-		if tm != nil {
-			height := math.Ceil(math.Log(math.Max(float64(tm.RowCount), 2)) / math.Log(256))
-			node.Feat[plan.NumOperators+3] = height / 4
-		}
-	}
-	hwf := e.hw.features()
-	copy(node.Feat[plan.NumOperators+4:], hwf[:])
-
+	base := len(b.stack)
 	// Children: plan inputs first.
 	for _, c := range n.Children {
-		child, err := e.encodeOp(c, b)
-		if err != nil {
-			return nil, err
+		if err := e.encodeOp(c, b); err != nil {
+			return err
 		}
-		node.Children = append(node.Children, child)
 	}
 	// Scans attach their table node and predicate nodes.
 	if n.Op == plan.SeqScan || n.Op == plan.IndexScan {
-		tn, err := e.tableNode(n.Table, b)
-		if err != nil {
-			return nil, err
+		if err := e.tableNode(n.Table, b); err != nil {
+			return err
 		}
-		node.Children = append(node.Children, tn)
 	}
 	for _, f := range n.Filters {
-		pn, err := e.predNode(f, b)
-		if err != nil {
-			return nil, err
+		if err := e.predNode(f, b); err != nil {
+			return err
 		}
-		node.Children = append(node.Children, pn)
 	}
 	// Join conditions attach the joined column nodes.
 	if n.Join != nil {
 		for _, side := range []query.ColumnRef{n.Join.Left, n.Join.Right} {
-			cn, err := e.columnNode(side, b)
-			if err != nil {
-				return nil, err
+			if err := e.columnNode(side, b); err != nil {
+				return err
 			}
-			node.Children = append(node.Children, cn)
 		}
 	}
 	// Aggregates and group-by columns.
 	for _, a := range n.Aggregates {
-		an, err := e.aggNode(a, b)
-		if err != nil {
-			return nil, err
+		if err := e.aggNode(a, b); err != nil {
+			return err
 		}
-		node.Children = append(node.Children, an)
 	}
 	for _, gb := range n.GroupBy {
-		cn, err := e.columnNode(gb, b)
-		if err != nil {
-			return nil, err
+		if err := e.columnNode(gb, b); err != nil {
+			return err
 		}
-		node.Children = append(node.Children, cn)
 	}
-	return b.g.add(node), nil
+	feat := b.push(OpNode, base)
+	feat[int(n.Op)] = 1
+	if n.LookupJoin {
+		feat[plan.NumOperators] = 1
+	}
+	if e.card != CardNone {
+		feat[plan.NumOperators+1] = logScale(card)
+	}
+	feat[plan.NumOperators+2] = logScale(n.Width)
+	if n.Op == plan.IndexScan {
+		tm := e.sch.Table(n.Table)
+		if tm != nil {
+			height := math.Ceil(math.Log(math.Max(float64(tm.RowCount), 2)) / math.Log(256))
+			feat[plan.NumOperators+3] = height / 4
+		}
+	}
+	hwf := e.hw.features()
+	copy(feat[plan.NumOperators+4:], hwf[:])
+	return nil
 }
 
-func (e *PlanEncoder) tableNode(table string, b *encBuild) (*GNode, error) {
+func (e *PlanEncoder) tableNode(table string, b *encBuild) error {
 	tm := e.sch.Table(table)
 	if tm == nil {
-		return nil, fmt.Errorf("encoding: unknown table %s", table)
+		return fmt.Errorf("encoding: unknown table %s", table)
 	}
-	n := b.newNode(TableNode, TableFeatDim, 0)
-	n.Feat[0] = logScale(float64(tm.RowCount))
-	n.Feat[1] = logScale(float64(tm.PageCount))
-	n.Feat[2] = logScale(float64(tm.RowWidth()))
-	return b.g.add(n), nil
+	feat := b.push(TableNode, len(b.stack))
+	feat[0] = logScale(float64(tm.RowCount))
+	feat[1] = logScale(float64(tm.PageCount))
+	feat[2] = logScale(float64(tm.RowWidth()))
+	return nil
 }
 
-func (e *PlanEncoder) columnNode(ref query.ColumnRef, b *encBuild) (*GNode, error) {
-	if n := b.cols[ref]; n != nil {
-		return n, nil
+func (e *PlanEncoder) columnNode(ref query.ColumnRef, b *encBuild) error {
+	if id := b.cols[ref]; id >= 0 {
+		b.stack = append(b.stack, id)
+		return nil
 	}
 	tm := e.sch.Table(ref.Table)
 	if tm == nil {
-		return nil, fmt.Errorf("encoding: unknown table %s", ref.Table)
+		return fmt.Errorf("encoding: unknown table %s", ref.Table)
 	}
 	cm := tm.Column(ref.Column)
 	if cm == nil {
-		return nil, fmt.Errorf("encoding: unknown column %s", ref)
+		return fmt.Errorf("encoding: unknown column %s", ref)
 	}
-	n := b.newNode(ColumnNode, ColumnFeatDim, 0)
-	n.Feat[int(cm.Type)] = 1
-	n.Feat[schema.NumDataTypes] = logScale(float64(cm.DistinctCount))
-	n.Feat[schema.NumDataTypes+1] = cm.NullFrac
-	n.Feat[schema.NumDataTypes+2] = float64(cm.Type.Width()) / 16
-	b.cols[ref] = n
-	return b.g.add(n), nil
+	feat := b.push(ColumnNode, len(b.stack))
+	feat[int(cm.Type)] = 1
+	feat[schema.NumDataTypes] = logScale(float64(cm.DistinctCount))
+	feat[schema.NumDataTypes+1] = cm.NullFrac
+	feat[schema.NumDataTypes+2] = float64(cm.Type.Width()) / 16
+	b.cols[ref] = b.stack[len(b.stack)-1]
+	return nil
 }
 
-func (e *PlanEncoder) predNode(f query.Filter, b *encBuild) (*GNode, error) {
-	cn, err := e.columnNode(f.Col, b)
-	if err != nil {
-		return nil, err
+func (e *PlanEncoder) predNode(f query.Filter, b *encBuild) error {
+	base := len(b.stack)
+	if err := e.columnNode(f.Col, b); err != nil {
+		return err
 	}
-	n := b.newNode(PredNode, PredFeatDim, 1)
-	n.Feat[int(f.Op)] = 1
-	n.Children = append(n.Children, cn)
-	return b.g.add(n), nil
+	b.push(PredNode, base)[int(f.Op)] = 1
+	return nil
 }
 
-func (e *PlanEncoder) aggNode(agg query.Aggregate, b *encBuild) (*GNode, error) {
-	childCap := 0
+func (e *PlanEncoder) aggNode(agg query.Aggregate, b *encBuild) error {
+	base := len(b.stack)
 	if agg.Col.Table != "" {
-		childCap = 1
-	}
-	n := b.newNode(AggNode, AggFeatDim, childCap)
-	n.Feat[int(agg.Func)] = 1
-	if agg.Col.Table != "" {
-		cn, err := e.columnNode(agg.Col, b)
-		if err != nil {
-			return nil, err
+		if err := e.columnNode(agg.Col, b); err != nil {
+			return err
 		}
-		n.Children = append(n.Children, cn)
 	}
-	return b.g.add(n), nil
+	b.push(AggNode, base)[int(agg.Func)] = 1
+	return nil
 }

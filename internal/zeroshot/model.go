@@ -239,7 +239,7 @@ func shardBounds(n, shards, s int) (lo, hi int) {
 func (m *Model) train(ctx context.Context, samples []Sample, epochs int, lr float64) (*TrainResult, error) {
 	defer m.renew()
 	for i, s := range samples {
-		if s.Graph == nil || s.Graph.Root == nil {
+		if s.Graph == nil || s.Graph.NumNodes() == 0 {
 			return nil, fmt.Errorf("zeroshot: sample %d has no graph", i)
 		}
 		if s.RuntimeSec <= 0 || math.IsNaN(s.RuntimeSec) || math.IsInf(s.RuntimeSec, 0) {

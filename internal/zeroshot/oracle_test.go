@@ -1,7 +1,6 @@
 package zeroshot
 
 import (
-	"fmt"
 	"math"
 	"slices"
 
@@ -17,11 +16,14 @@ import (
 // the packed trainer is pinned to it element by element
 // (TestPackedGradientsMatchTape).
 
-// tapeScratch is one worker's state: a recycled tape, forward's table of
-// per-node hidden states (indexed by GNode.Index) with its
-// child-gathering buffer, and a reusable 1x1 target tensor.
+// tapeScratch is one worker's state: a recycled tape, the one-graph
+// packing forward reads a graph's nodes through, forward's table of
+// per-node hidden states (indexed by node) with its child-gathering
+// buffer, and a reusable 1x1 target tensor.
 type tapeScratch struct {
 	tape   *nn.Tape
+	one    [1]*encoding.Graph
+	bg     encoding.BatchGraph
 	hidden []*nn.Var
 	kids   []*nn.Var
 	target *nn.Tensor
@@ -32,21 +34,23 @@ func newTapeScratch() *tapeScratch {
 }
 
 // forward runs the graph network on ts's tape and returns the predicted
-// log-runtime as a 1x1 Var.
+// log-runtime as a 1x1 Var. The graph's nodes are read from a packing of
+// it alone, which panics on a child that is not an earlier node.
 func (m *Model) forward(ts *tapeScratch, g *encoding.Graph) *nn.Var {
 	tp := ts.tape
-	hidden := slices.Grow(ts.hidden[:0], len(g.Nodes))[:len(g.Nodes)]
+	ts.one[0] = g
+	bg := &ts.bg
+	bg.Pack(ts.one[:])
+	hidden := slices.Grow(ts.hidden[:0], bg.NumNodes)[:bg.NumNodes]
 	ts.hidden = hidden
-	for i, n := range g.Nodes {
-		h := m.encoders[n.Type].Apply(tp, tp.ConstRow(n.Feat))
-		if !m.cfg.FlatSum && len(n.Children) > 0 {
+	for i := range hidden {
+		typ := bg.Types[i]
+		dim := encoding.FeatDim(typ)
+		h := m.encoders[typ].Apply(tp, tp.ConstRow(bg.Feats[typ][int(bg.TypeRow[i])*dim:][:dim]))
+		if kids := bg.ChildrenOf(int32(i)); !m.cfg.FlatSum && len(kids) > 0 {
 			ts.kids = ts.kids[:0]
-			for _, c := range n.Children {
-				ci, ok := g.Position(c, i)
-				if !ok {
-					panic(fmt.Sprintf("zeroshot: graph %p: a child of node %d is not an earlier node of the graph (unindexed, or not in topological order)", g, i))
-				}
-				ts.kids = append(ts.kids, hidden[ci])
+			for _, c := range kids {
+				ts.kids = append(ts.kids, hidden[c])
 			}
 			h = m.combine.Apply(tp, tp.Concat(h, tp.Sum(ts.kids...)))
 		}
@@ -56,11 +60,7 @@ func (m *Model) forward(ts *tapeScratch, g *encoding.Graph) *nn.Var {
 	if m.cfg.FlatSum {
 		root = tp.ScaleVar(tp.Sum(hidden...), 1/float64(len(hidden)))
 	} else {
-		ri, ok := g.Position(g.Root, len(g.Nodes))
-		if !ok {
-			panic(fmt.Sprintf("zeroshot: graph %p: root missing from Nodes", g))
-		}
-		root = hidden[ri]
+		root = hidden[bg.Roots[0]]
 	}
 	return m.readout.Apply(tp, root)
 }

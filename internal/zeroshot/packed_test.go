@@ -15,16 +15,15 @@ import (
 // children, as indices of earlier nodes.
 type handNode struct {
 	typ  encoding.NodeType
-	kids []int
+	kids []int32
 }
 
 // handShapes are the DAGs whose gradient order the encoder never
 // produces on its own, or produces too rarely to count on. Indices in a
-// shape are node positions; root is the root's.
+// shape are node positions; the root is the last node.
 var handShapes = []struct {
 	name  string
 	nodes []handNode
-	root  int
 }{
 	// A column with five parent slots on three levels: pred (level 1),
 	// op (2), agg (1) and the root op (3), which lists it twice. Its
@@ -34,53 +33,51 @@ var handShapes = []struct {
 	{"shared-column", []handNode{
 		{encoding.ColumnNode, nil},
 		{encoding.TableNode, nil},
-		{encoding.PredNode, []int{0}},
-		{encoding.OpNode, []int{1, 2, 0}},
-		{encoding.AggNode, []int{0}},
-		{encoding.OpNode, []int{3, 4, 0, 0}},
-	}, 5},
-	{"single-node", []handNode{{encoding.OpNode, nil}}, 0},
+		{encoding.PredNode, []int32{0}},
+		{encoding.OpNode, []int32{1, 2, 0}},
+		{encoding.AggNode, []int32{0}},
+		{encoding.OpNode, []int32{3, 4, 0, 0}},
+	}},
+	{"single-node", []handNode{{encoding.OpNode, nil}}},
 	// A predicate shared by parents on levels 2 and 4.
 	{"chain", []handNode{
 		{encoding.ColumnNode, nil},
-		{encoding.PredNode, []int{0}},
-		{encoding.PredNode, []int{0}},
-		{encoding.OpNode, []int{1, 2}},
-		{encoding.OpNode, []int{3, 0}},
-		{encoding.OpNode, []int{4, 1, 0}},
-	}, 5},
-	// The root is not the last node: later nodes list it as a child (one
-	// of them twice). Nothing above the root reaches the readout, so
-	// their gradients, and what they pass the root, are +0 — as is the
-	// gradient of the column that hangs off nothing at all — and the
-	// packed pass must still walk them as the tape did.
-	{"root-with-parents", []handNode{
+		{encoding.PredNode, []int32{0}},
+		{encoding.PredNode, []int32{0}},
+		{encoding.OpNode, []int32{1, 2}},
+		{encoding.OpNode, []int32{3, 0}},
+		{encoding.OpNode, []int32{4, 1, 0}},
+	}},
+	// A column that hangs off nothing: nothing it feeds reaches the
+	// readout, so its gradient is +0, and the packed pass must still walk
+	// it as the tape does. The root lists one child twice.
+	{"dangling-column", []handNode{
 		{encoding.ColumnNode, nil},
-		{encoding.OpNode, []int{0}},
-		{encoding.OpNode, []int{1, 0, 1}},
-		{encoding.OpNode, []int{1}},
+		{encoding.OpNode, []int32{0}},
 		{encoding.ColumnNode, nil},
-	}, 1},
+		{encoding.OpNode, []int32{1, 0, 1}},
+	}},
 }
 
 // handGraph builds one graph of a shape with random features — a third
 // of them exact zeros, so the zero skip is exercised everywhere.
-func handGraph(rng *rand.Rand, nodes []handNode, root int) *encoding.Graph {
-	g := &encoding.Graph{}
-	for i, hn := range nodes {
-		n := &encoding.GNode{Type: hn.typ, Feat: make([]float64, encoding.FeatDim(hn.typ)), Index: i}
-		for k := range n.Feat {
+func handGraph(rng *rand.Rand, nodes []handNode) *encoding.Graph {
+	var counts [encoding.NumNodeTypes]int
+	kids := 0
+	for _, hn := range nodes {
+		counts[hn.typ]++
+		kids += len(hn.kids)
+	}
+	b := encoding.NewGraphBuilder(counts, kids)
+	for _, hn := range nodes {
+		_, feat := b.Add(hn.typ, hn.kids...)
+		for k := range feat {
 			if rng.Intn(3) > 0 {
-				n.Feat[k] = rng.NormFloat64()
+				feat[k] = rng.NormFloat64()
 			}
 		}
-		for _, c := range hn.kids {
-			n.Children = append(n.Children, g.Nodes[c])
-		}
-		g.Nodes = append(g.Nodes, n)
 	}
-	g.Root = g.Nodes[root]
-	return g
+	return b.Graph()
 }
 
 // gradBits snapshots every parameter gradient and zeroes it.
@@ -116,7 +113,7 @@ func TestPackedGradientsMatchTape(t *testing.T) {
 	var samples []Sample
 	for rep := 0; rep < 3; rep++ {
 		for _, sh := range handShapes {
-			samples = append(samples, Sample{Graph: handGraph(rng, sh.nodes, sh.root), RuntimeSec: math.Exp(3 * rng.NormFloat64())})
+			samples = append(samples, Sample{Graph: handGraph(rng, sh.nodes), RuntimeSec: math.Exp(3 * rng.NormFloat64())})
 		}
 	}
 	samples = append(samples, gatherSamples(t, db, 24, 41, encoding.CardExact)...)
