@@ -3,9 +3,17 @@ package costmodel
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/zeroshot-db/zeroshot/internal/datagen"
+	"github.com/zeroshot-db/zeroshot/internal/encoding"
+	"github.com/zeroshot-db/zeroshot/internal/optimizer"
+	"github.com/zeroshot-db/zeroshot/internal/query"
+	"github.com/zeroshot-db/zeroshot/internal/sqlparse"
+	"github.com/zeroshot-db/zeroshot/internal/stats"
 )
 
 func TestFingerprint(t *testing.T) {
@@ -283,4 +291,78 @@ func TestLookup(t *testing.T) {
 			t.Fatalf("stats = %+v, want 0 hits / 2 misses", st)
 		}
 	})
+}
+
+// TestColdEntryRetainedBytes pins what a cold plan-cache entry keeps
+// alive. It fills a 1 024-entry cache over imdb as the serving pipeline
+// does — each statement's text copied, parsed and planned, and an
+// EncodedPlan memo holding the zero-shot graph — and divides the growth
+// of HeapInuse, read after a GC on each side, by the entries. An entry is
+// its fingerprint, the parsed query and its text, the plan tree, the
+// memo and the graph. With flat graphs that read 4.6–5.0 KB (median
+// 4.8 KB over five runs on amd64, go1.24); with pointer graphs it read
+// 6.4–7.0 KB. The ceiling is the flat median plus 10 %.
+func TestColdEntryRetainedBytes(t *testing.T) {
+	const entries, ceiling = 1024, 5300
+	db, err := datagen.IMDBLike(0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := stats.Collect(db, stats.DefaultBuckets, stats.DefaultMCVs)
+	opt := optimizer.New(db.Schema, st, nil, optimizer.DefaultCostParams())
+	enc := encoding.NewPlanEncoder(db.Schema, encoding.CardEstimated)
+	key := enc.Key()
+	// Distinct statements only: a repeat would refresh an entry, not add one.
+	qs, err := query.NewGenerator(db, query.DefaultGenConfig(), 7).Generate(entries + entries/8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sqls []string
+	seen := map[string]bool{}
+	for _, q := range qs {
+		if sql := q.SQL(); !seen[Fingerprint(sql)] && len(sqls) < entries {
+			seen[Fingerprint(sql)] = true
+			sqls = append(sqls, sql)
+		}
+	}
+	qs, seen = nil, nil
+	cache := NewPlanCache(entries)
+	heapInuse := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+
+	before := heapInuse()
+	for _, text := range sqls {
+		sql := strings.Clone(text)
+		q, err := sqlparse.Parse(sql, db.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := opt.Plan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := enc.Encode(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := PlanInput{DB: db, Query: q, Plan: p, OptimizerCost: optimizer.TotalCost(p), Enc: NewEncodedPlan()}
+		in.Enc.store(key, g)
+		cache.Put(Fingerprint(sql), in)
+	}
+	after := heapInuse()
+	runtime.KeepAlive(cache)
+	runtime.KeepAlive(sqls)
+
+	if got := cache.Stats().Size; got != entries {
+		t.Fatalf("cache holds %d entries, want %d", got, entries)
+	}
+	per := (float64(after) - float64(before)) / entries
+	t.Logf("a cold entry retains %.0f bytes of heap", per)
+	if per > ceiling {
+		t.Fatalf("a cold entry retains %.0f bytes of heap, want <= %d", per, ceiling)
+	}
 }
