@@ -99,9 +99,10 @@ func TestTopologicalOrder(t *testing.T) {
 			hasParent[c] = true
 		}
 	}
+	// Every node but the root has a parent, and the root is the last node.
 	for i, p := range hasParent {
 		if root := i == len(hasParent)-1; p == root {
-			t.Fatalf("node %d of %d has a parent: %v; only the root, the last node, has none", i, len(hasParent), p)
+			t.Fatalf("node %d of %d: has a parent = %v, want %v", i, len(hasParent), p, !root)
 		}
 	}
 }
