@@ -2,8 +2,15 @@ package encoding
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
+
+	"github.com/zeroshot-db/zeroshot/internal/datagen"
+	"github.com/zeroshot-db/zeroshot/internal/optimizer"
+	"github.com/zeroshot-db/zeroshot/internal/query"
+	"github.com/zeroshot-db/zeroshot/internal/stats"
+	"github.com/zeroshot-db/zeroshot/internal/storage"
 )
 
 // bgNode is one node of a hand-built graph: its type, the value every
@@ -88,6 +95,103 @@ func TestPackLayout(t *testing.T) {
 	}
 	if len(bg.ChildrenOf(0)) != 0 {
 		t.Fatalf("leaf 0 has children %v", bg.ChildrenOf(0))
+	}
+}
+
+// TestPackLayoutOfEncodedGraphs packs real plans' graphs, in batches
+// of several sizes through one retained BatchGraph, and checks every
+// packed node against its graph's own accessors: type, feature row bit
+// for bit, children shifted by the graph's offset, root, and the levels
+// recomputed from the children. The zero-shot oracles read graphs
+// through a one-graph Pack, so this is Pack's independent check on the
+// graphs Encode builds.
+func TestPackLayoutOfEncodedGraphs(t *testing.T) {
+	var gs []*Graph
+	for _, mk := range []func(float64) (*storage.Database, error){datagen.IMDBLike, datagen.SSBLike, datagen.TPCHLike} {
+		db, err := mk(0.02)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := stats.Collect(db, stats.DefaultBuckets, stats.DefaultMCVs)
+		qs, err := query.NewGenerator(db, query.DefaultGenConfig(), 5).Generate(40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := NewPlanEncoder(db.Schema, CardEstimated)
+		for _, q := range qs {
+			p, err := optimizer.New(db.Schema, st, optimizer.RelevantIndexes(q), optimizer.DefaultCostParams()).Plan(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := enc.Encode(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gs = append(gs, g)
+		}
+	}
+	bg := new(BatchGraph)
+	for _, size := range []int{1, 7, 64, len(gs)} {
+		for lo := 0; lo < len(gs); lo += size {
+			batch := gs[lo:min(lo+size, len(gs))]
+			bg.Pack(batch)
+			if bg.NumGraphs != len(batch) || len(bg.GraphStart) != len(batch)+1 || len(bg.Roots) != len(batch) {
+				t.Fatalf("batch of %d: %d graphs, %d segment starts, %d roots", len(batch), bg.NumGraphs, len(bg.GraphStart), len(bg.Roots))
+			}
+			var rows [NumNodeTypes]int
+			levels := make([]int32, 0, bg.NumNodes)
+			for gi, g := range batch {
+				base := int(bg.GraphStart[gi])
+				if int(bg.GraphStart[gi+1])-base != g.NumNodes() || int(bg.Roots[gi]) != base+g.NumNodes()-1 {
+					t.Fatalf("graph %d of %d: segment [%d, %d) root %d, graph of %d nodes", gi, len(batch), base, bg.GraphStart[gi+1], bg.Roots[gi], g.NumNodes())
+				}
+				for i := 0; i < g.NumNodes(); i++ {
+					gl := int32(base + i)
+					tp, want := bg.Types[gl], g.feat(i)
+					if tp != g.nodeType(i) || int(bg.TypeRow[gl]) != rows[tp] {
+						t.Fatalf("graph %d node %d: type %d row %d, graph type %d, next row %d", gi, i, tp, bg.TypeRow[gl], g.nodeType(i), rows[tp])
+					}
+					rows[tp]++
+					dim := FeatDim(tp)
+					row := bg.Feats[tp][int(bg.TypeRow[gl])*dim : (int(bg.TypeRow[gl])+1)*dim]
+					for k := range want {
+						if math.Float64bits(row[k]) != math.Float64bits(want[k]) {
+							t.Fatalf("graph %d node %d feature %d: %v, graph %v", gi, i, k, row[k], want[k])
+						}
+					}
+					kids, wantKids := bg.ChildrenOf(gl), g.children(i)
+					if len(kids) != len(wantKids) {
+						t.Fatalf("graph %d node %d: %d children, graph %d", gi, i, len(kids), len(wantKids))
+					}
+					lvl := int32(0)
+					for k, c := range kids {
+						if c != int32(base)+wantKids[k] {
+							t.Fatalf("graph %d node %d child %d: %d, graph %d at offset %d", gi, i, k, c, wantKids[k], base)
+						}
+						lvl = max(lvl, levels[c]+1)
+					}
+					levels = append(levels, lvl)
+				}
+			}
+			if bg.NumNodes != len(levels) || bg.TypeCount != rows {
+				t.Fatalf("%d nodes with type counts %v, walked %d with %v", bg.NumNodes, bg.TypeCount, len(levels), rows)
+			}
+			top := int32(0)
+			for _, l := range levels {
+				top = max(top, l)
+			}
+			var order []int32
+			for k := int32(1); k <= top; k++ {
+				for i, l := range levels {
+					if l == k {
+						order = append(order, int32(i))
+					}
+				}
+			}
+			if bg.NumLevels() != int(top) || !reflect.DeepEqual(bg.LevelOrder, order) {
+				t.Fatalf("batch of %d: %d levels ordered %v, the children give %d ordered %v", len(batch), bg.NumLevels(), bg.LevelOrder, top, order)
+			}
+		}
 	}
 }
 

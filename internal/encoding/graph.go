@@ -467,8 +467,9 @@ func (e *PlanEncoder) tableNode(table string, b *encBuild) error {
 	return nil
 }
 
+// columnNode pushes ref's column node, building it unless an earlier use did.
 func (e *PlanEncoder) columnNode(ref query.ColumnRef, b *encBuild) error {
-	if id := b.cols[ref]; id >= 0 {
+	if id, ok := b.cols[ref]; ok && id >= 0 {
 		b.stack = append(b.stack, id)
 		return nil
 	}

@@ -3,7 +3,7 @@
 package encoding
 
 // raceEnabled reports whether the race detector is instrumenting this
-// build. The allocation ceiling skips under -race: the detector makes
-// sync.Pool drop items deliberately, so the pooled encode scratch is
-// allocated again there by design.
+// build. The allocation ceiling is looser under -race: the detector
+// makes sync.Pool drop items deliberately, so the pooled encode scratch
+// is allocated again there by design.
 const raceEnabled = true

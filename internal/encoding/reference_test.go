@@ -325,9 +325,14 @@ func graphDiff(got *Graph, want *refGraph) string {
 // TestEncodeAllocCeiling: a graph is three allocations, the Graph and its
 // two slabs, not three objects per node (63 allocations for the
 // benchmark's plans before graphs were slabs, 5 before they were flat).
+// Under -race the detector drops a quarter of the pooled encode scratch
+// at random, which is allocated again: over 20 000 encodes the count
+// read 3 to 9, so the race build holds it to 12, which still fails an
+// allocation per node.
 func TestEncodeAllocCeiling(t *testing.T) {
+	limit := 3.0
 	if raceEnabled {
-		t.Skip("sync.Pool drops items under -race")
+		limit = 12
 	}
 	db, err := datagen.IMDBLike(0.02)
 	if err != nil {
@@ -349,8 +354,8 @@ func TestEncodeAllocCeiling(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 3 {
-			t.Fatalf("Encode(%q): %.0f allocs, want <= 3", q.SQL(), allocs)
+		if allocs > limit {
+			t.Fatalf("Encode(%q): %.0f allocs, want <= %.0f", q.SQL(), allocs, limit)
 		}
 	}
 }

@@ -48,6 +48,20 @@ var handShapes = []struct {
 		{encoding.OpNode, []int32{3, 0}},
 		{encoding.OpNode, []int32{4, 1, 0}},
 	}},
+	// The old root (op 1) has later parents (ops 2 and 3, op 2 listing it
+	// twice), and a new last root sits over it. Nothing above ops 2 and 3
+	// reaches the readout, so their gradients, and what they pass op 1
+	// and column 0, are +0 added to real ones — as is the gradient of the
+	// column that hangs off nothing at all — and the packed pass must
+	// still walk them as the tape did.
+	{"root-with-parents", []handNode{
+		{encoding.ColumnNode, nil},
+		{encoding.OpNode, []int32{0}},
+		{encoding.OpNode, []int32{1, 0, 1}},
+		{encoding.OpNode, []int32{1}},
+		{encoding.ColumnNode, nil},
+		{encoding.OpNode, []int32{1}},
+	}},
 	// A column that hangs off nothing: nothing it feeds reaches the
 	// readout, so its gradient is +0, and the packed pass must still walk
 	// it as the tape does. The root lists one child twice.
