@@ -67,8 +67,8 @@ func (e *cmdScaleEstimator) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(e)
 }
 
-func (e *cmdScaleEstimator) Clone() (costmodel.Estimator, error) {
-	return &cmdScaleEstimator{Scale: e.Scale}, nil
+func (e *cmdScaleEstimator) Clone() costmodel.Tuner {
+	return &cmdScaleEstimator{Scale: e.Scale}
 }
 
 func (e *cmdScaleEstimator) FineTune(ctx context.Context, samples []costmodel.Sample, epochs int, lr float64) (*costmodel.FitReport, error) {

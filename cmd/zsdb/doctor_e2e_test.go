@@ -32,6 +32,16 @@ type doctorFixture struct {
 	sessions []*serving.Session
 }
 
+// captureOf returns the named target's capture in b (nil if absent).
+func captureOf(b *doctor.Bundle, name string) *doctor.Capture {
+	for i := range b.Captures {
+		if b.Captures[i].Target.Name == name {
+			return &b.Captures[i]
+		}
+	}
+	return nil
+}
+
 func newDoctorFixture(t *testing.T) doctorFixture {
 	t.Helper()
 	f := sharedServeFixture(t)
@@ -89,7 +99,7 @@ func TestDoctorEndToEndHealthyCluster(t *testing.T) {
 		}
 	}
 	b := f.collect(t)
-	cap := b.Capture("cluster")
+	cap := captureOf(b, "cluster")
 	if cap == nil {
 		t.Fatal("no capture for the cluster target")
 	}

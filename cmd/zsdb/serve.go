@@ -124,9 +124,7 @@ func assembleSession(cfg serving.Config, kinds []string, dbs []*storage.Database
 func servedModel(models []costmodel.Estimator, adapting bool) (string, error) {
 	names := make([]string, len(models))
 	for i, est := range models {
-		_, canClone := est.(costmodel.Cloner)
-		_, canTune := est.(costmodel.FineTuner)
-		if canClone && canTune {
+		if _, ok := est.(costmodel.Tuner); ok {
 			return est.Name(), nil
 		}
 		names[i] = est.Name()

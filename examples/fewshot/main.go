@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,8 @@ func main() {
 	cfg.Hidden = 24
 	cfg.Epochs = 14
 	model := zeroshot.New(cfg)
-	if _, err := model.Train(samples); err != nil {
+	ctx := context.Background()
+	if _, err := model.Train(ctx, samples); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("pretrained zero-shot model on %d plans from %d databases\n", len(samples), len(corpus))
@@ -44,14 +46,15 @@ func main() {
 	}
 	target := gather(imdb, 90, 31337)
 	fewShotSet, testSet := target[:30], target[30:]
+	var graphs []*encoding.Graph
+	var actuals []float64
+	for _, s := range testSet {
+		graphs = append(graphs, s.Graph)
+		actuals = append(actuals, s.RuntimeSec)
+	}
 
 	eval := func(label string) {
-		var preds, actuals []float64
-		for _, s := range testSet {
-			preds = append(preds, model.Predict(s.Graph))
-			actuals = append(actuals, s.RuntimeSec)
-		}
-		sum, err := metrics.Summarize(preds, actuals)
+		sum, err := metrics.Summarize(model.PredictBatch(graphs), actuals)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -59,7 +62,7 @@ func main() {
 	}
 
 	eval("zero-shot (no queries on target db):")
-	if _, err := model.FineTune(fewShotSet, 10, 0); err != nil {
+	if _, err := model.FineTune(ctx, fewShotSet, 10, 0); err != nil {
 		log.Fatal(err)
 	}
 	eval("few-shot  (30 queries on target db):")

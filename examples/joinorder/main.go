@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -48,7 +49,7 @@ func main() {
 	cfg.Hidden = 24
 	cfg.Epochs = 14
 	model := zeroshot.New(cfg)
-	if _, err := model.Train(samples); err != nil {
+	if _, err := model.Train(context.Background(), samples); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("trained zero-shot cost model on %d plans\n\n", len(samples))
@@ -71,7 +72,7 @@ func main() {
 		if err != nil {
 			return 1e18
 		}
-		return model.Predict(g)
+		return model.PredictBatch([]*encoding.Graph{g})[0]
 	}
 
 	qs, err := query.JOBLight(db, 30, 2024)

@@ -2,6 +2,7 @@ package zeroshotdb_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"github.com/zeroshot-db/zeroshot/internal/collect"
@@ -48,7 +49,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	mcfg.Hidden = 16
 	mcfg.Epochs = 8
 	model := zeroshot.New(mcfg)
-	if _, err := model.Train(samples); err != nil {
+	if _, err := model.Train(context.Background(), samples); err != nil {
 		t.Fatal(err)
 	}
 
@@ -90,7 +91,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred := model.Predict(g)
+	pred := model.PredictBatch([]*encoding.Graph{g})[0]
 	if pred <= 0 {
 		t.Fatalf("prediction %v", pred)
 	}

@@ -19,7 +19,7 @@
 //  3. Background fine-tuning. A triggered database snapshots its buffer
 //     (consumed only once the cycle completes — a failed cycle keeps the
 //     evidence); the worker clones the serving estimator
-//     (costmodel.Cloner — Fit and FineTune must never run concurrently
+//     (costmodel.Tuner — Fit and FineTune must never run concurrently
 //     with inference, so the attached generation is never touched),
 //     fine-tunes the clone at a reduced learning rate, and
 //     shadow-evaluates old vs. new on a holdout slice of the drained
@@ -59,8 +59,7 @@ var ErrNoPlan = errors.New("adapt: no cached plan for fingerprint")
 // Config sizes a Loop. Zero values select the defaults.
 type Config struct {
 	// Model names the estimator to adapt. It must be attached to the
-	// session and implement costmodel.Cloner and costmodel.FineTuner
-	// (checked at New).
+	// session and implement costmodel.Tuner (checked at New).
 	Model string
 	// WindowSize bounds each database's feedback ring buffer (default
 	// 256). When the buffer is full, the oldest sample is overwritten.
@@ -256,7 +255,7 @@ type Loop struct {
 }
 
 // New validates that the configured model is attached and adaptable
-// (Cloner + FineTuner) and returns a Loop. The worker is not running
+// (a costmodel.Tuner) and returns a Loop. The worker is not running
 // yet: call Start for the background loop, or drive Sweep directly.
 func New(sess *serving.Session, cfg Config) (*Loop, error) {
 	if sess == nil {
@@ -267,11 +266,8 @@ func New(sess *serving.Session, cfg Config) (*Loop, error) {
 	if err != nil {
 		return nil, fmt.Errorf("adapt: %w", err)
 	}
-	if _, ok := est.(costmodel.Cloner); !ok {
-		return nil, fmt.Errorf("adapt: model %q cannot be adapted online: no Clone support", est.Name())
-	}
-	if _, ok := est.(costmodel.FineTuner); !ok {
-		return nil, fmt.Errorf("adapt: model %q cannot be adapted online: no FineTune support", est.Name())
+	if _, ok := est.(costmodel.Tuner); !ok {
+		return nil, fmt.Errorf("adapt: model %q cannot be adapted online: no Clone and FineTune support", est.Name())
 	}
 	if cfg.Model == "" {
 		// Pin the resolved name so later lookups stay unambiguous even if
@@ -429,15 +425,16 @@ func (l *Loop) adaptOne(ctx context.Context, db string, samples []costmodel.Samp
 	if len(train) == 0 || len(holdout) == 0 {
 		return false, fmt.Errorf("window of %d cannot split train/holdout", len(samples))
 	}
-	clone, err := est.(costmodel.Cloner).Clone()
-	if err != nil {
-		return false, err
+	tuner, ok := est.(costmodel.Tuner)
+	if !ok {
+		return false, fmt.Errorf("model %q can no longer be adapted online", l.cfg.Model)
 	}
+	clone := tuner.Clone()
 	l.cfg.Events.Record(obs.EventFineTuneStarted, l.cfg.Origin, map[string]string{
 		"db": db, "model": l.cfg.Model, "samples": strconv.Itoa(len(train)),
 	})
 	ftStart := time.Now()
-	report, err := clone.(costmodel.FineTuner).FineTune(ctx, train, l.cfg.Epochs, 0)
+	report, err := clone.FineTune(ctx, train, l.cfg.Epochs, 0)
 	ftWall := time.Since(ftStart)
 	if err != nil {
 		return false, err

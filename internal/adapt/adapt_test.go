@@ -58,8 +58,8 @@ func (e *tunableEstimator) PredictBatch(ctx context.Context, ins []costmodel.Pla
 
 func (e *tunableEstimator) Save(w io.Writer) error { return nil }
 
-func (e *tunableEstimator) Clone() (costmodel.Estimator, error) {
-	return &tunableEstimator{name: e.name, scale: e.scale, tune: e.tune}, nil
+func (e *tunableEstimator) Clone() costmodel.Tuner {
+	return &tunableEstimator{name: e.name, scale: e.scale, tune: e.tune}
 }
 
 func (e *tunableEstimator) FineTune(ctx context.Context, samples []costmodel.Sample, epochs int, lr float64) (*costmodel.FitReport, error) {
@@ -727,9 +727,9 @@ type blockingTuner struct {
 	sawErr  chan error
 }
 
-func (b *blockingTuner) Clone() (costmodel.Estimator, error) {
-	inner, _ := b.tunableEstimator.Clone()
-	return &blockingTuner{tunableEstimator: inner.(*tunableEstimator), entered: b.entered, sawErr: b.sawErr}, nil
+func (b *blockingTuner) Clone() costmodel.Tuner {
+	inner := b.tunableEstimator.Clone()
+	return &blockingTuner{tunableEstimator: inner.(*tunableEstimator), entered: b.entered, sawErr: b.sawErr}
 }
 
 func (b *blockingTuner) FineTune(ctx context.Context, samples []costmodel.Sample, epochs int, lr float64) (*costmodel.FitReport, error) {

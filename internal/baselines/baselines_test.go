@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -38,7 +39,7 @@ func TestMSCNTrainsAndPredictsInDistribution(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Epochs = 16
 	m := NewMSCN(cfg)
-	if err := m.Train(samples); err != nil {
+	if err := m.Train(context.Background(), samples); err != nil {
 		t.Fatal(err)
 	}
 	preds := make([]float64, len(test))
@@ -69,7 +70,7 @@ func TestE2ETrainsAndPredictsInDistribution(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Epochs = 16
 	m := NewE2E(cfg)
-	if err := m.Train(samples); err != nil {
+	if err := m.Train(context.Background(), samples); err != nil {
 		t.Fatal(err)
 	}
 	preds := make([]float64, len(test))
@@ -110,7 +111,7 @@ func TestMSCNDoesNotTransfer(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Epochs = 16
 	m := NewMSCN(cfg)
-	if err := m.Train(samples); err != nil {
+	if err := m.Train(context.Background(), samples); err != nil {
 		t.Fatal(err)
 	}
 	// In-distribution check on held-out SSB queries.
@@ -214,18 +215,18 @@ func TestScaledCostOnRealRecords(t *testing.T) {
 
 func TestMSCNRejectsEmptyAndBad(t *testing.T) {
 	m := NewMSCN(DefaultConfig())
-	if err := m.Train(nil); err == nil {
+	if err := m.Train(context.Background(), nil); err == nil {
 		t.Fatal("accepted empty training set")
 	}
 	bad := []Sample[*encoding.MSCNFeatures]{{X: &encoding.MSCNFeatures{}, RuntimeSec: -1}}
-	if err := m.Train(bad); err == nil {
+	if err := m.Train(context.Background(), bad); err == nil {
 		t.Fatal("accepted negative runtime")
 	}
 }
 
 func TestE2ERejectsEmptyAndBad(t *testing.T) {
 	m := NewE2E(DefaultConfig())
-	if err := m.Train(nil); err == nil {
+	if err := m.Train(context.Background(), nil); err == nil {
 		t.Fatal("accepted empty training set")
 	}
 }

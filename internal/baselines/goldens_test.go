@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -58,7 +59,7 @@ func TestTrainGoldens(t *testing.T) {
 	mcfg := DefaultConfig()
 	mcfg.Epochs = 3
 	mscn := NewMSCN(mcfg)
-	if err := mscn.Train(ms); err != nil {
+	if err := mscn.Train(context.Background(), ms); err != nil {
 		t.Fatal(err)
 	}
 	var preds []float64
@@ -75,7 +76,7 @@ func TestTrainGoldens(t *testing.T) {
 	ecfg := DefaultConfig()
 	ecfg.Epochs = 3
 	e2e := NewE2E(ecfg)
-	if err := e2e.Train(es); err != nil {
+	if err := e2e.Train(context.Background(), es); err != nil {
 		t.Fatal(err)
 	}
 	preds = preds[:0]

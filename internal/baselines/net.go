@@ -17,6 +17,7 @@ package baselines
 
 import (
 	"bufio"
+	"context"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -87,10 +88,18 @@ func (n *Net[X]) Predict(x X) float64 {
 	return clampExp(out.Val.Data[0])
 }
 
-// Train fits the model on log-runtime targets with Huber loss.
-func (n *Net[X]) Train(samples []Sample[X]) error {
+// Train fits the model on log-runtime targets with Huber loss. Every
+// runtime is checked before any weight moves (see positiveFinite), and ctx
+// is checked at epoch and minibatch boundaries, as the zero-shot
+// model's training is.
+func (n *Net[X]) Train(ctx context.Context, samples []Sample[X]) error {
 	if len(samples) == 0 {
 		return fmt.Errorf("baselines: %s has no training samples", n.name)
+	}
+	for i, s := range samples {
+		if !positiveFinite(s.RuntimeSec) {
+			return fmt.Errorf("baselines: %s sample %d has invalid runtime %v", n.name, i, s.RuntimeSec)
+		}
 	}
 	opt := nn.NewAdam(n.params, n.cfg.LR)
 	tp := nn.NewTape() // one tape for the whole run, recycled per sample
@@ -103,30 +112,34 @@ func (n *Net[X]) Train(samples []Sample[X]) error {
 		batch = 16
 	}
 	for epoch := 0; epoch < n.cfg.Epochs; epoch++ {
-		n.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		inBatch := 0
-		for _, idx := range order {
-			s := samples[idx]
-			if s.RuntimeSec <= 0 {
-				return fmt.Errorf("baselines: %s sample with runtime %v", n.name, s.RuntimeSec)
-			}
-			tp.Reset()
-			out := n.forward(tp, s.X)
-			loss := tp.HuberLoss(out, nn.FromSlice([]float64{math.Log(s.RuntimeSec)}), 1.0)
-			tp.Backward(loss)
-			inBatch++
-			if inBatch == batch {
-				opt.Step(float64(inBatch))
-				opt.ZeroGrad()
-				inBatch = 0
-			}
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("baselines: %s training aborted after %d epochs: %w", n.name, epoch, err)
 		}
-		if inBatch > 0 {
-			opt.Step(float64(inBatch))
+		n.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		for base := 0; base < len(order); base += batch {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("baselines: %s training aborted mid-epoch: %w", n.name, err)
+			}
+			mb := order[base:min(base+batch, len(order))]
+			for _, idx := range mb {
+				s := samples[idx]
+				tp.Reset()
+				out := n.forward(tp, s.X)
+				loss := tp.HuberLoss(out, nn.FromSlice([]float64{math.Log(s.RuntimeSec)}), 1.0)
+				tp.Backward(loss)
+			}
+			opt.Step(float64(len(mb)))
 			opt.ZeroGrad()
 		}
 	}
 	return nil
+}
+
+// positiveFinite reports whether x can enter a log-space fit: a runtime
+// target, or ScaledCost's optimizer cost. A NaN or an infinity would
+// train every weight to NaN; a non-positive value has no logarithm.
+func positiveFinite(x float64) bool {
+	return x > 0 && !math.IsInf(x, 1)
 }
 
 // savedNet is the gob header preceding a network's parameters; the

@@ -24,12 +24,14 @@ func (s *ScaledCost) Fit(costs, runtimes []float64) error {
 	if len(costs) < 2 {
 		return fmt.Errorf("baselines: scaled cost needs at least 2 samples")
 	}
+	for i := range costs {
+		if !positiveFinite(costs[i]) || !positiveFinite(runtimes[i]) {
+			return fmt.Errorf("baselines: invalid cost %v / runtime %v at %d", costs[i], runtimes[i], i)
+		}
+	}
 	n := 0.0
 	var sx, sy, sxx, sxy float64
 	for i := range costs {
-		if costs[i] <= 0 || runtimes[i] <= 0 {
-			return fmt.Errorf("baselines: non-positive cost/runtime at %d", i)
-		}
 		x, y := math.Log(costs[i]), math.Log(runtimes[i])
 		sx += x
 		sy += y

@@ -63,8 +63,8 @@ func (e *scaleEstimator) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(e)
 }
 
-func (e *scaleEstimator) Clone() (costmodel.Estimator, error) {
-	return &scaleEstimator{Scale: e.Scale}, nil
+func (e *scaleEstimator) Clone() costmodel.Tuner {
+	return &scaleEstimator{Scale: e.Scale}
 }
 
 func (e *scaleEstimator) FineTune(ctx context.Context, samples []costmodel.Sample, epochs int, lr float64) (*costmodel.FitReport, error) {

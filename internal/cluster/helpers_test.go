@@ -208,19 +208,15 @@ func (e *adaptableEstimator) PredictBatch(ctx context.Context, ins []costmodel.P
 
 func (e *adaptableEstimator) Save(w io.Writer) error { return nil }
 
-func (e *adaptableEstimator) Clone() (costmodel.Estimator, error) {
-	return &adaptableEstimator{name: e.name, bias: e.bias}, nil
+func (e *adaptableEstimator) Clone() costmodel.Tuner {
+	return &adaptableEstimator{name: e.name, bias: e.bias}
 }
 
 func (e *adaptableEstimator) FineTune(ctx context.Context, samples []costmodel.Sample, epochs int, lr float64) (*costmodel.FitReport, error) {
 	return &costmodel.FitReport{Samples: len(samples)}, nil
 }
 
-var (
-	_ costmodel.Estimator = (*adaptableEstimator)(nil)
-	_ costmodel.Cloner    = (*adaptableEstimator)(nil)
-	_ costmodel.FineTuner = (*adaptableEstimator)(nil)
-)
+var _ costmodel.Tuner = (*adaptableEstimator)(nil)
 
 // clusterFixture is the shared real-database test bed: two small
 // generated databases with executable SQL for each.

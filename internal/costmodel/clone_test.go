@@ -67,14 +67,10 @@ func TestCopyFineTuneBitwise(t *testing.T) {
 		return got
 	}
 	viaClone := func(est Estimator) Estimator {
-		got, err := est.(Cloner).Clone()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got
+		return est.(Tuner).Clone()
 	}
 	fineTune := func(est Estimator) string {
-		rep, err := est.(FineTuner).FineTune(ctx, f.eval, 2, 0)
+		rep, err := est.(Tuner).FineTune(ctx, f.eval, 2, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

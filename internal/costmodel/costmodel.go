@@ -135,10 +135,19 @@ type Estimator interface {
 	Save(w io.Writer) error
 }
 
-// FineTuner is the optional capability of estimators that can continue
-// training on samples from a new database — the paper's few-shot mode.
-type FineTuner interface {
+// Tuner is the optional capability of estimators that can adapt to a new
+// database — the paper's few-shot mode — while they keep serving.
+// FineTune continues training on samples from the new database. Clone
+// makes a deep, independently trainable copy: a copy of the weights in
+// a new model, which trains as a loaded copy of the saved model would.
+// The online adaptation subsystem depends on both: Fit and FineTune
+// must not run concurrently with inference, so background fine-tuning
+// clones the serving generation, trains the clone, and hot-swaps it in
+// — the attached estimator is never mutated while it predicts.
+type Tuner interface {
+	Estimator
 	FineTune(ctx context.Context, samples []Sample, epochs int, lr float64) (*FitReport, error)
+	Clone() Tuner
 }
 
 // itemError is a batch's abort: the lowest failing input index and that
@@ -231,18 +240,6 @@ func Fused(est Estimator) bool {
 // once either way.
 type EncodeWarmer interface {
 	WarmEncode(in PlanInput) error
-}
-
-// Cloner is the optional capability of estimators that can produce a
-// deep, independently trainable copy of themselves: a copy of the
-// weights in a new model, which trains as a loaded copy of the saved
-// model would. The online adaptation subsystem depends on it: Fit and
-// FineTune must not run concurrently with inference, so background
-// fine-tuning clones the serving generation, trains the clone, and
-// hot-swaps it in — the attached estimator is never mutated while it
-// predicts.
-type Cloner interface {
-	Clone() (Estimator, error)
 }
 
 // Options sizes a fresh estimator from the registry. Each adapter reads

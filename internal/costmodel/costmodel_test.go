@@ -423,7 +423,7 @@ func TestPredictBatchNamesFirstFailingItem(t *testing.T) {
 	}
 }
 
-// TestFineTuneCapability checks the optional FineTuner interface: only the
+// TestFineTuneCapability checks the optional Tuner interface: only the
 // zero-shot adapter supports the paper's few-shot mode, and fine-tuning on
 // a new database's samples runs through the same Sample type.
 func TestFineTuneCapability(t *testing.T) {
@@ -433,9 +433,9 @@ func TestFineTuneCapability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft, ok := zs.(FineTuner)
+	ft, ok := zs.(Tuner)
 	if !ok {
-		t.Fatal("zeroshot does not implement FineTuner")
+		t.Fatal("zeroshot does not implement Tuner")
 	}
 	if _, err := zs.Fit(ctx, f.train); err != nil {
 		t.Fatal(err)
@@ -448,13 +448,13 @@ func TestFineTuneCapability(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := est.(FineTuner); ok {
-			t.Fatalf("%s unexpectedly implements FineTuner", name)
+		if _, ok := est.(Tuner); ok {
+			t.Fatalf("%s unexpectedly implements Tuner", name)
 		}
 	}
 }
 
-// TestCloneCapability checks the optional Cloner interface the adaptation
+// TestCloneCapability checks the Clone half of the Tuner interface the adaptation
 // subsystem depends on: the clone predicts identically to the original,
 // and fine-tuning the clone never moves the original's predictions —
 // that independence is what makes background fine-tuning safe while the
@@ -469,14 +469,11 @@ func TestCloneCapability(t *testing.T) {
 	if _, err := zs.Fit(ctx, f.train); err != nil {
 		t.Fatal(err)
 	}
-	cloner, ok := zs.(Cloner)
+	tuner, ok := zs.(Tuner)
 	if !ok {
-		t.Fatal("zeroshot does not implement Cloner")
+		t.Fatal("zeroshot does not implement Tuner")
 	}
-	clone, err := cloner.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	clone := tuner.Clone()
 	if clone.Name() != zs.Name() {
 		t.Fatalf("clone name %q, want %q", clone.Name(), zs.Name())
 	}
@@ -495,7 +492,7 @@ func TestCloneCapability(t *testing.T) {
 	if math.Abs(before-clonePred) > 1e-12 {
 		t.Fatalf("clone predicts %v, original %v", clonePred, before)
 	}
-	if _, err := clone.(FineTuner).FineTune(ctx, f.eval, 3, 0.01); err != nil {
+	if _, err := clone.FineTune(ctx, f.eval, 3, 0.01); err != nil {
 		t.Fatal(err)
 	}
 	after, err := predictOne(ctx, zs, in)
@@ -511,5 +508,46 @@ func TestCloneCapability(t *testing.T) {
 	}
 	if tuned == clonePred {
 		t.Fatal("fine-tuning did not change the clone's prediction (suspicious for a shared-weights bug)")
+	}
+}
+
+// TestFitRefusesInvalidRuntimes: a training set with one NaN, +Inf or
+// non-positive runtime fails Fit on every estimator before any weight
+// moves, so an estimator fitted before keeps predicting bit for bit what
+// it did. A NaN target would otherwise train every weight to NaN.
+func TestFitRefusesInvalidRuntimes(t *testing.T) {
+	f := sharedFixture(t)
+	ctx := context.Background()
+	ins := Inputs(f.eval)
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			est, err := New(name, smallOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := est.Fit(ctx, f.train); err != nil {
+				t.Fatal(err)
+			}
+			want, err := est.PredictBatch(ctx, ins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, bad := range []float64{math.NaN(), math.Inf(1), -1} {
+				train := append([]Sample(nil), f.train...)
+				train[len(train)/2].RuntimeSec = bad
+				if _, err := est.Fit(ctx, train); err == nil {
+					t.Fatalf("Fit with runtime %v at sample %d returned nil", bad, len(train)/2)
+				}
+				got, err := est.PredictBatch(ctx, ins)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("after the refused fit on runtime %v, item %d predicts %v, before %v (bitwise)", bad, i, got[i], want[i])
+					}
+				}
+			}
+		})
 	}
 }

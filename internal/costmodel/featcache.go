@@ -246,9 +246,12 @@ func (c *PlanCache) Lookup(sql string) (in PlanInput, fp string, ok bool) {
 	if el, hit := c.entries[sql]; hit {
 		c.hits++
 		c.ll.MoveToFront(el)
+		// Read the entry under the lock: Put refreshes a key's input in
+		// place.
 		e := el.Value.(*planCacheEntry)
+		in, fp = e.in, e.fp
 		c.mu.Unlock()
-		return e.in, e.fp, true
+		return in, fp, true
 	}
 	c.mu.Unlock()
 	fp = Fingerprint(sql)

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"github.com/zeroshot-db/zeroshot/internal/encoding"
 )
 
 // TestFusedBatchBitwiseEqualsSequential pins every item of a batch,
@@ -82,8 +84,8 @@ func TestZeroShotPredictIsAFusedBatchOfOne(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := zs.Model().Predict(g); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("item %d: batch of one = %v, Model.Predict %v (bitwise)", i, got, want)
+		if want := zs.Model().PredictBatch([]*encoding.Graph{g})[0]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("item %d: batch of one = %v, Model.PredictBatch %v (bitwise)", i, got, want)
 		}
 	}
 	if raceEnabled {

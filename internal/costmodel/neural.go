@@ -73,7 +73,7 @@ func (m *neural[X]) Fit(ctx context.Context, samples []Sample) (*FitReport, erro
 		}
 		xs[i] = baselines.Sample[X]{X: x, RuntimeSec: s.RuntimeSec}
 	}
-	if err := m.model.Train(xs); err != nil {
+	if err := m.model.Train(ctx, xs); err != nil {
 		return nil, err
 	}
 	return &FitReport{Samples: len(xs)}, nil

@@ -23,21 +23,26 @@ func (c *countdownCtx) Err() error {
 	return nil
 }
 
-// TestFitCancelPropagatesToTraining: the ctx handed to ZeroShot.Fit
-// reaches the epoch/minibatch boundaries of the training loop, so a
-// cancellation aborts a long fit instead of running it to completion.
+// TestFitCancelPropagatesToTraining: the ctx handed to Fit reaches the
+// epoch/minibatch boundaries of every neural estimator's training loop,
+// so a cancellation aborts a long fit instead of running it to
+// completion. scaledcost is a closed-form fit with one up-front check.
 func TestFitCancelPropagatesToTraining(t *testing.T) {
 	f := sharedFixture(t)
-	opts := smallOpts()
-	opts.Epochs = 200 // would take a while if cancellation were ignored
-	zs, err := New(NameZeroShot, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := &countdownCtx{Context: context.Background()}
-	ctx.left.Store(5) // survives encoding, aborts a few minibatches in
-	if _, err := zs.Fit(ctx, f.train); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Fit with mid-training cancel returned %v, want context.Canceled", err)
+	for _, name := range []string{NameZeroShot, NameMSCN, NameE2E} {
+		t.Run(name, func(t *testing.T) {
+			opts := smallOpts()
+			opts.Epochs = 200 // would take a while if cancellation were ignored
+			est, err := New(name, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := &countdownCtx{Context: context.Background()}
+			ctx.left.Store(5) // past Fit's own checks, a few minibatches into training
+			if _, err := est.Fit(ctx, f.train); !errors.Is(err, context.Canceled) {
+				t.Fatalf("Fit with mid-training cancel returned %v, want context.Canceled", err)
+			}
+		})
 	}
 
 	// FineTune shares the loop and the contract.
@@ -50,7 +55,7 @@ func TestFitCancelPropagatesToTraining(t *testing.T) {
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := zs2.(FineTuner).FineTune(cancelled, f.eval, 50, 0); !errors.Is(err, context.Canceled) {
+	if _, err := zs2.(Tuner).FineTune(cancelled, f.eval, 50, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("FineTune with pre-canceled ctx returned %v, want context.Canceled", err)
 	}
 }
@@ -71,7 +76,7 @@ func TestFitReportCarriesThroughput(t *testing.T) {
 	if report.WallTime <= 0 || report.SamplesPerSec <= 0 {
 		t.Fatalf("Fit report missing throughput: wall=%v rate=%v", report.WallTime, report.SamplesPerSec)
 	}
-	ftReport, err := zs.(FineTuner).FineTune(context.Background(), f.eval, 2, 0)
+	ftReport, err := zs.(Tuner).FineTune(context.Background(), f.eval, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,17 +105,14 @@ func TestFineTuneCloneWhileServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone, err := zs.(Cloner).Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	clone := zs.(Tuner).Clone()
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, 8)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := clone.(FineTuner).FineTune(ctx, f.eval, 6, 0.01); err != nil {
+		if _, err := clone.FineTune(ctx, f.eval, 6, 0.01); err != nil {
 			errCh <- err
 		}
 	}()

@@ -80,20 +80,6 @@ func (z *ZeroShot) WarmEncode(in PlanInput) error {
 	return itemCause(err)
 }
 
-func (z *ZeroShot) samples(ctx context.Context, samples []Sample) ([]zeroshot.Sample, error) {
-	// The memo→dedup→parallel pipeline applies to training sets too:
-	// duplicate shapes encode once and cores share the work.
-	graphs, err := z.encodeBatch(ctx, Inputs(samples))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]zeroshot.Sample, len(samples))
-	for i, s := range samples {
-		out[i] = zeroshot.Sample{Graph: graphs[i], RuntimeSec: s.RuntimeSec}
-	}
-	return out, nil
-}
-
 // coldKey identifies a distinct shape within one batch: items sharing
 // the encoder key and the plan (plan caches and what-if sweeps hand the
 // same *plan.Node — and usually the same memo — to every duplicate)
@@ -202,34 +188,38 @@ func (z *ZeroShot) resolveBatch(ctx context.Context, ins []PlanInput, version ui
 // training loop itself (checked at epoch and minibatch boundaries), not
 // just the encode stage.
 func (z *ZeroShot) Fit(ctx context.Context, samples []Sample) (*FitReport, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	zs, err := z.samples(ctx, samples)
-	if err != nil {
-		return nil, err
-	}
-	res, err := z.model.TrainCtx(ctx, zs)
-	if err != nil {
-		return nil, err
-	}
-	return &FitReport{Samples: len(zs), EpochLoss: res.EpochLoss,
-		WallTime: res.WallTime, SamplesPerSec: res.SamplesPerSec}, nil
+	return z.train(ctx, samples, func(zs []zeroshot.Sample) (*zeroshot.TrainResult, error) {
+		return z.model.Train(ctx, zs)
+	})
 }
 
-// FineTune implements FineTuner: continue training on samples from a new
+// FineTune implements Tuner: continue training on samples from a new
 // database at a reduced learning rate (the paper's few-shot mode). ctx
 // cancellation propagates into the training loop, so the adaptation
 // worker's background fine-tune stops promptly on drain.
 func (z *ZeroShot) FineTune(ctx context.Context, samples []Sample, epochs int, lr float64) (*FitReport, error) {
+	return z.train(ctx, samples, func(zs []zeroshot.Sample) (*zeroshot.TrainResult, error) {
+		return z.model.FineTune(ctx, zs, epochs, lr)
+	})
+}
+
+// train is Fit's and FineTune's one body: encode the samples, run the
+// model's training call on them, and report what it measured.
+func (z *ZeroShot) train(ctx context.Context, samples []Sample, run func([]zeroshot.Sample) (*zeroshot.TrainResult, error)) (*FitReport, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	zs, err := z.samples(ctx, samples)
+	// The memo→dedup→parallel pipeline applies to training sets too:
+	// duplicate shapes encode once and cores share the work.
+	graphs, err := z.encodeBatch(ctx, Inputs(samples))
 	if err != nil {
 		return nil, err
 	}
-	res, err := z.model.FineTuneCtx(ctx, zs, epochs, lr)
+	zs := make([]zeroshot.Sample, len(samples))
+	for i, s := range samples {
+		zs[i] = zeroshot.Sample{Graph: graphs[i], RuntimeSec: s.RuntimeSec}
+	}
+	res, err := run(zs)
 	if err != nil {
 		return nil, err
 	}
@@ -237,15 +227,15 @@ func (z *ZeroShot) FineTune(ctx context.Context, samples []Sample, epochs int, l
 		WallTime: res.WallTime, SamplesPerSec: res.SamplesPerSec}, nil
 }
 
-// Clone implements Cloner: a copy of the weights in a new model, so the
+// Clone implements Tuner: a copy of the weights in a new model, so the
 // clone shares no weights with the original and can fine-tune while the
 // original keeps serving. The clone keeps the architecture and
 // cardinality source and starts as a loaded model does (see
 // zeroshot.Model.Clone): default training hyperparameters, which
 // FineTune's explicit epochs/lr arguments override, and no optimizer
 // history.
-func (z *ZeroShot) Clone() (Estimator, error) {
-	return &ZeroShot{model: z.model.Clone(), card: z.card}, nil
+func (z *ZeroShot) Clone() Tuner {
+	return &ZeroShot{model: z.model.Clone(), card: z.card}
 }
 
 // PredictBatch implements Estimator: every item the memo can answer

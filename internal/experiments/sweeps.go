@@ -126,7 +126,7 @@ func FewShot(env *Env, ks []int) (*FewShotResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		tuner, ok := fs.(costmodel.FineTuner)
+		tuner, ok := fs.(costmodel.Tuner)
 		if !ok {
 			return nil, fmt.Errorf("experiments: %s estimator does not support fine-tuning", fs.Name())
 		}

@@ -15,6 +15,16 @@ import (
 	"github.com/zeroshot-db/zeroshot/internal/obs/doctor"
 )
 
+// captureOf returns the named target's capture in b (nil if absent).
+func captureOf(b *doctor.Bundle, name string) *doctor.Capture {
+	for i := range b.Captures {
+		if b.Captures[i].Target.Name == name {
+			return &b.Captures[i]
+		}
+	}
+	return nil
+}
+
 // rawArchive packs members (name, body pairs, in order) the way
 // WriteArchive does, for archives WriteArchive would never write.
 func rawArchive(t testing.TB, members ...string) []byte {
@@ -54,7 +64,7 @@ func TestReadArchiveNullEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := b.Capture("t")
+	c := captureOf(b, "t")
 	if c == nil || c.Doc("stats") != nil || c.Doc("events") == nil {
 		t.Fatalf("capture = %+v, want events kept and the null stats entry dropped", c)
 	}

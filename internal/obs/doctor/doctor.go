@@ -88,13 +88,3 @@ type Bundle struct {
 	Meta     Meta
 	Captures []Capture
 }
-
-// Capture returns the named target's capture (nil if absent).
-func (b *Bundle) Capture(name string) *Capture {
-	for i := range b.Captures {
-		if b.Captures[i].Target.Name == name {
-			return &b.Captures[i]
-		}
-	}
-	return nil
-}

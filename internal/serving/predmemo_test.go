@@ -66,18 +66,15 @@ func freshAnswer(t *testing.T, sess *Session, zs *costmodel.ZeroShot, fingerprin
 	if err != nil {
 		t.Fatal(err)
 	}
-	return zs.Model().Predict(g)
+	return zs.Model().PredictBatch([]*encoding.Graph{g})[0]
 }
 
 // fineTuned returns a clone of the serving generation fine-tuned on the
 // samples, ready to attach or publish.
 func fineTuned(t *testing.T, sess *Session, samples []costmodel.Sample) costmodel.Estimator {
 	t.Helper()
-	c, err := servingZeroShot(t, sess).Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.(costmodel.FineTuner).FineTune(context.Background(), samples, 2, 0.01); err != nil {
+	c := servingZeroShot(t, sess).Clone()
+	if _, err := c.FineTune(context.Background(), samples, 2, 0.01); err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -141,16 +138,13 @@ func TestPredictionMemoFollowsWeights(t *testing.T) {
 	// cancel the serving model's own fine-tune at its last check: the
 	// last epoch's minibatch, after the first epoch has moved the
 	// weights.
-	clone, err := zs.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	clone := zs.Clone()
 	counter := newCancelAfterN(math.MaxInt32)
-	if _, err := clone.(costmodel.FineTuner).FineTune(counter, tuneSet, 2, 0.01); err != nil {
+	if _, err := clone.FineTune(counter, tuneSet, 2, 0.01); err != nil {
 		t.Fatal(err)
 	}
 	checks := math.MaxInt32 - counter.remaining.Load()
-	_, err = zs.FineTune(newCancelAfterN(checks-1), tuneSet, 2, 0.01)
+	_, err := zs.FineTune(newCancelAfterN(checks-1), tuneSet, 2, 0.01)
 	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "mid-epoch") {
 		t.Fatalf("fine-tune cancelled %d checks in = %v, want a mid-epoch cancellation", checks-1, err)
 	}

@@ -1,6 +1,7 @@
 package zeroshot
 
 import (
+	"context"
 	"testing"
 
 	"github.com/zeroshot-db/zeroshot/internal/collect"
@@ -38,7 +39,7 @@ func BenchmarkPredict(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Predict(samples[i%len(samples)].Graph)
+		m.PredictBatch([]*encoding.Graph{samples[i%len(samples)].Graph})
 	}
 }
 
@@ -50,7 +51,7 @@ func BenchmarkTrainEpoch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := New(cfg)
-		if _, err := m.Train(samples); err != nil {
+		if _, err := m.Train(context.Background(), samples); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -65,7 +66,7 @@ func BenchmarkTrainEpoch(b *testing.B) {
 func BenchmarkFineTune(b *testing.B) {
 	samples := benchSamples(b, 100)
 	base := New(DefaultConfig())
-	if _, err := base.Train(samples[:50]); err != nil {
+	if _, err := base.Train(context.Background(), samples[:50]); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -74,7 +75,7 @@ func BenchmarkFineTune(b *testing.B) {
 		b.StopTimer()
 		m := base.Clone()
 		b.StartTimer()
-		if _, err := m.FineTune(samples[50:], 3, 0); err != nil {
+		if _, err := m.FineTune(context.Background(), samples[50:], 3, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package zeroshot
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestZeroShotPredictsResourceConsumption(t *testing.T) {
 		}
 	}
 	m := New(smallConfig())
-	if _, err := m.Train(train); err != nil {
+	if _, err := m.Train(context.Background(), train); err != nil {
 		t.Fatal(err)
 	}
 
@@ -59,7 +60,7 @@ func TestZeroShotPredictsResourceConsumption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		preds = append(preds, m.Predict(g))
+		preds = append(preds, m.PredictBatch([]*encoding.Graph{g})[0])
 		actuals = append(actuals, r.PeakMemBytes/(1<<20))
 		meanLog += math.Log(r.PeakMemBytes / (1 << 20))
 	}
@@ -132,11 +133,11 @@ func TestCrossHardwarePrediction(t *testing.T) {
 		}
 	}
 	mAware := New(smallConfig())
-	if _, err := mAware.Train(aware); err != nil {
+	if _, err := mAware.Train(context.Background(), aware); err != nil {
 		t.Fatal(err)
 	}
 	mBlind := New(smallConfig())
-	if _, err := mBlind.Train(blind); err != nil {
+	if _, err := mBlind.Train(context.Background(), blind); err != nil {
 		t.Fatal(err)
 	}
 
@@ -161,8 +162,8 @@ func TestCrossHardwarePrediction(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			awarePreds = append(awarePreds, mAware.Predict(ga))
-			blindPreds = append(blindPreds, mBlind.Predict(gb))
+			awarePreds = append(awarePreds, mAware.PredictBatch([]*encoding.Graph{ga})[0])
+			blindPreds = append(blindPreds, mBlind.PredictBatch([]*encoding.Graph{gb})[0])
 			actuals = append(actuals, r.RuntimeSec)
 		}
 	}

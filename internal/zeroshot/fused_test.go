@@ -1,6 +1,7 @@
 package zeroshot
 
 import (
+	"context"
 	"testing"
 
 	"github.com/zeroshot-db/zeroshot/internal/datagen"
@@ -21,7 +22,7 @@ func fusedFixture(t *testing.T, flatSum bool) (*Model, []*encoding.Graph) {
 	cfg.Epochs = 3
 	cfg.FlatSum = flatSum
 	m := New(cfg)
-	if _, err := m.Train(samples[:50]); err != nil {
+	if _, err := m.Train(context.Background(), samples[:50]); err != nil {
 		t.Fatal(err)
 	}
 	graphs := make([]*encoding.Graph, 0, len(samples)-50)

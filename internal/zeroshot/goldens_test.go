@@ -1,6 +1,7 @@
 package zeroshot
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -33,7 +34,7 @@ func trainDigest(m *Model, losses []float64, samples []Sample) string {
 		put(l)
 	}
 	for _, s := range samples[:4] {
-		put(m.Predict(s.Graph))
+		put(m.PredictBatch([]*encoding.Graph{s.Graph})[0])
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
@@ -73,14 +74,14 @@ func TestTrainGoldens(t *testing.T) {
 					cfg.Epochs = 3
 					cfg.FlatSum = flat
 					m := New(cfg)
-					res, err := m.Train(samples)
+					res, err := m.Train(context.Background(), samples)
 					if err != nil {
 						t.Fatal(err)
 					}
 					losses := res.EpochLoss
 					name := "train"
 					if fineTune {
-						ft, err := m.FineTune(samples[:len(samples)/2], 2, 0)
+						ft, err := m.FineTune(context.Background(), samples[:len(samples)/2], 2, 0)
 						if err != nil {
 							t.Fatal(err)
 						}

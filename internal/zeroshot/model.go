@@ -144,12 +144,6 @@ func (m *Model) params() []*nn.Param {
 	return ps
 }
 
-// Predict returns the predicted runtime in seconds for one encoded
-// plan: a fused batch of one (see PredictBatch).
-func (m *Model) Predict(g *encoding.Graph) float64 {
-	return m.PredictBatch([]*encoding.Graph{g})[0]
-}
-
 // TrainResult reports the per-epoch mean training loss and the
 // end-to-end training throughput.
 type TrainResult struct {
@@ -165,15 +159,10 @@ type TrainResult struct {
 // Train fits the model on the samples (runtime targets in log space,
 // Huber loss, Adam with minibatch accumulation). It returns the loss
 // trajectory. Training is deterministic for a fixed Config.Seed,
-// bitwise independent of the worker count (see train).
-func (m *Model) Train(samples []Sample) (*TrainResult, error) {
-	return m.TrainCtx(context.Background(), samples)
-}
-
-// TrainCtx is Train with cancellation: ctx is checked at epoch and
-// minibatch boundaries, so a canceled training run stops promptly
-// instead of finishing every remaining epoch.
-func (m *Model) TrainCtx(ctx context.Context, samples []Sample) (*TrainResult, error) {
+// bitwise independent of the worker count (see train). ctx is checked
+// at epoch and minibatch boundaries, so a canceled training run stops
+// promptly instead of finishing every remaining epoch.
+func (m *Model) Train(ctx context.Context, samples []Sample) (*TrainResult, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("zeroshot: no training samples")
 	}
@@ -182,15 +171,10 @@ func (m *Model) TrainCtx(ctx context.Context, samples []Sample) (*TrainResult, e
 
 // FineTune continues training on samples from a new database — the paper's
 // few-shot mode. A reduced learning rate preserves the pretrained system
-// knowledge while adapting to the target.
-func (m *Model) FineTune(samples []Sample, epochs int, lr float64) (*TrainResult, error) {
-	return m.FineTuneCtx(context.Background(), samples, epochs, lr)
-}
-
-// FineTuneCtx is FineTune with cancellation, checked at epoch and
-// minibatch boundaries — the adaptation loop's background fine-tune
-// runs under the serve process lifetime and must stop on drain.
-func (m *Model) FineTuneCtx(ctx context.Context, samples []Sample, epochs int, lr float64) (*TrainResult, error) {
+// knowledge while adapting to the target. ctx is checked as in Train:
+// the adaptation loop's background fine-tune runs under the serve
+// process lifetime and must stop on drain.
+func (m *Model) FineTune(ctx context.Context, samples []Sample, epochs int, lr float64) (*TrainResult, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("zeroshot: no fine-tuning samples")
 	}

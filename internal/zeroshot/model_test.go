@@ -2,6 +2,7 @@ package zeroshot
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"math"
 	"strings"
@@ -56,7 +57,7 @@ func TestZeroShotGeneralizesToUnseenDatabase(t *testing.T) {
 		train = append(train, gatherSamples(t, db, 120, int64(100+i), encoding.CardExact)...)
 	}
 	m := New(smallConfig())
-	res, err := m.Train(train)
+	res, err := m.Train(context.Background(), train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestZeroShotGeneralizesToUnseenDatabase(t *testing.T) {
 	actuals := make([]float64, len(test))
 	meanLog := 0.0
 	for i, s := range test {
-		preds[i] = m.Predict(s.Graph)
+		preds[i] = m.PredictBatch([]*encoding.Graph{s.Graph})[0]
 		actuals[i] = s.RuntimeSec
 		meanLog += math.Log(s.RuntimeSec)
 	}
@@ -100,16 +101,16 @@ func TestZeroShotGeneralizesToUnseenDatabase(t *testing.T) {
 
 func TestTrainRejectsBadSamples(t *testing.T) {
 	m := New(smallConfig())
-	if _, err := m.Train(nil); err == nil {
+	if _, err := m.Train(context.Background(), nil); err == nil {
 		t.Fatal("accepted empty training set")
 	}
-	if _, err := m.Train([]Sample{{Graph: nil, RuntimeSec: 1}}); err == nil {
+	if _, err := m.Train(context.Background(), []Sample{{Graph: nil, RuntimeSec: 1}}); err == nil {
 		t.Fatal("accepted nil graph")
 	}
 	db, _ := datagen.IMDBLike(0.02)
 	s := gatherSamples(t, db, 1, 1, encoding.CardEstimated)
 	s[0].RuntimeSec = -1
-	if _, err := m.Train(s); err == nil {
+	if _, err := m.Train(context.Background(), s); err == nil {
 		t.Fatal("accepted negative runtime")
 	}
 }
@@ -119,7 +120,7 @@ func TestPredictDeterministic(t *testing.T) {
 	s := gatherSamples(t, db, 5, 2, encoding.CardEstimated)
 	m := New(smallConfig())
 	for _, smp := range s {
-		if m.Predict(smp.Graph) != m.Predict(smp.Graph) {
+		if m.PredictBatch([]*encoding.Graph{smp.Graph})[0] != m.PredictBatch([]*encoding.Graph{smp.Graph})[0] {
 			t.Fatal("prediction not deterministic")
 		}
 	}
@@ -130,7 +131,7 @@ func TestPredictBounded(t *testing.T) {
 	s := gatherSamples(t, db, 5, 3, encoding.CardEstimated)
 	m := New(smallConfig())
 	for _, smp := range s {
-		p := m.Predict(smp.Graph)
+		p := m.PredictBatch([]*encoding.Graph{smp.Graph})[0]
 		if p <= 0 || math.IsInf(p, 0) || math.IsNaN(p) {
 			t.Fatalf("prediction %v out of bounds", p)
 		}
@@ -149,7 +150,7 @@ func TestFineTuneImprovesOnTarget(t *testing.T) {
 		train = append(train, gatherSamples(t, db, 80, int64(300+i), encoding.CardExact)...)
 	}
 	m := New(smallConfig())
-	if _, err := m.Train(train); err != nil {
+	if _, err := m.Train(context.Background(), train); err != nil {
 		t.Fatal(err)
 	}
 	imdb, _ := datagen.IMDBLike(0.02)
@@ -160,14 +161,14 @@ func TestFineTuneImprovesOnTarget(t *testing.T) {
 		preds := make([]float64, len(test))
 		actuals := make([]float64, len(test))
 		for i, s := range test {
-			preds[i] = m.Predict(s.Graph)
+			preds[i] = m.PredictBatch([]*encoding.Graph{s.Graph})[0]
 			actuals[i] = s.RuntimeSec
 		}
 		sum, _ := metrics.Summarize(preds, actuals)
 		return sum.Median
 	}
 	before := evalMedian()
-	if _, err := m.FineTune(ftSamples, 10, 0); err != nil {
+	if _, err := m.FineTune(context.Background(), ftSamples, 10, 0); err != nil {
 		t.Fatal(err)
 	}
 	after := evalMedian()
@@ -179,7 +180,7 @@ func TestFineTuneImprovesOnTarget(t *testing.T) {
 
 func TestFineTuneRejectsEmpty(t *testing.T) {
 	m := New(smallConfig())
-	if _, err := m.FineTune(nil, 5, 0.001); err == nil {
+	if _, err := m.FineTune(context.Background(), nil, 5, 0.001); err == nil {
 		t.Fatal("accepted empty fine-tuning set")
 	}
 }
@@ -188,7 +189,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	db, _ := datagen.IMDBLike(0.02)
 	samples := gatherSamples(t, db, 20, 4, encoding.CardEstimated)
 	m := New(smallConfig())
-	if _, err := m.Train(samples[:10]); err != nil {
+	if _, err := m.Train(context.Background(), samples[:10]); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -200,7 +201,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range samples {
-		a, b := m.Predict(s.Graph), loaded.Predict(s.Graph)
+		a, b := m.PredictBatch([]*encoding.Graph{s.Graph})[0], loaded.PredictBatch([]*encoding.Graph{s.Graph})[0]
 		if a != b {
 			t.Fatalf("loaded model predicts %v, original %v", b, a)
 		}
@@ -236,7 +237,7 @@ func TestFlatSumModelTrains(t *testing.T) {
 	cfg.FlatSum = true
 	cfg.Epochs = 6
 	m := New(cfg)
-	res, err := m.Train(samples)
+	res, err := m.Train(context.Background(), samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,13 +252,13 @@ func TestTrainingDeterministicForSeed(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Epochs = 3
 	m1, m2 := New(cfg), New(cfg)
-	if _, err := m1.Train(samples); err != nil {
+	if _, err := m1.Train(context.Background(), samples); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m2.Train(samples); err != nil {
+	if _, err := m2.Train(context.Background(), samples); err != nil {
 		t.Fatal(err)
 	}
-	if m1.Predict(samples[0].Graph) != m2.Predict(samples[0].Graph) {
+	if m1.PredictBatch([]*encoding.Graph{samples[0].Graph})[0] != m2.PredictBatch([]*encoding.Graph{samples[0].Graph})[0] {
 		t.Fatal("training not deterministic for equal seeds")
 	}
 }

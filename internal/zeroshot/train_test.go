@@ -22,13 +22,13 @@ func trainedWeights(t *testing.T, samples []Sample, workers int, fineTune bool) 
 	cfg := smallConfig()
 	cfg.Epochs = 3
 	m := New(cfg)
-	res, err := m.Train(samples)
+	res, err := m.Train(context.Background(), samples)
 	if err != nil {
 		t.Fatal(err)
 	}
 	losses := append([]float64(nil), res.EpochLoss...)
 	if fineTune {
-		ft, err := m.FineTune(samples[:len(samples)/2], 2, 0)
+		ft, err := m.FineTune(context.Background(), samples[:len(samples)/2], 2, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestTrainCancelsMidEpoch(t *testing.T) {
 	ctx := &countdownCtx{Context: context.Background()}
 	ctx.left.Store(3)
 	start := time.Now()
-	res, err := m.TrainCtx(ctx, samples)
+	res, err := m.Train(ctx, samples)
 	if err == nil {
 		t.Fatal("mid-epoch cancellation did not abort training")
 	}
@@ -127,11 +127,11 @@ func TestTrainCancelsMidEpoch(t *testing.T) {
 	// A pre-canceled real context aborts before the first epoch.
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := m.TrainCtx(cctx, samples); !errors.Is(err, context.Canceled) {
+	if _, err := m.Train(cctx, samples); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled context: got %v", err)
 	}
 	// FineTune shares the loop, so it shares the cancellation contract.
-	if _, err := m.FineTuneCtx(cctx, samples, 4, 0); !errors.Is(err, context.Canceled) {
+	if _, err := m.FineTune(cctx, samples, 4, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled fine-tune: got %v", err)
 	}
 }
@@ -186,7 +186,7 @@ func TestTrainReportsThroughput(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Epochs = 2
 	m := New(cfg)
-	res, err := m.Train(samples)
+	res, err := m.Train(context.Background(), samples)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,22 +61,22 @@ func TestVersionFollowsWeights(t *testing.T) {
 		t.Fatal("a loaded model reuses a version")
 	}
 
-	if _, err := m.Train(samples); err != nil {
+	if _, err := m.Train(context.Background(), samples); err != nil {
 		t.Fatal(err)
 	}
 	fresh("Train")
-	if _, err := m.FineTune(samples, 1, 0); err != nil {
+	if _, err := m.FineTune(context.Background(), samples, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	fresh("FineTune")
 	ctx := &countdownCtx{Context: context.Background()}
 	ctx.left.Store(3) // the epoch check, two minibatches, then abort
-	if _, err := m.FineTuneCtx(ctx, samples, 4, 0); !errors.Is(err, context.Canceled) {
+	if _, err := m.FineTune(ctx, samples, 4, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled fine-tune err = %v", err)
 	}
 	fresh("a cancelled FineTune")
 	bad := []Sample{{Graph: samples[0].Graph, RuntimeSec: -1}}
-	if _, err := m.Train(bad); err == nil {
+	if _, err := m.Train(context.Background(), bad); err == nil {
 		t.Fatal("training on a negative runtime succeeded")
 	}
 	fresh("a failed Train")
