@@ -41,11 +41,11 @@ type apiServer struct {
 	events *obs.Log
 }
 
-// calls is the POST side of the API. *cluster.Router satisfies it as
-// is, so clients cannot tell one replica from many; sessionCalls adapts
-// a lone session. A batch's statements are borrowed for the duration of
-// the call: they alias the pooled request buffer, which the handler
-// reuses once its reply is written.
+// calls is the POST side of the API. *cluster.Router and the lone
+// server's *cluster.InProcess both satisfy it as they are, so clients
+// cannot tell one replica from many. A batch's statements are borrowed
+// for the duration of the call: they alias the pooled request buffer,
+// which the handler reuses once its reply is written.
 type calls interface {
 	Predict(ctx context.Context, db, model, sql string) (serving.Prediction, error)
 	PredictBatch(ctx context.Context, db, model string, sqls []string) (serving.BatchResult, error)
@@ -62,25 +62,16 @@ type view interface {
 	register(get func(path string, h http.HandlerFunc), bc *bundleControl)
 }
 
-// sessionCalls answers the four calls from one session and its
-// adaptation loop, errors untouched. It is not a cluster.InProcess
-// because that rewords a join miss and a closed session into the
-// classes a router fails over on, and a lone server's replies are
-// pinned byte for byte.
-type sessionCalls struct {
-	*serving.Session
-	// loop is nil without -adapt; handleFeedback answers before calling.
-	loop *adapt.Loop
-}
-
-func (c sessionCalls) Feedback(ctx context.Context, db, fingerprint string, actualSec float64) error {
-	return c.loop.Feedback(ctx, db, fingerprint, actualSec)
-}
-
 // newSessionServer is the shim over one session (`zsdb serve`); loop is
-// its adaptation controller, nil unless -adapt.
+// its adaptation controller, nil unless -adapt. The POST routes go
+// through the same cluster.InProcess a router's replica is, which
+// passes the session's and the loop's errors through untouched.
 func newSessionServer(sess *serving.Session, loop *adapt.Loop) *apiServer {
-	return &apiServer{calls: sessionCalls{sess, loop}, view: sessionView{sess, loop}}
+	lone, err := cluster.NewInProcess("local", sess, loop)
+	if err != nil {
+		panic(err) // only a nil session gets here
+	}
+	return &apiServer{calls: lone, view: sessionView{sess, loop}}
 }
 
 // newRouterServer is the shim over a router (`zsdb serve -replicas N`,
@@ -331,7 +322,7 @@ func (s *apiServer) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	// endpoint is off whatever the body says, so even a malformed request
 	// gets this 404 (pinned by the transcripts). A router learns it only
 	// from the replica it asks, through the status table.
-	if c, ok := s.calls.(sessionCalls); ok && c.loop == nil {
+	if b, ok := s.calls.(*cluster.InProcess); ok && b.Loop() == nil {
 		httpErrorCode(w, http.StatusNotFound, cluster.CodeAdaptDisabled, adaptDisabled)
 		return
 	}

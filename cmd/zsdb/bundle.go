@@ -19,13 +19,6 @@ import (
 	"github.com/zeroshot-db/zeroshot/internal/serving"
 )
 
-// bundleFlags carries the -bundle* flag values into session assembly.
-// An empty dir means bundle distribution is off.
-type bundleFlags struct {
-	dir  string
-	poll time.Duration
-}
-
 // bundleControl owns one serve process's bundle plumbing: the shared
 // store and publisher, plus each replica's distributor. It backs
 // GET/POST /v1/bundles on both the single-session and cluster servers,
@@ -40,18 +33,19 @@ type bundleControl struct {
 	events *obs.Log
 }
 
-// newControl opens the store and publisher for models' servedModel.
-// Distributors attach per replica afterwards. events, when non-nil,
-// receives every bundle publish/activate/rollback.
-func (bf bundleFlags) newControl(models []costmodel.Estimator, events *obs.Log) (*bundleControl, error) {
-	if bf.dir == "" {
+// newBundleControl opens the store in dir (-bundle-dir) and its
+// publisher for models' servedModel; an empty dir means bundle
+// distribution is off. Distributors attach per replica afterwards.
+// events, when non-nil, receives every bundle publish/activate/rollback.
+func newBundleControl(dir string, models []costmodel.Estimator, events *obs.Log) (*bundleControl, error) {
+	if dir == "" {
 		return nil, nil
 	}
 	estName, err := servedModel(models, false)
 	if err != nil {
 		return nil, err
 	}
-	store, err := bundle.NewDirStore(bf.dir)
+	store, err := bundle.NewDirStore(dir)
 	if err != nil {
 		return nil, err
 	}

@@ -28,10 +28,9 @@ func TestBundleFleetAdaptConvergeFailoverRollback(t *testing.T) {
 	f := sharedServeFixture(t)
 	ctx := context.Background()
 	storeDir := t.TempDir()
-	bf := bundleFlags{dir: storeDir, poll: time.Hour}
 
 	boot := &cmdScaleEstimator{Scale: 1}
-	bc, err := bf.newControl([]costmodel.Estimator{boot}, nil)
+	bc, err := newBundleControl(storeDir, []costmodel.Estimator{boot}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +63,7 @@ func TestBundleFleetAdaptConvergeFailoverRollback(t *testing.T) {
 			if err := sess.AttachModel(&cmdScaleEstimator{Scale: 1}); err != nil {
 				return nil, err
 			}
-			dist, err := bc.attach(name, sess, bf.poll)
+			dist, err := bc.attach(name, sess, time.Hour)
 			if err != nil {
 				return nil, err
 			}

@@ -98,13 +98,12 @@ func newBundleFixture(t *testing.T, scale float64) (*serving.Session, *bundleCon
 	}
 	t.Cleanup(func() { sess.Close() })
 
-	bf := bundleFlags{dir: t.TempDir(), poll: time.Hour}
-	bc, err := bf.newControl([]costmodel.Estimator{est}, nil)
+	bc, err := newBundleControl(t.TempDir(), []costmodel.Estimator{est}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(bc.close)
-	dist, err := bc.attach("local", sess, bf.poll)
+	dist, err := bc.attach("local", sess, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,10 +350,8 @@ func TestServeBundlesDisabled(t *testing.T) {
 func TestClusterBundleConvergence(t *testing.T) {
 	f := sharedServeFixture(t)
 	ctx := context.Background()
-	bf := bundleFlags{dir: t.TempDir(), poll: time.Hour}
-
 	boot := &cmdScaleEstimator{Scale: 1}
-	bc, err := bf.newControl([]costmodel.Estimator{boot}, nil)
+	bc, err := newBundleControl(t.TempDir(), []costmodel.Estimator{boot}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +370,7 @@ func TestClusterBundleConvergence(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { sess.Close() })
-		if _, err := bc.attach(name, sess, bf.poll); err != nil {
+		if _, err := bc.attach(name, sess, time.Hour); err != nil {
 			t.Fatal(err)
 		}
 		b, err := cluster.NewInProcess(name, sess, nil)

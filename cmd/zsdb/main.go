@@ -52,9 +52,10 @@
 // -trace-sample N records a full per-stage span trace (parse, optimize,
 // featurize, encode, predict, plus scheduler batch attribution and
 // router failover hops) for every Nth request; with sampling off the
-// request path allocates nothing extra. -trace-slow keeps an always-on
-// slow-query log regardless of sampling. -debug-addr starts
-// net/http/pprof on a separate listener, never on the serving port.
+// request path allocates nothing extra. An always-on slow-query log
+// records every request over 250ms regardless of sampling. -debug-addr
+// starts net/http/pprof on a separate listener, never on the serving
+// port.
 // zsdb trace renders the trace rings; zsdb doctor snapshots every
 // diagnostic endpoint into a gzip'd support bundle and runs pass/warn/
 // fail analyzers over it (zsdb doctor analyze re-runs them offline).

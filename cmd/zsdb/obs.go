@@ -14,18 +14,19 @@ import (
 )
 
 // obsFlags carries the shared observability flag values for zsdb serve
-// and zsdb route: trace sampling, the always-on slow-query threshold,
-// and the optional pprof debug listener.
+// and zsdb route: trace sampling and the optional pprof debug listener.
 type obsFlags struct {
 	sample    int
-	slow      time.Duration
 	debugAddr string
 }
+
+// slowQueryThreshold is the always-on slow-query log's bar: a request
+// at least this slow is recorded even when sampling is off.
+const slowQueryThreshold = 250 * time.Millisecond
 
 // register wires the observability flags onto a command's flag set.
 func (o *obsFlags) register(fs *flag.FlagSet) {
 	fs.IntVar(&o.sample, "trace-sample", 0, "record a full pipeline trace for every Nth request (0 = sampling off; the slow-query log stays on)")
-	fs.DurationVar(&o.slow, "trace-slow", 250*time.Millisecond, "always-on slow-query threshold: requests slower than this are logged even unsampled (0 = off)")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "separate listen address for net/http/pprof profiling endpoints (empty = off)")
 }
 
@@ -36,7 +37,7 @@ func (o *obsFlags) register(fs *flag.FlagSet) {
 func (o *obsFlags) build() (*obs.Tracer, *obs.Log) {
 	return obs.NewTracer(obs.TraceConfig{
 		SampleEvery:   o.sample,
-		SlowThreshold: o.slow,
+		SlowThreshold: slowQueryThreshold,
 	}), obs.NewLog()
 }
 

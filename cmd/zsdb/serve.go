@@ -266,7 +266,7 @@ func (a adaptFlags) newLoopFor(sess *serving.Session, models []costmodel.Estimat
 // replica is named "local", several r0, r1, ...; the names show in
 // /v1/bundles and as event origins. Closing a replica stops its loop,
 // then its session.
-func buildReplicas(cfg serving.Config, dbSpec string, dbScale float64, modelPaths string, n int, af adaptFlags, bf bundleFlags) ([]*cluster.InProcess, *bundleControl, error) {
+func buildReplicas(cfg serving.Config, dbSpec string, dbScale float64, modelPaths string, n int, af adaptFlags, bundleDir string) ([]*cluster.InProcess, *bundleControl, error) {
 	models, err := loadModels(modelPaths)
 	if err != nil {
 		return nil, nil, err
@@ -274,7 +274,7 @@ func buildReplicas(cfg serving.Config, dbSpec string, dbScale float64, modelPath
 	// The publisher and distributors share the process's event log, so
 	// one /v1/events read shows swaps, publishes and health transitions
 	// interleaved in sequence order.
-	bc, err := bf.newControl(models, af.events)
+	bc, err := newBundleControl(bundleDir, models, af.events)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -303,7 +303,7 @@ func buildReplicas(cfg serving.Config, dbSpec string, dbScale float64, modelPath
 		// adaptation can mark its own replica as already activated.
 		var dist *bundle.Distributor
 		if bc != nil {
-			if dist, err = bc.attach(name, sess, bf.poll); err != nil {
+			if dist, err = bc.attach(name, sess, bundle.DefaultInterval); err != nil {
 				return fail(err)
 			}
 		}
@@ -328,6 +328,12 @@ func buildReplicas(cfg serving.Config, dbSpec string, dbScale float64, modelPath
 	return replicas, bc, nil
 }
 
+// replicaCallTimeout bounds each routed attempt on an in-process
+// replica under -replicas N: no network sits between the router and
+// its replicas, so a slower attempt is a stuck replica, and it fails
+// over.
+const replicaCallTimeout = 10 * time.Second
+
 // runServe loads the model files, attaches the serving databases, and
 // serves the prediction API until SIGINT/SIGTERM. With -replicas N > 1
 // the same binary runs a sharded cluster: N mirrored in-process
@@ -339,10 +345,8 @@ func runServe(args []string) error {
 	databases := fs.String("databases", "imdb", "comma-separated serving databases to attach: imdb, ssb, tpch")
 	dbScale := fs.Float64("dbscale", 0.1, "serving database scale")
 	replicas := fs.Int("replicas", 1, "in-process replica count; >1 serves a sharded cluster behind the consistent-hash router")
-	callTimeout := fs.Duration("call-timeout", 10*time.Second, "cluster mode: per-attempt replica call timeout; a slower replica fails over (-replicas > 1 only)")
 	adaptOn := fs.Bool("adapt", false, "enable online adaptation: /v1/feedback runtimes fine-tune the model in the background and hot-swap improved generations")
 	bundleDir := fs.String("bundle-dir", "", "bundle store directory: replicas poll it for new model revisions, and accepted adaptations publish into it (empty = bundles off)")
-	bundlePoll := fs.Duration("bundle-poll", bundle.DefaultInterval, "bundle distributor poll interval (jittered per replica)")
 	var of obsFlags
 	of.register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -362,8 +366,7 @@ func runServe(args []string) error {
 	defer stopDebug()
 	cfg := serving.Config{Tracer: tracer} // a zero PlanCacheSize is costmodel.DefaultPlanCacheSize
 	af := adaptFlags{on: *adaptOn, events: events}
-	bf := bundleFlags{dir: *bundleDir, poll: *bundlePoll}
-	built, bc, err := buildReplicas(cfg, *databases, *dbScale, *modelPaths, *replicas, af, bf)
+	built, bc, err := buildReplicas(cfg, *databases, *dbScale, *modelPaths, *replicas, af, *bundleDir)
 	if err != nil {
 		return err
 	}
@@ -372,7 +375,7 @@ func runServe(args []string) error {
 		fmt.Fprintf(os.Stderr, "online adaptation enabled for %s on %d replica(s) (POST /v1/feedback)\n", loop.Status().Model, *replicas)
 	}
 	if bc != nil {
-		fmt.Fprintf(os.Stderr, "bundle distribution enabled: %s polled every %v by %d replica(s)\n", *bundleDir, *bundlePoll, *replicas)
+		fmt.Fprintf(os.Stderr, "bundle distribution enabled: %s polled every %v by %d replica(s)\n", *bundleDir, bundle.DefaultInterval, *replicas)
 	}
 
 	var (
@@ -385,15 +388,16 @@ func runServe(args []string) error {
 		// a ring lookup, health marks and a route span on every request, and
 		// answer the GET documents in the cluster's shape.
 		lone := built[0]
-		srv, backing = newSessionServer(lone.Session(), lone.Loop()), lone
-		banner = fmt.Sprintf("serving %d model(s) over %d database(s)", len(lone.Session().Models()), len(lone.Session().Databases()))
+		srv, backing = newSessionServer(lone.Session, lone.Loop()), lone
+		models, databases := lone.Counts()
+		banner = fmt.Sprintf("serving %d model(s) over %d database(s)", models, databases)
 	} else {
 		// Requests for one database always land on its owning replica, so
 		// plan-cache and adaptation-window locality survives the fan-in,
 		// and any replica can rescue any database on failover because the
 		// mirrored attachment is total.
 		router := cluster.NewRouter(cluster.Config{
-			CallTimeout:    *callTimeout,
+			CallTimeout:    replicaCallTimeout,
 			HealthInterval: healthInterval,
 			Tracer:         tracer,
 			Events:         events,

@@ -33,8 +33,7 @@ func bootReplicas(t *testing.T, n int, o fleetOpts, tracer *obs.Tracer, events *
 	var bc *bundleControl
 	if o.bundles {
 		var err error
-		bf := bundleFlags{dir: t.TempDir(), poll: time.Hour}
-		if bc, err = bf.newControl(f.models, events); err != nil {
+		if bc, err = newBundleControl(t.TempDir(), f.models, events); err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(bc.close)
@@ -107,9 +106,9 @@ func serveHandler(t *testing.T, h http.Handler) string {
 // bootServe is `zsdb serve`: one session behind the HTTP shim.
 func bootServe(t *testing.T, o fleetOpts) string {
 	t.Helper()
-	tracer, events := (&obsFlags{}).build()
+	tracer, events := obs.NewTracer(obs.TraceConfig{}), obs.NewLog()
 	replicas, bc := bootReplicas(t, 1, o, tracer, events)
-	srv := newSessionServer(replicas[0].Session(), replicas[0].Loop())
+	srv := newSessionServer(replicas[0].Session, replicas[0].Loop())
 	srv.bundles, srv.tracer, srv.events = bc, tracer, events
 	return serveHandler(t, srv.mux())
 }
@@ -118,7 +117,7 @@ func bootServe(t *testing.T, o fleetOpts) string {
 // replicas behind the router, one HTTP front end.
 func bootCluster(t *testing.T, n int, o fleetOpts) string {
 	t.Helper()
-	tracer, events := (&obsFlags{}).build()
+	tracer, events := obs.NewTracer(obs.TraceConfig{}), obs.NewLog()
 	replicas, bc := bootReplicas(t, n, o, tracer, events)
 	srv := newRouterServer(routerOver(t, cluster.Config{Tracer: tracer, Events: events}, asBackends(replicas)...), replicas...)
 	srv.bundles, srv.tracer, srv.events = bc, tracer, events
@@ -137,7 +136,7 @@ func bootRoute(t *testing.T, o fleetOpts) string {
 		}
 		backends = append(backends, hb)
 	}
-	tracer, events := (&obsFlags{}).build()
+	tracer, events := obs.NewTracer(obs.TraceConfig{}), obs.NewLog()
 	srv := newRouterServer(routerOver(t, cluster.Config{CallTimeout: 5 * time.Second, Tracer: tracer, Events: events}, backends...))
 	srv.tracer, srv.events = tracer, events
 	return serveHandler(t, srv.mux())

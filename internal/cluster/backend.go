@@ -56,11 +56,12 @@ var ErrNoFeedback = errors.New("cluster: backend has no adaptation loop")
 // (and the sim harness's fault injectors) never know which kind they
 // are driving.
 //
-// Implementations must be safe for concurrent use. Methods return
-// errors wrapping ErrBackendDown for replica-level failures and keep
-// request-level failures (serving.ErrBadQuery, serving.ErrNotFound,
-// ErrNoFeedback) unwrapped by it, because the Router fails over on the
-// former and returns the latter to the caller.
+// Implementations must be safe for concurrent use. Replica-level
+// failures wrap ErrBackendDown or are serving.ErrClosed (a session
+// shutting down); request-level failures (serving.ErrBadQuery,
+// serving.ErrNotFound, adapt.ErrNoPlan, ErrNoFeedback) are neither,
+// because the Router fails over on the former and returns the latter
+// to the caller (after trying the other candidates on not-found).
 type Backend interface {
 	// Name identifies the replica; it is the ring member name, so it
 	// must be unique within a Router and stable across health flaps.

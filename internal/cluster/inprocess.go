@@ -2,24 +2,24 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"github.com/zeroshot-db/zeroshot/internal/adapt"
 	"github.com/zeroshot-db/zeroshot/internal/serving"
-	"github.com/zeroshot-db/zeroshot/internal/whatif"
 )
 
 // InProcess adapts one serving.Session (and optionally its adapt.Loop)
 // to the Backend interface with zero serialization — the replica kind
-// behind the single-binary `zsdb serve -replicas N` mode and the
-// building block of the deterministic simulation harness. A closed
-// session reports ErrBackendDown from every method, which is exactly
-// how a crashed remote replica looks to the Router: shutdown and crash
-// share one failover path.
+// behind `zsdb serve`, lone or with -replicas N, and the building block
+// of the deterministic simulation harness. Predict, PredictBatch and
+// WhatIf are the embedded session's own, and every error passes through
+// as the session or loop wrote it: the Router reads a closed session as
+// a down replica and a join miss as not-found itself (isDownClass,
+// isNotFoundClass), so a lone server answers with the same bytes a
+// replica would.
 type InProcess struct {
+	*serving.Session
 	name string
-	sess *serving.Session
 	loop *adapt.Loop // nil when adaptation is disabled
 }
 
@@ -29,92 +29,48 @@ func NewInProcess(name string, sess *serving.Session, loop *adapt.Loop) (*InProc
 	if name == "" || sess == nil {
 		return nil, fmt.Errorf("cluster: NewInProcess needs a name and a session")
 	}
-	return &InProcess{name: name, sess: sess, loop: loop}, nil
+	return &InProcess{Session: sess, name: name, loop: loop}, nil
 }
 
 // Name implements Backend.
 func (b *InProcess) Name() string { return b.name }
 
-// Session exposes the wrapped session — the sim harness and tests reach
-// through to attach databases and models.
-func (b *InProcess) Session() *serving.Session { return b.sess }
-
 // Loop exposes the wrapped adaptation loop (nil when disabled).
 func (b *InProcess) Loop() *adapt.Loop { return b.loop }
 
-// downgrade turns a session's shutdown error into the backend-failure
-// class the Router fails over on; every other error passes through
-// untouched (request-level errors must stay distinguishable).
-func downgrade(err error) error {
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, serving.ErrClosed) {
-		return fmt.Errorf("%w: %w", ErrBackendDown, err)
-	}
-	return err
-}
-
-// Predict implements Backend.
-func (b *InProcess) Predict(ctx context.Context, db, model, sql string) (serving.Prediction, error) {
-	p, err := b.sess.Predict(ctx, db, model, sql)
-	return p, downgrade(err)
-}
-
-// PredictBatch implements Backend. The session drains the batch
-// through Estimator.PredictBatch, so replicas serving a fusing
-// estimator price it as one fused forward pass.
-func (b *InProcess) PredictBatch(ctx context.Context, db, model string, sqls []string) (serving.BatchResult, error) {
-	r, err := b.sess.PredictBatch(ctx, db, model, sqls)
-	return r, downgrade(err)
-}
-
-// WhatIf implements Backend: the sweep runs on this replica's session,
-// warming (and reusing) its what-if catalog caches.
-func (b *InProcess) WhatIf(ctx context.Context, db, model string, req whatif.Request) (*whatif.Report, error) {
-	r, err := b.sess.WhatIf(ctx, db, model, req)
-	return r, downgrade(err)
-}
-
 // Feedback implements Backend: the observed runtime lands in this
 // replica's adaptation loop, joining against this replica's plan cache.
-// A join miss (adapt.ErrNoPlan) additionally wraps serving.ErrNotFound
-// so the router walks the ring instead of giving up: after an owner
-// outage the successor that served the database's predictions — and
-// retained their plans — is the replica that can still join this
-// sample. The HTTP backend reconstructs exactly this class from a
-// remote 404, so both backend kinds fail over identically.
+// A join miss comes back as adapt.ErrNoPlan, which the Router treats as
+// not-found and walks past: after an owner outage the successor that
+// served the database's predictions — and retained their plans — is
+// the replica that can still join this sample.
 func (b *InProcess) Feedback(ctx context.Context, db, fingerprint string, actualSec float64) error {
 	if b.loop == nil {
 		return fmt.Errorf("%w: replica %s", ErrNoFeedback, b.name)
 	}
-	err := b.loop.Feedback(ctx, db, fingerprint, actualSec)
-	if errors.Is(err, adapt.ErrNoPlan) {
-		return fmt.Errorf("%s: %w: %w", b.name, serving.ErrNotFound, err)
-	}
-	return downgrade(err)
+	return b.loop.Feedback(ctx, db, fingerprint, actualSec)
 }
 
 // Databases implements Backend.
 func (b *InProcess) Databases(ctx context.Context) ([]serving.DatabaseInfo, error) {
-	if b.sess.Closed() {
+	if b.Closed() {
 		return nil, fmt.Errorf("%w: replica %s closed", ErrBackendDown, b.name)
 	}
-	return b.sess.Databases(), nil
+	return b.Session.Databases(), nil
 }
 
 // Stats implements Backend.
 func (b *InProcess) Stats(ctx context.Context) (serving.Stats, error) {
-	if b.sess.Closed() {
+	if b.Closed() {
 		return serving.Stats{}, fmt.Errorf("%w: replica %s closed", ErrBackendDown, b.name)
 	}
-	return b.sess.Stats(), nil
+	return b.Session.Stats(), nil
 }
 
 // Health implements Backend: an in-process replica is healthy exactly
 // while its session accepts requests.
 func (b *InProcess) Health(ctx context.Context) error {
-	if b.sess.Closed() {
+	if b.Closed() {
 		return fmt.Errorf("%w: replica %s closed", ErrBackendDown, b.name)
 	}
 	return nil
@@ -126,5 +82,5 @@ func (b *InProcess) Close() error {
 	if b.loop != nil {
 		b.loop.Close()
 	}
-	return b.sess.Close()
+	return b.Session.Close()
 }

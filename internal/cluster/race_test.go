@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"github.com/zeroshot-db/zeroshot/internal/adapt"
-	"github.com/zeroshot-db/zeroshot/internal/serving"
 )
 
 // TestRouterFailoverUnderConcurrentTraffic is the cluster-layer
@@ -115,7 +114,7 @@ func TestRouterFailoverUnderConcurrentTraffic(t *testing.T) {
 	// Chaos: crash the replica (Close its session mid-traffic), yank it
 	// from the ring, rebuild, re-register, re-probe. 5 cycles.
 	for cycle := 0; cycle < 5; cycle++ {
-		chaos.Session().Close()
+		chaos.Session.Close()
 		router.CheckHealth(ctx)
 		if _, ok := router.Deregister("chaos"); !ok {
 			t.Error("chaos replica vanished from the router")
@@ -174,7 +173,7 @@ func TestFeedbackFailsOverOnPlanMiss(t *testing.T) {
 	if owner == "a" {
 		holder = b
 	}
-	pred, err := holder.Session().Predict(ctx, db, "fake", sql)
+	pred, err := holder.Session.Predict(ctx, db, "fake", sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,20 +193,47 @@ func TestFeedbackFailsOverOnPlanMiss(t *testing.T) {
 	}
 }
 
-// TestInProcessClosedSessionIsBackendDown pins the downgrade contract
-// the chaos cycle above relies on: a closed session's errors leave the
-// backend looking crashed, not the request looking bad.
-func TestInProcessClosedSessionIsBackendDown(t *testing.T) {
-	b := newReplica(t, "solo", false)
-	b.Session().Close()
-	_, err := b.Predict(context.Background(), "imdb", "fake", "SELECT COUNT(*) FROM title")
-	if !errors.Is(err, ErrBackendDown) {
-		t.Fatalf("predict on closed session = %v, want ErrBackendDown class", err)
+// TestRouterFailsOverPastClosedSession pins how the router reads an
+// in-process replica shutting down, which the chaos cycle above relies
+// on: the replica passes serving.ErrClosed through untouched, and the
+// router takes it for a crash, not for the request's fault. The request
+// fails over to the successor and the closed replica is marked
+// unhealthy; with every replica closed the request runs out of
+// candidates.
+func TestRouterFailsOverPastClosedSession(t *testing.T) {
+	f := fixtures(t)
+	router := NewRouter(Config{})
+	defer router.Close()
+	reps := map[string]*InProcess{}
+	for _, name := range []string{"a", "b"} {
+		reps[name] = newReplica(t, name, false)
+		if err := router.Register(reps[name]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !errors.Is(err, serving.ErrClosed) {
-		t.Fatalf("downgrade lost the underlying cause: %v", err)
+	ctx := context.Background()
+	const db = "imdb"
+	sql := f.sqls[db][0]
+	route := router.Route(db)
+	owner, successor := route[0], route[1]
+	reps[owner].Session.Close()
+	if _, err := router.Predict(ctx, db, "fake", sql); err != nil {
+		t.Fatalf("predict with the owner's session closed: %v", err)
 	}
-	if b.Health(context.Background()) == nil {
-		t.Fatal("closed session passes health probe")
+	if router.Healthy()[owner] {
+		t.Fatalf("closed owner %s still marked healthy", owner)
+	}
+	st, err := router.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rs := range st.Replicas {
+		if rs.Name == successor && (rs.Served != 1 || rs.Rescued != 1) {
+			t.Fatalf("successor %s served %d, rescued %d; want 1 and 1", successor, rs.Served, rs.Rescued)
+		}
+	}
+	reps[successor].Session.Close()
+	if _, err := router.Predict(ctx, db, "fake", sql); !errors.Is(err, ErrNoReplica) {
+		t.Fatalf("predict with every session closed = %v, want ErrNoReplica", err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/zeroshot-db/zeroshot/internal/adapt"
 	"github.com/zeroshot-db/zeroshot/internal/metrics"
 	"github.com/zeroshot-db/zeroshot/internal/obs"
 	"github.com/zeroshot-db/zeroshot/internal/serving"
@@ -31,8 +32,6 @@ type Config struct {
 	// prober (callers drive CheckHealth themselves — the deterministic
 	// simulation harness does).
 	HealthInterval time.Duration
-	// HealthTimeout bounds one health probe (default 2s).
-	HealthTimeout time.Duration
 	// Tracer, when non-nil, records sampled routed requests with one
 	// span per failover attempt (see internal/obs). Nil disables.
 	Tracer *obs.Tracer
@@ -46,17 +45,16 @@ type Config struct {
 // (Databases, Stats, Models, CheckHealth) queries concurrently.
 const fanoutLimit = 4
 
-func (c Config) withDefaults() Config {
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = 2 * time.Second
-	}
-	return c
-}
+// healthTimeout bounds one health probe.
+const healthTimeout = 2 * time.Second
 
-// replica is one registered backend plus the router's view of it.
+// replica is one registered backend plus the router's view of it: its
+// health mark and the counters ReplicaStats reports.
 type replica struct {
 	b       Backend
 	healthy atomic.Bool
+
+	served, failed, rescued atomic.Int64
 }
 
 // Router partitions databases across replica backends on a consistent
@@ -83,13 +81,6 @@ type Router struct {
 
 	requests  metrics.Counter
 	failovers metrics.Counter
-	// Per-replica counters, labelled by replica name: served counts
-	// requests answered, failed counts calls that hit the backend-down
-	// class, rescued counts requests this replica answered after
-	// another replica's failure.
-	served  metrics.LabelledCounter
-	failed  metrics.LabelledCounter
-	rescued metrics.LabelledCounter
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -100,7 +91,6 @@ type Router struct {
 // before routing. The background health prober starts only when
 // cfg.HealthInterval > 0.
 func NewRouter(cfg Config) *Router {
-	cfg = cfg.withDefaults()
 	r := &Router{
 		cfg:      cfg,
 		ring:     NewRing(DefaultVirtualNodes),
@@ -153,9 +143,19 @@ func (r *Router) Owner(db string) string { return r.ring.Owner(db) }
 func (r *Router) Route(db string) []string { return r.ring.Successors(db, 0) }
 
 // isDownClass reports whether err means "the replica, not the request,
-// failed" — the class that triggers failover.
+// failed" — the class that triggers failover. A closed session is an
+// in-process replica shutting down, which looks like a crash.
 func isDownClass(err error) bool {
-	return errors.Is(err, ErrBackendDown)
+	return errors.Is(err, ErrBackendDown) || errors.Is(err, serving.ErrClosed)
+}
+
+// isNotFoundClass reports whether err means "not on this replica": the
+// database or model is not attached, or a feedback's fingerprint has
+// no retained plan to join. The router walks on past it, because a
+// sharded peer, or the successor that served during an outage, may
+// hold what this replica lacks; StatusFor answers it with 404.
+func isNotFoundClass(err error) bool {
+	return errors.Is(err, serving.ErrNotFound) || errors.Is(err, adapt.ErrNoPlan)
 }
 
 // markHealth updates a replica's health mark and, on an actual
@@ -177,9 +177,9 @@ func (r *Router) markHealth(rep *replica, up bool) {
 // failed — the unhealthy ones as a last resort, because a stale
 // unhealthy mark must never turn a servable request into an error.
 // call's error classes steer the walk: backend-down marks the replica
-// unhealthy and moves on; serving.ErrNotFound moves on (a sharded peer
-// may hold the database) but is remembered; anything else is the
-// request's own failure and returns immediately.
+// unhealthy and moves on; not-found moves on (a sharded peer may hold
+// the database) but is remembered; anything else is the request's own
+// failure and returns immediately.
 func (r *Router) attempt(ctx context.Context, db string, call func(ctx context.Context, b Backend) error) error {
 	tr, begin := r.tracer.Begin()
 	err := r.attemptTraced(ctx, db, call, tr)
@@ -222,35 +222,35 @@ func (r *Router) attemptTraced(ctx context.Context, db string, call func(ctx con
 		err := r.callOne(ctx, rep.b, call)
 		switch {
 		case err == nil:
-			tr.Span("attempt:"+rep.b.Name(), hopStart)
+			attemptSpan(tr, rep, "", hopStart)
 			r.markHealth(rep, true)
-			r.served.Inc(rep.b.Name())
+			rep.served.Add(1)
 			// A failover is any request its ring owner did not serve —
 			// whether an attempt failed in-request or the health marks
 			// steered around the owner proactively.
 			if failed > 0 || rep.b.Name() != owner {
 				r.failovers.Inc()
-				r.rescued.Inc(rep.b.Name())
+				rep.rescued.Add(1)
 				r.events.Record(obs.EventFailoverRescue, "router", map[string]string{
 					"replica": rep.b.Name(), "owner": owner, "db": db,
 				})
 			}
 			return nil
 		case isDownClass(err):
-			tr.Span("attempt:"+rep.b.Name()+":down", hopStart)
+			attemptSpan(tr, rep, ":down", hopStart)
 			r.markHealth(rep, false)
-			r.failed.Inc(rep.b.Name())
+			rep.failed.Add(1)
 			lastDown = err
 			failed++
-		case errors.Is(err, serving.ErrNotFound):
-			tr.Span("attempt:"+rep.b.Name()+":notfound", hopStart)
+		case isNotFoundClass(err):
+			attemptSpan(tr, rep, ":notfound", hopStart)
 			notFound = err
 			if rep.b.Name() == owner {
 				ownerNotFound = true
 			}
 			failed++
 		default:
-			tr.Span("attempt:"+rep.b.Name()+":error", hopStart)
+			attemptSpan(tr, rep, ":error", hopStart)
 			return err
 		}
 	}
@@ -267,6 +267,15 @@ func (r *Router) attemptTraced(ctx context.Context, db string, call func(ctx con
 		return fmt.Errorf("%w: %d candidate(s) for %q exhausted, last: %v", ErrNoReplica, len(candidates), db, lastDown)
 	}
 	return fmt.Errorf("%w: %d candidate(s) for %q exhausted", ErrNoReplica, len(candidates), db)
+}
+
+// attemptSpan records one failover hop as the span
+// "attempt:<replica><outcome>". The name is built only for a sampled
+// request: an unsampled one must allocate nothing for its trace.
+func attemptSpan(tr *obs.Trace, rep *replica, outcome string, begin time.Time) {
+	if tr != nil {
+		tr.Span("attempt:"+rep.b.Name()+outcome, begin)
+	}
 }
 
 // callOne runs call against one backend under the per-attempt
@@ -344,25 +353,25 @@ func (r *Router) Feedback(ctx context.Context, db, fingerprint string, actualSec
 
 // fanout runs fn against every registered replica with at most
 // fanoutLimit concurrent calls (each under callOne's timeout rule), in
-// sorted-name order per slot, and returns per-replica errors (nil
-// entries for successes) aligned with the returned names.
-func (r *Router) fanout(ctx context.Context, fn func(ctx context.Context, b Backend) error) (names []string, errs []error, err error) {
+// sorted-name order per slot, and returns the replicas it called with
+// their errors (nil entries for successes) aligned. The caller reads
+// the returned replicas, never the registry again: a replica removed
+// meanwhile is still the one that answered.
+func (r *Router) fanout(ctx context.Context, fn func(ctx context.Context, b Backend) error) (reps []*replica, errs []error, err error) {
 	r.mu.RLock()
 	if r.closed {
 		r.mu.RUnlock()
 		return nil, nil, serving.ErrClosed
 	}
-	reps := make([]*replica, 0, len(r.replicas))
+	reps = make([]*replica, 0, len(r.replicas))
 	for _, name := range r.ring.Members() {
 		reps = append(reps, r.replicas[name])
 	}
 	r.mu.RUnlock()
-	names = make([]string, len(reps))
 	errs = make([]error, len(reps))
 	sem := make(chan struct{}, fanoutLimit)
 	var wg sync.WaitGroup
 	for i, rep := range reps {
-		names[i] = rep.b.Name()
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(i int, rep *replica) {
@@ -371,7 +380,7 @@ func (r *Router) fanout(ctx context.Context, fn func(ctx context.Context, b Back
 			e := r.callOne(ctx, rep.b, fn)
 			if isDownClass(e) {
 				r.markHealth(rep, false)
-				r.failed.Inc(rep.b.Name())
+				rep.failed.Add(1)
 			} else if e == nil {
 				r.markHealth(rep, true)
 			}
@@ -379,7 +388,7 @@ func (r *Router) fanout(ctx context.Context, fn func(ctx context.Context, b Back
 		}(i, rep)
 	}
 	wg.Wait()
-	return names, errs, nil
+	return reps, errs, nil
 }
 
 // DatabaseView is one database as the cluster sees it: the owning
@@ -470,7 +479,7 @@ type ClusterStats struct {
 func (r *Router) Stats(ctx context.Context) (ClusterStats, error) {
 	per := make(map[string]*serving.Stats)
 	var mu sync.Mutex
-	names, errs, err := r.fanout(ctx, func(ctx context.Context, b Backend) error {
+	reps, errs, err := r.fanout(ctx, func(ctx context.Context, b Backend) error {
 		st, err := b.Stats(ctx)
 		if err != nil {
 			return err
@@ -488,24 +497,18 @@ func (r *Router) Stats(ctx context.Context) (ClusterStats, error) {
 		Requests:    r.requests.Value(),
 		Failovers:   r.failovers.Value(),
 	}
-	r.mu.RLock()
-	healthy := map[string]bool{}
-	for name, rep := range r.replicas {
-		healthy[name] = rep.healthy.Load()
-	}
-	r.mu.RUnlock()
-	for i, name := range names {
+	for i, rep := range reps {
 		rs := ReplicaStats{
-			Name:    name,
-			Healthy: healthy[name],
-			Served:  r.served.Value(name),
-			Failed:  r.failed.Value(name),
-			Rescued: r.rescued.Value(name),
+			Name:    rep.b.Name(),
+			Healthy: rep.healthy.Load(),
+			Served:  rep.served.Load(),
+			Failed:  rep.failed.Load(),
+			Rescued: rep.rescued.Load(),
 		}
 		if errs[i] != nil {
 			rs.Error = errs[i].Error()
 		} else {
-			rs.Serving = per[name]
+			rs.Serving = per[rs.Name]
 		}
 		out.Replicas = append(out.Replicas, rs)
 	}
@@ -518,16 +521,16 @@ func (r *Router) Stats(ctx context.Context) (ClusterStats, error) {
 // callers (the sim harness, tests) call it directly.
 func (r *Router) CheckHealth(ctx context.Context) map[string]error {
 	out := map[string]error{}
-	names, errs, err := r.fanout(ctx, func(ctx context.Context, b Backend) error {
-		hctx, cancel := context.WithTimeout(ctx, r.cfg.HealthTimeout)
+	reps, errs, err := r.fanout(ctx, func(ctx context.Context, b Backend) error {
+		hctx, cancel := context.WithTimeout(ctx, healthTimeout)
 		defer cancel()
 		return b.Health(hctx)
 	})
 	if err != nil {
 		return out
 	}
-	for i, name := range names {
-		out[name] = errs[i]
+	for i, rep := range reps {
+		out[rep.b.Name()] = errs[i]
 	}
 	return out
 }

@@ -221,11 +221,8 @@ type Sim struct {
 func New(cfg Config) (*Sim, error) {
 	cfg = cfg.withDefaults()
 	s := &Sim{
-		cfg: cfg,
-		router: cluster.NewRouter(cluster.Config{
-			CallTimeout:   cfg.CallTimeout,
-			HealthTimeout: cfg.CallTimeout,
-		}),
+		cfg:             cfg,
+		router:          cluster.NewRouter(cluster.Config{CallTimeout: cfg.CallTimeout}),
 		replicas:        map[string]*Faulty{},
 		rng:             rand.New(rand.NewSource(cfg.Seed)),
 		expectedRuntime: map[string]float64{},

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"github.com/zeroshot-db/zeroshot/internal/adapt"
 	"github.com/zeroshot-db/zeroshot/internal/serving"
 )
 
@@ -146,7 +145,7 @@ func StatusFor(err error) (status int, code string) {
 		// Carry the code so a router stacked on this node classifies the
 		// condition the same way.
 		return http.StatusNotFound, CodeAdaptDisabled
-	case errors.Is(err, serving.ErrNotFound), errors.Is(err, adapt.ErrNoPlan):
+	case isNotFoundClass(err):
 		return http.StatusNotFound, ""
 	case errors.Is(err, serving.ErrBadQuery):
 		return http.StatusBadRequest, ""

@@ -14,8 +14,8 @@ import (
 // TestStatusTableRoundTrip pins the status table in both directions at
 // once: every error kind a node can answer with, flattened by StatusFor
 // and rebuilt by errorFor on the far side of the hop, must land in the
-// class the router steers by — and make the fail-over decision the same
-// error from an in-process replica makes.
+// class the router steers by — and make the fail-over and not-found
+// decisions the same error from an in-process replica makes.
 func TestStatusTableRoundTrip(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -37,8 +37,6 @@ func TestStatusTableRoundTrip(t *testing.T) {
 			status: http.StatusBadRequest, class: serving.ErrBadQuery},
 		{name: "feedback join miss", err: fmt.Errorf("%w: fingerprint", adapt.ErrNoPlan),
 			status: http.StatusNotFound, class: serving.ErrNotFound},
-		{name: "join miss as an in-process replica words it", err: fmt.Errorf("r0: %w: %w", serving.ErrNotFound, adapt.ErrNoPlan),
-			status: http.StatusNotFound, class: serving.ErrNotFound},
 		{name: "adaptation off", err: fmt.Errorf("%w: replica r0", ErrNoFeedback),
 			status: http.StatusNotFound, code: CodeAdaptDisabled, class: ErrNoFeedback},
 		{name: "oversized body", err: fmt.Errorf("bad request body: %w", &http.MaxBytesError{Limit: 16 << 20}),
@@ -47,10 +45,8 @@ func TestStatusTableRoundTrip(t *testing.T) {
 			status: http.StatusRequestTimeout, class: context.DeadlineExceeded},
 		{name: "caller deadline", err: fmt.Errorf("predict: %w", context.DeadlineExceeded),
 			status: http.StatusRequestTimeout, class: context.DeadlineExceeded},
-		{name: "closed session behind an in-process replica", err: downgrade(serving.ErrClosed),
-			status: http.StatusServiceUnavailable, class: ErrBackendDown, down: true},
 		{name: "session closed", err: serving.ErrClosed,
-			status: http.StatusServiceUnavailable, class: ErrBackendDown, down: true, remoteOnly: true},
+			status: http.StatusServiceUnavailable, class: ErrBackendDown, down: true},
 		{name: "no replica left", err: fmt.Errorf("%w: 2 candidate(s) exhausted", ErrNoReplica),
 			status: http.StatusServiceUnavailable, class: ErrBackendDown, down: true, remoteOnly: true},
 		{name: "anything else", err: errors.New("disk on fire"),
@@ -71,6 +67,9 @@ func TestStatusTableRoundTrip(t *testing.T) {
 			}
 			if local := isDownClass(tc.err); !tc.remoteOnly && local != tc.down {
 				t.Fatalf("in process the router decides fail-over=%v on %q, over HTTP %v", local, tc.err, tc.down)
+			}
+			if local, remote := isNotFoundClass(tc.err), isNotFoundClass(rebuilt); local != remote {
+				t.Fatalf("in process the router decides not-found=%v on %q, over HTTP %v", local, tc.err, remote)
 			}
 		})
 	}
