@@ -17,6 +17,22 @@ import (
 // class the router steers by — and make the fail-over and not-found
 // decisions the same error from an in-process replica makes.
 func TestStatusTableRoundTrip(t *testing.T) {
+	// Two rows take their error from a real in-process replica, so the
+	// table pins what InProcess passes through, not a hand-written copy:
+	// a feedback join miss, and a predict against a closed session.
+	ctx := context.Background()
+	rep := newReplica(t, "r0", true)
+	joinMiss := rep.Feedback(ctx, "imdb", "no-such-fingerprint", 1)
+	if joinMiss == nil {
+		t.Fatal("feedback on an unknown fingerprint succeeded")
+	}
+	if err := rep.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, closedErr := rep.Predict(ctx, "imdb", "fake", "SELECT COUNT(*) FROM title")
+	if closedErr == nil {
+		t.Fatal("predict on a closed replica succeeded")
+	}
 	cases := []struct {
 		name   string
 		err    error
@@ -37,6 +53,8 @@ func TestStatusTableRoundTrip(t *testing.T) {
 			status: http.StatusBadRequest, class: serving.ErrBadQuery},
 		{name: "feedback join miss", err: fmt.Errorf("%w: fingerprint", adapt.ErrNoPlan),
 			status: http.StatusNotFound, class: serving.ErrNotFound},
+		{name: "join miss as an in-process replica words it", err: joinMiss,
+			status: http.StatusNotFound, class: serving.ErrNotFound},
 		{name: "adaptation off", err: fmt.Errorf("%w: replica r0", ErrNoFeedback),
 			status: http.StatusNotFound, code: CodeAdaptDisabled, class: ErrNoFeedback},
 		{name: "oversized body", err: fmt.Errorf("bad request body: %w", &http.MaxBytesError{Limit: 16 << 20}),
@@ -45,6 +63,8 @@ func TestStatusTableRoundTrip(t *testing.T) {
 			status: http.StatusRequestTimeout, class: context.DeadlineExceeded},
 		{name: "caller deadline", err: fmt.Errorf("predict: %w", context.DeadlineExceeded),
 			status: http.StatusRequestTimeout, class: context.DeadlineExceeded},
+		{name: "closed session behind an in-process replica", err: closedErr,
+			status: http.StatusServiceUnavailable, class: ErrBackendDown, down: true},
 		{name: "session closed", err: serving.ErrClosed,
 			status: http.StatusServiceUnavailable, class: ErrBackendDown, down: true},
 		{name: "no replica left", err: fmt.Errorf("%w: 2 candidate(s) exhausted", ErrNoReplica),
