@@ -217,8 +217,8 @@ func BenchmarkOnlineAdaptation(b *testing.B) {
 // BenchmarkWhatIfAdvisor runs E10: a full what-if sweep on the unseen
 // database — enumerated candidates, the whole (variant × statement)
 // cross product priced through one fused batch — verified against the
-// executed ground truth of the same variants. sweep-ns/item is directly
-// comparable to E9's fused per-item rate.
+// executed ground truth of the same variants. sweep-ns/item is the cold
+// per-item cost: every sweep plans, encodes and prices.
 func BenchmarkWhatIfAdvisor(b *testing.B) {
 	env := sharedBenchEnv(b)
 	for i := 0; i < b.N; i++ {

@@ -251,8 +251,10 @@ func TestDoctorIsNotBlind(t *testing.T) {
 			if _, n := details("cache-hit-rate", `^imdb/plan cache.* (\d+) lookups`); n == 0 {
 				t.Errorf("cache-hit-rate saw no imdb plan-cache lookups\n%s", table)
 			}
-			if hit, _ := details("cache-hit-rate", `^imdb/what-if cache.* (\d+) lookups`); hit == 0 {
-				t.Errorf("cache-hit-rate saw no imdb what-if cache\n%s", table)
+			// A sweep keeps no plans, so the servers report no what-if
+			// cache; the doctor judges one only in older bundles.
+			if hit, _ := details("cache-hit-rate", `^imdb/what-if cache.* (\d+) lookups`); hit != 0 {
+				t.Errorf("cache-hit-rate judged a what-if cache no server reports\n%s", table)
 			}
 			if _, n := details("batch-sizes", `over (\d+) batches`); n == 0 {
 				t.Errorf("batch-sizes saw no batched traffic\n%s", table)

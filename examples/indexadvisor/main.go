@@ -61,7 +61,7 @@ func main() {
 		log.Fatal(err)
 	}
 	st := stats.Collect(db, stats.DefaultBuckets, stats.DefaultMCVs)
-	cat := whatif.NewCatalog(db, st, 0)
+	cat := whatif.NewCatalog(db, st)
 	rep, err := cat.Sweep(context.Background(), model, whatif.Statements(workload), whatif.Variants(cands))
 	if err != nil {
 		log.Fatal(err)

@@ -8,11 +8,11 @@ import (
 )
 
 // TestRouterPredictAllocCeiling pins what one routed Predict allocates
-// with no tracer: the router's share plus the fake backend's answer. An
-// unsampled request must allocate nothing for its trace, so an attempt
-// span's name is built only when the request is traced. The race
-// detector adds allocations of its own, so this runs only in a plain
-// build.
+// with no tracer. The five are the fake backend's answer: the router's
+// failover walk fills stack arrays, and an unsampled request allocates
+// nothing for its trace, so an attempt span's name is built only when
+// the request is traced. The race detector adds allocations of its
+// own, so this runs only in a plain build.
 func TestRouterPredictAllocCeiling(t *testing.T) {
 	r, _ := newFakeCluster(t, Config{}, 2)
 	ctx := context.Background()
@@ -22,7 +22,7 @@ func TestRouterPredictAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 8 {
-		t.Fatalf("routed Predict allocates %.1f times per request, ceiling 8", allocs)
+	if allocs > 5 {
+		t.Fatalf("routed Predict allocates %.1f times per request, ceiling 5", allocs)
 	}
 }

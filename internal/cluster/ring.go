@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -120,10 +121,18 @@ func (r *Ring) Owner(key string) string {
 // larger than the membership) returns every member, still in ring
 // order.
 func (r *Ring) Successors(key string, n int) []string {
+	return r.appendSuccessors(nil, key, n)
+}
+
+// appendSuccessors appends Successors(key, n) to dst and returns the
+// extended slice. Backed by a caller's array that holds the membership,
+// the walk allocates nothing: a member already met is found by a scan of
+// the few names appended so far.
+func (r *Ring) appendSuccessors(dst []string, key string, n int) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if len(r.points) == 0 {
-		return nil
+		return dst
 	}
 	if n <= 0 || n > len(r.members) {
 		n = len(r.members)
@@ -131,14 +140,12 @@ func (r *Ring) Successors(key string, n int) []string {
 	kh := hash64(key)
 	// First point clockwise from the key (wrapping past the top).
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= kh })
-	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
-	for i := 0; i < len(r.points) && len(out) < n; i++ {
+	from := len(dst)
+	for i := 0; i < len(r.points) && len(dst)-from < n; i++ {
 		m := r.points[(start+i)%len(r.points)].member
-		if !seen[m] {
-			seen[m] = true
-			out = append(out, m)
+		if !slices.Contains(dst[from:], m) {
+			dst = append(dst, m)
 		}
 	}
-	return out
+	return dst
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -193,19 +194,24 @@ func (r *Router) attemptTraced(ctx context.Context, db string, call func(ctx con
 		r.mu.RUnlock()
 		return serving.ErrClosed
 	}
-	names := r.ring.Successors(db, 0)
-	var healthy, unhealthy []*replica
+	// The failover order, built in stack arrays that hold eight
+	// replicas: healthy candidates in ring order, then the unhealthy
+	// ones. Health is read once, so a candidate is tried at most once.
+	var nameBuf [8]string
+	var candBuf [8]*replica
+	names := r.ring.appendSuccessors(nameBuf[:0], db, 0)
+	candidates, healthy := candBuf[:0], 0
 	for _, n := range names {
 		if rep, ok := r.replicas[n]; ok {
 			if rep.healthy.Load() {
-				healthy = append(healthy, rep)
+				candidates = slices.Insert(candidates, healthy, rep)
+				healthy++
 			} else {
-				unhealthy = append(unhealthy, rep)
+				candidates = append(candidates, rep)
 			}
 		}
 	}
 	r.mu.RUnlock()
-	candidates := append(healthy, unhealthy...)
 	if len(candidates) == 0 {
 		return fmt.Errorf("%w: no replicas registered", ErrNoReplica)
 	}
@@ -325,9 +331,9 @@ func (r *Router) PredictBatch(ctx context.Context, db, model string, sqls []stri
 }
 
 // WhatIf routes one what-if sweep to the replica owning db, exactly
-// like Predict: the owner's prepared-plan and encoded-graph caches are
-// warm with the database's workload, so repeated sweeps (an advisor
-// iterating on candidates) skip planning and encoding entirely.
+// like Predict: the owner's plan cache then holds the workload's
+// baseline plans, as it does for the database's predictions. The
+// sweep's hypothetical plans are not kept on any replica.
 func (r *Router) WhatIf(ctx context.Context, db, model string, req whatif.Request) (*whatif.Report, error) {
 	var out *whatif.Report
 	err := r.attempt(ctx, db, func(ctx context.Context, b Backend) error {

@@ -61,8 +61,8 @@ type PlanInput struct {
 	// ScaledCost).
 	OptimizerCost float64
 	// Enc optionally memoizes this plan's graph encodings per encoder.
-	// Callers that retain inputs (plan caches, what-if sweeps) attach one
-	// so repeated predictions of the same shape skip re-encoding; nil
+	// Callers that retain inputs (the serving plan cache) attach one so
+	// repeated predictions of the same shape skip re-encoding; nil
 	// disables memoization. The pointer is shared by every value copy of
 	// the PlanInput, so a hit anywhere warms all holders.
 	Enc *EncodedPlan

@@ -66,7 +66,7 @@ func reformat(sql string, rng *rand.Rand) string {
 }
 
 // TestEqualFingerprintPlansEqually is the soundness property the plan
-// cache and the what-if catalog's keys rest on: two statements with one
+// cache's key rests on: two statements with one
 // fingerprint plan identically. On generated imdb, ssb and tpch
 // workloads, every reformatting of a statement (whitespace runs, keyword
 // case) keeps its fingerprint and parses and plans to the same plan —

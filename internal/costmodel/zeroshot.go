@@ -81,9 +81,8 @@ func (z *ZeroShot) WarmEncode(in PlanInput) error {
 }
 
 // coldKey identifies a distinct shape within one batch: items sharing
-// the encoder key and the plan (plan caches and what-if sweeps hand the
-// same *plan.Node — and usually the same memo — to every duplicate)
-// encode exactly once.
+// the encoder key and the plan (the serving plan cache hands the same
+// *plan.Node and memo to every duplicate) encode exactly once.
 type coldKey struct {
 	enc  encoding.Key
 	plan *plan.Node

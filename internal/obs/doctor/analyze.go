@@ -405,7 +405,7 @@ func judgeCacheHitRates(st *serving.Stats) []Finding {
 	}
 	for _, db := range st.Databases {
 		judge(db.Database, "plan cache", db.PlanCache.Hits, db.PlanCache.Misses)
-		if db.WhatIfCache != nil {
+		if db.WhatIfCache != nil { // only in bundles from older servers
 			judge(db.Database, "what-if cache", db.WhatIfCache.Hits, db.WhatIfCache.Misses)
 		}
 	}

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/zeroshot-db/zeroshot/internal/costmodel"
@@ -15,7 +13,6 @@ import (
 	"github.com/zeroshot-db/zeroshot/internal/sqlparse"
 	"github.com/zeroshot-db/zeroshot/internal/stats"
 	"github.com/zeroshot-db/zeroshot/internal/storage"
-	"github.com/zeroshot-db/zeroshot/internal/whatif"
 )
 
 // Pipeline-stage names, in execution order. They key the per-stage
@@ -41,14 +38,6 @@ type dbSession struct {
 	opt   *optimizer.Optimizer
 	cache *costmodel.PlanCache
 	lat   map[string]*metrics.LatencyRecorder
-
-	// hypo is the what-if layer: a copy-on-write hypothetical catalog
-	// sharing this database's statistics, built lazily on the first
-	// sweep so databases that never see an advise request pay nothing.
-	// (Atomic rather than once-guarded field access so Stats can peek
-	// without synchronizing with a concurrent first sweep.)
-	hypoOnce sync.Once
-	hypo     atomic.Pointer[whatif.Catalog]
 }
 
 func newDBSession(name string, db *storage.Database, cacheSize int) *dbSession {
@@ -145,30 +134,15 @@ func (d *dbSession) observe(stage string, start time.Time, tr *obs.Trace) {
 	tr.Span(stage, start)
 }
 
-// catalog returns the database's what-if layer, building it on first
-// use. The catalog shares the session's collected statistics; its
-// prepared-plan cache is sized like the main plan cache.
-func (d *dbSession) catalog(cacheSize int) *whatif.Catalog {
-	d.hypoOnce.Do(func() {
-		d.hypo.Store(whatif.NewCatalog(d.db, d.st, cacheSize))
-	})
-	return d.hypo.Load()
-}
-
 // stats snapshots the database's stage latencies and plan caches.
 func (d *dbSession) stats() DatabaseStats {
 	stages := make(map[string]metrics.LatencySummary, len(d.lat))
 	for name, l := range d.lat {
 		stages[name] = l.Snapshot()
 	}
-	ds := DatabaseStats{
+	return DatabaseStats{
 		Database:  d.name,
 		PlanCache: d.cache.Stats(),
 		Stages:    stages,
 	}
-	if c := d.hypo.Load(); c != nil {
-		cs := c.CacheStats()
-		ds.WhatIfCache = &cs
-	}
-	return ds
 }

@@ -564,8 +564,9 @@ type DatabaseStats struct {
 	Database  string                            `json:"db"`
 	PlanCache costmodel.PlanCacheStats          `json:"plan_cache"`
 	Stages    map[string]metrics.LatencySummary `json:"stages"`
-	// WhatIfCache snapshots the what-if layer's prepared-plan cache;
-	// absent until the database's first sweep builds the catalog.
+	// WhatIfCache is never set: the what-if catalog keeps no plans. It
+	// stays until bench/layers.go stops reading it; the doctor still
+	// judges older support bundles that carry it.
 	WhatIfCache *costmodel.PlanCacheStats `json:"whatif_cache,omitempty"`
 }
 

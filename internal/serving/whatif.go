@@ -27,8 +27,8 @@ import (
 // report and do not fail the request.
 //
 // Workload statements run through the database's regular prepare
-// pipeline first, so the sweep warms the same plan cache predictions
-// use and reuses it on repeats.
+// pipeline first, which warms the plan cache predictions use. The sweep
+// runs on a catalog built per request, which keeps none of its plans.
 func (s *Session) WhatIf(ctx context.Context, dbName, model string, req whatif.Request) (*whatif.Report, error) {
 	d, est, err := s.begin(dbName, model)
 	if err != nil {
@@ -44,14 +44,14 @@ func (s *Session) WhatIf(ctx context.Context, dbName, model string, req whatif.R
 	stmts := make([]whatif.Statement, len(req.SQL))
 	queries := make([]*query.Query, len(req.SQL))
 	for i, sql := range req.SQL {
-		in, _, fp, err := d.prepare(ctx, sql, false, nil)
+		in, _, _, err := d.prepare(ctx, sql, false, nil)
 		if err != nil {
 			if s.countErr(err) {
 				err = fmt.Errorf("statement %d: %w", i, err)
 			}
 			return nil, err
 		}
-		stmts[i] = whatif.Statement{SQL: sql, Fingerprint: fp, Query: in.Query}
+		stmts[i] = whatif.Statement{SQL: sql, Query: in.Query}
 		queries[i] = in.Query
 	}
 
@@ -70,7 +70,7 @@ func (s *Session) WhatIf(ctx context.Context, dbName, model string, req whatif.R
 	}
 
 	start := time.Now()
-	rep, err := d.catalog(s.cfg.PlanCacheSize).Sweep(ctx, est, stmts, variants)
+	rep, err := whatif.NewCatalog(d.db, d.st).Sweep(ctx, est, stmts, variants)
 	s.sweepLat.Observe(time.Since(start))
 	if err != nil {
 		s.countErr(err)

@@ -84,8 +84,8 @@ func TestSessionWhatIf(t *testing.T) {
 	if st.Errors != 0 {
 		t.Fatalf("errors = %d after healthy sweeps", st.Errors)
 	}
-	if len(st.Databases) != 1 || st.Databases[0].WhatIfCache == nil {
-		t.Fatalf("database stats missing what-if cache: %+v", st.Databases)
+	if len(st.Databases) != 1 || st.Databases[0].WhatIfCache != nil {
+		t.Fatalf("database stats carry a what-if cache: %+v", st.Databases)
 	}
 }
 

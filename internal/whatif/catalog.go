@@ -32,9 +32,9 @@ func (v Variant) displayName() string {
 	return strings.Join(v.Indexes, "+")
 }
 
-// signature canonicalizes the variant for plan-cache keys: its sorted
-// deduplicated indexes. Two variants with the same signature plan
-// identically regardless of their names.
+// signature canonicalizes the variant for a sweep's plan keys: its
+// sorted deduplicated indexes. Two variants with the same signature
+// plan identically regardless of their names.
 func (v Variant) signature() string {
 	idx := append([]string(nil), v.Indexes...)
 	sort.Strings(idx)
@@ -89,57 +89,35 @@ func (v Variant) indexSet() optimizer.IndexSet {
 // structures (only execution materializes indexes, and sweeps never
 // execute).
 //
-// The catalog memoizes prepared plan inputs keyed by (variant signature
-// — as restricted by Sweep to the statement's relevant indexes — and
-// statement fingerprint) in a bounded LRU — a repeated sweep over a warm
-// workload skips parse, optimize AND graph encoding (the cached
-// PlanInput carries an EncodedPlan memo).
-//
-// All methods are safe for concurrent use: the plan cache carries the
-// only lock.
+// A catalog keeps nothing between sweeps: each sweep plans its distinct
+// plans, prices them and drops them once its report is built. It is two
+// immutable pointers, so all methods are safe for concurrent use without
+// a lock.
 type Catalog struct {
-	db    *storage.Database
-	st    *stats.DBStats
-	cache *costmodel.PlanCache
+	db *storage.Database
+	st *stats.DBStats
 }
 
 // NewCatalog builds a hypothetical catalog over the database and its
 // collected statistics, which the catalog shares rather than recollects.
-// cacheSize bounds the prepared-plan cache (<=0 selects the costmodel
-// default).
-func NewCatalog(db *storage.Database, st *stats.DBStats, cacheSize int) *Catalog {
-	return &Catalog{
-		db:    db,
-		st:    st,
-		cache: costmodel.NewPlanCache(cacheSize),
-	}
+func NewCatalog(db *storage.Database, st *stats.DBStats) *Catalog {
+	return &Catalog{db: db, st: st}
 }
 
-// CacheStats snapshots the prepared-plan cache.
-func (c *Catalog) CacheStats() costmodel.PlanCacheStats { return c.cache.Stats() }
-
-// prepare plans one statement under one variant, consulting the
-// prepared-plan cache first. The cached PlanInput carries an EncodedPlan
-// memo, so on a warm sweep the estimator also skips graph encoding.
-func (c *Catalog) prepare(v Variant, sig string, stmt Statement) (costmodel.PlanInput, error) {
-	key := sig + "\x00" + stmt.Fingerprint
-	if in, ok := c.cache.Get(key); ok {
-		return in, nil
-	}
+// prepare plans one statement under one variant. The input carries no
+// EncodedPlan memo: the sweep prices it once and drops it.
+func (c *Catalog) prepare(v Variant, stmt Statement) (costmodel.PlanInput, error) {
 	// Building an optimizer is a struct literal over shared pointers, so
-	// every miss builds its own rather than caching one per variant.
+	// every plan builds its own rather than caching one per variant.
 	opt := optimizer.New(c.db.Schema, c.st, v.indexSet(), optimizer.DefaultCostParams())
 	p, err := opt.Plan(stmt.Query)
 	if err != nil {
 		return costmodel.PlanInput{}, err
 	}
-	in := costmodel.PlanInput{
+	return costmodel.PlanInput{
 		DB:            c.db,
 		Query:         stmt.Query,
 		Plan:          p,
 		OptimizerCost: optimizer.TotalCost(p),
-		Enc:           costmodel.NewEncodedPlan(),
-	}
-	c.cache.Put(key, in)
-	return in, nil
+	}, nil
 }

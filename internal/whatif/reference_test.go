@@ -181,7 +181,7 @@ func TestSweepMatchesCrossProduct(t *testing.T) {
 			},
 		}
 		for name, mk := range ests {
-			cat := NewCatalog(db, st, 0)
+			cat := NewCatalog(db, st)
 			want, err := cat.sweepCrossProduct(context.Background(), mk(), stmts, variants)
 			if err != nil {
 				t.Fatal(err)

@@ -14,18 +14,18 @@ import (
 // The executor walks every (variant × statement) pair but plans each
 // DISTINCT plan once: a pair's variant is first restricted to the indexes
 // the statement's plan can depend on (optimizer.RelevantIndexes), so every
-// variant that cannot touch a statement shares the baseline's plan, its
-// catalog cache entry and its encoding. The distinct plans — baseline
-// included — are priced through one Estimator.PredictBatch call (with a
-// fusing estimator a single tape-free forward pass) and each prediction
-// fans back out to the pairs that share it. Errors are structured per
-// item: a statement that fails to plan or price under one variant carries
-// its own error in that variant's QueryResult — as does every other pair
-// sharing the failed plan — and the rest of the sweep still prices. The
-// error return is reserved for request-level failures (empty workload, no
-// variants, context cancellation — checked once per pair and inside the
-// estimator, so an abandoned sweep stops mid-flight and returns the
-// context's error).
+// variant that cannot touch a statement shares the baseline's plan and
+// its encoding. The distinct plans — baseline included — are priced
+// through one Estimator.PredictBatch call (with a fusing estimator a
+// single tape-free forward pass), each prediction fans back out to the
+// pairs that share it, and no plan outlives the report. Errors are
+// structured per item: a statement that fails to plan or price under one
+// variant carries its own error in that variant's QueryResult — as does
+// every other pair sharing the failed plan — and the rest of the sweep
+// still prices. The error return is reserved for request-level failures
+// (empty workload, no variants, context cancellation — checked once per
+// pair and inside the estimator, so an abandoned sweep stops mid-flight
+// and returns the context's error).
 func (c *Catalog) Sweep(ctx context.Context, est costmodel.Estimator, stmts []Statement, variants []Variant) (*Report, error) {
 	if len(stmts) == 0 {
 		return nil, ErrEmptyWorkload
@@ -73,12 +73,11 @@ func (c *Catalog) Sweep(ctx context.Context, est costmodel.Estimator, stmts []St
 			qr := &results[vi].Queries[si]
 			qr.SQL = stmt.SQL
 			rv := v.restrictedTo(relevant[si])
-			sig := rv.signature()
-			key := planKey{sig, si}
+			key := planKey{rv.signature(), si}
 			p, ok := planned[key]
 			if !ok {
 				var in costmodel.PlanInput
-				if in, p.err = c.prepare(rv, sig, stmt); p.err == nil {
+				if in, p.err = c.prepare(rv, stmt); p.err == nil {
 					p.in = len(ins)
 					ins = append(ins, in)
 				}

@@ -21,7 +21,7 @@ import (
 func sweepFixture(t testing.TB, nCands int) (*Catalog, []Statement, []Variant) {
 	t.Helper()
 	db, st, qs := fixture(t)
-	c := NewCatalog(db, st, 0)
+	c := NewCatalog(db, st)
 	cands, err := Enumerate(db.Schema, qs, nil, nCands)
 	if err != nil {
 		t.Fatal(err)
@@ -109,8 +109,7 @@ func TestSweepMatchesHandRolledLoop(t *testing.T) {
 // TestSweepFusesOneBatch: the sweep issues one PredictBatch call over
 // its DISTINCT plans — fewer than the pairs it reports, because a
 // candidate index on a column a statement never touches shares the
-// baseline's plan — and a repeat sweep is served from the prepared-plan
-// cache without planning anything.
+// baseline's plan — and a repeat sweep returns the same report.
 func TestSweepFusesOneBatch(t *testing.T) {
 	cat, stmts, variants := sweepFixture(t, 4)
 	est := &fakeEst{}
@@ -132,24 +131,17 @@ func TestSweepFusesOneBatch(t *testing.T) {
 	if max := est.batchMax.Load(); max != int64(distinct) {
 		t.Fatalf("fused batch size %d, want %d distinct plans (of %d pairs)", max, distinct, wantItems)
 	}
-	if cs := cat.CacheStats(); cs.Misses != int64(distinct) || cs.Size != distinct {
-		t.Fatalf("cold sweep cache stats %+v, want %d misses and entries", cs, distinct)
-	}
 	if rep.Baseline.Name != "baseline" || len(rep.Baseline.Queries) != len(stmts) {
 		t.Fatalf("baseline = %+v", rep.Baseline)
 	}
 
-	// Repeat sweep: identical report, now fully served from the
-	// prepared-plan cache.
+	// Repeat sweep: identical report.
 	rep2, err := cat.Sweep(context.Background(), est, stmts, variants)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(rep, rep2) {
 		t.Fatal("repeated sweep diverged from the first")
-	}
-	if cs := cat.CacheStats(); cs.Hits < int64(distinct) || cs.Misses != int64(distinct) {
-		t.Fatalf("warm sweep cache stats %+v, want >= %d hits and no new miss", cs, distinct)
 	}
 }
 
@@ -181,37 +173,10 @@ func distinctPlans(stmts []Statement, variants []Variant) int {
 	return len(seen)
 }
 
-// TestWarmSweepPlansNothing: a repeat sweep allocates a small constant
-// per pair (result rows, signatures, the fan-out table) and per distinct
-// plan — nowhere near what planning and encoding cost — and adds no
-// cache miss.
-func TestWarmSweepPlansNothing(t *testing.T) {
-	cat, stmts, variants := sweepFixture(t, 6)
-	est := &fakeEst{}
-	if _, err := cat.Sweep(context.Background(), est, stmts, variants); err != nil {
-		t.Fatal(err)
-	}
-	cold := cat.CacheStats()
-	pairs := (len(variants) + 1) * len(stmts)
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := cat.Sweep(context.Background(), est, stmts, variants); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if warm := cat.CacheStats(); warm.Misses != cold.Misses || warm.Size != cold.Size {
-		t.Fatalf("warm sweeps planned: cache %+v -> %+v", cold, warm)
-	}
-	// A plan alone is >= 10 allocations (Plan on one table: validate,
-	// sort, DP table, scan, aggregate); 4 per pair leaves no room for one.
-	if limit := float64(4 * pairs); allocs > limit {
-		t.Fatalf("warm sweep of %d pairs: %.0f allocs, want <= %.0f", pairs, allocs, limit)
-	}
-}
-
 // TestSweepNeverMutatesStorage is the copy-on-write guarantee: many
 // concurrent sweeps over hypothetical indexes leave the shared database
 // without a single materialized index. Run under -race this also proves
-// the catalog's caches are safe for concurrent use.
+// concurrent sweeps share the catalog safely.
 func TestSweepNeverMutatesStorage(t *testing.T) {
 	db, _, _ := fixture(t)
 	cat, stmts, variants := sweepFixture(t, 6)
@@ -344,7 +309,7 @@ func TestSweepSharedPlanSharesItsError(t *testing.T) {
 		t.Fatal("fixture has no statement with both shared and re-planned variants")
 	}
 	// Poison exactly that statement's baseline plan.
-	base, err := cat.prepare(Variant{}, "", stmts[target])
+	base, err := cat.prepare(Variant{}, stmts[target])
 	if err != nil {
 		t.Fatal(err)
 	}

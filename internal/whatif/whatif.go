@@ -31,7 +31,6 @@ package whatif
 import (
 	"errors"
 
-	"github.com/zeroshot-db/zeroshot/internal/costmodel"
 	"github.com/zeroshot-db/zeroshot/internal/query"
 )
 
@@ -129,21 +128,18 @@ type Report struct {
 }
 
 // Statement is one workload entry carried through a sweep: the SQL text
-// (echoed in results), its plan-cache fingerprint, and the parsed query.
+// (echoed in results) and the parsed query.
 type Statement struct {
-	SQL         string
-	Fingerprint string
-	Query       *query.Query
+	SQL   string
+	Query *query.Query
 }
 
 // Statements builds sweep statements from parsed queries, rendering each
-// query's SQL and fingerprinting it the same way the serving plan cache
-// does.
+// query's SQL.
 func Statements(qs []*query.Query) []Statement {
 	out := make([]Statement, len(qs))
 	for i, q := range qs {
-		sql := q.SQL()
-		out[i] = Statement{SQL: sql, Fingerprint: costmodel.Fingerprint(sql), Query: q}
+		out[i] = Statement{SQL: q.SQL(), Query: q}
 	}
 	return out
 }
