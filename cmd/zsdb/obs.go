@@ -61,10 +61,17 @@ func (o *obsFlags) startDebug() (func(), error) {
 	if err != nil {
 		return nil, fmt.Errorf("debug listener: %w", err)
 	}
-	srv := newHTTPServer(mux)
-	go srv.Serve(ln)
+	stop := serveDebug(ln, mux, readTimeout)
 	fmt.Fprintf(os.Stderr, "pprof debug server: http://%s/debug/pprof/\n", ln.Addr())
-	return func() { srv.Close() }, nil
+	return stop, nil
+}
+
+// serveDebug serves mux on ln until stop is called. It alone builds and
+// holds the debug listener's server, so a test drives the one it runs.
+func serveDebug(ln net.Listener, mux http.Handler, timeout time.Duration) (stop func()) {
+	srv := newHTTPServer(mux, timeout)
+	go srv.Serve(ln)
+	return func() { srv.Close() }
 }
 
 // handleTraces serves GET /v1/debug/traces: the sampled recent ring and

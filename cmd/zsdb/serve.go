@@ -181,8 +181,9 @@ func serveUntilSignal(httpSrv *http.Server, ln net.Listener, backing io.Closer, 
 //
 // There is no WriteTimeout: it runs from the end of the request
 // headers to the end of the reply, handler included, so a long what-if
-// sweep would lose its reply, as a pprof ?seconds= profile would on the
-// debug listener.
+// sweep would lose its reply. The debug listener has none either, since
+// newHTTPServer builds it too (net/http/pprof stretches a WriteTimeout
+// for its own ?seconds= profiles, but not for any other handler).
 //
 // drainTimeout bounds a graceful shutdown, serve's and route's alike:
 // how long in-flight handlers may run on after SIGINT or SIGTERM.
@@ -194,12 +195,13 @@ const (
 )
 
 // newHTTPServer is the one http.Server constructor: the serving listener
-// of serve and route alike, and the -debug-addr pprof listener.
-func newHTTPServer(handler http.Handler) *http.Server {
+// of serve and route alike, and the -debug-addr pprof listener. Both pass
+// readTimeout as timeout; tests that wait the bound out pass a shorter one.
+func newHTTPServer(handler http.Handler, timeout time.Duration) *http.Server {
 	return &http.Server{
 		Handler:           handler,
 		ReadHeaderTimeout: readHeaderTimeout,
-		ReadTimeout:       readTimeout,
+		ReadTimeout:       timeout,
 		IdleTimeout:       idleTimeout,
 	}
 }
@@ -214,7 +216,7 @@ func listenAndServe(addr string, handler http.Handler, backing io.Closer, banner
 		backing.Close()
 		return err
 	}
-	httpSrv := newHTTPServer(handler)
+	httpSrv := newHTTPServer(handler, readTimeout)
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigs)

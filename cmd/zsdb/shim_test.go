@@ -97,9 +97,14 @@ func TestWarmRequestAllocCeilings(t *testing.T) {
 	}
 }
 
-// TestReadTimeout runs the scenarios that wait out the real readTimeout
-// concurrently, each as its own subtest. They are idle for 10-12 s each,
-// and t.Parallel alone overlaps only -parallel (GOMAXPROCS) of them.
+// scenarioTimeout is the read timeout TestReadTimeout's listeners run
+// at: the production readTimeout's bound, a tenth as long.
+const scenarioTimeout = time.Second
+
+// TestReadTimeout runs the scenarios that wait out a listener's read
+// timeout concurrently, each as its own subtest. They are idle for 1-2 s
+// each, and t.Parallel alone overlaps only -parallel (GOMAXPROCS) of
+// them.
 func TestReadTimeout(t *testing.T) {
 	var wg sync.WaitGroup
 	for _, sc := range []struct {
@@ -120,10 +125,10 @@ func TestReadTimeout(t *testing.T) {
 }
 
 // slowBodyIsCut: a client that sends its headers and then trickles the
-// body has its connection closed once readTimeout has passed, while a
-// normal request on another connection still succeeds.
+// body has its connection closed once the read timeout has passed, while
+// a normal request on another connection still succeeds.
 func slowBodyIsCut(t *testing.T) {
-	srv := newHTTPServer(newSessionServer(newTestSession(t, serving.Config{}), nil).mux())
+	srv := newHTTPServer(newSessionServer(newTestSession(t, serving.Config{}), nil).mux(), scenarioTimeout)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -141,9 +146,9 @@ func slowBodyIsCut(t *testing.T) {
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() {
-		// One byte every 100 ms: far below any deadline per read, so
+		// One byte every 50 ms: far below any deadline per read, so
 		// only the bound on the whole request can end it.
-		tick := time.NewTicker(100 * time.Millisecond)
+		tick := time.NewTicker(50 * time.Millisecond)
 		defer tick.Stop()
 		for {
 			select {
@@ -159,7 +164,7 @@ func slowBodyIsCut(t *testing.T) {
 
 	// The trickle is in flight: a normal request on its own connection
 	// is answered meanwhile.
-	time.Sleep(time.Second)
+	time.Sleep(scenarioTimeout / 4)
 	predict, _ := warmBodies(t)
 	resp, err := http.Post("http://"+ln.Addr().String()+"/v1/predict", "application/json", bytes.NewReader(predict))
 	if err != nil {
@@ -174,14 +179,14 @@ func slowBodyIsCut(t *testing.T) {
 	// The slow request is answered (its body read failed) and its
 	// connection closed within the bound: an EOF, or a reset when the
 	// server closed with trickled bytes still unread.
-	conn.SetReadDeadline(start.Add(readTimeout + 5*time.Second))
+	conn.SetReadDeadline(start.Add(scenarioTimeout + 3*time.Second))
 	reply, err := io.ReadAll(conn)
 	elapsed := time.Since(start)
 	if err != nil && !errors.Is(err, syscall.ECONNRESET) {
 		t.Fatalf("connection not closed %v after the headers (read: %v; got %q)", elapsed, err, reply)
 	}
-	if elapsed < readTimeout-time.Second || elapsed > readTimeout+2*time.Second {
-		t.Fatalf("slow body cut after %v, want about readTimeout (%v)", elapsed, readTimeout)
+	if elapsed < scenarioTimeout-200*time.Millisecond || elapsed > scenarioTimeout+2*time.Second {
+		t.Fatalf("slow body cut after %v, want about the read timeout (%v)", elapsed, scenarioTimeout)
 	}
 	if len(reply) > 0 && (!strings.HasPrefix(string(reply), "HTTP/1.1 400 ") || !strings.Contains(string(reply), "bad request body")) {
 		t.Fatalf("slow body answered %q", reply)
@@ -204,12 +209,12 @@ func (c slowCalls) Predict(ctx context.Context, db, model, sql string) (serving.
 	}
 }
 
-// slowCallOutlasts: readTimeout bounds the request, not the call. A
+// slowCallOutlasts: the read timeout bounds the request, not the call. A
 // call still running after it keeps its context and answers its result.
 func slowCallOutlasts(t *testing.T) {
 	s := newSessionServer(newTestSession(t, serving.Config{}), nil)
-	s.calls = slowCalls{s.calls, readTimeout + 2*time.Second}
-	srv := newHTTPServer(s.mux())
+	s.calls = slowCalls{s.calls, 2 * scenarioTimeout}
+	srv := newHTTPServer(s.mux(), scenarioTimeout)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -230,27 +235,27 @@ func slowCallOutlasts(t *testing.T) {
 }
 
 // slowGetOutlasts: the same holds for a bodiless GET, the shape of a
-// pprof ?seconds= profile on the -debug-addr listener, which
-// newHTTPServer builds too. net/http clears the read deadline once the
-// headers are read, so the handler keeps its context past readTimeout
-// and its reply arrives.
+// pprof ?seconds= profile, on the server startDebug runs (serveDebug's,
+// here over a slow route of the test's own). net/http clears the read
+// deadline once the headers are read, so the handler keeps its context
+// past the read timeout and its reply arrives, which a WriteTimeout on
+// that listener would cut. (The route stands for any handler:
+// net/http/pprof stretches a WriteTimeout for its own profiles.)
 func slowGetOutlasts(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/slow", func(w http.ResponseWriter, r *http.Request) {
 		select {
-		case <-time.After(readTimeout + 2*time.Second):
+		case <-time.After(2 * scenarioTimeout):
 			io.WriteString(w, "done")
 		case <-r.Context().Done():
 			http.Error(w, r.Context().Err().Error(), http.StatusRequestTimeout)
 		}
 	})
-	srv := newHTTPServer(mux)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
+	t.Cleanup(serveDebug(ln, mux, scenarioTimeout))
 
 	resp, err := http.Get("http://" + ln.Addr().String() + "/slow")
 	if err != nil {

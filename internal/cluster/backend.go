@@ -75,9 +75,8 @@ type Backend interface {
 	// keeps, and finishes with them before it returns.
 	PredictBatch(ctx context.Context, db, model string, sqls []string) (serving.BatchResult, error)
 	// WhatIf runs one what-if sweep against the backend's copy of db.
-	// Like Feedback it wants the owner: the sweep plans its workload's
-	// baseline through the plan cache of the replica that serves the
-	// database's predictions.
+	// Like every per-database call it wants the owner first; the sweep
+	// keeps no plan on the replica, and leaves its plan cache untouched.
 	WhatIf(ctx context.Context, db, model string, req whatif.Request) (*whatif.Report, error)
 	// Feedback hands an observed runtime to the backend's adaptation
 	// loop. It must reach the replica owning db — that replica's plan

@@ -331,9 +331,9 @@ func (r *Router) PredictBatch(ctx context.Context, db, model string, sqls []stri
 }
 
 // WhatIf routes one what-if sweep to the replica owning db, exactly
-// like Predict: the owner's plan cache then holds the workload's
-// baseline plans, as it does for the database's predictions. The
-// sweep's hypothetical plans are not kept on any replica.
+// like Predict: owner-first is the one rule for per-database calls. A
+// sweep plans and prices its workload itself and keeps none of it, so
+// no replica's plan cache sees it.
 func (r *Router) WhatIf(ctx context.Context, db, model string, req whatif.Request) (*whatif.Report, error) {
 	var out *whatif.Report
 	err := r.attempt(ctx, db, func(ctx context.Context, b Backend) error {

@@ -41,22 +41,6 @@ func NewReplica(name string) *Replica {
 	return &Replica{name: name, predicts: map[string]int{}}
 }
 
-// Predicts returns how many predictions this replica served for db.
-func (r *Replica) Predicts(db string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.predicts[db]
-}
-
-// Feedbacks returns a copy of every feedback accepted, in order.
-func (r *Replica) Feedbacks() []FeedbackRecord {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]FeedbackRecord, len(r.feedbacks))
-	copy(out, r.feedbacks)
-	return out
-}
-
 // LastFeedback returns the most recently accepted feedback (zero value
 // when none).
 func (r *Replica) LastFeedback() FeedbackRecord {

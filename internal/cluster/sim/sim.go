@@ -355,14 +355,6 @@ func (s *Sim) upCandidates(db string) (int, string) {
 	return up, first
 }
 
-// Run executes the whole configured workload and returns the result.
-// Call once; the router is closed before returning. Incremental drivers
-// use Step and Finish instead.
-func (s *Sim) Run(ctx context.Context) Result {
-	s.Step(ctx, s.cfg.Requests-s.step)
-	return s.Finish(ctx)
-}
-
 // Step advances the workload by n request steps (bounded by the
 // configured total) and returns the number actually executed. Between
 // calls the driver may apply Faults, reset expectations, or mutate the

@@ -10,7 +10,7 @@ import (
 )
 
 // TestRouterWhatIfRoutesToOwner: sweeps route owner-first like
-// predictions, so the owner's plan cache holds their baseline plans.
+// predictions, the one routing rule for per-database calls.
 func TestRouterWhatIfRoutesToOwner(t *testing.T) {
 	r, backs := newFakeCluster(t, Config{}, 3)
 	ctx := context.Background()

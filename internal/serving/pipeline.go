@@ -10,6 +10,7 @@ import (
 	"github.com/zeroshot-db/zeroshot/internal/metrics"
 	"github.com/zeroshot-db/zeroshot/internal/obs"
 	"github.com/zeroshot-db/zeroshot/internal/optimizer"
+	"github.com/zeroshot-db/zeroshot/internal/query"
 	"github.com/zeroshot-db/zeroshot/internal/sqlparse"
 	"github.com/zeroshot-db/zeroshot/internal/stats"
 	"github.com/zeroshot-db/zeroshot/internal/storage"
@@ -74,8 +75,8 @@ func newDBSession(name string, db *storage.Database, cacheSize int) *dbSession {
 // returns (see Session.PredictBatch). Then nothing prepare returns or
 // retains may alias it: a hit returns the cache's own key, and a miss
 // copies the text once before the parser, whose Query keeps substrings
-// of its input, or any error sees it. An owned sql (a single predict's,
-// a what-if statement) is kept as it is.
+// of its input, or any error sees it. An owned sql (a single predict's)
+// is kept as it is.
 func (d *dbSession) prepare(ctx context.Context, sql string, borrowed bool, tr *obs.Trace) (costmodel.PlanInput, bool, string, error) {
 	cached, fp, ok := d.cache.Lookup(sql)
 	if ok {
@@ -87,18 +88,14 @@ func (d *dbSession) prepare(ctx context.Context, sql string, borrowed bool, tr *
 	if err := ctx.Err(); err != nil {
 		return costmodel.PlanInput{}, false, fp, err
 	}
-	start := time.Now()
-	q, err := sqlparse.Parse(sql, d.db.Schema)
-	d.observe(StageParse, start, tr)
+	q, err := d.parse(sql, tr)
 	if err != nil {
-		// Both the stage's own error and ErrBadQuery stay in the chain,
-		// so callers can match either.
-		return costmodel.PlanInput{}, false, fp, fmt.Errorf("%s: %w: %w", StageParse, err, ErrBadQuery)
+		return costmodel.PlanInput{}, false, fp, err
 	}
 	if err := ctx.Err(); err != nil {
 		return costmodel.PlanInput{}, false, fp, err
 	}
-	start = time.Now()
+	start := time.Now()
 	p, err := d.opt.Plan(q)
 	d.observe(StageOptimize, start, tr)
 	if err != nil {
@@ -125,6 +122,19 @@ func (d *dbSession) prepare(ctx context.Context, sql string, borrowed bool, tr *
 	d.observe(StageFeaturize, start, tr)
 	d.cache.Put(fp, in)
 	return in, false, fp, nil
+}
+
+// parse is the parse stage of prepare and Session.WhatIf. Both the
+// parser's error and ErrBadQuery stay in the chain, so callers can match
+// either. The Query keeps substrings of sql.
+func (d *dbSession) parse(sql string, tr *obs.Trace) (*query.Query, error) {
+	start := time.Now()
+	q, err := sqlparse.Parse(sql, d.db.Schema)
+	d.observe(StageParse, start, tr)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w: %w", StageParse, err, ErrBadQuery)
+	}
+	return q, nil
 }
 
 // observe records one executed stage that began at start: its latency

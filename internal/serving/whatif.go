@@ -19,16 +19,17 @@ import (
 //
 // Request-level failures map onto the session's sentinels: an unknown
 // database or model wraps ErrNotFound; an empty workload, a malformed
-// or unresolvable candidate, or a statement that fails the pipeline
-// wraps ErrBadQuery (an advise request with a broken workload should
+// or unresolvable candidate, or a statement that fails to parse wraps
+// ErrBadQuery (an advise request with a broken workload should
 // error loudly, not silently drop work). A canceled context returns the
 // context's error bare — including mid-sweep, between planning steps.
-// Per-(variant × statement) pricing failures stay structured inside the
-// report and do not fail the request.
+// Per-(variant × statement) planning and pricing failures stay
+// structured inside the report and do not fail the request.
 //
-// Workload statements run through the database's regular prepare
-// pipeline first, which warms the plan cache predictions use. The sweep
-// runs on a catalog built per request, which keeps none of its plans.
+// Workload statements only pass the pipeline's parse stage: the sweep,
+// on a catalog built per request, is the one planner and keeps no plan.
+// The plan cache is never touched, so a statement seen only by what-if
+// misses on its first predict, and feedback joins it only after one.
 func (s *Session) WhatIf(ctx context.Context, dbName, model string, req whatif.Request) (*whatif.Report, error) {
 	d, est, err := s.begin(dbName, model)
 	if err != nil {
@@ -39,20 +40,20 @@ func (s *Session) WhatIf(ctx context.Context, dbName, model string, req whatif.R
 		return nil, fmt.Errorf("%w: %w", whatif.ErrEmptyWorkload, ErrBadQuery)
 	}
 
-	// Parse and baseline-plan the workload through the regular pipeline;
-	// the parsed queries feed enumeration and the sweep.
+	// The parsed queries feed enumeration and the sweep.
 	stmts := make([]whatif.Statement, len(req.SQL))
 	queries := make([]*query.Query, len(req.SQL))
 	for i, sql := range req.SQL {
-		in, _, _, err := d.prepare(ctx, sql, false, nil)
-		if err != nil {
-			if s.countErr(err) {
-				err = fmt.Errorf("statement %d: %w", i, err)
-			}
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		stmts[i] = whatif.Statement{SQL: sql, Query: in.Query}
-		queries[i] = in.Query
+		q, err := d.parse(sql, nil)
+		if err != nil {
+			s.countErr(err)
+			return nil, fmt.Errorf("statement %d: %w", i, err)
+		}
+		stmts[i] = whatif.Statement{SQL: sql, Query: q}
+		queries[i] = q
 	}
 
 	cands, err := whatif.Enumerate(d.db.Schema, queries, req.Candidates, req.MaxCandidates)

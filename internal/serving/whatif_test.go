@@ -144,11 +144,55 @@ func TestSessionWhatIfErrors(t *testing.T) {
 	}
 }
 
+// TestWhatIfLeavesPlanCacheUntouched: a what-if request only parses its
+// statements; the sweep is its one planner. The plan cache sees no
+// lookup and no put, the optimize and featurize stages do not run, and
+// a later predict of a swept statement misses.
+func TestWhatIfLeavesPlanCacheUntouched(t *testing.T) {
+	sess, imdb, _ := whatIfSession(t)
+	ctx := context.Background()
+	stmts := imdb.sqls[:4]
+	snap := func() DatabaseStats {
+		t.Helper()
+		dbs := sess.Stats().Databases
+		if len(dbs) != 1 {
+			t.Fatalf("%d databases in stats", len(dbs))
+		}
+		return dbs[0]
+	}
+	before := snap()
+	if _, err := sess.WhatIf(ctx, "", "", whatif.Request{SQL: stmts}); err != nil {
+		t.Fatal(err)
+	}
+	after := snap()
+	if after.PlanCache != before.PlanCache {
+		t.Fatalf("a sweep moved the plan cache: %+v -> %+v", before.PlanCache, after.PlanCache)
+	}
+	for _, stage := range []string{StageOptimize, StageFeaturize} {
+		if b, a := before.Stages[stage].Count, after.Stages[stage].Count; a != b {
+			t.Fatalf("a sweep ran the %s stage: count %d -> %d", stage, b, a)
+		}
+	}
+	if b, a := before.Stages[StageParse].Count, after.Stages[StageParse].Count; a != b+int64(len(stmts)) {
+		t.Fatalf("parse count %d -> %d over %d statements", b, a, len(stmts))
+	}
+
+	pred, err := sess.Predict(ctx, "", "", stmts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pred.PlanCached {
+		t.Fatal("a predict of a swept statement hit the plan cache")
+	}
+	if st := snap().PlanCache; st.Misses != before.PlanCache.Misses+1 || st.Size != before.PlanCache.Size+1 {
+		t.Fatalf("predict after a sweep: plan cache %+v -> %+v, want one miss and one entry", before.PlanCache, st)
+	}
+}
+
 // TestColdPrepareClonesOnlyBorrowedText: a plan-cache miss copies the
 // statement only when the caller lends it (a batch's statements alias
-// the request buffer); an owned statement — a single predict's, a
-// what-if statement — is parsed as it is, one allocation fewer. Each
-// run misses a fresh cache.
+// the request buffer); an owned statement, a single predict's, is
+// parsed as it is, one allocation fewer. Each run misses a fresh cache.
 func TestColdPrepareClonesOnlyBorrowedText(t *testing.T) {
 	sess, imdb, _ := whatIfSession(t)
 	ctx := context.Background()
