@@ -286,8 +286,8 @@ func (s *apiServer) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleWhatIf runs a what-if sweep; a router sends it to the replica
-// owning the database, like a predict, so the owner's plan cache holds
-// the workload's baseline plans.
+// owning the database, like a predict. The sweep only parses the
+// workload and keeps no plan, so no replica's plan cache changes.
 func (s *apiServer) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	var req cluster.WhatIfRequest
 	buf, ok := decode(w, r, &req)

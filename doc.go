@@ -44,9 +44,9 @@
 //     per-replica poll/verify/activate distributor with durable
 //     rollback — see DESIGN.md's "Model distribution"
 //   - internal/whatif — the Section 4.1 what-if index advisor as a
-//     subsystem: candidate enumeration, a copy-on-write hypothetical
-//     catalog, and a sweep executor that prices every (variant × query)
-//     pair in one fused batch — served as POST /v1/whatif and
+//     subsystem: candidate enumeration and a sweep that overlays
+//     hypothetical indexes in the planner only and prices every (variant
+//     × query) pair in one fused batch — served as POST /v1/whatif and
 //     `zsdb advise` (see DESIGN.md's "The what-if sweep layer")
 //   - internal/experiments — regenerates every table and figure of the
 //     paper's evaluation by iterating over registry estimators

@@ -53,16 +53,16 @@ func main() {
 	workload := targetedWorkload(db, candidates, 40)
 
 	// The what-if sweep: validate the candidates, overlay each as a
-	// hypothetical variant on a copy-on-write catalog, and price every
-	// (variant × query) pair in one fused prediction batch. Nothing here
-	// executes a query or mutates the database.
+	// hypothetical variant in the planner (an IndexSet, never an index
+	// built in storage), and price every (variant × query) pair in one
+	// fused prediction batch. Nothing here executes a query or mutates
+	// the database.
 	cands, err := whatif.Enumerate(db.Schema, workload, candidates, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	st := stats.Collect(db, stats.DefaultBuckets, stats.DefaultMCVs)
-	cat := whatif.NewCatalog(db, st)
-	rep, err := cat.Sweep(context.Background(), model, whatif.Statements(workload), whatif.Variants(cands))
+	rep, err := whatif.Sweep(context.Background(), db, st, model, whatif.Statements(workload), whatif.Variants(cands))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package costmodel
 import (
 	"bytes"
 	"context"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -245,14 +246,20 @@ func TestPredictBatchWarmAllocsPinned(t *testing.T) {
 	}
 }
 
+// memoGraph is the graph in's memo holds for z's encoder key, or nil.
+func memoGraph(z *ZeroShot, in PlanInput) *encoding.Graph {
+	g, _, _ := in.Enc.resolve(z.encoder(in).Key(), 0)
+	return g
+}
+
 // TestEncodedPlanMemoBoundedAcrossGenerations is the memo-leak
 // regression test. The memo used to key on the encoder pointer, and
 // every model generation (an adaptation Clone, a bundle Load) builds new
 // encoders: each generation's first hit on a cached plan missed,
 // re-encoded and stranded one more graph in the entry, forever. Keyed by
-// encoder content, the memo holds one graph per distinct encoder
-// configuration however many generations pass over it, and a clone
-// reuses the graph its parent encoded.
+// encoder content, the memo's one slot keeps the graph however many
+// generations pass over it, and a clone reuses the graph its parent
+// encoded.
 func TestEncodedPlanMemoBoundedAcrossGenerations(t *testing.T) {
 	zs, f := fitZeroShot(t)
 	ctx := context.Background()
@@ -296,13 +303,13 @@ func TestEncodedPlanMemoBoundedAcrossGenerations(t *testing.T) {
 		if got != want {
 			t.Fatalf("generation %d predicts %v over the shared graph, parent %v", round+1, got, want)
 		}
-		if n := len(in.Enc.entries); n != 1 {
-			t.Fatalf("memo holds %d graphs after %d generations, want 1", n, round+1)
+		if memoGraph(gen.(*ZeroShot), in) != parent {
+			t.Fatalf("memo lost its parent's graph after %d generations", round+1)
 		}
 	}
 
 	// A different cardinality source is a different configuration: its
-	// own graph, its own (second and last) entry.
+	// own graph, which takes the slot.
 	other, err := New(NameZeroShot, Options{Hidden: 16, Epochs: 4, Seed: 1, Card: encoding.CardNone})
 	if err != nil {
 		t.Fatal(err)
@@ -317,8 +324,20 @@ func TestEncodedPlanMemoBoundedAcrossGenerations(t *testing.T) {
 	if og == parent {
 		t.Fatal("adapters with different cardinality sources shared a graph")
 	}
-	if n := len(in.Enc.entries); n != 2 {
-		t.Fatalf("memo holds %d graphs for 2 encoder configurations", n)
+	if memoGraph(other.(*ZeroShot), in) != og || memoGraph(zs, in) != nil {
+		t.Fatal("the second configuration's graph did not take the memo's slot")
+	}
+	// The first configuration then misses, re-encodes and predicts the
+	// same bits as before.
+	got, err := predictOne(ctx, zs, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := memoGraph(zs, in); g == nil || g == parent || g == og {
+		t.Fatal("the first configuration did not re-encode into the slot")
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("re-encoded plan predicts %v, first encoding %v", got, want)
 	}
 }
 
@@ -354,6 +373,7 @@ func TestZeroShotEncoderReattach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	encoded := memoGraph(zs, inA)
 	b, err := predictOne(ctx, zs, inB)
 	if err != nil {
 		t.Fatal(err)
@@ -361,7 +381,7 @@ func TestZeroShotEncoderReattach(t *testing.T) {
 	if a != b {
 		t.Fatalf("same plan on re-attached database predicts differently: %v != %v", a, b)
 	}
-	if n := len(inA.Enc.entries); n != 1 {
-		t.Fatalf("memo holds %d graphs after a re-attach, want 1 — the reload re-encoded", n)
+	if encoded == nil || memoGraph(zs, inB) != encoded {
+		t.Fatal("the re-attached database does not share the graph encoded before it — the reload re-encoded")
 	}
 }

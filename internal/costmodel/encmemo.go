@@ -6,41 +6,36 @@ import (
 	"github.com/zeroshot-db/zeroshot/internal/encoding"
 )
 
-// EncodedPlan memoizes the graph encodings of one physical plan, keyed by
-// the content identity of the encoder that produced them (encoding.Key:
+// EncodedPlan memoizes the graph encoding of one physical plan, keyed by
+// the content identity of the encoder that produced it (encoding.Key:
 // schema fingerprint, cardinality source, hardware). It rides along
 // inside a PlanInput: the serving pipeline attaches one to every input
 // it retains in a plan cache, so a repeated query shape pays
 // PlanEncoder.Encode once and every later prediction — single, batched,
-// or fused — reuses the graph. Two estimators with different cardinality
-// sources encode the same plan differently and get separate entries; a
-// fine-tuned clone or a reloaded bundle has the same key as its parent
-// and hits the parent's graph, because a graph depends on no learned
-// state.
+// or fused — reuses the graph. A fine-tuned clone or a reloaded bundle
+// has the same key as its parent and hits the parent's graph, because a
+// graph depends on no learned state.
 //
-// The memo therefore holds one graph per distinct encoder configuration
-// attached (one or two in practice), however many model generations
-// pass over it, and needs no eviction of its own. Graphs are treated as
-// immutable by every consumer — the batch packer, for inference and
+// The memo holds one key, one graph and one answer. One slot is enough
+// because a session attaches at most one zero-shot estimator: its Name
+// is a constant and models are keyed by name, so every generation that
+// passes over an entry shares one key. An estimator with another key (a
+// second cardinality source or hardware descriptor, such as an
+// activated bundle that changed it) misses once, encodes, and takes the
+// slot; the memo never grows and needs no eviction. Graphs are treated
+// as immutable by every consumer — the batch packer, for inference and
 // for training, only reads them — which is what makes sharing one graph
 // across concurrent predictions safe.
 //
-// Beside each graph the entry keeps one answer: the seconds the fused
-// pass returned for that graph under the weights of one
-// zeroshot.Model.Version. The pass is deterministic per (graph,
-// weights), so while the serving model still reports that version the
-// answer is the bits a fresh pass would return, and a repeated
-// statement costs one locked read instead of a forward pass. The slot is
-// overwritten in place and lives and dies with its entry — no new
-// entries, no eviction. It holds one answer, not one per model: two
-// zero-shot models with the same cardinality source predicting over one
-// memo take turns overwriting it and simply miss.
+// The answer is the seconds the fused pass returned for the slot's
+// graph under the weights of one zeroshot.Model.Version. The pass is
+// deterministic per (graph, weights), so while the serving model still
+// reports that version the answer is the bits a fresh pass would
+// return, and a repeated statement costs one locked read instead of a
+// forward pass. The answer is overwritten in place and lives and dies
+// with its entry.
 type EncodedPlan struct {
-	mu      sync.Mutex
-	entries []encodedGraph
-}
-
-type encodedGraph struct {
+	mu    sync.Mutex
 	key   encoding.Key
 	graph *encoding.Graph
 	// version and seconds are the answer slot; version 0 (never a
@@ -52,63 +47,53 @@ type encodedGraph struct {
 // NewEncodedPlan returns an empty memo ready to attach to a PlanInput.
 func NewEncodedPlan() *EncodedPlan { return &EncodedPlan{} }
 
-// find returns the entry for the key, or nil; the caller holds mu. Keys
-// are interned, so each compare is one pointer compare.
-func (m *EncodedPlan) find(key encoding.Key) *encodedGraph {
-	for i := range m.entries {
-		if m.entries[i].key == key {
-			return &m.entries[i]
-		}
-	}
-	return nil
-}
-
 // resolve returns, under one lock, the answer memoized for the encoder
 // key under weights version (answered), or else the memoized graph (nil
-// when the key has none). Version 0 takes no answer.
+// when the slot holds another key's). Version 0 takes no answer. Keys
+// are interned, so the compare is one pointer compare.
 func (m *EncodedPlan) resolve(key encoding.Key, version uint64) (g *encoding.Graph, seconds float64, answered bool) {
 	if m == nil {
 		return nil, 0, false
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e := m.find(key)
-	if e == nil {
+	if m.key != key {
 		return nil, 0, false
 	}
-	if version != 0 && e.version == version {
-		return nil, e.seconds, true
+	if version != 0 && m.version == version {
+		return nil, m.seconds, true
 	}
-	return e.graph, 0, false
+	return m.graph, 0, false
 }
 
-// store records the graph for the key. Concurrent stores for the same
-// key are benign: both graphs encode the same plan, and last-write-wins
-// keeps exactly one alive.
+// store records the graph for the key. A graph under another key takes
+// the slot and drops its answer. Concurrent stores for the same key are
+// benign: both graphs encode the same plan, and last-write-wins keeps
+// exactly one alive.
 func (m *EncodedPlan) store(key encoding.Key, g *encoding.Graph) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if e := m.find(key); e != nil {
-		e.graph = g
-		return
+	if m.key != key {
+		m.key, m.version = key, 0
 	}
-	m.entries = append(m.entries, encodedGraph{key: key, graph: g})
+	m.graph = g
 }
 
 // answer records seconds as the prediction for the key's graph under
-// weights version, in place of whatever the slot held. Stores racing
-// each other are benign: an answer under a version the model has left
-// is never matched again, since versions are never reissued.
+// weights version, in place of whatever the slot held. An answer for a
+// key that has since lost the slot is dropped. Stores racing each other
+// are benign: an answer under a version the model has left is never
+// matched again, since versions are never reissued.
 func (m *EncodedPlan) answer(key encoding.Key, version uint64, seconds float64) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if e := m.find(key); e != nil {
-		e.version, e.seconds = version, seconds
+	if m.key == key {
+		m.version, m.seconds = version, seconds
 	}
 }

@@ -301,9 +301,13 @@ func TestLookup(t *testing.T) {
 // its fingerprint, the parsed query and its text, the plan tree, the
 // memo and the graph. With flat graphs that read 4.6–5.0 KB (median
 // 4.8 KB over five runs on amd64, go1.24); with pointer graphs it read
-// 6.4–7.0 KB. The ceiling is the flat median plus 10 %.
+// 6.4–7.0 KB. Ten runs of this test alone on a 2-vCPU amd64 box
+// (go1.24) read 4 632–5 008 bytes with a memo holding a list of
+// per-encoder slots and 4 624–4 776 with its one slot; the ceiling
+// keeps the one-slot memo's largest run 6 % under it. Run with the rest
+// of the package the same build read 4 368–4 544.
 func TestColdEntryRetainedBytes(t *testing.T) {
-	const entries, ceiling = 1024, 5300
+	const entries, ceiling = 1024, 5100
 	db, err := datagen.IMDBLike(0.02)
 	if err != nil {
 		t.Fatal(err)

@@ -35,8 +35,8 @@ type WhatIfResult struct {
 	Candidates int
 	Items      int
 	// NsPerItem is the sweep cost per (variant × statement) pair: each
-	// sweep plans, encodes and prices its distinct plans, because the
-	// catalog keeps none between sweeps.
+	// sweep plans, encodes and prices its distinct plans, because a
+	// sweep keeps none once its report is built.
 	NsPerItem float64
 	// Baseline and Variants hold predicted and executed workload
 	// runtimes; Variants keeps the sweep's predicted ranking order.
@@ -85,7 +85,6 @@ func WhatIfAdvisor(env *Env, queries int) (*WhatIfResult, error) {
 	variants := whatif.Variants(cands)
 
 	st := stats.Collect(env.EvalDB, stats.DefaultBuckets, stats.DefaultMCVs)
-	cat := whatif.NewCatalog(env.EvalDB, st)
 	stmts := whatif.Statements(qs)
 
 	// Every sweep is cold: it plans, encodes and prices the workload.
@@ -93,7 +92,7 @@ func WhatIfAdvisor(env *Env, queries int) (*WhatIfResult, error) {
 	var rep *whatif.Report
 	start := time.Now()
 	for i := 0; i < reps; i++ {
-		if rep, err = cat.Sweep(ctx, est, stmts, variants); err != nil {
+		if rep, err = whatif.Sweep(ctx, env.EvalDB, st, est, stmts, variants); err != nil {
 			return nil, err
 		}
 	}

@@ -16,9 +16,6 @@ type Counter struct {
 	n atomic.Int64
 }
 
-// Add increments the counter by d.
-func (c *Counter) Add(d int64) { c.n.Add(d) }
-
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.n.Add(1) }
 
@@ -99,7 +96,7 @@ func (l *LatencyRecorder) Snapshot() LatencySummary {
 	if w == nil {
 		return LatencySummary{}
 	}
-	ws, sum := w.snapshot()
+	ws, sum := w.SnapshotSum()
 	if ws.Count == 0 {
 		// Built by a first Observe that has not recorded yet.
 		return LatencySummary{}

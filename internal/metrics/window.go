@@ -85,13 +85,13 @@ type WindowSummary struct {
 // Only the copy is made under the lock Observe takes: the one sort the
 // three quantiles share must not stall the request path.
 func (w *Window) Snapshot() WindowSummary {
-	s, _ := w.snapshot()
+	s, _ := w.SnapshotSum()
 	return s
 }
 
-// snapshot is Snapshot plus the lifetime sum, read under the same lock
-// hold as the count it is divided by.
-func (w *Window) snapshot() (WindowSummary, float64) {
+// SnapshotSum is Snapshot plus the lifetime sum, read under the same
+// lock hold as the count it is divided by.
+func (w *Window) SnapshotSum() (WindowSummary, float64) {
 	w.mu.Lock()
 	s := WindowSummary{Count: w.count, Size: w.filled, Max: w.max}
 	sum := w.sum

@@ -105,9 +105,10 @@ func (d *dbSession) prepare(ctx context.Context, sql string, borrowed bool, tr *
 		return costmodel.PlanInput{}, false, fp, err
 	}
 	// Featurize assembles the estimator-facing prediction input. The deep
-	// featurization (graph encoding, set featurization, ...) is owned by
-	// each estimator adapter and memoized per database in costmodel's
-	// featCache; this stage builds the shared context they all consume.
+	// featurization is owned by each estimator adapter: the zero-shot
+	// graph is memoized per entry in its EncodedPlan, and costmodel's
+	// featCache holds only the baselines' per-database vocabularies and
+	// statistics. This stage builds the shared context they all consume.
 	start = time.Now()
 	in := costmodel.PlanInput{
 		DB:            d.db,

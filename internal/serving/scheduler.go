@@ -61,12 +61,11 @@ type scheduler struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	batches    metrics.Counter
-	items      metrics.Counter
-	coalesced  metrics.HitCounter // hit: request shared its batch with others
-	fallbacks  metrics.Counter    // fused batches that failed and re-predicted per request
-	maxSeen    atomic.Int64
-	batchSizes *metrics.Window // distribution of flushed batch sizes
+	coalesced metrics.HitCounter // hit: request shared its batch with others
+	fallbacks metrics.Counter    // fused batches that failed and re-predicted per request
+	// batchSizes observes each pass that drained fused: its lifetime
+	// count, sum and max are the batch, item and largest-batch counts.
+	batchSizes *metrics.Window
 }
 
 // modelQueue is one model name's pending singles. Queues live for the
@@ -318,24 +317,16 @@ func (s *scheduler) pass(q *modelQueue, reqs []single, out []schedResult) {
 	if isolated {
 		// The fused pass aborted and every request re-predicted alone, so
 		// nothing actually coalesced: count the fallback as its own
-		// outcome instead of a successful batch — batches/coalesced/
+		// outcome instead of a successful batch — coalesced and
 		// batchSizes record only passes that really drained fused.
 		s.fallbacks.Inc()
 		return
 	}
-	s.batches.Inc()
-	s.items.Add(int64(len(ins)))
 	s.batchSizes.Observe(float64(len(ins)))
 	if len(ins) > 1 {
 		s.coalesced.HitN(int64(len(ins)))
 	} else {
 		s.coalesced.Miss()
-	}
-	for n := int64(len(ins)); ; {
-		cur := s.maxSeen.Load()
-		if n <= cur || s.maxSeen.CompareAndSwap(cur, n) {
-			break
-		}
 	}
 }
 
@@ -358,17 +349,20 @@ type SchedulerStats struct {
 	BatchSizes    metrics.WindowSummary `json:"batch_sizes"`
 }
 
+// stats reads every batch figure from one locked snapshot of
+// batchSizes, so they agree however many passes finish during the read.
 func (s *scheduler) stats() SchedulerStats {
+	sizes, items := s.batchSizes.SnapshotSum()
 	st := SchedulerStats{
-		Batches:      s.batches.Value(),
-		Items:        s.items.Value(),
-		MaxBatchSize: s.maxSeen.Load(),
+		Batches:      sizes.Count,
+		Items:        int64(items),
+		MaxBatchSize: int64(sizes.Max),
 		Coalesced:    s.coalesced.Snapshot(),
 		Fallbacks:    s.fallbacks.Value(),
-		BatchSizes:   s.batchSizes.Snapshot(),
+		BatchSizes:   sizes,
 	}
 	if st.Batches > 0 {
-		st.MeanBatchSize = float64(st.Items) / float64(st.Batches)
+		st.MeanBatchSize = items / float64(st.Batches)
 	}
 	return st
 }

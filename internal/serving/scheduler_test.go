@@ -8,6 +8,7 @@ import (
 	"runtime/pprof"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -444,6 +445,54 @@ func TestSchedulerFallbackNotCountedAsCoalesced(t *testing.T) {
 	}
 	if st.BatchSizes.Count != 1 {
 		t.Fatalf("healthy flush missing from batch-size distribution: %+v", st.BatchSizes)
+	}
+}
+
+// TestSchedulerStatsAreOneSnapshot holds stats to one record per fact:
+// while two goroutines submit singles back to back, every snapshot's
+// batch count, item count, mean and max must agree with each other and
+// with the batch-size distribution, as the doctor's batch-sizes row
+// checks them. Counters kept beside the window and read one at a time
+// tore under this traffic (items behind batches, a max below the mean).
+func TestSchedulerStatsAreOneSnapshot(t *testing.T) {
+	const snapshots = 20000
+	est := &fakeEstimator{name: "fake"}
+	s := newScheduler(8, time.Millisecond, only(est))
+	defer s.close()
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if _, err := s.predictOne(context.Background(), est, schedIn(1), nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	waitFor(t, "a first batch", func() bool { return est.batchCalls.Load() > 0 })
+	first, torn := s.stats(), 0
+	for i := 0; i < snapshots; i++ {
+		st := s.stats()
+		if st.BatchSizes.Count != st.Batches || st.Items < st.Batches ||
+			st.MeanBatchSize > float64(st.MaxBatchSize) || st.BatchSizes.Max != float64(st.MaxBatchSize) {
+			if torn == 0 {
+				t.Errorf("torn snapshot: %+v", st)
+			}
+			torn++
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if torn > 0 {
+		t.Fatalf("%d of %d snapshots torn", torn, snapshots)
+	}
+	if st := s.stats(); st.Batches == first.Batches {
+		t.Fatal("no batch drained while the snapshots were taken")
 	}
 }
 

@@ -82,20 +82,12 @@ const (
 	DefaultMaxWait  = 500 * time.Microsecond
 )
 
-func (c Config) withDefaults() Config {
-	if c.PlanCacheSize <= 0 {
-		c.PlanCacheSize = costmodel.DefaultPlanCacheSize
-	}
-	return c
-}
-
 // Session is the serving pipeline: attached databases, attached
 // estimators, the micro-batch scheduler, and the metrics that observe
 // them.
 type Session struct {
-	cfg     Config
+	cfg     Config // cfg.Tracer is nil when tracing is off; all uses are nil-safe
 	sched   *scheduler
-	tracer  *obs.Tracer // nil when tracing is off; all uses are nil-safe
 	started time.Time
 
 	mu     sync.RWMutex
@@ -107,9 +99,8 @@ type Session struct {
 	errs     metrics.Counter
 	predict  metrics.LatencyRecorder
 
-	sweeps     metrics.Counter
 	sweepLat   metrics.LatencyRecorder
-	sweepSizes *metrics.Window
+	sweepSizes *metrics.Window // one observation per successful sweep: its count is Sweeps
 }
 
 // modelSlot is one attached model name's current estimator plus its
@@ -125,10 +116,8 @@ type modelSlot struct {
 // NewSession returns an empty session; attach at least one database and
 // one model before predicting.
 func NewSession(cfg Config) *Session {
-	cfg = cfg.withDefaults()
 	s := &Session{
 		cfg:        cfg,
-		tracer:     cfg.Tracer,
 		started:    time.Now(),
 		dbs:        map[string]*dbSession{},
 		models:     map[string]*modelSlot{},
@@ -219,7 +208,7 @@ func (s *Session) ModelGeneration(name string) (generation int64, swapped time.T
 	}
 	slot, ok := s.models[name]
 	if !ok {
-		return 0, time.Time{}, fmt.Errorf("model %q not attached (attached: %v): %w", name, s.modelNames(), ErrNotFound)
+		return 0, time.Time{}, fmt.Errorf("model %q not attached (attached: %v): %w", name, sortedNames(s.models), ErrNotFound)
 	}
 	return slot.generation, slot.swapped, nil
 }
@@ -252,11 +241,11 @@ func (s *Session) database(name string) (*dbSession, error) {
 				return d, nil
 			}
 		}
-		return nil, fmt.Errorf("request must name a database (attached: %v): %w", s.databaseNames(), ErrNotFound)
+		return nil, fmt.Errorf("request must name a database (attached: %v): %w", sortedNames(s.dbs), ErrNotFound)
 	}
 	d, ok := s.dbs[name]
 	if !ok {
-		return nil, fmt.Errorf("database %q not attached (attached: %v): %w", name, s.databaseNames(), ErrNotFound)
+		return nil, fmt.Errorf("database %q not attached (attached: %v): %w", name, sortedNames(s.dbs), ErrNotFound)
 	}
 	return d, nil
 }
@@ -303,31 +292,20 @@ func (s *Session) Model(name string) (costmodel.Estimator, error) {
 				return slot.est, nil
 			}
 		}
-		return nil, fmt.Errorf("request must name a model (attached: %v): %w", s.modelNames(), ErrNotFound)
+		return nil, fmt.Errorf("request must name a model (attached: %v): %w", sortedNames(s.models), ErrNotFound)
 	}
 	slot, ok := s.models[name]
 	if !ok {
-		return nil, fmt.Errorf("model %q not attached (attached: %v): %w", name, s.modelNames(), ErrNotFound)
+		return nil, fmt.Errorf("model %q not attached (attached: %v): %w", name, sortedNames(s.models), ErrNotFound)
 	}
 	return slot.est, nil
 }
 
-// databaseNames returns the attached database names sorted; callers hold
-// at least a read lock.
-func (s *Session) databaseNames() []string {
-	out := make([]string, 0, len(s.dbs))
-	for n := range s.dbs {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// modelNames returns the attached model names sorted; callers hold at
-// least a read lock.
-func (s *Session) modelNames() []string {
-	out := make([]string, 0, len(s.models))
-	for n := range s.models {
+// sortedNames returns the names attached in m (s.dbs or s.models)
+// sorted; callers hold at least a read lock.
+func sortedNames[T any](m map[string]T) []string {
+	out := make([]string, 0, len(m))
+	for n := range m {
 		out = append(out, n)
 	}
 	sort.Strings(out)
@@ -338,7 +316,7 @@ func (s *Session) modelNames() []string {
 func (s *Session) Models() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.modelNames()
+	return sortedNames(s.models)
 }
 
 // DatabaseInfo describes one attached database.
@@ -354,7 +332,7 @@ func (s *Session) Databases() []DatabaseInfo {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]DatabaseInfo, 0, len(s.dbs))
-	for _, name := range s.databaseNames() {
+	for _, name := range sortedNames(s.dbs) {
 		d := s.dbs[name]
 		out = append(out, DatabaseInfo{
 			Name:      name,
@@ -390,7 +368,7 @@ type Prediction struct {
 // tracer samples the request, every pipeline stage records a span; slow
 // requests land in the tracer's slow-query ring either way.
 func (s *Session) Predict(ctx context.Context, dbName, model, sql string) (Prediction, error) {
-	tr, begin := s.tracer.Begin()
+	tr, begin := s.cfg.Tracer.Begin()
 	p, err := s.predictTraced(ctx, dbName, model, sql, tr)
 	// Prefer the resolved names (an empty request name defaults when
 	// unambiguous); fall back to the request's own on early failure.
@@ -401,7 +379,7 @@ func (s *Session) Predict(ctx context.Context, dbName, model, sql string) (Predi
 	if mdl == "" {
 		mdl = model
 	}
-	s.tracer.Finish(tr, "predict", db, mdl, sql, begin, err)
+	s.cfg.Tracer.Finish(tr, "predict", db, mdl, sql, begin, err)
 	return p, err
 }
 
@@ -564,7 +542,7 @@ type DatabaseStats struct {
 	Database  string                            `json:"db"`
 	PlanCache costmodel.PlanCacheStats          `json:"plan_cache"`
 	Stages    map[string]metrics.LatencySummary `json:"stages"`
-	// WhatIfCache is never set: the what-if catalog keeps no plans. It
+	// WhatIfCache is never set: a what-if sweep keeps no plans. It
 	// stays until bench/layers.go stops reading it; the doctor still
 	// judges older support bundles that carry it.
 	WhatIfCache *costmodel.PlanCacheStats `json:"whatif_cache,omitempty"`
@@ -582,9 +560,10 @@ type DatabaseStats struct {
 // name listing and slot reads; replica-aggregated cluster stats made
 // that torn read observable.) Independently locked recorders — latency
 // reservoirs, plan caches, the scheduler — are snapshotted after the
-// lock is released: they are monotonic accumulators whose point-in-time
-// values carry no cross-field invariant, and keeping them outside
-// shortens the hold on the registry lock the request path contends on.
+// lock is released: each carries its own cross-field invariants under
+// its own lock (the scheduler's batch, item and max-size counts are one
+// window's snapshot), and keeping them outside shortens the hold on the
+// registry lock the request path contends on.
 func (s *Session) Stats() Stats {
 	s.mu.RLock()
 	st := Stats{
@@ -594,7 +573,7 @@ func (s *Session) Stats() Stats {
 		Errors:      s.errs.Value(),
 	}
 	st.Models = make([]ModelStats, 0, len(s.models))
-	for _, name := range s.modelNames() {
+	for _, name := range sortedNames(s.models) {
 		slot := s.models[name]
 		st.Models = append(st.Models, ModelStats{
 			Name:       name,
@@ -603,16 +582,17 @@ func (s *Session) Stats() Stats {
 		})
 	}
 	dbs := make([]*dbSession, 0, len(s.dbs))
-	for _, name := range s.databaseNames() {
+	for _, name := range sortedNames(s.dbs) {
 		dbs = append(dbs, s.dbs[name])
 	}
 	s.mu.RUnlock()
 	st.Predict = s.predict.Snapshot()
 	st.Scheduler = s.sched.stats()
+	sizes := s.sweepSizes.Snapshot()
 	st.WhatIf = WhatIfStats{
-		Sweeps:     s.sweeps.Value(),
+		Sweeps:     sizes.Count,
 		Latency:    s.sweepLat.Snapshot(),
-		BatchSizes: s.sweepSizes.Snapshot(),
+		BatchSizes: sizes,
 	}
 	st.Databases = make([]DatabaseStats, 0, len(dbs))
 	for _, d := range dbs {

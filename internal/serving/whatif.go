@@ -26,8 +26,8 @@ import (
 // Per-(variant × statement) planning and pricing failures stay
 // structured inside the report and do not fail the request.
 //
-// Workload statements only pass the pipeline's parse stage: the sweep,
-// on a catalog built per request, is the one planner and keeps no plan.
+// Workload statements only pass the pipeline's parse stage: the sweep
+// is the one planner and keeps no plan.
 // The plan cache is never touched, so a statement seen only by what-if
 // misses on its first predict, and feedback joins it only after one.
 func (s *Session) WhatIf(ctx context.Context, dbName, model string, req whatif.Request) (*whatif.Report, error) {
@@ -71,13 +71,12 @@ func (s *Session) WhatIf(ctx context.Context, dbName, model string, req whatif.R
 	}
 
 	start := time.Now()
-	rep, err := whatif.NewCatalog(d.db, d.st).Sweep(ctx, est, stmts, variants)
+	rep, err := whatif.Sweep(ctx, d.db, d.st, est, stmts, variants)
 	s.sweepLat.Observe(time.Since(start))
 	if err != nil {
 		s.countErr(err)
 		return nil, err
 	}
-	s.sweeps.Inc()
 	s.sweepSizes.Observe(float64(rep.Items))
 	rep.Database = d.name
 	rep.Model = est.Name()

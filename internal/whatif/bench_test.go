@@ -93,7 +93,7 @@ func (e *batchLenEst) PredictBatch(ctx context.Context, ins []costmodel.PlanInpu
 // (7 candidates + baseline) = 256 pairs — through the real zero-shot
 // model, fused (one batched forward pass) versus fanned out (per-item
 // passes). Each iteration plans, encodes and prices the sweep's
-// distinct plans: the catalog keeps none between sweeps.
+// distinct plans: a sweep keeps none once its report is built.
 func BenchmarkWhatIfSweep(b *testing.B) {
 	db, est, qs := benchSetup(b)
 	st := stats.Collect(db, stats.DefaultBuckets, stats.DefaultMCVs)
@@ -109,10 +109,9 @@ func BenchmarkWhatIfSweep(b *testing.B) {
 	items := (len(variants) + 1) * len(stmts)
 
 	run := func(b *testing.B, est costmodel.Estimator) {
-		cat := NewCatalog(db, st)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := cat.Sweep(context.Background(), est, stmts, variants); err != nil {
+			if _, err := Sweep(context.Background(), db, st, est, stmts, variants); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -144,12 +143,11 @@ func BenchmarkSweepCold(b *testing.B) {
 	}
 	stmts := Statements(qs)
 	items := (len(variants) + 1) * len(stmts)
-	cat := NewCatalog(db, st)
 	rec := &batchLenEst{Estimator: est}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cat.Sweep(context.Background(), rec, stmts, variants); err != nil {
+		if _, err := Sweep(context.Background(), db, st, rec, stmts, variants); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,15 +11,17 @@ import (
 	"github.com/zeroshot-db/zeroshot/internal/costmodel"
 	"github.com/zeroshot-db/zeroshot/internal/optimizer"
 	"github.com/zeroshot-db/zeroshot/internal/query"
+	"github.com/zeroshot-db/zeroshot/internal/stats"
+	"github.com/zeroshot-db/zeroshot/internal/storage"
 )
 
 // sweepCrossProduct is the sweep this package shipped before it learned
 // which indexes a statement's plan can depend on, kept as the oracle (the
 // house method: nn/reference_test.go): it plans, encodes and prices every
 // (variant, statement) pair, each under the variant's full index set,
-// with no cache and no sharing. Catalog.Sweep's report must marshal to
-// the same bytes.
-func (c *Catalog) sweepCrossProduct(ctx context.Context, est costmodel.Estimator, stmts []Statement, variants []Variant) (*Report, error) {
+// with no cache and no sharing. Sweep's report must marshal to the same
+// bytes.
+func sweepCrossProduct(ctx context.Context, db *storage.Database, st *stats.DBStats, est costmodel.Estimator, stmts []Statement, variants []Variant) (*Report, error) {
 	if len(stmts) == 0 {
 		return nil, ErrEmptyWorkload
 	}
@@ -36,7 +38,7 @@ func (c *Catalog) sweepCrossProduct(ctx context.Context, est costmodel.Estimator
 	type slot struct{ v, s int }
 	var pos []slot
 	for vi, v := range all {
-		opt := optimizer.New(c.db.Schema, c.st, v.indexSet(), optimizer.DefaultCostParams())
+		opt := optimizer.New(db.Schema, st, v.indexSet(), optimizer.DefaultCostParams())
 		results[vi] = VariantResult{
 			Name:    v.displayName(),
 			Indexes: append([]string(nil), v.Indexes...),
@@ -55,7 +57,7 @@ func (c *Catalog) sweepCrossProduct(ctx context.Context, est costmodel.Estimator
 				continue
 			}
 			ins = append(ins, costmodel.PlanInput{
-				DB:            c.db,
+				DB:            db,
 				Query:         stmt.Query,
 				Plan:          p,
 				OptimizerCost: optimizer.TotalCost(p),
@@ -181,8 +183,7 @@ func TestSweepMatchesCrossProduct(t *testing.T) {
 			},
 		}
 		for name, mk := range ests {
-			cat := NewCatalog(db, st)
-			want, err := cat.sweepCrossProduct(context.Background(), mk(), stmts, variants)
+			want, err := sweepCrossProduct(context.Background(), db, st, mk(), stmts, variants)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,7 +192,7 @@ func TestSweepMatchesCrossProduct(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, pass := range []string{"cold", "warm"} {
-				got, err := cat.Sweep(context.Background(), mk(), stmts, variants)
+				got, err := Sweep(context.Background(), db, st, mk(), stmts, variants)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -8,13 +8,13 @@ import (
 	"github.com/zeroshot-db/zeroshot/internal/query"
 )
 
-// TestSweepRetainsNothing pins that a catalog keeps no plan once a
-// sweep's report is built. It runs 64 sweeps through one catalog, each
-// over 16 distinct generated statements and every candidate they
-// enumerate, and compares HeapInuse, read after a GC, before and after
-// them. A catalog that kept each distinct plan would grow by thousands
-// of query-and-plan pairs, megabytes; the ceiling leaves room only for
-// the heap's own noise.
+// TestSweepRetainsNothing pins that a sweep keeps no plan once its
+// report is built. It runs 64 sweeps over one database, each over 16
+// distinct generated statements and every candidate they enumerate, and
+// compares HeapInuse, read after a GC, before and after them. A sweep
+// that kept each distinct plan (as the catalog's plan cache once did)
+// would grow by thousands of query-and-plan pairs, megabytes; the
+// ceiling leaves room only for the heap's own noise.
 func TestSweepRetainsNothing(t *testing.T) {
 	const sweeps, perSweep, ceiling = 64, 16, 256 << 10
 	db, st, _ := fixture(t)
@@ -47,7 +47,6 @@ func TestSweepRetainsNothing(t *testing.T) {
 		jobs[i] = job{Statements(batch), Variants(cands)}
 	}
 	gen, seen = nil, nil
-	cat := NewCatalog(db, st)
 	heapInuse := func() uint64 {
 		runtime.GC()
 		var ms runtime.MemStats
@@ -59,13 +58,13 @@ func TestSweepRetainsNothing(t *testing.T) {
 	planned := int64(0)
 	for _, j := range jobs {
 		est := &fakeEst{}
-		if _, err := cat.Sweep(context.Background(), est, j.stmts, j.variants); err != nil {
+		if _, err := Sweep(context.Background(), db, st, est, j.stmts, j.variants); err != nil {
 			t.Fatal(err)
 		}
 		planned += est.batchMax.Load()
 	}
 	after := heapInuse()
-	runtime.KeepAlive(cat)
+	runtime.KeepAlive(st)
 	runtime.KeepAlive(jobs)
 
 	grew := int64(after) - int64(before)

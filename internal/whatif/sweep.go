@@ -6,10 +6,16 @@ import (
 
 	"github.com/zeroshot-db/zeroshot/internal/costmodel"
 	"github.com/zeroshot-db/zeroshot/internal/optimizer"
+	"github.com/zeroshot-db/zeroshot/internal/stats"
+	"github.com/zeroshot-db/zeroshot/internal/storage"
 )
 
-// Sweep prices the workload under the baseline and every variant and
-// returns the variants ranked by predicted workload runtime.
+// Sweep prices the workload on db, whose collected statistics are st,
+// under the baseline and every variant, and returns the variants ranked
+// by predicted workload runtime. A variant's indexes exist only as the
+// IndexSet of the optimizer that plans it, never in storage (sweeps
+// never execute), so concurrent sweeps share db and st without a lock,
+// and a sweep keeps nothing once its report is built.
 //
 // The executor walks every (variant × statement) pair but plans each
 // DISTINCT plan once: a pair's variant is first restricted to the indexes
@@ -26,7 +32,7 @@ import (
 // (empty workload, no variants, context cancellation — checked once per
 // pair and inside the estimator, so an abandoned sweep stops mid-flight
 // and returns the context's error).
-func (c *Catalog) Sweep(ctx context.Context, est costmodel.Estimator, stmts []Statement, variants []Variant) (*Report, error) {
+func Sweep(ctx context.Context, db *storage.Database, st *stats.DBStats, est costmodel.Estimator, stmts []Statement, variants []Variant) (*Report, error) {
 	if len(stmts) == 0 {
 		return nil, ErrEmptyWorkload
 	}
@@ -77,7 +83,7 @@ func (c *Catalog) Sweep(ctx context.Context, est costmodel.Estimator, stmts []St
 			p, ok := planned[key]
 			if !ok {
 				var in costmodel.PlanInput
-				if in, p.err = c.prepare(rv, stmt); p.err == nil {
+				if in, p.err = plan(db, st, rv, stmt); p.err == nil {
 					p.in = len(ins)
 					ins = append(ins, in)
 				}
@@ -160,4 +166,22 @@ func (c *Catalog) Sweep(ctx context.Context, est costmodel.Estimator, stmts []St
 		r.Recommendation = ranked[0].Name
 	}
 	return r, nil
+}
+
+// plan plans one statement under one variant. The input carries no
+// EncodedPlan memo: the sweep prices it once and drops it.
+func plan(db *storage.Database, st *stats.DBStats, v Variant, stmt Statement) (costmodel.PlanInput, error) {
+	// Building an optimizer is a struct literal over shared pointers, so
+	// every plan builds its own rather than caching one per variant.
+	opt := optimizer.New(db.Schema, st, v.indexSet(), optimizer.DefaultCostParams())
+	p, err := opt.Plan(stmt.Query)
+	if err != nil {
+		return costmodel.PlanInput{}, err
+	}
+	return costmodel.PlanInput{
+		DB:            db,
+		Query:         stmt.Query,
+		Plan:          p,
+		OptimizerCost: optimizer.TotalCost(p),
+	}, nil
 }

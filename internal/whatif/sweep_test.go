@@ -14,14 +14,15 @@ import (
 
 	"github.com/zeroshot-db/zeroshot/internal/costmodel"
 	"github.com/zeroshot-db/zeroshot/internal/optimizer"
+	"github.com/zeroshot-db/zeroshot/internal/stats"
+	"github.com/zeroshot-db/zeroshot/internal/storage"
 )
 
-// sweepFixture builds a fresh catalog plus statements and candidate
-// variants over the shared fixture database.
-func sweepFixture(t testing.TB, nCands int) (*Catalog, []Statement, []Variant) {
+// sweepFixture returns the shared fixture database and its statistics
+// plus statements and candidate variants over them.
+func sweepFixture(t testing.TB, nCands int) (*storage.Database, *stats.DBStats, []Statement, []Variant) {
 	t.Helper()
 	db, st, qs := fixture(t)
-	c := NewCatalog(db, st)
 	cands, err := Enumerate(db.Schema, qs, nil, nCands)
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +34,7 @@ func sweepFixture(t testing.TB, nCands int) (*Catalog, []Statement, []Variant) {
 	for i, cand := range cands {
 		variants[i] = Variant{Name: cand.Index, Indexes: []string{cand.Index}}
 	}
-	return c, Statements(qs), variants
+	return db, st, Statements(qs), variants
 }
 
 // TestSweepMatchesHandRolledLoop pins the sweep against the advisor it
@@ -41,11 +42,11 @@ func sweepFixture(t testing.TB, nCands int) (*Catalog, []Statement, []Variant) {
 // the hypothetical IndexSet, plans every statement and sums per-plan
 // predictions. Totals and the resulting ranking must agree exactly.
 func TestSweepMatchesHandRolledLoop(t *testing.T) {
-	db, st, qs := fixture(t)
-	cat, stmts, variants := sweepFixture(t, 6)
+	_, _, qs := fixture(t)
+	db, st, stmts, variants := sweepFixture(t, 6)
 	est := &fakeEst{}
 
-	rep, err := cat.Sweep(context.Background(), est, stmts, variants)
+	rep, err := Sweep(context.Background(), db, st, est, stmts, variants)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +112,9 @@ func TestSweepMatchesHandRolledLoop(t *testing.T) {
 // candidate index on a column a statement never touches shares the
 // baseline's plan — and a repeat sweep returns the same report.
 func TestSweepFusesOneBatch(t *testing.T) {
-	cat, stmts, variants := sweepFixture(t, 4)
+	db, st, stmts, variants := sweepFixture(t, 4)
 	est := &fakeEst{}
-	rep, err := cat.Sweep(context.Background(), est, stmts, variants)
+	rep, err := Sweep(context.Background(), db, st, est, stmts, variants)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestSweepFusesOneBatch(t *testing.T) {
 	}
 
 	// Repeat sweep: identical report.
-	rep2, err := cat.Sweep(context.Background(), est, stmts, variants)
+	rep2, err := Sweep(context.Background(), db, st, est, stmts, variants)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,10 +177,9 @@ func distinctPlans(stmts []Statement, variants []Variant) int {
 // TestSweepNeverMutatesStorage is the copy-on-write guarantee: many
 // concurrent sweeps over hypothetical indexes leave the shared database
 // without a single materialized index. Run under -race this also proves
-// concurrent sweeps share the catalog safely.
+// concurrent sweeps share the database and its statistics safely.
 func TestSweepNeverMutatesStorage(t *testing.T) {
-	db, _, _ := fixture(t)
-	cat, stmts, variants := sweepFixture(t, 6)
+	db, st, stmts, variants := sweepFixture(t, 6)
 	before := strings.Join(db.IndexedColumns(), ",")
 
 	const sweeps = 8
@@ -190,7 +190,7 @@ func TestSweepNeverMutatesStorage(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			reports[i], errs[i] = cat.Sweep(context.Background(), &fakeEst{}, stmts, variants)
+			reports[i], errs[i] = Sweep(context.Background(), db, st, &fakeEst{}, stmts, variants)
 		}(i)
 	}
 	wg.Wait()
@@ -210,12 +210,12 @@ func TestSweepNeverMutatesStorage(t *testing.T) {
 }
 
 func TestSweepContextCancellation(t *testing.T) {
-	cat, stmts, variants := sweepFixture(t, 3)
+	db, st, stmts, variants := sweepFixture(t, 3)
 
 	// Pre-canceled: the planning loop notices before any pricing.
 	pre, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := cat.Sweep(pre, &fakeEst{}, stmts, variants); !errors.Is(err, context.Canceled) {
+	if _, err := Sweep(pre, db, st, &fakeEst{}, stmts, variants); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled sweep err = %v, want context.Canceled", err)
 	}
 
@@ -226,7 +226,7 @@ func TestSweepContextCancellation(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cancel2()
 	}()
-	rep, err := cat.Sweep(ctx, &fakeEst{block: true}, stmts, variants)
+	rep, err := Sweep(ctx, db, st, &fakeEst{block: true}, stmts, variants)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-sweep cancellation err = %v, want context.Canceled", err)
 	}
@@ -239,7 +239,7 @@ func TestSweepContextCancellation(t *testing.T) {
 // some variant carries its own error; the rest of the sweep prices, and
 // workload speedups only compare statements priced under both sides.
 func TestSweepStructuredItemErrors(t *testing.T) {
-	cat, stmts, variants := sweepFixture(t, 3)
+	db, st, stmts, variants := sweepFixture(t, 3)
 	poisoned := stmts[0].Query
 	est := &fakeEst{poison: func(in costmodel.PlanInput) error {
 		if in.Query == poisoned {
@@ -248,7 +248,7 @@ func TestSweepStructuredItemErrors(t *testing.T) {
 		return nil
 	}}
 
-	rep, err := cat.Sweep(context.Background(), est, stmts, variants)
+	rep, err := Sweep(context.Background(), db, st, est, stmts, variants)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,10 +283,10 @@ func TestSweepStructuredItemErrors(t *testing.T) {
 // cannot touch the statement — reports the error and counts it; pairs
 // with a plan of their own for the same statement still price.
 func TestSweepSharedPlanSharesItsError(t *testing.T) {
-	cat, stmts, variants := sweepFixture(t, 6)
+	db, st, stmts, variants := sweepFixture(t, 6)
 	// Pick a statement some candidates cannot touch (they share the
 	// baseline's plan and so its price) and some re-plan.
-	probe, err := cat.Sweep(context.Background(), &fakeEst{}, stmts, variants)
+	probe, err := Sweep(context.Background(), db, st, &fakeEst{}, stmts, variants)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestSweepSharedPlanSharesItsError(t *testing.T) {
 		t.Fatal("fixture has no statement with both shared and re-planned variants")
 	}
 	// Poison exactly that statement's baseline plan.
-	base, err := cat.prepare(Variant{}, stmts[target])
+	base, err := plan(db, st, Variant{}, stmts[target])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestSweepSharedPlanSharesItsError(t *testing.T) {
 		return nil
 	}}
 
-	rep, err := cat.Sweep(context.Background(), est, stmts, variants)
+	rep, err := Sweep(context.Background(), db, st, est, stmts, variants)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,11 +351,11 @@ func TestSweepSharedPlanSharesItsError(t *testing.T) {
 // shared plan or not, so a sweep cancelled part-way through its pairs
 // returns the bare context error and no report.
 func TestSweepCancelledWhilePlanning(t *testing.T) {
-	cat, stmts, variants := sweepFixture(t, 4)
+	db, st, stmts, variants := sweepFixture(t, 4)
 	pairs := (len(variants) + 1) * len(stmts)
 	for _, after := range []int{0, 1, len(stmts), pairs - 1} {
 		ctx := &countdownCtx{Context: context.Background(), left: after}
-		rep, err := cat.Sweep(ctx, &fakeEst{}, stmts, variants)
+		rep, err := Sweep(ctx, db, st, &fakeEst{}, stmts, variants)
 		if err != context.Canceled || rep != nil {
 			t.Fatalf("cancelled after %d pair checks: report %v, err %v", after, rep != nil, err)
 		}
@@ -380,11 +380,11 @@ func (c *countdownCtx) Err() error {
 }
 
 func TestSweepRequestLevelErrors(t *testing.T) {
-	cat, stmts, variants := sweepFixture(t, 3)
-	if _, err := cat.Sweep(context.Background(), &fakeEst{}, nil, variants); !errors.Is(err, ErrEmptyWorkload) {
+	db, st, stmts, variants := sweepFixture(t, 3)
+	if _, err := Sweep(context.Background(), db, st, &fakeEst{}, nil, variants); !errors.Is(err, ErrEmptyWorkload) {
 		t.Fatalf("empty workload err = %v", err)
 	}
-	if _, err := cat.Sweep(context.Background(), &fakeEst{}, stmts, nil); !errors.Is(err, ErrNoVariants) {
+	if _, err := Sweep(context.Background(), db, st, &fakeEst{}, stmts, nil); !errors.Is(err, ErrNoVariants) {
 		t.Fatalf("no variants err = %v", err)
 	}
 }

@@ -4,10 +4,7 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/zeroshot-db/zeroshot/internal/costmodel"
 	"github.com/zeroshot-db/zeroshot/internal/optimizer"
-	"github.com/zeroshot-db/zeroshot/internal/stats"
-	"github.com/zeroshot-db/zeroshot/internal/storage"
 )
 
 // Variant is one hypothetical configuration of a database: a set of
@@ -78,46 +75,4 @@ func (v Variant) indexSet() optimizer.IndexSet {
 		set[idx] = true
 	}
 	return set
-}
-
-// Catalog is a copy-on-write hypothetical view layer over one database:
-// it shares the database's storage, schema and collected statistics
-// (all immutable under planning) and overlays each variant's
-// hypothetical IndexSet purely inside the optimizer that plans it.
-// Nothing a sweep does writes to the shared database: hypothetical
-// indexes exist only as planner advice, never as storage.Database index
-// structures (only execution materializes indexes, and sweeps never
-// execute).
-//
-// A catalog keeps nothing between sweeps: each sweep plans its distinct
-// plans, prices them and drops them once its report is built. It is two
-// immutable pointers, so all methods are safe for concurrent use without
-// a lock.
-type Catalog struct {
-	db *storage.Database
-	st *stats.DBStats
-}
-
-// NewCatalog builds a hypothetical catalog over the database and its
-// collected statistics, which the catalog shares rather than recollects.
-func NewCatalog(db *storage.Database, st *stats.DBStats) *Catalog {
-	return &Catalog{db: db, st: st}
-}
-
-// prepare plans one statement under one variant. The input carries no
-// EncodedPlan memo: the sweep prices it once and drops it.
-func (c *Catalog) prepare(v Variant, stmt Statement) (costmodel.PlanInput, error) {
-	// Building an optimizer is a struct literal over shared pointers, so
-	// every plan builds its own rather than caching one per variant.
-	opt := optimizer.New(c.db.Schema, c.st, v.indexSet(), optimizer.DefaultCostParams())
-	p, err := opt.Plan(stmt.Query)
-	if err != nil {
-		return costmodel.PlanInput{}, err
-	}
-	return costmodel.PlanInput{
-		DB:            c.db,
-		Query:         stmt.Query,
-		Plan:          p,
-		OptimizerCost: optimizer.TotalCost(p),
-	}, nil
 }

@@ -5,23 +5,22 @@
 // without mutating the database — and returns the variants ranked by
 // predicted workload runtime.
 //
-// The package has three parts:
+// The package has two parts:
 //
 //   - a candidate enumerator (Enumerate) that proposes index candidates
 //     from the schema's foreign keys and the workload's filter columns,
 //     or validates an explicit user-supplied list;
-//   - a copy-on-write hypothetical catalog (Catalog) that overlays
-//     candidate indexes on a database's shared schema and statistics
-//     purely at the planner level — the optimizer's IndexSet is advice
-//     to the planner, never a storage mutation, so concurrent sweeps
-//     share one immutable database;
-//   - a sweep executor (Catalog.Sweep) that answers every (variant ×
-//     query) pair but plans each distinct plan once — a variant is first
-//     restricted to the indexes the query's plan can depend on
-//     (optimizer.RelevantIndexes) — prices the distinct plans through
-//     ONE Estimator.PredictBatch call (the fused forward pass for the
-//     zero-shot model), and assembles per-query and workload-level
-//     speedups against the always-included baseline variant.
+//   - a sweep (Sweep) over a database and its collected statistics. It
+//     overlays each variant's hypothetical indexes purely at the planner
+//     level: the optimizer's IndexSet is advice to the planner, never a
+//     storage mutation, so concurrent sweeps share one immutable
+//     database. It answers every (variant × query) pair but plans each
+//     distinct plan once — a variant is first restricted to the indexes
+//     the query's plan can depend on (optimizer.RelevantIndexes) —
+//     prices the distinct plans through ONE Estimator.PredictBatch call
+//     (the fused forward pass for the zero-shot model), and assembles
+//     per-query and workload-level speedups against the always-included
+//     baseline variant.
 //
 // Sweeps are the system's first naturally huge batches: a modest advise
 // request (16 candidates × 64 queries) answers over a thousand pairs
