@@ -139,10 +139,17 @@ func TestColdBatchDedup(t *testing.T) {
 
 // TestColdBatchConcurrentSharedMemo hammers the parallel cold path from
 // many goroutines over inputs sharing ONE memo (the serving plan-cache
-// shape: concurrent cold batches racing to warm the same entry). Run
-// under -race in CI; results must match the serial reference bitwise.
+// shape: concurrent cold batches racing to warm the same entry). Half
+// the goroutines predict through an estimator with another cardinality
+// source, so the memo's one slot changes key under them. Run under
+// -race in CI; results must match each estimator's serial reference
+// bitwise.
 func TestColdBatchConcurrentSharedMemo(t *testing.T) {
 	zs, f := fitZeroShot(t)
+	other, err := New(NameZeroShot, Options{Hidden: 16, Epochs: 4, Seed: 1, Card: encoding.CardNone})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
 
 	ins := make([]PlanInput, len(f.eval))
@@ -150,9 +157,12 @@ func TestColdBatchConcurrentSharedMemo(t *testing.T) {
 		ins[i] = f.eval[i].PlanInput
 		ins[i].Enc = nil
 	}
-	want, err := zs.PredictBatch(ctx, ins)
-	if err != nil {
-		t.Fatal(err)
+	ests := []Estimator{zs, other}
+	wants := make([][]float64, len(ests))
+	for e, est := range ests {
+		if wants[e], err = est.PredictBatch(ctx, ins); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// One shared memo per item, shared across every goroutine's batch.
@@ -167,20 +177,20 @@ func TestColdBatchConcurrentSharedMemo(t *testing.T) {
 	errCh := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		go func() {
+		go func(e int) {
 			defer wg.Done()
-			got, err := zs.PredictBatch(ctx, shared)
+			got, err := ests[e].PredictBatch(ctx, shared)
 			if err != nil {
 				errCh <- err
 				return
 			}
 			for i := range got {
-				if got[i] != want[i] {
-					t.Errorf("concurrent cold batch item %d: %v != %v", i, got[i], want[i])
+				if got[i] != wants[e][i] {
+					t.Errorf("concurrent cold batch of estimator %d, item %d: %v != %v", e, i, got[i], wants[e][i])
 					return
 				}
 			}
-		}()
+		}(g % len(ests))
 	}
 	wg.Wait()
 	close(errCh)

@@ -304,10 +304,12 @@ func TestLookup(t *testing.T) {
 // 6.4–7.0 KB. Ten runs of this test alone on a 2-vCPU amd64 box
 // (go1.24) read 4 632–5 008 bytes with a memo holding a list of
 // per-encoder slots and 4 624–4 776 with its one slot; the ceiling
-// keeps the one-slot memo's largest run 6 % under it. Run with the rest
-// of the package the same build read 4 368–4 544.
+// keeps the one-slot memo's largest run 8 % under it. The reading grows
+// with GOMAXPROCS and the box's load: alone at -cpu 4 on a busy box it
+// read up to 5 048, and 5 176 as the third of -cpu 1,2,4 in one
+// process. Run with the rest of the package it read 4 224–4 568.
 func TestColdEntryRetainedBytes(t *testing.T) {
-	const entries, ceiling = 1024, 5100
+	const entries, ceiling = 1024, 5200
 	db, err := datagen.IMDBLike(0.02)
 	if err != nil {
 		t.Fatal(err)

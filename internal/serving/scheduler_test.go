@@ -462,6 +462,8 @@ func TestSchedulerStatsAreOneSnapshot(t *testing.T) {
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer stop.Store(true)
 	for c := 0; c < 2; c++ {
 		wg.Add(1)
 		go func() {
@@ -486,8 +488,6 @@ func TestSchedulerStatsAreOneSnapshot(t *testing.T) {
 			torn++
 		}
 	}
-	stop.Store(true)
-	wg.Wait()
 	if torn > 0 {
 		t.Fatalf("%d of %d snapshots torn", torn, snapshots)
 	}

@@ -12,9 +12,9 @@ import (
 // report is built. It runs 64 sweeps over one database, each over 16
 // distinct generated statements and every candidate they enumerate, and
 // compares HeapInuse, read after a GC, before and after them. A sweep
-// that kept each distinct plan (as the catalog's plan cache once did)
-// would grow by thousands of query-and-plan pairs, megabytes; the
-// ceiling leaves room only for the heap's own noise.
+// that kept each distinct plan would grow by thousands of
+// query-and-plan pairs, megabytes; the ceiling leaves room only for the
+// heap's own noise.
 func TestSweepRetainsNothing(t *testing.T) {
 	const sweeps, perSweep, ceiling = 64, 16, 256 << 10
 	db, st, _ := fixture(t)
